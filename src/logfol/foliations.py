@@ -73,20 +73,7 @@ def span_membership(target, generators, order):
     ctx = target.ctx
     monos = monomials(ctx, order)
     mono_index = {e: i for i, e in enumerate(monos)}
-    ncols = len(generators) * len(monos)
-    rows = {}  # (component, monomial) -> row index, built lazily
-
-    row_list = []
-    rhs = []
-
-    def row_of(comp, e):
-        key = (comp, e)
-        if key not in rows:
-            rows[key] = len(row_list)
-            row_list.append([Fraction(0)] * ncols)
-            rhs.append(Fraction(0))
-        return rows[key]
-
+    system = linalg.RowBuilder(len(generators) * len(monos))  # rows keyed (component, monomial)
     for k, gen in enumerate(generators):
         if gen.ctx != ctx:
             raise ContextMismatchError("generator context mismatch")
@@ -95,16 +82,14 @@ def span_membership(target, generators, order):
                 col = k * len(monos) + i_mono
                 prod = Jet.make(ctx, {e_mono: 1}) * comp
                 for e, c in prod.terms.items():
-                    if sum(e) > order:
-                        continue
-                    row_list[row_of(comp_idx, e)][col] += c
+                    if sum(e) <= order:
+                        system.add((comp_idx, e), col, c)
     for comp_idx, comp in enumerate(target.components()):
         for e, c in comp.terms.items():
-            if sum(e) > order:
-                continue
-            rhs[row_of(comp_idx, e)] = c
+            if sum(e) <= order:
+                system.add_rhs((comp_idx, e), c)
 
-    sol = linalg.solve(row_list, rhs)
+    sol = system.solve()
     if sol is None:
         return None
     coeffs = []

@@ -1,7 +1,14 @@
-"""Dense exact linear algebra over Fraction, plus a few integer lattice routines.
+"""Exact linear algebra over Fraction, plus a few integer lattice routines.
 
-Everything here works on plain lists of lists. Sizes stay small (desk scale),
-so no attempt is made at sparsity or pivoting heuristics beyond exactness.
+Gauss-Jordan elimination over the rationals has one engine, echelon(),
+whose rows are {column: value} dicts holding only their nonzero entries,
+with the column count given explicitly.  The jet systems built by
+span_membership and find_flat_unit are more than 99% zeros, so its work
+follows the nonzeros, not rows x columns.  Those builders fill a RowBuilder
+and call the engine directly; rref, rank, solve, nullspace and inverse take
+the dense list-of-lists matrices the rest of the package builds and convert
+them once on entry.  The integer Hermite form and the simplex keep their own
+small dense tableaux.
 """
 
 from __future__ import annotations
@@ -79,39 +86,124 @@ def is_zero_vec(x):
     return all(v == 0 for v in x)
 
 
-def rref(a):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    r = [row[:] for row in a]
-    m = len(r)
-    n = len(r[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        sel = None
-        for i in range(row, m):
-            if r[i][col] != 0:
-                sel = i
+def echelon(rows, ncols, basis=None, reduced=True):
+    """Sparse exact row echelon form, the elimination engine of this module.
+
+    rows is an iterable of {column: value} dicts with columns in
+    range(ncols); zero values are dropped and the dicts are not modified.
+    basis is the result of an earlier call, extended in place by the new
+    rows, or None to start empty.  The result maps each pivot column to its
+    row, scaled to pivot 1 and with no entry left of the pivot.
+
+    Each new row is reduced against the pivot rows, lowest column first,
+    and joins them if anything is left.  With reduced=True one
+    back-substitution pass then clears every pivot column from the other
+    rows.  That is the reduced row echelon form, which depends only on the
+    row space: not on the order of the rows, nor on how many calls built it.
+    """
+    if basis is None:
+        basis = {}
+    one = Fraction(1)
+    for row in rows:
+        r = {j: v for j, v in row.items() if v}
+        if r and not (0 <= min(r) and max(r) < ncols):
+            raise ValueError("column index outside range(%d)" % ncols)
+        while r:
+            col = min(r)
+            pivot_row = basis.get(col)
+            if pivot_row is None:
+                inv = one / r[col]
+                basis[col] = {j: v * inv for j, v in r.items()}
                 break
-        if sel is None:
-            continue
-        r[row], r[sel] = r[sel], r[row]
-        inv = Fraction(1) / r[row][col]
-        r[row] = [x * inv for x in r[row]]
-        for i in range(m):
-            if i != row and r[i][col] != 0:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
-        pivots.append(col)
-        row += 1
+            c = r[col]
+            for j, v in pivot_row.items():
+                w = r.get(j, 0) - c * v
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+    if reduced:
+        # descending pivots: every row used to clear a column is already reduced
+        for col in sorted(basis, reverse=True):
+            row = basis[col]
+            for j in [j for j in row if j != col and j in basis]:
+                c = row.pop(j)
+                for k, v in basis[j].items():
+                    if k != j:
+                        w = row.get(k, 0) - c * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+    return basis
+
+
+def solution(basis, n):
+    """The solution of a reduced augmented system with free variables 0.
+
+    basis comes from echelon over rows [A | b] with b in column n; the
+    result is None when the system is inconsistent (a pivot lands on b).
+    """
+    if n in basis:
+        return None
+    x = [Fraction(0)] * n
+    for col, row in basis.items():
+        if n in row:
+            x[col] = row[n]
+    return x
+
+
+class RowBuilder:
+    """Sparse rows of an augmented system [A | b], made on first use of a key.
+
+    Builders that walk their equations term by term add each coefficient
+    where it lands, so a row holds only the entries it receives.  b is
+    column ncols.
+    """
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}
+
+    def add(self, key, col, value):
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = {}
+        row[col] = row.get(col, 0) + value
+
+    def add_rhs(self, key, value):
+        self.add(key, self.ncols, value)
+
+    def solve(self):
+        """solution() of all rows, or None if inconsistent."""
+        return solution(echelon(self.rows.values(), self.ncols + 1), self.ncols)
+
+
+def _sparse(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def _width(a):
+    return len(a[0]) if a else 0
+
+
+def rref(a):
+    """Reduced row echelon form of a dense matrix. Returns (R, pivot_columns)."""
+    n = _width(a)
+    basis = echelon(map(_sparse, a), n)
+    pivots = sorted(basis)
+    r = []
+    for col in pivots:
+        dense = [Fraction(0)] * n
+        for j, v in basis[col].items():
+            dense[j] = v
+        r.append(dense)
+    r += [[Fraction(0)] * n for _ in range(len(a) - len(pivots))]
     return r, pivots
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(echelon(map(_sparse, a), _width(a), reduced=False))
 
 
 def solve(a, b):
@@ -119,57 +211,38 @@ def solve(a, b):
 
     Free variables are set to zero.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [a[i][:] + [frac(b[i])] for i in range(m)]
-    r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = r[i][n]
-    return x
+    n = _width(a)
+    rows = [_sparse(row) for row in a]
+    for row, bi in zip(rows, b):
+        row[n] = frac(bi)
+    return solution(echelon(rows, n + 1), n)
 
 
 def nullspace(a):
-    """Basis of the kernel of a, as a list of vectors."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [row[:] for row in identity(n)]
-    r, pivots = rref(a)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -r[i][f]
-        basis.append(v)
-    return basis
+    """Basis of the kernel of a, as a list of vectors, one per free column."""
+    n = _width(a)
+    basis = echelon(map(_sparse, a), n)
+    out = {}
+    for f in range(n):
+        if f not in basis:
+            out[f] = [Fraction(0)] * n
+            out[f][f] = Fraction(1)
+    for col, row in basis.items():
+        for j, v in row.items():
+            if j != col:
+                out[j][col] = -v
+    return list(out.values())
 
 
 def inverse(a):
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    rows = [_sparse(row) for row in a]
+    for i, row in enumerate(rows):
+        row[n + i] = Fraction(1)
+    basis = echelon(rows, 2 * n)
+    if sorted(basis) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
-
-def hstack(a, b):
-    if not a:
-        return [row[:] for row in b]
-    if not b:
-        return [row[:] for row in a]
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a, b):
-    return [row[:] for row in a] + [row[:] for row in b]
+    return [[basis[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def is_zero_mat(a):

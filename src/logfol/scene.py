@@ -477,32 +477,8 @@ class Scene:
 
     def cochains(self):
         spec = _expect(self._require("cochains"), dict, "cochains")
-        out = []
-        for key in ("theta", "gbar", "bbar"):
-            rows = _expect(spec.get(key, []), list, "cochains.%s" % key)
-            out.append(
-                [
-                    [scene_fraction(x, "cochains.%s[%d][%d]" % (key, i, j)) for j, x in enumerate(row)]
-                    for i, row in enumerate(rows)
-                ]
-            )
-        return out[0], out[1], out[2]
-
-    def correction(self):
-        """Optional degree-one pair whose total differential is the triple."""
-        if not self.has("correction"):
-            return None
-        spec = _expect(self._require("correction"), dict, "correction")
-        out = []
-        for key in ("rho", "hbar"):
-            rows = _expect(spec.get(key, []), list, "correction.%s" % key)
-            out.append(
-                [
-                    [scene_fraction(x, "correction.%s[%d][%d]" % (key, i, j)) for j, x in enumerate(row)]
-                    for i, row in enumerate(rows)
-                ]
-            )
-        return out[0], out[1]
+        return tuple(_fraction_matrix(spec.get(key, []), "cochains.%s" % key)
+                     for key in ("theta", "gbar", "bbar"))
 
     # -- finite-dimensional Lie data --
 

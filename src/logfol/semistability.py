@@ -106,6 +106,8 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     """
     ctx = fol.ctx
     d = order if order is not None else ctx.order
+    if d <= 0:
+        raise ValueError("order too small to decide anything")
     if check_involutive and not involutivity_check(fol, order=d):
         raise ValueError("generators are not involutive at this order")
 
@@ -123,44 +125,38 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
             mono_img[e] = t1_reduce(v.apply(m) - v.log_trace() * m)
         images.append((const_img, mono_img))
 
-    def system(max_eq_degree):
-        rows = {}
-        row_list = []
-        rhs = []
+    # the degree-deg system is the degree-(deg - 1) one plus the rows whose
+    # equation monomial has degree deg, so one echelon basis is extended
+    n = len(unknowns)
+    system = linalg.RowBuilder(n)  # rows keyed (generator, equation monomial)
+    for gi, (const_img, mono_img) in enumerate(images):
+        for e, c in const_img.terms.items():
+            if sum(e) < d:
+                system.add_rhs((gi, e), -c)
+        for e_mono, img in mono_img.items():
+            col = col_of[e_mono]
+            for e, c in img.terms.items():
+                if sum(e) < d:
+                    system.add((gi, e), col, c)
+    by_degree = [[] for _ in range(d)]
+    for (_, e), row in system.rows.items():
+        by_degree[sum(e)].append(row)
 
-        def row_of(gen_idx, e):
-            key = (gen_idx, e)
-            if key not in rows:
-                rows[key] = len(row_list)
-                row_list.append([Fraction(0)] * len(unknowns))
-                rhs.append(Fraction(0))
-            return rows[key]
-
-        for gi, (const_img, mono_img) in enumerate(images):
-            for e, c in const_img.terms.items():
-                if sum(e) <= max_eq_degree:
-                    rhs[row_of(gi, e)] -= c
-            for e_mono, img in mono_img.items():
-                col = col_of[e_mono]
-                for e, c in img.terms.items():
-                    if sum(e) <= max_eq_degree:
-                        row_list[row_of(gi, e)][col] += c
-        return row_list, rhs
-
-    sol = row_list = None
+    basis = {}
     for deg in range(d):
-        row_list, rhs = system(deg)
-        sol = linalg.solve(row_list, rhs)
-        if sol is None:
+        linalg.echelon(by_degree[deg], n + 1, basis, reduced=deg == d - 1)
+        if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
-    if sol is None:  # d == 0 cannot decide anything
-        raise ValueError("order too small to decide anything")
+    sol = linalg.solution(basis, n)
     unit = one + Jet.make(ctx, {e: sol[i] for e, i in col_of.items() if sol[i]})
     # uniqueness is judged on the coefficients the equations can reach, i.e.
-    # through degree d - 1; the top tail is unconstrained by construction
+    # through degree d - 1; the top tail is unconstrained by construction.
+    # The kernel has one vector per free column f, with -R[c][f] in each
+    # pivot column c of the reduced rows R, so it vanishes there exactly when
+    # every such column is a pivot whose row holds no free column.
     unique = all(
-        all(vec[i] == 0 for e, i in col_of.items() if sum(e) <= d - 1)
-        for vec in linalg.nullspace(row_list)
+        i in basis and all(j == i or j == n for j in basis[i])
+        for e, i in col_of.items() if sum(e) <= d - 1
     )
     return FlatUnitResult(True, d, unit=unit, unique=unique)
 

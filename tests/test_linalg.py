@@ -1,4 +1,9 @@
-"""Exact linear algebra over the rationals and integer lattices."""
+"""Exact linear algebra over the rationals and integer lattices.
+
+The sparse elimination engine is checked against the dense Gauss-Jordan
+elimination it replaced, kept below as a reference, and against sympy's
+rref where sympy is installed.
+"""
 
 from fractions import Fraction
 
@@ -6,6 +11,73 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfol import linalg
+
+
+# -- dense reference elimination -----------------------------------------
+
+
+def dense_rref(a):
+    """Dense Gauss-Jordan elimination over Fraction. Returns (R, pivots)."""
+    r = [row[:] for row in a]
+    m = len(r)
+    n = len(r[0]) if m else 0
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        sel = None
+        for i in range(row, m):
+            if r[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        r[row], r[sel] = r[sel], r[row]
+        inv = Fraction(1) / r[row][col]
+        r[row] = [x * inv for x in r[row]]
+        for i in range(m):
+            if i != row and r[i][col] != 0:
+                c = r[i][col]
+                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def dense_solve(a, b):
+    n = len(a[0]) if a else 0
+    r, pivots = dense_rref([a[i][:] + [Fraction(b[i])] for i in range(len(a))])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = r[i][n]
+    return x
+
+
+def dense_nullspace(a):
+    n = len(a[0]) if a else 0
+    r, pivots = dense_rref(a)
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -r[i][f]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def sparse_matrix(draw, max_rows=7, max_cols=7, min_rows=0, min_cols=0):
+    """m x n rationals, each entry zero with a drawn probability up to 95%."""
+    m = draw(st.integers(min_rows, max_rows))
+    n = draw(st.integers(min_cols, max_cols))
+    zero_pct = draw(st.sampled_from([0, 30, 60, 80, 90, 95]))
+    nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+    return [[draw(nonzero) if draw(st.integers(0, 99)) >= zero_pct else Fraction(0)
+             for _ in range(n)] for _ in range(m)]
 
 
 fractions = st.fractions(
@@ -100,6 +172,110 @@ def test_nullspace_vectors_are_in_kernel(a):
     assert len(basis) == len(a[0]) - linalg.rank(a)
     for v in basis:
         assert linalg.is_zero_vec(linalg.mat_vec(a, v))
+
+
+# -- sparse engine against the dense reference ----------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix())
+def test_rref_rank_nullspace_match_dense_reference(a):
+    assert linalg.rref(a) == dense_rref(a)
+    assert linalg.rank(a) == len(dense_rref(a)[1])
+    assert linalg.nullspace(a) == dense_nullspace(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix(), st.data())
+def test_solve_matches_dense_reference(a, data):
+    rhs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    b = [data.draw(rhs) for _ in a]
+    assert linalg.solve(a, b) == dense_solve(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrix(min_rows=1, min_cols=1), st.data())
+def test_solve_detects_inconsistent_augmented_systems(a, data):
+    # a consistent system plus one combination of its rows with the
+    # right-hand side shifted by 1 has no solution
+    n = len(a[0])
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    x = [data.draw(small) for _ in range(n)]
+    b = linalg.mat_vec(a, x)
+    c = [data.draw(small) for _ in a]
+    a = a + [[sum((ci * row[j] for ci, row in zip(c, a)), Fraction(0)) for j in range(n)]]
+    b = b + [sum((ci * bi for ci, bi in zip(c, b)), Fraction(0)) + 1]
+    assert dense_solve(a, b) is None
+    assert linalg.solve(a, b) is None
+
+
+def test_empty_shapes():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], []]) == ([[], []], [])
+    assert linalg.rank([]) == linalg.rank([[], []]) == 0
+    assert linalg.nullspace([]) == linalg.nullspace([[]]) == []
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[], []], [0, 0]) == []
+    assert linalg.solve([[], []], [0, 1]) is None
+    assert linalg.nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+    assert linalg.inverse([]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrix(min_rows=1, min_cols=1), st.randoms(use_true_random=False), st.data())
+def test_echelon_is_independent_of_row_order_and_batching(a, rng, data):
+    n = len(a[0])
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
+    whole = linalg.echelon(rows, n)
+    rng.shuffle(rows)
+    cut = data.draw(st.integers(0, len(rows)))
+    basis = linalg.echelon(rows[:cut], n, reduced=False)
+    assert linalg.echelon(rows[cut:], n, basis) is basis
+    assert basis == whole
+    assert all(row[col] == 1 and min(row) == col for col, row in whole.items())
+
+
+def test_echelon_leaves_its_input_alone_and_drops_zeros():
+    rows = [{0: Fraction(2), 1: Fraction(0), 2: Fraction(4)}, {2: Fraction(3)}]
+    copy = [dict(row) for row in rows]
+    assert linalg.echelon(rows, 3) == {0: {0: 1}, 2: {2: 1}}
+    assert rows == copy
+
+
+def test_echelon_checks_the_column_count():
+    with pytest.raises(ValueError):
+        linalg.echelon([{3: Fraction(1)}], 3)
+    with pytest.raises(ValueError):
+        linalg.echelon([{-1: Fraction(1)}], 3)
+
+
+def test_row_builder_keeps_the_column_count_without_rows():
+    # no equation at all: every unknown is free, and the solution has them all
+    assert linalg.RowBuilder(3).solve() == [0, 0, 0]
+    system = linalg.RowBuilder(2)
+    system.add("x", 0, Fraction(1))
+    system.add("x", 1, Fraction(1))
+    system.add("y", 1, Fraction(2))
+    system.add("y", 1, Fraction(-2))
+    system.add_rhs("y", Fraction(1))
+    assert system.solve() is None
+    system.add_rhs("y", Fraction(-1))
+    system.add_rhs("x", Fraction(5))
+    assert system.solve() == [5, 0]
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_matrix(max_rows=5, max_cols=5, min_rows=1, min_cols=1))
+    def check(a):
+        r, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                  for row in a]).rref()
+        expected = [[Fraction(int(x.p), int(x.q)) for x in r.row(i)] for i in range(r.rows)]
+        assert linalg.rref(a) == (expected, list(pivots))
+
+    check()
 
 
 # -- inverse ------------------------------------------------------------

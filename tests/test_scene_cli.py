@@ -413,6 +413,16 @@ def test_cli_obstruction_verify_no(tmp_path, capsys):
     assert "fails" in out
 
 
+def test_cli_obstruction_verify_rejects_a_null_cochain_row(tmp_path, capsys):
+    scene = obstruction_scene()
+    scene["cochains"]["theta"] = [None]
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["obstruction", "verify", path]) == 2
+    assert "cochains.theta[0]" in capsys.readouterr().out
+    with pytest.raises(SceneError, match="expected list"):
+        load_scene(path).cochains()
+
+
 SL2 = [
     [[0, 0, 0], [0, 2, 0], [0, 0, -2]],
     [[0, -2, 0], [0, 0, 0], [1, 0, 0]],

@@ -190,6 +190,80 @@ def test_flat_unit_agrees_with_one_shot_oracle():
         assert res.ok == flat_unit_exists_oracle(fol, ctx.order), [str(x) for x in b]
 
 
+def flat_unit_unique_oracle(fol, order):
+    """Is the kernel of the flat-unit system zero on the degrees below order?
+
+    It is exactly when rank(A) - rank(A restricted to the top-degree
+    columns) equals the number of lower-degree columns.
+    """
+    ctx = fol.ctx
+    unknowns = [e for e in monomials(ctx, order) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
+    rows = []
+    for v in fol.generators:
+        tr = v.log_trace()
+        images = [t1_reduce(v.apply(Jet.make(ctx, {e: 1})) - tr * Jet.make(ctx, {e: 1}))
+                  for e in unknowns]
+        coords = {e for img in images for e in img.terms if sum(e) < order}
+        rows += [[img.terms.get(e, Fraction(0)) for img in images] for e in sorted(coords)]
+    top = [i for i, e in enumerate(unknowns) if sum(e) == order]
+    rank_top = linalg.rank([[row[i] for i in top] for row in rows]) if top else 0
+    return linalg.rank(rows) - rank_top == len(unknowns) - len(top)
+
+
+def test_flat_unit_uniqueness_and_certificate_on_random_fields():
+    rng = random.Random(20261018)
+    span = [Fraction(k) for k in range(-2, 3)]
+    smooth = ["dx3", "dx4", "x3*dx4", "x4*dx3", "x3*dx3", "x4*dx4", "x4*x4*dx3"]
+    seen = set()
+    for _ in range(40):
+        ctx = GermContext(4, 2, rng.randint(2, 4))
+        terms = ["(%s)*%s" % (rng.choice(span), f) for f in rng.sample(smooth, rng.randint(1, 3))]
+        # crossing parts of trace zero half the time, so degree 0 often solves
+        lam = rng.choice(span)
+        mu = -lam if rng.random() < 0.5 else rng.choice(span)
+        text = "(%s)*x1*dx1 + (%s)*x2*dx2 + %s" % (lam, mu, " + ".join(terms))
+        v = derivation_from_string(ctx, text)
+        fol = FoliationGerm(ctx, (v,))
+        res = find_flat_unit(fol)
+        if res.ok:
+            assert res.unique == flat_unit_unique_oracle(fol, ctx.order), text
+            defect = t1_reduce(v.apply(res.unit) - v.log_trace() * res.unit)
+            assert defect.truncate(ctx.order - 1).is_zero(), text
+            seen.add(res.unique)
+    assert seen == {True, False}
+
+
+def test_flat_unit_is_not_unique_when_only_a_top_coefficient_is_free():
+    # x3 * exp(-2 x4) is flat: its degree-1 part is pinned by its free
+    # degree-3 part, though every lower coefficient is a pivot
+    ctx = GermContext(4, 2, 3)
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*dx1 - x2*dx2 + 2*x3*dx3 + dx4"),))
+    res = find_flat_unit(fol)
+    assert res.ok and not res.unique
+    assert not flat_unit_unique_oracle(fol, ctx.order)
+
+
+def test_flat_unit_when_every_equation_vanishes():
+    # T1 = O/(x2, x1) keeps only powers of x3, and v kills all of them in T1:
+    # there is no equation at all, so every unknown is free and 1 is a unit
+    ctx = GermContext(3, 2, 4)
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*x1*dx1 + x1*x3*dx3"),))
+    res = find_flat_unit(fol)
+    assert res.ok and not res.unique
+    assert res.unit == Jet.one(ctx)
+
+
+def test_flat_unit_of_the_commuting_pair_at_order_12():
+    ctx = GermContext(4, 3, 12)
+    gens = (derivation_from_string(ctx, "x1*dx1 - x2*dx2"), derivation_from_string(ctx, "x4*dx4"))
+    res = find_flat_unit(FoliationGerm(ctx, gens, rank=2))
+    assert res.ok and res.order == 12
+    assert res.unit.constant_term() == 1
+    for v in gens:
+        defect = t1_reduce(v.apply(res.unit) - v.log_trace() * res.unit)
+        assert defect.truncate(11).is_zero()
+
+
 # -- residues ----------------------------------------------------------------------
 
 

@@ -8,6 +8,12 @@ cochain complex, with restriction maps between simplices, a total complex
 mixing both differentials, and the four compatibility equations an
 obstruction triple has to satisfy.
 
+Cover-level matrices and flat cochains share one layout: a list of
+bidegrees (p, q) is laid out bidegree by bidegree in the order given, and
+within a bidegree simplex by simplex in nerve order, each simplex taking
+its row-q coordinates.  Total degree n uses total_components(n), which is
+ordered by q.
+
 Everything is exact over Q.  Covers stop at triple overlaps; fourfold
 intersections are taken to be empty, so Cech degree 3 is the zero space.
 """
@@ -29,13 +35,9 @@ def _freeze_vec(row):
     return tuple(linalg.frac(x) for x in row)
 
 
-def _unfreeze(m):
-    return [list(row) for row in m]
-
-
 def _mul(a, b, rows, cols):
     """mat_mul with the output shape pinned; empty factors give zeros."""
-    out = linalg.mat_mul(_unfreeze(a), _unfreeze(b))
+    out = linalg.mat_mul(a, b)
     if len(out) == rows and (rows == 0 or len(out[0]) == cols):
         return out
     return linalg.zeros(rows, cols)
@@ -146,8 +148,8 @@ class LieModuleData:
         for i in range(n):
             for j in range(n):
                 lhs = self.act_by(list(self.algebra.structure[i][j]))
-                comm = linalg.mat_mul(_unfreeze(act[i]), _unfreeze(act[j]))
-                comm2 = linalg.mat_mul(_unfreeze(act[j]), _unfreeze(act[i]))
+                comm = linalg.mat_mul(act[i], act[j])
+                comm2 = linalg.mat_mul(act[j], act[i])
                 rhs = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(comm, comm2)]
                 if m and not all(
                     lhs[r][c] == rhs[r][c] for r in range(m) for c in range(m)
@@ -263,7 +265,7 @@ class FinLieData:
             for b in range(h):
                 if any(mu[a][b][k] + mu[b][a][k] != 0 for k in range(n)):
                     raise ValueError("mu is not antisymmetric")
-        if linalg.rank(_unfreeze(sb)) != h:
+        if linalg.rank(sb) != h:
             raise ValueError("sub basis is linearly dependent")
 
 
@@ -279,7 +281,7 @@ class LieObstruction:
 def _sub_structure(algebra, sub_basis):
     """Structure constants of the span, or an error if it is not closed."""
     h = len(sub_basis)
-    cols = linalg.transpose(_unfreeze(sub_basis))
+    cols = linalg.transpose(sub_basis)
     table = []
     for a in range(h):
         row = []
@@ -294,7 +296,7 @@ def _sub_structure(algebra, sub_basis):
 
 
 def _quotient_maps(sub_basis, n):
-    r, pivots = linalg.rref(_unfreeze(sub_basis)) if sub_basis else ([], [])
+    r, pivots = linalg.rref(sub_basis) if sub_basis else ([], [])
     free = [j for j in range(n) if j not in pivots]
 
     def project(v):
@@ -454,13 +456,30 @@ class CechLeafData:
     def total_dim(self, n):
         return sum(self.space_dim(n - q, q) for q in range(self.n_rows))
 
-    def _offsets(self, p, q):
-        out = {}
+    def _slots(self, components):
+        """Offset of each (simplex, q) block in the flat layout, and the size.
+
+        Blocks come bidegree by bidegree in the order given, then simplex
+        by simplex in nerve order.
+        """
+        slots = {}
         pos = 0
-        for s in self.simplices(p):
-            out[s] = pos
-            pos += self.row_dim(s, q)
-        return out
+        for p, q in components:
+            for s in self.simplices(p):
+                slots[(s, q)] = pos
+                pos += self.row_dim(s, q)
+        return slots, pos
+
+    def split(self, flat, components):
+        """Cut a flat cochain into per-simplex tuples, one tuple per bidegree."""
+        slots, _ = self._slots(components)
+        return tuple(
+            tuple(
+                tuple(flat[slots[(s, q)] : slots[(s, q)] + self.row_dim(s, q)])
+                for s in self.simplices(p)
+            )
+            for p, q in components
+        )
 
     def restriction(self, face, simplex, q):
         return self.restrictions[(face, simplex)][q]
@@ -578,47 +597,48 @@ class CechLeafData:
 
     # -- the two differentials and their total ---
 
-    def cech_matrix(self, p, q):
-        """Alternating difference of restrictions, Cech degree p to p + 1."""
-        rows = self.space_dim(p + 1, q)
-        cols = self.space_dim(p, q)
-        out = linalg.zeros(rows, cols)
-        if rows == 0 or cols == 0:
-            return out
-        src_off = self._offsets(p, q)
-        dst_off = self._offsets(p + 1, q)
+    def _blocks(self, p, q):
+        """Blocks (target, source, sign, matrix) of the total differential
+        leaving bidegree (p, q), with target and source as (simplex, q) slots.
+
+        A restriction to a coface carries (-1)^omit, omit being the position
+        of the vertex the face leaves out; the row differential carries (-1)^p.
+        """
+        if p < 0 or not 0 <= q < self.n_rows:
+            return
         for simplex in self.simplices(p + 1):
-            # faces listed by omitted vertex, alternating signs
             for omit in range(len(simplex)):
                 face = simplex[:omit] + simplex[omit + 1 :]
-                sign = (-1) ** omit
-                mat = self.restriction(face, simplex, q)
-                r0 = dst_off[simplex]
-                c0 = src_off[face]
-                for r in range(len(mat)):
-                    for c in range(len(mat[0]) if mat else 0):
-                        if mat[r][c]:
-                            out[r0 + r][c0 + c] += sign * mat[r][c]
+                yield (simplex, q), (face, q), (-1) ** omit, self.restriction(face, simplex, q)
+        if q + 1 < self.n_rows:
+            for simplex in self.simplices(p):
+                yield (simplex, q + 1), (simplex, q), (-1) ** p, self.ce[simplex][q]
+
+    def _matrix(self, src, dst, scale=1):
+        """The blocks leaving the src bidegrees that land in the dst ones,
+        placed by _slots and multiplied by scale."""
+        col_at, cols = self._slots(src)
+        row_at, rows = self._slots(dst)
+        out = linalg.zeros(rows, cols)
+        for p, q in src:
+            for target, source, sign, mat in self._blocks(p, q):
+                r0 = row_at.get(target)
+                if r0 is None:
+                    continue
+                c0 = col_at[source]
+                for r, row in enumerate(mat):
+                    for c, x in enumerate(row):
+                        if x:
+                            out[r0 + r][c0 + c] += scale * sign * x
         return out
 
+    def cech_matrix(self, p, q):
+        """Alternating difference of restrictions, Cech degree p to p + 1."""
+        return self._matrix([(p, q)], [(p + 1, q)])
+
     def ce_matrix(self, p, q):
-        """Blockwise row differential in Cech degree p, row q to q + 1."""
-        rows = self.space_dim(p, q + 1)
-        cols = self.space_dim(p, q)
-        out = linalg.zeros(rows, cols)
-        if rows == 0 or cols == 0:
-            return out
-        src_off = self._offsets(p, q)
-        dst_off = self._offsets(p, q + 1)
-        for simplex in self.simplices(p):
-            mat = self.ce[simplex][q]
-            r0 = dst_off[simplex]
-            c0 = src_off[simplex]
-            for r in range(len(mat)):
-                for c in range(len(mat[0]) if mat else 0):
-                    if mat[r][c]:
-                        out[r0 + r][c0 + c] = mat[r][c]
-        return out
+        """Blockwise row differential in Cech degree p, row q to q + 1, unsigned."""
+        return self._matrix([(p, q)], [(p, q + 1)], scale=(-1) ** p)
 
     def total_components(self, n):
         """Bidegrees (p, q) contributing to total degree n, in order of q."""
@@ -631,35 +651,7 @@ class CechLeafData:
 
     def total_matrix(self, n):
         """Total differential on degree n; the row part carries sign (-1)^p."""
-        src = self.total_components(n)
-        dst = self.total_components(n + 1)
-        rows = self.total_dim(n + 1)
-        cols = self.total_dim(n)
-        out = linalg.zeros(rows, cols)
-        col_off = {}
-        pos = 0
-        for (p, q) in src:
-            col_off[(p, q)] = pos
-            pos += self.space_dim(p, q)
-        row_off = {}
-        pos = 0
-        for (p, q) in dst:
-            row_off[(p, q)] = pos
-            pos += self.space_dim(p, q)
-        for (p, q) in src:
-            blocks = []
-            if (p + 1, q) in row_off:
-                blocks.append(((p + 1, q), self.cech_matrix(p, q), 1))
-            if (p, q + 1) in row_off:
-                blocks.append(((p, q + 1), self.ce_matrix(p, q), (-1) ** p))
-            for key, mat, sign in blocks:
-                r0 = row_off[key]
-                c0 = col_off[(p, q)]
-                for r in range(len(mat)):
-                    for c in range(len(mat[0]) if mat else 0):
-                        if mat[r][c]:
-                            out[r0 + r][c0 + c] += sign * mat[r][c]
-        return out
+        return self._matrix(self.total_components(n), self.total_components(n + 1))
 
     @property
     def max_total_degree(self):
@@ -690,13 +682,6 @@ class ObstructionReport:
     corrector: tuple
 
 
-def _flatten(blocks):
-    out = []
-    for b in blocks:
-        out.extend(b)
-    return out
-
-
 def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """Check the four compatibility equations of an obstruction triple.
 
@@ -725,49 +710,23 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     ):
         raise ValueError("bbar must give a row-2 vector per open")
 
-    theta_flat = _flatten(theta)
-    gbar_flat = _flatten(gbar)
-    bbar_flat = _flatten(bbar)
+    flat = [x for v in theta + gbar + bbar for x in v]
 
-    # fourfold overlaps are empty, so the first equation has nothing to say
-    eq1 = True
-    lhs2 = linalg.vec_add(
-        linalg.mat_vec(data.ce_matrix(2, 0), theta_flat),
-        linalg.mat_vec(data.cech_matrix(1, 1), gbar_flat),
+    # fourfold overlaps are empty, so the first equation has nothing to say;
+    # with three rows the image has no (0, 3) part and the fourth holds too
+    degree3 = data.total_components(3)
+    image = dict(zip(degree3, data.split(linalg.mat_vec(data.total_matrix(2), flat), degree3)))
+    equations = (True,) + tuple(
+        all(map(linalg.is_zero_vec, image.get(pq, ()))) for pq in ((2, 1), (1, 2), (0, 3))
     )
-    eq2 = linalg.is_zero_vec(lhs2)
-    lhs3 = linalg.vec_sub(
-        linalg.mat_vec(data.cech_matrix(0, 2), bbar_flat),
-        linalg.mat_vec(data.ce_matrix(1, 1), gbar_flat),
-    )
-    eq3 = linalg.is_zero_vec(lhs3)
-    if data.n_rows > 3:
-        eq4 = linalg.is_zero_vec(linalg.mat_vec(data.ce_matrix(0, 2), bbar_flat))
-    else:
-        eq4 = True
-    equations = (eq1, eq2, eq3, eq4)
     is_cocycle = all(equations)
 
-    d1 = data.total_matrix(1)
-    rhs = theta_flat + gbar_flat + bbar_flat
-    sol = linalg.solve(d1, rhs)
+    sol = linalg.solve(data.total_matrix(1), flat)
     if sol is None:
         return ObstructionReport(equations, is_cocycle, False, None)
-    cut = data.space_dim(1, 0)
-    rho_flat, hbar_flat = sol[:cut], sol[cut:]
-    rho = []
-    pos = 0
-    for p in data.pairs:
-        d = data.row_dim(p, 0)
-        rho.append(tuple(rho_flat[pos : pos + d]))
-        pos += d
-    hbar = []
-    pos = 0
-    for i in range(len(data.opens)):
-        d = data.row_dim((i,), 1)
-        hbar.append(tuple(hbar_flat[pos : pos + d]))
-        pos += d
-    return ObstructionReport(equations, is_cocycle, True, (tuple(rho), tuple(hbar)))
+    return ObstructionReport(
+        equations, is_cocycle, True, data.split(sol, data.total_components(1))
+    )
 
 
 def coboundary_triple(data: CechLeafData, rho, hbar):
@@ -778,35 +737,12 @@ def coboundary_triple(data: CechLeafData, rho, hbar):
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows")
-    rho_flat = _flatten([_freeze_vec(v) for v in rho])
-    hbar_flat = _flatten([_freeze_vec(v) for v in hbar])
+    rho_flat = [x for v in rho for x in _freeze_vec(v)]
+    hbar_flat = [x for v in hbar for x in _freeze_vec(v)]
     if len(rho_flat) != data.space_dim(1, 0) or len(hbar_flat) != data.space_dim(0, 1):
         raise ValueError("component sizes do not match the cover")
     image = linalg.mat_vec(data.total_matrix(1), rho_flat + hbar_flat)
-    theta_dim = data.space_dim(2, 0)
-    gbar_dim = data.space_dim(1, 1)
-    theta_flat = image[:theta_dim]
-    gbar_flat = image[theta_dim : theta_dim + gbar_dim]
-    bbar_flat = image[theta_dim + gbar_dim :]
-    theta = []
-    pos = 0
-    for t in data.triples:
-        d = data.row_dim(t, 0)
-        theta.append(tuple(theta_flat[pos : pos + d]))
-        pos += d
-    gbar = []
-    pos = 0
-    for p in data.pairs:
-        d = data.row_dim(p, 1)
-        gbar.append(tuple(gbar_flat[pos : pos + d]))
-        pos += d
-    bbar = []
-    pos = 0
-    for i in range(len(data.opens)):
-        d = data.row_dim((i,), 2)
-        bbar.append(tuple(bbar_flat[pos : pos + d]))
-        pos += d
-    return tuple(theta), tuple(gbar), tuple(bbar)
+    return data.split(image, data.total_components(2))
 
 
 # --- builders for concrete covers ---
@@ -840,18 +776,6 @@ def constant_cover(ce_mats, n_opens=3):
         for f in itertools.combinations(t, 2):
             restrictions[(f, t)] = tuple(eye)
     return CechLeafData(opens, pairs, triples, dim_map, restrictions, ce)
-
-
-def _window_inclusion(src, dst):
-    """Inclusion matrix between two integer degree windows [a, b]."""
-    a1, b1 = src
-    a2, b2 = dst
-    rows = b2 - a2 + 1
-    cols = b1 - a1 + 1
-    out = linalg.zeros(rows, cols)
-    for c, deg in enumerate(range(a1, b1 + 1)):
-        out[deg - a2][c] = Fraction(1)
-    return out
 
 
 def _window_mult(poly, src, dst):
@@ -917,10 +841,10 @@ def p1_window_cover(degrees, window, polys=()):
     }
     restrictions = {
         ((0,), (0, 1)): tuple(
-            _window_inclusion(win0(q), win01(q)) for q in range(len(degrees))
+            _window_mult((1,), win0(q), win01(q)) for q in range(len(degrees))
         ),
         ((1,), (0, 1)): tuple(
-            _window_inclusion(win1(q), win01(q)) for q in range(len(degrees))
+            _window_mult((1,), win1(q), win01(q)) for q in range(len(degrees))
         ),
     }
     return CechLeafData(("U0", "U1"), ((0, 1),), (), dim_map, restrictions, ce)

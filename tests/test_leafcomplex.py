@@ -434,3 +434,148 @@ def test_non_coboundary_cocycle_is_reported():
     assert report.is_cocycle
     assert not report.is_coboundary
     assert report.corrector is None
+
+
+def test_equation_four_sees_the_top_row():
+    data = constant_cover([[[1, 0], [0, 1], [1, 1]], [[0, 0, 0]], [[1]]], 3)
+    theta, gbar, bbar = coboundary_triple(data, RHO, HBAR)
+    # a constant section keeps the Cech part at zero but leaves row 2 -> 3
+    bumped = [[x + 1 for x in v] for v in bbar]
+    report = verify_obstruction_cocycle(data, theta, gbar, bumped)
+    assert report.equations == (True, True, True, False)
+    assert not report.is_cocycle
+
+
+def test_cover_without_triples():
+    data = p1_window_cover((0, 1, 2), 3, [[0, 1], [0]])
+    rho = [[1] * data.row_dim((0, 1), 0)]
+    hbar = [[1] * data.row_dim((0,), 1), [2] * data.row_dim((1,), 1)]
+    theta, gbar, bbar = coboundary_triple(data, rho, hbar)
+    assert theta == ()
+    report = verify_obstruction_cocycle(data, theta, gbar, bbar)
+    assert report.equations == (True, True, True, True)
+    assert report.is_coboundary
+    assert coboundary_triple(data, *report.corrector) == (theta, gbar, bbar)
+
+
+# -- the block assembler against the placement loops it replaced -------------------
+
+
+def _ref_offsets(data, p, q):
+    out = {}
+    pos = 0
+    for s in data.simplices(p):
+        out[s] = pos
+        pos += data.row_dim(s, q)
+    return out
+
+
+def _ref_cech_matrix(data, p, q):
+    rows = data.space_dim(p + 1, q)
+    cols = data.space_dim(p, q)
+    out = linalg.zeros(rows, cols)
+    if rows == 0 or cols == 0:
+        return out
+    src_off = _ref_offsets(data, p, q)
+    dst_off = _ref_offsets(data, p + 1, q)
+    for simplex in data.simplices(p + 1):
+        for omit in range(len(simplex)):
+            face = simplex[:omit] + simplex[omit + 1:]
+            sign = (-1) ** omit
+            mat = data.restriction(face, simplex, q)
+            r0 = dst_off[simplex]
+            c0 = src_off[face]
+            for r in range(len(mat)):
+                for c in range(len(mat[0]) if mat else 0):
+                    if mat[r][c]:
+                        out[r0 + r][c0 + c] += sign * mat[r][c]
+    return out
+
+
+def _ref_ce_matrix(data, p, q):
+    rows = data.space_dim(p, q + 1)
+    cols = data.space_dim(p, q)
+    out = linalg.zeros(rows, cols)
+    if rows == 0 or cols == 0:
+        return out
+    src_off = _ref_offsets(data, p, q)
+    dst_off = _ref_offsets(data, p, q + 1)
+    for simplex in data.simplices(p):
+        mat = data.ce[simplex][q]
+        r0 = dst_off[simplex]
+        c0 = src_off[simplex]
+        for r in range(len(mat)):
+            for c in range(len(mat[0]) if mat else 0):
+                if mat[r][c]:
+                    out[r0 + r][c0 + c] = mat[r][c]
+    return out
+
+
+def _ref_total_matrix(data, n):
+    src = data.total_components(n)
+    dst = data.total_components(n + 1)
+    out = linalg.zeros(data.total_dim(n + 1), data.total_dim(n))
+    col_off = {}
+    pos = 0
+    for (p, q) in src:
+        col_off[(p, q)] = pos
+        pos += data.space_dim(p, q)
+    row_off = {}
+    pos = 0
+    for (p, q) in dst:
+        row_off[(p, q)] = pos
+        pos += data.space_dim(p, q)
+    for (p, q) in src:
+        blocks = []
+        if (p + 1, q) in row_off:
+            blocks.append(((p + 1, q), _ref_cech_matrix(data, p, q), 1))
+        if (p, q + 1) in row_off:
+            blocks.append(((p, q + 1), _ref_ce_matrix(data, p, q), (-1) ** p))
+        for key, mat, sign in blocks:
+            r0 = row_off[key]
+            c0 = col_off[(p, q)]
+            for r in range(len(mat)):
+                for c in range(len(mat[0]) if mat else 0):
+                    if mat[r][c]:
+                        out[r0 + r][c0 + c] += sign * mat[r][c]
+    return out
+
+
+ROW_COMPLEXES = [
+    [[[1, 0], [0, 1], [1, 1]], [[1, 1, -1]]],
+    [[[0, 0]], [[0]]],
+    [[[1, 0], [0, 1], [1, 1]], [[0, 0, 0]], [[1]]],
+    [[[1], [2]], [[2, -1], [4, -2]], [[2, -1]]],
+]
+
+
+def assembler_covers():
+    for mats in ROW_COMPLEXES:
+        for n_opens in (3, 4, 5):
+            yield constant_cover(mats, n_opens)
+    yield p1_window_cover((0, 1, 2), 3, [[0, 1], [0]])
+    yield p1_window_cover((0, 0, 1), 3, [[0], [0, 1]])
+    yield p1_window_cover((-1, 1, 2, 2), 2, [[1, 0, 1], [0], [2]])
+
+
+def test_assembler_matches_the_placement_loops():
+    for data in assembler_covers():
+        rows = data.n_rows
+        for p in range(-1, 4):
+            for q in range(-1, rows + 1):
+                assert data.cech_matrix(p, q) == _ref_cech_matrix(data, p, q), (p, q)
+                assert data.ce_matrix(p, q) == _ref_ce_matrix(data, p, q), (p, q)
+        for n in range(-1, data.max_total_degree + 2):
+            assert data.total_matrix(n) == _ref_total_matrix(data, n), n
+
+
+def test_split_inverts_the_flat_layout():
+    data = p1_window_cover((0, 1, 2), 3, [[0, 1], [0]])
+    comps = data.total_components(2)
+    flat = [Fraction(k) for k in range(data.total_dim(2))]
+    parts = data.split(flat, comps)
+    assert len(parts) == len(comps)
+    assert [x for part in parts for v in part for x in v] == flat
+    for (p, q), part in zip(comps, parts):
+        assert len(part) == len(data.simplices(p))
+        assert [len(v) for v in part] == [data.row_dim(s, q) for s in data.simplices(p)]

@@ -19,12 +19,10 @@ from .jets import (
 from .logcalc import (
     LogDerivation,
     LogOneForm,
-    TangencyCheck,
     TangencyParseError,
     contract,
     derivation_from_string,
     format_derivation,
-    in_relative_tangent,
     lie_bracket,
 )
 from .foliations import (
@@ -37,14 +35,11 @@ from .foliations import (
     PushoutResult,
     SNCGlueData,
     SurfaceOneForm,
-    VanishingDivisor,
     check_gluing_cocycle,
     involutivity_check,
     pushout_membership,
     restrict_derivation,
-    restrict_foliation,
     span_membership,
-    vanishing_divisor,
 )
 from .semistability import (
     FlatUnitResult,
@@ -63,10 +58,8 @@ from .semistability import (
 )
 from .monoids import (
     FGMonoid,
-    MonoidHom,
     SaturationBoundError,
     contains,
-    diagonal_hom,
     grothendieck_group,
     in_cone,
     is_saturated,

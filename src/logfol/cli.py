@@ -6,7 +6,9 @@ report's decision field:
     0  yes, or a value was computed
     1  no
     2  malformed input or an undefined quantity
-    3  inconclusive at the bounds in force (truncation order, search box)
+    3  inconclusive at the bounds in force (truncation order, the search
+       bound on a non-pointed monoid)
+    4  internal error: an exception the program did not anticipate
 
 Reports serialize to JSON with --json; parsing that JSON back gives the same
 report, so downstream tooling can rely on the file alone.
@@ -26,7 +28,7 @@ from .foliations import InconclusiveAtOrderError
 from .monoids import SaturationBoundError
 from .scene import Scene, SceneError, load_scene
 
-EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3}
+EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3, "internal": 4}
 
 
 @dataclass
@@ -398,21 +400,26 @@ def _error_report(tool, message, decision="error", scene_path=None):
 
 def _run_one(args, scene_path):
     tool = args.tool
+    where = str(scene_path) if scene_path else None
     try:
         scn = None
         if args.needs_scene:
             scn = load_scene(scene_path, order=getattr(args, "order", None))
         report = args.handler(args, scn)
     except SceneError as e:
-        return _error_report(tool, str(e), scene_path=str(scene_path) if scene_path else None)
+        return _error_report(tool, str(e), scene_path=where)
     except (InconclusiveAtOrderError, SaturationBoundError) as e:
-        return _error_report(
-            tool, str(e), decision="inconclusive",
-            scene_path=str(scene_path) if scene_path else None,
-        )
+        return _error_report(tool, str(e), decision="inconclusive", scene_path=where)
     except (ValueError, KeyError) as e:
         message = str(e) or type(e).__name__
-        return _error_report(tool, message, scene_path=str(scene_path) if scene_path else None)
+        return _error_report(tool, message, scene_path=where)
+    except Exception as e:  # a crash must not read as yes, no or inconclusive
+        import traceback  # here, not at the top: it adds ~3 ms to every start-up
+
+        message = "internal error: %s: %s" % (type(e).__name__, e)
+        report = _error_report(tool, message, decision="internal", scene_path=where)
+        report.details["traceback"] = traceback.format_exc()
+        return report
     if scene_path is not None and report.scene is None:
         report.scene = str(scene_path)
     if report.order is None:

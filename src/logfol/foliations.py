@@ -17,10 +17,6 @@ from .jets import ContextMismatchError, GermContext, Jet, monomials
 from .logcalc import LogDerivation, lie_bracket
 
 
-class ZeroRestrictionError(ValueError):
-    """A generator died on the component it was restricted to."""
-
-
 class MissingStratumError(KeyError):
     """A required double stratum has no identification scalar."""
 
@@ -141,22 +137,6 @@ def restrict_derivation(v: LogDerivation, i):
     b = tuple(c.restrict_to_component(i) for k, c in enumerate(v.b) if k != i)
     a = tuple(c.restrict_to_component(i) for c in v.a)
     return LogDerivation(ctx2, b, a)
-
-
-def restrict_foliation(fol: FoliationGerm, i, allow_zero=False):
-    """Componentwise restriction. Generators that die are an error unless
-    allow_zero is set, in which case they are dropped (at least one must
-    survive)."""
-    restricted = [restrict_derivation(g, i) for g in fol.generators]
-    dead = [k for k, g in enumerate(restricted) if g.is_zero()]
-    if dead and not allow_zero:
-        raise ZeroRestrictionError(
-            "generators %s vanish on component %d" % (dead, i)
-        )
-    alive = [g for g in restricted if not g.is_zero()]
-    if not alive:
-        raise ZeroRestrictionError("all generators vanish on component %d" % i)
-    return FoliationGerm(alive[0].ctx, tuple(alive), rank=min(fol.rank, len(alive)))
 
 
 # -- gluing data --
@@ -289,7 +269,7 @@ def pushout_membership(fields, component_foliations, germ_ctx=None, order=None):
     return PushoutResult(True, d, tuple(witnesses))
 
 
-# -- surface one-forms and the vanishing divisor along an invariant curve --
+# -- surface one-forms along an invariant curve --
 
 class NonInvariantError(ValueError):
     """The curve {y = 0} is not invariant for the form."""
@@ -328,26 +308,3 @@ class SurfaceOneForm:
 
     def curve_is_invariant(self):
         return self.B.set_zero(0).is_zero()
-
-
-@dataclass(frozen=True)
-class VanishingDivisor:
-    order: int
-    restricted: Jet  # A(0, z), as a jet in the ambient surface context
-
-
-def vanishing_divisor(form: SurfaceOneForm):
-    """Vanishing order along {y = 0} of the coefficient transverse to it.
-
-    For A dy + B dz with the curve invariant, the restriction of the foliation
-    to the curve is generated by A(0, z) d_z up to sign, so div(A(0, z)) is
-    the divisor the restricted generator cuts out.
-    """
-    if not form.curve_is_invariant():
-        raise NonInvariantError("B(0, z) != 0, the curve {y = 0} is not invariant")
-    a0 = form.A.set_zero(0)
-    if a0.is_zero():
-        raise InconclusiveAtOrderError(
-            "A(0, z) vanishes up to order %d; cannot bound the divisor" % form.ctx.order
-        )
-    return VanishingDivisor(a0.low_degree(), a0)

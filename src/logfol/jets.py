@@ -185,12 +185,6 @@ class Jet:
     def constant_term(self):
         return self.terms.get((0,) * self.ctx.n, Fraction(0))
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
-
-    def is_unit(self):
-        return self.constant_term() != 0
-
     def total_degree(self):
         """Largest total degree present, or -1 for the zero jet."""
         return max((sum(e) for e in self.terms), default=-1)

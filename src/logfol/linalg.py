@@ -7,8 +7,8 @@ span_membership and find_flat_unit are more than 99% zeros, so its work
 follows the nonzeros, not rows x columns.  Those builders fill a RowBuilder
 and call the engine directly; rref, rank, solve, nullspace and inverse take
 the dense list-of-lists matrices the rest of the package builds and convert
-them once on entry.  The integer Hermite form and the simplex keep their own
-small dense tableaux.
+them once on entry.  The integer Hermite form keeps its own small dense
+tableau.
 """
 
 from __future__ import annotations
@@ -291,73 +291,3 @@ def hermite_normal_form(rows):
             if r == m:
                 break
     return [tuple(row) for row in a[:r] if any(row)]
-
-
-def in_row_span_q(rows, x):
-    """Is x in the Q-span of the given integer/rational rows?"""
-    if is_zero_vec(list(map(frac, x))):
-        return True
-    if not rows:
-        return False
-    a = transpose(mat(rows))
-    return solve(a, list(map(frac, x))) is not None
-
-
-def nonneg_rational_solution(a, b):
-    """A rational solution t >= 0 of a t = b, or None if infeasible.
-
-    Phase-1 simplex with Bland's rule; exact Fraction arithmetic throughout.
-    `a` is m x n (columns are the generators), `b` has length m.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [Fraction(0)] * n
-    t = []
-    for i in range(m):
-        row = [frac(x) for x in a[i]] + [Fraction(0)] * m + [frac(b[i])]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[n + i] = Fraction(1)
-        t.append(row)
-    width = n + m
-    basis = [n + i for i in range(m)]
-    # reduced-cost row for minimizing the sum of artificials
-    obj = [Fraction(1) if j >= n else Fraction(0) for j in range(width)] + [Fraction(0)]
-    for row in t:
-        obj = [o - x for o, x in zip(obj, row)]
-    while True:
-        enter = None
-        for j in range(width):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            if t[i][enter] > 0:
-                ratio = t[i][-1] / t[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("phase-1 simplex unbounded; input is malformed")
-        piv = t[leave][enter]
-        t[leave] = [x / piv for x in t[leave]]
-        for i in range(m):
-            if i != leave and t[i][enter] != 0:
-                c = t[i][enter]
-                t[i] = [x - c * y for x, y in zip(t[i], t[leave])]
-        if obj[enter] != 0:
-            c = obj[enter]
-            obj = [x - c * y for x, y in zip(obj, t[leave] )]
-        basis[leave] = enter
-    if obj[-1] != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = t[i][-1]
-    return x

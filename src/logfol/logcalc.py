@@ -145,34 +145,6 @@ def lie_bracket(v, w):
 
 
 @dataclass(frozen=True)
-class TangencyCheck:
-    ok: bool
-    order: int
-    defect: Jet
-
-    def __bool__(self):
-        return self.ok
-
-
-def in_relative_tangent(v, unit=None):
-    """Does v lie in the relative tangent sheaf over the standard log point?
-
-    The condition is v(u) - (b_1 + ... + b_r) u = 0 for the chart unit u
-    (default 1). Decided up to truncation; the report carries the order.
-    """
-    ctx = v.ctx
-    if unit is None:
-        unit = Jet.one(ctx)
-    if unit.ctx != ctx:
-        raise ContextMismatchError("unit context mismatch")
-    if not unit.is_unit():
-        raise ValueError("chart unit must be invertible")
-    defect = v.apply(unit) - v.log_trace() * unit
-    order = ctx.order if unit.is_constant() else ctx.order - 1
-    return TangencyCheck(defect.truncate(order).is_zero(), order, defect.truncate(order))
-
-
-@dataclass(frozen=True)
 class LogOneForm:
     """a_1 dx_1/x_1 + ... + a_r dx_r/x_r + c_{r+1} dx_{r+1} + ... + c_n dx_n.
 

@@ -1,22 +1,37 @@
 """Finitely generated submonoids of Z^k: membership, Grothendieck group, saturation.
 
 A monoid is stored by its ambient rank and a tuple of integer generators.
-Everything is decided by resource-bounded exact search, which is enough for
-the desk-scale inputs this package targets; the bounds are explicit arguments
-and overrunning them raises SaturationBoundError rather than guessing.
+Everything rests on the rational cone of the generators, covered by the
+simplicial cones of their maximal linearly independent subsets
+(Caratheodory).  The saturation is the set of lattice points of that cone:
+the lattice points of each simplicial cone's half-open parallelepiped,
+together with the generators, generate it, and on a pointed cone dropping
+every candidate that is another candidate plus a nonzero cone point leaves
+the Hilbert basis (Bruns & Ichim 2010, "Normaliz: algorithms for affine
+monoids and rational cones").  No step of this needs a bound.
+
+Membership in a pointed monoid searches the remainders that stay inside the
+cone; they are finitely many, so a "no" is a proof.  On a non-pointed cone a
+point outside the cone or outside the difference group is a proven "no";
+otherwise a search with a fixed bound runs and raises SaturationBoundError
+when it runs out, rather than answering no.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 
+# Longest generator path the search on a non-pointed cone tries.
+_NONPOINTED_DEPTH = 48
+
 
 class SaturationBoundError(RuntimeError):
-    """Raised when a bounded enumeration cannot certify an answer."""
+    """Raised when the bounded search on a non-pointed cone runs out."""
 
 
 def _as_vec(x, k):
@@ -53,13 +68,116 @@ class FGMonoid:
         return seen
 
 
-def contains(m: FGMonoid, x, budget=48):
+class _Cone:
+    """Rational cone of nonzero integer generators, covered by simplicial cones.
+
+    Each base is a maximal linearly independent set of generator indices with
+    the transposed generator matrix, so x lies in the cone exactly when some
+    base gives coordinates t >= 0.
+    """
+
+    def __init__(self, gens):
+        dim = linalg.rank(gens)
+        self.bases = []
+        for base in itertools.combinations(range(len(gens)), dim):
+            rows = [gens[i] for i in base]
+            if linalg.rank(rows) == dim:
+                self.bases.append((base, linalg.transpose(rows)))
+        self._coords = {}
+        self.pointed = not any(self.contains(tuple(-c for c in g)) for g in gens)
+
+    def coords(self, x):
+        """(base, t) with x = sum t_j gens[base[j]] and every t_j >= 0, or None."""
+        if x not in self._coords:
+            self._coords[x] = None
+            for base, cols in self.bases:
+                t = linalg.solve(cols, x)
+                if t is not None and min(t) >= 0:
+                    self._coords[x] = (base, t)
+                    break
+        return self._coords[x]
+
+    def contains(self, x):
+        return self.coords(x) is not None
+
+
+def _lattice(gens, k):
+    """A basis of Z^k intersected with the rational span of gens.
+
+    Those are the integer vectors killed by an integral basis of the span's
+    orthogonal complement; the Hermite form of [complement^T | identity]
+    puts a basis of them in its rows with zero complement part.
+    """
+    perp = []
+    for v in linalg.nullspace(gens):
+        scale = math.lcm(*(c.denominator for c in v))
+        perp.append([int(c * scale) for c in v])
+    r = len(perp)
+    rows = [[v[i] for v in perp] + [int(i == j) for j in range(k)] for i in range(k)]
+    return [h[r:] for h in linalg.hermite_normal_form(rows) if not any(h[:r])]
+
+
+def _parallelepiped(cols, lattice):
+    """Lattice points of {sum t_j g_j : 0 <= t_j < 1}, g_j the columns of cols.
+
+    They are the classes of the lattice modulo the subgroup the g_j span,
+    found by closing {0} under adding each lattice basis vector, in
+    coordinates taken mod 1.
+    """
+    steps = [linalg.solve(cols, b) for b in lattice]
+    seen = {(Fraction(0),) * len(cols[0])}
+    todo = list(seen)
+    while todo:
+        t = todo.pop()
+        for s in steps:
+            u = tuple((a + b) % 1 for a, b in zip(t, s))
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return [tuple(int(sum(a * c for a, c in zip(t, row))) for row in cols) for t in seen]
+
+
+def _search(gens, x, inside, depth=math.inf):
+    """Coefficients c >= 0 with sum c_i gens[i] = x, or None.
+
+    Depth first over generator paths in nondecreasing index order, so the
+    first witness is the first such path of at most `depth` steps in
+    lexicographic order; on a pointed cone that is the lexicographically
+    largest coefficient vector.  Remainders that `inside` rejects are not
+    entered, and a remainder that failed with at least as many steps left is
+    not tried again.  The stack is explicit: a path may be long.
+    """
+    n = len(gens)
+    failed = {}  # (remainder, lowest generator allowed) -> steps left when it failed
+    frames = [[x, 0, 0]]  # remainder, lowest generator allowed, next generator to try
+    while frames:
+        frame = frames[-1]
+        vec, lo, i = frame
+        if not any(vec):
+            coeffs = [0] * n
+            for f in frames[1:]:
+                coeffs[f[1]] += 1
+            return tuple(coeffs)
+        steps = depth - (len(frames) - 1)
+        if i == n or steps <= 0:
+            failed[(vec, lo)] = steps
+            frames.pop()
+            continue
+        frame[2] = i + 1
+        y = tuple(a - b for a, b in zip(vec, gens[i]))
+        if failed.get((y, i), -1) < steps - 1 and inside(y):
+            frames.append([y, i, i])
+    return None
+
+
+def contains(m: FGMonoid, x):
     """Nonnegative-integer combination witness for x, or None.
 
-    Depth-first search over coefficient vectors in nondecreasing generator
-    order, with a step budget. A None result with a tight budget only means
-    "not found within budget"; callers that need certainty either keep inputs
-    desk-scale or check the rational cone first.
+    The witness gives one coefficient per nonzero generator.  None is a
+    proof of non-membership: x is outside the cone or the difference group,
+    or (on a pointed cone) the complete search over remainders inside the
+    cone found no path.  On a non-pointed cone that search is bounded, and
+    running out raises SaturationBoundError.
     """
     k = m.ambient_rank
     x = _as_vec(x, k)
@@ -68,44 +186,19 @@ def contains(m: FGMonoid, x, budget=48):
         return ()
     if not gens:
         return None
-    ngen = len(gens)
-    # coordinates where no generator can push the value back toward zero
-    can_drop = [any(g[c] > 0 for g in gens) for c in range(k)]
-    can_raise = [any(g[c] < 0 for g in gens) for c in range(k)]
-    fail = {}
-
-    def hopeless(vec):
-        for c in range(k):
-            if vec[c] > 0 and not can_drop[c]:
-                return True
-            if vec[c] < 0 and not can_raise[c]:
-                return True
-        return False
-
-    def search(vec, idx, steps):
-        if not any(vec):
-            return []
-        if steps <= 0 or idx >= ngen or hopeless(vec):
-            return None
-        key = (vec, idx)
-        if fail.get(key, -1) >= steps:
-            return None
-        for i in range(idx, ngen):
-            g = gens[i]
-            y = tuple(a - b for a, b in zip(vec, g))
-            sub = search(y, i, steps - 1)
-            if sub is not None:
-                return [i] + sub
-        fail[key] = steps
+    cone = _Cone(gens)
+    in_group = linalg.hermite_normal_form(gens + [x]) == linalg.hermite_normal_form(gens)
+    if not (in_group and cone.contains(x)):
         return None
-
-    path = search(x, 0, budget)
-    if path is None:
-        return None
-    coeffs = [0] * ngen
-    for i in path:
-        coeffs[i] += 1
-    return tuple(coeffs)
+    if cone.pointed:
+        return _search(gens, x, cone.contains)
+    witness = _search(gens, x, cone.contains, _NONPOINTED_DEPTH)
+    if witness is None:
+        raise SaturationBoundError(
+            "no witness for %r within %d generator steps on a non-pointed cone"
+            % (x, _NONPOINTED_DEPTH)
+        )
+    return witness
 
 
 def grothendieck_group(m: FGMonoid):
@@ -116,132 +209,66 @@ def grothendieck_group(m: FGMonoid):
 def in_cone(m: FGMonoid, x):
     """Rational cone membership: x = sum t_i g_i with t_i >= 0 rational.
 
-    Returns the coefficient vector or None.
+    Returns the coefficient vector over the nonzero generators, or None.
     """
+    x = _as_vec(x, m.ambient_rank)
     gens = m.nonzero_generators()
-    if not any(_as_vec(x, m.ambient_rank)):
+    if not any(x):
         return tuple(Fraction(0) for _ in gens)
     if not gens:
         return None
-    cols = linalg.transpose(linalg.mat(gens))
-    sol = linalg.nonneg_rational_solution(cols, list(x))
-    return None if sol is None else tuple(sol)
+    found = _Cone(gens).coords(x)
+    if found is None:
+        return None
+    coeffs = [Fraction(0)] * len(gens)
+    for i, c in zip(*found):
+        coeffs[i] = c
+    return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class MonoidHom:
-    """Monoid map induced by an integer matrix on the ambient lattices.
-
-    The matrix has shape target_rank x source_rank. Construction checks that
-    every source generator maps into the target monoid and keeps the
-    nonnegative-combination witnesses.
-    """
-
-    source: FGMonoid
-    target: FGMonoid
-    matrix: tuple
-    witnesses: tuple = None
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(c) for c in row) for row in self.matrix)
-        if len(rows) != self.target.ambient_rank or any(
-            len(r) != self.source.ambient_rank for r in rows
-        ):
-            raise ValueError("matrix shape does not match ambient ranks")
-        object.__setattr__(self, "matrix", rows)
-        wits = []
-        for g in self.source.generators:
-            img = self.apply(g)
-            w = contains(self.target, img)
-            if w is None:
-                raise ValueError(
-                    "image of generator %r is not visibly in the target monoid" % (g,)
-                )
-            wits.append((img, w))
-        object.__setattr__(self, "witnesses", tuple(wits))
-
-    def apply(self, x):
-        x = _as_vec(x, self.source.ambient_rank)
-        return tuple(sum(r[j] * x[j] for j in range(len(x))) for r in self.matrix)
-
-
-def diagonal_hom(r):
-    """N -> N^r, 1 |-> (1, ..., 1)."""
-    src = FGMonoid.free(1)
-    tgt = FGMonoid.free(r)
-    return MonoidHom(src, tgt, tuple((1,) for _ in range(r)))
-
-
-def _box_points(k, box):
-    return itertools.product(range(-box, box + 1), repeat=k)
-
-
-def saturate(m: FGMonoid, box=10, multiple_bound=24, budget=64):
+def saturate(m: FGMonoid):
     """Generators of {x in Z^k : n*x in m for some n >= 1}.
 
-    Brute force over lattice points of the rational cone of m inside the box
-    [-box, box]^k, then a greedy reduction to a small generating set. Raises
-    SaturationBoundError when a certificate does not fit the bounds, instead
-    of returning something unverified.
+    That set is the lattice points of m's rational cone.  The generators come
+    sorted by L1 norm, then lexicographically.  The candidates are
+    the generators and the parallelepiped points of every base.  On a pointed
+    cone a candidate goes when it is another candidate plus a nonzero cone
+    point, which leaves the Hilbert basis.  On a non-pointed cone a candidate
+    goes when the bounded search writes it in the candidates kept so far; one
+    it cannot write is kept, so the result always generates the saturation.
     """
     k = m.ambient_rank
     gens = m.nonzero_generators()
     if not gens:
-        return FGMonoid(m.ambient_rank, ())
-
-    candidates = []
-    for p in _box_points(k, box):
-        if not any(p):
-            continue
-        if not linalg.in_row_span_q(gens, p):
-            continue
-        t = in_cone(m, p)
-        if t is None:
-            continue
-        # clear denominators: that multiple of p is an honest member of m
-        mult = 1
-        for c in t:
-            mult = mult * c.denominator // _gcd(mult, c.denominator)
-        if mult > multiple_bound:
-            raise SaturationBoundError(
-                "witness multiple %d for %r exceeds bound %d" % (mult, p, multiple_bound)
-            )
-        candidates.append(p)
-
-    # greedy reduction, small elements first; kept set always generates the
-    # candidates already processed
-    candidates.sort(key=lambda v: (sum(abs(c) for c in v), v))
+        return FGMonoid(k, ())
+    cone = _Cone(gens)
+    lattice = _lattice(gens, k)
+    cands = set(gens)
+    for _, cols in cone.bases:
+        cands.update(_parallelepiped(cols, lattice))
+    cands.discard((0,) * k)
+    cands = sorted(cands, key=lambda v: (sum(map(abs, v)), v))
     kept = []
-    for p in candidates:
-        if kept and contains(FGMonoid(k, tuple(kept)), p, budget=budget) is not None:
+    for x in cands:
+        if cone.pointed:
+            diffs = (tuple(a - b for a, b in zip(x, y)) for y in cands if y != x)
+            if any(cone.contains(d) for d in diffs):
+                continue
+        elif kept and _search(kept, x, cone.contains, _NONPOINTED_DEPTH) is not None:
             continue
-        kept.append(p)
-
-    out = FGMonoid(k, tuple(kept))
-    for g in gens:
-        if contains(out, g, budget=budget) is None:
-            raise SaturationBoundError(
-                "box %d too small: generator %r not recovered from the saturation" % (box, g)
-            )
-    return out
+        kept.append(x)
+    return FGMonoid(k, tuple(kept))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def monoid_equal(a: FGMonoid, b: FGMonoid, budget=64):
+def monoid_equal(a: FGMonoid, b: FGMonoid):
     """Equality as submonoids of the common ambient lattice."""
     if a.ambient_rank != b.ambient_rank:
         return False
-    return all(contains(b, g, budget=budget) is not None for g in a.nonzero_generators()) and all(
-        contains(a, g, budget=budget) is not None for g in b.nonzero_generators()
+    return all(contains(b, g) is not None for g in a.nonzero_generators()) and all(
+        contains(a, g) is not None for g in b.nonzero_generators()
     )
 
 
-def is_saturated(m: FGMonoid, box=10, multiple_bound=24, budget=64):
+def is_saturated(m: FGMonoid):
     """True iff m already equals its saturation in the ambient lattice."""
-    sat = saturate(m, box=box, multiple_bound=multiple_bound, budget=budget)
-    return all(contains(m, g, budget=budget) is not None for g in sat.generators)
+    return all(contains(m, g) is not None for g in saturate(m).generators)

@@ -147,8 +147,8 @@ class Scene:
         spec = _expect(self._require("foliation"), dict, "foliation")
         gen_names = _expect(spec.get("generators"), list, "foliation.generators")
         gens = []
-        for g in gen_names:
-            if g not in fields:
+        for i, g in enumerate(gen_names):
+            if _expect(g, str, "foliation.generators[%d]" % i) not in fields:
                 raise SceneError("unknown field %r" % g, "foliation.generators")
             gens.append(fields[g])
         rank = _int(spec.get("rank", 1), "foliation.rank")
@@ -312,8 +312,8 @@ class Scene:
                     raise SceneError(str(e), fwhere)
             gen_names = _expect(entry.get("foliation"), list, where + ".foliation")
             gens = []
-            for g in gen_names:
-                if g not in local:
+            for j, g in enumerate(gen_names):
+                if _expect(g, str, "%s.foliation[%d]" % (where, j)) not in local:
                     raise SceneError("unknown field %r" % g, where + ".foliation")
                 gens.append(local[g])
             try:

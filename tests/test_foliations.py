@@ -16,16 +16,9 @@ from logfol import (
     lie_bracket,
     pushout_membership,
     restrict_derivation,
-    restrict_foliation,
     span_membership,
-    vanishing_divisor,
 )
-from logfol.foliations import (
-    InconclusiveAtOrderError,
-    MissingStratumError,
-    NonInvariantError,
-    ZeroRestrictionError,
-)
+from logfol.foliations import MissingStratumError
 from logfol.jets import Jet
 from logfol.logcalc import LogDerivation
 
@@ -144,21 +137,6 @@ def test_restriction_commutes_with_bracket(v, w, i):
     lhs = restrict_derivation(lie_bracket(v, w), i)
     rhs = lie_bracket(restrict_derivation(v, i), restrict_derivation(w, i))
     assert lhs.equal_to_order(rhs, CTX.order - 1)
-
-
-def test_restrict_foliation_flags_dead_generators():
-    v = derivation_from_string(CTX, "x1*x2*dx2")
-    fol = FoliationGerm(CTX, (v,))
-    with pytest.raises(ZeroRestrictionError):
-        restrict_foliation(fol, 0)
-
-
-def test_restrict_foliation_can_drop_dead_generators():
-    v = derivation_from_string(CTX, "x1*x2*dx2")
-    w = derivation_from_string(CTX, "x2*dx2")
-    fol = FoliationGerm(CTX, (v, w), rank=1)
-    res = restrict_foliation(fol, 0, allow_zero=True)
-    assert len(res.generators) == 1
 
 
 # -- gluing scalars -------------------------------------------------------------
@@ -288,27 +266,3 @@ def test_annihilating_form_pairs_to_zero():
     q = Jet.one(ctx) + Jet.variable(ctx, 1)
     form = SurfaceOneForm.annihilating(p, q)
     assert (form.A * p + form.B * q).is_zero()
-
-
-def test_vanishing_divisor_order():
-    ctx = surface_ctx()
-    y = Jet.variable(ctx, 0)
-    z = Jet.variable(ctx, 1)
-    form = SurfaceOneForm(z ** 2 + y, y)
-    res = vanishing_divisor(form)
-    assert res.order == 2
-    assert res.restricted == z ** 2
-
-
-def test_vanishing_divisor_requires_invariance():
-    ctx = surface_ctx()
-    z = Jet.variable(ctx, 1)
-    with pytest.raises(NonInvariantError):
-        vanishing_divisor(SurfaceOneForm(z, z))
-
-
-def test_vanishing_divisor_inconclusive_when_flat():
-    ctx = GermContext(2, 0, 4)
-    y = Jet.variable(ctx, 0)
-    with pytest.raises(InconclusiveAtOrderError):
-        vanishing_divisor(SurfaceOneForm(y, y))

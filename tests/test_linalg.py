@@ -332,11 +332,9 @@ def test_hnf_shape_and_pivot_reduction():
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=1, max_size=4))
 def test_hnf_preserves_rational_row_span(rows):
+    # same rational row span: stacking either onto the other adds no rank
     h = linalg.hermite_normal_form(rows)
-    for row in rows:
-        assert linalg.in_row_span_q(h, row) or not any(row)
-    for row in h:
-        assert linalg.in_row_span_q(rows, row)
+    assert linalg.rank(h) == linalg.rank(rows) == linalg.rank(h + rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,34 +345,3 @@ def test_hnf_canonical_under_row_shuffle(rows, rng):
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert linalg.hermite_normal_form(rows) == linalg.hermite_normal_form(shuffled)
-
-
-# -- nonnegative rational solutions -------------------------------------
-
-
-def test_simplex_feasible_example():
-    # x + y = 3, x - y = 1 -> (2, 1)
-    a = [[1, 1], [1, -1]]
-    t = linalg.nonneg_rational_solution(a, [3, 1])
-    assert t == [Fraction(2), Fraction(1)]
-
-
-def test_simplex_infeasible_example():
-    # x + y = -1 has no nonnegative solution
-    assert linalg.nonneg_rational_solution([[1, 1]], [-1]) is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=4),
-                min_size=1, max_size=3),
-       st.data())
-def test_simplex_finds_constructed_solutions(a, data):
-    n = min(len(row) for row in a)
-    a = [row[:n] for row in a]
-    x = [Fraction(data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3)))
-         for _ in range(n)]
-    b = linalg.mat_vec(linalg.mat(a), x)
-    t = linalg.nonneg_rational_solution(a, b)
-    assert t is not None
-    assert all(v >= 0 for v in t)
-    assert linalg.mat_vec(linalg.mat(a), t) == b

@@ -11,7 +11,6 @@ from logfol import (
     contract,
     derivation_from_string,
     format_derivation,
-    in_relative_tangent,
     lie_bracket,
 )
 from logfol.jets import Jet
@@ -107,42 +106,6 @@ def test_bracket_matches_commutator_of_actions(v, w, f):
     lhs = lie_bracket(v, w).apply(f)
     rhs = v.apply(w.apply(f)) - w.apply(v.apply(f))
     assert lhs.equal_to_order(rhs, CTX.order - 2)
-
-
-# -- relative tangency --------------------------------------------------------
-
-
-def test_balanced_field_is_relatively_tangent():
-    ctx = GermContext(2, 2, 6)
-    v = derivation_from_string(ctx, "x1*dx1 - x2*dx2")
-    chk = in_relative_tangent(v)
-    assert chk.ok and bool(chk)
-    assert chk.order == ctx.order
-
-
-def test_unbalanced_field_is_not():
-    ctx = GermContext(2, 2, 6)
-    v = derivation_from_string(ctx, "x1*dx1")
-    chk = in_relative_tangent(v)
-    assert not chk.ok
-    assert chk.defect == Jet.constant(ctx, -1)
-
-
-def test_tangency_depends_on_chart_unit():
-    ctx = GermContext(2, 2, 6)
-    v = derivation_from_string(ctx, "x1*dx1 - x2*dx2")
-    u = Jet.one(ctx) + Jet.variable(ctx, 0)
-    chk = in_relative_tangent(v, unit=u)
-    assert not chk.ok
-    # one derivative hits the unit, so the verdict holds at order - 1
-    assert chk.order == ctx.order - 1
-
-
-def test_tangency_rejects_nonunit():
-    ctx = GermContext(2, 2, 6)
-    v = derivation_from_string(ctx, "x1*dx1 - x2*dx2")
-    with pytest.raises(ValueError):
-        in_relative_tangent(v, unit=Jet.variable(ctx, 0))
 
 
 # -- pairing with log one-forms ------------------------------------------------

@@ -1,17 +1,16 @@
 """Finitely generated submonoids of Z^k: membership, groups, saturation."""
 
 import itertools
-from fractions import Fraction
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfol.monoids import (
     FGMonoid,
-    MonoidHom,
     SaturationBoundError,
     contains,
-    diagonal_hom,
     grothendieck_group,
     in_cone,
     is_saturated,
@@ -142,13 +141,6 @@ def test_is_saturated_examples():
     assert is_saturated(FGMonoid(2, ((1, 0), (1, 1), (1, 2))))
 
 
-def test_saturation_bound_error_is_reported():
-    # a witness multiple > 1 is needed; with the bound too small the
-    # computation must refuse rather than return a wrong monoid
-    with pytest.raises(SaturationBoundError):
-        saturate(FGMonoid(1, ((2,), (3,))), multiple_bound=1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(small_monoids)
 def test_saturate_is_idempotent(m):
@@ -165,31 +157,141 @@ def test_saturate_matches_pointwise_oracle(m):
         assert (contains(s, x) is not None) == want, (m.generators, x)
 
 
-# -- homomorphisms ---------------------------------------------------------
+# -- answers that a bounded search used to get wrong -------------------------
 
 
-def test_diagonal_hom_shapes():
-    h = diagonal_hom(3)
-    assert h.apply((5,)) == (5, 5, 5)
+def test_long_witness_on_a_pointed_cone():
+    # the budget of the old depth-first search read both of these as "no"
+    assert contains(FGMonoid(1, ((1,),)), (60,)) == (60,)
+    assert contains(FGMonoid(1, ((1,),)), (5000,)) == (5000,)
 
 
-def test_hom_validates_matrix_shape():
-    with pytest.raises(ValueError):
-        MonoidHom(FGMonoid.free(1), FGMonoid.free(2), ((1,),))
+def test_witness_is_the_lexicographically_largest():
+    m = FGMonoid(1, ((1,), (5,)))
+    assert contains(m, (12,)) == (12, 0)
+    assert contains(FGMonoid(1, ((5,), (1,))), (12,)) == (2, 2)
 
 
-def test_hom_requires_generator_images_in_target():
-    evens = FGMonoid(1, ((2,),))
-    with pytest.raises(ValueError):
-        MonoidHom(FGMonoid.free(1), evens, ((1,),))
+def test_pointed_non_membership_is_proved():
+    m = FGMonoid(2, ((1, 0), (1, 2)))
+    assert contains(m, (1, 1)) is None  # in the cone, not in the group
+    assert contains(m, (40, 1)) is None
+    assert contains(m, (0, 1)) is None  # outside the cone
 
 
-def test_hom_keeps_witnesses():
-    h = diagonal_hom(2)
-    (img, combo), = h.witnesses
-    assert img == (1, 1)
-    total = [0, 0]
-    for coef, g in zip(combo, h.target.generators):
-        total[0] += coef * g[0]
-        total[1] += coef * g[1]
-    assert tuple(total) == img
+def test_saturation_outside_the_old_box():
+    # 16 * (1,1,11) = 11*(1,0,8) + 11*(0,1,8) + 5*(1,1,0); (1,1,11) lies
+    # outside [-10, 10]^3 in the last coordinate
+    s = saturate(FGMonoid(3, ((1, 0, 8), (0, 1, 8), (1, 1, 0))))
+    layers = [(1, 1, h) for h in range(16)]
+    assert s.generators == tuple(layers[:7]) + ((0, 1, 8), (1, 0, 8)) + tuple(layers[7:])
+
+
+def test_rank_four_saturation_is_fast():
+    start = time.perf_counter()
+    s = saturate(FGMonoid(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5))))
+    assert time.perf_counter() - start < 1.0
+    assert s.generators == ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)) + tuple(
+        (1, 1, 1, h) for h in range(1, 6)
+    )
+
+
+def test_saturation_of_a_lower_rank_cone_stays_in_its_lattice():
+    s = saturate(FGMonoid(3, ((2, 0, 2), (0, 2, 2))))
+    assert s.generators == ((0, 1, 1), (1, 0, 1))
+    assert contains(s, (1, 1, 1)) is None
+
+
+# -- non-pointed cones --------------------------------------------------------
+
+
+def test_non_pointed_no_is_a_proof():
+    # the cone of the upper half plane, the group 2Z x Z
+    m = FGMonoid(2, ((2, 0), (-2, 0), (0, 1)))
+    assert contains(m, (0, -1)) is None  # outside the cone
+    assert contains(m, (1, 3)) is None  # outside the group
+    assert contains(m, (-4, 3)) is not None
+
+
+def test_non_pointed_search_running_out_is_inconclusive():
+    # (0, 1) is in the cone and the group, but the y coordinates 2 and 3
+    # never sum to 1: the bounded search cannot find it and must not say no
+    m = FGMonoid(2, ((1, 0), (-1, 0), (0, 2), (1, 3)))
+    with pytest.raises(SaturationBoundError):
+        contains(m, (0, 1))
+
+
+def test_non_pointed_saturation_generates_the_lattice_points():
+    assert saturate(FGMonoid(1, ((2,), (-3,)))).generators == ((-1,), (1,))
+    s = saturate(FGMonoid(2, ((1, 0), (-1, 0), (0, 2), (1, 3))))
+    for x in itertools.product(range(-3, 4), range(0, 4)):
+        assert contains(s, x) is not None
+    assert contains(s, (0, -1)) is None
+
+
+# -- an oracle independent of the cone algorithm ----------------------------------
+
+
+def det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def saturation_in_box(gens, side):
+    """Nonzero points of [0, side]^k some positive multiple of which lies in <gens>.
+
+    The generators are nonnegative and span Q^k, so a cone point x is in a
+    simplicial subcone whose determinant d clears its denominators: d*x is in
+    the monoid, and multiples up to the largest |d| decide membership.  The
+    monoid is listed by breadth-first closure inside the box that holds
+    those multiples.
+    """
+    k = len(gens[0])
+    mult = max(abs(det([list(g) for g in sub])) for sub in itertools.combinations(gens, k))
+    reach = brute_members(FGMonoid(k, tuple(gens)), mult * side)
+    return {
+        x
+        for x in itertools.product(range(side + 1), repeat=k)
+        if any(x) and any(tuple(n * c for c in x) in reach for n in range(1, mult + 1))
+    }
+
+
+def closure_in_box(gens, side):
+    k = len(gens[0])
+    seen = {(0,) * k}
+    frontier = list(seen)
+    while frontier:
+        frontier = [
+            y
+            for x in frontier
+            for g in gens
+            for y in [tuple(a + b for a, b in zip(x, g))]
+            if max(y) <= side and y not in seen and not seen.add(y)
+        ]
+    return seen
+
+
+@pytest.mark.parametrize("k, count, top", [(3, 6, 3), (4, 3, 2)])
+def test_saturation_matches_multiple_oracle(k, count, top):
+    rng = random.Random(k)
+    done = 0
+    while done < count:
+        gens = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(k + 1)]
+        if not any(det([list(g) for g in sub]) for sub in itertools.combinations(gens, k)):
+            continue
+        s = saturate(FGMonoid(k, tuple(gens)))
+        side = max(max(g) for g in s.generators)
+        sat = saturation_in_box(gens, side)
+        assert set(s.generators) <= sat
+        # the output generates every point of the saturation in the box ...
+        assert closure_in_box(s.generators, side) == sat | {(0,) * k}
+        # ... and no generator is a sum of two nonzero saturation points
+        for h in s.generators:
+            assert not any(
+                tuple(a - b for a, b in zip(h, y)) in sat for y in sat if y != h
+            ), (gens, h)
+        done += 1

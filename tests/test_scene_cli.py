@@ -521,6 +521,28 @@ def test_cli_monoid_saturation_check(tmp_path):
     assert cli.main(["monoid", "check", sat]) == 0
 
 
+def monoid_check(tmp_path, gens, element):
+    scene = {"monoid": {"ambient_rank": len(element), "generators": gens}, "element": element}
+    path = write_scene(tmp_path, "m.json", scene)
+    out = tmp_path / "m.out.json"
+    code = cli.main(["monoid", "check", path, "--json", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_cli_monoid_long_witnesses_are_found(tmp_path):
+    code, rep = monoid_check(tmp_path, [[1]], [60])
+    assert (code, rep["decision"], rep["details"]["witness"]) == (0, "yes", [60])
+    code, rep = monoid_check(tmp_path, [[1]], [5000])
+    assert (code, rep["details"]["witness"]) == (0, [5000])
+
+
+def test_cli_monoid_search_running_out_is_inconclusive(tmp_path):
+    code, rep = monoid_check(tmp_path, [[1, 0], [-1, 0], [0, 2], [1, 3]], [0, 1])
+    assert (code, rep["decision"]) == (3, "inconclusive")
+    code, rep = monoid_check(tmp_path, [[1, 0], [-1, 0], [0, 2], [1, 3]], [0, -1])
+    assert (code, rep["decision"]) == (1, "no")
+
+
 # -- plumbing: errors, json, batch mode --------------------------------------------------
 
 
@@ -540,6 +562,33 @@ def test_cli_rejects_floats_in_scenes(tmp_path, capsys):
     path = write_scene(tmp_path, "s.json", glue_scene(0.5, 2, 1))
     assert cli.main(["pushout", "check", path]) == 2
     assert "floating point is not allowed" in capsys.readouterr().out
+
+
+def test_cli_rejects_non_string_generator_names(tmp_path, capsys):
+    scene = dict(BALANCED, foliation={"generators": [["v"]]})
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["semistable", "check", path]) == 2
+    assert "error: foliation.generators[0]: expected str" in capsys.readouterr().out
+    scene = json.loads(json.dumps(PUSHOUT_MEMBER))
+    scene["components"][1]["foliation"] = [{"u": 1}]
+    path = write_scene(tmp_path, "t.json", scene)
+    assert cli.main(["pushout", "member", path]) == 2
+    assert "error: components[1].foliation[0]: expected str" in capsys.readouterr().out
+
+
+def test_cli_maps_unexpected_exceptions_to_internal(tmp_path, capsys, monkeypatch):
+    def crash(m):
+        raise TypeError("unhashable type: 'list'")
+
+    monkeypatch.setattr(cli.monoids, "saturate", crash)
+    path = write_scene(tmp_path, "s.json", {"monoid": {"ambient_rank": 1, "generators": [[2]]}})
+    out = tmp_path / "out.json"
+    assert cli.main(["monoid", "saturate", path, "--json", str(out)]) == 4
+    assert "internal: internal error: TypeError: unhashable type" in capsys.readouterr().out
+    rep = json.loads(out.read_text())
+    assert rep["decision"] == "internal"
+    assert "in crash" in rep["details"]["traceback"]
+    assert cli.EXIT_BY_DECISION["internal"] not in (0, 1, 3)
 
 
 def test_cli_json_report_round_trips(tmp_path, capsys):

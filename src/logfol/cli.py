@@ -12,6 +12,12 @@ report's decision field:
 
 Reports serialize to JSON with --json; parsing that JSON back gives the same
 report, so downstream tooling can rely on the file alone.
+
+The command tree lives in one table, COMMANDS: each row gives a leaf's words,
+handler, help, whether it reads a scene, its aliases and its extra options.
+build_parser(argv) builds only the path that argv names (top parser, group,
+leaf), since one call runs one command; help, a group alone or an unknown
+word gets the whole tree, built from the same rows.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -361,9 +368,7 @@ def _cmd_holonomy(args, scn: Scene):
 def _cmd_selftest(args, scn):
     from . import selfcheck
 
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = 0
+    seed = args.seed
     results = selfcheck.run_all(seed=seed, trials=args.trials)
     ok = all(r.ok for r in results)
     lines = tuple(
@@ -445,115 +450,105 @@ def _write_json(path, payload):
 
 
 def _add_common(parser, needs_scene):
-    parser.add_argument(
-        "--order",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="truncation order override (default: scene value, else 6)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        default=argparse.SUPPRESS,
-        metavar="PATH",
-        help='write the report as JSON to PATH ("-" for stdout)',
-    )
+    parser.add_argument("--order", type=int, default=argparse.SUPPRESS,
+                        help="truncation order override (default: scene value, else 6)")
+    parser.add_argument("--json", dest="json_path", default=argparse.SUPPRESS, metavar="PATH",
+                        help='write the report as JSON to PATH ("-" for stdout)')
     if needs_scene:
         parser.add_argument("scene", nargs="?", help="scene file to read")
-        parser.add_argument(
-            "--all",
-            dest="all_dir",
-            default=argparse.SUPPRESS,
-            metavar="DIR",
-            help="run on every *.json scene in DIR; exit with the worst code",
-        )
+        parser.add_argument("--all", dest="all_dir", default=argparse.SUPPRESS, metavar="DIR",
+                            help="run on every *.json scene in DIR; exit with the worst code")
 
 
-def _leaf(subparsers, name, handler, needs_scene=True, aliases=(), help=None, tool=None):
-    p = subparsers.add_parser(name, aliases=list(aliases), help=help)
-    p.set_defaults(handler=handler, needs_scene=needs_scene, tool=tool or name)
-    _add_common(p, needs_scene)
-    return p
+# --- the command table: one row per leaf of the command tree ---
 
 
-def build_parser():
+# words: ("monoid", "saturate"), or one word for a top-level leaf; aliases: other
+# names for the last word; arguments: (flag, add_argument keywords) pairs added
+# after the common options.  A namedtuple: a frozen dataclass adds ~1.5 ms to import.
+_Command = namedtuple("_Command", "words handler help needs_scene aliases arguments",
+                      defaults=(True, (), ()))
+
+
+_GROUPS = {
+    "monoid": "saturation and group of a lattice monoid",
+    "semistable": "flat-unit criterion on a crossing germ",
+    "cs": "residue indices along strata",
+    "pushout": "gluing checks across components",
+    "cohomology": "exact cohomology of small bundles",
+    "obstruction": "obstruction cocycles and classes",
+}
+
+_PAIR_HELP = "1-based crossing component indices (default: scene, or 1 2 when r = 2)"
+
+COMMANDS = (
+    _Command(("monoid", "saturate"), _cmd_monoid_saturate, "generators of the saturation"),
+    _Command(("monoid", "group"), _cmd_monoid_group, "Hermite basis of the difference group"),
+    _Command(("monoid", "check"), _cmd_monoid_check,
+             "is the scene's element a member; without an element, is the monoid saturated"),
+    _Command(("semistable", "check"), _cmd_semistable_check, "decide existence of a flat unit"),
+    _Command(("cs", "log"), _cmd_cs_log, "index of a log one-form along a double stratum",
+             aliases=("paper",), arguments=(("--pair", dict(
+                 type=int, nargs=2, metavar=("I", "J"), default=None, help=_PAIR_HELP)),)),
+    _Command(("cs", "surface"), _cmd_cs_surface, "index of a dy + b dz along {y = 0}"),
+    _Command(("pushout", "check"), _cmd_pushout_check, "scalar cocycle condition on triples"),
+    _Command(("pushout", "member"), _cmd_pushout_member,
+             "does a candidate field restrict into every component foliation"),
+    _Command(("cohomology", "p1"), _cmd_cohomology_p1, "line bundle on the projective line",
+             needs_scene=False,
+             arguments=(("--deg", dict(type=int, required=True, help="bundle degree")),)),
+    _Command(("cohomology", "snc-curve"), _cmd_cohomology_snc,
+             "bundle on two projective lines glued at a node"),
+    _Command(("leaf-complex",), _cmd_leaf_complex, "hypercohomology dimensions of cover data"),
+    _Command(("obstruction", "verify"), _cmd_obstruction_verify,
+             "four compatibility equations of a triple over a cover"),
+    _Command(("obstruction", "lie"), _cmd_obstruction_lie,
+             "obstruction class of a perturbed subalgebra inclusion"),
+    _Command(("holonomy",), _cmd_holonomy,
+             "holonomy and normal degree compatibility of a stratum"),
+    _Command(("selftest",), _cmd_selftest, "randomized identity checks of the core algebra",
+             needs_scene=False, arguments=(
+                 ("--seed", dict(type=int, default=0, help="random seed (default 0)")),
+                 ("--trials", dict(type=int, default=40, help="trials per identity (default 40)")),
+             )),
+)
+
+
+def _named_command(argv):
+    """The row whose words (or an alias of its last word) lead argv, if any."""
+    for cmd in COMMANDS:
+        k = len(cmd.words) - 1
+        if len(argv) > k and tuple(argv[:k]) == cmd.words[:k] and (
+                argv[k] == cmd.words[k] or argv[k] in cmd.aliases):
+            return cmd
+    return None
+
+
+def build_parser(argv=None):
+    """The argparse tree for argv: the named path alone, else the whole tree."""
+    named = _named_command(argv or ())
     parser = argparse.ArgumentParser(
         prog="logfol",
         description="exact checks for foliations on crossing germs: "
         "flat units, indices, gluing cocycles, cover obstructions",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    monoid = sub.add_parser("monoid", help="saturation and group of a lattice monoid")
-    monoid_sub = monoid.add_subparsers(dest="subcommand", metavar="WHAT")
-    _leaf(monoid_sub, "saturate", _cmd_monoid_saturate, tool="monoid-saturate",
-          help="generators of the saturation")
-    _leaf(monoid_sub, "group", _cmd_monoid_group, tool="monoid-group",
-          help="Hermite basis of the difference group")
-    _leaf(
-        monoid_sub, "check", _cmd_monoid_check, tool="monoid-check",
-        help="is the scene's element a member; without an element, is the monoid saturated",
-    )
-
-    semi = sub.add_parser("semistable", help="flat-unit criterion on a crossing germ")
-    semi_sub = semi.add_subparsers(dest="subcommand", metavar="WHAT")
-    _leaf(semi_sub, "check", _cmd_semistable_check, tool="semistable-check",
-          help="decide existence of a flat unit")
-
-    cs = sub.add_parser("cs", help="residue indices along strata")
-    cs_sub = cs.add_subparsers(dest="subcommand", metavar="WHAT")
-    cs_log = _leaf(
-        cs_sub, "log", _cmd_cs_log, aliases=("paper",), tool="cs-log",
-        help="index of a log one-form along a double stratum",
-    )
-    cs_log.add_argument(
-        "--pair", type=int, nargs=2, metavar=("I", "J"), default=None,
-        help="1-based crossing component indices (default: scene, or 1 2 when r = 2)",
-    )
-    _leaf(cs_sub, "surface", _cmd_cs_surface, tool="cs-surface",
-          help="index of a dy + b dz along {y = 0}")
-
-    push = sub.add_parser("pushout", help="gluing checks across components")
-    push_sub = push.add_subparsers(dest="subcommand", metavar="WHAT")
-    _leaf(push_sub, "check", _cmd_pushout_check, tool="pushout-check",
-          help="scalar cocycle condition on triples")
-    _leaf(
-        push_sub, "member", _cmd_pushout_member, tool="pushout-member",
-        help="does a candidate field restrict into every component foliation",
-    )
-
-    coh = sub.add_parser("cohomology", help="exact cohomology of small bundles")
-    coh_sub = coh.add_subparsers(dest="subcommand", metavar="WHAT")
-    p1 = _leaf(coh_sub, "p1", _cmd_cohomology_p1, needs_scene=False, tool="cohomology-p1",
-               help="line bundle on the projective line")
-    p1.add_argument("--deg", type=int, required=True, help="bundle degree")
-    _leaf(coh_sub, "snc-curve", _cmd_cohomology_snc, tool="cohomology-snc-curve",
-          help="bundle on two projective lines glued at a node")
-
-    _leaf(sub, "leaf-complex", _cmd_leaf_complex,
-          help="hypercohomology dimensions of cover data")
-
-    obs = sub.add_parser("obstruction", help="obstruction cocycles and classes")
-    obs_sub = obs.add_subparsers(dest="subcommand", metavar="WHAT")
-    _leaf(obs_sub, "verify", _cmd_obstruction_verify, tool="obstruction-verify",
-          help="four compatibility equations of a triple over a cover")
-    _leaf(obs_sub, "lie", _cmd_obstruction_lie, tool="obstruction-lie",
-          help="obstruction class of a perturbed subalgebra inclusion")
-
-    _leaf(sub, "holonomy", _cmd_holonomy,
-          help="holonomy and normal degree compatibility of a stratum")
-
-    selftest = _leaf(sub, "selftest", _cmd_selftest, needs_scene=False,
-                     help="randomized identity checks of the core algebra")
-    selftest.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    selftest.add_argument("--trials", type=int, default=40,
-                          help="trials per identity (default 40)")
-
+    groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}
+    for cmd in (named,) if named else COMMANDS:
+        group = cmd.words[:-1]
+        if group not in groups:
+            p = groups[()].add_parser(group[0], help=_GROUPS[group[0]])
+            groups[group] = p.add_subparsers(dest="subcommand", metavar="WHAT")
+        p = groups[group].add_parser(cmd.words[-1], aliases=list(cmd.aliases), help=cmd.help)
+        p.set_defaults(handler=cmd.handler, needs_scene=cmd.needs_scene, tool="-".join(cmd.words))
+        _add_common(p, cmd.needs_scene)
+        for flag, keywords in cmd.arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
         parser.print_help()

@@ -189,10 +189,6 @@ class Jet:
         """Largest total degree present, or -1 for the zero jet."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def low_degree(self):
-        """Smallest total degree present, or None for the zero jet."""
-        return min((sum(e) for e in self.terms), default=None)
-
     def truncate(self, order):
         return Jet(self.ctx, {e: c for e, c in self.terms.items() if sum(e) <= order})
 

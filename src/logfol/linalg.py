@@ -70,7 +70,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, x):
-    return [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
+    """a x as Fractions; the zero coefficients of the (mostly sparse) rows are skipped."""
+    return [sum((c * v for c, v in zip(row, x) if c), Fraction(0)) for row in a]
 
 
 def vec_add(x, y):

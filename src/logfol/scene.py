@@ -240,6 +240,8 @@ class Scene:
         index = {name: i for i, name in enumerate(names)}
 
         def resolve(name, where):
+            if not isinstance(name, str):
+                raise SceneError("expected a component name", where)
             if name not in index:
                 raise SceneError("unknown component %r" % name, where)
             return index[name]
@@ -419,10 +421,7 @@ class Scene:
                     for i, d in enumerate(_expect(spec.get("degrees"), list, "leaf_data.degrees"))
                 ]
                 window = _int(spec.get("window", 3), "leaf_data.window")
-                polys = [
-                    [scene_fraction(c, "leaf_data.polys[%d][%d]" % (i, j)) for j, c in enumerate(p)]
-                    for i, p in enumerate(_expect(spec.get("polys", []), list, "leaf_data.polys"))
-                ]
+                polys = _fraction_matrix(spec.get("polys", []), "leaf_data.polys")
                 return leafcomplex.p1_window_cover(degrees, window, polys)
             if builder == "explicit":
                 return self._explicit_leaf_data(spec)

@@ -209,6 +209,23 @@ def test_solve_detects_inconsistent_augmented_systems(a, data):
     assert linalg.solve(a, b) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix(), st.data())
+def test_mat_vec_matches_the_dense_product(a, data):
+    n = len(a[0]) if a else data.draw(st.integers(0, 4))
+    x = [data.draw(fractions) for _ in range(n)]
+    got = linalg.mat_vec(a, x)
+    assert got == [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
+    assert all(type(y) is Fraction for y in got)
+
+
+def test_mat_vec_keeps_fractions_on_zero_rows_and_empty_shapes():
+    assert linalg.mat_vec([], [1, 2]) == []
+    got = linalg.mat_vec([[0, 0], [], [0, 2]], [5, 3])
+    assert got == [0, 0, 6]
+    assert all(type(y) is Fraction for y in got)
+
+
 def test_empty_shapes():
     assert linalg.rref([]) == ([], [])
     assert linalg.rref([[], []]) == ([[], []], [])

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -576,6 +577,28 @@ def test_cli_rejects_non_string_generator_names(tmp_path, capsys):
     assert "error: components[1].foliation[0]: expected str" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", [None, -1, {}])
+def test_cli_rejects_leaf_polys_that_are_not_lists(tmp_path, capsys, bad):
+    scene = {"leaf_data": {"builder": "p1-windows", "degrees": [0, 1], "polys": [bad]}}
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["leaf-complex", path]) == 2
+    assert "error: leaf_data.polys[0]: expected list" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [{}, [[]], [None], None, 1])
+def test_cli_rejects_strata_names_that_are_not_strings(tmp_path, capsys, bad):
+    scene = glue_scene(2, 1, 1)
+    scene["double_strata"][1]["pair"][0] = bad
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["pushout", "check", path]) == 2
+    assert "error: double_strata[1].pair: expected a component name" in capsys.readouterr().out
+    scene = glue_scene(2, 1, 1)
+    scene["triple_strata"][0][2] = bad
+    path = write_scene(tmp_path, "t.json", scene)
+    assert cli.main(["pushout", "check", path]) == 2
+    assert "error: triple_strata[0]: expected a component name" in capsys.readouterr().out
+
+
 def test_cli_maps_unexpected_exceptions_to_internal(tmp_path, capsys, monkeypatch):
     def crash(m):
         raise TypeError("unhashable type: 'list'")
@@ -639,3 +662,121 @@ def test_cli_selftest_smoke(capsys):
     out = capsys.readouterr().out
     assert out.startswith("yes:")
     assert "ok (2 trials)" in out
+
+
+# -- the command table and the parser built for one command ----------------------------
+
+# one argv per row of cli.COMMANDS, plus the alias, with every option a row takes
+PARITY_ARGV = [
+    ["monoid", "saturate", "s.json", "--order", "5", "--json", "-"],
+    ["monoid", "group", "--all", "scenes"],
+    ["monoid", "check", "s.json", "--json", "out.json"],
+    ["semistable", "check", "s.json", "--order", "9"],
+    ["cs", "log", "s.json", "--pair", "1", "3"],
+    ["cs", "paper", "--pair", "2", "3", "s.json", "--all", "d", "--order", "4"],
+    ["cs", "surface", "s.json"],
+    ["pushout", "check", "--all", "d", "--json", "-"],
+    ["pushout", "member", "s.json", "--order", "4"],
+    ["cohomology", "p1", "--deg", "-2", "--json", "-"],
+    ["cohomology", "snc-curve", "s.json"],
+    ["leaf-complex", "s.json", "--order", "3"],
+    ["obstruction", "verify", "s.json"],
+    ["obstruction", "lie", "--all", "d"],
+    ["holonomy", "s.json", "--json", "-"],
+    ["selftest", "--seed", "3", "--trials", "7", "--order", "2"],
+    ["selftest"],
+]
+
+# every leaf as it can be named: the table's words, and the alias
+LEAF_NAMES = [cmd.words for cmd in cli.COMMANDS] + [("cs", "paper")]
+
+
+def _choices(parser, dest):
+    return next(a for a in parser._actions if a.dest == dest).choices
+
+
+def _row(words):
+    """The table row that words name, through an alias or not."""
+    return next(cmd for cmd in cli.COMMANDS if cmd.words[:-1] == words[:-1]
+                and words[-1] in (cmd.words[-1],) + cmd.aliases)
+
+
+def test_parity_argv_name_every_leaf():
+    named = {tuple(argv[:len(words)]) for argv in PARITY_ARGV for words in LEAF_NAMES}
+    assert set(LEAF_NAMES) <= named
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_pruned_parser_gives_the_full_tree_namespace(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = vars(cli.build_parser().parse_args(argv))
+    assert vars(cli.build_parser(argv).parse_args(argv)) == full
+    assert full["tool"] in {"-".join(cmd.words) for cmd in cli.COMMANDS}
+
+
+@pytest.mark.parametrize("words", LEAF_NAMES, ids=" ".join)
+def test_pruned_parser_gives_the_full_tree_help(words, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = list(words) + ["-h"]
+    helps = []
+    for parser in (cli.build_parser(), cli.build_parser(argv)):
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args(argv)
+        assert e.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: logfol %s [-h]" % " ".join(_row(words).words))
+
+
+@pytest.mark.parametrize("words", LEAF_NAMES, ids=" ".join)
+def test_a_named_leaf_builds_only_its_path(words):
+    parser = cli.build_parser(list(words) + ["s.json"])
+    top = _choices(parser, "command")
+    assert list(top) == [words[0]]
+    if len(words) == 2:
+        row = _row(words)
+        assert list(_choices(top[words[0]], "subcommand")) == [row.words[1], *row.aliases]
+
+
+@pytest.mark.parametrize("argv", [None, [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"]])
+def test_anything_but_a_leaf_builds_the_whole_tree(argv):
+    top = _choices(cli.build_parser(argv), "command")
+    assert list(top) == list(dict.fromkeys(cmd.words[0] for cmd in cli.COMMANDS))
+    for cmd in cli.COMMANDS:
+        if len(cmd.words) == 2:
+            leaves = _choices(top[cmd.words[0]], "subcommand")
+            assert {cmd.words[1], *cmd.aliases} <= set(leaves)
+
+
+def test_cli_exits_2_without_a_leaf_or_on_bad_arguments(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main([]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("usage: logfol [-h] COMMAND ...")
+    assert all(cmd.words[0] in out for cmd in cli.COMMANDS)
+    assert cli.main(["monoid"]) == 2
+    assert capsys.readouterr().out.startswith("usage: logfol [-h] COMMAND ...")
+    with pytest.raises(SystemExit) as e:
+        cli.main(["bogus"])
+    assert e.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["semistable", "check", "s.json", "--order", "x"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: logfol semistable check [-h]")
+    assert "argument --order: invalid int value: 'x'" in err
+
+
+def test_cli_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["logfol", "cohomology", "p1", "--deg", "-2"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("value: degree -2: h0 = 0, h1 = 1")
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("Subcommands:")
+    listed = readme[start:readme.index("\n\n", start)]
+    for words in LEAF_NAMES:
+        assert "`%s`" % " ".join(words) in listed

@@ -3,9 +3,13 @@
 The golden files in tests/golden/ hold the --json report of each scene in
 scenes/, with the scene path written relative to the repository root.  A
 change that alters any answer, witness, summary or report line fails here.
+A seeded fuzz then mutates each scene and checks that no mutant crashes the
+CLI: malformed input must end in a report, never in exit 4 or an exception.
 """
 
+import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,52 @@ def test_scene_report_matches_golden(name, tmp_path, capsys):
     golden = json.loads((GOLDEN / ("%s.json" % name)).read_text())
     assert report == golden
     assert code == cli.EXIT_BY_DECISION[golden["decision"]]
+
+
+# what a mutation may put in place of any value; deleting the key is the other move
+REPLACEMENTS = (None, [], {}, "x", 1.5, True, -1, 0, [None], "1/0", [[]])
+MUTANTS_PER_SCENE = 40
+
+
+def _paths(node, path=()):
+    """Every key path below node, through dicts and lists, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def mutate(scene, rng):
+    """A copy of scene with one key or list entry deleted or its value replaced."""
+    scene = copy.deepcopy(scene)
+    path = rng.choice(list(_paths(scene)))
+    parent = scene
+    for key in path[:-1]:
+        parent = parent[key]
+    move = rng.randrange(len(REPLACEMENTS) + 1)
+    if move == len(REPLACEMENTS):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(REPLACEMENTS[move])
+    return scene
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
+def test_mutated_scenes_never_crash(name, tmp_path, capsys):
+    original = json.loads((SCENES / ("%s.json" % name)).read_text())
+    rng = random.Random(name)
+    path = tmp_path / ("%s.json" % name)
+    crashes = []
+    for trial in range(MUTANTS_PER_SCENE):
+        mutant = mutate(original, rng)
+        path.write_text(json.dumps(mutant))
+        code = cli.main(SUBCOMMAND[name] + [str(path)])
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2, 3):
+            crashes.append("mutant %d, exit %d: %s\n%s" % (trial, code, json.dumps(mutant), out))
+    assert not crashes, "\n".join(crashes)

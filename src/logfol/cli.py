@@ -17,7 +17,8 @@ The command tree lives in one table, COMMANDS: each row gives a leaf's words,
 handler, help, whether it reads a scene, its aliases and its extra options.
 build_parser(argv) builds only the path that argv names (top parser, group,
 leaf), since one call runs one command; help, a group alone or an unknown
-word gets the whole tree, built from the same rows.
+word gets the whole tree, built from the same rows.  A group named alone
+prints that group's usage and leaves and exits 2.
 """
 
 from __future__ import annotations
@@ -533,10 +534,12 @@ def build_parser(argv=None):
         "flat units, indices, gluing cocycles, cover obstructions",
     )
     groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}
+    parser.group_parsers = {}  # group word -> its parser, for main's group help
     for cmd in (named,) if named else COMMANDS:
         group = cmd.words[:-1]
         if group not in groups:
-            p = groups[()].add_parser(group[0], help=_GROUPS[group[0]])
+            p = parser.group_parsers[group[0]] = groups[()].add_parser(
+                group[0], help=_GROUPS[group[0]])
             groups[group] = p.add_subparsers(dest="subcommand", metavar="WHAT")
         p = groups[group].add_parser(cmd.words[-1], aliases=list(cmd.aliases), help=cmd.help)
         p.set_defaults(handler=cmd.handler, needs_scene=cmd.needs_scene, tool="-".join(cmd.words))
@@ -551,7 +554,8 @@ def main(argv=None):
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:
-        parser.print_help()
+        # a group named alone lists its own leaves
+        parser.group_parsers.get(args.command, parser).print_help()
         return 2
 
     json_path = getattr(args, "json_path", None)

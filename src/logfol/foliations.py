@@ -60,42 +60,54 @@ class FoliationGerm:
         return self.origin_rank() < self.rank or bool(self.degenerate_generators())
 
 
+def _span_system(generators, targets, order):
+    """Rows of [A | b_1 ... b_m] for sum_k c_k * gen_k = b_p through degree order.
+
+    Column k * len(monos) + i of A is x^monos[i] * gen_k, column ncols + p
+    is targets[p]; rows are keyed (component, equation monomial).
+    """
+    ctx = targets[0].ctx
+    monos = monomials(ctx, order)
+    system = linalg.RowBuilder(len(generators) * len(monos))
+    for k, gen in enumerate(generators):
+        if gen.ctx != ctx:
+            raise ContextMismatchError("generator context mismatch")
+        for comp_idx, comp in enumerate(gen.components()):
+            if not comp.terms:
+                continue
+            for i_mono, e_mono in enumerate(monos):
+                col = k * len(monos) + i_mono
+                for e, c in comp.shift(e_mono).terms.items():
+                    if sum(e) <= order:
+                        system.add((comp_idx, e), col, c)
+    for p, target in enumerate(targets):
+        for comp_idx, comp in enumerate(target.components()):
+            for e, c in comp.terms.items():
+                if sum(e) <= order:
+                    system.add((comp_idx, e), system.ncols + p, c)
+    return monos, system
+
+
 def span_membership(target, generators, order):
     """Jets c_k with sum_k c_k * gen_k = target up to the given degree.
 
     Returns the tuple of coefficient jets, or None when the linear system is
     inconsistent (target provably outside the span at this order).
     """
-    ctx = target.ctx
-    monos = monomials(ctx, order)
-    mono_index = {e: i for i, e in enumerate(monos)}
-    system = linalg.RowBuilder(len(generators) * len(monos))  # rows keyed (component, monomial)
-    for k, gen in enumerate(generators):
-        if gen.ctx != ctx:
-            raise ContextMismatchError("generator context mismatch")
-        for comp_idx, comp in enumerate(gen.components()):
-            for e_mono, i_mono in mono_index.items():
-                col = k * len(monos) + i_mono
-                prod = Jet.make(ctx, {e_mono: 1}) * comp
-                for e, c in prod.terms.items():
-                    if sum(e) <= order:
-                        system.add((comp_idx, e), col, c)
-    for comp_idx, comp in enumerate(target.components()):
-        for e, c in comp.terms.items():
-            if sum(e) <= order:
-                system.add_rhs((comp_idx, e), c)
-
+    monos, system = _span_system(generators, (target,), order)
     sol = system.solve()
     if sol is None:
         return None
     coeffs = []
     for k in range(len(generators)):
+        # a monomial past the context order spans a zero column, so its
+        # coefficient is 0 and every term kept here is normal
         terms = {}
         for i_mono, e in enumerate(monos):
             c = sol[k * len(monos) + i_mono]
             if c:
                 terms[e] = c
-        coeffs.append(Jet.make(ctx, terms))
+        coeffs.append(Jet(target.ctx, terms))
     return tuple(coeffs)
 
 
@@ -113,17 +125,25 @@ def involutivity_check(fol: FoliationGerm, order=None):
     """Are all generator brackets in the jet span of the generators?
 
     Brackets are valid one order below the context order, so the membership
-    is decided at order - 1 (or at the explicit order argument).
+    is decided at order - 1 (or at the explicit order argument).  One
+    echelon of [A | b_1 ... b_m], a right-hand column per bracket, decides
+    every pair: bracket p is outside the span exactly when a basis row with
+    no entry in A (pivot at or after column n) is nonzero in its column.
     """
     d = (order if order is not None else fol.ctx.order) - 1
     if d < 0:
         raise ValueError("order too small to decide anything")
     gens = fol.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = lie_bracket(gens[i], gens[j])
-            if span_membership(br, gens, d) is None:
-                return InvolutivityResult(False, d, (i, j))
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    if not pairs:
+        return InvolutivityResult(True, d)
+    brackets = [lie_bracket(gens[i], gens[j]) for i, j in pairs]
+    _, system = _span_system(gens, brackets, d)
+    n = system.ncols
+    basis = linalg.echelon(system.rows.values(), n + len(pairs), reduced=False)
+    bad = {j - n for col, row in basis.items() if col >= n for j in row}
+    if bad:
+        return InvolutivityResult(False, d, pairs[min(bad)])
     return InvolutivityResult(True, d)
 
 

@@ -1,11 +1,20 @@
 """Truncated exact-coefficient function germs on a normal crossing singularity.
 
 The coordinate ring is Q[x_1, ..., x_n] / (x_1 * ... * x_r), with everything
-cut off above a fixed total degree (the "order" of the context). A Jet stores
-the normal form: monomials divisible by the full crossing product x_1...x_r
-are deleted, as is anything of total degree above the order. With r = 0 this
-degenerates to a plain truncated polynomial ring, which is what restrictions
-of an r = 1 germ and the classical surface residue computations live in.
+cut off above a fixed total degree (the "order" of the context). With r = 0
+this degenerates to a plain truncated polynomial ring, which is what
+restrictions of an r = 1 germ and the classical surface residue computations
+live in.
+
+Invariant: the terms of a Jet are always in normal form.  Every key is a
+tuple of n nonnegative ints of total degree at most the order, not divisible
+by the full crossing product x_1...x_r when r >= 2, and every value is a
+nonzero Fraction.  Jet.make is the parse boundary: it alone coerces the
+coefficients and validates the exponents (jet_from_string goes through it;
+constant and variable coerce their one scalar).  Every other operation takes
+normal jets and builds its normal result directly, dropping only the terms
+that its own arithmetic can push past the order or onto the crossing.  The
+bare constructor Jet(ctx, terms) trusts its caller to keep the invariant.
 
 Coefficients are Fraction throughout; nothing here is approximate.
 Variable indices are 0-based in code; printed names default to x1..xn.
@@ -15,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from .exprs import parse_polynomial
 from .linalg import frac
@@ -57,6 +68,7 @@ class GermContext:
 
 
 def _normal_terms(ctx, terms):
+    """Coerced, validated normal form of raw {exponent: coefficient} terms."""
     out = {}
     r = ctx.r
     for e, c in terms.items():
@@ -65,17 +77,22 @@ def _normal_terms(ctx, terms):
             continue
         if len(e) != ctx.n:
             raise ValueError("exponent %r does not match %d variables" % (e, ctx.n))
-        if sum(e) > ctx.order:
-            continue
-        # a single marked branch is a smooth germ; only a true crossing
-        # (r >= 2) imposes the product relation
-        if r >= 2 and all(e[i] >= 1 for i in range(r)):
-            continue
         e = tuple(int(v) for v in e)
         if any(v < 0 for v in e):
             raise ValueError("negative exponent in %r" % (e,))
+        if sum(e) > ctx.order or _on_crossing(e, r):
+            continue
         out[e] = c
     return out
+
+
+def _on_crossing(e, r):
+    """Is x^e divisible by the crossing product, hence zero?
+
+    A single marked branch is a smooth germ; only a true crossing (r >= 2)
+    imposes the product relation.
+    """
+    return r >= 2 and 0 not in e[:r]
 
 
 @dataclass(frozen=True)
@@ -95,7 +112,8 @@ class Jet:
 
     @classmethod
     def constant(cls, ctx, c):
-        return cls.make(ctx, {(0,) * ctx.n: frac(c)})
+        c = frac(c)
+        return cls(ctx, {(0,) * ctx.n: c} if c else {})
 
     @classmethod
     def one(cls, ctx):
@@ -107,7 +125,7 @@ class Jet:
             raise ValueError("no variable with index %d" % i)
         e = [0] * ctx.n
         e[i] = 1
-        return cls.make(ctx, {tuple(e): 1})
+        return cls(ctx, {tuple(e): Fraction(1)})
 
     # -- ring structure --
 
@@ -125,11 +143,14 @@ class Jet:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            c2 = out.get(e, Fraction(0)) + c
-            if c2 == 0:
-                out.pop(e, None)
+            if e in out:
+                c += out[e]
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
             else:
-                out[e] = c2
+                out[e] = c
         return Jet(self.ctx, out)
 
     __radd__ = __add__
@@ -145,27 +166,39 @@ class Jet:
     def __rsub__(self, other):
         return (-self) + other
 
+    def scale(self, c):
+        """c times this jet, for a rational scalar c (int, Fraction or "p/q")."""
+        c = frac(c)
+        if c == 0:
+            return Jet.zero(self.ctx)
+        return Jet(self.ctx, {e: c * v for e, v in self.terms.items()})
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
-            c = frac(other)
-            if c == 0:
-                return Jet.zero(self.ctx)
-            return Jet(self.ctx, {e: c * v for e, v in self.terms.items()})
+            return self.scale(other)
         self._check(other)
         ctx = self.ctx
+        order, r = ctx.order, ctx.r
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > ctx.order:
+            room = order - sum(e1)
+            for e2, d2, c2 in right:
+                if d2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, Fraction(0)) + c1 * c2
-                if c == 0:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                if _on_crossing(e, r):
+                    continue
+                c = c1 * c2
+                if e in out:
+                    c += out[e]
+                    if c:
+                        out[e] = c
+                    else:
+                        del out[e]
                 else:
                     out[e] = c
-        return Jet(ctx, _normal_terms(ctx, out))
+        return Jet(ctx, out)
 
     __rmul__ = __mul__
 
@@ -176,6 +209,25 @@ class Jet:
         for _ in range(k):
             out = out * self
         return out
+
+    def shift(self, mono):
+        """x^mono times this jet, by adding exponents.
+
+        mono is a tuple of n nonnegative ints and is not checked.  Shifting
+        is injective on monomials, so no coefficients meet; a term is only
+        dropped when it lands past the order or, on a true crossing, on a
+        monomial whose first r exponents are all >= 1.
+        """
+        ctx = self.ctx
+        room = ctx.order - sum(mono)
+        r = ctx.r
+        out = {}
+        for e, c in self.terms.items():
+            if sum(e) <= room:
+                e = tuple(map(add, e, mono))
+                if not _on_crossing(e, r):
+                    out[e] = c
+        return Jet(ctx, out)
 
     # -- queries --
 
@@ -204,10 +256,8 @@ class Jet:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        return Jet(self.ctx, _normal_terms(self.ctx, out))
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return Jet(self.ctx, out)
 
     def scaled_partial(self, i):
         """x_i d/dx_i, the logarithmic derivative along x_i. Degree-preserving."""
@@ -229,8 +279,11 @@ class Jet:
         for e, c in self.terms.items():
             if e[i] != 0:
                 continue
-            out[e[:i] + e[i + 1:]] = c
-        return Jet(ctx2, _normal_terms(ctx2, out))
+            # degrees are unchanged; only the smaller crossing can kill a term
+            e2 = e[:i] + e[i + 1:]
+            if not _on_crossing(e2, ctx2.r):
+                out[e2] = c
+        return Jet(ctx2, out)
 
     def invert(self):
         """Multiplicative inverse, by Newton iteration; exact at the order."""
@@ -317,14 +370,19 @@ def jet_from_string(ctx, text, names=None, params=None):
     return Jet.make(ctx, raw)
 
 
+@lru_cache(maxsize=16)
 def monomials(ctx, max_degree):
-    """All normal-form exponent tuples of total degree <= max_degree."""
+    """All normal-form exponent tuples of total degree <= max_degree.
+
+    A tuple sorted by degree, then lexicographically; cached per
+    (ctx, max_degree), since every solve at one order walks the same list.
+    """
     out = []
 
     def rec(prefix, remaining, slots):
         if slots == 0:
             e = tuple(prefix)
-            if ctx.r <= 1 or not all(e[i] >= 1 for i in range(ctx.r)):
+            if not _on_crossing(e, ctx.r):
                 out.append(e)
             return
         for v in range(remaining + 1):
@@ -332,4 +390,4 @@ def monomials(ctx, max_degree):
 
     rec([], max_degree, ctx.n)
     out.sort(key=lambda e: (sum(e), e))
-    return out
+    return tuple(out)

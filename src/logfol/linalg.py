@@ -169,8 +169,11 @@ class RowBuilder:
     def add(self, key, col, value):
         row = self.rows.get(key)
         if row is None:
-            row = self.rows[key] = {}
-        row[col] = row.get(col, 0) + value
+            self.rows[key] = {col: value}
+        elif col in row:
+            row[col] += value
+        else:
+            row[col] = value
 
     def add_rhs(self, key, value):
         self.add(key, self.ncols, value)

@@ -43,10 +43,7 @@ def t1_monomial_alive(ctx, e):
     It dies when divisible by some hat_x_i, i.e. when at most one crossing
     exponent vanishes. With r <= 1 the module is zero.
     """
-    if ctx.r <= 1:
-        return False
-    zeros = sum(1 for i in range(ctx.r) if e[i] == 0)
-    return zeros >= 2
+    return ctx.r >= 2 and e[:ctx.r].count(0) >= 2
 
 
 def t1_reduce(jet):
@@ -83,6 +80,25 @@ def nabla(v: LogDerivation, section: T1Section):
     return T1Section.make(v.apply(g) - v.log_trace() * g)
 
 
+def _nabla_monomial(v, trace, e):
+    """nabla_v x^e in T1, built from shifts of v's coefficients.
+
+    v(x^e) = sum_i e_i b_i x^e + sum_j e_j a_j x^(e - 1_j), so with the log
+    trace of v this is (sum_i e_i b_i - trace) x^e + sum_j e_j a_j x^(e - 1_j).
+    """
+    r = v.ctx.r
+    coeff = -trace
+    for i, bi in enumerate(v.b):
+        if e[i] and bi.terms:
+            coeff = coeff + bi.scale(e[i])
+    img = coeff.shift(e)
+    for j, aj in enumerate(v.a):
+        k = r + j
+        if e[k] and aj.terms:
+            img = img + aj.scale(e[k]).shift(e[:k] + (e[k] - 1,) + e[k + 1:])
+    return t1_reduce(img)
+
+
 @dataclass(frozen=True)
 class FlatUnitResult:
     ok: bool
@@ -113,17 +129,16 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
 
     unknowns = [e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
     col_of = {e: i for i, e in enumerate(unknowns)}
-    one = Jet.one(ctx)
+    zero = (0,) * ctx.n
 
-    # nabla of each unknown monomial and of the constant part, per generator
+    # nabla of the constant part and of each unknown monomial, per generator;
+    # a monomial past the context order is zero in the ring: no image, so its
+    # column stays zero
     images = []  # list over generators of (const_image, {e_mono: image jet})
     for v in fol.generators:
-        const_img = t1_reduce(v.apply(one) - v.log_trace() * one)
-        mono_img = {}
-        for e in unknowns:
-            m = Jet.make(ctx, {e: 1})
-            mono_img[e] = t1_reduce(v.apply(m) - v.log_trace() * m)
-        images.append((const_img, mono_img))
+        trace = v.log_trace()
+        mono_img = {e: _nabla_monomial(v, trace, e) for e in unknowns if sum(e) <= ctx.order}
+        images.append((_nabla_monomial(v, trace, zero), mono_img))
 
     # the degree-deg system is the degree-(deg - 1) one plus the rows whose
     # equation monomial has degree deg, so one echelon basis is extended
@@ -148,7 +163,8 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
         if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
     sol = linalg.solution(basis, n)
-    unit = one + Jet.make(ctx, {e: sol[i] for e, i in col_of.items() if sol[i]})
+    # an unknown past the context order has a zero column, hence sol 0
+    unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for e, i in col_of.items() if sol[i]})
     # uniqueness is judged on the coefficients the equations can reach, i.e.
     # through degree d - 1; the top tail is unconstrained by construction.
     # The kernel has one vector per free column f, with -R[c][f] in each

@@ -107,6 +107,41 @@ def test_non_involutive_pair_reports_the_pair():
     assert res.failing_pair == (0, 1)
 
 
+def test_three_generators_report_the_first_bad_pair():
+    v0 = derivation_from_string(CTX, "x1*dx1")
+    v1 = derivation_from_string(CTX, "dx3")
+    v2 = derivation_from_string(CTX, "x3*x2*dx2")
+    gens = (v0, v1, v2)
+    # v0 commutes with both; [v1, v2] = x2 d2 needs the coefficient 1/x3
+    assert lie_bracket(v0, v1).is_zero() and lie_bracket(v0, v2).is_zero()
+    assert span_membership(lie_bracket(v1, v2), gens, CTX.order - 1) is None
+    res = involutivity_check(FoliationGerm(CTX, gens, rank=3))
+    assert not res.ok and res.failing_pair == (1, 2) and res.order == CTX.order - 1
+    # with (0, 2) and (1, 2) both bad, the first in order is reported
+    gens = (v1, derivation_from_string(CTX, "2*dx3 + x1*dx1"), v2)
+    assert _first_bad_pair(gens, CTX.order - 1) == (0, 2)
+    assert involutivity_check(FoliationGerm(CTX, gens, rank=3)).failing_pair == (0, 2)
+
+
+def _first_bad_pair(gens, d):
+    """The per-pair reference: one span_membership solve per bracket."""
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if span_membership(lie_bracket(gens[i], gens[j]), gens, d) is None:
+                return (i, j)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(derivation_strategy(GermContext(3, 2, 3)), min_size=2, max_size=4))
+def test_one_echelon_finds_the_first_bad_pair_of_the_per_pair_solves(gens):
+    ctx = GermContext(3, 2, 3)
+    fol = FoliationGerm(ctx, tuple(gens), rank=3)
+    res = involutivity_check(fol)
+    assert res.failing_pair == _first_bad_pair(fol.generators, ctx.order - 1)
+    assert res.ok == (res.failing_pair is None)
+
+
 # -- restriction ---------------------------------------------------------------
 
 

@@ -205,3 +205,89 @@ def test_monomials_enumeration():
     # the crossing product (1, 1) must not appear
     assert (1, 1) not in ms
     assert set(ms) == {(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)}
+
+
+# -- the fast ring operations against naive products normalised by make ------
+
+
+@st.composite
+def ctx_jets_mono(draw):
+    """A context with r in 0..3 and order 1..6, two normal jets and a monomial.
+
+    Exponents run up to the order in every slot, so sums and shifts often
+    land past the order or, for r >= 2, on the crossing product.
+    """
+    r = draw(st.integers(0, 3))
+    n = draw(st.integers(max(r, 1), r + 2))
+    ctx = GermContext(n, r, draw(st.integers(1, 6)))
+    exps = st.tuples(*(st.integers(0, ctx.order) for _ in range(n)))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    f, g = (Jet.make(ctx, draw(st.dictionaries(exps, coeff, max_size=6))) for _ in range(2))
+    return ctx, f, g, draw(exps)
+
+
+def _naive_product(f, g):
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Jet.make(f.ctx, out)
+
+
+def _is_normal(jet):
+    return Jet.make(jet.ctx, jet.terms).terms == jet.terms and all(
+        type(c) is Fraction for c in jet.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(ctx_jets_mono())
+def test_fast_ring_operations_match_make_of_the_naive_result(case):
+    ctx, f, g, mono = case
+    product = f * g
+    assert product == _naive_product(f, g)
+    shifted = f.shift(mono)
+    assert shifted == Jet.make(ctx, {tuple(a + b for a, b in zip(e, mono)): c
+                                     for e, c in f.terms.items()})
+    assert shifted == f * Jet.make(ctx, {mono: 1})
+    total = f + g
+    naive = dict(f.terms)
+    for e, c in g.terms.items():
+        naive[e] = naive.get(e, 0) + c
+    assert total == Jet.make(ctx, naive)
+    results = [product, shifted, total, f.scale(Fraction(-2, 3))]
+    for i in range(ctx.n):
+        d = f.partial(i)
+        assert d == Jet.make(ctx, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                   for e, c in f.terms.items() if e[i]})
+        results.append(d)
+    if ctx.r >= 1 and ctx.n >= 2:
+        for i in range(ctx.r):
+            rest = f.restrict_to_component(i)
+            assert rest == Jet.make(ctx.component(i), {e[:i] + e[i + 1:]: c
+                                                       for e, c in f.terms.items() if not e[i]})
+            results.append(rest)
+    assert all(_is_normal(j) for j in results)
+
+
+def test_shift_drops_exactly_the_crossing_and_past_order_terms():
+    ctx = GermContext(4, 3, 4)
+    f = Jet.make(ctx, {(1, 1, 0, 0): 2, (0, 0, 0, 3): 1, (0, 2, 0, 0): -1, (1, 0, 0, 0): 5})
+    # x3 * f: x1 x2 x3 dies on the crossing, x2^2 x3 and x1 x3 survive, and
+    # x3 x4^3 survives at the order while x3^2 x4^3 is past it
+    assert f.shift((0, 0, 1, 0)).terms == {
+        (0, 0, 1, 3): 1, (0, 2, 1, 0): -1, (1, 0, 1, 0): 5}
+    assert f.shift((0, 0, 2, 0)).terms == {(0, 2, 2, 0): -1, (1, 0, 2, 0): 5}
+    assert f.shift((1, 1, 1, 0)).is_zero()
+    assert f.shift((0, 0, 0, 6)).is_zero()
+    # a single marked branch imposes no product relation
+    smooth = GermContext(2, 1, 4)
+    assert Jet.variable(smooth, 1).shift((3, 0)).terms == {(3, 1): 1}
+
+
+def test_make_rejects_bad_exponents_even_past_the_order():
+    with pytest.raises(ValueError):
+        Jet.make(CTX, {(1, 2, 0): 1})
+    for e in ((-1, 1), (-1, 9), (3, -1)):
+        with pytest.raises(ValueError):
+            Jet.make(CTX, {e: 1})

@@ -754,8 +754,14 @@ def test_cli_exits_2_without_a_leaf_or_on_bad_arguments(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("usage: logfol [-h] COMMAND ...")
     assert all(cmd.words[0] in out for cmd in cli.COMMANDS)
-    assert cli.main(["monoid"]) == 2
-    assert capsys.readouterr().out.startswith("usage: logfol [-h] COMMAND ...")
+    for group in sorted(cli._GROUPS):
+        assert cli.main([group]) == 2
+        out = capsys.readouterr().out
+        # the group's own usage and its leaves, not the top-level help
+        assert out.startswith("usage: logfol %s [-h] WHAT ..." % group)
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and line[4] != " "}
+        assert listed == {cmd.words[1] for cmd in cli.COMMANDS if cmd.words[0] == group}
     with pytest.raises(SystemExit) as e:
         cli.main(["bogus"])
     assert e.value.code == 2

@@ -30,10 +30,10 @@ from logfol import (
     t1_reduce,
 )
 from logfol import linalg
-from logfol.foliations import InconclusiveAtOrderError, NonInvariantError
+from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
 from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
-from logfol.semistability import T1Section
+from logfol.semistability import T1Section, _nabla_monomial
 
 
 # -- oracle -------------------------------------------------------------------
@@ -115,6 +115,44 @@ def test_nabla_leibniz_in_t1():
     lhs = nabla(v, T1Section.make(h * g)).g
     rhs = t1_reduce(v.apply(h) * g) + t1_reduce(h * nabla(v, T1Section.make(g)).g)
     assert lhs.equal_to_order(rhs, ctx.order - 1)
+
+
+def test_shift_built_images_match_nabla_of_the_monomial():
+    rng = random.Random(6)
+    span = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2)]
+    for n, r, order in ((3, 3, 5), (4, 2, 4), (4, 3, 4), (5, 3, 3), (3, 2, 6)):
+        ctx = GermContext(n, r, order)
+        pool = monomials(ctx, 2)
+        for _ in range(4):
+            coeffs = [Jet.make(ctx, {e: rng.choice(span) for e in rng.sample(pool, 3)})
+                      for _ in range(n)]
+            v = LogDerivation(ctx, coeffs[:r], coeffs[r:])
+            trace = v.log_trace()
+            for e in monomials(ctx, order):
+                want = nabla(v, T1Section.make(Jet.make(ctx, {e: 1}))).g
+                assert _nabla_monomial(v, trace, e) == want, (str(v), e)
+
+
+def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
+    ctx = GermContext(4, 3, 6)
+    v = derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - 3*x3*dx3 + x1*x4*dx4")
+    w = derivation_from_string(ctx, "x4*dx4 + x4^2*dx4")
+    single = FoliationGerm(ctx, (v,))
+    pair = FoliationGerm(ctx, (v, w), rank=2)
+    target = v.scale(Jet.one(ctx) + Jet.variable(ctx, 3)) + w
+    want = (find_flat_unit(single), find_flat_unit(pair, check_involutive=False),
+            span_membership(target, (v, w), ctx.order))
+
+    def boom(*args):
+        raise AssertionError("the solvers build their systems from shifts")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Jet, name, boom)
+    monkeypatch.setattr(Jet, "make", classmethod(boom))
+    got = (find_flat_unit(single), find_flat_unit(pair, check_involutive=False),
+           span_membership(target, (v, w), ctx.order))
+    assert got == want
+    assert want[0].ok and want[2] is not None
 
 
 # -- flat units -------------------------------------------------------------------

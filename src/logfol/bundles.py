@@ -20,21 +20,19 @@ def _window_matrix(d, w):
 
     Chart sections in the fixed trivialization are spans of t^0..t^w and of
     t^(d-w)..t^d; the overlap window is the convex hull of the two ranges.
-    Returns (matrix, dim C0, dim C1).
+    Returns (sparse rows, dim C0, dim C1).
     """
     a = list(range(0, w + 1))
     b = list(range(d - w, d + 1))
     lo = min(a[0], b[0])
     hi = max(a[-1], b[-1])
     overlap = {k: idx for idx, k in enumerate(range(lo, hi + 1))}
-    rows = len(overlap)
-    cols = len(a) + len(b)
-    m = linalg.zeros(rows, cols)
+    m = [{} for _ in overlap]
     for j, k in enumerate(a):
-        m[overlap[k]][j] += 1
+        m[overlap[k]][j] = 1
     for j, k in enumerate(b):
-        m[overlap[k]][len(a) + j] -= 1
-    return m, cols, rows
+        m[overlap[k]][len(a) + j] = -1
+    return m, len(a) + len(b), len(overlap)
 
 
 def h_p1(d):
@@ -152,8 +150,7 @@ def cohomology_snc_curve(bundle: SNCCurveBundle):
                 for i in range(rank):
                     col[i] = -bundle.glue[i][k]
             cols.append(col)
-    ev = linalg.transpose(cols) if cols else linalg.zeros(rank, 0)
-    r = linalg.rank(ev) if cols else 0
+    r = linalg.rank(linalg.transpose(cols))
 
     h0 = h0l + h0r - r
     h1 = (rank - r) + h1l + h1r

@@ -2,11 +2,16 @@
 
 Two levels live here.  The finite-dimensional level: Lie algebras by
 structure constants, modules by action matrices, the alternating cochain
-differential, and the obstruction class of a perturbed subalgebra inclusion.
-The cover level: abstract Cech data whose simplices carry finite rows of a
-cochain complex, with restriction maps between simplices, a total complex
-mixing both differentials, and the four compatibility equations an
-obstruction triple has to satisfy.
+differential, and the obstruction class of a perturbed subalgebra inclusion,
+all on small dense matrices.  The cover level: abstract Cech data whose
+simplices carry finite rows of a cochain complex, with restriction maps
+between simplices, a total complex mixing both differentials, and the four
+compatibility equations an obstruction triple has to satisfy.
+
+The cover level is sparse: every restriction and row differential is a
+block, a tuple of {column: Fraction} rows (dense matrices are read only on
+the way in, from scenes), and the Cech, row and total matrices, more than
+99% zeros, are linalg.SparseRows.
 
 Cover-level matrices and flat cochains share one layout: a list of
 bidegrees (p, q) is laid out bidegree by bidegree in the order given, and
@@ -35,12 +40,30 @@ def _freeze_vec(row):
     return tuple(linalg.frac(x) for x in row)
 
 
-def _mul(a, b, rows, cols):
-    """mat_mul with the output shape pinned; empty factors give zeros."""
-    out = linalg.mat_mul(a, b)
-    if len(out) == rows and (rows == 0 or len(out[0]) == cols):
-        return out
-    return linalg.zeros(rows, cols)
+def _block(m, rows, cols, what, where):
+    """m as a rows x cols block: a tuple of {column: Fraction} rows.
+
+    Dict rows, as the builders make them, are kept, and so is the object
+    that holds them; dense rows coerce only their nonzero entries.  Raises
+    on a wrong shape.
+    """
+    if all(isinstance(row, dict) for row in m):
+        fits = all(0 <= j < cols for row in m for j in row)
+    else:
+        fits = all(len(row) == cols for row in m)
+        m = tuple(
+            {j: v for j, v in ((j, linalg.frac(x)) for j, x in enumerate(row) if x) if v}
+            for row in m
+        )
+    if not fits or len(m) != rows:
+        raise ValueError("%s matrix on %r has the wrong shape" % (what, where))
+    return m
+
+
+def _faces(pairs, triples):
+    """The (face, simplex) pairs of the nerve, each needing a restriction."""
+    return [((i,), p) for p in pairs for i in p] + [
+        (f, t) for t in triples for f in itertools.combinations(t, 2)]
 
 
 def _insert_sorted(value, rest):
@@ -148,11 +171,11 @@ class LieModuleData:
         for i in range(n):
             for j in range(n):
                 lhs = self.act_by(list(self.algebra.structure[i][j]))
-                comm = linalg.mat_mul(act[i], act[j])
-                comm2 = linalg.mat_mul(act[j], act[i])
-                rhs = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(comm, comm2)]
-                if m and not all(
-                    lhs[r][c] == rhs[r][c] for r in range(m) for c in range(m)
+                ab = linalg.product(act[i], act[j])
+                ba = linalg.product(act[j], act[i])
+                if any(
+                    lhs[r][c] != ab[r].get(c, 0) - ba[r].get(c, 0)
+                    for r in range(m) for c in range(m)
                 ):
                     raise ValueError("action does not respect the bracket")
 
@@ -162,7 +185,7 @@ class LieModuleData:
 
     def act_by(self, x):
         m = self.dim
-        out = linalg.zeros(m, m)
+        out = [[Fraction(0)] * m for _ in range(m)]
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
@@ -200,7 +223,7 @@ def ce_differential(module: LieModuleData, k):
     src = ce_basis(n, k)
     dst = ce_basis(n, k + 1)
     src_index = {t: a for a, t in enumerate(src)}
-    out = linalg.zeros(len(dst) * m, len(src) * m)
+    out = [[Fraction(0)] * (len(src) * m) for _ in range(len(dst) * m)]
     for row_t, s in enumerate(dst):
         for i, si in enumerate(s):
             rest = s[:i] + s[i + 1 :]
@@ -400,9 +423,10 @@ class CechLeafData:
     row dimensions, one per cochain row, the same number of rows everywhere.
     restrictions maps (face, simplex) to the per-row matrices realizing the
     restriction of sections; ce maps each simplex to its per-row differential
-    matrices.  Construction checks that restrictions compose coherently, that
-    each row differential squares to zero, and that restrictions are chain
-    maps, which together make the total differential square to zero.
+    matrices, dense or as blocks (_block).  Construction checks that
+    restrictions compose coherently, that each row differential squares to
+    zero, and that restrictions are chain maps, which together make the
+    total differential square to zero.
     """
 
     opens: tuple
@@ -417,11 +441,8 @@ class CechLeafData:
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
         object.__setattr__(self, "triples", tuple(tuple(t) for t in self.triples))
         dims = {tuple(k): tuple(int(d) for d in v) for k, v in self.dims.items()}
-        restrictions = {
-            (tuple(f), tuple(s)): tuple(_freeze_mat(m) for m in mats)
-            for (f, s), mats in self.restrictions.items()
-        }
-        ce = {tuple(k): tuple(_freeze_mat(m) for m in mats) for k, mats in self.ce.items()}
+        restrictions = {(tuple(f), tuple(s)): tuple(m) for (f, s), m in self.restrictions.items()}
+        ce = {tuple(k): tuple(mats) for k, mats in self.ce.items()}
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "restrictions", restrictions)
         object.__setattr__(self, "ce", ce)
@@ -487,6 +508,17 @@ class CechLeafData:
     # -- validation --
 
     def _validate(self):
+        """Check the cover and replace every matrix by its block.  Each
+        distinct pair of block objects is multiplied once, so a cover that
+        shares its blocks, like constant_cover, takes few products."""
+        products = {}
+
+        def mul(a, b):
+            key = (id(a), id(b))
+            if key not in products:
+                products[key] = linalg.product(a, b)
+            return products[key]
+
         n_opens = len(self.opens)
         if n_opens == 0:
             raise ValueError("empty cover")
@@ -521,29 +553,24 @@ class CechLeafData:
             mats = self.ce.get(s)
             if mats is None or len(mats) != rows - 1:
                 raise ValueError("simplex %r needs %d differential matrices" % (s, rows - 1))
-            for q in range(rows - 1):
-                self._check_shape(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q), "ce", s)
+            self.ce[s] = mats = tuple(
+                _block(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q), "ce", s)
+                for q in range(rows - 1)
+            )
             for q in range(rows - 2):
-                comp = _mul(mats[q + 1], mats[q], self.row_dim(s, q + 2), self.row_dim(s, q))
-                if not linalg.is_zero_mat(comp):
+                if any(mul(mats[q + 1], mats[q])):
                     raise ValueError("row differential does not square to zero on %r" % (s,))
 
-        expected = []
-        for p in self.pairs:
-            expected.append(((p[0],), p))
-            expected.append(((p[1],), p))
-        for t in self.triples:
-            for f in itertools.combinations(t, 2):
-                expected.append((f, t))
+        expected = _faces(self.pairs, self.triples)
         for key in expected:
             face, simplex = key
             mats = self.restrictions.get(key)
             if mats is None or len(mats) != rows:
                 raise ValueError("missing restriction %r -> %r" % (face, simplex))
-            for q in range(rows):
-                self._check_shape(
-                    mats[q], self.row_dim(simplex, q), self.row_dim(face, q), "restriction", simplex
-                )
+            self.restrictions[key] = tuple(
+                _block(m, self.row_dim(simplex, q), self.row_dim(face, q), "restriction", simplex)
+                for q, m in enumerate(mats)
+            )
         extra = set(self.restrictions) - set(expected)
         if extra:
             raise ValueError("restriction given for a non-face %r" % (sorted(extra)[0],))
@@ -551,49 +578,22 @@ class CechLeafData:
         # restrictions must be chain maps
         for (face, simplex), mats in self.restrictions.items():
             for q in range(rows - 1):
-                left = _mul(
-                    self.ce[simplex][q], mats[q], self.row_dim(simplex, q + 1), self.row_dim(face, q)
-                )
-                right = _mul(
-                    mats[q + 1], self.ce[face][q], self.row_dim(simplex, q + 1), self.row_dim(face, q)
-                )
-                if left != right:
-                    raise ValueError(
-                        "restriction %r -> %r does not commute with the differential"
-                        % (face, simplex)
-                    )
+                if mul(self.ce[simplex][q], mats[q]) != mul(mats[q + 1], self.ce[face][q]):
+                    raise ValueError("restriction %r -> %r does not commute with the differential"
+                                     % (face, simplex))
 
         # two-step restrictions through different intermediate pairs agree
         for t in self.triples:
             i, j, k = t
-            routes = [
-                ((i,), (i, j), (i, k)),
-                ((j,), (i, j), (j, k)),
-                ((k,), (i, k), (j, k)),
-            ]
-            for vertex, via_a, via_b in routes:
+            for vertex, via_a, via_b in (((i,), (i, j), (i, k)), ((j,), (i, j), (j, k)),
+                                         ((k,), (i, k), (j, k))):
                 for q in range(rows):
-                    ra = _mul(
-                        self.restriction(via_a, t, q),
-                        self.restriction(vertex, via_a, q),
-                        self.row_dim(t, q),
-                        self.row_dim(vertex, q),
-                    )
-                    rb = _mul(
-                        self.restriction(via_b, t, q),
-                        self.restriction(vertex, via_b, q),
-                        self.row_dim(t, q),
-                        self.row_dim(vertex, q),
-                    )
+                    ra = mul(self.restriction(via_a, t, q), self.restriction(vertex, via_a, q))
+                    rb = mul(self.restriction(via_b, t, q), self.restriction(vertex, via_b, q))
                     if ra != rb:
                         raise ValueError(
                             "restrictions to %r from %r disagree between routes" % (t, vertex)
                         )
-
-    @staticmethod
-    def _check_shape(m, r, c, what, where):
-        if len(m) != r or any(len(row) != c for row in m):
-            raise ValueError("%s matrix on %r has the wrong shape" % (what, where))
 
     # -- the two differentials and their total ---
 
@@ -616,21 +616,21 @@ class CechLeafData:
 
     def _matrix(self, src, dst, scale=1):
         """The blocks leaving the src bidegrees that land in the dst ones,
-        placed by _slots and multiplied by scale."""
+        placed by _slots and multiplied by scale, as linalg.SparseRows.
+        No two blocks share a cell."""
         col_at, cols = self._slots(src)
         row_at, rows = self._slots(dst)
-        out = linalg.zeros(rows, cols)
+        out = [{} for _ in range(rows)]
         for p, q in src:
-            for target, source, sign, mat in self._blocks(p, q):
+            for target, source, sign, block in self._blocks(p, q):
                 r0 = row_at.get(target)
                 if r0 is None:
                     continue
                 c0 = col_at[source]
-                for r, row in enumerate(mat):
-                    for c, x in enumerate(row):
-                        if x:
-                            out[r0 + r][c0 + c] += scale * sign * x
-        return out
+                factor = scale * sign
+                for r, row in enumerate(block, r0):
+                    out[r].update({c0 + j: factor * x for j, x in row.items()})
+        return linalg.SparseRows(out, cols)
 
     def cech_matrix(self, p, q):
         """Alternating difference of restrictions, Cech degree p to p + 1."""
@@ -697,18 +697,13 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     theta = [_freeze_vec(v) for v in theta]
     gbar = [_freeze_vec(v) for v in gbar]
     bbar = [_freeze_vec(v) for v in bbar]
-    if len(theta) != len(data.triples) or any(
-        len(v) != data.row_dim(t, 0) for v, t in zip(theta, data.triples)
-    ):
-        raise ValueError("theta must give a row-0 vector per triple")
-    if len(gbar) != len(data.pairs) or any(
-        len(v) != data.row_dim(p, 1) for v, p in zip(gbar, data.pairs)
-    ):
-        raise ValueError("gbar must give a row-1 vector per pair")
-    if len(bbar) != len(data.opens) or any(
-        len(v) != data.row_dim((i,), 2) for i, v in enumerate(bbar)
-    ):
-        raise ValueError("bbar must give a row-2 vector per open")
+    layers = (("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
+              ("bbar", bbar, data.simplices(0), "open"))
+    for q, (name, vecs, simplices, noun) in enumerate(layers):
+        if len(vecs) != len(simplices) or any(
+            len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)
+        ):
+            raise ValueError("%s must give a row-%d vector per %s" % (name, q, noun))
 
     flat = [x for v in theta + gbar + bbar for x in v]
 
@@ -755,40 +750,32 @@ def constant_cover(ce_mats, n_opens=3):
     zero.  Good for exercising the total complex where the Cech direction
     carries all the interesting kernels.
     """
-    mats = [_freeze_mat(m) for m in ce_mats]
-    if not mats:
+    if not ce_mats:
         raise ValueError("need at least one differential to fix the row dimensions")
-    dims = [len(mats[0][0]) if mats[0] else 0]
-    for m in mats:
-        dims.append(len(m))
+    dims = [len(ce_mats[0][0]) if ce_mats[0] else 0] + [len(m) for m in ce_mats]
+    # one block per differential and one identity per row, shared by every simplex
+    mats = [_block(m, len(m), c, "ce", (0,)) for m, c in zip(ce_mats, dims)]
     opens = tuple("U%d" % i for i in range(n_opens))
     pairs = tuple(itertools.combinations(range(n_opens), 2))
     triples = tuple(itertools.combinations(range(n_opens), 3))
     simplices = [(i,) for i in range(n_opens)] + list(pairs) + list(triples)
     dim_map = {s: tuple(dims) for s in simplices}
     ce = {s: tuple(mats) for s in simplices}
-    restrictions = {}
-    eye = [_freeze_mat(linalg.identity(d)) for d in dims]
-    for p in pairs:
-        restrictions[((p[0],), p)] = tuple(eye)
-        restrictions[((p[1],), p)] = tuple(eye)
-    for t in triples:
-        for f in itertools.combinations(t, 2):
-            restrictions[(f, t)] = tuple(eye)
+    eye = tuple(tuple({i: Fraction(1)} for i in range(d)) for d in dims)
+    restrictions = {key: eye for key in _faces(pairs, triples)}
     return CechLeafData(opens, pairs, triples, dim_map, restrictions, ce)
 
 
 def _window_mult(poly, src, dst):
-    """Multiplication by poly between degree windows, exact by assumption."""
+    """Multiplication by poly between degree windows, exact by assumption,
+    as a block."""
     a1, b1 = src
     a2, b2 = dst
-    rows = b2 - a2 + 1
-    cols = b1 - a1 + 1
-    out = linalg.zeros(rows, cols)
+    out = tuple({} for _ in range(b2 - a2 + 1))
     for c, deg in enumerate(range(a1, b1 + 1)):
         for k, coeff in enumerate(poly):
             if coeff:
-                out[deg + k - a2][c] += coeff
+                out[deg + k - a2][c] = coeff
     return out
 
 
@@ -841,10 +828,10 @@ def p1_window_cover(degrees, window, polys=()):
     }
     restrictions = {
         ((0,), (0, 1)): tuple(
-            _window_mult((1,), win0(q), win01(q)) for q in range(len(degrees))
+            _window_mult((Fraction(1),), win0(q), win01(q)) for q in range(len(degrees))
         ),
         ((1,), (0, 1)): tuple(
-            _window_mult((1,), win1(q), win01(q)) for q in range(len(degrees))
+            _window_mult((Fraction(1),), win1(q), win01(q)) for q in range(len(degrees))
         ),
     }
     return CechLeafData(("U0", "U1"), ((0, 1),), (), dim_map, restrictions, ce)

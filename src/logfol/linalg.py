@@ -1,22 +1,22 @@
 """Exact linear algebra over Fraction, plus a few integer lattice routines.
 
-Gauss-Jordan elimination over the rationals has one engine, echelon(),
-whose rows are {column: value} dicts holding only their nonzero entries,
-with the column count given explicitly.  The jet systems built by
-span_membership and find_flat_unit are more than 99% zeros, so its work
-follows the nonzeros, not rows x columns.  Those builders fill a RowBuilder
-and call the engine directly; rref, rank, solve, nullspace and inverse take
-the dense list-of-lists matrices the rest of the package builds and convert
-them once on entry.  The integer Hermite form keeps its own small dense
-tableau.
+Matrices are lists of rows, and every function here takes rows of either
+kind: dense, entries by position (scenes, the Lie level), or sparse,
+{column: value} dicts of the nonzero entries (jet systems, the cover level,
+which passes SparseRows to carry the column count).
+
+Elimination has one engine, echelon(), whose work follows the nonzeros, not
+rows x columns: the jet and cover systems are more than 99% zeros.  rref,
+solve, nullspace and inverse run it lowest column first, the order that
+picks the particular solution that gets printed; rank first orders the
+columns by ascending nonzero count, which keeps the cover matrices sparse.
+The integer Hermite form keeps its own small dense tableau.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-
-Vector = "list[Fraction]"
-Matrix = "list[list[Fraction]]"
 
 
 def frac(x) -> Fraction:
@@ -34,15 +34,8 @@ def mat(rows):
     return [[frac(x) for x in row] for row in rows]
 
 
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
 def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def transpose(a):
@@ -51,27 +44,45 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
+class SparseRows(list):
+    """A matrix as a list of {column: value} rows, with its column count."""
+
+    def __init__(self, rows, ncols):
+        super().__init__(rows)
+        self.ncols = ncols
+
+
+def _width(a):
+    return a.ncols if isinstance(a, SparseRows) else len(a[0]) if a else 0
+
+
+def _entries(row):
+    """(column, value) pairs of a dense or sparse row, zeros not skipped."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def sparse(row):
+    """A new {column: value} dict of the nonzero entries of a row."""
+    return {j: v for j, v in _entries(row) if v}
+
+
+def product(a, b):
+    """The rows of a b as {column: value} dicts without zeros."""
+    b = [sparse(row) for row in b]
+    out = []
+    for row in a:
+        acc = {}
+        for t, c in _entries(row):
             if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
+                for j, v in b[t].items():
+                    acc[j] = acc.get(j, 0) + c * v
+        out.append({j: v for j, v in acc.items() if v})
     return out
 
 
 def mat_vec(a, x):
-    """a x as Fractions; the zero coefficients of the (mostly sparse) rows are skipped."""
-    return [sum((c * v for c, v in zip(row, x) if c), Fraction(0)) for row in a]
+    """a x as Fractions, summed over the nonzero entries of each row."""
+    return [sum((c * x[j] for j, c in _entries(row) if c), Fraction(0)) for row in a]
 
 
 def vec_add(x, y):
@@ -90,8 +101,8 @@ def is_zero_vec(x):
 def echelon(rows, ncols, basis=None, reduced=True):
     """Sparse exact row echelon form, the elimination engine of this module.
 
-    rows is an iterable of {column: value} dicts with columns in
-    range(ncols); zero values are dropped and the dicts are not modified.
+    rows is an iterable of dense or sparse rows with columns in
+    range(ncols); zero values are dropped and the rows are not modified.
     basis is the result of an earlier call, extended in place by the new
     rows, or None to start empty.  The result maps each pivot column to its
     row, scaled to pivot 1 and with no entry left of the pivot.
@@ -106,7 +117,7 @@ def echelon(rows, ncols, basis=None, reduced=True):
         basis = {}
     one = Fraction(1)
     for row in rows:
-        r = {j: v for j, v in row.items() if v}
+        r = sparse(row)
         if r and not (0 <= min(r) and max(r) < ncols):
             raise ValueError("column index outside range(%d)" % ncols)
         while r:
@@ -183,18 +194,10 @@ class RowBuilder:
         return solution(echelon(self.rows.values(), self.ncols + 1), self.ncols)
 
 
-def _sparse(row):
-    return {j: v for j, v in enumerate(row) if v}
-
-
-def _width(a):
-    return len(a[0]) if a else 0
-
-
 def rref(a):
-    """Reduced row echelon form of a dense matrix. Returns (R, pivot_columns)."""
+    """Reduced row echelon form, dense. Returns (R, pivot_columns)."""
     n = _width(a)
-    basis = echelon(map(_sparse, a), n)
+    basis = echelon(a, n)
     pivots = sorted(basis)
     r = []
     for col in pivots:
@@ -207,7 +210,17 @@ def rref(a):
 
 
 def rank(a):
-    return len(echelon(map(_sparse, a), _width(a), reduced=False))
+    """Rank, eliminating the columns in ascending order of nonzero count.
+
+    A static fill-reducing order (Markowitz 1957; COLAMD, Davis, Gilbert,
+    Larimore and Ng 2004): the sparse cover matrices keep their few
+    nonzeros under it, where lowest column first fills their basis in.
+    """
+    rows = [sparse(row) for row in a]
+    count = Counter(j for row in rows for j in row)
+    order = {j: k for k, j in enumerate(sorted(count, key=count.__getitem__))}
+    ordered = [{order[j]: v for j, v in row.items()} for row in rows]
+    return len(echelon(ordered, len(order), reduced=False))
 
 
 def solve(a, b):
@@ -216,7 +229,7 @@ def solve(a, b):
     Free variables are set to zero.
     """
     n = _width(a)
-    rows = [_sparse(row) for row in a]
+    rows = [sparse(row) for row in a]
     for row, bi in zip(rows, b):
         row[n] = frac(bi)
     return solution(echelon(rows, n + 1), n)
@@ -225,7 +238,7 @@ def solve(a, b):
 def nullspace(a):
     """Basis of the kernel of a, as a list of vectors, one per free column."""
     n = _width(a)
-    basis = echelon(map(_sparse, a), n)
+    basis = echelon(a, n)
     out = {}
     for f in range(n):
         if f not in basis:
@@ -240,17 +253,13 @@ def nullspace(a):
 
 def inverse(a):
     n = len(a)
-    rows = [_sparse(row) for row in a]
+    rows = [sparse(row) for row in a]
     for i, row in enumerate(rows):
         row[n + i] = Fraction(1)
     basis = echelon(rows, 2 * n)
     if sorted(basis) != list(range(n)):
         raise ValueError("matrix is singular")
     return [[basis[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
-
-
-def is_zero_mat(a):
-    return all(all(x == 0 for x in row) for row in a)
 
 
 # --- integer lattice routines ---

@@ -111,10 +111,10 @@ def _rand_module(rng):
         algebra = leafcomplex.abelian_algebra(n)
         action = []
         for _ in range(n):
-            d = linalg.zeros(m, m)
-            for t in range(m):
-                d[t][t] = _rand_fraction(rng, 2)
-            action.append(tuple(tuple(row) for row in d))
+            action.append(tuple(
+                tuple(_rand_fraction(rng, 2) if t == c else Fraction(0) for c in range(m))
+                for t in range(m)
+            ))
         return leafcomplex.LieModuleData(algebra, tuple(action))
     base = leafcomplex.LieAlgebra(
         tuple(tuple(tuple(Fraction(x) for x in v) for v in row) for row in _BASE_STRUCTURES[kind])
@@ -136,7 +136,7 @@ def _rand_cover(rng):
             else:
                 # rows must kill the image of the previous differential
                 left_null = linalg.nullspace(linalg.transpose(prev))
-                m = linalg.zeros(rows, cols)
+                m = [[Fraction(0)] * cols for _ in range(rows)]
                 for rrow in m:
                     for vec in left_null:
                         c = _rand_fraction(rng, 2)
@@ -161,7 +161,7 @@ def _rand_cover(rng):
 
 
 def _zero_product(a, b):
-    return linalg.is_zero_mat(linalg.mat_mul(a, b))
+    return not any(linalg.product(a, b))
 
 
 # --- the individual checks ---

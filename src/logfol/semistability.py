@@ -80,18 +80,20 @@ def nabla(v: LogDerivation, section: T1Section):
     return T1Section.make(v.apply(g) - v.log_trace() * g)
 
 
-def _nabla_monomial(v, trace, e):
+def _crossing_coefficient(v, trace, head):
+    """sum_i e_i b_i - trace for the exponents e starting with head = e[:r]."""
+    return sum((bi.scale(hi) for hi, bi in zip(head, v.b) if hi and bi.terms), -trace)
+
+
+def _nabla_monomial(v, crossing, e):
     """nabla_v x^e in T1, built from shifts of v's coefficients.
 
     v(x^e) = sum_i e_i b_i x^e + sum_j e_j a_j x^(e - 1_j), so with the log
-    trace of v this is (sum_i e_i b_i - trace) x^e + sum_j e_j a_j x^(e - 1_j).
+    trace of v this is (sum_i e_i b_i - trace) x^e + sum_j e_j a_j x^(e - 1_j);
+    crossing is the first coefficient, which depends on e[:r] alone.
     """
     r = v.ctx.r
-    coeff = -trace
-    for i, bi in enumerate(v.b):
-        if e[i] and bi.terms:
-            coeff = coeff + bi.scale(e[i])
-    img = coeff.shift(e)
+    img = crossing.shift(e)
     for j, aj in enumerate(v.a):
         k = r + j
         if e[k] and aj.terms:
@@ -135,10 +137,14 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     # a monomial past the context order is zero in the ring: no image, so its
     # column stays zero
     images = []  # list over generators of (const_image, {e_mono: image jet})
+    r = ctx.r
+    heads = {e[:r] for e in unknowns} | {zero[:r]}
     for v in fol.generators:
         trace = v.log_trace()
-        mono_img = {e: _nabla_monomial(v, trace, e) for e in unknowns if sum(e) <= ctx.order}
-        images.append((_nabla_monomial(v, trace, zero), mono_img))
+        crossing = {h: _crossing_coefficient(v, trace, h) for h in heads}
+        mono_img = {e: _nabla_monomial(v, crossing[e[:r]], e)
+                    for e in unknowns if sum(e) <= ctx.order}
+        images.append((_nabla_monomial(v, crossing[zero[:r]], zero), mono_img))
 
     # the degree-deg system is the degree-(deg - 1) one plus the rows whose
     # equation monomial has degree deg, so one echelon basis is extended

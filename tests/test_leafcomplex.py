@@ -100,8 +100,7 @@ def test_ce_differential_shapes_and_square():
         d_k = ce_differential(m, k)
         assert len(d_k) == dims[k + 1]
         assert all(len(row) == dims[k] for row in d_k)
-    comp = linalg.mat_mul(ce_differential(m, 1), ce_differential(m, 0))
-    assert linalg.is_zero_mat(comp)
+    assert not any(linalg.product(ce_differential(m, 1), ce_differential(m, 0)))
 
 
 def test_sl2_adjoint_cohomology_vanishes():
@@ -121,9 +120,10 @@ def test_sl2_adjoint_cohomology_vanishes():
 
 def test_trivial_module_over_abelian_has_zero_differentials():
     g = abelian_algebra(3)
-    m = LieModuleData(g, (linalg.zeros(2, 2), linalg.zeros(2, 2), linalg.zeros(2, 2)))
+    zero = ((0, 0), (0, 0))
+    m = LieModuleData(g, (zero, zero, zero))
     for k in range(3):
-        assert linalg.is_zero_mat(ce_differential(m, k))
+        assert not any(map(linalg.sparse, ce_differential(m, k)))
 
 
 # -- subalgebra obstruction -------------------------------------------------------
@@ -229,6 +229,15 @@ def triangle_data():
     return constant_cover([m0, m1], n_opens=3)
 
 
+def zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def dense(m):
+    """A cover matrix (linalg.SparseRows) as dense rows."""
+    return [[row.get(j, Fraction(0)) for j in range(m.ncols)] for row in m]
+
+
 def test_constant_cover_shape():
     data = triangle_data()
     assert data.opens == ("U0", "U1", "U2")
@@ -243,14 +252,11 @@ def test_cech_matrix_signs():
     # row 2 has one coordinate per simplex, so the matrices are the plain
     # simplicial difference maps of the full triangle
     d0 = data.cech_matrix(0, 2)
-    assert d0 == [
-        [Fraction(-1), Fraction(1), Fraction(0)],
-        [Fraction(-1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(-1), Fraction(1)],
-    ]
+    assert d0 == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert d0.ncols == 3
     d1 = data.cech_matrix(1, 2)
-    assert d1 == [[Fraction(1), Fraction(-1), Fraction(1)]]
-    assert linalg.is_zero_mat(linalg.mat_mul(d1, d0))
+    assert d1 == [{0: 1, 1: -1, 2: 1}]
+    assert not any(linalg.product(d1, d0))
 
 
 def test_total_square_is_zero():
@@ -259,7 +265,7 @@ def test_total_square_is_zero():
         a = data.total_matrix(n + 1)
         b = data.total_matrix(n)
         if a and b:
-            assert linalg.is_zero_mat(linalg.mat_mul(a, b))
+            assert not any(linalg.product(a, b))
 
 
 def test_total_components_ordering():
@@ -279,10 +285,43 @@ def test_validation_missing_restriction():
 def test_validation_rejects_non_chain_map_restrictions():
     data = triangle_data()
     restr = dict(data.restrictions)
-    bad = [list(map(list, m)) for m in restr[((0,), (0, 1))]]
+    bad = [[dict(row) for row in m] for m in restr[((0,), (0, 1))]]
     bad[0][0][0] = Fraction(2)   # breaks ce . R = R . ce in row 0
-    restr[((0,), (0, 1))] = tuple(tuple(map(tuple, m)) for m in bad)
-    with pytest.raises(ValueError):
+    restr[((0,), (0, 1))] = tuple(tuple(m) for m in bad)
+    with pytest.raises(ValueError, match="does not commute"):
+        CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
+
+
+def test_validation_rejects_restrictions_that_disagree_between_routes():
+    # one row and no differential, so every restriction is a chain map
+    pairs = ((0, 1), (0, 2), (1, 2))
+    triples = ((0, 1, 2),)
+    dims = {s: (1,) for s in ((0,), (1,), (2,)) + pairs + triples}
+    ce = {s: () for s in dims}
+    restr = {((i,), p): ([[1]],) for p in pairs for i in p}
+    restr.update({(f, (0, 1, 2)): ([[1]],) for f in pairs})
+    CechLeafData(("U0", "U1", "U2"), pairs, triples, dims, restr, ce)
+    # U0 -> U0|U1 -> U0|U1|U2 now doubles, U0 -> U0|U2 -> U0|U1|U2 does not
+    restr[((0, 1), (0, 1, 2))] = ([[2]],)
+    with pytest.raises(ValueError, match=r"to \(0, 1, 2\) from \(0,\) disagree between routes"):
+        CechLeafData(("U0", "U1", "U2"), pairs, triples, dims, restr, ce)
+
+
+def test_validation_multiplies_each_distinct_block_object():
+    # constant_cover shares one identity block per row, so validation
+    # multiplies it once; a distinct block on one face gets its own products
+    data = triangle_data()
+    shared = data.restriction((0,), (0, 1), 0)
+    assert all(data.restriction(f, s, 0) is shared for f, s in data.restrictions)
+    restr = dict(data.restrictions)
+    face = ((0, 1), (0, 1, 2))
+    restr[face] = tuple(tuple(dict(row) for row in block) for block in restr[face])
+    again = CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
+    assert again.restriction(*face, 0) is restr[face][0]
+    # twice the identity commutes with every differential but breaks the routes
+    restr[face] = tuple(tuple({j: 2 * x for j, x in row.items()} for row in block)
+                        for block in restr[face])
+    with pytest.raises(ValueError, match="disagree between routes"):
         CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
 
 
@@ -473,7 +512,7 @@ def _ref_offsets(data, p, q):
 def _ref_cech_matrix(data, p, q):
     rows = data.space_dim(p + 1, q)
     cols = data.space_dim(p, q)
-    out = linalg.zeros(rows, cols)
+    out = zeros(rows, cols)
     if rows == 0 or cols == 0:
         return out
     src_off = _ref_offsets(data, p, q)
@@ -485,17 +524,16 @@ def _ref_cech_matrix(data, p, q):
             mat = data.restriction(face, simplex, q)
             r0 = dst_off[simplex]
             c0 = src_off[face]
-            for r in range(len(mat)):
-                for c in range(len(mat[0]) if mat else 0):
-                    if mat[r][c]:
-                        out[r0 + r][c0 + c] += sign * mat[r][c]
+            for r, row in enumerate(mat):
+                for c, x in row.items():
+                    out[r0 + r][c0 + c] += sign * x
     return out
 
 
 def _ref_ce_matrix(data, p, q):
     rows = data.space_dim(p, q + 1)
     cols = data.space_dim(p, q)
-    out = linalg.zeros(rows, cols)
+    out = zeros(rows, cols)
     if rows == 0 or cols == 0:
         return out
     src_off = _ref_offsets(data, p, q)
@@ -504,17 +542,16 @@ def _ref_ce_matrix(data, p, q):
         mat = data.ce[simplex][q]
         r0 = dst_off[simplex]
         c0 = src_off[simplex]
-        for r in range(len(mat)):
-            for c in range(len(mat[0]) if mat else 0):
-                if mat[r][c]:
-                    out[r0 + r][c0 + c] = mat[r][c]
+        for r, row in enumerate(mat):
+            for c, x in row.items():
+                out[r0 + r][c0 + c] = x
     return out
 
 
 def _ref_total_matrix(data, n):
     src = data.total_components(n)
     dst = data.total_components(n + 1)
-    out = linalg.zeros(data.total_dim(n + 1), data.total_dim(n))
+    out = zeros(data.total_dim(n + 1), data.total_dim(n))
     col_off = {}
     pos = 0
     for (p, q) in src:
@@ -563,10 +600,19 @@ def test_assembler_matches_the_placement_loops():
         rows = data.n_rows
         for p in range(-1, 4):
             for q in range(-1, rows + 1):
-                assert data.cech_matrix(p, q) == _ref_cech_matrix(data, p, q), (p, q)
-                assert data.ce_matrix(p, q) == _ref_ce_matrix(data, p, q), (p, q)
+                assert dense(data.cech_matrix(p, q)) == _ref_cech_matrix(data, p, q), (p, q)
+                assert dense(data.ce_matrix(p, q)) == _ref_ce_matrix(data, p, q), (p, q)
         for n in range(-1, data.max_total_degree + 2):
-            assert data.total_matrix(n) == _ref_total_matrix(data, n), n
+            assert dense(data.total_matrix(n)) == _ref_total_matrix(data, n), n
+
+
+def test_ordered_rank_matches_lowest_column_first_on_covers():
+    covers = [p1_window_cover((0, 3), w, [[1, 0, 2, 1]]) for w in (4, 8, 16, 32, 64, 128, 256)]
+    covers += [constant_cover(ROW_COMPLEXES[0], n) for n in range(2, 7)]
+    for data in covers:
+        for n in range(data.max_total_degree + 1):
+            m = data.total_matrix(n)
+            assert linalg.rank(m) == len(linalg.echelon(m, m.ncols, reduced=False)), n
 
 
 def test_split_inverts_the_flat_layout():

@@ -219,6 +219,31 @@ def test_mat_vec_matches_the_dense_product(a, data):
     assert all(type(y) is Fraction for y in got)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrix(max_rows=12, max_cols=12))
+def test_ordered_rank_matches_lowest_column_first_echelon(a):
+    n = len(a[0]) if a else 0
+    rows = [linalg.sparse(row) for row in a]
+    lowest_first = len(linalg.echelon(rows, n, reduced=False))
+    assert linalg.rank(a) == linalg.rank(rows) == lowest_first
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrix(), st.data())
+def test_sparse_rows_give_the_dense_answers(a, data):
+    n = len(a[0]) if a else 0
+    sparse = linalg.SparseRows([linalg.sparse(row) for row in a], n)
+    b = [data.draw(fractions) for _ in a]
+    x = [data.draw(fractions) for _ in range(n)]
+    assert linalg.rref(sparse) == linalg.rref(a)
+    assert linalg.solve(sparse, b) == linalg.solve(a, b)
+    assert linalg.nullspace(sparse) == linalg.nullspace(a)
+    assert linalg.mat_vec(sparse, x) == linalg.mat_vec(a, x)
+    dense_product = [[sum((row[t] * a[t][j] for t in range(len(a))), Fraction(0)) for j in range(n)]
+                     for row in linalg.transpose(a)]
+    assert linalg.product(linalg.transpose(a), sparse) == [linalg.sparse(row) for row in dense_product]
+
+
 def test_mat_vec_keeps_fractions_on_zero_rows_and_empty_shapes():
     assert linalg.mat_vec([], [1, 2]) == []
     got = linalg.mat_vec([[0, 0], [], [0, 2]], [5, 3])
@@ -320,8 +345,9 @@ def test_inverse_agrees_with_cofactor_oracle(rows):
             linalg.inverse(a)
         return
     inv = linalg.inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(3)
-    assert linalg.mat_mul(inv, a) == linalg.identity(3)
+    eye = [{i: 1} for i in range(3)]
+    assert linalg.product(a, inv) == eye
+    assert linalg.product(inv, a) == eye
     assert det3(inv) * d == 1
 
 

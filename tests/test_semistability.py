@@ -33,7 +33,7 @@ from logfol import linalg
 from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
 from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
-from logfol.semistability import T1Section, _nabla_monomial
+from logfol.semistability import T1Section, _crossing_coefficient, _nabla_monomial
 
 
 # -- oracle -------------------------------------------------------------------
@@ -130,7 +130,8 @@ def test_shift_built_images_match_nabla_of_the_monomial():
             trace = v.log_trace()
             for e in monomials(ctx, order):
                 want = nabla(v, T1Section.make(Jet.make(ctx, {e: 1}))).g
-                assert _nabla_monomial(v, trace, e) == want, (str(v), e)
+                crossing = _crossing_coefficient(v, trace, e[:r])
+                assert _nabla_monomial(v, crossing, e) == want, (str(v), e)
 
 
 def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):

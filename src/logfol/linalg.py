@@ -15,7 +15,6 @@ The integer Hermite form keeps its own small dense tableau.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 
@@ -61,14 +60,14 @@ def _entries(row):
     return row.items() if isinstance(row, dict) else enumerate(row)
 
 
-def sparse(row):
+def _sparse(row):
     """A new {column: value} dict of the nonzero entries of a row."""
     return {j: v for j, v in _entries(row) if v}
 
 
 def product(a, b):
     """The rows of a b as {column: value} dicts without zeros."""
-    b = [sparse(row) for row in b]
+    b = [_sparse(row) for row in b]
     out = []
     for row in a:
         acc = {}
@@ -117,7 +116,7 @@ def echelon(rows, ncols, basis=None, reduced=True):
         basis = {}
     one = Fraction(1)
     for row in rows:
-        r = sparse(row)
+        r = _sparse(row)
         if r and not (0 <= min(r) and max(r) < ncols):
             raise ValueError("column index outside range(%d)" % ncols)
         while r:
@@ -216,8 +215,10 @@ def rank(a):
     Larimore and Ng 2004): the sparse cover matrices keep their few
     nonzeros under it, where lowest column first fills their basis in.
     """
-    rows = [sparse(row) for row in a]
-    count = Counter(j for row in rows for j in row)
+    rows = [_sparse(row) for row in a]
+    count = {}
+    for j in (j for row in rows for j in row):
+        count[j] = count.get(j, 0) + 1
     order = {j: k for k, j in enumerate(sorted(count, key=count.__getitem__))}
     ordered = [{order[j]: v for j, v in row.items()} for row in rows]
     return len(echelon(ordered, len(order), reduced=False))
@@ -229,7 +230,7 @@ def solve(a, b):
     Free variables are set to zero.
     """
     n = _width(a)
-    rows = [sparse(row) for row in a]
+    rows = [_sparse(row) for row in a]
     for row, bi in zip(rows, b):
         row[n] = frac(bi)
     return solution(echelon(rows, n + 1), n)
@@ -253,7 +254,7 @@ def nullspace(a):
 
 def inverse(a):
     n = len(a)
-    rows = [sparse(row) for row in a]
+    rows = [_sparse(row) for row in a]
     for i, row in enumerate(rows):
         row[n + i] = Fraction(1)
     basis = echelon(rows, 2 * n)

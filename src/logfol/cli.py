@@ -11,7 +11,9 @@ report's decision field:
     4  internal error: an exception the program did not anticipate
 
 Reports serialize to JSON with --json; parsing that JSON back gives the same
-report, so downstream tooling can rely on the file alone.
+report, so downstream tooling can rely on the file alone.  A --json path
+that cannot be written is said on stderr and ends in exit 2, whatever the
+report decided.
 
 The command tree lives in one table, COMMANDS: each row gives a leaf's words,
 handler, help, whether it reads a scene, its aliases and its extra options.
@@ -369,6 +371,8 @@ def _cmd_holonomy(args, scn: Scene):
 def _cmd_selftest(args, scn):
     from . import selfcheck
 
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     seed = args.seed
     results = selfcheck.run_all(seed=seed, trials=args.trials)
     ok = all(r.ok for r in results)
@@ -443,11 +447,17 @@ def _print_report(report, prefix=""):
 
 
 def _write_json(path, payload):
+    """Write payload to path ("-" for stdout); False, said on stderr, if it cannot."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path == "-":
         print(text)
-    else:
+        return True
+    try:
         Path(path).write_text(text + "\n")
+    except OSError as e:
+        print("cannot write the report to %s: %s" % (path, e.strerror or e), file=sys.stderr)
+        return False
+    return True
 
 
 def _add_common(parser, needs_scene):
@@ -573,8 +583,8 @@ def main(argv=None):
             reports.append(report)
             _print_report(report, prefix="%s: " % f.name)
             worst = max(worst, report.exit_code())
-        if json_path:
-            _write_json(json_path, [r.to_dict() for r in reports])
+        if json_path and not _write_json(json_path, [r.to_dict() for r in reports]):
+            return 2
         return worst
 
     scene_path = getattr(args, "scene", None)
@@ -583,8 +593,8 @@ def main(argv=None):
         return 2
     report = _run_one(args, scene_path)
     _print_report(report)
-    if json_path:
-        _write_json(json_path, report.to_dict())
+    if json_path and not _write_json(json_path, report.to_dict()):
+        return 2
     return report.exit_code()
 
 

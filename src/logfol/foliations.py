@@ -20,6 +20,8 @@ from .logcalc import LogDerivation, lie_bracket
 class MissingStratumError(KeyError):
     """A required double stratum has no identification scalar."""
 
+    __str__ = Exception.__str__  # the message as written, not quoted like a key
+
 
 @dataclass(frozen=True)
 class FoliationGerm:
@@ -207,7 +209,8 @@ class SNCGlueData:
         for a, b, c in self.double_scalars:
             if (a, b) == key:
                 return c if i < j else Fraction(1) / c
-        raise MissingStratumError("no scalar recorded for stratum (%d, %d)" % (i, j))
+        raise MissingStratumError("no scalar recorded for stratum %s|%s"
+                                  % tuple(self.components[k] for k in key))
 
 
 @dataclass(frozen=True)

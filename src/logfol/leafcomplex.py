@@ -2,15 +2,16 @@
 
 Two levels live here.  The finite-dimensional level: Lie algebras by
 structure constants, modules by action matrices, the alternating cochain
-differential, and the obstruction class of a perturbed subalgebra inclusion,
-all on small dense matrices.  The cover level: abstract Cech data whose
-simplices carry finite rows of a cochain complex, with restriction maps
-between simplices, a total complex mixing both differentials, and the four
-compatibility equations an obstruction triple has to satisfy.
+differential, and the obstruction class of a perturbed subalgebra inclusion.
+The cover level: abstract Cech data whose simplices carry finite rows of a
+cochain complex, with restriction maps between simplices, a total complex
+mixing both differentials, and the four compatibility equations an
+obstruction triple has to satisfy.
 
-The cover level is sparse: every restriction and row differential is a
-block, a tuple of {column: Fraction} rows (dense matrices are read only on
-the way in, from scenes), and the Cech, row and total matrices, more than
+Both levels are sparse.  Vectors are {index: Fraction} dicts of their
+nonzero entries and matrices are blocks, tuples of {column: Fraction} rows;
+dense rows are read only on the way in, from scenes, and checked there.
+The cochain differential and the Cech, row and total matrices, more than
 99% zeros, are linalg.SparseRows.
 
 Cover-level matrices and flat cochains share one layout: a list of
@@ -32,32 +33,58 @@ from fractions import Fraction
 from . import linalg
 
 
-def _freeze_mat(rows):
-    return tuple(tuple(linalg.frac(x) for x in row) for row in rows)
+def _sparse(row):
+    """row as an {index: Fraction} dict of its nonzero entries; a dict row
+    is taken to be one already and returned as it is."""
+    if isinstance(row, dict):
+        return row
+    return {j: v for j, v in ((j, linalg.frac(x)) for j, x in enumerate(row) if x) if v}
 
 
-def _freeze_vec(row):
-    return tuple(linalg.frac(x) for x in row)
+def _combine(terms):
+    """The sum of c v over (c, v) pairs of sparse vectors, without zeros."""
+    acc = {}
+    for c, v in terms:
+        for j, x in v.items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {j: x for j, x in acc.items() if x}
 
 
-def _block(m, rows, cols, what, where):
+def _dense(v, n):
+    """The sparse vector v as a list of n Fractions."""
+    return [v.get(j, Fraction(0)) for j in range(n)]
+
+
+def _block(m, rows, cols, error):
     """m as a rows x cols block: a tuple of {column: Fraction} rows.
 
     Dict rows, as the builders make them, are kept, and so is the object
     that holds them; dense rows coerce only their nonzero entries.  Raises
-    on a wrong shape.
+    ValueError(error) on a wrong shape.
     """
     if all(isinstance(row, dict) for row in m):
         fits = all(0 <= j < cols for row in m for j in row)
     else:
         fits = all(len(row) == cols for row in m)
-        m = tuple(
-            {j: v for j, v in ((j, linalg.frac(x)) for j, x in enumerate(row) if x) if v}
-            for row in m
-        )
+        m = tuple(map(_sparse, m))
     if not fits or len(m) != rows:
-        raise ValueError("%s matrix on %r has the wrong shape" % (what, where))
+        raise ValueError(error)
     return m
+
+
+def _from_columns(columns, rows):
+    """The block whose c-th column is the sparse vector columns[c]."""
+    out = tuple({} for _ in range(rows))
+    for c, column in enumerate(columns):
+        for r, x in column.items():
+            out[r][c] = x
+    return out
+
+
+def _antisymmetric(table):
+    """Whether table[a][b] = -table[b][a] for every pair of sparse entries."""
+    return all(table[a][b] == {k: -v for k, v in table[b][a].items()}
+               for a, b in itertools.product(range(len(table)), repeat=2))
 
 
 def _faces(pairs, triples):
@@ -86,59 +113,40 @@ class LieAlgebra:
     """Lie algebra over Q given by structure constants.
 
     structure[i][j] holds the coordinates of the bracket of the i-th and
-    j-th basis vectors.  Antisymmetry and the Jacobi identity are checked
-    on construction.
+    j-th basis vectors, dense on the way in and sparse once checked.
+    Antisymmetry and the Jacobi identity are checked on construction.
     """
 
     structure: tuple
 
     def __post_init__(self):
-        st = tuple(tuple(_freeze_vec(v) for v in row) for row in self.structure)
-        object.__setattr__(self, "structure", st)
-        n = len(st)
-        if any(len(row) != n or any(len(v) != n for v in row) for row in st):
+        n = len(self.structure)
+        if any(len(row) != n or any(len(v) != n for v in row) for row in self.structure):
             raise ValueError("structure constants must form an n x n table of n-vectors")
-        for i in range(n):
-            for j in range(n):
-                if any(st[i][j][k] + st[j][i][k] != 0 for k in range(n)):
-                    raise ValueError("structure constants are not antisymmetric")
+        st = tuple(tuple(map(_sparse, row)) for row in self.structure)
+        object.__setattr__(self, "structure", st)
+        if not _antisymmetric(st):
+            raise ValueError("structure constants are not antisymmetric")
         # Jacobi in the cyclic form [[j,k],i] + [[k,i],j] + [[i,j],k] = 0
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    s = self.bracket(list(st[j][k]), self._basis(i))
-                    s = linalg.vec_add(s, self.bracket(list(st[k][i]), self._basis(j)))
-                    s = linalg.vec_add(s, self.bracket(list(st[i][j]), self._basis(k)))
-                    if not linalg.is_zero_vec(s):
-                        raise ValueError("structure constants violate the Jacobi identity")
+        for i, j, k in itertools.product(range(n), repeat=3):
+            cyclic = ((st[j][k], i), (st[k][i], j), (st[i][j], k))
+            if _combine((1, self.bracket(v, {m: 1})) for v, m in cyclic):
+                raise ValueError("structure constants violate the Jacobi identity")
 
     @property
     def dim(self):
         return len(self.structure)
 
-    def _basis(self, i):
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
-
     def bracket(self, x, y):
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(self.structure[i][j]):
-                    if s:
-                        out[k] += c * s
-        return out
+        """[x, y] of dense or sparse vectors, as an {index: Fraction} dict."""
+        y = _sparse(y)
+        return _combine((a * b, self.structure[i][j])
+                        for i, a in _sparse(x).items() for j, b in y.items())
 
     def adjoint_matrix(self, x):
-        """Matrix of bracketing with x on the left."""
-        cols = [self.bracket(x, self._basis(j)) for j in range(self.dim)]
-        return linalg.transpose(cols)
+        """Block of bracketing with x on the left."""
+        x = _sparse(x)
+        return _from_columns([self.bracket(x, {j: 1}) for j in range(self.dim)], self.dim)
 
 
 def abelian_algebra(n):
@@ -150,58 +158,43 @@ def abelian_algebra(n):
 class LieModuleData:
     """A module over a finite-dimensional Lie algebra.
 
-    action[i] is the matrix by which the i-th basis vector acts.  The
-    commutator condition rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) is
-    checked on construction.
+    action[i] is the matrix, dense or a block, by which the i-th basis
+    vector acts.  The commutator condition
+    rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) is checked on construction.
     """
 
     algebra: LieAlgebra
     action: tuple
 
     def __post_init__(self):
-        act = tuple(_freeze_mat(a) for a in self.action)
-        object.__setattr__(self, "action", act)
         n = self.algebra.dim
-        if len(act) != n:
+        if len(self.action) != n:
             raise ValueError("need one action matrix per basis vector")
-        m = self.dim
-        for a in act:
-            if len(a) != m or any(len(row) != m for row in a):
-                raise ValueError("action matrices must be square of a common size")
-        for i in range(n):
-            for j in range(n):
-                lhs = self.act_by(list(self.algebra.structure[i][j]))
-                ab = linalg.product(act[i], act[j])
-                ba = linalg.product(act[j], act[i])
-                if any(
-                    lhs[r][c] != ab[r].get(c, 0) - ba[r].get(c, 0)
-                    for r in range(m) for c in range(m)
-                ):
-                    raise ValueError("action does not respect the bracket")
+        m = len(self.action[0]) if self.action else 0
+        act = tuple(_block(a, m, m, "action matrices must be square of a common size")
+                    for a in self.action)
+        object.__setattr__(self, "action", act)
+        for i, j in itertools.product(range(n), repeat=2):
+            ab = linalg.product(act[i], act[j])
+            ba = linalg.product(act[j], act[i])
+            commutator = tuple(_combine(((1, x), (-1, y))) for x, y in zip(ab, ba))
+            if self.act_by(self.algebra.structure[i][j]) != commutator:
+                raise ValueError("action does not respect the bracket")
 
     @property
     def dim(self):
         return len(self.action[0]) if self.action else 0
 
     def act_by(self, x):
-        m = self.dim
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            a = self.action[i]
-            for r in range(m):
-                for c in range(m):
-                    if a[r][c]:
-                        out[r][c] += xi * a[r][c]
-        return out
+        """Block of the action of the dense or sparse vector x."""
+        x = _sparse(x)
+        return tuple(_combine((c, self.action[i][r]) for i, c in x.items())
+                     for r in range(self.dim))
 
 
 def adjoint_module(algebra: LieAlgebra) -> LieModuleData:
     return LieModuleData(
-        algebra,
-        tuple(algebra.adjoint_matrix(algebra._basis(i)) for i in range(algebra.dim)),
-    )
+        algebra, tuple(algebra.adjoint_matrix({i: 1}) for i in range(algebra.dim)))
 
 
 def ce_basis(n, k):
@@ -210,7 +203,8 @@ def ce_basis(n, k):
 
 
 def ce_differential(module: LieModuleData, k):
-    """Matrix of the cochain differential from degree k to degree k + 1.
+    """The cochain differential from degree k to degree k + 1, as
+    linalg.SparseRows.
 
     Cochains are alternating maps on tuples of basis vectors with values in
     the module; coordinates are ordered by lexicographic k-subset, then
@@ -220,35 +214,29 @@ def ce_differential(module: LieModuleData, k):
     """
     n = module.algebra.dim
     m = module.dim
-    src = ce_basis(n, k)
+    src_index = {t: a for a, t in enumerate(ce_basis(n, k))}
     dst = ce_basis(n, k + 1)
-    src_index = {t: a for a, t in enumerate(src)}
-    out = [[Fraction(0)] * (len(src) * m) for _ in range(len(dst) * m)]
-    for row_t, s in enumerate(dst):
+    out = [{} for _ in range(len(dst) * m)]
+
+    def add(r, c, v):
+        out[r][c] = out[r].get(c, 0) + v
+
+    for t, s in enumerate(dst):
         for i, si in enumerate(s):
-            rest = s[:i] + s[i + 1 :]
-            a = src_index[rest]
-            sign = (-1) ** i
-            act = module.action[si]
-            for r in range(m):
-                for c in range(m):
-                    if act[r][c]:
-                        out[row_t * m + r][a * m + c] += sign * act[r][c]
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                rest = s[:i] + s[i + 1 : j] + s[j + 1 :]
-                coords = module.algebra.structure[s[i]][s[j]]
-                base = (-1) ** (i + j)
-                for l, cl in enumerate(coords):
-                    if cl == 0:
-                        continue
-                    merged, sgn = _insert_sorted(l, rest)
-                    if sgn == 0:
-                        continue
+            a = src_index[s[:i] + s[i + 1 :]]
+            for r, row in enumerate(module.action[si]):
+                for c, v in row.items():
+                    add(t * m + r, a * m + c, (-1) ** i * v)
+        for i, j in itertools.combinations(range(len(s)), 2):
+            rest = s[:i] + s[i + 1 : j] + s[j + 1 :]
+            for l, cl in module.algebra.structure[s[i]][s[j]].items():
+                merged, sign = _insert_sorted(l, rest)
+                if sign:
                     a = src_index[merged]
                     for r in range(m):
-                        out[row_t * m + r][a * m + r] += base * sgn * cl
-    return out
+                        add(t * m + r, a * m + r, (-1) ** (i + j) * sign * cl)
+    return linalg.SparseRows([{c: v for c, v in row.items() if v} for row in out],
+                             len(src_index) * m)
 
 
 # --- obstruction class of a perturbed subalgebra inclusion ---
@@ -261,7 +249,8 @@ class FinLieData:
     sub_basis spans the subalgebra inside the ambient algebra; perturbation
     gives the image of each spanning vector under the linear correction of
     the inclusion; mu is the antisymmetric first-order correction of the
-    bracket, one ambient vector per ordered pair of spanning vectors.
+    bracket, one ambient vector per ordered pair of spanning vectors.  All
+    three are dense on the way in and sparse once checked.
     """
 
     algebra: LieAlgebra
@@ -271,24 +260,22 @@ class FinLieData:
 
     def __post_init__(self):
         n = self.algebra.dim
-        sb = _freeze_mat(self.sub_basis)
-        pert = _freeze_mat(self.perturbation)
-        mu = tuple(tuple(_freeze_vec(v) for v in row) for row in self.mu)
-        object.__setattr__(self, "sub_basis", sb)
-        object.__setattr__(self, "perturbation", pert)
-        object.__setattr__(self, "mu", mu)
-        h = len(sb)
-        if any(len(v) != n for v in sb):
+        h = len(self.sub_basis)
+        if any(len(v) != n for v in self.sub_basis):
             raise ValueError("sub basis vectors must live in the ambient algebra")
-        if len(pert) != h or any(len(v) != n for v in pert):
+        if len(self.perturbation) != h or any(len(v) != n for v in self.perturbation):
             raise ValueError("need one ambient perturbation vector per sub basis vector")
-        if len(mu) != h or any(len(row) != h or any(len(v) != n for v in row) for row in mu):
+        if len(self.mu) != h or any(
+                len(row) != h or any(len(v) != n for v in row) for row in self.mu):
             raise ValueError("mu must be an h x h table of ambient vectors")
-        for a in range(h):
-            for b in range(h):
-                if any(mu[a][b][k] + mu[b][a][k] != 0 for k in range(n)):
-                    raise ValueError("mu is not antisymmetric")
-        if linalg.rank(sb) != h:
+        sub = tuple(map(_sparse, self.sub_basis))
+        mu = tuple(tuple(map(_sparse, row)) for row in self.mu)
+        object.__setattr__(self, "sub_basis", sub)
+        object.__setattr__(self, "perturbation", tuple(map(_sparse, self.perturbation)))
+        object.__setattr__(self, "mu", mu)
+        if not _antisymmetric(mu):
+            raise ValueError("mu is not antisymmetric")
+        if linalg.rank(sub) != h:
             raise ValueError("sub basis is linearly dependent")
 
 
@@ -303,40 +290,13 @@ class LieObstruction:
 
 def _sub_structure(algebra, sub_basis):
     """Structure constants of the span, or an error if it is not closed."""
-    h = len(sub_basis)
-    cols = linalg.transpose(sub_basis)
-    table = []
-    for a in range(h):
-        row = []
-        for b in range(h):
-            br = algebra.bracket(list(sub_basis[a]), list(sub_basis[b]))
-            coeffs = linalg.solve(cols, br) if h else None
-            if coeffs is None:
-                raise ValueError("sub basis does not span a subalgebra")
-            row.append(tuple(coeffs))
-        table.append(tuple(row))
-    return LieAlgebra(tuple(table))
-
-
-def _quotient_maps(sub_basis, n):
-    r, pivots = linalg.rref(sub_basis) if sub_basis else ([], [])
-    free = [j for j in range(n) if j not in pivots]
-
-    def project(v):
-        w = list(v)
-        for i, p in enumerate(pivots):
-            c = w[p]
-            if c:
-                w = [x - c * y for x, y in zip(w, r[i])]
-        return [w[j] for j in free]
-
-    def lift(u):
-        w = [Fraction(0)] * n
-        for idx, j in enumerate(free):
-            w[j] = u[idx]
-        return w
-
-    return project, lift, free
+    n = algebra.dim
+    cols = linalg.SparseRows(_from_columns(sub_basis, n), len(sub_basis))
+    table = [[linalg.solve(cols, _dense(algebra.bracket(x, y), n)) for y in sub_basis]
+             for x in sub_basis]
+    if any(coeffs is None for row in table for coeffs in row):
+        raise ValueError("sub basis does not span a subalgebra")
+    return LieAlgebra(table)
 
 
 def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
@@ -353,61 +313,48 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     n = algebra.dim
     sub = data.sub_basis
     h = len(sub)
+    pert = data.perturbation
 
     sub_algebra = _sub_structure(algebra, sub)
 
     # linearized Jacobi for mu, inside the ambient-valued complex
-    ambient_action = tuple(
-        _freeze_mat(algebra.adjoint_matrix(list(v))) for v in sub
-    )
-    ambient_module = LieModuleData(sub_algebra, ambient_action)
+    ambient_module = LieModuleData(sub_algebra, tuple(map(algebra.adjoint_matrix, sub)))
     pairs = ce_basis(h, 2)
-    mu_vec = []
-    for (a, b) in pairs:
-        mu_vec.extend(data.mu[a][b])
-    d2_ambient = ce_differential(ambient_module, 2)
-    if not linalg.is_zero_vec(linalg.mat_vec(d2_ambient, mu_vec)):
+    mu_flat = [x for a, b in pairs for x in _dense(data.mu[a][b], n)]
+    if any(linalg.mat_vec(ce_differential(ambient_module, 2), mu_flat)):
         raise ValueError("mu violates the linearized Jacobi identity")
 
-    project, lift, free = _quotient_maps(sub, n)
+    # modulo the subalgebra: subtract the reduced row of every pivot, which
+    # leaves the free columns, renumbered from 0
+    reduced = linalg.echelon(sub, n)
+    free = {j: f for f, j in enumerate(j for j in range(n) if j not in reduced)}
     q = len(free)
-    quot_action = []
-    for v in sub:
-        cols = [project(algebra.bracket(list(v), lift(e))) for e in linalg.identity(q)]
-        quot_action.append(_freeze_mat(linalg.transpose(cols)) if q else ())
-    quot_module = LieModuleData(sub_algebra, tuple(quot_action))
+
+    def project(v):
+        w = _combine([(1, v)] + [(-v[p], reduced[p]) for p in reduced if p in v])
+        return {free[j]: x for j, x in w.items()}
+
+    quot_module = LieModuleData(sub_algebra, tuple(
+        _from_columns([project(algebra.bracket(v, {j: 1})) for j in free], q) for v in sub))
 
     cocycle = []
-    flat = []
-    for (a, b) in pairs:
-        value = list(data.mu[a][b])
-        value = linalg.vec_add(value, algebra.bracket(list(data.perturbation[a]), list(sub[b])))
-        value = linalg.vec_add(value, algebra.bracket(list(sub[a]), list(data.perturbation[b])))
-        coeffs = sub_algebra.structure[a][b]
-        for k, c in enumerate(coeffs):
-            if c:
-                value = linalg.vec_sub(value, linalg.vec_scale(c, list(data.perturbation[k])))
-        reduced = project(value)
-        cocycle.append(tuple(reduced))
-        flat.extend(reduced)
+    for a, b in pairs:
+        value = _combine(
+            [(1, data.mu[a][b]), (1, algebra.bracket(pert[a], sub[b])),
+             (1, algebra.bracket(sub[a], pert[b]))]
+            + [(-c, pert[k]) for k, c in sub_algebra.structure[a][b].items()])
+        cocycle.append(tuple(_dense(project(value), q)))
+    flat = [x for v in cocycle for x in v]
 
-    d2 = ce_differential(quot_module, 2)
-    is_cocycle = linalg.is_zero_vec(linalg.mat_vec(d2, flat)) if flat else True
-
-    d1 = ce_differential(quot_module, 1)
-    sol = linalg.solve(d1, flat) if (flat or d1) else []
-    if sol is None:
-        vanishes = False
-        corrector = None
-    else:
-        vanishes = True
-        corrector = tuple(tuple(sol[i * q : (i + 1) * q]) for i in range(h))
+    is_cocycle = not any(linalg.mat_vec(ce_differential(quot_module, 2), flat))
+    sol = linalg.solve(ce_differential(quot_module, 1), flat)
     return LieObstruction(
         quotient_dim=q,
         cocycle=tuple(cocycle),
         is_cocycle=is_cocycle,
-        vanishes=vanishes,
-        corrector=corrector,
+        vanishes=sol is not None,
+        corrector=None if sol is None else tuple(
+            tuple(sol[i * q : (i + 1) * q]) for i in range(h)),
     )
 
 
@@ -554,7 +501,8 @@ class CechLeafData:
             if mats is None or len(mats) != rows - 1:
                 raise ValueError("simplex %r needs %d differential matrices" % (s, rows - 1))
             self.ce[s] = mats = tuple(
-                _block(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q), "ce", s)
+                _block(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q),
+                       "ce matrix on %r has the wrong shape" % (s,))
                 for q in range(rows - 1)
             )
             for q in range(rows - 2):
@@ -568,7 +516,8 @@ class CechLeafData:
             if mats is None or len(mats) != rows:
                 raise ValueError("missing restriction %r -> %r" % (face, simplex))
             self.restrictions[key] = tuple(
-                _block(m, self.row_dim(simplex, q), self.row_dim(face, q), "restriction", simplex)
+                _block(m, self.row_dim(simplex, q), self.row_dim(face, q),
+                       "restriction matrix on %r has the wrong shape" % (simplex,))
                 for q, m in enumerate(mats)
             )
         extra = set(self.restrictions) - set(expected)
@@ -694,9 +643,8 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows to place an obstruction triple")
-    theta = [_freeze_vec(v) for v in theta]
-    gbar = [_freeze_vec(v) for v in gbar]
-    bbar = [_freeze_vec(v) for v in bbar]
+    theta, gbar, bbar = (
+        [[linalg.frac(x) for x in v] for v in vecs] for vecs in (theta, gbar, bbar))
     layers = (("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
               ("bbar", bbar, data.simplices(0), "open"))
     for q, (name, vecs, simplices, noun) in enumerate(layers):
@@ -712,7 +660,7 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     degree3 = data.total_components(3)
     image = dict(zip(degree3, data.split(linalg.mat_vec(data.total_matrix(2), flat), degree3)))
     equations = (True,) + tuple(
-        all(map(linalg.is_zero_vec, image.get(pq, ()))) for pq in ((2, 1), (1, 2), (0, 3))
+        not any(map(any, image.get(pq, ()))) for pq in ((2, 1), (1, 2), (0, 3))
     )
     is_cocycle = all(equations)
 
@@ -732,8 +680,8 @@ def coboundary_triple(data: CechLeafData, rho, hbar):
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows")
-    rho_flat = [x for v in rho for x in _freeze_vec(v)]
-    hbar_flat = [x for v in hbar for x in _freeze_vec(v)]
+    rho_flat = [linalg.frac(x) for v in rho for x in v]
+    hbar_flat = [linalg.frac(x) for v in hbar for x in v]
     if len(rho_flat) != data.space_dim(1, 0) or len(hbar_flat) != data.space_dim(0, 1):
         raise ValueError("component sizes do not match the cover")
     image = linalg.mat_vec(data.total_matrix(1), rho_flat + hbar_flat)
@@ -754,7 +702,8 @@ def constant_cover(ce_mats, n_opens=3):
         raise ValueError("need at least one differential to fix the row dimensions")
     dims = [len(ce_mats[0][0]) if ce_mats[0] else 0] + [len(m) for m in ce_mats]
     # one block per differential and one identity per row, shared by every simplex
-    mats = [_block(m, len(m), c, "ce", (0,)) for m, c in zip(ce_mats, dims)]
+    mats = [_block(m, len(m), c, "ce matrix on (0,) has the wrong shape")
+            for m, c in zip(ce_mats, dims)]
     opens = tuple("U%d" % i for i in range(n_opens))
     pairs = tuple(itertools.combinations(range(n_opens), 2))
     triples = tuple(itertools.combinations(range(n_opens), 3))

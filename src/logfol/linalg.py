@@ -1,16 +1,18 @@
 """Exact linear algebra over Fraction, plus a few integer lattice routines.
 
 Matrices are lists of rows, and every function here takes rows of either
-kind: dense, entries by position (scenes, the Lie level), or sparse,
-{column: value} dicts of the nonzero entries (jet systems, the cover level,
-which passes SparseRows to carry the column count).
+kind: dense, entries by position (the small systems of bundles and
+monoids), or sparse, {column: value} dicts of the nonzero entries (jet
+systems, the Lie and cover levels, which pass SparseRows to carry the
+column count).  Vectors, the x of mat_vec and the b of solve, are dense.
 
 Elimination has one engine, echelon(), whose work follows the nonzeros, not
-rows x columns: the jet and cover systems are more than 99% zeros.  rref,
-solve, nullspace and inverse run it lowest column first, the order that
-picks the particular solution that gets printed; rank first orders the
-columns by ascending nonzero count, which keeps the cover matrices sparse.
-The integer Hermite form keeps its own small dense tableau.
+rows x columns: the jet and cover systems are more than 99% zeros.  Its
+reduced basis, one row per pivot, is the reduced row echelon form.  solve,
+nullspace and inverse run it lowest column first, the order that picks the
+particular solution that gets printed; rank first orders the columns by
+ascending nonzero count, which keeps the cover matrices sparse.  The
+integer Hermite form keeps its own small dense tableau.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
-
-
-def mat(rows):
-    return [[frac(x) for x in row] for row in rows]
 
 
 def identity(n):
@@ -82,19 +80,6 @@ def product(a, b):
 def mat_vec(a, x):
     """a x as Fractions, summed over the nonzero entries of each row."""
     return [sum((c * x[j] for j, c in _entries(row) if c), Fraction(0)) for row in a]
-
-
-def vec_add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-def vec_sub(x, y):
-    return [a - b for a, b in zip(x, y)]
-
-def vec_scale(c, x):
-    return [c * a for a in x]
-
-def is_zero_vec(x):
-    return all(v == 0 for v in x)
 
 
 def echelon(rows, ncols, basis=None, reduced=True):
@@ -191,21 +176,6 @@ class RowBuilder:
     def solve(self):
         """solution() of all rows, or None if inconsistent."""
         return solution(echelon(self.rows.values(), self.ncols + 1), self.ncols)
-
-
-def rref(a):
-    """Reduced row echelon form, dense. Returns (R, pivot_columns)."""
-    n = _width(a)
-    basis = echelon(a, n)
-    pivots = sorted(basis)
-    r = []
-    for col in pivots:
-        dense = [Fraction(0)] * n
-        for j, v in basis[col].items():
-            dense[j] = v
-        r.append(dense)
-    r += [[Fraction(0)] * n for _ in range(len(a) - len(pivots))]
-    return r, pivots
 
 
 def rank(a):

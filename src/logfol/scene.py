@@ -60,6 +60,19 @@ def _fraction_matrix(rows, where):
     ]
 
 
+def _fraction_table(rows, where):
+    """rows[i][j] a vector of rationals, as Lie structure constants and mu
+    are given; a bad entry is reported at its vector, where[i][j]."""
+    table = []
+    for i, row in enumerate(_expect(rows, list, where)):
+        vectors = []
+        for j, v in enumerate(_expect(row, list, "%s[%d]" % (where, i))):
+            at = "%s[%d][%d]" % (where, i, j)
+            vectors.append(tuple(scene_fraction(x, at) for x in _expect(v, list, at)))
+        table.append(tuple(vectors))
+    return tuple(table)
+
+
 def _int_vectors(rows, where):
     rows = _expect(rows, list, where)
     return tuple(
@@ -483,35 +496,16 @@ class Scene:
 
     def lie_data(self):
         spec = _expect(self._require("lie"), dict, "lie")
-        structure = _expect(spec.get("structure"), list, "lie.structure")
-        table = tuple(
-            tuple(
-                tuple(scene_fraction(x, "lie.structure[%d][%d]" % (i, j)) for x in _expect(v, list, "lie.structure[%d][%d]" % (i, j)))
-                for j, v in enumerate(_expect(row, list, "lie.structure[%d]" % i))
-            )
-            for i, row in enumerate(structure)
-        )
+        table = _fraction_table(spec.get("structure"), "lie.structure")
         try:
             algebra = leafcomplex.LieAlgebra(table)
         except ValueError as e:
             raise SceneError(str(e), "lie.structure")
         sub = _fraction_matrix(spec.get("sub_basis"), "lie.sub_basis")
         pert = _fraction_matrix(spec.get("perturbation"), "lie.perturbation")
-        mu_spec = _expect(spec.get("mu"), list, "lie.mu")
-        mu = tuple(
-            tuple(
-                tuple(scene_fraction(x, "lie.mu[%d][%d]" % (i, j)) for x in _expect(v, list, "lie.mu[%d][%d]" % (i, j)))
-                for j, v in enumerate(_expect(row, list, "lie.mu[%d]" % i))
-            )
-            for i, row in enumerate(mu_spec)
-        )
+        mu = _fraction_table(spec.get("mu"), "lie.mu")
         try:
-            return leafcomplex.FinLieData(
-                algebra,
-                tuple(tuple(v) for v in sub),
-                tuple(tuple(v) for v in pert),
-                mu,
-            )
+            return leafcomplex.FinLieData(algebra, sub, pert, mu)
         except ValueError as e:
             raise SceneError(str(e), "lie")
 

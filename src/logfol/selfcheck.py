@@ -96,8 +96,8 @@ def _conjugate_algebra(algebra, p):
     for i in range(n):
         row = []
         for j in range(n):
-            br = algebra.bracket(list(cols[i]), list(cols[j]))
-            coords = linalg.solve([r[:] for r in p], br)
+            br = algebra.bracket(cols[i], cols[j])
+            coords = linalg.solve(p, [br.get(k, Fraction(0)) for k in range(n)])
             row.append(tuple(coords))
         table.append(tuple(row))
     return leafcomplex.LieAlgebra(tuple(table))

@@ -73,7 +73,9 @@ def test_bracket_and_adjoint_agree():
     y = [0, 1, 3]
     direct = g.bracket(x, y)
     via_adjoint = linalg.mat_vec(g.adjoint_matrix(x), [Fraction(c) for c in y])
-    assert [Fraction(c) for c in direct] == via_adjoint
+    assert direct == {k: v for k, v in enumerate(via_adjoint) if v}
+    assert all(type(v) is Fraction for v in direct.values())
+    assert g.bracket({0: 1, 1: 2, 2: -1}, {1: 1, 2: 3}) == direct
 
 
 def test_module_validation_checks_equivariance():
@@ -99,7 +101,8 @@ def test_ce_differential_shapes_and_square():
     for k in range(3):
         d_k = ce_differential(m, k)
         assert len(d_k) == dims[k + 1]
-        assert all(len(row) == dims[k] for row in d_k)
+        assert d_k.ncols == dims[k]
+        assert all(0 <= j < dims[k] for row in d_k for j in row)
     assert not any(linalg.product(ce_differential(m, 1), ce_differential(m, 0)))
 
 
@@ -181,6 +184,16 @@ def test_borel_pair_absorbs_the_obstruction():
     assert res.is_cocycle and res.vanishes
     # delta(corrector)(h, e) = -4 * corrector(e) must hit the class
     assert res.corrector == ((0,), (Fraction(-1, 4),))
+
+
+def test_one_dimensional_subalgebra_gets_a_zero_corrector_of_full_width():
+    # no pairs, so no cocycle; the corrector is still one quotient vector
+    data = FinLieData(sl2(), ((0, 1, 0),), ((0, 0, 0),), zero_mu(1, 3))
+    res = lie_subalgebra_obstruction(data)
+    assert res.quotient_dim == 2
+    assert res.cocycle == ()
+    assert res.is_cocycle and res.vanishes
+    assert res.corrector == ((0, 0),)
 
 
 def test_full_subalgebra_gives_trivial_quotient():

@@ -2,7 +2,8 @@
 
 The sparse elimination engine is checked against the dense Gauss-Jordan
 elimination it replaced, kept below as a reference, and against sympy's
-rref where sympy is installed.
+rref where sympy is installed: echelon's reduced basis, one row per pivot,
+is the reduced row echelon form.
 """
 
 from fractions import Fraction
@@ -19,6 +20,20 @@ from logfol import linalg
 def nonzeros(row):
     """The {column: value} row of the nonzero entries of a dense row."""
     return {j: v for j, v in enumerate(row) if v}
+
+
+def exact(rows):
+    """A dense matrix of Fractions from rows of ints or strings."""
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def as_basis(r, pivots):
+    """A dense (R, pivots) reduced form as echelon's {pivot: row} basis."""
+    return {col: nonzeros(r[i]) for i, col in enumerate(pivots)}
+
+
+def width(a):
+    return len(a[0]) if a else 0
 
 
 def dense_rref(a):
@@ -116,31 +131,25 @@ def det3(a):
     return total
 
 
-# -- rref / rank / solve ------------------------------------------------
+# -- reduced echelon form / rank / solve ------------------------------------------------
 
 
 def test_rref_known_matrix():
-    a = [[1, 2, 3], [2, 4, 7], [1, 2, 4]]
-    r, pivots = linalg.rref(linalg.mat(a))
-    assert pivots == [0, 2]
-    assert r[0] == [Fraction(1), Fraction(2), Fraction(0)]
-    assert r[1] == [Fraction(0), Fraction(0), Fraction(1)]
-    assert linalg.is_zero_vec(r[2])
+    a = exact([[1, 2, 3], [2, 4, 7], [1, 2, 4]])
+    assert linalg.echelon(a, 3) == {0: {0: 1, 1: 2}, 2: {2: 1}}
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_rref_is_idempotent(a):
-    a = linalg.mat(a)
-    r, pivots = linalg.rref(a)
-    r2, pivots2 = linalg.rref(r)
-    assert r == r2 and pivots == pivots2
+    basis = linalg.echelon(a, width(a))
+    assert linalg.echelon(basis.values(), width(a)) == basis
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_rank_bounded_and_transpose_invariant(a):
-    a = linalg.mat(a)
+    a = exact(a)
     rk = linalg.rank(a)
     assert 0 <= rk <= min(len(a), len(a[0]))
     assert rk == linalg.rank(linalg.transpose(a))
@@ -150,7 +159,7 @@ def test_rank_bounded_and_transpose_invariant(a):
 @given(small_matrix(), st.lists(fractions, min_size=1, max_size=4))
 def test_solve_returns_actual_solutions(a, x):
     # make a consistent system by construction
-    a = linalg.mat(a)
+    a = exact(a)
     n = len(a[0])
     x = (x * n)[:n]
     b = linalg.mat_vec(a, [Fraction(v) for v in x])
@@ -160,23 +169,23 @@ def test_solve_returns_actual_solutions(a, x):
 
 
 def test_solve_inconsistent_returns_none():
-    a = linalg.mat([[1, 1], [1, 1]])
+    a = exact([[1, 1], [1, 1]])
     assert linalg.solve(a, [Fraction(0), Fraction(1)]) is None
 
 
 def test_solve_picks_zero_for_free_variables():
-    a = linalg.mat([[1, 1]])
+    a = exact([[1, 1]])
     assert linalg.solve(a, [Fraction(5)]) == [Fraction(5), Fraction(0)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_nullspace_vectors_are_in_kernel(a):
-    a = linalg.mat(a)
+    a = exact(a)
     basis = linalg.nullspace(a)
     assert len(basis) == len(a[0]) - linalg.rank(a)
     for v in basis:
-        assert linalg.is_zero_vec(linalg.mat_vec(a, v))
+        assert not any(linalg.mat_vec(a, v))
 
 
 # -- sparse engine against the dense reference ----------------------------
@@ -185,7 +194,7 @@ def test_nullspace_vectors_are_in_kernel(a):
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrix())
 def test_rref_rank_nullspace_match_dense_reference(a):
-    assert linalg.rref(a) == dense_rref(a)
+    assert linalg.echelon(a, width(a)) == as_basis(*dense_rref(a))
     assert linalg.rank(a) == len(dense_rref(a)[1])
     assert linalg.nullspace(a) == dense_nullspace(a)
 
@@ -240,7 +249,7 @@ def test_sparse_rows_give_the_dense_answers(a, data):
     sparse = linalg.SparseRows([nonzeros(row) for row in a], n)
     b = [data.draw(fractions) for _ in a]
     x = [data.draw(fractions) for _ in range(n)]
-    assert linalg.rref(sparse) == linalg.rref(a)
+    assert linalg.echelon(sparse, n) == linalg.echelon(a, n)
     assert linalg.solve(sparse, b) == linalg.solve(a, b)
     assert linalg.nullspace(sparse) == linalg.nullspace(a)
     assert linalg.mat_vec(sparse, x) == linalg.mat_vec(a, x)
@@ -257,8 +266,7 @@ def test_mat_vec_keeps_fractions_on_zero_rows_and_empty_shapes():
 
 
 def test_empty_shapes():
-    assert linalg.rref([]) == ([], [])
-    assert linalg.rref([[], []]) == ([[], []], [])
+    assert linalg.echelon([], 0) == linalg.echelon([[], []], 0) == {}
     assert linalg.rank([]) == linalg.rank([[], []]) == 0
     assert linalg.nullspace([]) == linalg.nullspace([[]]) == []
     assert linalg.solve([], []) == []
@@ -320,7 +328,7 @@ def test_rref_matches_sympy():
         r, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                                   for row in a]).rref()
         expected = [[Fraction(int(x.p), int(x.q)) for x in r.row(i)] for i in range(r.rows)]
-        assert linalg.rref(a) == (expected, list(pivots))
+        assert linalg.echelon(a, width(a)) == as_basis(expected, pivots)
 
     check()
 
@@ -329,21 +337,21 @@ def test_rref_matches_sympy():
 
 
 def test_inverse_known_2x2():
-    a = linalg.mat([[2, 1], [1, 1]])
+    a = exact([[2, 1], [1, 1]])
     inv = linalg.inverse(a)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        linalg.inverse(linalg.mat([[1, 2], [2, 4]]))
+        linalg.inverse(exact([[1, 2], [2, 4]]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_inverse_agrees_with_cofactor_oracle(rows):
-    a = linalg.mat(rows)
+    a = exact(rows)
     d = det3(a)
     if d == 0:
         with pytest.raises(ValueError):

@@ -283,6 +283,14 @@ def test_cli_pushout_check_reports_the_product(tmp_path, capsys):
     assert "cocycle fails on A|B|C with product 2" in capsys.readouterr().out
 
 
+def test_cli_pushout_check_names_a_missing_double_stratum(tmp_path, capsys):
+    scene = glue_scene(2, "1/2", 1)
+    del scene["double_strata"][1]    # B|C
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["pushout", "check", path]) == 2
+    assert capsys.readouterr().out == "error: no scalar recorded for stratum B|C\n"
+
+
 PUSHOUT_MEMBER = {
     "germ": {"n": 2, "r": 2, "names": ["x", "y"]},
     "candidate": "x*dx + y*dy",
@@ -647,6 +655,19 @@ def test_cli_batch_mode_takes_the_worst_code(tmp_path, capsys):
     assert [r.decision for r in reports] == ["yes", "no"]
 
 
+@pytest.mark.parametrize("batch", [False, True])
+def test_cli_unwritable_json_path_is_an_input_error(tmp_path, capsys, batch):
+    path = write_scene(tmp_path, "s.json", BALANCED)
+    target = tmp_path / "missing" / "out.json"
+    scene = ["--all", str(tmp_path)] if batch else [path]
+    assert cli.main(["semistable", "check"] + scene + ["--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "yes:" in captured.out
+    assert captured.err.startswith("cannot write the report to %s:" % target)
+    assert "Traceback" not in captured.err
+    assert not target.exists()
+
+
 def test_cli_batch_mode_requires_scenes(tmp_path, capsys):
     assert cli.main(["semistable", "check", "--all", str(tmp_path)]) == 2
     assert "no scene files" in capsys.readouterr().err
@@ -662,6 +683,12 @@ def test_cli_selftest_smoke(capsys):
     out = capsys.readouterr().out
     assert out.startswith("yes:")
     assert "ok (2 trials)" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_selftest_needs_a_trial(trials, capsys):
+    assert cli.main(["selftest", "--trials", trials]) == 2
+    assert capsys.readouterr().out == "error: --trials must be at least 1\n"
 
 
 # -- the command table and the parser built for one command ----------------------------

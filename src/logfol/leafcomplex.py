@@ -324,9 +324,10 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     if any(linalg.mat_vec(ce_differential(ambient_module, 2), mu_flat)):
         raise ValueError("mu violates the linearized Jacobi identity")
 
-    # modulo the subalgebra: subtract the reduced row of every pivot, which
-    # leaves the free columns, renumbered from 0
-    reduced = linalg.echelon(sub, n)
+    # modulo the subalgebra: subtract the reduced row of every pivot, made
+    # monic, which leaves the free columns, renumbered from 0
+    reduced = {p: {j: Fraction(x, row[p]) for j, x in row.items()}
+               for p, row in linalg.echelon(sub, n).items()}
     free = {j: f for f, j in enumerate(j for j in range(n) if j not in reduced)}
     q = len(free)
 
@@ -566,7 +567,8 @@ class CechLeafData:
     def _matrix(self, src, dst, scale=1):
         """The blocks leaving the src bidegrees that land in the dst ones,
         placed by _slots and multiplied by scale, as linalg.SparseRows.
-        No two blocks share a cell."""
+        No two blocks share a cell.  scale and every block sign are +1 or
+        -1, so entries are copied or negated, never multiplied."""
         col_at, cols = self._slots(src)
         row_at, rows = self._slots(dst)
         out = [{} for _ in range(rows)]
@@ -576,9 +578,10 @@ class CechLeafData:
                 if r0 is None:
                     continue
                 c0 = col_at[source]
-                factor = scale * sign
+                negate = scale * sign < 0
                 for r, row in enumerate(block, r0):
-                    out[r].update({c0 + j: factor * x for j, x in row.items()})
+                    out[r].update({c0 + j: -x for j, x in row.items()} if negate
+                                  else {c0 + j: x for j, x in row.items()})
         return linalg.SparseRows(out, cols)
 
     def cech_matrix(self, p, q):

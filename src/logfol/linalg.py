@@ -7,17 +7,24 @@ systems, the Lie and cover levels, which pass SparseRows to carry the
 column count).  Vectors, the x of mat_vec and the b of solve, are dense.
 
 Elimination has one engine, echelon(), whose work follows the nonzeros, not
-rows x columns: the jet and cover systems are more than 99% zeros.  Its
-reduced basis, one row per pivot, is the reduced row echelon form.  solve,
-nullspace and inverse run it lowest column first, the order that picks the
-particular solution that gets printed; rank first orders the columns by
-ascending nonzero count, which keeps the cover matrices sparse.  The
-integer Hermite form keeps its own small dense tableau.
+rows x columns: the jet and cover systems are more than 99% zeros.  It is
+fraction-free: each row is scaled once to integers, and every basis row is
+a primitive {column: int} row (gcd 1, positive pivot), so a step is a few
+int multiplies where a Fraction step would normalise every entry with a
+gcd.  Its reduced basis, one row per pivot, is the reduced row echelon form
+with each row scaled to a primitive integer row.  Values are divided by the
+pivot only where they are read: solution, nullspace and inverse return
+Fractions, as does every function here.  solve, nullspace and inverse run
+the engine lowest column first, the order that picks the particular
+solution that gets printed; rank first orders the columns by ascending
+nonzero count, which keeps the cover matrices sparse.  The integer Hermite
+form keeps its own small dense tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -82,55 +89,95 @@ def mat_vec(a, x):
     return [sum((c * x[j] for j, c in _entries(row) if c), Fraction(0)) for row in a]
 
 
+def _integer_row(row):
+    """A new {column: int} dict of a row's nonzero entries, scaled by the
+    lcm of their denominators."""
+    r = _sparse(row)
+    den = lcm(*[v.denominator for v in r.values()])
+    if den == 1:
+        return {j: v.numerator for j, v in r.items()}
+    return {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+
+
+def _divide(r, g):
+    """Divide every entry of the integer row r in place by g, which divides
+    them all (g is 0 only for an empty row)."""
+    if g != 1:
+        for j in r:
+            r[j] //= g
+
+
+def _eliminate(r, pivot_row, col):
+    """Clear column col from the integer row r in place with a basis row.
+
+    With pivot entry a and r's entry c, g = gcd(a, c): r becomes
+    (a/g) r - (c/g) pivot_row, and its content is divided out when a != 1.
+    A pivot of 1 skips the multiply and the gcds.
+    """
+    a = pivot_row[col]
+    c = r[col]
+    scaled = a != 1
+    if scaled:
+        g = gcd(a, c)
+        a //= g
+        c //= g
+        if a != 1:
+            for j in r:
+                r[j] *= a
+    for j, v in pivot_row.items():
+        w = r.get(j, 0) - c * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    if scaled:
+        _divide(r, gcd(*r.values()))
+
+
 def echelon(rows, ncols, basis=None, reduced=True):
-    """Sparse exact row echelon form, the elimination engine of this module.
+    """Sparse fraction-free row echelon form, the elimination engine of this
+    module.
 
-    rows is an iterable of dense or sparse rows with columns in
-    range(ncols); zero values are dropped and the rows are not modified.
-    basis is the result of an earlier call, extended in place by the new
-    rows, or None to start empty.  The result maps each pivot column to its
-    row, scaled to pivot 1 and with no entry left of the pivot.
+    rows is an iterable of dense or sparse rows of ints or Fractions with
+    columns in range(ncols); zero values are dropped and the rows are not
+    modified.  basis is the result of an earlier call, extended in place by
+    the new rows, or None to start empty.  The result maps each pivot column
+    to its row, a primitive {column: int} row: the gcd of its entries is 1,
+    its pivot is positive and no entry lies left of it.  Callers divide by
+    the pivot where they read a value (solution, nullspace, inverse).
 
-    Each new row is reduced against the pivot rows, lowest column first,
-    and joins them if anything is left.  With reduced=True one
-    back-substitution pass then clears every pivot column from the other
-    rows.  That is the reduced row echelon form, which depends only on the
-    row space: not on the order of the rows, nor on how many calls built it.
+    Each new row is scaled once to integers, then reduced against the pivot
+    rows, lowest column first, by _eliminate, and joins them if anything is
+    left.  With reduced=True one back-substitution pass then clears every
+    pivot column from the other rows with the same step.  That is the
+    reduced row echelon form with each row scaled to a primitive integer
+    row, which depends only on the row space: not on the order of the rows,
+    nor on how many calls built it.  No Fraction arithmetic happens here.
     """
     if basis is None:
         basis = {}
-    one = Fraction(1)
     for row in rows:
-        r = _sparse(row)
+        r = _integer_row(row)
         if r and not (0 <= min(r) and max(r) < ncols):
             raise ValueError("column index outside range(%d)" % ncols)
         while r:
             col = min(r)
             pivot_row = basis.get(col)
             if pivot_row is None:
-                inv = one / r[col]
-                basis[col] = {j: v * inv for j, v in r.items()}
+                g = gcd(*r.values())
+                _divide(r, -g if r[col] < 0 else g)
+                basis[col] = r
                 break
-            c = r[col]
-            for j, v in pivot_row.items():
-                w = r.get(j, 0) - c * v
-                if w:
-                    r[j] = w
-                else:
-                    del r[j]
+            _eliminate(r, pivot_row, col)
     if reduced:
         # descending pivots: every row used to clear a column is already reduced
         for col in sorted(basis, reverse=True):
             row = basis[col]
-            for j in [j for j in row if j != col and j in basis]:
-                c = row.pop(j)
-                for k, v in basis[j].items():
-                    if k != j:
-                        w = row.get(k, 0) - c * v
-                        if w:
-                            row[k] = w
-                        else:
-                            del row[k]
+            hits = [j for j in row if j != col and j in basis]
+            for j in hits:
+                _eliminate(row, basis[j], j)
+            if hits:
+                _divide(row, gcd(*row.values()))
     return basis
 
 
@@ -145,7 +192,7 @@ def solution(basis, n):
     x = [Fraction(0)] * n
     for col, row in basis.items():
         if n in row:
-            x[col] = row[n]
+            x[col] = Fraction(row[n], row[col])
     return x
 
 
@@ -199,6 +246,8 @@ def solve(a, b):
 
     Free variables are set to zero.
     """
+    if len(b) != len(a):
+        raise ValueError("right-hand side has %d entries for %d rows" % (len(b), len(a)))
     n = _width(a)
     rows = [_sparse(row) for row in a]
     for row, bi in zip(rows, b):
@@ -218,19 +267,22 @@ def nullspace(a):
     for col, row in basis.items():
         for j, v in row.items():
             if j != col:
-                out[j][col] = -v
+                out[j][col] = Fraction(-v, row[col])
     return list(out.values())
 
 
 def inverse(a):
+    """The inverse of a square matrix; ValueError if singular or not square."""
     n = len(a)
+    if a.ncols != n if isinstance(a, SparseRows) else any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     rows = [_sparse(row) for row in a]
     for i, row in enumerate(rows):
-        row[n + i] = Fraction(1)
+        row[n + i] = 1
     basis = echelon(rows, 2 * n)
     if sorted(basis) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[basis[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[Fraction(basis[i].get(n + j, 0), basis[i][i]) for j in range(n)] for i in range(n)]
 
 
 # --- integer lattice routines ---

@@ -2,10 +2,12 @@
 
 The sparse elimination engine is checked against the dense Gauss-Jordan
 elimination it replaced, kept below as a reference, and against sympy's
-rref where sympy is installed: echelon's reduced basis, one row per pivot,
-is the reduced row echelon form.
+rref where sympy is installed: echelon's reduced basis, one primitive
+integer row per pivot, is the reduced row echelon form once each row is
+divided by its pivot.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,20 @@ def as_basis(r, pivots):
 
 def width(a):
     return len(a[0]) if a else 0
+
+
+def monic(basis):
+    """echelon's basis with each row divided by its pivot, as Fractions."""
+    return {col: {j: Fraction(v, row[col]) for j, v in row.items()}
+            for col, row in basis.items()}
+
+
+def assert_primitive(basis):
+    """Every basis row holds ints with gcd 1 and a positive pivot, its least column."""
+    for col, row in basis.items():
+        assert all(type(v) is int for v in row.values())
+        assert min(row) == col and row[col] > 0
+        assert math.gcd(*row.values()) == 1
 
 
 def dense_rref(a):
@@ -136,7 +152,9 @@ def det3(a):
 
 def test_rref_known_matrix():
     a = exact([[1, 2, 3], [2, 4, 7], [1, 2, 4]])
-    assert linalg.echelon(a, 3) == {0: {0: 1, 1: 2}, 2: {2: 1}}
+    basis = linalg.echelon(a, 3)
+    assert monic(basis) == {0: {0: 1, 1: 2}, 2: {2: 1}}
+    assert_primitive(basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +212,9 @@ def test_nullspace_vectors_are_in_kernel(a):
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrix())
 def test_rref_rank_nullspace_match_dense_reference(a):
-    assert linalg.echelon(a, width(a)) == as_basis(*dense_rref(a))
+    basis = linalg.echelon(a, width(a))
+    assert monic(basis) == as_basis(*dense_rref(a))
+    assert_primitive(basis)
     assert linalg.rank(a) == len(dense_rref(a)[1])
     assert linalg.nullspace(a) == dense_nullspace(a)
 
@@ -287,13 +307,16 @@ def test_echelon_is_independent_of_row_order_and_batching(a, rng, data):
     basis = linalg.echelon(rows[:cut], n, reduced=False)
     assert linalg.echelon(rows[cut:], n, basis) is basis
     assert basis == whole
-    assert all(row[col] == 1 and min(row) == col for col, row in whole.items())
+    assert all(row[col] == 1 and min(row) == col for col, row in monic(whole).items())
+    assert_primitive(whole)
 
 
 def test_echelon_leaves_its_input_alone_and_drops_zeros():
     rows = [{0: Fraction(2), 1: Fraction(0), 2: Fraction(4)}, {2: Fraction(3)}]
     copy = [dict(row) for row in rows]
-    assert linalg.echelon(rows, 3) == {0: {0: 1}, 2: {2: 1}}
+    basis = linalg.echelon(rows, 3)
+    assert monic(basis) == {0: {0: 1}, 2: {2: 1}}
+    assert_primitive(basis)
     assert rows == copy
 
 
@@ -302,6 +325,26 @@ def test_echelon_checks_the_column_count():
         linalg.echelon([{3: Fraction(1)}], 3)
     with pytest.raises(ValueError):
         linalg.echelon([{-1: Fraction(1)}], 3)
+
+
+wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_echelon_extended_in_batches_matches_dense_reference(m, n, data):
+    # large numerators and denominators, eliminated over several calls that
+    # extend one basis in place before the final reduced pass
+    zero_pct = data.draw(st.sampled_from([0, 40, 80]))
+    a = [[data.draw(wide) if data.draw(st.integers(0, 99)) >= zero_pct else Fraction(0)
+          for _ in range(n)] for _ in range(m)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
+    basis = {}
+    for lo, hi in zip([0] + cuts, cuts + [m]):
+        assert linalg.echelon(a[lo:hi], n, basis, reduced=False) is basis
+    assert linalg.echelon([], n, basis) is basis
+    assert monic(basis) == as_basis(*dense_rref(a))
+    assert_primitive(basis)
 
 
 def test_row_builder_keeps_the_column_count_without_rows():
@@ -328,7 +371,9 @@ def test_rref_matches_sympy():
         r, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                                   for row in a]).rref()
         expected = [[Fraction(int(x.p), int(x.q)) for x in r.row(i)] for i in range(r.rows)]
-        assert linalg.echelon(a, width(a)) == as_basis(expected, pivots)
+        basis = linalg.echelon(a, width(a))
+        assert monic(basis) == as_basis(expected, pivots)
+        assert_primitive(basis)
 
     check()
 
@@ -340,6 +385,28 @@ def test_inverse_known_2x2():
     a = exact([[2, 1], [1, 1]])
     inv = linalg.inverse(a)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+def test_inverse_of_the_hilbert_matrix_is_its_known_integer_matrix():
+    # coefficient growth: the 8 x 8 Hilbert matrix has denominators up to 15
+    # and an inverse with entries up to ~4.2e9
+    n = 8
+    hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    c = math.comb
+    known = [[(-1) ** (i + j) * (i + j + 1) * c(n + i, n - j - 1) * c(n + j, n - i - 1)
+              * c(i + j, i) ** 2 for j in range(n)] for i in range(n)]
+    inv = linalg.inverse(hilbert)
+    assert inv == known
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def test_solve_and_inverse_check_their_shapes():
+    with pytest.raises(ValueError):
+        linalg.solve([[1]], [1, 5])
+    with pytest.raises(ValueError):
+        linalg.solve([[1], [1]], [1])
+    with pytest.raises(ValueError):
+        linalg.inverse([[1, 2]])
 
 
 def test_inverse_rejects_singular():

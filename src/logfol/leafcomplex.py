@@ -9,10 +9,11 @@ mixing both differentials, and the four compatibility equations an
 obstruction triple has to satisfy.
 
 Both levels are sparse.  Vectors are {index: Fraction} dicts of their
-nonzero entries and matrices are blocks, tuples of {column: Fraction} rows;
-dense rows are read only on the way in, from scenes, and checked there.
-The cochain differential and the Cech, row and total matrices, more than
-99% zeros, are linalg.SparseRows.
+nonzero entries and matrices are blocks, tuples of {column: value} rows
+holding ints where integral, else Fractions, so integral covers are
+checked and eliminated in int arithmetic; dense rows are read only on the
+way in, from scenes, and checked there.  The cochain differential and the
+Cech, row and total matrices, more than 99% zeros, are linalg.SparseRows.
 
 Cover-level matrices and flat cochains share one layout: a list of
 bidegrees (p, q) is laid out bidegree by bidegree in the order given, and
@@ -50,23 +51,30 @@ def _combine(terms):
     return {j: x for j, x in acc.items() if x}
 
 
+def _exact(v):
+    """The int or Fraction v as an int when it is integral."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _dense(v, n):
     """The sparse vector v as a list of n Fractions."""
     return [v.get(j, Fraction(0)) for j in range(n)]
 
 
 def _block(m, rows, cols, error):
-    """m as a rows x cols block: a tuple of {column: Fraction} rows.
+    """m as a rows x cols block: a tuple of {column: value} rows.
 
     Dict rows, as the builders make them, are kept, and so is the object
-    that holds them; dense rows coerce only their nonzero entries.  Raises
-    ValueError(error) on a wrong shape.
+    that holds them; dense rows coerce their nonzero entries to ints where
+    integral, else Fractions, and drop those zero once coerced, such as "0".
+    Raises ValueError(error) on a wrong shape.
     """
     if all(isinstance(row, dict) for row in m):
         fits = all(0 <= j < cols for row in m for j in row)
     else:
         fits = all(len(row) == cols for row in m)
-        m = tuple(map(_sparse, m))
+        m = tuple({j: v for j, v in ((j, _exact(linalg.frac(x))) for j, x in enumerate(row) if x)
+                   if v} for row in m)
     if not fits or len(m) != rows:
         raise ValueError(error)
     return m
@@ -457,9 +465,18 @@ class CechLeafData:
 
     def _validate(self):
         """Check the cover and replace every matrix by its block.  Each
-        distinct pair of block objects is multiplied once, so a cover that
-        shares its blocks, like constant_cover, takes few products."""
+        distinct matrix object is shape-checked once per shape and each
+        distinct pair of blocks multiplied once, so a cover that shares its
+        blocks, like constant_cover, takes few checks and products."""
+        blocks = {}
         products = {}
+
+        def block(m, rows, cols, error):
+            key = (id(m), rows, cols)
+            if key not in blocks:
+                # m is kept with its block so that its id is not reused
+                blocks[key] = m, _block(m, rows, cols, error)
+            return blocks[key][1]
 
         def mul(a, b):
             key = (id(a), id(b))
@@ -502,8 +519,8 @@ class CechLeafData:
             if mats is None or len(mats) != rows - 1:
                 raise ValueError("simplex %r needs %d differential matrices" % (s, rows - 1))
             self.ce[s] = mats = tuple(
-                _block(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q),
-                       "ce matrix on %r has the wrong shape" % (s,))
+                block(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q),
+                      "ce matrix on %r has the wrong shape" % (s,))
                 for q in range(rows - 1)
             )
             for q in range(rows - 2):
@@ -517,8 +534,8 @@ class CechLeafData:
             if mats is None or len(mats) != rows:
                 raise ValueError("missing restriction %r -> %r" % (face, simplex))
             self.restrictions[key] = tuple(
-                _block(m, self.row_dim(simplex, q), self.row_dim(face, q),
-                       "restriction matrix on %r has the wrong shape" % (simplex,))
+                block(m, self.row_dim(simplex, q), self.row_dim(face, q),
+                      "restriction matrix on %r has the wrong shape" % (simplex,))
                 for q, m in enumerate(mats)
             )
         extra = set(self.restrictions) - set(expected)
@@ -713,7 +730,7 @@ def constant_cover(ce_mats, n_opens=3):
     simplices = [(i,) for i in range(n_opens)] + list(pairs) + list(triples)
     dim_map = {s: tuple(dims) for s in simplices}
     ce = {s: tuple(mats) for s in simplices}
-    eye = tuple(tuple({i: Fraction(1)} for i in range(d)) for d in dims)
+    eye = tuple(tuple({i: 1} for i in range(d)) for d in dims)
     restrictions = {key: eye for key in _faces(pairs, triples)}
     return CechLeafData(opens, pairs, triples, dim_map, restrictions, ce)
 
@@ -748,7 +765,7 @@ def p1_window_cover(degrees, window, polys=()):
         raise ValueError("the first row must have the smallest degree")
     if window < 1:
         raise ValueError("window must be positive")
-    polys = tuple(tuple(Fraction(c) for c in p) for p in polys)
+    polys = tuple(tuple(_exact(Fraction(c)) for c in p) for p in polys)
     if len(polys) != len(degrees) - 1:
         raise ValueError("need one multiplier polynomial per adjacent row pair")
     for q, p in enumerate(polys):
@@ -780,10 +797,10 @@ def p1_window_cover(degrees, window, polys=()):
     }
     restrictions = {
         ((0,), (0, 1)): tuple(
-            _window_mult((Fraction(1),), win0(q), win01(q)) for q in range(len(degrees))
+            _window_mult((1,), win0(q), win01(q)) for q in range(len(degrees))
         ),
         ((1,), (0, 1)): tuple(
-            _window_mult((Fraction(1),), win1(q), win01(q)) for q in range(len(degrees))
+            _window_mult((1,), win1(q), win01(q)) for q in range(len(degrees))
         ),
     }
     return CechLeafData(("U0", "U1"), ((0, 1),), (), dim_map, restrictions, ce)

@@ -4,21 +4,24 @@ Matrices are lists of rows, and every function here takes rows of either
 kind: dense, entries by position (the small systems of bundles and
 monoids), or sparse, {column: value} dicts of the nonzero entries (jet
 systems, the Lie and cover levels, which pass SparseRows to carry the
-column count).  Vectors, the x of mat_vec and the b of solve, are dense.
+column count; solve, nullspace and inverse refuse a plain list of them).
+Vectors, the x of mat_vec and the b of solve, are dense.  Entries are ints
+or Fractions.
 
 Elimination has one engine, echelon(), whose work follows the nonzeros, not
 rows x columns: the jet and cover systems are more than 99% zeros.  It is
-fraction-free: each row is scaled once to integers, and every basis row is
-a primitive {column: int} row (gcd 1, positive pivot), so a step is a few
-int multiplies where a Fraction step would normalise every entry with a
-gcd.  Its reduced basis, one row per pivot, is the reduced row echelon form
-with each row scaled to a primitive integer row.  Values are divided by the
-pivot only where they are read: solution, nullspace and inverse return
-Fractions, as does every function here.  solve, nullspace and inverse run
-the engine lowest column first, the order that picks the particular
-solution that gets printed; rank first orders the columns by ascending
-nonzero count, which keeps the cover matrices sparse.  The integer Hermite
-form keeps its own small dense tableau.
+fraction-free: each row is scaled once to integers (an int row as it is),
+and every basis row is a primitive {column: int} row (gcd 1, positive
+pivot), so a step is a few int multiplies where a Fraction step would
+normalise every entry with a gcd.  Its reduced basis, one row per pivot,
+is the reduced row echelon form with each row scaled to a primitive
+integer row.  Values are divided by the pivot only where they are read:
+solution, nullspace and inverse return Fractions, as mat_vec does from
+sums taken in ints; product keeps int rows int.  solve, nullspace and
+inverse run the engine lowest column first, the order that picks the
+particular solution that gets printed; rank first orders the columns by
+ascending nonzero count, which keeps the cover matrices sparse.  The
+integer Hermite form keeps its own small dense tableau.
 """
 
 from __future__ import annotations
@@ -57,7 +60,12 @@ class SparseRows(list):
 
 
 def _width(a):
-    return a.ncols if isinstance(a, SparseRows) else len(a[0]) if a else 0
+    """The column count of SparseRows or dense rows."""
+    if isinstance(a, SparseRows):
+        return a.ncols
+    if any(isinstance(row, dict) for row in a):
+        raise ValueError("pass {column: value} rows as SparseRows, which carry the column count")
+    return len(a[0]) if a else 0
 
 
 def _entries(row):
@@ -71,8 +79,9 @@ def _sparse(row):
 
 
 def product(a, b):
-    """The rows of a b as {column: value} dicts without zeros."""
-    b = [_sparse(row) for row in b]
+    """The rows of a b as {column: value} dicts without zeros; dict rows of
+    b are read as they are."""
+    b = [row if isinstance(row, dict) else _sparse(row) for row in b]
     out = []
     for row in a:
         acc = {}
@@ -85,14 +94,24 @@ def product(a, b):
 
 
 def mat_vec(a, x):
-    """a x as Fractions, summed over the nonzero entries of each row."""
-    return [sum((c * x[j] for j, c in _entries(row) if c), Fraction(0)) for row in a]
+    """a x as Fractions, summed over the nonzero entries of each row in
+    ints where the row is integral: x is scaled once by the lcm of its
+    denominators, and each row makes one Fraction that divides it out."""
+    den = lcm(*[v.denominator for v in x])
+    x = [v.numerator * (den // v.denominator) for v in x]
+    return [Fraction(sum(c * x[j] for j, c in _entries(row) if c), den) for row in a]
 
 
 def _integer_row(row):
     """A new {column: int} dict of a row's nonzero entries, scaled by the
-    lcm of their denominators."""
+    lcm of their denominators.  A row of ints needs no scaling, and the test
+    for one stops at the first entry that is not an int."""
     r = _sparse(row)
+    for v in r.values():
+        if type(v) is not int:
+            break
+    else:
+        return r
     den = lcm(*[v.denominator for v in r.values()])
     if den == 1:
         return {j: v.numerator for j, v in r.items()}
@@ -274,7 +293,7 @@ def nullspace(a):
 def inverse(a):
     """The inverse of a square matrix; ValueError if singular or not square."""
     n = len(a)
-    if a.ncols != n if isinstance(a, SparseRows) else any(len(row) != n for row in a):
+    if _width(a) != n or not isinstance(a, SparseRows) and any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
     rows = [_sparse(row) for row in a]
     for i, row in enumerate(rows):

@@ -345,6 +345,68 @@ def test_validation_rejects_broken_row_complex():
         constant_cover([m0, m1], n_opens=3)
 
 
+def test_validation_names_the_simplex_of_a_bad_row_complex():
+    m0 = [[1, 0], [0, 1], [1, 1]]
+    with pytest.raises(ValueError, match=r"row differential does not square to zero on \(0,\)"):
+        constant_cover([m0, [[1, 1, 1]]])
+    with pytest.raises(ValueError, match=r"ce matrix on \(0,\) has the wrong shape"):
+        constant_cover([m0, [[1, 1]]])
+
+
+def test_validation_checks_a_shared_block_at_each_shape():
+    # one row and no differential; U1 has two coordinates, the others one
+    dims = {(0,): (1,), (1,): (2,), (0, 1): (1,)}
+    ce = {s: () for s in dims}
+    inclusion = [[1]]   # fits U0 -> U0|U1, not U1 -> U0|U1
+    restr = {((0,), (0, 1)): (inclusion,), ((1,), (0, 1)): ([[1, 0]],)}
+    data = CechLeafData(("U0", "U1"), ((0, 1),), (), dims, restr, ce)
+    assert data.restriction((0,), (0, 1), 0) == ({0: 1},)
+    restr[((1,), (0, 1))] = (inclusion,)
+    with pytest.raises(ValueError, match=r"restriction matrix on \(0, 1\) has the wrong shape"):
+        CechLeafData(("U0", "U1"), ((0, 1),), (), dims, restr, ce)
+
+
+def block_values(data):
+    """Every entry of every ce and restriction block of a cover."""
+    blocks = [m for mats in data.ce.values() for m in mats]
+    blocks += [m for mats in data.restrictions.values() for m in mats]
+    return [x for m in blocks for row in m for x in row.values()]
+
+
+def integral_where_possible(values):
+    return all(type(x) is int if x.denominator == 1 else type(x) is Fraction for x in values)
+
+
+def test_constant_cover_keeps_integral_entries_as_ints():
+    ints = [[[1, 0], [0, 1], [1, 1]], [[1, 1, -1]]]
+    covers = [constant_cover(mats, 4) for mats in (
+        ints,
+        [[[Fraction(x) for x in row] for row in m] for m in ints],
+        [[[str(x) for x in row] for row in m] for m in ints],   # "0" is dropped
+    )]
+    for data in covers:
+        assert data == covers[0]
+        assert all(type(x) is int for x in block_values(data))
+        for n in range(-1, data.max_total_degree + 2):
+            assert data.total_matrix(n) == covers[0].total_matrix(n)
+            assert all(type(x) is int for row in data.total_matrix(n) for x in row.values())
+    halves = constant_cover([[[Fraction(1, 2)], ["2/2"]], [["-4/1", 2]]], 3)
+    assert integral_where_possible(block_values(halves))
+    assert halves.ce[(0,)] == (({0: Fraction(1, 2)}, {0: 1}), ({0: -4, 1: 2},))
+
+
+def test_window_cover_mixes_int_and_fraction_blocks():
+    for window in (2, 4, 8):
+        half = p1_window_cover((0, 2), window, [[Fraction(1, 2), 1, 1]])
+        whole = p1_window_cover((0, 2), window, [[1, 2, 2]])
+        # the cokernel of a quadric, a length-2 torsion sheaf, in degree 1
+        assert leaf_complex_hypercohomology(half) == leaf_complex_hypercohomology(whole) == (
+            0, 2, 0, 0)
+        assert integral_where_possible(block_values(half))
+        assert Fraction(1, 2) in block_values(half)
+        assert all(type(x) is int for x in block_values(whole))
+
+
 # -- hypercohomology -----------------------------------------------------------------
 
 

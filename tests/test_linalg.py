@@ -251,6 +251,42 @@ def test_mat_vec_matches_the_dense_product(a, data):
     got = linalg.mat_vec(a, x)
     assert got == [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
     assert all(type(y) is Fraction for y in got)
+    # int entries, as the cover level holds them, against x of mixed
+    # denominators: the sums run in ints, the results are still Fractions
+    ints = [[data.draw(st.integers(-6, 6)) if v else 0 for v in row] for row in a]
+    mixed = [data.draw(st.sampled_from([Fraction(v), int(v), Fraction(v.numerator, 7)]))
+             for v in x]
+    got = linalg.mat_vec(linalg.SparseRows([nonzeros(row) for row in ints], n), mixed)
+    assert got == [sum((c * v for c, v in zip(row, mixed)), Fraction(0)) for row in ints]
+    assert all(type(y) is Fraction for y in got)
+
+
+def test_product_mat_vec_and_echelon_leave_dict_rows_alone():
+    a = linalg.SparseRows([{0: 2, 2: Fraction(1, 3)}, {}, {1: -1}], 3)
+    b = linalg.SparseRows([{1: 1, 0: 0}, {0: Fraction(3, 2)}, {0: 4, 1: -2}], 2)
+    copies = [dict(row) for row in a], [dict(row) for row in b]
+    assert linalg.product(a, b) == [{0: Fraction(4, 3), 1: Fraction(4, 3)}, {},
+                                    {0: Fraction(-3, 2)}]
+    assert linalg.mat_vec(a, [Fraction(1, 2), 3, Fraction(-3, 4)]) == [
+        Fraction(3, 4), 0, -3]
+    assert linalg.rank(b) == 2
+    ints = [{0: 2, 1: 4}, {1: 3, 2: 0}]
+    int_copies = [dict(row) for row in ints]
+    assert linalg.echelon(ints, 3) == {0: {0: 1}, 1: {1: 1}}
+    assert ([dict(row) for row in a], [dict(row) for row in b]) == copies
+    assert ints == int_copies and list(map(len, ints)) == [2, 2]
+
+
+def test_plain_lists_of_dict_rows_ask_for_sparse_rows():
+    # a plain list cannot say how wide its {column: value} rows are
+    with pytest.raises(ValueError, match="SparseRows"):
+        linalg.solve([{1: 1}], [1])
+    with pytest.raises(ValueError, match="SparseRows"):
+        linalg.nullspace([{1: 1}])
+    with pytest.raises(ValueError, match="SparseRows"):
+        linalg.inverse([{0: 1}])
+    assert linalg.solve(linalg.SparseRows([{1: 1}], 2), [1]) == [0, 1]
+    assert linalg.nullspace(linalg.SparseRows([{1: 1}], 2)) == [[1, 0]]
 
 
 @settings(max_examples=150, deadline=None)

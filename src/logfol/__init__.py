@@ -20,7 +20,6 @@ from .logcalc import (
     LogDerivation,
     LogOneForm,
     TangencyParseError,
-    contract,
     derivation_from_string,
     format_derivation,
     lie_bracket,
@@ -61,9 +60,7 @@ from .monoids import (
     SaturationBoundError,
     contains,
     grothendieck_group,
-    in_cone,
     is_saturated,
-    monoid_equal,
     saturate,
 )
 from .bundles import (

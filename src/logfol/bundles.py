@@ -67,9 +67,6 @@ class GradedBundleP1:
     def rank(self):
         return len(self.degrees)
 
-    def euler_characteristic(self):
-        return sum(d + 1 for d in self.degrees)
-
     def cohomology(self):
         h0 = h1 = 0
         for d in self.degrees:
@@ -99,13 +96,18 @@ class SNCCurveBundle:
         if len(g) != self.left.rank or any(len(r) != self.left.rank for r in g):
             raise ValueError("glue matrix must be square of the common rank")
         object.__setattr__(self, "glue", g)
-        linalg.inverse([list(r) for r in g])  # raises if singular
+        self._glue_inverse()  # raises if singular
 
     @classmethod
     def with_identity_glue(cls, left_degrees, right_degrees):
         left = GradedBundleP1(tuple(left_degrees))
         right = GradedBundleP1(tuple(right_degrees))
-        return cls(left, right, tuple(tuple(linalg.identity(left.rank)[i]) for i in range(left.rank)))
+        n = left.rank
+        return cls(left, right, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+    def _glue_inverse(self):
+        n = len(self.glue)
+        return linalg.inverse(linalg.SparseRows([dict(enumerate(r)) for r in self.glue], n))
 
     def serre_dual(self):
         """Componentwise dual twisted by degree -1 on each side.
@@ -113,11 +115,10 @@ class SNCCurveBundle:
         h1 of the original equals h0 of this bundle; the node identification
         dualizes to the inverse transpose.
         """
-        dual_glue = linalg.transpose(linalg.inverse([list(r) for r in self.glue]))
         return SNCCurveBundle(
             GradedBundleP1(tuple(-d - 1 for d in self.left.degrees)),
             GradedBundleP1(tuple(-d - 1 for d in self.right.degrees)),
-            tuple(tuple(row) for row in dual_glue),
+            tuple(zip(*self._glue_inverse())),
         )
 
 
@@ -134,23 +135,11 @@ def cohomology_snc_curve(bundle: SNCCurveBundle):
     h0l, h1l = bundle.left.cohomology()
     h0r, h1r = bundle.right.cohomology()
 
-    cols = []
-    for k, d in enumerate(bundle.left.degrees):
-        n_sections = max(0, d + 1)
-        for s in range(n_sections):
-            col = [Fraction(0)] * rank
-            if s == 0:  # only the t^0 frame section is nonzero at the node
-                col[k] = Fraction(1)
-            cols.append(col)
-    for k, d in enumerate(bundle.right.degrees):
-        n_sections = max(0, d + 1)
-        for s in range(n_sections):
-            col = [Fraction(0)] * rank
-            if s == 0:
-                for i in range(rank):
-                    col[i] = -bundle.glue[i][k]
-            cols.append(col)
-    r = linalg.rank(linalg.transpose(cols))
+    # values at the node: only the t^0 frame section of a summand is nonzero there
+    cols = [{k: 1} for k, d in enumerate(bundle.left.degrees) if d >= 0]
+    cols += [{i: -bundle.glue[i][k] for i in range(rank)}
+             for k, d in enumerate(bundle.right.degrees) if d >= 0]
+    r = linalg.rank(cols)
 
     h0 = h0l + h0r - r
     h1 = (rank - r) + h1l + h1r

@@ -13,7 +13,8 @@ report's decision field:
 Reports serialize to JSON with --json; parsing that JSON back gives the same
 report, so downstream tooling can rely on the file alone.  A --json path
 that cannot be written is said on stderr and ends in exit 2, whatever the
-report decided.
+report decided.  A stdout whose reader has gone (a closed pipe) changes no
+exit code: the rest of the output goes to devnull.
 
 The command tree lives in one table, COMMANDS: each row gives a leaf's words,
 handler, help, whether it reads a scene, its aliases and its extra options.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -440,17 +442,27 @@ def _run_one(args, scene_path):
     return report
 
 
+def _say(text):
+    """Print text and flush it.  When the reader of stdout has gone, stdout
+    is pointed at devnull, as the "Note on SIGPIPE" in the documentation of
+    Python's signal module does, and the run goes on to its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_report(report, prefix=""):
-    print("%s%s: %s" % (prefix, report.decision, report.summary))
+    _say("%s%s: %s" % (prefix, report.decision, report.summary))
     for line in report.lines:
-        print("%s  %s" % (prefix, line))
+        _say("%s  %s" % (prefix, line))
 
 
 def _write_json(path, payload):
     """Write payload to path ("-" for stdout); False, said on stderr, if it cannot."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path == "-":
-        print(text)
+        _say(text)
         return True
     try:
         Path(path).write_text(text + "\n")

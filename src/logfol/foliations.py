@@ -48,18 +48,7 @@ class FoliationGerm:
             )
 
     def origin_rank(self):
-        rows = [list(map(Fraction, g.constant_vector())) for g in self.generators]
-        return linalg.rank(rows)
-
-    def degenerate_generators(self):
-        """Indices of generators that vanish at the origin."""
-        return tuple(
-            i for i, g in enumerate(self.generators)
-            if all(c == 0 for c in g.constant_vector())
-        )
-
-    def is_degenerate_at_origin(self):
-        return self.origin_rank() < self.rank or bool(self.degenerate_generators())
+        return linalg.rank([dict(enumerate(g.constant_vector())) for g in self.generators])
 
 
 def _span_system(generators, targets, order):
@@ -323,11 +312,6 @@ class SurfaceOneForm:
     @property
     def ctx(self):
         return self.A.ctx
-
-    @classmethod
-    def annihilating(cls, p, q):
-        """Form vanishing on the field p d_y + q d_z, namely q dy - p dz."""
-        return cls(q, -p)
 
     def curve_is_invariant(self):
         return self.B.set_zero(0).is_zero()

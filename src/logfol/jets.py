@@ -237,10 +237,6 @@ class Jet:
     def constant_term(self):
         return self.terms.get((0,) * self.ctx.n, Fraction(0))
 
-    def total_degree(self):
-        """Largest total degree present, or -1 for the zero jet."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def truncate(self, order):
         return Jet(self.ctx, {e: c for e, c in self.terms.items() if sum(e) <= order})
 

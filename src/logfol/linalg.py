@@ -1,12 +1,9 @@
 """Exact linear algebra over Fraction, plus a few integer lattice routines.
 
-Matrices are lists of rows, and every function here takes rows of either
-kind: dense, entries by position (the small systems of bundles and
-monoids), or sparse, {column: value} dicts of the nonzero entries (jet
-systems, the Lie and cover levels, which pass SparseRows to carry the
-column count; solve, nullspace and inverse refuse a plain list of them).
-Vectors, the x of mat_vec and the b of solve, are dense.  Entries are ints
-or Fractions.
+A matrix is a list of {column: value} rows holding its nonzero entries;
+solve, nullspace and inverse take them as SparseRows, which carries the
+column count that a list of dicts cannot say.  Vectors, the x of mat_vec
+and the b of solve, are dense.  Entries are ints or Fractions.
 
 Elimination has one engine, echelon(), whose work follows the nonzeros, not
 rows x columns: the jet and cover systems are more than 99% zeros.  It is
@@ -41,16 +38,6 @@ def frac(x) -> Fraction:
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 class SparseRows(list):
     """A matrix as a list of {column: value} rows, with its column count."""
 
@@ -60,35 +47,26 @@ class SparseRows(list):
 
 
 def _width(a):
-    """The column count of SparseRows or dense rows."""
-    if isinstance(a, SparseRows):
-        return a.ncols
-    if any(isinstance(row, dict) for row in a):
+    """The column count of SparseRows; a plain list cannot say it."""
+    if not isinstance(a, SparseRows):
         raise ValueError("pass {column: value} rows as SparseRows, which carry the column count")
-    return len(a[0]) if a else 0
-
-
-def _entries(row):
-    """(column, value) pairs of a dense or sparse row, zeros not skipped."""
-    return row.items() if isinstance(row, dict) else enumerate(row)
+    return a.ncols
 
 
 def _sparse(row):
     """A new {column: value} dict of the nonzero entries of a row."""
-    return {j: v for j, v in _entries(row) if v}
+    return {j: v for j, v in row.items() if v}
 
 
 def product(a, b):
-    """The rows of a b as {column: value} dicts without zeros; dict rows of
-    b are read as they are."""
-    b = [row if isinstance(row, dict) else _sparse(row) for row in b]
+    """The rows of a b as {column: value} dicts without zeros; the rows of b
+    are read as they are."""
     out = []
     for row in a:
         acc = {}
-        for t, c in _entries(row):
-            if c:
-                for j, v in b[t].items():
-                    acc[j] = acc.get(j, 0) + c * v
+        for t, c in row.items():
+            for j, v in b[t].items():
+                acc[j] = acc.get(j, 0) + c * v
         out.append({j: v for j, v in acc.items() if v})
     return out
 
@@ -99,7 +77,7 @@ def mat_vec(a, x):
     denominators, and each row makes one Fraction that divides it out."""
     den = lcm(*[v.denominator for v in x])
     x = [v.numerator * (den // v.denominator) for v in x]
-    return [Fraction(sum(c * x[j] for j, c in _entries(row) if c), den) for row in a]
+    return [Fraction(sum(c * x[j] for j, c in row.items()), den) for row in a]
 
 
 def _integer_row(row):
@@ -157,7 +135,7 @@ def echelon(rows, ncols, basis=None, reduced=True):
     """Sparse fraction-free row echelon form, the elimination engine of this
     module.
 
-    rows is an iterable of dense or sparse rows of ints or Fractions with
+    rows is an iterable of {column: value} rows of ints or Fractions with
     columns in range(ncols); zero values are dropped and the rows are not
     modified.  basis is the result of an earlier call, extended in place by
     the new rows, or None to start empty.  The result maps each pivot column
@@ -251,12 +229,13 @@ def rank(a):
     Larimore and Ng 2004): the sparse cover matrices keep their few
     nonzeros under it, where lowest column first fills their basis in.
     """
-    rows = [_sparse(row) for row in a]
     count = {}
-    for j in (j for row in rows for j in row):
-        count[j] = count.get(j, 0) + 1
+    for row in a:
+        for j, v in row.items():
+            if v:
+                count[j] = count.get(j, 0) + 1
     order = {j: k for k, j in enumerate(sorted(count, key=count.__getitem__))}
-    ordered = [{order[j]: v for j, v in row.items()} for row in rows]
+    ordered = [{order[j]: v for j, v in row.items() if v} for row in a]
     return len(echelon(ordered, len(order), reduced=False))
 
 
@@ -293,7 +272,7 @@ def nullspace(a):
 def inverse(a):
     """The inverse of a square matrix; ValueError if singular or not square."""
     n = len(a)
-    if _width(a) != n or not isinstance(a, SparseRows) and any(len(row) != n for row in a):
+    if _width(a) != n:
         raise ValueError("matrix is not square")
     rows = [_sparse(row) for row in a]
     for i, row in enumerate(rows):

@@ -11,7 +11,7 @@ eta regular; the single relation dx_1/x_1 + ... + dx_r/x_r = du/u makes the
 dlog coefficients unique only up to a common additive term. We normalize by
 removing the common constant so that the last dlog coefficient has constant
 term zero. The pairing with a vector field is representative-independent
-exactly on relative fields, which is where it is used.
+exactly on relative fields.
 """
 
 from __future__ import annotations
@@ -174,23 +174,6 @@ class LogOneForm:
         if shift != 0:
             dlog = tuple(c - shift for c in dlog)
         return cls(ctx, dlog, reg)
-
-
-def contract(form, v):
-    """Pairing of a log one-form with a log derivation.
-
-    <dx_i/x_i, x_i d_i> = 1 and <dx_j, d_j> = 1; the value is the jet
-    sum_i a_i b_i + sum_j c_j a_j. Representative-independent on relative
-    fields.
-    """
-    if form.ctx != v.ctx:
-        raise ContextMismatchError("form and derivation context mismatch")
-    out = Jet.zero(form.ctx)
-    for ai, bi in zip(form.dlog, v.b):
-        out = out + ai * bi
-    for cj, aj in zip(form.reg, v.a):
-        out = out + cj * aj
-    return out
 
 
 def derivation_from_string(ctx, text, names=None, params=None):

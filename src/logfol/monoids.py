@@ -68,37 +68,40 @@ class FGMonoid:
         return seen
 
 
+def _columns(vectors, k):
+    """The k-row matrix whose columns are the given vectors of Z^k."""
+    return linalg.SparseRows([{j: v[i] for j, v in enumerate(vectors) if v[i]} for i in range(k)],
+                             len(vectors))
+
+
 class _Cone:
     """Rational cone of nonzero integer generators, covered by simplicial cones.
 
-    Each base is a maximal linearly independent set of generator indices with
-    the transposed generator matrix, so x lies in the cone exactly when some
-    base gives coordinates t >= 0.
+    Each base is a maximal linearly independent set of generators, kept as
+    the matrix with those generators as columns, so x lies in the cone
+    exactly when some base gives coordinates t >= 0.
     """
 
     def __init__(self, gens):
-        dim = linalg.rank(gens)
+        k = len(gens[0])
+        dim = linalg.rank(_columns(gens, k))
         self.bases = []
-        for base in itertools.combinations(range(len(gens)), dim):
-            rows = [gens[i] for i in base]
-            if linalg.rank(rows) == dim:
-                self.bases.append((base, linalg.transpose(rows)))
-        self._coords = {}
+        for base in itertools.combinations(gens, dim):
+            cols = _columns(base, k)
+            if linalg.rank(cols) == dim:
+                self.bases.append(cols)
+        self._inside = {}
         self.pointed = not any(self.contains(tuple(-c for c in g)) for g in gens)
 
-    def coords(self, x):
-        """(base, t) with x = sum t_j gens[base[j]] and every t_j >= 0, or None."""
-        if x not in self._coords:
-            self._coords[x] = None
-            for base, cols in self.bases:
+    def contains(self, x):
+        if x not in self._inside:
+            self._inside[x] = False
+            for cols in self.bases:
                 t = linalg.solve(cols, x)
                 if t is not None and min(t) >= 0:
-                    self._coords[x] = (base, t)
+                    self._inside[x] = True
                     break
-        return self._coords[x]
-
-    def contains(self, x):
-        return self.coords(x) is not None
+        return self._inside[x]
 
 
 def _lattice(gens, k):
@@ -109,7 +112,7 @@ def _lattice(gens, k):
     puts a basis of them in its rows with zero complement part.
     """
     perp = []
-    for v in linalg.nullspace(gens):
+    for v in linalg.nullspace(linalg.SparseRows([dict(enumerate(g)) for g in gens], k)):
         scale = math.lcm(*(c.denominator for c in v))
         perp.append([int(c * scale) for c in v])
     r = len(perp)
@@ -125,7 +128,7 @@ def _parallelepiped(cols, lattice):
     coordinates taken mod 1.
     """
     steps = [linalg.solve(cols, b) for b in lattice]
-    seen = {(Fraction(0),) * len(cols[0])}
+    seen = {(Fraction(0),) * cols.ncols}
     todo = list(seen)
     while todo:
         t = todo.pop()
@@ -134,7 +137,7 @@ def _parallelepiped(cols, lattice):
             if u not in seen:
                 seen.add(u)
                 todo.append(u)
-    return [tuple(int(sum(a * c for a, c in zip(t, row))) for row in cols) for t in seen]
+    return [tuple(int(sum(t[j] * c for j, c in row.items())) for row in cols) for t in seen]
 
 
 def _search(gens, x, inside, depth=math.inf):
@@ -206,26 +209,6 @@ def grothendieck_group(m: FGMonoid):
     return tuple(linalg.hermite_normal_form(list(m.generators)))
 
 
-def in_cone(m: FGMonoid, x):
-    """Rational cone membership: x = sum t_i g_i with t_i >= 0 rational.
-
-    Returns the coefficient vector over the nonzero generators, or None.
-    """
-    x = _as_vec(x, m.ambient_rank)
-    gens = m.nonzero_generators()
-    if not any(x):
-        return tuple(Fraction(0) for _ in gens)
-    if not gens:
-        return None
-    found = _Cone(gens).coords(x)
-    if found is None:
-        return None
-    coeffs = [Fraction(0)] * len(gens)
-    for i, c in zip(*found):
-        coeffs[i] = c
-    return tuple(coeffs)
-
-
 def saturate(m: FGMonoid):
     """Generators of {x in Z^k : n*x in m for some n >= 1}.
 
@@ -244,7 +227,7 @@ def saturate(m: FGMonoid):
     cone = _Cone(gens)
     lattice = _lattice(gens, k)
     cands = set(gens)
-    for _, cols in cone.bases:
+    for cols in cone.bases:
         cands.update(_parallelepiped(cols, lattice))
     cands.discard((0,) * k)
     cands = sorted(cands, key=lambda v: (sum(map(abs, v)), v))
@@ -258,15 +241,6 @@ def saturate(m: FGMonoid):
             continue
         kept.append(x)
     return FGMonoid(k, tuple(kept))
-
-
-def monoid_equal(a: FGMonoid, b: FGMonoid):
-    """Equality as submonoids of the common ambient lattice."""
-    if a.ambient_rank != b.ambient_rank:
-        return False
-    return all(contains(b, g) is not None for g in a.nonzero_generators()) and all(
-        contains(a, g) is not None for g in b.nonzero_generators()
-    )
 
 
 def is_saturated(m: FGMonoid):

@@ -58,15 +58,15 @@ def _rand_derivation(rng, ctx, terms=2):
 
 
 def _rand_unimodular(rng, n):
-    p = linalg.identity(n)
+    p = linalg.SparseRows([{i: 1} for i in range(n)], n)
     for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        c = Fraction(rng.randint(-2, 2))
-        for k in range(n):
-            p[i][k] += c * p[j][k]
+        c = rng.randint(-2, 2)
+        for k, v in p[j].items():
+            p[i][k] = p[i].get(k, 0) + c * v
     return p
 
 
@@ -91,7 +91,7 @@ _BASE_STRUCTURES = {
 def _conjugate_algebra(algebra, p):
     """Structure constants in the basis given by the columns of p."""
     n = algebra.dim
-    cols = linalg.transpose(p)
+    cols = [{k: row[i] for k, row in enumerate(p) if i in row} for i in range(n)]
     table = []
     for i in range(n):
         row = []
@@ -135,7 +135,8 @@ def _rand_cover(rng):
                 m = [[_rand_fraction(rng, 2) for _ in range(cols)] for _ in range(rows)]
             else:
                 # rows must kill the image of the previous differential
-                left_null = linalg.nullspace(linalg.transpose(prev))
+                left_null = linalg.nullspace(linalg.SparseRows(
+                    [dict(enumerate(col)) for col in zip(*prev)], cols))
                 m = [[Fraction(0)] * cols for _ in range(rows)]
                 for rrow in m:
                     for vec in left_null:

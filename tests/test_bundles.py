@@ -35,7 +35,7 @@ def test_h_p1_far_out_degrees():
 def test_graded_bundle_accounting():
     e = GradedBundleP1((1, -1, 3))
     assert e.rank == 3
-    assert e.euler_characteristic() == 6
+    assert sum(d + 1 for d in e.degrees) == 6
     assert e.cohomology() == (6, 0)
 
 
@@ -49,7 +49,7 @@ def test_graded_bundle_rejects_empty():
 def test_euler_characteristic_is_h0_minus_h1(degrees):
     e = GradedBundleP1(tuple(degrees))
     h0, h1 = e.cohomology()
-    assert h0 - h1 == e.euler_characteristic()
+    assert h0 - h1 == sum(d + 1 for d in degrees)
 
 
 # -- nodal curve ---------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_node_euler_characteristic(left, right):
     rank = min(len(left), len(right))
     e = SNCCurveBundle.with_identity_glue(tuple(left[:rank]), tuple(right[:rank]))
     h0, h1 = cohomology_snc_curve(e)
-    chi = e.left.euler_characteristic() + e.right.euler_characteristic() - rank
+    chi = sum(d + 1 for d in e.left.degrees + e.right.degrees) - rank
     assert h0 - h1 == chi
 
 

@@ -57,13 +57,6 @@ def test_foliation_rejects_rank_above_declared():
     assert FoliationGerm(CTX, (v, w), rank=2).origin_rank() == 2
 
 
-def test_degeneracy_report():
-    v = derivation_from_string(CTX, "x3*x1*dx1")
-    fol = FoliationGerm(CTX, (v,))
-    assert fol.degenerate_generators() == (0,)
-    assert fol.is_degenerate_at_origin()
-
-
 # -- span membership --------------------------------------------------------
 
 
@@ -293,11 +286,3 @@ def test_invariance_detection():
     z = Jet.variable(ctx, 1)
     assert SurfaceOneForm(z, -2 * y).curve_is_invariant()
     assert not SurfaceOneForm(z, z).curve_is_invariant()
-
-
-def test_annihilating_form_pairs_to_zero():
-    ctx = surface_ctx()
-    p = Jet.variable(ctx, 0)
-    q = Jet.one(ctx) + Jet.variable(ctx, 1)
-    form = SurfaceOneForm.annihilating(p, q)
-    assert (form.A * p + form.B * q).is_zero()

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and integer lattices.
 
-The sparse elimination engine is checked against the dense Gauss-Jordan
-elimination it replaced, kept below as a reference, and against sympy's
-rref where sympy is installed: echelon's reduced basis, one primitive
-integer row per pivot, is the reduced row echelon form once each row is
-divided by its pivot.
+linalg takes matrices as {column: value} rows only.  Its sparse
+elimination engine is checked against the dense Gauss-Jordan elimination it
+replaced, kept below as a reference that works on dense rows, and against
+sympy's rref where sympy is installed: echelon's reduced basis, one
+primitive integer row per pivot, is the reduced row echelon form once each
+row is divided by its pivot.
 """
 
 import math
@@ -36,6 +37,11 @@ def as_basis(r, pivots):
 
 def width(a):
     return len(a[0]) if a else 0
+
+
+def sparse(a, n=None):
+    """A dense matrix as SparseRows of n columns, by default its width."""
+    return linalg.SparseRows([nonzeros(row) for row in a], width(a) if n is None else n)
 
 
 def monic(basis):
@@ -151,7 +157,7 @@ def det3(a):
 
 
 def test_rref_known_matrix():
-    a = exact([[1, 2, 3], [2, 4, 7], [1, 2, 4]])
+    a = sparse(exact([[1, 2, 3], [2, 4, 7], [1, 2, 4]]))
     basis = linalg.echelon(a, 3)
     assert monic(basis) == {0: {0: 1, 1: 2}, 2: {2: 1}}
     assert_primitive(basis)
@@ -160,7 +166,7 @@ def test_rref_known_matrix():
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_rref_is_idempotent(a):
-    basis = linalg.echelon(a, width(a))
+    basis = linalg.echelon(sparse(a), width(a))
     assert linalg.echelon(basis.values(), width(a)) == basis
 
 
@@ -168,17 +174,17 @@ def test_rref_is_idempotent(a):
 @given(small_matrix())
 def test_rank_bounded_and_transpose_invariant(a):
     a = exact(a)
-    rk = linalg.rank(a)
+    rk = linalg.rank(sparse(a))
     assert 0 <= rk <= min(len(a), len(a[0]))
-    assert rk == linalg.rank(linalg.transpose(a))
+    assert rk == linalg.rank(sparse([list(col) for col in zip(*a)]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(), st.lists(fractions, min_size=1, max_size=4))
 def test_solve_returns_actual_solutions(a, x):
     # make a consistent system by construction
-    a = exact(a)
-    n = len(a[0])
+    a = sparse(exact(a))
+    n = a.ncols
     x = (x * n)[:n]
     b = linalg.mat_vec(a, [Fraction(v) for v in x])
     sol = linalg.solve(a, b)
@@ -187,21 +193,21 @@ def test_solve_returns_actual_solutions(a, x):
 
 
 def test_solve_inconsistent_returns_none():
-    a = exact([[1, 1], [1, 1]])
+    a = sparse(exact([[1, 1], [1, 1]]))
     assert linalg.solve(a, [Fraction(0), Fraction(1)]) is None
 
 
 def test_solve_picks_zero_for_free_variables():
-    a = exact([[1, 1]])
+    a = sparse(exact([[1, 1]]))
     assert linalg.solve(a, [Fraction(5)]) == [Fraction(5), Fraction(0)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix())
 def test_nullspace_vectors_are_in_kernel(a):
-    a = exact(a)
+    a = sparse(exact(a))
     basis = linalg.nullspace(a)
-    assert len(basis) == len(a[0]) - linalg.rank(a)
+    assert len(basis) == a.ncols - linalg.rank(a)
     for v in basis:
         assert not any(linalg.mat_vec(a, v))
 
@@ -212,11 +218,11 @@ def test_nullspace_vectors_are_in_kernel(a):
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrix())
 def test_rref_rank_nullspace_match_dense_reference(a):
-    basis = linalg.echelon(a, width(a))
+    basis = linalg.echelon(sparse(a), width(a))
     assert monic(basis) == as_basis(*dense_rref(a))
     assert_primitive(basis)
-    assert linalg.rank(a) == len(dense_rref(a)[1])
-    assert linalg.nullspace(a) == dense_nullspace(a)
+    assert linalg.rank(sparse(a)) == len(dense_rref(a)[1])
+    assert linalg.nullspace(sparse(a)) == dense_nullspace(a)
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,7 +230,7 @@ def test_rref_rank_nullspace_match_dense_reference(a):
 def test_solve_matches_dense_reference(a, data):
     rhs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     b = [data.draw(rhs) for _ in a]
-    assert linalg.solve(a, b) == dense_solve(a, b)
+    assert linalg.solve(sparse(a), b) == dense_solve(a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,12 +241,12 @@ def test_solve_detects_inconsistent_augmented_systems(a, data):
     n = len(a[0])
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     x = [data.draw(small) for _ in range(n)]
-    b = linalg.mat_vec(a, x)
+    b = linalg.mat_vec(sparse(a), x)
     c = [data.draw(small) for _ in a]
     a = a + [[sum((ci * row[j] for ci, row in zip(c, a)), Fraction(0)) for j in range(n)]]
     b = b + [sum((ci * bi for ci, bi in zip(c, b)), Fraction(0)) + 1]
     assert dense_solve(a, b) is None
-    assert linalg.solve(a, b) is None
+    assert linalg.solve(sparse(a), b) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -248,7 +254,7 @@ def test_solve_detects_inconsistent_augmented_systems(a, data):
 def test_mat_vec_matches_the_dense_product(a, data):
     n = len(a[0]) if a else data.draw(st.integers(0, 4))
     x = [data.draw(fractions) for _ in range(n)]
-    got = linalg.mat_vec(a, x)
+    got = linalg.mat_vec(sparse(a, n), x)
     assert got == [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
     assert all(type(y) is Fraction for y in got)
     # int entries, as the cover level holds them, against x of mixed
@@ -256,7 +262,7 @@ def test_mat_vec_matches_the_dense_product(a, data):
     ints = [[data.draw(st.integers(-6, 6)) if v else 0 for v in row] for row in a]
     mixed = [data.draw(st.sampled_from([Fraction(v), int(v), Fraction(v.numerator, 7)]))
              for v in x]
-    got = linalg.mat_vec(linalg.SparseRows([nonzeros(row) for row in ints], n), mixed)
+    got = linalg.mat_vec(sparse(ints, n), mixed)
     assert got == [sum((c * v for c, v in zip(row, mixed)), Fraction(0)) for row in ints]
     assert all(type(y) is Fraction for y in got)
 
@@ -278,13 +284,16 @@ def test_product_mat_vec_and_echelon_leave_dict_rows_alone():
 
 
 def test_plain_lists_of_dict_rows_ask_for_sparse_rows():
-    # a plain list cannot say how wide its {column: value} rows are
-    with pytest.raises(ValueError, match="SparseRows"):
-        linalg.solve([{1: 1}], [1])
-    with pytest.raises(ValueError, match="SparseRows"):
-        linalg.nullspace([{1: 1}])
-    with pytest.raises(ValueError, match="SparseRows"):
-        linalg.inverse([{0: 1}])
+    # a plain list cannot say how wide its {column: value} rows are, and
+    # dense rows are no matrix linalg takes
+    for rows in ([{1: 1}], [[0, 1]]):
+        with pytest.raises(ValueError, match="SparseRows"):
+            linalg.solve(rows, [1])
+        with pytest.raises(ValueError, match="SparseRows"):
+            linalg.nullspace(rows)
+    for rows in ([{0: 1}], [[1]]):
+        with pytest.raises(ValueError, match="SparseRows"):
+            linalg.inverse(rows)
     assert linalg.solve(linalg.SparseRows([{1: 1}], 2), [1]) == [0, 1]
     assert linalg.nullspace(linalg.SparseRows([{1: 1}], 2)) == [[1, 0]]
 
@@ -295,41 +304,43 @@ def test_ordered_rank_matches_lowest_column_first_echelon(a):
     n = len(a[0]) if a else 0
     rows = [nonzeros(row) for row in a]
     lowest_first = len(linalg.echelon(rows, n, reduced=False))
-    assert linalg.rank(a) == linalg.rank(rows) == lowest_first
+    assert linalg.rank(rows) == lowest_first == len(dense_rref(a)[1])
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrix(), st.data())
 def test_sparse_rows_give_the_dense_answers(a, data):
     n = len(a[0]) if a else 0
-    sparse = linalg.SparseRows([nonzeros(row) for row in a], n)
+    rows = sparse(a)
     b = [data.draw(fractions) for _ in a]
     x = [data.draw(fractions) for _ in range(n)]
-    assert linalg.echelon(sparse, n) == linalg.echelon(a, n)
-    assert linalg.solve(sparse, b) == linalg.solve(a, b)
-    assert linalg.nullspace(sparse) == linalg.nullspace(a)
-    assert linalg.mat_vec(sparse, x) == linalg.mat_vec(a, x)
+    assert monic(linalg.echelon(rows, n)) == as_basis(*dense_rref(a))
+    assert linalg.solve(rows, b) == dense_solve(a, b)
+    assert linalg.nullspace(rows) == dense_nullspace(a)
+    assert linalg.mat_vec(rows, x) == [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
+    at = [list(col) for col in zip(*a)]
     dense_product = [[sum((row[t] * a[t][j] for t in range(len(a))), Fraction(0)) for j in range(n)]
-                     for row in linalg.transpose(a)]
-    assert linalg.product(linalg.transpose(a), sparse) == [nonzeros(row) for row in dense_product]
+                     for row in at]
+    assert linalg.product(sparse(at), rows) == [nonzeros(row) for row in dense_product]
 
 
 def test_mat_vec_keeps_fractions_on_zero_rows_and_empty_shapes():
     assert linalg.mat_vec([], [1, 2]) == []
-    got = linalg.mat_vec([[0, 0], [], [0, 2]], [5, 3])
+    got = linalg.mat_vec([{0: 0, 1: 0}, {}, {1: 2}], [5, 3])
     assert got == [0, 0, 6]
     assert all(type(y) is Fraction for y in got)
 
 
 def test_empty_shapes():
-    assert linalg.echelon([], 0) == linalg.echelon([[], []], 0) == {}
-    assert linalg.rank([]) == linalg.rank([[], []]) == 0
-    assert linalg.nullspace([]) == linalg.nullspace([[]]) == []
-    assert linalg.solve([], []) == []
-    assert linalg.solve([[], []], [0, 0]) == []
-    assert linalg.solve([[], []], [0, 1]) is None
-    assert linalg.nullspace([[0, 0]]) == [[1, 0], [0, 1]]
-    assert linalg.inverse([]) == []
+    SparseRows = linalg.SparseRows
+    assert linalg.echelon([], 0) == linalg.echelon([{}, {}], 0) == {}
+    assert linalg.rank([]) == linalg.rank([{}, {}]) == 0
+    assert linalg.nullspace(SparseRows([], 0)) == linalg.nullspace(SparseRows([{}], 0)) == []
+    assert linalg.solve(SparseRows([], 0), []) == []
+    assert linalg.solve(SparseRows([{}, {}], 0), [0, 0]) == []
+    assert linalg.solve(SparseRows([{}, {}], 0), [0, 1]) is None
+    assert linalg.nullspace(SparseRows([{0: 0, 1: 0}], 2)) == [[1, 0], [0, 1]]
+    assert linalg.inverse(SparseRows([], 0)) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,9 +386,10 @@ def test_echelon_extended_in_batches_matches_dense_reference(m, n, data):
     a = [[data.draw(wide) if data.draw(st.integers(0, 99)) >= zero_pct else Fraction(0)
           for _ in range(n)] for _ in range(m)]
     cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
+    rows = sparse(a)
     basis = {}
     for lo, hi in zip([0] + cuts, cuts + [m]):
-        assert linalg.echelon(a[lo:hi], n, basis, reduced=False) is basis
+        assert linalg.echelon(rows[lo:hi], n, basis, reduced=False) is basis
     assert linalg.echelon([], n, basis) is basis
     assert monic(basis) == as_basis(*dense_rref(a))
     assert_primitive(basis)
@@ -407,7 +419,7 @@ def test_rref_matches_sympy():
         r, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                                   for row in a]).rref()
         expected = [[Fraction(int(x.p), int(x.q)) for x in r.row(i)] for i in range(r.rows)]
-        basis = linalg.echelon(a, width(a))
+        basis = linalg.echelon(sparse(a), width(a))
         assert monic(basis) == as_basis(expected, pivots)
         assert_primitive(basis)
 
@@ -418,7 +430,7 @@ def test_rref_matches_sympy():
 
 
 def test_inverse_known_2x2():
-    a = exact([[2, 1], [1, 1]])
+    a = sparse(exact([[2, 1], [1, 1]]))
     inv = linalg.inverse(a)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
 
@@ -431,23 +443,23 @@ def test_inverse_of_the_hilbert_matrix_is_its_known_integer_matrix():
     c = math.comb
     known = [[(-1) ** (i + j) * (i + j + 1) * c(n + i, n - j - 1) * c(n + j, n - i - 1)
               * c(i + j, i) ** 2 for j in range(n)] for i in range(n)]
-    inv = linalg.inverse(hilbert)
+    inv = linalg.inverse(sparse(hilbert))
     assert inv == known
     assert all(type(x) is Fraction for row in inv for x in row)
 
 
 def test_solve_and_inverse_check_their_shapes():
-    with pytest.raises(ValueError):
-        linalg.solve([[1]], [1, 5])
-    with pytest.raises(ValueError):
-        linalg.solve([[1], [1]], [1])
-    with pytest.raises(ValueError):
-        linalg.inverse([[1, 2]])
+    with pytest.raises(ValueError, match="right-hand side"):
+        linalg.solve(sparse([[1]]), [1, 5])
+    with pytest.raises(ValueError, match="right-hand side"):
+        linalg.solve(sparse([[1], [1]]), [1])
+    with pytest.raises(ValueError, match="not square"):
+        linalg.inverse(sparse([[1, 2]]))
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        linalg.inverse(exact([[1, 2], [2, 4]]))
+        linalg.inverse(sparse(exact([[1, 2], [2, 4]])))
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,12 +470,12 @@ def test_inverse_agrees_with_cofactor_oracle(rows):
     d = det3(a)
     if d == 0:
         with pytest.raises(ValueError):
-            linalg.inverse(a)
+            linalg.inverse(sparse(a))
         return
-    inv = linalg.inverse(a)
+    inv = linalg.inverse(sparse(a))
     eye = [{i: 1} for i in range(3)]
-    assert linalg.product(a, inv) == eye
-    assert linalg.product(inv, a) == eye
+    assert linalg.product(sparse(a), sparse(inv)) == eye
+    assert linalg.product(sparse(inv), sparse(a)) == eye
     assert det3(inv) * d == 1
 
 
@@ -493,7 +505,7 @@ def test_hnf_shape_and_pivot_reduction():
 def test_hnf_preserves_rational_row_span(rows):
     # same rational row span: stacking either onto the other adds no rank
     h = linalg.hermite_normal_form(rows)
-    assert linalg.rank(h) == linalg.rank(rows) == linalg.rank(h + rows)
+    assert linalg.rank(sparse(h)) == linalg.rank(sparse(rows)) == linalg.rank(sparse(h + rows))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""Logarithmic derivations: bracket, tangency, pairing with one-forms."""
+"""Logarithmic derivations: bracket, tangency, one-forms."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from logfol import (
     GermContext,
     LogOneForm,
-    contract,
     derivation_from_string,
     format_derivation,
     lie_bracket,
@@ -121,37 +120,6 @@ def test_make_normalizes_the_dlog_representative():
     )
     assert form.dlog[0] == Jet.constant(CTX, -1)
     assert form.dlog[1] == Jet.zero(CTX)
-
-
-def test_contract_log_pairing():
-    form = LogOneForm.make(
-        CTX,
-        [Jet.constant(CTX, 2), Jet.constant(CTX, 3)],
-        [Jet.one(CTX)],
-    )
-    e1 = LogDerivation.basis(CTX, 0)
-    e3 = LogDerivation.basis(CTX, 2)
-    assert contract(form, e1) == Jet.constant(CTX, -1)
-    assert contract(form, e3) == Jet.one(CTX)
-
-
-def test_contract_ignores_representative_on_relative_fields():
-    rep1 = LogOneForm.make(CTX, [Jet.constant(CTX, 2), Jet.constant(CTX, 3)], [Jet.zero(CTX)])
-    raw = LogOneForm(CTX, (Jet.constant(CTX, 2), Jet.constant(CTX, 3)), (Jet.zero(CTX),))
-    v = derivation_from_string(CTX, "5*x1*dx1 - 5*x2*dx2")
-    assert v.log_trace().is_zero()
-    assert contract(rep1, v) == contract(raw, v)
-
-
-@settings(max_examples=30, deadline=None)
-@given(derivation_strategy(CTX), derivation_strategy(CTX))
-def test_contract_is_additive(v, w):
-    form = LogOneForm.make(
-        CTX,
-        [Jet.variable(CTX, 2), Jet.constant(CTX, -1)],
-        [Jet.variable(CTX, 0)],
-    )
-    assert contract(form, v + w) == contract(form, v) + contract(form, w)
 
 
 # -- parsing -------------------------------------------------------------------

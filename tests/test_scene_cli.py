@@ -1,6 +1,9 @@
 """Scene files and the command line wrapper, exercised end to end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -653,6 +656,38 @@ def test_cli_batch_mode_takes_the_worst_code(tmp_path, capsys):
     assert "b_no.json: no:" in out
     reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
     assert [r.decision for r in reports] == ["yes", "no"]
+
+
+def run_into_closed_pipe(argv):
+    """Run the CLI in a child whose stdout is a pipe with no reader left;
+    (exit code, stderr)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "logfol.cli"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+                              cwd=Path(__file__).resolve().parent.parent, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+def test_closed_stdout_keeps_the_decided_exit_code():
+    # a decided "yes" whose report cannot be printed is still exit 0, not 1 ("no")
+    assert run_into_closed_pipe(["semistable", "check", "scenes/node_balanced.json"]) == (0, "")
+    assert run_into_closed_pipe(["semistable", "check", "scenes/node_unbalanced.json"]) == (1, "")
+
+
+def test_closed_stdout_still_runs_every_scene_and_writes_the_json(tmp_path):
+    write_scene(tmp_path, "a_yes.json", BALANCED)
+    write_scene(tmp_path, "b_no.json", UNBALANCED)
+    json_path = tmp_path / "batch_report"
+    argv = ["semistable", "check", "--all", str(tmp_path), "--json", str(json_path)]
+    assert run_into_closed_pipe(argv) == (1, "")
+    reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
+    assert [r.decision for r in reports] == ["yes", "no"]
+    assert run_into_closed_pipe(["semistable", "check", "--all", str(tmp_path), "--json", "-"]) == (1, "")
 
 
 @pytest.mark.parametrize("batch", [False, True])

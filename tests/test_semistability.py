@@ -60,13 +60,12 @@ def flat_unit_exists_oracle(fol, order):
         for e_out in sorted(coords):
             if sum(e_out) >= order:
                 continue
-            row = [img.terms.get(e_out, Fraction(0)) for img in images]
-            rows.append(row)
+            rows.append({k: img.terms[e_out] for k, img in enumerate(images) if e_out in img.terms})
             rhs.append(-const.terms.get(e_out, Fraction(0)))
             eq_index[len(rows) - 1] = (id(v), e_out)
     if not unknowns:
         return all(c == 0 for c in rhs)
-    return linalg.solve(rows, rhs) is not None
+    return linalg.solve(linalg.SparseRows(rows, len(unknowns)), rhs) is not None
 
 
 def node_field(ctx, lam1, lam2):
@@ -243,9 +242,10 @@ def flat_unit_unique_oracle(fol, order):
         images = [t1_reduce(v.apply(Jet.make(ctx, {e: 1})) - tr * Jet.make(ctx, {e: 1}))
                   for e in unknowns]
         coords = {e for img in images for e in img.terms if sum(e) < order}
-        rows += [[img.terms.get(e, Fraction(0)) for img in images] for e in sorted(coords)]
-    top = [i for i, e in enumerate(unknowns) if sum(e) == order]
-    rank_top = linalg.rank([[row[i] for i in top] for row in rows]) if top else 0
+        rows += [{k: img.terms[e] for k, img in enumerate(images) if e in img.terms}
+                 for e in sorted(coords)]
+    top = {i for i, e in enumerate(unknowns) if sum(e) == order}
+    rank_top = linalg.rank([{i: v for i, v in row.items() if i in top} for row in rows])
     return linalg.rank(rows) - rank_top == len(unknowns) - len(top)
 
 

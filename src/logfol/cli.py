@@ -20,7 +20,8 @@ The command tree lives in one table, COMMANDS: each row gives a leaf's words,
 handler, help, whether it reads a scene, its aliases and its extra options.
 build_parser(argv) builds only the path that argv names (top parser, group,
 leaf), since one call runs one command; help, a group alone or an unknown
-word gets the whole tree, built from the same rows.  A group named alone
+word gets the whole tree, built from the same rows.  Each tree is built on
+first use and then kept for the process.  A group named alone
 prints that group's usage and leaves and exits 2.
 """
 
@@ -33,6 +34,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import bundles, foliations, jets, leafcomplex, monoids, semistability
@@ -550,6 +552,16 @@ def _named_command(argv):
 def build_parser(argv=None):
     """The argparse tree for argv: the named path alone, else the whole tree."""
     named = _named_command(argv or ())
+    return _tree(named.words if named else None)
+
+
+@lru_cache(maxsize=None)
+def _tree(words):
+    """The parser of the row with these words, or of every row (None).
+
+    Built on first use and kept for the process: parse_args does not change
+    a parser, so every later call of main with the same command reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="logfol",
         description="exact checks for foliations on crossing germs: "
@@ -557,7 +569,9 @@ def build_parser(argv=None):
     )
     groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}
     parser.group_parsers = {}  # group word -> its parser, for main's group help
-    for cmd in (named,) if named else COMMANDS:
+    for cmd in COMMANDS:
+        if words is not None and cmd.words != words:
+            continue
         group = cmd.words[:-1]
         if group not in groups:
             p = parser.group_parsers[group[0]] = groups[()].add_parser(

@@ -2,9 +2,16 @@
 
 A foliation is presented by log derivation generators. Membership questions
 (is a bracket in the span, does a field restrict into a component foliation)
-are linear solves over the jet coefficients up to the truncation order, so
+are solves over the jet ring R_d = Q[x]/(crossing product, degree > d), so
 every positive answer is "at the reported order" while a negative answer is
 definitive: a germ-level identity would truncate to a jet-level one.
+
+R_d is a local ring, and a generator whose value at the origin is
+independent of the others splits off by a unit pivot with no linear algebra
+(Nakayama's lemma; Greuel & Pfister, A Singular Introduction to Commutative
+Algebra, 2nd ed., ch. 7).  Only what is left in the maximal ideal becomes a
+Q-linear system over the jet coefficients, built by _span_system, the one
+system builder here.
 """
 
 from __future__ import annotations
@@ -79,27 +86,135 @@ def _span_system(generators, targets, order):
     return monos, system
 
 
+class _UnitPivots:
+    """Elimination over R_d = Q[x]/(crossing product, degree > d) by unit pivots.
+
+    The columns are the generators, the rows their components; targets are
+    extra right-hand columns.  R_d is a local ring, so an entry with a
+    nonzero constant term is a unit (Jet.invert).  Generators are taken in
+    order, each pivoting on its lowest component with a nonzero constant
+    term in the current matrix; its row is solved for it and the Schur
+    complement replaces every other row.  The elimination stops when every
+    entry left lies in the maximal ideal (Nakayama's lemma: the split-off
+    generators are exactly a basis of the span of the values at the
+    origin).  What is left, the `free` generators with an entry on `rows`
+    against the targets `left` nonzero there, is a Q-linear question for
+    _span_system; a free generator with no entry left has coefficient 0.
+    """
+
+    def __init__(self, generators, targets, d):
+        ctx = self.ctx = targets[0].ctx
+        if any(g.ctx != ctx for g in generators):
+            raise ContextMismatchError("generator context mismatch")
+        d = self.d = min(d, ctx.order)
+        zero = Jet.zero(ctx)
+        self.size = len(generators)
+        # per component: {generator: nonzero entry} and [target entries]
+        self.entries = [{k: c for k, g in enumerate(generators)
+                         if (c := g.components()[i].truncate(d)).terms} for i in range(ctx.n)]
+        self.rhs = [[t.components()[i].truncate(d) for t in targets] for i in range(ctx.n)]
+        self.rows, self.free, self.steps = list(range(ctx.n)), list(range(self.size)), []
+        while pivot := next(((i, k) for k in self.free for i in self.rows
+                             if self.entries[i].get(k, zero).constant_term()), None):
+            i0, k0 = pivot
+            row = self.entries[i0]
+            inv = row.pop(k0).invert(d)
+            self.rows.remove(i0)
+            self.free.remove(k0)
+            self.steps.append((k0, inv, i0, row))
+            for i in self.rows:
+                entries = self.entries[i]
+                if k0 not in entries:
+                    continue
+                f = entries.pop(k0).mul_to(inv, d)
+                for k, c in row.items():
+                    e = entries.get(k, zero) - f.mul_to(c, d)
+                    if e.terms:
+                        entries[k] = e
+                    else:
+                        entries.pop(k, None)
+                self.rhs[i] = [b - f.mul_to(b0, d) for b, b0 in zip(self.rhs[i], self.rhs[i0])]
+        self.free = [k for k in self.free if any(k in self.entries[i] for i in self.rows)]
+        self.left = [p for p in range(len(targets)) if any(self.rhs[i][p].terms for i in self.rows)]
+
+    def system(self):
+        """_span_system of the free generators against the targets left, on
+        the rows left; every other component is zero."""
+        ctx, zero = self.ctx, Jet.zero(self.ctx)
+
+        def field(column):
+            comps = [column.get(i, zero) for i in range(ctx.n)]
+            return LogDerivation(ctx, comps[:ctx.r], comps[ctx.r:])
+
+        gens = [field({i: self.entries[i][k] for i in self.rows if k in self.entries[i]})
+                for k in self.free]
+        targets = [field({i: self.rhs[i][p] for i in self.rows}) for p in self.left]
+        return _span_system(gens, targets, self.d)
+
+    def coefficients(self, coeffs):
+        """Every generator's coefficient for target 0, by back-substitution
+        from those of the free generators ({generator: jet})."""
+        for k0, inv, i0, row in reversed(self.steps):
+            acc = self.rhs[i0][0]
+            for k, c in row.items():
+                if k in coeffs:
+                    acc = acc - c.mul_to(coeffs[k], self.d)
+            coeffs[k0] = inv.mul_to(acc, self.d)
+        return tuple(coeffs.get(k, Jet.zero(self.ctx)) for k in range(self.size))
+
+
+def _solve_span(target, generators, order):
+    """The coefficient jets of span_membership, before their certificate."""
+    red = _UnitPivots(generators, (target,), order)
+    coeffs = {}
+    if red.left:
+        if not red.free:
+            return None
+        monos, system = red.system()
+        sol = system.solve()
+        if sol is None:
+            return None
+        for j, k in enumerate(red.free):
+            sol_k = sol[j * len(monos):(j + 1) * len(monos)]
+            coeffs[k] = Jet(target.ctx, {e: c for e, c in zip(monos, sol_k) if c})
+    return red.coefficients(coeffs)
+
+
+def _reproduces(coeffs, generators, target, d):
+    """Does sum_k c_k * gen_k equal target through degree d?"""
+    d = min(d, target.ctx.order)
+    comps = [g.components() for g in generators]
+    for i, t in enumerate(target.components()):
+        acc = t.truncate(d)
+        for c, col in zip(coeffs, comps):
+            if c.terms and col[i].terms:
+                acc = acc - c.mul_to(col[i], d)
+        if acc.terms:
+            return False
+    return True
+
+
 def span_membership(target, generators, order):
     """Jets c_k with sum_k c_k * gen_k = target up to the given degree.
 
-    Returns the tuple of coefficient jets, or None when the linear system is
-    inconsistent (target provably outside the span at this order).
+    Returns the tuple of coefficient jets, or None when the target is
+    provably outside the span at this order.  Unit pivots split off every
+    generator that is independent at the origin (_UnitPivots).  No linear
+    system is built when the target then reduces to zero (the other
+    coefficients are 0), nor when no generator is left (the pivots fix every
+    coefficient, and the target is in the span exactly when it reduces to
+    zero).  Otherwise one system over the generators, components and target
+    left in the maximal ideal decides, with free unknowns set to 0; the
+    pivot coefficients follow by back-substitution.  Wherever the solution
+    is unique it is the one returned.  The answer is re-checked before it is
+    returned: sum_k c_k * gen_k - target must vanish through the order, and
+    RuntimeError says it does not.
     """
-    monos, system = _span_system(generators, (target,), order)
-    sol = system.solve()
-    if sol is None:
-        return None
-    coeffs = []
-    for k in range(len(generators)):
-        # a monomial past the context order spans a zero column, so its
-        # coefficient is 0 and every term kept here is normal
-        terms = {}
-        for i_mono, e in enumerate(monos):
-            c = sol[k * len(monos) + i_mono]
-            if c:
-                terms[e] = c
-        coeffs.append(Jet(target.ctx, terms))
-    return tuple(coeffs)
+    coeffs = _solve_span(target, generators, order)
+    if coeffs is not None and not _reproduces(coeffs, generators, target, order):
+        raise RuntimeError("span membership certificate failed: the coefficients "
+                           "do not reproduce the target through degree %d" % order)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -116,10 +231,13 @@ def involutivity_check(fol: FoliationGerm, order=None):
     """Are all generator brackets in the jet span of the generators?
 
     Brackets are valid one order below the context order, so the membership
-    is decided at order - 1 (or at the explicit order argument).  One
-    echelon of [A | b_1 ... b_m], a right-hand column per bracket, decides
-    every pair: bracket p is outside the span exactly when a basis row with
+    is decided at order - 1 (or at the explicit order argument).  One unit
+    pivot reduction (_UnitPivots) is shared by every bracket column; a
+    bracket reduced to zero lies in the span.  The brackets left over, if
+    any, go to one echelon of [A | b_1 ... b_m] over the free generators and
+    rows left: bracket p is outside the span exactly when a basis row with
     no entry in A (pivot at or after column n) is nonzero in its column.
+    The first such pair in order is reported.
     """
     d = (order if order is not None else fol.ctx.order) - 1
     if d < 0:
@@ -129,12 +247,17 @@ def involutivity_check(fol: FoliationGerm, order=None):
     if not pairs:
         return InvolutivityResult(True, d)
     brackets = [lie_bracket(gens[i], gens[j]) for i, j in pairs]
-    _, system = _span_system(gens, brackets, d)
+    red = _UnitPivots(gens, brackets, d)
+    if not red.left:
+        return InvolutivityResult(True, d)
+    if not red.free:
+        return InvolutivityResult(False, d, pairs[red.left[0]])
+    _, system = red.system()
     n = system.ncols
-    basis = linalg.echelon(system.rows.values(), n + len(pairs), reduced=False)
+    basis = linalg.echelon(system.rows.values(), n + len(red.left), reduced=False)
     bad = {j - n for col, row in basis.items() if col >= n for j in row}
     if bad:
-        return InvolutivityResult(False, d, pairs[min(bad)])
+        return InvolutivityResult(False, d, pairs[red.left[min(bad)]])
     return InvolutivityResult(True, d)
 
 

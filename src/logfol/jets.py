@@ -177,12 +177,17 @@ class Jet:
         if isinstance(other, (int, Fraction, str)):
             return self.scale(other)
         self._check(other)
+        return self.mul_to(other, self.ctx.order)
+
+    def mul_to(self, other, degree):
+        """The product with another jet of this context, through total degree
+        degree (at most the order): terms of higher degree are never formed."""
         ctx = self.ctx
-        order, r = ctx.order, ctx.r
+        r = ctx.r
         right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            room = order - sum(e1)
+            room = degree - sum(e1)
             for e2, d2, c2 in right:
                 if d2 > room:
                     continue
@@ -281,15 +286,19 @@ class Jet:
                 out[e2] = c
         return Jet(ctx2, out)
 
-    def invert(self):
-        """Multiplicative inverse, by Newton iteration; exact at the order."""
+    def invert(self, degree=None):
+        """Multiplicative inverse through total degree degree (default: the
+        order), by Newton iteration; a constant is inverted directly."""
         c = self.constant_term()
         if c == 0:
             raise NonUnitError("jet has zero constant term, not invertible")
         inv = Jet.constant(self.ctx, Fraction(1) / c)
+        if len(self.terms) == 1:
+            return inv
+        degree = self.ctx.order if degree is None else degree
         correct = 0
-        while correct < self.ctx.order:
-            inv = inv * (2 - self * inv)
+        while correct < degree:
+            inv = inv.mul_to(2 - self.mul_to(inv, degree), degree)
             correct = 2 * correct + 1
         return inv
 

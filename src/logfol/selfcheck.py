@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import jets, leafcomplex, linalg, logcalc, semistability
+from . import foliations, jets, leafcomplex, linalg, logcalc, semistability
 from .jets import GermContext, Jet
 from .logcalc import LogDerivation, lie_bracket
 
@@ -269,6 +269,40 @@ def check_flat_closure(rng, trials):
     return CheckResult("flat-closure", True, trials)
 
 
+def check_span_membership(rng, trials):
+    """A combination sum_k c_k * gen_k is found in the span of the gen_k.
+
+    Generators are random, each vanishing at the origin half of the time,
+    so both the unit pivots and the system left over are exercised; the
+    coefficients found must reproduce the combination through the order.
+    """
+    for t in range(trials):
+        ctx = _rand_ctx(rng)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = _rand_derivation(rng, ctx)
+            if rng.random() < 0.5:
+                comps = [Jet(ctx, {e: c for e, c in j.terms.items() if any(e)})
+                         for j in g.components()]
+                g = LogDerivation(ctx, tuple(comps[:ctx.r]), tuple(comps[ctx.r:]))
+            gens.append(g)
+        target = LogDerivation.zero(ctx)
+        for g in gens:
+            target = target + g.scale(_rand_jet(rng, ctx, unit=rng.random() < 0.5))
+        try:
+            found = foliations.span_membership(target, gens, ctx.order)
+        except RuntimeError as e:
+            return CheckResult("span-membership", False, t + 1, str(e))
+        if found is None:
+            return CheckResult("span-membership", False, t + 1, "not found, trial %d" % t)
+        combo = LogDerivation.zero(ctx)
+        for g, c in zip(gens, found):
+            combo = combo + g.scale(c)
+        if not combo.equal_to_order(target, ctx.order):
+            return CheckResult("span-membership", False, t + 1, "wrong coefficients, trial %d" % t)
+    return CheckResult("span-membership", True, trials)
+
+
 ALL_CHECKS = (
     ("cech-square-zero", check_cech_square),
     ("ce-square-zero", check_ce_square),
@@ -276,6 +310,7 @@ ALL_CHECKS = (
     ("bracket-jacobi", check_bracket_jacobi),
     ("nabla-leibniz", check_nabla_leibniz),
     ("flat-closure", check_flat_closure),
+    ("span-membership", check_span_membership),
 )
 
 

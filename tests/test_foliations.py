@@ -1,6 +1,8 @@
 """Foliation germs, involutivity, component gluing, pushout membership."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,8 @@ from logfol import (
     restrict_derivation,
     span_membership,
 )
-from logfol.foliations import MissingStratumError
+from logfol import cli, foliations, linalg
+from logfol.foliations import MissingStratumError, _span_system
 from logfol.jets import Jet
 from logfol.logcalc import LogDerivation
 
@@ -117,12 +120,29 @@ def test_three_generators_report_the_first_bad_pair():
 
 
 def _first_bad_pair(gens, d):
-    """The per-pair reference: one span_membership solve per bracket."""
+    """The per-pair reference: one full-system solve per bracket."""
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if span_membership(lie_bracket(gens[i], gens[j]), gens, d) is None:
+            if _full_system_solve(gens, lie_bracket(gens[i], gens[j]), d)[0] is None:
                 return (i, j)
     return None
+
+
+def _full_system_solve(gens, target, d):
+    """The test oracle: (coefficients or None, unique?) from one solve of the
+    whole system _span_system(gens, (target,), d), with no unit pivots."""
+    monos, system = _span_system(gens, (target,), d)
+    sol = system.solve()
+    if sol is None:
+        return None, False
+    n = system.ncols
+    unique = linalg.rank([{c: v for c, v in row.items() if c < n}
+                          for row in system.rows.values()]) == n
+    coeffs = tuple(
+        Jet(target.ctx, {e: sol[k * len(monos) + i] for i, e in enumerate(monos)
+                         if sol[k * len(monos) + i]})
+        for k in range(len(gens)))
+    return coeffs, unique
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,6 +153,107 @@ def test_one_echelon_finds_the_first_bad_pair_of_the_per_pair_solves(gens):
     res = involutivity_check(fol)
     assert res.failing_pair == _first_bad_pair(fol.generators, ctx.order - 1)
     assert res.ok == (res.failing_pair is None)
+
+
+SPAN_CTXS = (GermContext(2, 2, 3), GermContext(3, 2, 3), GermContext(3, 3, 3),
+             GermContext(3, 1, 3), GermContext(4, 3, 2))
+
+
+@st.composite
+def span_problems(draw):
+    """Generators regular, partly degenerate or fully degenerate at the origin,
+    and a target that is a random combination of them or a random field."""
+    ctx = draw(st.sampled_from(SPAN_CTXS))
+    kind = draw(st.sampled_from(("regular", "partly", "degenerate")))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        regular = kind == "regular" or (kind == "partly" and draw(st.booleans()))
+        comps = []
+        for _ in range(ctx.n):
+            jet = draw(jet_strategy(ctx))
+            jet = Jet(ctx, {e: c for e, c in jet.terms.items() if any(e)})
+            if regular:
+                jet = jet + draw(st.integers(-2, 2))
+            comps.append(jet)
+        if regular and all(not c.constant_term() for c in comps):
+            comps[draw(st.integers(0, ctx.n - 1))] += 1
+        gens.append(LogDerivation(ctx, comps[:ctx.r], comps[ctx.r:]))
+    if draw(st.booleans()):
+        target = LogDerivation.zero(ctx)
+        for g in gens:
+            target = target + g.scale(draw(jet_strategy(ctx)))
+    else:
+        target = draw(derivation_strategy(ctx))
+    return tuple(gens), target, draw(st.integers(0, ctx.order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_problems())
+def test_unit_pivots_agree_with_the_full_system(problem):
+    gens, target, d = problem
+    want, unique = _full_system_solve(gens, target, d)
+    got = span_membership(target, gens, d)
+    assert (got is None) == (want is None)
+    if unique:
+        assert got == want
+
+
+def test_span_membership_splits_off_units_without_a_system(monkeypatch):
+    ctx = GermContext(4, 3, 6)
+    v = derivation_from_string(ctx, "(1 + x4)*x1*dx1 + 2*x2*dx2 + x3*dx4")
+    w = derivation_from_string(ctx, "x2*dx2 + dx4")
+    u = Jet.one(ctx) + Jet.variable(ctx, 0)
+    target = v.scale(u) + w.scale(Jet.variable(ctx, 3))
+    want, unique = _full_system_solve((v, w), target, ctx.order)
+    monkeypatch.setattr(foliations, "_span_system", None)  # never reached
+    assert unique and span_membership(target, (v, w), ctx.order) == want
+    assert span_membership(target + w.scale(Jet.variable(ctx, 1) * Jet.variable(ctx, 2)
+                                            * Jet.variable(ctx, 3)), (v,), ctx.order) is None
+
+
+NONCOMMUTING = {"v": "x1*dx1 + 2*x2*dx2 - 3*x3*dx3", "w": "2*x1*x4*dx4"}
+
+
+def test_non_commuting_pair_leaves_a_system_and_is_involutive(monkeypatch, tmp_path, capsys):
+    # [v, w] = w: v splits off as a unit pivot, w lies in the maximal ideal,
+    # so the bracket goes to a system over w alone on the rows v leaves
+    ctx = GermContext(4, 3, 8)
+    v = derivation_from_string(ctx, NONCOMMUTING["v"])
+    w = derivation_from_string(ctx, NONCOMMUTING["w"])
+    assert lie_bracket(v, w).equal_to_order(w, ctx.order - 1)
+    systems = []
+    full = foliations._span_system
+
+    def spy(gens, targets, order):
+        systems.append((len(gens), len(targets)))
+        return full(gens, targets, order)
+
+    monkeypatch.setattr(foliations, "_span_system", spy)
+    res = involutivity_check(FoliationGerm(ctx, (v, w), rank=2))
+    assert res.ok and res.order == ctx.order - 1 and systems == [(1, 1)]
+    assert _first_bad_pair((v, w), ctx.order - 1) is None
+    scene = tmp_path / "noncommuting.json"
+    scene.write_text(json.dumps({"order": 8, "germ": {"n": 4, "r": 3}, "fields": NONCOMMUTING,
+                                 "foliation": {"generators": ["v", "w"], "rank": 2}}))
+    assert cli.main(["semistable", "check", str(scene)]) == 0
+    assert capsys.readouterr().out == (
+        "yes: flat unit exists at order 8 (one of several)\n  unit = 1\n")
+
+
+def test_a_corrupted_span_solve_is_an_internal_error(monkeypatch, capsys):
+    solve = foliations._solve_span
+
+    def corrupted(target, generators, order):
+        coeffs = solve(target, generators, order)
+        return coeffs and (coeffs[0] + 1,) + coeffs[1:]
+
+    scene = str(Path(__file__).resolve().parent.parent / "scenes" / "pushout_euler.json")
+    assert cli.main(["pushout", "member", scene]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(foliations, "_solve_span", corrupted)
+    assert cli.main(["pushout", "member", scene]) == 4
+    assert capsys.readouterr().out.startswith(
+        "internal: internal error: RuntimeError: span membership certificate failed")
 
 
 # -- restriction ---------------------------------------------------------------

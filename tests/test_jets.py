@@ -144,6 +144,15 @@ def test_invert_is_a_right_inverse(f):
     assert g * g.invert() == Jet.one(CTX)
 
 
+@settings(max_examples=40, deadline=None)
+@given(jets_on(CTX), jets_on(CTX), st.integers(0, CTX.order))
+def test_products_and_inverses_through_a_lower_degree(f, h, k):
+    assert f.mul_to(h, k) == (f * h).truncate(k)
+    g = f + 3 - Jet.constant(CTX, f.constant_term())
+    assert g.invert(k) == g.invert().truncate(k)
+    assert Jet.constant(CTX, 3).invert(k) == Jet.constant(CTX, Fraction(1, 3))
+
+
 def test_univariate_extraction():
     ctx = GermContext(2, 0, 4)
     z = Jet.variable(ctx, 1)

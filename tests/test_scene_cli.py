@@ -848,3 +848,39 @@ def test_readme_lists_every_command():
     listed = readme[start:readme.index("\n\n", start)]
     for words in LEAF_NAMES:
         assert "`%s`" % " ".join(words) in listed
+
+
+def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
+    # each command's parser is built once per process; a run of mixed commands,
+    # options, help and usage errors must read exactly as separate processes
+    runs = [
+        ["semistable", "check", "scenes/node_balanced.json"],
+        ["cs", "paper", "--pair", "2", "1", "scenes/cs_triple_form.json"],
+        ["--help"],
+        ["semistable", "check", "scenes/node_balanced.json", "--order", "4"],
+        ["semistable", "check", "--order", "x", "scenes/node_balanced.json"],
+        ["semistable"],
+        ["frobnicate"],
+        ["cohomology", "p1", "--deg", "-2"],
+        ["cs", "log", "scenes/cs_triple_form.json"],
+        ["semistable", "check", "--help"],
+        ["semistable", "check", "scenes/node_unbalanced.json"],
+    ]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, COLUMNS="80", NO_COLOR="1",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    for key in ("COLUMNS", "NO_COLOR"):
+        monkeypatch.setenv(key, env[key])
+    monkeypatch.chdir(root)
+    cli._tree.cache_clear()
+    for argv in runs + runs:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "logfol.cli"] + argv, capture_output=True,
+                               text=True, env=env, cwd=root, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    # three leaves ("cs paper" shares the row of "cs log") and the whole tree
+    assert cli._tree.cache_info().currsize == 4

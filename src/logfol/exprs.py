@@ -13,11 +13,17 @@ so "3/2*x1^2*z - 1" parses but "1/x" is rejected. Names resolve through a
 caller-supplied table to either a variable index or a rational constant.
 The result is a raw sparse polynomial {exponent tuple: Fraction} with no ring
 relations applied; callers reduce it into whatever quotient they need.
+Inside the parser a coefficient is an int where integral, so the sums and
+products of parsing stay in ints; only a division by a constant makes a
+Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
+
+from .linalg import _exact
 
 
 class ExprError(ValueError):
@@ -91,14 +97,14 @@ class _Tokens:
 
 
 def _poly_const(c, width):
-    c = Fraction(c)
+    c = _exact(c)
     return {} if c == 0 else {(0,) * width: c}
 
 
 def _poly_add(p, q):
     out = dict(p)
     for e, c in q.items():
-        c2 = out.get(e, Fraction(0)) + c
+        c2 = out.get(e, 0) + c
         if c2 == 0:
             out.pop(e, None)
         else:
@@ -116,8 +122,8 @@ def _poly_mul(p, q):
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = out.get(e, Fraction(0)) + c1 * c2
+            e = tuple(map(add, e1, e2))
+            c = out.get(e, 0) + c1 * c2
             if c == 0:
                 out.pop(e, None)
             else:
@@ -133,9 +139,9 @@ def _poly_pow(p, k, width):
 
 
 def _constant_of(p, width):
-    """Fraction value if p is constant, else None."""
+    """Value (int or Fraction) if p is constant, else None."""
     if not p:
-        return Fraction(0)
+        return 0
     if len(p) == 1 and (0,) * width in p:
         return p[(0,) * width]
     return None
@@ -161,7 +167,7 @@ class _Parser:
         if kind in "+-":
             self.toks.next()
             sign = -1 if kind == "-" else 1
-        p = _poly_scale(Fraction(sign), self.term())
+        p = _poly_scale(sign, self.term())
         while True:
             kind, _, _ = self.toks.peek()
             if kind not in "+-":
@@ -169,7 +175,7 @@ class _Parser:
             self.toks.next()
             q = self.term()
             if kind == "-":
-                q = _poly_scale(Fraction(-1), q)
+                q = _poly_scale(-1, q)
             p = _poly_add(p, q)
 
     def term(self):
@@ -187,7 +193,8 @@ class _Parser:
                     self.toks.error("division is only allowed by constants", pos)
                 if c == 0:
                     self.toks.error("division by zero", pos)
-                p = _poly_scale(Fraction(1) / c, p)
+                inv = Fraction(1) / c
+                p = {e: _exact(inv * v) for e, v in p.items()}
             else:
                 return p
 
@@ -212,7 +219,7 @@ class _Parser:
             if value in self.names:
                 e = [0] * self.width
                 e[self.names[value]] = 1
-                return {tuple(e): Fraction(1)}
+                return {tuple(e): 1}
             self.toks.error("unknown name %r" % value, pos)
         if kind == "(":
             p = self.expr()
@@ -229,7 +236,10 @@ def parse_polynomial(text, names, width=None, consts=None):
     names: mapping from name to slot index (several names may share a slot).
     width: number of exponent slots (default: 1 + max slot index).
     consts: mapping from name to exact rational value.
+    Every value of the result is a Fraction; the arithmetic stays in ints
+    until a division by a constant makes a Fraction.
     """
     if width is None:
         width = 1 + max(names.values()) if names else 0
-    return _Parser(text, names, width, consts).parse()
+    poly = _Parser(text, names, width, consts).parse()
+    return {e: Fraction(c) for e, c in poly.items()}

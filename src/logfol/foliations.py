@@ -62,7 +62,9 @@ def _span_system(generators, targets, order):
     """Rows of [A | b_1 ... b_m] for sum_k c_k * gen_k = b_p through degree order.
 
     Column k * len(monos) + i of A is x^monos[i] * gen_k, column ncols + p
-    is targets[p]; rows are keyed (component, equation monomial).
+    is targets[p]; rows are keyed (component, equation monomial).  A shift
+    that lands wholly past the order (deg monos[i] plus the component's
+    lowest degree) is skipped, so its column has no entry there.
     """
     ctx = targets[0].ctx
     monos = monomials(ctx, order)
@@ -73,7 +75,10 @@ def _span_system(generators, targets, order):
         for comp_idx, comp in enumerate(gen.components()):
             if not comp.terms:
                 continue
+            room = order - min(map(sum, comp.terms))
             for i_mono, e_mono in enumerate(monos):
+                if sum(e_mono) > room:
+                    break  # monos ascend by degree
                 col = k * len(monos) + i_mono
                 for e, c in comp.shift(e_mono).terms.items():
                     if sum(e) <= order:

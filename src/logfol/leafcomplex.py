@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .linalg import _exact
 
 
 def _sparse(row):
@@ -49,11 +50,6 @@ def _combine(terms):
         for j, x in v.items():
             acc[j] = acc.get(j, 0) + c * x
     return {j: x for j, x in acc.items() if x}
-
-
-def _exact(v):
-    """The int or Fraction v as an int when it is integral."""
-    return v.numerator if v.denominator == 1 else v
 
 
 def _dense(v, n):

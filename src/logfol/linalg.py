@@ -38,6 +38,11 @@ def frac(x) -> Fraction:
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
 
 
+def _exact(x):
+    """The int or Fraction x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class SparseRows(list):
     """A matrix as a list of {column: value} rows, with its column count."""
 

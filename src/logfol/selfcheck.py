@@ -303,6 +303,63 @@ def check_span_membership(rng, trials):
     return CheckResult("span-membership", True, trials)
 
 
+def _field_keeping_flat(rng, ctx, unit):
+    """A random log derivation v with v(unit) = trace(v) unit.
+
+    All coefficients but b_r are random; with rest = v(unit) less its b_r
+    term, b_r (x_r d_r unit - unit) = (b_1 + ... + b_{r-1}) unit - rest
+    fixes b_r, since x_r d_r unit - unit is a unit.
+    """
+    r = ctx.r
+    comps = [_rand_jet(rng, ctx, 2) for _ in range(ctx.n)]
+    rest = Jet.zero(ctx)
+    for i in range(r - 1):
+        rest = rest + comps[i] * unit.scaled_partial(i)
+    for k in range(r, ctx.n):
+        rest = rest + comps[k] * unit.partial(k)
+    known = sum(comps[:r - 1], Jet.zero(ctx))
+    comps[r - 1] = (known * unit - rest) * (unit.scaled_partial(r - 1) - unit).invert()
+    return LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:]))
+
+
+def check_flat_unit(rng, trials):
+    """find_flat_unit finds a unit where one exists, and what it finds is flat.
+
+    Half of the fields are built around a random unit they keep flat, so
+    the answer must be yes; the others are random, traceless at the origin
+    half of the time.  Wherever a unit g is found, nabla_v g = v(g) -
+    trace(v) g is recomputed with LogDerivation.apply and must vanish in
+    T1 through order - 1.
+    """
+    for t in range(trials):
+        ctx = _rand_ctx(rng, min_r=2)
+        built = rng.random() < 0.5
+        if built:
+            # a unit whose terms live in T1, so that the unit found is rarely 1
+            alive = [e for e in jets.monomials(ctx, ctx.order)
+                     if any(e) and semistability.t1_monomial_alive(ctx, e)]
+            terms = {e: _rand_fraction(rng) for e in rng.sample(alive, min(3, len(alive)))}
+            v = _field_keeping_flat(rng, ctx, Jet.one(ctx) + Jet.make(ctx, terms))
+        else:
+            v = _rand_derivation(rng, ctx)
+            if rng.random() < 0.5:
+                b = list(v.b)
+                b[-1] = b[-1] - v.log_trace().constant_term()
+                v = LogDerivation(ctx, tuple(b), v.a)
+        try:
+            res = semistability.find_flat_unit(foliations.FoliationGerm(ctx, (v,)))
+        except RuntimeError as e:
+            return CheckResult("flat-unit", False, t + 1, str(e))
+        if built and not res.ok:
+            return CheckResult("flat-unit", False, t + 1, "missed a unit, trial %d" % t)
+        if res.ok:
+            g = res.unit
+            defect = semistability.t1_reduce(v.apply(g) - v.log_trace() * g)
+            if g.constant_term() != 1 or not defect.truncate(ctx.order - 1).is_zero():
+                return CheckResult("flat-unit", False, t + 1, "not flat, trial %d" % t)
+    return CheckResult("flat-unit", True, trials)
+
+
 ALL_CHECKS = (
     ("cech-square-zero", check_cech_square),
     ("ce-square-zero", check_ce_square),
@@ -311,6 +368,7 @@ ALL_CHECKS = (
     ("nabla-leibniz", check_nabla_leibniz),
     ("flat-closure", check_flat_closure),
     ("span-membership", check_span_membership),
+    ("flat-unit", check_flat_unit),
 )
 
 

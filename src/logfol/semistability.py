@@ -9,6 +9,11 @@ hat_x_i = x_1 ... x_{i-1} x_{i+1} ... x_r. A log derivation v acts on it by
 which is jet-linear in v and a connection in g. A foliation is of semistable
 type exactly when a nowhere-vanishing flat section exists, so find_flat_unit
 solves nabla_v g = 0 for all generators with g(0) = 1, degree by degree.
+Its linear system is read straight off the coefficient terms of the b_i and
+a_j, as ints where integral, with no jet built per unknown; nabla and
+T1Section stay as the reference the tests and selfcheck compare against,
+and every unit found is re-checked with the jet calculus before it is
+returned.
 
 Camacho-Sad indices along double strata come in two independent flavors: the
 residue formula attached to a log one-form (cs_index_log) and the classical
@@ -20,8 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from . import linalg
+from .linalg import _exact
 from .foliations import (
     FoliationGerm,
     InconclusiveAtOrderError,
@@ -80,27 +88,6 @@ def nabla(v: LogDerivation, section: T1Section):
     return T1Section.make(v.apply(g) - v.log_trace() * g)
 
 
-def _crossing_coefficient(v, trace, head):
-    """sum_i e_i b_i - trace for the exponents e starting with head = e[:r]."""
-    return sum((bi.scale(hi) for hi, bi in zip(head, v.b) if hi and bi.terms), -trace)
-
-
-def _nabla_monomial(v, crossing, e):
-    """nabla_v x^e in T1, built from shifts of v's coefficients.
-
-    v(x^e) = sum_i e_i b_i x^e + sum_j e_j a_j x^(e - 1_j), so with the log
-    trace of v this is (sum_i e_i b_i - trace) x^e + sum_j e_j a_j x^(e - 1_j);
-    crossing is the first coefficient, which depends on e[:r] alone.
-    """
-    r = v.ctx.r
-    img = crossing.shift(e)
-    for j, aj in enumerate(v.a):
-        k = r + j
-        if e[k] and aj.terms:
-            img = img + aj.scale(e[k]).shift(e[:k] + (e[k] - 1,) + e[k + 1:])
-    return t1_reduce(img)
-
-
 @dataclass(frozen=True)
 class FlatUnitResult:
     ok: bool
@@ -113,6 +100,65 @@ class FlatUnitResult:
         return self.ok
 
 
+def _zeros(e, r):
+    """The crossing positions i < r where e_i = 0, as a bit mask."""
+    return sum(1 << i for i in range(r) if not e[i])
+
+
+@lru_cache(maxsize=16)
+def _t1_unknowns(ctx, d):
+    """The monomials of degree 1 to d alive in T1, in monomials() order;
+    cached like monomials(), since every solve at one order walks them."""
+    return tuple(e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e))
+
+
+class _Terms:
+    """The coefficient terms of one generator v, grouped for its rows.
+
+    With trace = b_1 + ... + b_r,
+
+        nabla_v x^e = sum_m (sum_i e_i b_i[m] - trace[m]) x^(e + m)
+                      + sum_j e_j sum_m a_j[m] x^(e - 1_j + m).
+
+    A target survives in T1 by its first r exponents alone, e[:r] + m[:r]
+    (the smooth index j does not touch them): when at least two crossing
+    positions are zero in both e and m.  So per head h = e[:r] the terms
+    that keep it alive are listed once, by ascending deg m, with the
+    crossing coefficient sum_i h_i b_i[m] - trace[m] already summed.  Every
+    coefficient is an int where integral.
+    """
+
+    def __init__(self, v):
+        r = self.r = v.ctx.r
+        support = sorted({m for bi in v.b for m in bi.terms}, key=sum)
+        # (m, deg m, zeros of m, ((i, b_i[m]) where nonzero), trace[m])
+        self.b = []
+        for m in support:
+            nonzero = tuple((i, _exact(bi.terms[m])) for i, bi in enumerate(v.b) if m in bi.terms)
+            self.b.append((m, sum(m), _zeros(m, r), nonzero, _exact(sum(c for _, c in nonzero))))
+        # (k, [(m, deg m, zeros of m, a_j[m])]) for each nonzero a_j, k = r + j
+        self.a = [(r + j, sorted(((m, sum(m), _zeros(m, r), _exact(c))
+                                  for m, c in aj.terms.items()), key=lambda t: t[1]))
+                  for j, aj in enumerate(v.a) if aj.terms]
+        self.trace = [(m, tr) for m, _, _, _, tr in self.b if tr]
+        self.heads = {}
+
+    def at(self, h):
+        """The crossing terms [(m, deg m, coefficient)] and the smooth ones
+        [(k, [(m, deg m, a_j[m])])] of the head h that keep x^(e + m)
+        alive."""
+        out = self.heads.get(h)
+        if out is None:
+            zeros = _zeros(h, self.r)
+            crossing = [(m, dm, _exact(c)) for m, dm, mz, nonzero, tr in self.b
+                        if (zeros & mz).bit_count() >= 2
+                        and (c := sum(h[i] * bi for i, bi in nonzero) - tr)]
+            smooth = [(k, [(m, dm, c) for m, dm, mz, c in terms if (zeros & mz).bit_count() >= 2])
+                      for k, terms in self.a]
+            out = self.heads[h] = (crossing, smooth)
+        return out
+
+
 def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     """Solve nabla_v g = 0 for all generators v with g(0) = 1.
 
@@ -121,6 +167,13 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     cumulative linear system is inconsistent; that failure is definitive,
     since a germ solution would truncate to a jet solution. When solutions
     exist the result carries one of them and whether it was unique.
+
+    The system's entries come straight from the coefficient terms of the
+    b_i and a_j (_Terms), as ints where integral, added where they land
+    in rows keyed (generator, equation monomial); no jet is built per
+    unknown.  A "yes" is re-checked before it is returned: nabla_v g must
+    vanish in T1 through degree min(order - 1, ctx.order) for every
+    generator, and RuntimeError says it does not.
     """
     ctx = fol.ctx
     d = order if order is not None else ctx.order
@@ -129,36 +182,42 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     if check_involutive and not involutivity_check(fol, order=d):
         raise ValueError("generators are not involutive at this order")
 
-    unknowns = [e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
+    unknowns = _t1_unknowns(ctx, d)
     col_of = {e: i for i, e in enumerate(unknowns)}
-    zero = (0,) * ctx.n
-
-    # nabla of the constant part and of each unknown monomial, per generator;
-    # a monomial past the context order is zero in the ring: no image, so its
-    # column stays zero
-    images = []  # list over generators of (const_image, {e_mono: image jet})
+    top = min(d - 1, ctx.order)  # the highest equation degree
     r = ctx.r
-    heads = {e[:r] for e in unknowns} | {zero[:r]}
-    for v in fol.generators:
-        trace = v.log_trace()
-        crossing = {h: _crossing_coefficient(v, trace, h) for h in heads}
-        mono_img = {e: _nabla_monomial(v, crossing[e[:r]], e)
-                    for e in unknowns if sum(e) <= ctx.order}
-        images.append((_nabla_monomial(v, crossing[zero[:r]], zero), mono_img))
 
     # the degree-deg system is the degree-(deg - 1) one plus the rows whose
-    # equation monomial has degree deg, so one echelon basis is extended
+    # equation monomial has degree deg, so one echelon basis is extended;
+    # a monomial past the context order is zero in the ring, so its column
+    # stays zero
     n = len(unknowns)
     system = linalg.RowBuilder(n)  # rows keyed (generator, equation monomial)
-    for gi, (const_img, mono_img) in enumerate(images):
-        for e, c in const_img.terms.items():
-            if sum(e) < d:
-                system.add_rhs((gi, e), -c)
-        for e_mono, img in mono_img.items():
-            col = col_of[e_mono]
-            for e, c in img.terms.items():
-                if sum(e) < d:
-                    system.add((gi, e), col, c)
+    put = system.add
+    for gi, v in enumerate(fol.generators):
+        terms = _Terms(v)
+        for m, c in terms.trace:  # nabla_v 1 = -trace
+            if sum(m) <= top and t1_monomial_alive(ctx, m):
+                system.add_rhs((gi, m), c)
+        for col, e in enumerate(unknowns):
+            de = sum(e)
+            if de > ctx.order:
+                break
+            crossing, smooth = terms.at(e[:r])
+            room = top - de
+            for m, dm, c in crossing:
+                if dm > room:
+                    break
+                put((gi, tuple(map(add, e, m))), col, c)
+            for k, a_terms in smooth:
+                ek = e[k]
+                if not ek:
+                    continue
+                lowered = e[:k] + (ek - 1,) + e[k + 1:]
+                for m, dm, c in a_terms:
+                    if dm > room + 1:
+                        break
+                    put((gi, tuple(map(add, lowered, m))), col, ek * c)
     by_degree = [[] for _ in range(d)]
     for (_, e), row in system.rows.items():
         by_degree[sum(e)].append(row)
@@ -171,6 +230,10 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     sol = linalg.solution(basis, n)
     # an unknown past the context order has a zero column, hence sol 0
     unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for e, i in col_of.items() if sol[i]})
+    for v in fol.generators:
+        if not _is_flat(v, unit, top):
+            raise RuntimeError("flat unit certificate failed: nabla_v g is not zero "
+                               "in T1 through degree %d" % top)
     # uniqueness is judged on the coefficients the equations can reach, i.e.
     # through degree d - 1; the top tail is unconstrained by construction.
     # The kernel has one vector per free column f, with -R[c][f] in each
@@ -181,6 +244,23 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
         for e, i in col_of.items() if sum(e) <= d - 1
     )
     return FlatUnitResult(True, d, unit=unit, unique=unique)
+
+
+def _is_flat(v, g, degree):
+    """Is nabla_v g = v(g) - trace g zero in T1 through degree degree?
+
+    Computed from the jet calculus (partials and truncated products), apart
+    from the rows find_flat_unit solved.
+    """
+    r = v.ctx.r
+    acc = -v.log_trace().mul_to(g, degree)
+    for i, bi in enumerate(v.b):
+        if bi.terms:
+            acc = acc + bi.mul_to(g.scaled_partial(i), degree)
+    for j, aj in enumerate(v.a):
+        if aj.terms:
+            acc = acc + aj.mul_to(g.partial(r + j), degree)
+    return t1_reduce(acc).is_zero()
 
 
 # -- residue machinery --

@@ -139,7 +139,7 @@ def test_criterion_7_homological_identities():
     start = time.monotonic()
     results = selfcheck.run_all(seed=0, trials=200)
     elapsed = time.monotonic() - start
-    ok = len(results) == 7 and all(r.ok for r in results)
+    ok = len(results) == 8 and all(r.ok for r in results)
     ok = ok and all(r.trials == 200 for r in results)
     ok = ok and elapsed < 10.0
     assert _verdict(7, "randomized identities, 200 trials each", ok, elapsed)

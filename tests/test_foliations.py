@@ -240,6 +240,28 @@ def test_non_commuting_pair_leaves_a_system_and_is_involutive(monkeypatch, tmp_p
         "yes: flat unit exists at order 8 (one of several)\n  unit = 1\n")
 
 
+def test_non_commuting_pair_at_order_40_shifts_nothing_past_the_order(monkeypatch):
+    # w = 2 x1 x4 d4 lies in the maximal ideal: its lowest degree 2 plus a
+    # monomial of degree 38 or more lands past degree 39, so no such shift
+    # is made; the columns stay, zero there, and the answers do not move
+    ctx = GermContext(4, 3, 40)
+    v = derivation_from_string(ctx, NONCOMMUTING["v"])
+    w = derivation_from_string(ctx, NONCOMMUTING["w"])
+    reach = []
+    shift = Jet.shift
+
+    def spy(jet, mono):
+        reach.append(sum(mono) + min(map(sum, jet.terms)))
+        return shift(jet, mono)
+
+    monkeypatch.setattr(Jet, "shift", spy)
+    res = involutivity_check(FoliationGerm(ctx, (v, w), rank=2))
+    assert res.ok and res.order == 39
+    unit = Jet.one(ctx) + Jet.variable(ctx, 3)
+    assert span_membership(w.scale(unit), (v, w), 39) == (Jet.zero(ctx), unit)
+    assert reach and max(reach) == 39
+
+
 def test_a_corrupted_span_solve_is_an_internal_error(monkeypatch, capsys):
     solve = foliations._solve_span
 

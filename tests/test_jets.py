@@ -17,6 +17,7 @@ from logfol import (
     jet_from_string,
     monomials,
 )
+from logfol.exprs import parse_polynomial
 from logfol.jets import ContextMismatchError, Jet, NonUnitError
 
 
@@ -187,6 +188,18 @@ def test_parse_with_params_and_names():
     f = jet_from_string(ctx, "a*u + b", names=["u", "t"],
                         params={"a": Fraction(2), "b": Fraction(-1, 3)})
     assert f.terms == {(1, 0): Fraction(2), (0, 0): Fraction(-1, 3)}
+
+
+def test_parse_polynomial_keeps_fraction_values():
+    # the parser computes in ints where it can; what it hands out is Fractions
+    names = {"x1": 0, "x2": 1, "x3": 2}
+    p = parse_polynomial("3/2*x1^2*x3 - 1 + (x1 + 2)^2", names, width=3)
+    assert p == {(2, 0, 1): Fraction(3, 2), (2, 0, 0): 1, (1, 0, 0): 4, (0, 0, 0): 3}
+    assert all(type(c) is Fraction for c in p.values())
+    q = parse_polynomial("x2/2*4 - (x1 - x1) + 6/4 - 3*lam*x3", names, width=3,
+                         consts={"lam": Fraction(1, 3)})
+    assert q == {(0, 1, 0): 2, (0, 0, 0): Fraction(3, 2), (0, 0, 1): -1}
+    assert all(type(c) is Fraction for c in q.values())
 
 
 def test_parse_error_carries_position():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from logfol import cli, leafcomplex
+from logfol import cli, leafcomplex, linalg
 from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
@@ -191,6 +191,28 @@ def test_cli_order_override_lands_in_the_report(tmp_path):
     rep = Report.from_dict(json.loads(json_path.read_text()))
     assert rep.order == 3
     assert rep.scene == path
+
+
+def test_cli_semistable_wrong_unit_is_internal(tmp_path, capsys, monkeypatch):
+    # the triple point 2 x1 d1 - x2 d2 - x3 d3 has the unique unit 1, and its
+    # first unknown is x3 with nabla x3 = -x3: a solver that answered 1 + x3
+    # is caught by the certificate, never printed as "yes".  (A node has no
+    # unknowns in T1, so there is no coefficient to perturb.)
+    solution = linalg.solution
+
+    def perturbed(basis, n):
+        x = solution(basis, n)
+        x[0] += 1
+        return x
+
+    monkeypatch.setattr(linalg, "solution", perturbed)
+    path = write_scene(tmp_path, "s.json", {
+        "germ": {"n": 3, "r": 3},
+        "fields": {"v": "2*x1*dx1 - x2*dx2 - x3*dx3"},
+        "foliation": {"generators": ["v"]},
+    })
+    assert cli.main(["semistable", "check", path]) == 4
+    assert "internal error: RuntimeError: flat unit certificate failed" in capsys.readouterr().out
 
 
 # -- residue indices --------------------------------------------------------------------

@@ -6,6 +6,7 @@ the degree-by-degree search in the library.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,11 +30,11 @@ from logfol import (
     t1_monomial_alive,
     t1_reduce,
 )
-from logfol import linalg
+from logfol import linalg, selfcheck
 from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
 from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
-from logfol.semistability import T1Section, _crossing_coefficient, _nabla_monomial
+from logfol.semistability import T1Section
 
 
 # -- oracle -------------------------------------------------------------------
@@ -116,21 +117,123 @@ def test_nabla_leibniz_in_t1():
     assert lhs.equal_to_order(rhs, ctx.order - 1)
 
 
-def test_shift_built_images_match_nabla_of_the_monomial():
-    rng = random.Random(6)
-    span = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2)]
-    for n, r, order in ((3, 3, 5), (4, 2, 4), (4, 3, 4), (5, 3, 3), (3, 2, 6)):
-        ctx = GermContext(n, r, order)
+def random_fields(rng, count):
+    """Foliations of one or two random generators, with an equation order.
+
+    Crossing counts r = 0, 1, 2 and n; int and Fraction coefficients, smooth
+    directions, and the order is the context's or one below it.  Half of
+    the fields whose T1 has unknowns are built around a random unit they
+    keep flat (selfcheck._field_keeping_flat), so that "yes" answers with
+    units other than 1 occur; most others are traceless at the origin.
+    """
+    span = [Fraction(k, d) for k in range(-3, 4) for d in (1, 1, 1, 2, 3)]
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        r = rng.choice((0, 1, 2, 2, n, n))
+        ctx = GermContext(n, r, rng.randint(2, 5))
         pool = monomials(ctx, 2)
-        for _ in range(4):
-            coeffs = [Jet.make(ctx, {e: rng.choice(span) for e in rng.sample(pool, 3)})
-                      for _ in range(n)]
-            v = LogDerivation(ctx, coeffs[:r], coeffs[r:])
-            trace = v.log_trace()
-            for e in monomials(ctx, order):
-                want = nabla(v, T1Section.make(Jet.make(ctx, {e: 1}))).g
-                crossing = _crossing_coefficient(v, trace, e[:r])
-                assert _nabla_monomial(v, crossing, e) == want, (str(v), e)
+        alive = [e for e in pool[1:] if t1_monomial_alive(ctx, e)]
+        unit = None
+        if alive and rng.random() < 1 / 2:
+            unit = Jet.one(ctx) + Jet.make(ctx, {e: rng.choice(span)
+                                                 for e in rng.sample(alive, min(2, len(alive)))})
+        gens = []
+        for _ in range(rng.choice((1, 1, 2))):
+            if unit is not None:
+                gens.append(selfcheck._field_keeping_flat(rng, ctx, unit))
+                continue
+            comps = [Jet.make(ctx, {e: rng.choice(span)
+                                    for e in rng.sample(pool, min(len(pool), rng.randint(0, 3)))})
+                     for _ in range(n)]
+            if r and rng.random() < 0.7:
+                comps[r - 1] = comps[r - 1] - sum((b.constant_term() for b in comps[:r]), 0)
+            gens.append(LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:])))
+        order = rng.choice((None, ctx.order - 1)) if ctx.order > 2 else None
+        out.append((FoliationGerm(ctx, tuple(gens), rank=len(gens)), order))
+    return out
+
+
+def rows_handed_to_echelon(monkeypatch, fol, order):
+    """find_flat_unit's result and the rows of each echelon call, copied."""
+    calls = []
+    echelon = linalg.echelon
+
+    def spy(rows, ncols, basis=None, reduced=True):
+        rows = list(rows)
+        calls.append([dict(row) for row in rows])
+        return echelon(rows, ncols, basis, reduced)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "echelon", spy)
+        res = find_flat_unit(fol, order=order, check_involutive=False)
+    return res, calls
+
+
+def nabla_rows(fol, order):
+    """Per equation degree, the rows [A | b] built from nabla of each x^e."""
+    ctx = fol.ctx
+    d = order if order is not None else ctx.order
+    unknowns = [e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
+    rows = {}
+    for gi, v in enumerate(fol.generators):
+        images = [(col, nabla(v, T1Section.make(Jet.make(ctx, {e: 1}))).g)
+                  for col, e in enumerate(unknowns)]
+        images.append((len(unknowns), -nabla(v, T1Section.make(Jet.one(ctx))).g))
+        for col, img in images:
+            for t, c in img.terms.items():
+                if sum(t) < d:
+                    rows.setdefault((gi, t), {})[col] = c
+    by_degree = [Counter() for _ in range(d)]
+    for (_, t), row in rows.items():
+        by_degree[sum(t)][frozenset(row.items())] += 1
+    return by_degree
+
+
+def test_flat_unit_rows_match_nabla_of_each_monomial(monkeypatch):
+    seen = Counter()
+    for fol, order in random_fields(random.Random(6), 60):
+        res, calls = rows_handed_to_echelon(monkeypatch, fol, order)
+        want = nabla_rows(fol, order)
+        assert len(calls) == (res.failing_degree + 1 if not res.ok else len(want))
+        for deg, rows in enumerate(calls):
+            assert all(type(c) in (int, Fraction) for row in rows for c in row.values())
+            got = Counter(frozenset((j, c) for j, c in row.items() if c) for row in rows)
+            got.pop(frozenset(), None)
+            assert got == want[deg], ([str(v) for v in fol.generators], order, deg)
+        seen[fol.ctx.r >= 2, res.ok] += 1
+    assert all(seen[key] for key in ((True, True), (True, False), (False, True)))
+
+
+def test_flat_unit_agrees_with_the_oracles_on_random_fields():
+    seen = Counter()
+    for fol, order in random_fields(random.Random(20261019), 80):
+        d = order if order is not None else fol.ctx.order
+        res = find_flat_unit(fol, order=order, check_involutive=False)
+        text = ([str(v) for v in fol.generators], order)
+        assert res.ok == flat_unit_exists_oracle(fol, d), text
+        if res.ok:
+            assert res.unique == flat_unit_unique_oracle(fol, d), text
+            seen[res.unique, res.unit != Jet.one(fol.ctx)] += 1
+    assert seen[True, True] and seen[False, False] and seen[True, False]
+
+
+def test_a_wrong_flat_unit_is_caught_before_it_is_returned(monkeypatch):
+    # 2 x1 d1 - x2 d2 - x3 d3 has the unique unit 1; the first unknown is
+    # x3, whose nabla is -x3, so 1 + x3 is not flat
+    ctx = GermContext(3, 3, 4)
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),))
+    assert find_flat_unit(fol).unit == Jet.one(ctx)
+    solution = linalg.solution
+
+    def perturbed(basis, n):
+        x = solution(basis, n)
+        x[0] += 1
+        return x
+
+    monkeypatch.setattr(linalg, "solution", perturbed)
+    with pytest.raises(RuntimeError, match="flat unit certificate failed"):
+        find_flat_unit(fol)
 
 
 def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):

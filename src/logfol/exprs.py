@@ -20,6 +20,7 @@ Fraction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 
@@ -42,44 +43,38 @@ def _line_col(text, pos):
     return line, col
 
 
-class _Tokens:
-    SYMBOLS = "+-*/^()"
+# A token is the whitespace before it and then a run of decimal digits (with
+# the "." that would make it a decimal literal), a run of word characters or
+# one other character.  The matches cover the text up to trailing whitespace
+# with no gaps, so adding up their lengths gives each token's position.  \d
+# is str.isdecimal, the digits int() reads; \s and \w agree with
+# str.isspace and with str.isalnum or "_".
+_TOKEN = re.compile(r"(\s*)(\d+\.?|\w+|\S)")
 
+
+class _Tokens:
     def __init__(self, text):
         self.text = text
-        self.items = []  # (kind, value, pos)
+        self.items = items = []  # (kind, value, pos)
         pos = 0
-        n = len(text)
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ch in self.SYMBOLS:
-                self.items.append((ch, ch, pos))
-                pos += 1
-                continue
-            if ch.isdigit():
-                end = pos
-                while end < n and text[end].isdigit():
-                    end += 1
-                if end < n and text[end] == ".":
-                    raise ExprError(
-                        "decimal literals are not allowed, use p/q rationals",
-                        *_line_col(text, end),
-                    )
-                self.items.append(("int", int(text[pos:end]), pos))
-                pos = end
-                continue
-            if ch.isalpha() or ch == "_":
-                end = pos
-                while end < n and (text[end].isalnum() or text[end] == "_"):
-                    end += 1
-                self.items.append(("name", text[pos:end], pos))
-                pos = end
-                continue
-            raise ExprError("unexpected character %r" % ch, *_line_col(text, pos))
-        self.items.append(("end", None, n))
+        for space, token in _TOKEN.findall(text):
+            pos += len(space)
+            first = token[0]
+            if first in "+-*/^()":
+                items.append((first, first, pos))
+            elif first.isdecimal():
+                if token[-1] == ".":
+                    raise ExprError("decimal literals are not allowed, use p/q rationals",
+                                    *_line_col(text, pos + len(token) - 1))
+                items.append(("int", int(token), pos))
+            elif first.isalpha() or first == "_":
+                items.append(("name", token, pos))
+            else:
+                # one other character, or a word that starts with a numeric
+                # character that is not a decimal digit, such as "²"
+                raise ExprError("unexpected character %r" % first, *_line_col(text, pos))
+            pos += len(token)
+        items.append(("end", None, len(text)))
         self.i = 0
 
     def peek(self):

@@ -1,0 +1,142 @@
+"""The expression tokeniser, one compiled regular expression, against the
+character loop it replaced."""
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from logfol.exprs import ExprError, _line_col, _Tokens, parse_polynomial
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+# a numeric non-decimal digit, a vulgar fraction, a letter number, a
+# letter and an Arabic-Indic decimal digit
+SPECIAL = ("²", "½", "Ⅻ", "é", "٣")
+
+
+def loop_tokens(text, is_digit):
+    """Tokens of text as the character loop made them.
+
+    The loop tested digits with str.isdigit; with is_digit=str.isdecimal it
+    reads integers as the regular expression does, which is the one change.
+    """
+    items = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch in "+-*/^()":
+            items.append((ch, ch, pos))
+            pos += 1
+            continue
+        if is_digit(ch):
+            end = pos
+            while end < n and is_digit(text[end]):
+                end += 1
+            if end < n and text[end] == ".":
+                raise ExprError(
+                    "decimal literals are not allowed, use p/q rationals", *_line_col(text, end)
+                )
+            items.append(("int", int(text[pos:end]), pos))
+            pos = end
+            continue
+        if ch.isalpha() or ch == "_":
+            end = pos
+            while end < n and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            items.append(("name", text[pos:end], pos))
+            pos = end
+            continue
+        raise ExprError("unexpected character %r" % ch, *_line_col(text, pos))
+    items.append(("end", None, n))
+    return items
+
+
+def outcome(tokenise, text):
+    """The tokens, or the error's (message, line, column)."""
+    try:
+        return tokenise(text)
+    except ExprError as e:
+        return (str(e), e.line, e.col)
+
+
+def regex(text):
+    return _Tokens(text).items
+
+
+def old(text):
+    return loop_tokens(text, str.isdigit)
+
+
+def decimal(text):
+    return loop_tokens(text, str.isdecimal)
+
+
+def changed_by_decimal_digits(text):
+    """Whether text holds a digit that is not a decimal digit, the only
+    characters the two digit tests read differently."""
+    return any(ch.isdigit() and not ch.isdecimal() for ch in text)
+
+
+def assert_agrees(text):
+    got = outcome(regex, text)
+    assert got == outcome(decimal, text), text
+    if not changed_by_decimal_digits(text):
+        assert got == outcome(old, text), text
+
+
+def scene_strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield k
+            yield from scene_strings(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from scene_strings(v)
+
+
+def test_agrees_with_the_loop_on_every_scene_string():
+    texts = [t for p in sorted(SCENES.glob("*.json")) for t in scene_strings(json.loads(p.read_text()))]
+    assert len(texts) > 100
+    assert any(isinstance(outcome(regex, t), list) and len(outcome(regex, t)) > 5 for t in texts)
+    for text in texts:
+        assert not changed_by_decimal_digits(text)
+        assert_agrees(text)
+
+
+@pytest.mark.parametrize("ch", SPECIAL)
+def test_agrees_with_the_loop_with_a_special_character_anywhere(ch):
+    base = "3/2*x1^2 - (y_0 + 17)\n* z2 ^ 4.5"
+    for pos in range(len(base) + 1):
+        assert_agrees(base[:pos] + ch + base[pos:])
+        assert_agrees(base[:pos] + ch)
+
+
+ALPHABET = list("x1y_0 9+-*/^()\n\t.$") + list(SPECIAL) + ["\u00a0", "\u0301", "\u2028"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(ALPHABET), max_size=24) | st.text(max_size=12))
+def test_agrees_with_the_loop_on_generated_text(text):
+    assert_agrees(text)
+
+
+def test_a_superscript_digit_is_a_positioned_error():
+    # the loop read "²" as a digit and handed it to int(), which raised a bare
+    # ValueError with no position
+    with pytest.raises(ValueError, match="invalid literal for int") as exc:
+        old("x1^²")
+    assert not isinstance(exc.value, ExprError)
+    with pytest.raises(ExprError) as exc:
+        parse_polynomial("x1^²", {"x1": 0})
+    assert (exc.value.line, exc.value.col) == (1, 4)
+    assert str(exc.value).startswith("unexpected character '²'")
+    # an Arabic-Indic digit is a decimal digit and still reads as an int
+    assert parse_polynomial("x1^٣", {"x1": 0}) == {(3,): 1}

@@ -1,12 +1,14 @@
 """Finitely generated submonoids of Z^k: membership, groups, saturation."""
 
 import itertools
+import json
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logfol import cli, linalg, monoids
 from logfol.monoids import (
     FGMonoid,
     SaturationBoundError,
@@ -285,3 +287,136 @@ def test_saturation_matches_multiple_oracle(k, count, top):
                 tuple(a - b for a, b in zip(h, y)) in sat for y in sat if y != h
             ), (gens, h)
         done += 1
+
+
+# -- integer cone coordinates against rational ones ----------------------------
+
+
+def rational_cone_contains(gens, x):
+    """Cone membership with Fraction coordinates: some maximal independent set
+    of generators solves B t = x with t >= 0."""
+    k = len(x)
+
+    def columns(vectors):
+        return linalg.SparseRows([{j: v[i] for j, v in enumerate(vectors) if v[i]}
+                                  for i in range(k)], len(vectors))
+
+    dim = linalg.rank(columns(gens))
+    for base in itertools.combinations(gens, dim):
+        if linalg.rank(columns(base)) == dim:
+            t = linalg.solve(columns(base), x)
+            if t is not None and min(t) >= 0:
+                return True
+    return False
+
+
+@st.composite
+def cones_and_points(draw):
+    k = draw(st.integers(1, 4))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(*[entries] * k), min_size=1, max_size=k + 2))
+    else:  # integer combinations of fewer vectors: a cone of lower dimension
+        d = draw(st.integers(1, k))
+        span = draw(st.lists(st.tuples(*[entries] * k), min_size=d, max_size=d))
+        combos = st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=k + 2)
+        gens = [tuple(sum(c * v[i] for c, v in zip(cs, span)) for i in range(k))
+                for cs in draw(combos)]
+    gens = [g for g in dict.fromkeys(gens) if any(g)]
+    if not gens:
+        gens = [(1,) * k]
+    coeffs = st.lists(st.integers(-1, 3), min_size=len(gens), max_size=len(gens))
+    points = [tuple(sum(c * g[i] for c, g in zip(cs, gens)) for i in range(k))
+              for cs in draw(st.lists(coeffs, min_size=1, max_size=4))]
+    points += draw(st.lists(st.tuples(*[st.integers(-6, 6)] * k), max_size=3))
+    return gens, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_and_points())
+def test_integer_cone_membership_matches_rational_coordinates(case):
+    gens, points = case
+    cone = monoids._Cone(gens)
+    for x in points:
+        assert cone.contains(x) == rational_cone_contains(gens, x), (gens, x)
+    assert cone.pointed == (not any(
+        rational_cone_contains(gens, tuple(-c for c in g)) for g in gens))
+
+
+def test_membership_oracle_sees_every_kind_of_point():
+    # lower dimension, mixed signs and non-pointed in one cone: the plane
+    # x3 = 0 cut to a half plane
+    gens = [(1, 0, 0), (-1, 0, 0), (0, 2, 0), (1, 3, 0)]
+    cone = monoids._Cone(gens)
+    assert not cone.pointed
+    for x, inside in [((5, 1, 0), True), ((-7, 0, 0), True), ((0, -1, 0), False),
+                      ((0, 1, 1), False)]:
+        assert cone.contains(x) == rational_cone_contains(gens, x) == inside
+
+
+# -- one cone per monoid, and checked answers ---------------------------------
+
+
+ROADMAP_CONE = ((5, 1, 0, 0), (0, 4, 1, 0), (0, 0, 3, 2), (1, 0, 0, 7), (2, 3, 1, 1))
+
+
+def test_rank_four_saturation_with_251_generators():
+    m = FGMonoid(4, ROADMAP_CONE)
+    s = saturate(m)
+    assert len(s.generators) == 251
+    for h in s.generators:
+        assert all(type(c) is int for c in h)
+        assert rational_cone_contains(ROADMAP_CONE, h), h
+    assert not is_saturated(m)
+
+
+def test_is_saturated_builds_one_cone(monkeypatch):
+    built = []
+    init = monoids._Cone.__init__
+
+    def spy(self, gens):
+        built.append(gens)
+        init(self, gens)
+
+    monkeypatch.setattr(monoids._Cone, "__init__", spy)
+    assert is_saturated(FGMonoid(2, ((1, 0), (1, 1), (1, 2))))
+    assert len(built) == 1
+    assert not is_saturated(FGMonoid(3, ((1, 0, 8), (0, 1, 8), (1, 1, 0))))
+    assert len(built) == 2
+
+
+def write_scene(tmp_path, gens, element=None):
+    scene = {"monoid": {"ambient_rank": len(gens[0]), "generators": [list(g) for g in gens]}}
+    if element is not None:
+        scene["element"] = list(element)
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(scene))
+    return str(path)
+
+
+def test_a_witness_that_does_not_sum_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    scene = write_scene(tmp_path, [(1, 0), (1, 2)], (3, 4))
+    assert cli.main(["monoid", "check", scene]) == 0
+    capsys.readouterr()
+    search = monoids._search
+
+    def perturbed(gens, x, inside, depth=float("inf")):
+        witness = search(gens, x, inside, depth)
+        return witness and (witness[0] + 1,) + witness[1:]
+
+    monkeypatch.setattr(monoids, "_search", perturbed)
+    assert cli.main(["monoid", "check", scene]) == 4
+    assert capsys.readouterr().out.startswith(
+        "internal: internal error: RuntimeError: monoid membership certificate failed")
+
+
+def test_a_saturation_point_off_the_cone_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    scene = write_scene(tmp_path, [(1, 0), (1, 2)])
+    assert cli.main(["monoid", "saturate", scene]) == 0
+    capsys.readouterr()
+    parallelepiped = monoids._parallelepiped
+    monkeypatch.setattr(monoids, "_parallelepiped",
+                        lambda *args: parallelepiped(*args) + [(0, 1)])
+    assert cli.main(["monoid", "saturate", scene]) == 4
+    assert capsys.readouterr().out.startswith(
+        "internal: internal error: RuntimeError: saturation certificate failed")

@@ -11,16 +11,17 @@ independent of the others splits off by a unit pivot with no linear algebra
 (Nakayama's lemma; Greuel & Pfister, A Singular Introduction to Commutative
 Algebra, 2nd ed., ch. 7).  Only what is left in the maximal ideal becomes a
 Q-linear system over the jet coefficients, built by _span_system, the one
-system builder here.
+system builder here, straight from the terms of the jets left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import linalg
-from .jets import ContextMismatchError, GermContext, Jet, monomials
+from .jets import ContextMismatchError, GermContext, Jet, _on_crossing, monomials
 from .logcalc import LogDerivation, lie_bracket
 
 
@@ -58,33 +59,41 @@ class FoliationGerm:
         return linalg.rank([dict(enumerate(g.constant_vector())) for g in self.generators])
 
 
-def _span_system(generators, targets, order):
+def _span_system(columns, targets, order):
     """Rows of [A | b_1 ... b_m] for sum_k c_k * gen_k = b_p through degree order.
 
-    Column k * len(monos) + i of A is x^monos[i] * gen_k, column ncols + p
-    is targets[p]; rows are keyed (component, equation monomial).  A shift
-    that lands wholly past the order (deg monos[i] plus the component's
-    lowest degree) is skipped, so its column has no entry there.
+    columns[k] and targets[p] are sequences of component jets, as
+    LogDerivation.components() returns them.  Column k * len(monos) + i of
+    A is x^monos[i] * gen_k, column ncols + p is targets[p]; rows are keyed
+    (component, equation monomial).  Each entry is added straight from a
+    component's terms, listed once as (e, deg e, c) by ascending degree: a
+    product x^(e + monos[i]) past the order or on the crossing is skipped,
+    and no jet is built per monomial.
     """
-    ctx = targets[0].ctx
+    ctx = targets[0][0].ctx
+    r = ctx.r
     monos = monomials(ctx, order)
-    system = linalg.RowBuilder(len(generators) * len(monos))
-    for k, gen in enumerate(generators):
-        if gen.ctx != ctx:
-            raise ContextMismatchError("generator context mismatch")
-        for comp_idx, comp in enumerate(gen.components()):
+    system = linalg.RowBuilder(len(columns) * len(monos))
+    put = system.add
+    for k, comps in enumerate(columns):
+        for comp_idx, comp in enumerate(comps):
             if not comp.terms:
                 continue
-            room = order - min(map(sum, comp.terms))
-            for i_mono, e_mono in enumerate(monos):
-                if sum(e_mono) > room:
+            terms = sorted(((e, sum(e), c) for e, c in comp.terms.items()), key=lambda t: t[1])
+            room = order - terms[0][1]
+            for i_mono, m in enumerate(monos):
+                dm = sum(m)
+                if dm > room:
                     break  # monos ascend by degree
                 col = k * len(monos) + i_mono
-                for e, c in comp.shift(e_mono).terms.items():
-                    if sum(e) <= order:
-                        system.add((comp_idx, e), col, c)
-    for p, target in enumerate(targets):
-        for comp_idx, comp in enumerate(target.components()):
+                for e, de, c in terms:
+                    if de + dm > order:
+                        break
+                    e = tuple(map(add, e, m))
+                    if not _on_crossing(e, r):
+                        put((comp_idx, e), col, c)
+    for p, comps in enumerate(targets):
+        for comp_idx, comp in enumerate(comps):
             for e, c in comp.terms.items():
                 if sum(e) <= order:
                     system.add((comp_idx, e), system.ncols + p, c)
@@ -98,13 +107,14 @@ class _UnitPivots:
     extra right-hand columns.  R_d is a local ring, so an entry with a
     nonzero constant term is a unit (Jet.invert).  Generators are taken in
     order, each pivoting on its lowest component with a nonzero constant
-    term in the current matrix; its row is solved for it and the Schur
-    complement replaces every other row.  The elimination stops when every
-    entry left lies in the maximal ideal (Nakayama's lemma: the split-off
-    generators are exactly a basis of the span of the values at the
-    origin).  What is left, the `free` generators with an entry on `rows`
-    against the targets `left` nonzero there, is a Q-linear question for
-    _span_system; a free generator with no entry left has coefficient 0.
+    term in the current matrix; its row is solved for it, kept in `steps`
+    and cleared, and the Schur complement replaces every other row.  The
+    elimination stops when every entry left lies in the maximal ideal
+    (Nakayama's lemma: the split-off generators are exactly a basis of the
+    span of the values at the origin).  What is left, the `free` generators
+    with an entry against the targets `left` nonzero somewhere, is a
+    Q-linear question for _span_system; a free generator with no entry left
+    has coefficient 0.
     """
 
     def __init__(self, generators, targets, d):
@@ -112,23 +122,22 @@ class _UnitPivots:
         if any(g.ctx != ctx for g in generators):
             raise ContextMismatchError("generator context mismatch")
         d = self.d = min(d, ctx.order)
-        zero = Jet.zero(ctx)
+        zero = self.zero = Jet.zero(ctx)
         self.size = len(generators)
         # per component: {generator: nonzero entry} and [target entries]
         self.entries = [{k: c for k, g in enumerate(generators)
                          if (c := g.components()[i].truncate(d)).terms} for i in range(ctx.n)]
         self.rhs = [[t.components()[i].truncate(d) for t in targets] for i in range(ctx.n)]
-        self.rows, self.free, self.steps = list(range(ctx.n)), list(range(self.size)), []
-        while pivot := next(((i, k) for k in self.free for i in self.rows
-                             if self.entries[i].get(k, zero).constant_term()), None):
+        self.free, self.steps = list(range(self.size)), []
+        while pivot := next(((i, k) for k in self.free for i, entries in enumerate(self.entries)
+                             if entries.get(k, zero).constant_term()), None):
             i0, k0 = pivot
-            row = self.entries[i0]
+            row, b0 = self.entries[i0], self.rhs[i0]
+            self.entries[i0], self.rhs[i0] = {}, [zero] * len(targets)
             inv = row.pop(k0).invert(d)
-            self.rows.remove(i0)
             self.free.remove(k0)
-            self.steps.append((k0, inv, i0, row))
-            for i in self.rows:
-                entries = self.entries[i]
+            self.steps.append((k0, inv, row, b0[0]))
+            for i, entries in enumerate(self.entries):
                 if k0 not in entries:
                     continue
                 f = entries.pop(k0).mul_to(inv, d)
@@ -138,34 +147,27 @@ class _UnitPivots:
                         entries[k] = e
                     else:
                         entries.pop(k, None)
-                self.rhs[i] = [b - f.mul_to(b0, d) for b, b0 in zip(self.rhs[i], self.rhs[i0])]
-        self.free = [k for k in self.free if any(k in self.entries[i] for i in self.rows)]
-        self.left = [p for p in range(len(targets)) if any(self.rhs[i][p].terms for i in self.rows)]
+                self.rhs[i] = [b - f.mul_to(c0, d) for b, c0 in zip(self.rhs[i], b0)]
+        self.free = [k for k in self.free if any(k in entries for entries in self.entries)]
+        self.left = [p for p in range(len(targets)) if any(b[p].terms for b in self.rhs)]
 
     def system(self):
-        """_span_system of the free generators against the targets left, on
-        the rows left; every other component is zero."""
-        ctx, zero = self.ctx, Jet.zero(self.ctx)
-
-        def field(column):
-            comps = [column.get(i, zero) for i in range(ctx.n)]
-            return LogDerivation(ctx, comps[:ctx.r], comps[ctx.r:])
-
-        gens = [field({i: self.entries[i][k] for i in self.rows if k in self.entries[i]})
-                for k in self.free]
-        targets = [field({i: self.rhs[i][p] for i in self.rows}) for p in self.left]
-        return _span_system(gens, targets, self.d)
+        """_span_system of the free generators against the targets left; the
+        pivot rows are cleared, so they are zero there."""
+        return _span_system([[entries.get(k, self.zero) for entries in self.entries]
+                             for k in self.free],
+                            [[b[p] for b in self.rhs] for p in self.left], self.d)
 
     def coefficients(self, coeffs):
         """Every generator's coefficient for target 0, by back-substitution
         from those of the free generators ({generator: jet})."""
-        for k0, inv, i0, row in reversed(self.steps):
-            acc = self.rhs[i0][0]
+        for k0, inv, row, b0 in reversed(self.steps):
+            acc = b0
             for k, c in row.items():
                 if k in coeffs:
                     acc = acc - c.mul_to(coeffs[k], self.d)
             coeffs[k0] = inv.mul_to(acc, self.d)
-        return tuple(coeffs.get(k, Jet.zero(self.ctx)) for k in range(self.size))
+        return tuple(coeffs.get(k, self.zero) for k in range(self.size))
 
 
 def _solve_span(target, generators, order):

@@ -16,6 +16,11 @@ normal jets and builds its normal result directly, dropping only the terms
 that its own arithmetic can push past the order or onto the crossing.  The
 bare constructor Jet(ctx, terms) trusts its caller to keep the invariant.
 
+This is the one jet calculus under the solvers: they read a jet's terms
+directly to build their rows (skipping, with _on_crossing, a product that
+lands past the order or on the crossing), and their certificates, the unit
+pivots and the residues multiply and invert only through mul_to and invert.
+
 Coefficients are Fraction throughout; nothing here is approximate.
 Variable indices are 0-based in code; printed names default to x1..xn.
 """
@@ -214,25 +219,6 @@ class Jet:
         for _ in range(k):
             out = out * self
         return out
-
-    def shift(self, mono):
-        """x^mono times this jet, by adding exponents.
-
-        mono is a tuple of n nonnegative ints and is not checked.  Shifting
-        is injective on monomials, so no coefficients meet; a term is only
-        dropped when it lands past the order or, on a true crossing, on a
-        monomial whose first r exponents are all >= 1.
-        """
-        ctx = self.ctx
-        room = ctx.order - sum(mono)
-        r = ctx.r
-        out = {}
-        for e, c in self.terms.items():
-            if sum(e) <= room:
-                e = tuple(map(add, e, mono))
-                if not _on_crossing(e, r):
-                    out[e] = c
-        return Jet(ctx, out)
 
     # -- queries --
 

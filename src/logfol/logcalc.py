@@ -74,13 +74,14 @@ class LogDerivation:
         coefficient meets a top-degree term)."""
         if f.ctx != self.ctx:
             raise ContextMismatchError("jet context mismatch")
+        order = self.ctx.order
         out = Jet.zero(self.ctx)
         for i, bi in enumerate(self.b):
             if not bi.is_zero():
-                out = out + bi * f.scaled_partial(i)
+                out = out + bi.mul_to(f.scaled_partial(i), order)
         for j, aj in enumerate(self.a):
             if not aj.is_zero():
-                out = out + aj * f.partial(self.ctx.r + j)
+                out = out + aj.mul_to(f.partial(self.ctx.r + j), order)
         return out
 
     def log_trace(self):

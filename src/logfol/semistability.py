@@ -10,10 +10,10 @@ which is jet-linear in v and a connection in g. A foliation is of semistable
 type exactly when a nowhere-vanishing flat section exists, so find_flat_unit
 solves nabla_v g = 0 for all generators with g(0) = 1, degree by degree.
 Its linear system is read straight off the coefficient terms of the b_i and
-a_j, as ints where integral, with no jet built per unknown; nabla and
-T1Section stay as the reference the tests and selfcheck compare against,
-and every unit found is re-checked with the jet calculus before it is
-returned.
+a_j, as ints where integral, with no jet built per unknown.  nabla and
+T1Section are the reference the tests and selfcheck compare against, and
+also the certificate: every unit found is re-checked through nabla before
+it is returned.
 
 Camacho-Sad indices along double strata come in two independent flavors: the
 residue formula attached to a log one-form (cs_index_log) and the classical
@@ -85,7 +85,7 @@ def nabla(v: LogDerivation, section: T1Section):
     g = section.g
     if v.ctx != g.ctx:
         raise ValueError("derivation and section context mismatch")
-    return T1Section.make(v.apply(g) - v.log_trace() * g)
+    return T1Section.make(v.apply(g) - v.log_trace().mul_to(g, g.ctx.order))
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,9 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     The system's entries come straight from the coefficient terms of the
     b_i and a_j (_Terms), as ints where integral, added where they land
     in rows keyed (generator, equation monomial); no jet is built per
-    unknown.  A "yes" is re-checked before it is returned: nabla_v g must
-    vanish in T1 through degree min(order - 1, ctx.order) for every
-    generator, and RuntimeError says it does not.
+    unknown.  A "yes" is re-checked through nabla before it is returned:
+    nabla_v g must vanish in T1 through degree min(order - 1, ctx.order) for
+    every generator, and RuntimeError says it does not.
     """
     ctx = fol.ctx
     d = order if order is not None else ctx.order
@@ -231,7 +231,7 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     # an unknown past the context order has a zero column, hence sol 0
     unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for e, i in col_of.items() if sol[i]})
     for v in fol.generators:
-        if not _is_flat(v, unit, top):
+        if not nabla(v, T1Section.make(unit)).g.truncate(top).is_zero():
             raise RuntimeError("flat unit certificate failed: nabla_v g is not zero "
                                "in T1 through degree %d" % top)
     # uniqueness is judged on the coefficients the equations can reach, i.e.
@@ -246,36 +246,19 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     return FlatUnitResult(True, d, unit=unit, unique=unique)
 
 
-def _is_flat(v, g, degree):
-    """Is nabla_v g = v(g) - trace g zero in T1 through degree degree?
-
-    Computed from the jet calculus (partials and truncated products), apart
-    from the rows find_flat_unit solved.
-    """
-    r = v.ctx.r
-    acc = -v.log_trace().mul_to(g, degree)
-    for i, bi in enumerate(v.b):
-        if bi.terms:
-            acc = acc + bi.mul_to(g.scaled_partial(i), degree)
-    for j, aj in enumerate(v.a):
-        if aj.terms:
-            acc = acc + aj.mul_to(g.partial(r + j), degree)
-    return t1_reduce(acc).is_zero()
-
-
 # -- residue machinery --
 
 def laurent_residue(numer, denom, available_order):
     """Residue at 0 of (numer / denom) dz for univariate coefficient dicts.
 
     denom = z^m * unit; the residue is the z^(m-1) coefficient of
-    numer * unit^(-1). Raises when the truncation cannot reach that far.
+    numer * unit^(-1), with the unit inverted by Jet.invert, so int or
+    Fraction input gives a Fraction. Raises when the truncation cannot reach
+    that far.
     """
     if not denom:
         raise ZeroDivisionError("denominator is identically zero at this order")
     m = min(denom)
-    lead = denom[m]
-    shifted = {k - m: c / lead for k, c in denom.items()}  # unit with constant 1
     need = m - 1
     if need < 0:
         return Fraction(0)
@@ -284,20 +267,11 @@ def laurent_residue(numer, denom, available_order):
             "need %d coefficients of a quotient but only %d are trustworthy"
             % (need + 1, available_order - m + 1)
         )
-    # invert the unit as a power series up to degree `need`
-    inv = {0: Fraction(1)}
-    for k in range(1, need + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if i in shifted and (k - i) in inv:
-                acc += shifted[i] * inv[k - i]
-        inv[k] = -acc
-    res = Fraction(0)
-    for i, c in numer.items():
-        j = need - i
-        if 0 <= j <= need:
-            res += c * inv[j]
-    return res / lead
+    # (denom / z^m)^(-1) through degree need, 1/lead included
+    inv = Jet.make(GermContext(1, 0, max(need, 1)),
+                   {(k - m,): c for k, c in denom.items()}).invert(need).terms
+    return sum((c * inv.get((need - i,), 0) for i, c in numer.items() if 0 <= i <= need),
+               Fraction(0))
 
 
 def cs_index_log(form: LogOneForm, i, j):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logfol import (
     FoliationGerm,
@@ -22,7 +22,7 @@ from logfol import (
 )
 from logfol import cli, foliations, linalg
 from logfol.foliations import MissingStratumError, _span_system
-from logfol.jets import Jet
+from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
 
 
@@ -130,8 +130,8 @@ def _first_bad_pair(gens, d):
 
 def _full_system_solve(gens, target, d):
     """The test oracle: (coefficients or None, unique?) from one solve of the
-    whole system _span_system(gens, (target,), d), with no unit pivots."""
-    monos, system = _span_system(gens, (target,), d)
+    whole system _span_system over gens and target, with no unit pivots."""
+    monos, system = _span_system([g.components() for g in gens], (target.components(),), d)
     sol = system.solve()
     if sol is None:
         return None, False
@@ -242,24 +242,86 @@ def test_non_commuting_pair_leaves_a_system_and_is_involutive(monkeypatch, tmp_p
 
 def test_non_commuting_pair_at_order_40_shifts_nothing_past_the_order(monkeypatch):
     # w = 2 x1 x4 d4 lies in the maximal ideal: its lowest degree 2 plus a
-    # monomial of degree 38 or more lands past degree 39, so no such shift
-    # is made; the columns stay, zero there, and the answers do not move
+    # monomial of degree 38 or more lands past degree 39, so no such product
+    # is added; the columns stay, zero there, and the answers do not move
     ctx = GermContext(4, 3, 40)
     v = derivation_from_string(ctx, NONCOMMUTING["v"])
     w = derivation_from_string(ctx, NONCOMMUTING["w"])
-    reach = []
-    shift = Jet.shift
+    systems = []
+    full = foliations._span_system
 
-    def spy(jet, mono):
-        reach.append(sum(mono) + min(map(sum, jet.terms)))
-        return shift(jet, mono)
+    def spy(columns, targets, order):
+        out = full(columns, targets, order)
+        systems.append(out[1])
+        return out
 
-    monkeypatch.setattr(Jet, "shift", spy)
+    monkeypatch.setattr(foliations, "_span_system", spy)
     res = involutivity_check(FoliationGerm(ctx, (v, w), rank=2))
     assert res.ok and res.order == 39
     unit = Jet.one(ctx) + Jet.variable(ctx, 3)
     assert span_membership(w.scale(unit), (v, w), 39) == (Jet.zero(ctx), unit)
-    assert reach and max(reach) == 39
+    rows = systems[0].rows
+    assert (len(rows), systems[0].ncols, sum(map(len, rows.values()))) == (19019, 32020, 19020)
+    assert max(sum(e) for _, e in rows) == 39
+
+
+def _span_rows_oracle(columns, targets, order):
+    """_span_system's monomials, column count and rows, each column formed
+    with the public product and cut past the order."""
+    ctx = targets[0][0].ctx
+    monos = monomials(ctx, order)
+    ncols = len(columns) * len(monos)
+    rows = {}
+    for k, comps in enumerate(columns):
+        for i, comp in enumerate(comps):
+            for j, m in enumerate(monos):
+                for e, c in (comp * Jet.make(ctx, {m: 1})).truncate(order).terms.items():
+                    rows.setdefault((i, e), {})[k * len(monos) + j] = c
+    for p, comps in enumerate(targets):
+        for i, comp in enumerate(comps):
+            for e, c in comp.truncate(order).terms.items():
+                rows.setdefault((i, e), {})[ncols + p] = c
+    return monos, ncols, rows
+
+
+@st.composite
+def span_system_inputs(draw):
+    """r in 0..3 and order 1..6, 1-3 generators and 1-2 targets of n
+    component jets each, and a system order up to the context's.  Exponents
+    run up to the order in every slot, so products often land past the order
+    or, for r >= 2, on the crossing product."""
+    r = draw(st.integers(0, 3))
+    n = draw(st.integers(max(r, 1), r + 2))
+    ctx = GermContext(n, r, draw(st.integers(1, 6)))
+    exps = st.tuples(*(st.integers(0, ctx.order) for _ in range(n)))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    comps = st.lists(st.dictionaries(exps, coeff, max_size=3).map(lambda t: Jet.make(ctx, t)),
+                     min_size=n, max_size=n)
+    return (draw(st.lists(comps, min_size=1, max_size=3)),
+            draw(st.lists(comps, min_size=1, max_size=2)), draw(st.integers(0, ctx.order)))
+
+
+def _padded(ctx, *comps):
+    return tuple(comps) + (Jet.zero(ctx),) * (ctx.n - len(comps))
+
+
+CROSSING = GermContext(4, 3, 4)
+# x3 * F drops x1 x2 x3 on the crossing; x3^2 * F drops x3^2 x4^3 past the order
+F = Jet.make(CROSSING, {(1, 1, 0, 0): 2, (0, 0, 0, 3): 1, (0, 2, 0, 0): -1, (1, 0, 0, 0): 5})
+SMOOTH = GermContext(2, 1, 4)  # a single marked branch imposes no product relation
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_system_inputs())
+@example(([_padded(CROSSING, F)], [_padded(CROSSING, F)], 4))
+@example(([_padded(CROSSING, Jet.zero(CROSSING), Jet.zero(CROSSING), F)],
+          [_padded(CROSSING, Jet.variable(CROSSING, 2))], 3))
+@example(([_padded(SMOOTH, Jet.variable(SMOOTH, 1), Jet.variable(SMOOTH, 1))],
+          [_padded(SMOOTH, Jet.one(SMOOTH))], 4))
+def test_span_system_rows_match_public_products(case):
+    columns, targets, order = case
+    monos, system = _span_system(columns, targets, order)
+    assert (monos, system.ncols, system.rows) == _span_rows_oracle(columns, targets, order)
 
 
 def test_a_corrupted_span_solve_is_an_internal_error(monkeypatch, capsys):

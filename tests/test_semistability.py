@@ -422,6 +422,51 @@ def test_laurent_residue_order_guard():
         laurent_residue({0: Fraction(1)}, {3: Fraction(1)}, 3)
 
 
+def test_laurent_residue_of_ints_is_a_fraction():
+    res = laurent_residue({0: 1}, {2: 2, 3: 1}, 6)
+    assert res == Fraction(-1, 4) and type(res) is Fraction
+
+
+def _residue_by_series_loop(numer, denom, available_order):
+    """Residue by inverting the unit denom / z^m term by term, as a power
+    series loop independent of Jet.invert; Fraction input only."""
+    m = min(denom)
+    lead = denom[m]
+    shifted = {k - m: c / lead for k, c in denom.items()}
+    need = m - 1
+    if need < 0:
+        return Fraction(0)
+    if need > available_order - m:
+        raise InconclusiveAtOrderError(
+            "need %d coefficients of a quotient but only %d are trustworthy"
+            % (need + 1, available_order - m + 1)
+        )
+    inv = {0: Fraction(1)}
+    for k in range(1, need + 1):
+        inv[k] = -sum((shifted[i] * inv[k - i] for i in range(1, k + 1) if i in shifted),
+                      Fraction(0))
+    return sum((c * inv[need - i] for i, c in numer.items() if 0 <= need - i <= need),
+               Fraction(0)) / lead
+
+
+def _residue_outcome(residue, *args):
+    try:
+        return residue(*args)
+    except InconclusiveAtOrderError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 8), st.fractions(-5, 5, max_denominator=6), max_size=5),
+       st.dictionaries(st.integers(0, 8), st.fractions(-5, 5, max_denominator=6).filter(bool),
+                       min_size=1, max_size=5),
+       st.integers(0, 10))
+def test_laurent_residue_matches_the_series_loop(numer, denom, available_order):
+    got = _residue_outcome(laurent_residue, numer, denom, available_order)
+    assert got == _residue_outcome(_residue_by_series_loop, numer, denom, available_order)
+    assert type(got) in (Fraction, str)
+
+
 # -- log indices ---------------------------------------------------------------------
 
 

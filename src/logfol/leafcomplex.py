@@ -57,13 +57,14 @@ def _dense(v, n):
     return [v.get(j, Fraction(0)) for j in range(n)]
 
 
-def _block(m, rows, cols, error):
+def _block(m, rows, cols, error, *args):
     """m as a rows x cols block: a tuple of {column: value} rows.
 
     Dict rows, as the builders make them, are kept, and so is the object
     that holds them; dense rows coerce their nonzero entries to ints where
     integral, else Fractions, and drop those zero once coerced, such as "0".
-    Raises ValueError(error) on a wrong shape.
+    Raises ValueError(error % args) on a wrong shape; the text is made only
+    then.
     """
     if all(isinstance(row, dict) for row in m):
         fits = all(0 <= j < cols for row in m for j in row)
@@ -72,7 +73,7 @@ def _block(m, rows, cols, error):
         m = tuple({j: v for j, v in ((j, _exact(linalg.frac(x))) for j, x in enumerate(row) if x)
                    if v} for row in m)
     if not fits or len(m) != rows:
-        raise ValueError(error)
+        raise ValueError(error % args)
     return m
 
 
@@ -119,6 +120,12 @@ class LieAlgebra:
     structure[i][j] holds the coordinates of the bracket of the i-th and
     j-th basis vectors, dense on the way in and sparse once checked.
     Antisymmetry and the Jacobi identity are checked on construction.
+    Antisymmetry is checked first, over every ordered pair, the diagonal
+    included; once it holds, the bracket is alternating, and so is the
+    Jacobiator [[y,z],x] + [[z,x],y] + [[x,y],z]: it is trilinear, cyclic,
+    and vanishes when two arguments agree.  It is then zero on all basis
+    triples exactly when it is zero on the strictly increasing ones, which
+    are all that Jacobi is checked on.
     """
 
     structure: tuple
@@ -132,7 +139,7 @@ class LieAlgebra:
         if not _antisymmetric(st):
             raise ValueError("structure constants are not antisymmetric")
         # Jacobi in the cyclic form [[j,k],i] + [[k,i],j] + [[i,j],k] = 0
-        for i, j, k in itertools.product(range(n), repeat=3):
+        for i, j, k in itertools.combinations(range(n), 3):
             cyclic = ((st[j][k], i), (st[k][i], j), (st[i][j], k))
             if _combine((1, self.bracket(v, {m: 1})) for v, m in cyclic):
                 raise ValueError("structure constants violate the Jacobi identity")
@@ -164,7 +171,10 @@ class LieModuleData:
 
     action[i] is the matrix, dense or a block, by which the i-th basis
     vector acts.  The commutator condition
-    rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) is checked on construction.
+    rho([x, y]) = rho(x) rho(y) - rho(y) rho(x) is checked on construction,
+    on the basis pairs i < j only: the algebra's bracket is alternating, so
+    rho([x, y]) - [rho x, rho y] is bilinear and alternating too, and it
+    vanishes on every pair once it vanishes on those.
     """
 
     algebra: LieAlgebra
@@ -178,7 +188,7 @@ class LieModuleData:
         act = tuple(_block(a, m, m, "action matrices must be square of a common size")
                     for a in self.action)
         object.__setattr__(self, "action", act)
-        for i, j in itertools.product(range(n), repeat=2):
+        for i, j in itertools.combinations(range(n), 2):
             ab = linalg.product(act[i], act[j])
             ba = linalg.product(act[j], act[i])
             commutator = tuple(_combine(((1, x), (-1, y))) for x, y in zip(ab, ba))
@@ -460,18 +470,26 @@ class CechLeafData:
     # -- validation --
 
     def _validate(self):
-        """Check the cover and replace every matrix by its block.  Each
-        distinct matrix object is shape-checked once per shape and each
-        distinct pair of blocks multiplied once, so a cover that shares its
-        blocks, like constant_cover, takes few checks and products."""
+        """Check the cover and replace every matrix by its block.
+
+        Each distinct matrix object is shape-checked once per shape, each
+        distinct pair of blocks multiplied once and each distinct comparison
+        of two products made once, all memoised on the ids of the blocks
+        involved.  A cover that shares its blocks, like constant_cover,
+        therefore takes few checks, products and comparisons; the loops
+        still visit every simplex, face and row in the same order, so the
+        first failure and its message do not depend on the sharing.
+        """
         blocks = {}
         products = {}
+        compared = {}
 
-        def block(m, rows, cols, error):
+        def block(m, rows, cols, kind, simplex):
             key = (id(m), rows, cols)
             if key not in blocks:
                 # m is kept with its block so that its id is not reused
-                blocks[key] = m, _block(m, rows, cols, error)
+                blocks[key] = m, _block(m, rows, cols, "%s matrix on %r has the wrong shape",
+                                        kind, simplex)
             return blocks[key][1]
 
         def mul(a, b):
@@ -479,6 +497,14 @@ class CechLeafData:
             if key not in products:
                 products[key] = linalg.product(a, b)
             return products[key]
+
+        def agree(a, b, c, d):
+            """Whether a b = c d; the blocks are all kept by the cover."""
+            key = (id(a), id(b), id(c), id(d))
+            same = compared.get(key)
+            if same is None:
+                same = compared[key] = mul(a, b) == mul(c, d)
+            return same
 
         n_opens = len(self.opens)
         if n_opens == 0:
@@ -498,14 +524,15 @@ class CechLeafData:
         if len(set(self.triples)) != len(self.triples):
             raise ValueError("duplicate triple")
 
+        dims = self.dims
         all_simplices = self.simplices(0) + self.simplices(1) + self.simplices(2)
         rows = None
         for s in all_simplices:
-            if s not in self.dims:
+            if s not in dims:
                 raise ValueError("missing dims for simplex %r" % (s,))
             if rows is None:
-                rows = len(self.dims[s])
-            elif len(self.dims[s]) != rows:
+                rows = len(dims[s])
+            elif len(dims[s]) != rows:
                 raise ValueError("all simplices need the same number of rows")
         if rows == 0:
             raise ValueError("need at least one row")
@@ -514,11 +541,9 @@ class CechLeafData:
             mats = self.ce.get(s)
             if mats is None or len(mats) != rows - 1:
                 raise ValueError("simplex %r needs %d differential matrices" % (s, rows - 1))
-            self.ce[s] = mats = tuple(
-                block(mats[q], self.row_dim(s, q + 1), self.row_dim(s, q),
-                      "ce matrix on %r has the wrong shape" % (s,))
-                for q in range(rows - 1)
-            )
+            ds = dims[s]
+            self.ce[s] = mats = tuple(block(mats[q], ds[q + 1], ds[q], "ce", s)
+                                      for q in range(rows - 1))
             for q in range(rows - 2):
                 if any(mul(mats[q + 1], mats[q])):
                     raise ValueError("row differential does not square to zero on %r" % (s,))
@@ -529,31 +554,31 @@ class CechLeafData:
             mats = self.restrictions.get(key)
             if mats is None or len(mats) != rows:
                 raise ValueError("missing restriction %r -> %r" % (face, simplex))
-            self.restrictions[key] = tuple(
-                block(m, self.row_dim(simplex, q), self.row_dim(face, q),
-                      "restriction matrix on %r has the wrong shape" % (simplex,))
-                for q, m in enumerate(mats)
-            )
+            ds, df = dims[simplex], dims[face]
+            self.restrictions[key] = tuple(block(m, ds[q], df[q], "restriction", simplex)
+                                           for q, m in enumerate(mats))
         extra = set(self.restrictions) - set(expected)
         if extra:
             raise ValueError("restriction given for a non-face %r" % (sorted(extra)[0],))
 
         # restrictions must be chain maps
         for (face, simplex), mats in self.restrictions.items():
+            ce_s, ce_f = self.ce[simplex], self.ce[face]
             for q in range(rows - 1):
-                if mul(self.ce[simplex][q], mats[q]) != mul(mats[q + 1], self.ce[face][q]):
+                if not agree(ce_s[q], mats[q], mats[q + 1], ce_f[q]):
                     raise ValueError("restriction %r -> %r does not commute with the differential"
                                      % (face, simplex))
 
         # two-step restrictions through different intermediate pairs agree
+        restrictions = self.restrictions
         for t in self.triples:
             i, j, k = t
             for vertex, via_a, via_b in (((i,), (i, j), (i, k)), ((j,), (i, j), (j, k)),
                                          ((k,), (i, k), (j, k))):
+                a_t, v_a = restrictions[(via_a, t)], restrictions[(vertex, via_a)]
+                b_t, v_b = restrictions[(via_b, t)], restrictions[(vertex, via_b)]
                 for q in range(rows):
-                    ra = mul(self.restriction(via_a, t, q), self.restriction(vertex, via_a, q))
-                    rb = mul(self.restriction(via_b, t, q), self.restriction(vertex, via_b, q))
-                    if ra != rb:
+                    if not agree(a_t[q], v_a[q], b_t[q], v_b[q]):
                         raise ValueError(
                             "restrictions to %r from %r disagree between routes" % (t, vertex)
                         )
@@ -655,7 +680,9 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     components of the total differential applied to the triple; the report
     also says whether the triple is a total coboundary and, if so, returns
     correcting cochains (a row-0 cochain on pairs and a row-1 cochain on
-    the opens).
+    the opens).  The corrector is re-checked before it is returned: the
+    total differential it was solved from must map it to the triple, and
+    RuntimeError says it does not.
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows to place an obstruction triple")
@@ -680,9 +707,13 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     )
     is_cocycle = all(equations)
 
-    sol = linalg.solve(data.total_matrix(1), flat)
+    t1 = data.total_matrix(1)
+    sol = linalg.solve(t1, flat)
     if sol is None:
         return ObstructionReport(equations, is_cocycle, False, None)
+    if linalg.mat_vec(t1, sol) != flat:
+        raise RuntimeError("obstruction certificate failed: the total differential does not "
+                           "map the corrector to the triple")
     return ObstructionReport(
         equations, is_cocycle, True, data.split(sol, data.total_components(1))
     )

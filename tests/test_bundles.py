@@ -11,6 +11,7 @@ from logfol import (
     SNCCurveBundle,
     cohomology_snc_curve,
     h_p1,
+    linalg,
 )
 
 
@@ -22,7 +23,7 @@ def h_p1_oracle(d):
 # -- projective line ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", range(-6, 7))
+@pytest.mark.parametrize("d", [*range(-60, 61), -200, 200])
 def test_h_p1_matches_section_count(d):
     assert h_p1(d) == h_p1_oracle(d)
 
@@ -30,6 +31,27 @@ def test_h_p1_matches_section_count(d):
 def test_h_p1_far_out_degrees():
     assert h_p1(11) == (12, 0)
     assert h_p1(-9) == (0, 8)
+
+
+def test_h_p1_grows_one_basis_by_two_sections_a_window(monkeypatch):
+    # window 1 puts in four sections and each wider window two more, all
+    # into one basis; no window is ranked on its own
+    calls = []
+    echelon = linalg.echelon
+
+    def spy(rows, ncols, basis=None, reduced=True):
+        rows = list(rows)
+        calls.append((len(rows), id(basis), reduced))
+        return echelon(rows, ncols, basis, reduced)
+
+    monkeypatch.setattr(linalg, "echelon", spy)
+    monkeypatch.setattr(linalg, "rank", None)
+    for d in (-7, 0, 9):
+        calls.clear()
+        assert h_p1(d) == h_p1_oracle(d)
+        assert [n for n, _, _ in calls] == [4] + [2] * (len(calls) - 1)
+        assert len({key for _, key, _ in calls}) == 1
+        assert not any(reduced for _, _, reduced in calls)
 
 
 def test_graded_bundle_accounting():

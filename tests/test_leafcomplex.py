@@ -1,6 +1,8 @@
 """Chevalley-Eilenberg calculus and the two-level obstruction complex."""
 
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,157 @@ def test_module_validation_checks_equivariance():
         LieModuleData(g, bad)
     good = (((1, 0), (0, 2)), ((3, 0), (0, 4)))
     LieModuleData(g, good)
+
+
+def _dense_bracket(table, x, y):
+    n = len(table)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] += x[i] * y[j] * table[i][j][k]
+    return out
+
+
+def _unit(n, i):
+    return [Fraction(int(k == i)) for k in range(n)]
+
+
+def _is_lie_oracle(table):
+    """Antisymmetry over every ordered pair, then Jacobi over all n^3
+    ordered triples, with dense arithmetic."""
+    n = len(table)
+    if any(table[a][b] != [-x for x in table[b][a]]
+           for a, b in itertools.product(range(n), repeat=2)):
+        return False
+    for i, j, k in itertools.product(range(n), repeat=3):
+        terms = [_dense_bracket(table, table[b][c], _unit(n, a))
+                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        if any(map(sum, zip(*terms))):
+            return False
+    return True
+
+
+def _dense_mul(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def _respects_bracket_oracle(table, action):
+    """rho([e_i, e_j]) = [rho e_i, rho e_j] over all n^2 ordered pairs."""
+    n, m = len(table), len(action[0])
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = [[sum(table[i][j][k] * action[k][r][c] for k in range(n)) for c in range(m)]
+               for r in range(m)]
+        ab, ba = _dense_mul(action[i], action[j]), _dense_mul(action[j], action[i])
+        if lhs != [[x - y for x, y in zip(u, v)] for u, v in zip(ab, ba)]:
+            return False
+    return True
+
+
+def _table(n, entries):
+    """An n x n table of n-vectors from {(i, j): vector} for i < j, made
+    antisymmetric."""
+    t = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), v in entries.items():
+        t[i][j] = [Fraction(x) for x in v]
+        t[j][i] = [-Fraction(x) for x in v]
+    return t
+
+
+LIE_TABLES = [
+    _table(1, {}),
+    _table(2, {(0, 1): (0, 1)}),
+    _table(3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)}),      # sl2
+    _table(3, {(0, 1): (0, 0, 1)}),                                             # Heisenberg
+    _table(3, {(0, 1): (0, 1, 0), (0, 2): (0, 0, 1)}),
+    _table(4, {(0, 1): (0, 2, 0, 0), (0, 2): (0, 0, -2, 0), (1, 2): (1, 0, 0, 0)}),
+    _table(4, {}),
+]
+
+
+def _change_basis(table, rng):
+    """The same algebra in the basis f_i = e_i + c e_j, for random i != j
+    and c: one elementary basis change."""
+    n = len(table)
+    i, j = rng.sample(range(n), 2)
+    c = rng.choice((-2, -1, 1, 2))
+
+    def f(a):   # f_a in e coordinates
+        v = _unit(n, a)
+        if a == i:
+            v[j] += c
+        return v
+
+    def to_f(x):   # e coordinates to f coordinates
+        y = list(x)
+        y[j] -= c * x[i]
+        return y
+
+    return [[to_f(_dense_bracket(table, f(a), f(b))) for b in range(n)] for a in range(n)]
+
+
+def _adjoint(table):
+    n = len(table)
+    return [[[table[i][c][r] for c in range(n)] for r in range(n)] for i in range(n)]
+
+
+def test_sorted_lie_checks_decide_as_the_full_loops():
+    # The constructors check Jacobi on i < j < k and the module bracket on
+    # i < j only.  On random antisymmetric tables and actions, Lie and not,
+    # they must accept and reject exactly what the n^3 and n^2 loops do.
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(150):
+        if rng.random() < 0.25:
+            n = rng.randint(1, 4)
+            table = _table(n, {(i, j): [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+                               for i, j in itertools.combinations(range(n), 2)})
+        else:
+            table = [[list(v) for v in row] for row in rng.choice(LIE_TABLES)]
+            n = len(table)
+            for _ in range(rng.randint(0, 3) if n > 1 else 0):
+                table = _change_basis(table, rng)
+            if n > 2 and rng.random() < 0.4:
+                a, b = rng.sample(range(n), 2)
+                bump = [Fraction(rng.choice((0, 1, -1))) for _ in range(n)]
+                table[a][b] = [x + y for x, y in zip(table[a][b], bump)]
+                table[b][a] = [x - y for x, y in zip(table[b][a], bump)]
+        expected = _is_lie_oracle(table)
+        try:
+            algebra = LieAlgebra(tuple(tuple(map(tuple, row)) for row in table))
+        except ValueError as exc:
+            assert not expected and "Jacobi" in str(exc)
+            seen.add(("algebra", False))
+            continue
+        assert expected
+        seen.add(("algebra", True))
+
+        if rng.random() < 0.5:
+            action = _adjoint(table)
+        else:
+            # powers of one matrix commute, so they respect the bracket
+            # only where rho of every bracket is zero, as on abelian algebras
+            m = rng.randint(1, 3)
+            base = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
+            action, power = [], [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+            for _ in range(n):
+                power = _dense_mul(power, base)
+                action.append(power)
+        if rng.random() < 0.5:
+            k, r, c = rng.randrange(n), rng.randrange(len(action[0])), rng.randrange(len(action[0]))
+            action = [[list(row) for row in mat] for mat in action]
+            action[k][r][c] += rng.choice((-1, 1))
+        expected = _respects_bracket_oracle(table, action)
+        try:
+            LieModuleData(algebra, tuple(tuple(map(tuple, mat)) for mat in action))
+        except ValueError as exc:
+            assert not expected and "respect the bracket" in str(exc)
+            seen.add(("module", False))
+            continue
+        assert expected
+        seen.add(("module", True))
+    assert seen == {(kind, ok) for kind in ("algebra", "module") for ok in (False, True)}
 
 
 def test_ce_basis_is_lexicographic():
@@ -336,6 +489,41 @@ def test_validation_multiplies_each_distinct_block_object():
                         for block in restr[face])
     with pytest.raises(ValueError, match="disagree between routes"):
         CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
+
+
+def test_validation_finds_the_one_wrong_face_among_shared_blocks():
+    # every face of a 5-open constant cover shares one identity per row, so
+    # the comparisons repeat; one face with its own wrong block must still
+    # be found, and named, wherever it sits in the loop
+    data = constant_cover(ROW_COMPLEXES[0], 5)
+    faces = list(data.restrictions)
+    eye = data.restrictions[faces[0]]
+    assert all(data.restrictions[f][q] is eye[q] for f in faces for q in range(3))
+    for face in (faces[0], faces[len(faces) // 2], faces[-1]):
+        restr = dict(data.restrictions)
+        # twice the identity in row 0 only: the differential out of row 0
+        # no longer commutes, every other row block is the shared one
+        restr[face] = (tuple({j: 2 * x for j, x in row.items()} for row in eye[0]),) + eye[1:]
+        with pytest.raises(ValueError, match=r"restriction %s -> %s does not commute" % tuple(
+                map(re.escape, map(repr, face)))):
+            CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
+
+
+def test_validation_finds_the_one_wrong_route_among_shared_blocks():
+    # twice the identity in every row commutes with the differentials, so
+    # only the routes through that face disagree; the first triple checked
+    # that uses it is named, with the vertex the face starts from
+    data = constant_cover(ROW_COMPLEXES[0], 5)
+    eye = data.restrictions[((0,), (0, 1))]
+    twice = tuple(tuple({j: 2 * x for j, x in row.items()} for row in block) for block in eye)
+    for face, triple, vertex in ((((0, 1), (0, 1, 2)), "(0, 1, 2)", "(0,)"),
+                                 (((1, 3), (1, 3, 4)), "(1, 3, 4)", "(1,)"),
+                                 (((3, 4), (2, 3, 4)), "(2, 3, 4)", "(3,)")):
+        restr = dict(data.restrictions)
+        restr[face] = twice
+        with pytest.raises(ValueError, match=r"to %s from %s disagree between routes" % (
+                re.escape(triple), re.escape(vertex))):
+            CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
 
 
 def test_validation_rejects_broken_row_complex():

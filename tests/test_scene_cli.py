@@ -447,6 +447,25 @@ def test_cli_obstruction_verify_no(tmp_path, capsys):
     assert "fails" in out
 
 
+def test_cli_obstruction_wrong_corrector_is_internal(tmp_path, capsys, monkeypatch):
+    # a solver that answered a corrector off by one in its first coordinate
+    # is caught by the certificate, never printed as a total coboundary
+    solve = linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        x[0] += 1
+        return x
+
+    path = write_scene(tmp_path, "s.json", obstruction_scene())
+    assert cli.main(["obstruction", "verify", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "solve", perturbed)
+    assert cli.main(["obstruction", "verify", path]) == 4
+    assert capsys.readouterr().out.startswith(
+        "internal: internal error: RuntimeError: obstruction certificate failed")
+
+
 def test_cli_obstruction_verify_rejects_a_null_cochain_row(tmp_path, capsys):
     scene = obstruction_scene()
     scene["cochains"]["theta"] = [None]

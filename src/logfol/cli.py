@@ -18,6 +18,8 @@ exit code: the rest of the output goes to devnull.
 
 The command tree lives in one table, COMMANDS: each row gives a leaf's words,
 handler, help, whether it reads a scene, its aliases and its extra options.
+Every report, error reports included, is named after its row: its tool is
+the row's words joined by "-", whichever alias was typed.
 build_parser(argv) builds only the path that argv names (top parser, group,
 leaf), since one call runs one command; help, a group alone or an unknown
 word gets the whole tree, built from the same rows.  Each tree is built on
@@ -47,13 +49,13 @@ EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3
 
 @dataclass
 class Report:
-    tool: str
     decision: str
     summary: str
     details: dict
     lines: tuple = ()
     scene: str = None
     order: int = None
+    tool: str = None  # the command's words joined by "-", set by _run_one
 
     def exit_code(self):
         return EXIT_BY_DECISION[self.decision]
@@ -102,7 +104,6 @@ def _cmd_monoid_saturate(args, scn: Scene):
     sat = monoids.saturate(m)
     gens = [list(g) for g in sat.generators]
     return Report(
-        tool="monoid-saturate",
         decision="value",
         summary="saturation generated by %d vectors" % len(gens),
         details={"ambient_rank": m.ambient_rank, "generators": gens},
@@ -114,7 +115,6 @@ def _cmd_monoid_group(args, scn: Scene):
     m = scn.monoid()
     basis = monoids.grothendieck_group(m)
     return Report(
-        tool="monoid-group",
         decision="value",
         summary="difference group of rank %d" % len(basis),
         details={"ambient_rank": m.ambient_rank, "basis": [list(b) for b in basis]},
@@ -129,7 +129,6 @@ def _cmd_monoid_check(args, scn: Scene):
         witness = monoids.contains(m, element)
         found = witness is not None
         return Report(
-            tool="monoid-check",
             decision="yes" if found else "no",
             summary="%r %s the monoid" % (element, "lies in" if found else "is not found in"),
             details={
@@ -139,7 +138,6 @@ def _cmd_monoid_check(args, scn: Scene):
         )
     sat = monoids.is_saturated(m)
     return Report(
-        tool="monoid-check",
         decision="yes" if sat else "no",
         summary="monoid is %ssaturated" % ("" if sat else "not "),
         details={"saturated": sat},
@@ -154,7 +152,6 @@ def _cmd_semistable_check(args, scn: Scene):
         unit_str = jets.format_jet(res.unit, names=names)
         qualifier = "the unique one" if res.unique else "one of several"
         return Report(
-            tool="semistable-check",
             decision="yes",
             summary="flat unit exists at order %d (%s)" % (res.order, qualifier),
             details={"unit": unit_str, "unique": bool(res.unique), "order": res.order},
@@ -162,7 +159,6 @@ def _cmd_semistable_check(args, scn: Scene):
             order=res.order,
         )
     return Report(
-        tool="semistable-check",
         decision="no",
         summary="no flat unit; the degree-%d system is inconsistent" % res.failing_degree,
         details={"failing_degree": res.failing_degree, "order": res.order},
@@ -181,7 +177,6 @@ def _cmd_cs_log(args, scn: Scene):
     i, j = pair
     value = semistability.cs_index_log(form, i - 1, j - 1)
     return Report(
-        tool="cs-log",
         decision="value",
         summary="index %s along the stratum of components %d and %d" % (_fstr(value), i, j),
         details={"index": _fstr(value), "pair": [i, j]},
@@ -192,7 +187,6 @@ def _cmd_cs_surface(args, scn: Scene):
     form = scn.surface_form()
     value = semistability.cs_index_surface(form)
     return Report(
-        tool="cs-surface",
         decision="value",
         summary="index %s along the invariant curve" % _fstr(value),
         details={"index": _fstr(value)},
@@ -218,7 +212,6 @@ def _cmd_pushout_check(args, scn: Scene):
             worst["product"],
         )
     return Report(
-        tool="pushout-check",
         decision="yes" if res.ok else "no",
         summary=summary,
         details={"failures": failures, "triples": len(glue.triples)},
@@ -234,7 +227,6 @@ def _cmd_pushout_member(args, scn: Scene):
     res = foliations.pushout_membership(candidate, fols, germ_ctx=ctx)
     if res.ok:
         return Report(
-            tool="pushout-member",
             decision="yes",
             summary="candidate restricts into every component foliation (order %d)" % res.order,
             details={"order": res.order},
@@ -242,7 +234,6 @@ def _cmd_pushout_member(args, scn: Scene):
         )
     failing = names[res.failing_component]
     return Report(
-        tool="pushout-member",
         decision="no",
         summary="candidate leaves the foliation on component %s (order %d)" % (failing, res.order),
         details={"failing_component": failing, "order": res.order},
@@ -253,7 +244,6 @@ def _cmd_pushout_member(args, scn: Scene):
 def _cmd_cohomology_p1(args, scn):
     h0, h1 = bundles.h_p1(args.deg)
     return Report(
-        tool="cohomology-p1",
         decision="value",
         summary="degree %d: h0 = %d, h1 = %d" % (args.deg, h0, h1),
         details={"deg": args.deg, "h0": h0, "h1": h1},
@@ -264,7 +254,6 @@ def _cmd_cohomology_snc(args, scn: Scene):
     bundle = scn.bundle()
     h0, h1 = bundles.cohomology_snc_curve(bundle)
     return Report(
-        tool="cohomology-snc-curve",
         decision="value",
         summary="h0 = %d, h1 = %d" % (h0, h1),
         details={
@@ -280,7 +269,6 @@ def _cmd_leaf_complex(args, scn: Scene):
     data = scn.leaf_data()
     dims = leafcomplex.leaf_complex_hypercohomology(data)
     return Report(
-        tool="leaf-complex",
         decision="value",
         summary="hypercohomology dimensions %s" % (tuple(dims),),
         details={
@@ -317,7 +305,6 @@ def _cmd_obstruction_verify(args, scn: Scene):
     if rep.is_cocycle and rep.is_coboundary:
         summary += " and is a total coboundary"
     return Report(
-        tool="obstruction-verify",
         decision="yes" if rep.is_cocycle else "no",
         summary=summary,
         details=details,
@@ -341,7 +328,6 @@ def _cmd_obstruction_lie(args, scn: Scene):
         else "obstruction class does not vanish"
     )
     return Report(
-        tool="obstruction-lie",
         decision="yes" if res.vanishes else "no",
         summary=summary,
         details=details,
@@ -365,7 +351,6 @@ def _cmd_holonomy(args, scn: Scene):
         ok = ok and degrees_ok
     summary = "gluing data is %scompatible" % ("" if ok else "not ")
     return Report(
-        tool="holonomy",
         decision="yes" if ok else "no",
         summary=summary,
         details=details,
@@ -385,7 +370,6 @@ def _cmd_selftest(args, scn):
         for r in results
     )
     return Report(
-        tool="selftest",
         decision="yes" if ok else "no",
         summary="%d/%d randomized identity checks passed" % (
             sum(1 for r in results if r.ok),
@@ -402,45 +386,33 @@ def _cmd_selftest(args, scn):
 # --- wiring ---
 
 
-def _error_report(tool, message, decision="error", scene_path=None):
-    return Report(
-        tool=tool,
-        decision=decision,
-        summary=message,
-        details={},
-        scene=scene_path,
-    )
-
-
 def _run_one(args, scene_path):
-    tool = args.tool
+    """The report of args' command on scene_path, error reports included,
+    named after the command (args.tool)."""
     where = str(scene_path) if scene_path else None
     try:
         scn = None
         if args.needs_scene:
             scn = load_scene(scene_path, order=getattr(args, "order", None))
         report = args.handler(args, scn)
-    except SceneError as e:
-        return _error_report(tool, str(e), scene_path=where)
     except (InconclusiveAtOrderError, SaturationBoundError) as e:
-        return _error_report(tool, str(e), decision="inconclusive", scene_path=where)
-    except (ValueError, KeyError) as e:
-        message = str(e) or type(e).__name__
-        return _error_report(tool, message, scene_path=where)
+        report = Report("inconclusive", str(e), {}, scene=where)
+    except (SceneError, ValueError, KeyError) as e:
+        report = Report("error", str(e) or type(e).__name__, {}, scene=where)
     except Exception as e:  # a crash must not read as yes, no or inconclusive
         import traceback  # here, not at the top: it adds ~3 ms to every start-up
 
         message = "internal error: %s: %s" % (type(e).__name__, e)
-        report = _error_report(tool, message, decision="internal", scene_path=where)
-        report.details["traceback"] = traceback.format_exc()
-        return report
-    if scene_path is not None and report.scene is None:
-        report.scene = str(scene_path)
-    if report.order is None:
-        order = getattr(args, "order", None)
-        if order is None and scn is not None:
-            order = scn.order
-        report.order = order
+        report = Report("internal", message, {"traceback": traceback.format_exc()}, scene=where)
+    else:
+        if scene_path is not None and report.scene is None:
+            report.scene = str(scene_path)
+        if report.order is None:
+            order = getattr(args, "order", None)
+            if order is None and scn is not None:
+                order = scn.order
+            report.order = order
+    report.tool = args.tool
     return report
 
 

@@ -3,8 +3,15 @@
 A scene is one JSON object.  Rational numbers are written as integers or as
 strings like "3/2"; floating point literals are rejected.  Jets and vector
 fields are expression strings in the germ's variable names, parsed exactly.
-Which keys a scene needs depends on the subcommand reading it; accessors
-raise SceneError naming the key that is missing or malformed.
+Which keys a scene needs depends on the subcommand reading it.
+
+Three readers carry the work the accessors share: _items reads a JSON list
+entry by entry, _parser reads an expression string on a germ, and _foliation
+builds a foliation from named fields.  Every SceneError an accessor raises
+names the key path at fault: "lie.mu[0][1]" for a bad value,
+"components[1].fields.u" for an expression that does not parse, the key
+itself when it is missing.  Each accessor checks its keys in a fixed order,
+so an input with several faults always reports the same one first.
 """
 
 from __future__ import annotations
@@ -52,33 +59,66 @@ def _int(value, where):
     return value
 
 
+def _items(values, where, read):
+    """The JSON list values, read entry by entry: read(entry, "where[i]")."""
+    return tuple(read(x, "%s[%d]" % (where, i)) for i, x in enumerate(_expect(values, list, where)))
+
+
+def _fractions(values, where):
+    return _items(values, where, scene_fraction)
+
+
 def _fraction_matrix(rows, where):
-    rows = _expect(rows, list, where)
-    return [
-        [scene_fraction(x, "%s[%d][%d]" % (where, i, j)) for j, x in enumerate(_expect(row, list, "%s[%d]" % (where, i)))]
-        for i, row in enumerate(rows)
-    ]
+    return _items(rows, where, _fractions)
+
+
+def _vector(values, where):
+    """A vector of rationals whose bad entries are reported at the vector."""
+    return _items(values, where, lambda x, _: scene_fraction(x, where))
 
 
 def _fraction_table(rows, where):
     """rows[i][j] a vector of rationals, as Lie structure constants and mu
     are given; a bad entry is reported at its vector, where[i][j]."""
-    table = []
-    for i, row in enumerate(_expect(rows, list, where)):
-        vectors = []
-        for j, v in enumerate(_expect(row, list, "%s[%d]" % (where, i))):
-            at = "%s[%d][%d]" % (where, i, j)
-            vectors.append(tuple(scene_fraction(x, at) for x in _expect(v, list, at)))
-        table.append(tuple(vectors))
-    return tuple(table)
+    return _items(rows, where, lambda row, at: _items(row, at, _vector))
 
 
 def _int_vectors(rows, where):
-    rows = _expect(rows, list, where)
-    return tuple(
-        tuple(_int(x, "%s[%d][%d]" % (where, i, j)) for j, x in enumerate(_expect(row, list, "%s[%d]" % (where, i))))
-        for i, row in enumerate(rows)
-    )
+    return _items(rows, where, lambda row, at: _items(row, at, _int))
+
+
+def _parser(parse, ctx, names, params):
+    """read(text, where): the expression string text parsed on ctx by parse
+    (jets.jet_from_string or logcalc.derivation_from_string), a parse error
+    raised as SceneError at where."""
+
+    def read(text, where):
+        text = _expect(text, str, where)
+        try:
+            return parse(ctx, text, names=names, params=params)
+        except (ExprError, logcalc.TangencyParseError) as e:
+            raise SceneError(str(e), where)
+
+    return read
+
+
+def _foliation(ctx, fields, gen_names, where, at, rank=1):
+    """The foliation generated by the fields named in the list gen_names.
+
+    Names are checked at where, each in turn: a string, then a key of
+    fields.  rank is read after them, at at.rank; an invalid foliation is
+    reported at at.
+    """
+    gens = []
+    for i, g in enumerate(_expect(gen_names, list, where)):
+        if _expect(g, str, "%s[%d]" % (where, i)) not in fields:
+            raise SceneError("unknown field %r" % g, where)
+        gens.append(fields[g])
+    rank = _int(rank, at + ".rank")
+    try:
+        return foliations.FoliationGerm(ctx, tuple(gens), rank=rank)
+    except ValueError as e:
+        raise SceneError(str(e), at)
 
 
 @dataclass
@@ -129,51 +169,20 @@ class Scene:
             out[name] = scene_fraction(value, "params.%s" % name)
         return out
 
-    def jet(self, key, ctx=None, names=None):
-        if ctx is None:
-            ctx, names = self.germ()
-        text = _expect(self._require(key), str, key)
-        try:
-            return jets.jet_from_string(ctx, text, names=names, params=self.params())
-        except ExprError as e:
-            raise SceneError(str(e), key)
-
     def fields(self, ctx=None, names=None):
         """All named vector fields of the scene, parsed on the ambient germ."""
         if ctx is None:
             ctx, names = self.germ()
         spec = _expect(self._require("fields"), dict, "fields")
-        params = self.params()
-        out = {}
-        for name, text in spec.items():
-            where = "fields.%s" % name
-            text = _expect(text, str, where)
-            try:
-                out[name] = logcalc.derivation_from_string(ctx, text, names=names, params=params)
-            except (ExprError, logcalc.TangencyParseError) as e:
-                raise SceneError(str(e), where)
-        return out
+        read = _parser(logcalc.derivation_from_string, ctx, names, self.params())
+        return {name: read(text, "fields.%s" % name) for name, text in spec.items()}
 
     def foliation(self):
         ctx, names = self.germ()
         fields = self.fields(ctx, names)
         spec = _expect(self._require("foliation"), dict, "foliation")
-        gen_names = _expect(spec.get("generators"), list, "foliation.generators")
-        gens = []
-        for i, g in enumerate(gen_names):
-            if _expect(g, str, "foliation.generators[%d]" % i) not in fields:
-                raise SceneError("unknown field %r" % g, "foliation.generators")
-            gens.append(fields[g])
-        rank = _int(spec.get("rank", 1), "foliation.rank")
-        try:
-            return foliations.FoliationGerm(ctx, tuple(gens), rank=rank)
-        except ValueError as e:
-            raise SceneError(str(e), "foliation")
-
-    def unit(self):
-        if not self.has("unit"):
-            return None
-        return self.jet("unit")
+        return _foliation(ctx, fields, spec.get("generators"), "foliation.generators",
+                          "foliation", spec.get("rank", 1))
 
     # -- log one-forms and surface forms --
 
@@ -186,29 +195,24 @@ class Scene:
             raise SceneError(
                 "need %d dlog and %d regular coefficients" % (ctx.r, ctx.n - ctx.r), "one_form"
             )
-        params = self.params()
-
-        def read(text, where):
-            text = _expect(text, str, where)
-            try:
-                return jets.jet_from_string(ctx, text, names=names, params=params)
-            except ExprError as e:
-                raise SceneError(str(e), where)
-
-        dlog_jets = [read(t, "one_form.dlog[%d]" % i) for i, t in enumerate(dlog)]
-        reg_jets = [read(t, "one_form.reg[%d]" % i) for i, t in enumerate(reg)]
+        read = _parser(jets.jet_from_string, ctx, names, self.params())
+        dlog_jets = _items(dlog, "one_form.dlog", read)
+        reg_jets = _items(reg, "one_form.reg", read)
         try:
             return logcalc.LogOneForm.make(ctx, dlog_jets, reg_jets)
         except ValueError as e:
             raise SceneError(str(e), "one_form")
 
-    def index_pair(self):
-        if not self.has("index_pair"):
+    def _int_pair(self, key, message):
+        """The optional pair of integers at key; message if it is no pair."""
+        if not self.has(key):
             return None
-        pair = _expect(self._require("index_pair"), list, "index_pair")
-        if len(pair) != 2:
-            raise SceneError("need two 1-based crossing indices", "index_pair")
-        return _int(pair[0], "index_pair[0]"), _int(pair[1], "index_pair[1]")
+        if len(_expect(self.raw[key], list, key)) != 2:
+            raise SceneError(message, key)
+        return _items(self.raw[key], key, _int)
+
+    def index_pair(self):
+        return self._int_pair("index_pair", "need two 1-based crossing indices")
 
     def surface_form(self):
         """A one-form a dy + b dz on a smooth surface germ with curve y = 0."""
@@ -218,16 +222,9 @@ class Scene:
         names = _expect(names, list, "surface_form.names")
         if len(names) != 2 or not all(isinstance(s, str) for s in names):
             raise SceneError("need exactly two variable names", "surface_form.names")
-        params = self.params()
-
-        def read(key):
-            text = _expect(spec.get(key), str, "surface_form.%s" % key)
-            try:
-                return jets.jet_from_string(ctx, text, names=tuple(names), params=params)
-            except ExprError as e:
-                raise SceneError(str(e), "surface_form.%s" % key)
-
-        return foliations.SurfaceOneForm(read("a"), read("b"))
+        read = _parser(jets.jet_from_string, ctx, tuple(names), self.params())
+        return foliations.SurfaceOneForm(read(spec.get("a"), "surface_form.a"),
+                                         read(spec.get("b"), "surface_form.b"))
 
     # -- glued configurations --
 
@@ -259,29 +256,25 @@ class Scene:
                 raise SceneError("unknown component %r" % name, where)
             return index[name]
 
-        doubles = []
-        for i, entry in enumerate(_expect(self._get("double_strata", []), list, "double_strata")):
-            where = "double_strata[%d]" % i
-            entry = _expect(entry, dict, where)
-            pair = _expect(entry.get("pair"), list, where + ".pair")
+        def double(entry, where):
+            pair = _expect(_expect(entry, dict, where).get("pair"), list, where + ".pair")
             if len(pair) != 2:
                 raise SceneError("need two component names", where + ".pair")
             a = resolve(pair[0], where + ".pair")
             b = resolve(pair[1], where + ".pair")
-            scalar = scene_fraction(entry.get("scalar"), where + ".scalar")
-            doubles.append((a, b, scalar))
-        triples = []
-        for i, entry in enumerate(_expect(self._get("triple_strata", []), list, "triple_strata")):
-            where = "triple_strata[%d]" % i
-            entry = _expect(entry, list, where)
-            if len(entry) != 3:
+            return a, b, scene_fraction(entry.get("scalar"), where + ".scalar")
+
+        def triple(entry, where):
+            if len(_expect(entry, list, where)) != 3:
                 raise SceneError("need three component names", where)
-            triples.append(tuple(sorted(resolve(name, where) for name in entry)))
+            return tuple(sorted(resolve(name, where) for name in entry))
+
+        doubles = _items(self._get("double_strata", []), "double_strata", double)
+        triples = _items(self._get("triple_strata", []), "triple_strata", triple)
         try:
-            glue = foliations.SNCGlueData(tuple(names), tuple(doubles), tuple(triples))
+            return foliations.SNCGlueData(tuple(names), doubles, triples)
         except ValueError as e:
             raise SceneError(str(e), "double_strata")
-        return glue
 
     def pushout_inputs(self):
         """Per-component candidate fields and foliations for a gluing germ.
@@ -301,12 +294,8 @@ class Scene:
             if self.has("fields") and candidate_spec in _expect(self.raw["fields"], dict, "fields"):
                 ambient_candidate = self.fields(ctx, names)[candidate_spec]
             else:
-                try:
-                    ambient_candidate = logcalc.derivation_from_string(
-                        ctx, candidate_spec, names=names, params=params
-                    )
-                except (ExprError, logcalc.TangencyParseError) as e:
-                    raise SceneError(str(e), "candidate")
+                read = _parser(logcalc.derivation_from_string, ctx, names, params)
+                ambient_candidate = read(candidate_spec, "candidate")
         else:
             candidate_spec = _expect(candidate_spec, dict, "candidate")
         candidates = []
@@ -315,43 +304,19 @@ class Scene:
             where = "components[%d]" % i
             entry = _expect(entry, dict, where)
             comp_ctx = ctx.component(i)
-            comp_names_i = names[:i] + names[i + 1 :]
-            local = {}
-            for fname, text in _expect(entry.get("fields", {}), dict, where + ".fields").items():
-                fwhere = "%s.fields.%s" % (where, fname)
-                try:
-                    local[fname] = logcalc.derivation_from_string(
-                        comp_ctx, _expect(text, str, fwhere), names=comp_names_i, params=params
-                    )
-                except (ExprError, logcalc.TangencyParseError) as e:
-                    raise SceneError(str(e), fwhere)
-            gen_names = _expect(entry.get("foliation"), list, where + ".foliation")
-            gens = []
-            for j, g in enumerate(gen_names):
-                if _expect(g, str, "%s.foliation[%d]" % (where, j)) not in local:
-                    raise SceneError("unknown field %r" % g, where + ".foliation")
-                gens.append(local[g])
-            try:
-                comp_fols.append(foliations.FoliationGerm(comp_ctx, tuple(gens)))
-            except ValueError as e:
-                raise SceneError(str(e), where + ".foliation")
+            read = _parser(logcalc.derivation_from_string, comp_ctx, names[:i] + names[i + 1 :],
+                           params)
+            local = {fname: read(text, "%s.fields.%s" % (where, fname)) for fname, text
+                     in _expect(entry.get("fields", {}), dict, where + ".fields").items()}
+            fol_where = where + ".foliation"
+            comp_fols.append(_foliation(comp_ctx, local, entry.get("foliation"), fol_where,
+                                        fol_where))
             if ambient_candidate is not None:
                 continue
             cname = comp_names[i]
             if cname not in candidate_spec:
                 raise SceneError("no candidate entry for component %r" % cname, "candidate")
-            cwhere = "candidate.%s" % cname
-            try:
-                candidates.append(
-                    logcalc.derivation_from_string(
-                        comp_ctx,
-                        _expect(candidate_spec[cname], str, cwhere),
-                        names=comp_names_i,
-                        params=params,
-                    )
-                )
-            except (ExprError, logcalc.TangencyParseError) as e:
-                raise SceneError(str(e), cwhere)
+            candidates.append(read(candidate_spec[cname], "candidate.%s" % cname))
         if ambient_candidate is not None:
             return ctx, ambient_candidate, tuple(comp_fols)
         return ctx, tuple(candidates), tuple(comp_fols)
@@ -362,23 +327,15 @@ class Scene:
         spec = _expect(self._require("holonomy"), dict, "holonomy")
         out = []
         for key in ("inner", "outer"):
-            values = _expect(spec.get(key), list, "holonomy.%s" % key)
-            parsed = [
-                scene_fraction(v, "holonomy.%s[%d]" % (key, i)) for i, v in enumerate(values)
-            ]
+            values = _fractions(spec.get(key), "holonomy.%s" % key)
             try:
-                out.append(semistability.HolonomyData(tuple(parsed)))
+                out.append(semistability.HolonomyData(values))
             except ValueError as e:
                 raise SceneError(str(e), "holonomy.%s" % key)
         return out[0], out[1]
 
     def normal_degrees(self):
-        if not self.has("normal_degrees"):
-            return None
-        pair = _expect(self._require("normal_degrees"), list, "normal_degrees")
-        if len(pair) != 2:
-            raise SceneError("need two integers", "normal_degrees")
-        return _int(pair[0], "normal_degrees[0]"), _int(pair[1], "normal_degrees[1]")
+        return self._int_pair("normal_degrees", "need two integers")
 
     # -- bundles --
 
@@ -386,15 +343,14 @@ class Scene:
         spec = _expect(self._require("bundle"), dict, "bundle")
         left = _expect(spec.get("left"), list, "bundle.left")
         right = _expect(spec.get("right"), list, "bundle.right")
-        left_deg = tuple(_int(d, "bundle.left[%d]" % i) for i, d in enumerate(left))
-        right_deg = tuple(_int(d, "bundle.right[%d]" % i) for i, d in enumerate(right))
+        left_deg = _items(left, "bundle.left", _int)
+        right_deg = _items(right, "bundle.right", _int)
         try:
             if "glue" in spec:
-                glue = _fraction_matrix(spec["glue"], "bundle.glue")
                 return bundles.SNCCurveBundle(
                     bundles.GradedBundleP1(left_deg),
                     bundles.GradedBundleP1(right_deg),
-                    tuple(tuple(row) for row in glue),
+                    _fraction_matrix(spec["glue"], "bundle.glue"),
                 )
             return bundles.SNCCurveBundle.with_identity_glue(left_deg, right_deg)
         except ValueError as e:
@@ -414,8 +370,7 @@ class Scene:
     def monoid_element(self):
         if not self.has("element"):
             return None
-        vec = _expect(self._require("element"), list, "element")
-        return tuple(_int(x, "element[%d]" % i) for i, x in enumerate(vec))
+        return _items(self.raw["element"], "element", _int)
 
     # -- leaf complexes over covers --
 
@@ -424,15 +379,11 @@ class Scene:
         builder = spec.get("builder", "explicit")
         try:
             if builder == "constant":
-                mats = _expect(spec.get("ce"), list, "leaf_data.ce")
-                ce = [_fraction_matrix(m, "leaf_data.ce[%d]" % i) for i, m in enumerate(mats)]
+                ce = _items(spec.get("ce"), "leaf_data.ce", _fraction_matrix)
                 n_opens = _int(spec.get("opens", 3), "leaf_data.opens")
                 return leafcomplex.constant_cover(ce, n_opens=n_opens)
             if builder == "p1-windows":
-                degrees = [
-                    _int(d, "leaf_data.degrees[%d]" % i)
-                    for i, d in enumerate(_expect(spec.get("degrees"), list, "leaf_data.degrees"))
-                ]
+                degrees = _items(spec.get("degrees"), "leaf_data.degrees", _int)
                 window = _int(spec.get("window", 3), "leaf_data.window")
                 polys = _fraction_matrix(spec.get("polys", []), "leaf_data.polys")
                 return leafcomplex.p1_window_cover(degrees, window, polys)
@@ -446,13 +397,13 @@ class Scene:
         opens = _expect(spec.get("opens"), list, "leaf_data.opens")
         pairs = _int_vectors(spec.get("pairs", []), "leaf_data.pairs")
         triples = _int_vectors(spec.get("triples", []), "leaf_data.triples")
-        name_of = {}
-        for i, name in enumerate(opens):
-            name_of[str(name)] = (i,)
-        for p in pairs:
-            name_of["|".join(str(opens[i]) for i in p)] = tuple(p)
-        for t in triples:
-            name_of["|".join(str(opens[i]) for i in t)] = tuple(t)
+        name_of = {str(name): (i,) for i, name in enumerate(opens)}
+        for key, simplices in (("pairs", pairs), ("triples", triples)):
+            for k, s in enumerate(simplices):
+                for i in s:
+                    if not 0 <= i < len(opens):
+                        raise SceneError("no open has index %d" % i, "leaf_data.%s[%d]" % (key, k))
+                name_of["|".join(str(opens[i]) for i in s)] = s
 
         def simplex(label, where):
             if label not in name_of:
@@ -472,17 +423,11 @@ class Scene:
                 raise SceneError('restriction labels look like "U0->U0|U1"', where)
             src, dst = label.split("->", 1)
             key = (simplex(src.strip(), where), simplex(dst.strip(), where))
-            restrictions[key] = tuple(
-                _fraction_matrix(m, "%s[%d]" % (where, q))
-                for q, m in enumerate(_expect(mats, list, where))
-            )
+            restrictions[key] = _items(mats, where, _fraction_matrix)
         ce = {}
         for label, mats in _expect(spec.get("ce"), dict, "leaf_data.ce").items():
             where = "leaf_data.ce.%s" % label
-            ce[simplex(label, where)] = tuple(
-                _fraction_matrix(m, "%s[%d]" % (where, q))
-                for q, m in enumerate(_expect(mats, list, where))
-            )
+            ce[simplex(label, where)] = _items(mats, where, _fraction_matrix)
         return leafcomplex.CechLeafData(
             tuple(str(o) for o in opens), pairs, triples, dims, restrictions, ce
         )

@@ -113,19 +113,118 @@ def test_unknown_generator_is_rejected(tmp_path):
         load_scene(path).foliation()
 
 
+@pytest.mark.parametrize("subcommand, path, value, first_line", [
+    (["semistable", "check"], ["foliation", "generators"], ["w"],
+     "error: foliation.generators: unknown field 'w'"),
+    # an unknown name is reported before a later non-string name or a bad rank
+    (["semistable", "check"], ["foliation", "generators"], ["w", 5],
+     "error: foliation.generators: unknown field 'w'"),
+    (["semistable", "check"], ["foliation"], {"generators": ["w"], "rank": "x"},
+     "error: foliation.generators: unknown field 'w'"),
+    (["pushout", "member"], ["components", 1, "foliation"], ["v", 3],
+     "error: components[1].foliation: unknown field 'v'"),
+])
+def test_unknown_generator_is_the_first_error_reported(tmp_path, capsys, subcommand, path,
+                                                       value, first_line):
+    scene = json.loads(json.dumps(BALANCED if subcommand[0] == "semistable" else PUSHOUT_MEMBER))
+    _set_path(scene, path, value)
+    assert cli.main(subcommand + [write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
 def test_duplicate_component_names_are_rejected(tmp_path):
     path = write_scene(tmp_path, "s.json", {"components": ["A", "A"]})
     with pytest.raises(SceneError, match="duplicate"):
         load_scene(path).component_names()
 
 
-def test_field_parse_errors_carry_the_key(tmp_path):
+def test_field_parse_errors_carry_the_key(tmp_path, capsys):
     path = write_scene(
         tmp_path, "s.json",
         {"germ": {"n": 2, "r": 1}, "fields": {"v": "x2*dx1"}},
     )
     with pytest.raises(SceneError, match=r"fields\.v.*not tangent"):
         load_scene(path).fields()
+    assert cli.main(["semistable", "check", write_scene(
+        tmp_path, "t.json", dict(BALANCED, fields={"v": "x2*dx1"}))]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "error: fields.v: coefficient of d1 must vanish on {x1 = 0}; "
+        "the field is not tangent to the crossing locus")
+
+
+def _set_path(scene, path, value):
+    """Put value at the key path of scene, creating nothing on the way."""
+    for key in path[:-1]:
+        scene = scene[key]
+    scene[path[-1]] = value
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+EXPLICIT_LEAF = {
+    "leaf_data": {
+        "builder": "explicit",
+        "opens": ["U0", "U1"],
+        "pairs": [[0, 1]],
+        "triples": [],
+        "spaces": {"U0": [1], "U1": [1], "U0|U1": [1]},
+        "restrictions": {
+            "U0->U0|U1": [[[1]]],
+            "U1->U0|U1": [[[1]]],
+        },
+        "ce": {"U0": [], "U1": [], "U0|U1": []},
+    }
+}
+
+FLOAT = 'floating point is not allowed; write rationals as "p/q"'
+
+# (scene: a file in scenes/ or a dict, subcommand, key path, bad value, first output line)
+READER_MESSAGES = [
+    ("lie_borel", ["obstruction", "lie"], ["lie", "structure", 1, 0, 2], 1.5,
+     "error: lie.structure[1][0]: " + FLOAT),
+    ("lie_borel", ["obstruction", "lie"], ["lie", "mu", 0, 1, 0], "x",
+     "error: lie.mu[0][1]: cannot read 'x' as a rational"),
+    ("obstruction_demo", ["leaf-complex"], ["leaf_data", "ce", 0, 1, 0], True,
+     "error: leaf_data.ce[0][1][0]: expected a rational, got a boolean"),
+    (EXPLICIT_LEAF, ["leaf-complex"], ["leaf_data", "restrictions", "U0->U0|U1", 0, 0, 0], "1/0",
+     "error: leaf_data.restrictions.U0->U0|U1[0][0][0]: cannot read '1/0' as a rational"),
+    ("leaf_windows", ["leaf-complex"], ["leaf_data", "degrees", 1], "1",
+     "error: leaf_data.degrees[1]: expected an integer"),
+    ("ruled_n2", ["cohomology", "snc-curve"], ["bundle", "left", 1], 1.5,
+     "error: bundle.left[1]: expected an integer"),
+    ("ruled_n2", ["cohomology", "snc-curve"], ["bundle", "glue"], [[1, 1.5, 0]],
+     "error: bundle.glue[0][1]: " + FLOAT),
+    ("monoid_cusp", ["monoid", "check"], ["monoid", "generators", 1, 0], "3",
+     "error: monoid.generators[1][0]: expected an integer"),
+    ("monoid_cusp", ["monoid", "check"], ["element"], [1, None],
+     "error: element[1]: expected an integer"),
+    ("holonomy_pair", ["holonomy"], ["holonomy", "inner", 1], 0.5,
+     "error: holonomy.inner[1]: " + FLOAT),
+    ("cs_triple_form", ["cs", "log"], ["one_form", "dlog", 0], "1 +",
+     "error: one_form.dlog[0]: expected a number, name, or '(' (line 1, column 4)"),
+    ("surface_index", ["cs", "surface"], ["surface_form", "b"], "-3*w",
+     "error: surface_form.b: unknown name 'w' (line 1, column 4)"),
+    ("pushout_euler", ["pushout", "member"], ["components", 1, "fields", "u"], "x*dy",
+     "error: components[1].fields.u: unknown name 'dy' (line 1, column 3)"),
+    ("pushout_euler", ["pushout", "member"], ["candidate"], {"A": "y*dy", "B": "x*"},
+     "error: candidate.B: expected a number, name, or '(' (line 1, column 3)"),
+    ("pushout_euler", ["pushout", "member"], ["candidate"], "x*dx +",
+     "error: candidate: expected a number, name, or '(' (line 1, column 7)"),
+    ("obstruction_demo", ["obstruction", "verify"], ["cochains", "gbar", 0, 1], 1.5,
+     "error: cochains.gbar[0][1]: " + FLOAT),
+]
+
+
+@pytest.mark.parametrize("scene, subcommand, path, value, first_line", READER_MESSAGES,
+                         ids=[case[-1].split(": ")[1] for case in READER_MESSAGES])
+def test_each_reader_names_its_key_path(tmp_path, capsys, scene, subcommand, path, value,
+                                        first_line):
+    if isinstance(scene, str):
+        scene = json.loads((SCENES / ("%s.json" % scene)).read_text())
+    scene = json.loads(json.dumps(scene))
+    _set_path(scene, path, value)
+    assert cli.main(subcommand + [write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 def test_params_feed_expressions(tmp_path):
@@ -163,6 +262,20 @@ def test_exit_codes_by_decision():
     for decision, code in codes.items():
         rep = Report(tool="t", decision=decision, summary="", details={})
         assert rep.exit_code() == code
+
+
+@pytest.mark.parametrize("argv, tool", [
+    (list(cmd.words) + ["missing.json"], "-".join(cmd.words))
+    for cmd in cli.COMMANDS if cmd.needs_scene
+] + [
+    (["cs", "paper", "missing.json"], "cs-log"),
+    (["selftest", "--trials", "0"], "selftest"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_error_reports_are_named_after_their_command(tmp_path, capsys, argv, tool):
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--json", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert (report["tool"], report["decision"]) == (tool, "error")
 
 
 # -- flat units -----------------------------------------------------------------------
@@ -387,23 +500,23 @@ def test_cli_leaf_complex_windows(tmp_path, capsys):
 
 
 def test_cli_leaf_complex_explicit(tmp_path, capsys):
-    scene = {
-        "leaf_data": {
-            "builder": "explicit",
-            "opens": ["U0", "U1"],
-            "pairs": [[0, 1]],
-            "triples": [],
-            "spaces": {"U0": [1], "U1": [1], "U0|U1": [1]},
-            "restrictions": {
-                "U0->U0|U1": [[[1]]],
-                "U1->U0|U1": [[[1]]],
-            },
-            "ce": {"U0": [], "U1": [], "U0|U1": []},
-        }
-    }
-    path = write_scene(tmp_path, "s.json", scene)
+    path = write_scene(tmp_path, "s.json", EXPLICIT_LEAF)
     assert cli.main(["leaf-complex", path]) == 0
     assert "(1, 0, 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value, first_line", [
+    ("pairs", [[0, 5]], "error: leaf_data.pairs[0]: no open has index 5"),
+    ("pairs", [[0, 1, 2]], "error: leaf_data.pairs[0]: no open has index 2"),
+    ("pairs", [[0, 1], [-1, 1]], "error: leaf_data.pairs[1]: no open has index -1"),
+    ("triples", [[0, 1, 2]], "error: leaf_data.triples[0]: no open has index 2"),
+], ids=["pair past the end", "pair of three", "negative index", "triple past the end"])
+def test_cli_leaf_complex_explicit_rejects_indices_past_the_opens(tmp_path, capsys, key, value,
+                                                                   first_line):
+    scene = json.loads(json.dumps(EXPLICIT_LEAF))
+    scene["leaf_data"][key] = value
+    assert cli.main(["leaf-complex", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 # -- obstruction subcommands -----------------------------------------------------------

@@ -94,16 +94,43 @@ def mutate(scene, rng):
     return scene
 
 
-@pytest.mark.parametrize("name", sorted(SUBCOMMAND))
-def test_mutated_scenes_never_crash(name, tmp_path, capsys):
-    original = json.loads((SCENES / ("%s.json" % name)).read_text())
+# No file in scenes/ uses the explicit leaf_data builder, so one is fuzzed from
+# here; it stays out of scenes/ so that the goldens cover the committed scenes
+# only.  Its opens, pairs and triples are a few of its 48 key paths, hence the
+# larger mutant count.
+EXPLICIT_COVER = {
+    "leaf_data": {
+        "builder": "explicit",
+        "opens": ["U0", "U1"],
+        "pairs": [[0, 1]],
+        "triples": [],
+        "spaces": {"U0": [1, 1], "U1": [1, 1], "U0|U1": [1, 1]},
+        "restrictions": {
+            "U0->U0|U1": [[[1]], [[1]]],
+            "U1->U0|U1": [[[1]], [[1]]],
+        },
+        "ce": {"U0": [[[1]]], "U1": [[[1]]], "U0|U1": [[[1]]]},
+    }
+}
+EXPLICIT_MUTANTS = 400
+
+FUZZED = [(name, SUBCOMMAND[name], MUTANTS_PER_SCENE) for name in sorted(SUBCOMMAND)]
+FUZZED.append(("explicit_cover", ["leaf-complex"], EXPLICIT_MUTANTS))
+
+
+@pytest.mark.parametrize("name, subcommand, mutants", FUZZED, ids=[f[0] for f in FUZZED])
+def test_mutated_scenes_never_crash(name, subcommand, mutants, tmp_path, capsys):
+    if name == "explicit_cover":
+        original = EXPLICIT_COVER
+    else:
+        original = json.loads((SCENES / ("%s.json" % name)).read_text())
     rng = random.Random(name)
     path = tmp_path / ("%s.json" % name)
     crashes = []
-    for trial in range(MUTANTS_PER_SCENE):
+    for trial in range(mutants):
         mutant = mutate(original, rng)
         path.write_text(json.dumps(mutant))
-        code = cli.main(SUBCOMMAND[name] + [str(path)])
+        code = cli.main(subcommand + [str(path)])
         out = capsys.readouterr().out
         if code not in (0, 1, 2, 3):
             crashes.append("mutant %d, exit %d: %s\n%s" % (trial, code, json.dumps(mutant), out))

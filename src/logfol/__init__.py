@@ -57,7 +57,6 @@ from .semistability import (
 )
 from .monoids import (
     FGMonoid,
-    SaturationBoundError,
     contains,
     grothendieck_group,
     is_saturated,

@@ -6,8 +6,7 @@ report's decision field:
     0  yes, or a value was computed
     1  no
     2  malformed input or an undefined quantity
-    3  inconclusive at the bounds in force (truncation order, the search
-       bound on a non-pointed monoid)
+    3  inconclusive at the truncation order in force
     4  internal error: an exception the program did not anticipate
 
 Reports serialize to JSON with --json; parsing that JSON back gives the same
@@ -41,7 +40,6 @@ from pathlib import Path
 
 from . import bundles, foliations, jets, leafcomplex, monoids, semistability
 from .foliations import InconclusiveAtOrderError
-from .monoids import SaturationBoundError
 from .scene import Scene, SceneError, load_scene
 
 EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3, "internal": 4}
@@ -395,7 +393,7 @@ def _run_one(args, scene_path):
         if args.needs_scene:
             scn = load_scene(scene_path, order=getattr(args, "order", None))
         report = args.handler(args, scn)
-    except (InconclusiveAtOrderError, SaturationBoundError) as e:
+    except InconclusiveAtOrderError as e:
         report = Report("inconclusive", str(e), {}, scene=where)
     except (SceneError, ValueError, KeyError) as e:
         report = Report("error", str(e) or type(e).__name__, {}, scene=where)

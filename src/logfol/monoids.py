@@ -17,11 +17,12 @@ nonzero cone point leaves the Hilbert basis (Bruns & Ichim 2010, "Normaliz:
 algorithms for affine monoids and rational cones").  No step of this needs
 a bound.
 
-Membership in a pointed monoid searches the remainders that stay inside the
-cone; they are finitely many, so a "no" is a proof.  On a non-pointed cone a
-point outside the cone or outside the difference group is a proven "no";
-otherwise a search with a fixed bound runs and raises SaturationBoundError
-when it runs out, rather than answering no.
+The units are the generators whose negatives lie in the cone; they generate
+the unit group U = M cap -M, as a group and as a monoid.  Membership
+searches the remainders that stay inside the cone, over the other
+generators, until one lies in U.  Those generators are nonzero in the
+pointed cone C/L, L the lineality space, so the remainders are finitely
+many and a "no" is a proof on every cone.
 
 Answers are re-checked before they are returned: a witness must sum to its
 element, and every saturation generator must satisfy the span's equations
@@ -31,18 +32,10 @@ and a base's sign test.  A failed check raises RuntimeError.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
-
-# Longest generator path the search on a non-pointed cone tries.
-_NONPOINTED_DEPTH = 48
-
-
-class SaturationBoundError(RuntimeError):
-    """Raised when the bounded search on a non-pointed cone runs out."""
 
 
 def _as_vec(x, k):
@@ -64,12 +57,6 @@ class FGMonoid:
             raise ValueError("ambient rank must be positive")
         gens = tuple(_as_vec(g, self.ambient_rank) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-
-    @classmethod
-    def free(cls, r):
-        """N^r inside Z^r."""
-        gens = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-        return cls(r, gens)
 
     def nonzero_generators(self):
         seen = []
@@ -105,91 +92,111 @@ def _adjugate(a):
     return sign * prev, [[sign * v for v in row[n:]] for row in m]
 
 
-def _kernel(pivots, k):
-    """Primitive integer basis of the kernel of a reduced echelon basis of
-    width k, one vector per free column, in column order."""
-    out = []
-    for f in range(k):
-        if f in pivots:
-            continue
-        hits = [(row[c], row[f], c) for c, row in pivots.items() if f in row]
-        scale = math.lcm(*(a for a, _, _ in hits))
-        v = [0] * k
-        v[f] = scale
-        for a, r, c in hits:
-            v[c] = -r * scale // a
-        g = math.gcd(*v)
-        out.append([e // g for e in v])
-    return out
+def _hermite(rows):
+    """The Hermite form of [rows | I] as pairs (h, t) with h = t rows.
+
+    The t are the rows of a unimodular matrix, so the nonzero h are the
+    Hermite basis of the group the rows span, and the t of the zero h are a
+    basis of the integer relations among the rows.
+    """
+    k = len(rows[0]) if rows else 0
+    tableau = [list(r) + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+    return [(h[:k], h[k:]) for h in linalg.hermite_normal_form(tableau)]
+
+
+def _reduce(hermite, x):
+    """(r, c) with x = r + sum c_j rows_j, for the pairs of _hermite(rows).
+
+    x is reduced pivot by pivot by the nonzero h, so r is zero exactly when
+    x lies in the group the rows span, and c collects the t.
+    """
+    r, c = list(x), [0] * len(hermite[0][1]) if hermite else []
+    for h, t in hermite:
+        p = next((j for j, v in enumerate(h) if v), None)
+        if p is None:
+            break
+        q = r[p] // h[p]
+        if q:
+            r = [a - q * b for a, b in zip(r, h)]
+            c = [a + q * b for a, b in zip(c, t)]
+    return r, c
+
+
+def _orthogonal(vectors, k):
+    """A basis of the integer vectors of length k orthogonal to every one of
+    vectors: the relations among the rows of the transposed vectors."""
+    return [t for h, t in _hermite([[v[i] for v in vectors] for i in range(k)]) if not any(h)]
 
 
 class _Cone:
     """The rational cone of nonzero integer generators, held in integers.
 
     One is built per public call and shared by everything that call asks.
-    `equations` are the primitive integer rows of the kernel of the
-    generator matrix, so the span is where they all vanish.  `rows` is one
-    set I of dim coordinates on which the span projects isomorphically (the
-    pivot columns of the generators' echelon form), so dim generators form
-    a base exactly when their matrix B_I has a nonzero determinant.  A base
-    is kept as (generators, D, adj) with adj B_I = D I and D > 0: for x in
-    the span, adj x_I is D times x's coordinates on the base.  x lies in
-    the cone exactly when it satisfies the equations and some base gives
+    `equations` are integer vectors orthogonal to the generators, a basis of
+    all such, so the span is where they all vanish.  `group` is the Hermite
+    form of the generators, and `rows` its pivot columns: dim coordinates on
+    which the span projects isomorphically, so dim generators form a base
+    exactly when their matrix B_I has a nonzero determinant.  A base is kept
+    as (generators, D, adj) with adj B_I = D I and D > 0: for x in the span,
+    adj x_I is D times x's coordinates on the base.  x lies in the cone
+    exactly when it satisfies the equations and some base gives
     adj x_I >= 0, a few integer dot products and a sign test, remembered
-    per point for the life of the cone.  `group` is the Hermite form of the
-    generators.
+    per point for the life of the cone.  `units` are the generators whose
+    negatives lie in the cone, `unit_group` their _hermite pairs, and
+    `relation` holds positive r_j with sum r_j u_j = 0.
     """
 
     def __init__(self, gens):
-        k = len(gens[0])
-        pivots = linalg.echelon([dict(enumerate(g)) for g in gens], k)
         self.gens = gens
-        self.rows = sorted(pivots)
-        self.equations = _kernel(pivots, k)
-        self.group = linalg.hermite_normal_form(gens)
+        self.group = _hermite(gens)
+        self.rows = [next(j for j, v in enumerate(h) if v) for h, _ in self.group if any(h)]
+        self.equations = _orthogonal(gens, len(gens[0]))
         self.bases = []
         for base in itertools.combinations(gens, len(self.rows)):
             inverse = _adjugate([[g[i] for g in base] for i in self.rows])
             if inverse is not None:
                 self.bases.append((base, *inverse))
         self._inside = {}
-        self.pointed = not any(self.contains(tuple(-c for c in g)) for g in gens)
+        self.units = [g for g in gens if self.contains(tuple(-c for c in g))]
+        self.pointed = not self.units
+        self.unit_group = _hermite(self.units)
+        self.relation = []
+        if self.units:
+            # -sum u_j lies in the cone; only units carry its coordinates a_j / D
+            base, d, a = self.coordinates(tuple(-sum(c) for c in zip(*self.units)))
+            self.relation = [d + dict(zip(base, a)).get(u, 0) for u in self.units]
+
+    def coordinates(self, x):
+        """(base, D, a) for the first base on which x has the coordinates
+        a / D >= 0, or None when x is outside the cone."""
+        if any(sum(map(mul, e, x)) for e in self.equations):
+            return None
+        xi = [x[i] for i in self.rows]
+        for base, d, adj in self.bases:
+            a = [sum(map(mul, row, xi)) for row in adj]
+            if min(a) >= 0:
+                return base, d, a
+        return None
 
     def contains(self, x):
         hit = self._inside.get(x)
         if hit is None:
-            xi = [x[i] for i in self.rows]
-            hit = not any(sum(map(mul, e, x)) for e in self.equations) and any(
-                all(sum(map(mul, a, xi)) >= 0 for a in adj) for _, _, adj in self.bases
-            )
-            self._inside[x] = hit
+            hit = self._inside[x] = self.coordinates(x) is not None
         return hit
 
-    def in_group(self, x):
-        """Whether x is in the difference group: it reduces to zero by the
-        rows of the Hermite form, pivot by pivot."""
-        x = list(x)
-        for h in self.group:
-            c = next(j for j, v in enumerate(h) if v)
-            q, r = divmod(x[c], h[c])
-            if r:
-                return False
-            if q:
-                x = [a - q * b for a, b in zip(x, h)]
-        return not any(x)
+    def units_write(self, y):
+        """Nonnegative coefficients on the units that sum to y, or None when
+        y is not in the unit group.
 
-
-def _lattice(equations, k):
-    """A basis of Z^k intersected with the rational span where the integer
-    equations vanish.
-
-    Those are the integer vectors the equations kill; the Hermite form of
-    [equations^T | identity] puts a basis of them in its rows with zero
-    equation part.
-    """
-    r = len(equations)
-    rows = [[v[i] for v in equations] + [int(i == j) for j in range(k)] for i in range(k)]
-    return [h[r:] for h in linalg.hermite_normal_form(rows) if not any(h[:r])]
+        The Hermite form of the units gives integer ones, and adding the
+        least multiple of the relation that clears their negatives makes them
+        nonnegative.
+        """
+        r, c = _reduce(self.unit_group, y)
+        if any(r):
+            return None
+        s = max([0] + [-(a // b) for a, b in zip(c, self.relation)])
+        return [a + s * b for a, b in zip(c, self.relation)]
 
 
 def _parallelepiped(base, lattice, rows):
@@ -216,53 +223,50 @@ def _parallelepiped(base, lattice, rows):
     return [tuple(sum(c * g[i] for c, g in zip(t, gens)) // d for i in range(k)) for t in seen]
 
 
-def _search(gens, x, inside, depth=math.inf):
-    """Coefficients c >= 0 with sum c_i gens[i] = x, or None.
+def _search(cone, x):
+    """Coefficients c >= 0, one per generator of the cone, with
+    sum c_i g_i = x, or None.
 
-    Depth first over generator paths in nondecreasing index order, so the
-    first witness is the first such path of at most `depth` steps in
-    lexicographic order; on a pointed cone that is the lexicographically
-    largest coefficient vector.  Remainders that `inside` rejects are not
-    entered, and a remainder that failed with at least as many steps left is
-    not tried again.  The stack is explicit: a path may be long.
+    Depth first over paths of the generators that are not units, in
+    nondecreasing index order, stopping at the first remainder that the
+    units write.  Remainders outside the cone are not entered, and a
+    remainder that failed is not tried again; they are finitely many, so
+    None is a proof.  On a pointed cone the search stops at remainder 0,
+    and its witness is the lexicographically largest coefficient vector.
+    The stack is explicit: a path may be long.
     """
-    n = len(gens)
-    failed = {}  # (remainder, lowest generator allowed) -> steps left when it failed
+    gens = [g for g in cone.gens if g not in cone.units]
+    failed = set()  # (remainder, lowest generator allowed) that led nowhere
     frames = [[x, 0, 0]]  # remainder, lowest generator allowed, next generator to try
     while frames:
         frame = frames[-1]
         vec, lo, i = frame
-        if not any(vec):
-            coeffs = [0] * n
+        units = cone.units_write(vec)
+        if units is not None:
+            coeffs = dict(zip(cone.units, units))
             for f in frames[1:]:
-                coeffs[f[1]] += 1
-            return tuple(coeffs)
-        steps = depth - (len(frames) - 1)
-        if i == n or steps <= 0:
-            failed[(vec, lo)] = steps
+                coeffs[gens[f[1]]] = coeffs.get(gens[f[1]], 0) + 1
+            return tuple(coeffs.get(g, 0) for g in cone.gens)
+        if i == len(gens):
+            failed.add((vec, lo))
             frames.pop()
             continue
         frame[2] = i + 1
         y = tuple(a - b for a, b in zip(vec, gens[i]))
-        if failed.get((y, i), -1) < steps - 1 and inside(y):
+        if (y, i) not in failed and cone.contains(y):
             frames.append([y, i, i])
     return None
 
 
 def _witness(cone, x):
-    """contains() for a nonzero x, on the cone of the monoid's nonzero
-    generators; the witness is checked to sum to x before it is returned."""
-    gens = cone.gens
-    if not (cone.in_group(x) and cone.contains(x)):
+    """contains() for a nonzero x on a cone of distinct nonzero generators;
+    the witness is checked to sum to x before it is returned."""
+    if any(_reduce(cone.group, x)[0]) or not cone.contains(x):
         return None
-    witness = _search(gens, x, cone.contains, math.inf if cone.pointed else _NONPOINTED_DEPTH)
+    witness = _search(cone, x)
     if witness is None:
-        if cone.pointed:
-            return None
-        raise SaturationBoundError(
-            "no witness for %r within %d generator steps on a non-pointed cone"
-            % (x, _NONPOINTED_DEPTH)
-        )
+        return None
+    gens = cone.gens
     total = tuple(sum(c * g[i] for c, g in zip(witness, gens)) for i in range(len(x)))
     if len(witness) != len(gens) or min(witness) < 0 or total != x:
         raise RuntimeError(
@@ -277,10 +281,9 @@ def contains(m: FGMonoid, x):
 
     The witness gives one coefficient per nonzero generator.  None is a
     proof of non-membership: x is outside the cone or the difference group,
-    or (on a pointed cone) the complete search over remainders inside the
-    cone found no path.  On a non-pointed cone that search is bounded, and
-    running out raises SaturationBoundError.  A witness that does not sum to
-    x raises RuntimeError.
+    or the complete search over remainders inside the cone found none that
+    the units write.  On a pointed cone the witness is the lexicographically
+    largest one.  A witness that does not sum to x raises RuntimeError.
     """
     x = _as_vec(x, m.ambient_rank)
     gens = m.nonzero_generators()
@@ -300,21 +303,24 @@ def _saturation(cone):
     """The generators saturate() returns, on the cone of the monoid's nonzero
     generators; each is checked to be a lattice point of the cone."""
     k = len(cone.gens[0])
-    lattice = _lattice(cone.equations, k)
+    lattice = _orthogonal(cone.equations, k)
     cands = set(cone.gens)
     for base in cone.bases:
         cands.update(_parallelepiped(base, lattice, cone.rows))
     cands.discard((0,) * k)
     cands = sorted(cands, key=lambda v: (sum(map(abs, v)), v))
-    kept = []
+    kept, sub = [], None  # sub: the cone of kept, built again only when kept grows
     for x in cands:
         if cone.pointed:
             diffs = (tuple(a - b for a, b in zip(x, y)) for y in cands if y != x)
             if any(cone.contains(d) for d in diffs):
                 continue
-        elif kept and _search(kept, x, cone.contains, _NONPOINTED_DEPTH) is not None:
-            continue
+        elif kept:
+            sub = sub or _Cone(list(kept))
+            if _witness(sub, x) is not None:
+                continue
         kept.append(x)
+        sub = None
     for h in kept:
         if not (all(type(c) is int for c in h) and cone.contains(h)):
             raise RuntimeError(
@@ -331,10 +337,9 @@ def saturate(m: FGMonoid):
     the generators and the parallelepiped points of every base.  On a pointed
     cone a candidate goes when it is another candidate plus a nonzero cone
     point, which leaves the Hilbert basis.  On a non-pointed cone a candidate
-    goes when the bounded search writes it in the candidates kept so far; one
-    it cannot write is kept, so the result always generates the saturation.
-    A generator that fails the cone's equations or sign test raises
-    RuntimeError.
+    goes when the candidates kept so far write it, so the result generates
+    the saturation.  A generator that fails the cone's equations or sign
+    test raises RuntimeError.
     """
     gens = m.nonzero_generators()
     if not gens:

@@ -397,7 +397,12 @@ class Scene:
         opens = _expect(spec.get("opens"), list, "leaf_data.opens")
         pairs = _int_vectors(spec.get("pairs", []), "leaf_data.pairs")
         triples = _int_vectors(spec.get("triples", []), "leaf_data.triples")
-        name_of = {str(name): (i,) for i, name in enumerate(opens)}
+        name_of = {}
+        for i, name in enumerate(opens):
+            if str(name) in name_of:
+                raise SceneError("open %r has the name of open %d" % (name, name_of[str(name)][0]),
+                                 "leaf_data.opens[%d]" % i)
+            name_of[str(name)] = (i,)
         for key, simplices in (("pairs", pairs), ("triples", triples)):
             for k, s in enumerate(simplices):
                 for i in s:

@@ -519,6 +519,18 @@ def test_cli_leaf_complex_explicit_rejects_indices_past_the_opens(tmp_path, caps
     assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
+@pytest.mark.parametrize("opens, first_line", [
+    (["U", "U"], "error: leaf_data.opens[1]: open 'U' has the name of open 0"),
+    ([1, "1"], "error: leaf_data.opens[1]: open '1' has the name of open 0"),
+], ids=["equal names", "equal once str"])
+def test_cli_leaf_complex_explicit_rejects_repeated_open_names(tmp_path, capsys, opens,
+                                                               first_line):
+    scene = json.loads(json.dumps(EXPLICIT_LEAF))
+    scene["leaf_data"]["opens"] = opens
+    assert cli.main(["leaf-complex", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
 # -- obstruction subcommands -----------------------------------------------------------
 
 
@@ -702,9 +714,9 @@ def test_cli_monoid_long_witnesses_are_found(tmp_path):
     assert (code, rep["details"]["witness"]) == (0, [5000])
 
 
-def test_cli_monoid_search_running_out_is_inconclusive(tmp_path):
+def test_cli_monoid_non_pointed_no_is_decided(tmp_path):
     code, rep = monoid_check(tmp_path, [[1, 0], [-1, 0], [0, 2], [1, 3]], [0, 1])
-    assert (code, rep["decision"]) == (3, "inconclusive")
+    assert (code, rep["decision"]) == (1, "no")
     code, rep = monoid_check(tmp_path, [[1, 0], [-1, 0], [0, 2], [1, 3]], [0, -1])
     assert (code, rep["decision"]) == (1, "no")
 

@@ -126,10 +126,17 @@ def _poly_mul(p, q):
     return out
 
 
-def _poly_pow(p, k, width):
-    out = _poly_const(1, width)
-    for _ in range(k):
-        out = _poly_mul(out, p)
+def _power(x, k, one, mul):
+    """x ** k for an int k >= 0 by repeated squaring, with the product mul:
+    about two products per binary digit of k, where k products are too
+    slow for exponents such as 10**9."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
     return out
 
 
@@ -201,7 +208,7 @@ class _Parser:
             k2, v, p2 = self.toks.next()
             if k2 != "int":
                 self.toks.error("exponent must be a nonnegative integer", p2)
-            p = _poly_pow(p, v, self.width)
+            p = _power(p, v, _poly_const(1, self.width), _poly_mul)
         return p
 
     def atom(self):

@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
-from .exprs import parse_polynomial
+from .exprs import _power, parse_polynomial
 from .linalg import frac
 
 
@@ -215,10 +215,7 @@ class Jet:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("use invert() for negative powers")
-        out = Jet.one(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, Jet.one(self.ctx), mul)
 
     # -- queries --
 
@@ -340,16 +337,16 @@ def name_table(ctx, names=None):
     Custom names are accepted alongside the positional x1..xn aliases as long
     as they do not clash.
     """
-    table = {}
-    for i, nm in enumerate(ctx.default_names()):
-        table[nm] = i
+    defaults = ctx.default_names()
+    table = {nm: i for i, nm in enumerate(defaults)}
     if names is not None:
         if len(names) != ctx.n:
             raise ValueError("expected %d variable names" % ctx.n)
         for i, nm in enumerate(names):
-            if nm in table and table[nm] != i:
-                raise ValueError("variable name %r collides with %r" % (nm, nm))
-            table[nm] = i
+            j = table.setdefault(nm, i)
+            if j != i:
+                raise ValueError("%r, the name of variable %d, is %s name of variable %d" % (
+                    nm, i + 1, "the default" if nm == defaults[j] else "the", j + 1))
     return table
 
 

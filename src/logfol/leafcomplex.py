@@ -672,6 +672,22 @@ class ObstructionReport:
     corrector: tuple
 
 
+def _cochain_layers(data: CechLeafData, layers):
+    """The vectors of each (name, vectors, simplices, noun) layer as Fractions.
+
+    Layer q is a row-q cochain: it must give one vector per simplex, of
+    that simplex's row-q dimension, else ValueError names the layer.
+    """
+    layers = [(name, [[linalg.frac(x) for x in v] for v in vecs], simplices, noun)
+              for name, vecs, simplices, noun in layers]
+    for q, (name, vecs, simplices, noun) in enumerate(layers):
+        if len(vecs) != len(simplices) or any(
+            len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)
+        ):
+            raise ValueError("%s must give a row-%d vector per %s" % (name, q, noun))
+    return [vecs for _, vecs, _, _ in layers]
+
+
 def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """Check the four compatibility equations of an obstruction triple.
 
@@ -686,16 +702,9 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows to place an obstruction triple")
-    theta, gbar, bbar = (
-        [[linalg.frac(x) for x in v] for v in vecs] for vecs in (theta, gbar, bbar))
-    layers = (("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
-              ("bbar", bbar, data.simplices(0), "open"))
-    for q, (name, vecs, simplices, noun) in enumerate(layers):
-        if len(vecs) != len(simplices) or any(
-            len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)
-        ):
-            raise ValueError("%s must give a row-%d vector per %s" % (name, q, noun))
-
+    theta, gbar, bbar = _cochain_layers(data, (
+        ("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
+        ("bbar", bbar, data.simplices(0), "open")))
     flat = [x for v in theta + gbar + bbar for x in v]
 
     # fourfold overlaps are empty, so the first equation has nothing to say;
@@ -727,11 +736,9 @@ def coboundary_triple(data: CechLeafData, rho, hbar):
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows")
-    rho_flat = [linalg.frac(x) for v in rho for x in v]
-    hbar_flat = [linalg.frac(x) for v in hbar for x in v]
-    if len(rho_flat) != data.space_dim(1, 0) or len(hbar_flat) != data.space_dim(0, 1):
-        raise ValueError("component sizes do not match the cover")
-    image = linalg.mat_vec(data.total_matrix(1), rho_flat + hbar_flat)
+    rho, hbar = _cochain_layers(data, (
+        ("rho", rho, data.pairs, "pair"), ("hbar", hbar, data.simplices(0), "open")))
+    image = linalg.mat_vec(data.total_matrix(1), [x for v in rho + hbar for x in v])
     return data.split(image, data.total_components(2))
 
 

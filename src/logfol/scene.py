@@ -102,6 +102,19 @@ def _parser(parse, ctx, names, params):
     return read
 
 
+def _variable_names(ctx, names, where):
+    """The list names as one string per variable of ctx, free of clashes
+    with each other and with the default names x1..xn."""
+    names = _expect(names, list, where)
+    if len(names) != ctx.n or not all(isinstance(s, str) for s in names):
+        raise SceneError("need %d variable names, as strings" % ctx.n, where)
+    try:
+        jets.name_table(ctx, names)
+    except ValueError as e:
+        raise SceneError(str(e), where)
+    return tuple(names)
+
+
 def _foliation(ctx, fields, gen_names, where, at, rank=1):
     """The foliation generated by the fields named in the list gen_names.
 
@@ -155,12 +168,8 @@ class Scene:
             raise SceneError(str(e), "germ")
         names = spec.get("names")
         if names is None:
-            names = ctx.default_names()
-        else:
-            names = _expect(names, list, "germ.names")
-            if len(names) != n or not all(isinstance(s, str) for s in names):
-                raise SceneError("need one name per variable", "germ.names")
-        return ctx, tuple(names)
+            return ctx, ctx.default_names()
+        return ctx, _variable_names(ctx, names, "germ.names")
 
     def params(self):
         out = {}
@@ -218,11 +227,8 @@ class Scene:
         """A one-form a dy + b dz on a smooth surface germ with curve y = 0."""
         spec = _expect(self._require("surface_form"), dict, "surface_form")
         ctx = jets.GermContext(2, 0, self.order)
-        names = spec.get("names", ["y", "z"])
-        names = _expect(names, list, "surface_form.names")
-        if len(names) != 2 or not all(isinstance(s, str) for s in names):
-            raise SceneError("need exactly two variable names", "surface_form.names")
-        read = _parser(jets.jet_from_string, ctx, tuple(names), self.params())
+        names = _variable_names(ctx, spec.get("names", ["y", "z"]), "surface_form.names")
+        read = _parser(jets.jet_from_string, ctx, names, self.params())
         return foliations.SurfaceOneForm(read(spec.get("a"), "surface_form.a"),
                                          read(spec.get("b"), "surface_form.b"))
 

@@ -88,21 +88,6 @@ _BASE_STRUCTURES = {
 }
 
 
-def _conjugate_algebra(algebra, p):
-    """Structure constants in the basis given by the columns of p."""
-    n = algebra.dim
-    cols = [{k: row[i] for k, row in enumerate(p) if i in row} for i in range(n)]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            br = algebra.bracket(cols[i], cols[j])
-            coords = linalg.solve(p, [br.get(k, Fraction(0)) for k in range(n)])
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return leafcomplex.LieAlgebra(tuple(table))
-
-
 def _rand_module(rng):
     kind = rng.choice(("abelian", "solvable2", "heisenberg", "sl2"))
     if kind == "abelian":
@@ -116,12 +101,10 @@ def _rand_module(rng):
                 for t in range(m)
             ))
         return leafcomplex.LieModuleData(algebra, tuple(action))
-    base = leafcomplex.LieAlgebra(
-        tuple(tuple(tuple(Fraction(x) for x in v) for v in row) for row in _BASE_STRUCTURES[kind])
-    )
+    base = leafcomplex.LieAlgebra(_BASE_STRUCTURES[kind])
     p = _rand_unimodular(rng, base.dim)
-    algebra = _conjugate_algebra(base, p)
-    return leafcomplex.adjoint_module(algebra)
+    columns = [{k: row[i] for k, row in enumerate(p) if i in row} for i in range(base.dim)]
+    return leafcomplex.adjoint_module(leafcomplex._sub_structure(base, columns))
 
 
 def _rand_cover(rng):
@@ -165,73 +148,63 @@ def _zero_product(a, b):
     return not any(linalg.product(a, b))
 
 
-# --- the individual checks ---
+# --- the individual checks: one trial each, None on success, else what failed ---
 
 
-def check_cech_square(rng, trials):
+def check_cech_square(rng):
     """Alternating restriction differences compose to zero."""
-    for t in range(trials):
-        data = _rand_cover(rng)
-        for q in range(data.n_rows):
-            if not _zero_product(data.cech_matrix(1, q), data.cech_matrix(0, q)):
-                return CheckResult("cech-square-zero", False, t + 1, "row %d" % q)
-    return CheckResult("cech-square-zero", True, trials)
+    data = _rand_cover(rng)
+    for q in range(data.n_rows):
+        if not _zero_product(data.cech_matrix(1, q), data.cech_matrix(0, q)):
+            return "row %d" % q
 
 
-def check_ce_square(rng, trials):
+def check_ce_square(rng):
     """The alternating cochain differential squares to zero."""
-    for t in range(trials):
-        module = _rand_module(rng)
-        for k in range(module.algebra.dim - 1):
-            d_low = leafcomplex.ce_differential(module, k)
-            d_high = leafcomplex.ce_differential(module, k + 1)
-            if not _zero_product(d_high, d_low):
-                return CheckResult("ce-square-zero", False, t + 1, "degree %d" % k)
-    return CheckResult("ce-square-zero", True, trials)
+    module = _rand_module(rng)
+    for k in range(module.algebra.dim - 1):
+        d_low = leafcomplex.ce_differential(module, k)
+        d_high = leafcomplex.ce_differential(module, k + 1)
+        if not _zero_product(d_high, d_low):
+            return "degree %d" % k
 
 
-def check_total_square(rng, trials):
+def check_total_square(rng):
     """The mixed-sign total differential squares to zero."""
-    for t in range(trials):
-        data = _rand_cover(rng)
-        for n in range(data.max_total_degree):
-            if not _zero_product(data.total_matrix(n + 1), data.total_matrix(n)):
-                return CheckResult("total-square-zero", False, t + 1, "degree %d" % n)
-    return CheckResult("total-square-zero", True, trials)
+    data = _rand_cover(rng)
+    for n in range(data.max_total_degree):
+        if not _zero_product(data.total_matrix(n + 1), data.total_matrix(n)):
+            return "degree %d" % n
 
 
-def check_bracket_jacobi(rng, trials):
+def check_bracket_jacobi(rng):
     """Jacobi identity for the derivation bracket, at two orders down."""
-    for t in range(trials):
-        ctx = _rand_ctx(rng)
-        u = _rand_derivation(rng, ctx)
-        v = _rand_derivation(rng, ctx)
-        w = _rand_derivation(rng, ctx)
-        s = lie_bracket(u, lie_bracket(v, w))
-        s = s + lie_bracket(v, lie_bracket(w, u))
-        s = s + lie_bracket(w, lie_bracket(u, v))
-        if not s.equal_to_order(LogDerivation.zero(ctx), ctx.order - 2):
-            return CheckResult("bracket-jacobi", False, t + 1, "trial %d" % t)
-    return CheckResult("bracket-jacobi", True, trials)
+    ctx = _rand_ctx(rng)
+    u = _rand_derivation(rng, ctx)
+    v = _rand_derivation(rng, ctx)
+    w = _rand_derivation(rng, ctx)
+    s = lie_bracket(u, lie_bracket(v, w))
+    s = s + lie_bracket(v, lie_bracket(w, u))
+    s = s + lie_bracket(w, lie_bracket(u, v))
+    if not s.equal_to_order(LogDerivation.zero(ctx), ctx.order - 2):
+        return "Jacobiator nonzero"
 
 
-def check_nabla_leibniz(rng, trials):
+def check_nabla_leibniz(rng):
     """The connection is a derivation over multiplication by functions."""
-    for t in range(trials):
-        ctx = _rand_ctx(rng, min_r=1)
-        v = _rand_derivation(rng, ctx)
-        h = _rand_jet(rng, ctx)
-        g = _rand_jet(rng, ctx)
-        tr = v.log_trace()
-        lhs = v.apply(h * g) - tr * (h * g)
-        rhs = v.apply(h) * g + h * (v.apply(g) - tr * g)
-        diff = semistability.t1_reduce(lhs - rhs)
-        if not diff.equal_to_order(Jet.zero(ctx), ctx.order - 1):
-            return CheckResult("nabla-leibniz", False, t + 1, "trial %d" % t)
-    return CheckResult("nabla-leibniz", True, trials)
+    ctx = _rand_ctx(rng)
+    v = _rand_derivation(rng, ctx)
+    h = _rand_jet(rng, ctx)
+    g = _rand_jet(rng, ctx)
+    tr = v.log_trace()
+    lhs = v.apply(h * g) - tr * (h * g)
+    rhs = v.apply(h) * g + h * (v.apply(g) - tr * g)
+    diff = semistability.t1_reduce(lhs - rhs)
+    if not diff.equal_to_order(Jet.zero(ctx), ctx.order - 1):
+        return "Leibniz rule fails"
 
 
-def check_flat_closure(rng, trials):
+def check_flat_closure(rng):
     """Tangency defects close under the bracket.
 
     The defect of a field v against a unit u is d(v) = v(u) - trace(v) u.
@@ -240,67 +213,62 @@ def check_flat_closure(rng, trials):
     closed under the bracket.  Traceless pairs give the constant-unit case
     directly: their bracket is again traceless one order down.
     """
-    for t in range(trials):
-        ctx = _rand_ctx(rng, min_r=1)
-        unit = _rand_jet(rng, ctx, unit=True)
-        v = _rand_derivation(rng, ctx)
-        w = _rand_derivation(rng, ctx)
+    ctx = _rand_ctx(rng)
+    unit = _rand_jet(rng, ctx, unit=True)
+    v = _rand_derivation(rng, ctx)
+    w = _rand_derivation(rng, ctx)
 
-        def defect(x):
-            return x.apply(unit) - x.log_trace() * unit
+    def defect(x):
+        return x.apply(unit) - x.log_trace() * unit
 
-        lhs = defect(lie_bracket(v, w))
-        rhs = v.apply(defect(w)) - w.apply(defect(v))
-        rhs = rhs + w.log_trace() * defect(v) - v.log_trace() * defect(w)
-        if not (lhs - rhs).equal_to_order(Jet.zero(ctx), ctx.order - 2):
-            return CheckResult("flat-closure", False, t + 1, "defect identity, trial %d" % t)
+    lhs = defect(lie_bracket(v, w))
+    rhs = v.apply(defect(w)) - w.apply(defect(v))
+    rhs = rhs + w.log_trace() * defect(v) - v.log_trace() * defect(w)
+    if not (lhs - rhs).equal_to_order(Jet.zero(ctx), ctx.order - 2):
+        return "defect identity"
 
-        if ctx.r >= 1:
-            b = list(_rand_jet(rng, ctx, 2) for _ in range(ctx.r - 1))
-            b.append(-sum(b, Jet.zero(ctx)))
-            a = tuple(_rand_jet(rng, ctx, 2) for _ in range(ctx.n - ctx.r))
-            v0 = LogDerivation(ctx, tuple(b), a)
-            w0_b = list(_rand_jet(rng, ctx, 2) for _ in range(ctx.r - 1))
-            w0_b.append(-sum(w0_b, Jet.zero(ctx)))
-            w0 = LogDerivation(ctx, tuple(w0_b), a)
-            tr = lie_bracket(v0, w0).log_trace()
-            if not tr.equal_to_order(Jet.zero(ctx), ctx.order - 1):
-                return CheckResult("flat-closure", False, t + 1, "traceless pair, trial %d" % t)
-    return CheckResult("flat-closure", True, trials)
+    # _rand_ctx gives r >= 1, so each b below has a last entry to balance
+    b = list(_rand_jet(rng, ctx, 2) for _ in range(ctx.r - 1))
+    b.append(-sum(b, Jet.zero(ctx)))
+    a = tuple(_rand_jet(rng, ctx, 2) for _ in range(ctx.n - ctx.r))
+    v0 = LogDerivation(ctx, tuple(b), a)
+    w0_b = list(_rand_jet(rng, ctx, 2) for _ in range(ctx.r - 1))
+    w0_b.append(-sum(w0_b, Jet.zero(ctx)))
+    w0 = LogDerivation(ctx, tuple(w0_b), a)
+    if not lie_bracket(v0, w0).log_trace().equal_to_order(Jet.zero(ctx), ctx.order - 1):
+        return "traceless pair"
 
 
-def check_span_membership(rng, trials):
+def check_span_membership(rng):
     """A combination sum_k c_k * gen_k is found in the span of the gen_k.
 
     Generators are random, each vanishing at the origin half of the time,
     so both the unit pivots and the system left over are exercised; the
     coefficients found must reproduce the combination through the order.
     """
-    for t in range(trials):
-        ctx = _rand_ctx(rng)
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            g = _rand_derivation(rng, ctx)
-            if rng.random() < 0.5:
-                comps = [Jet(ctx, {e: c for e, c in j.terms.items() if any(e)})
-                         for j in g.components()]
-                g = LogDerivation(ctx, tuple(comps[:ctx.r]), tuple(comps[ctx.r:]))
-            gens.append(g)
-        target = LogDerivation.zero(ctx)
-        for g in gens:
-            target = target + g.scale(_rand_jet(rng, ctx, unit=rng.random() < 0.5))
-        try:
-            found = foliations.span_membership(target, gens, ctx.order)
-        except RuntimeError as e:
-            return CheckResult("span-membership", False, t + 1, str(e))
-        if found is None:
-            return CheckResult("span-membership", False, t + 1, "not found, trial %d" % t)
-        combo = LogDerivation.zero(ctx)
-        for g, c in zip(gens, found):
-            combo = combo + g.scale(c)
-        if not combo.equal_to_order(target, ctx.order):
-            return CheckResult("span-membership", False, t + 1, "wrong coefficients, trial %d" % t)
-    return CheckResult("span-membership", True, trials)
+    ctx = _rand_ctx(rng)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = _rand_derivation(rng, ctx)
+        if rng.random() < 0.5:
+            comps = [Jet(ctx, {e: c for e, c in j.terms.items() if any(e)})
+                     for j in g.components()]
+            g = LogDerivation(ctx, tuple(comps[:ctx.r]), tuple(comps[ctx.r:]))
+        gens.append(g)
+    target = LogDerivation.zero(ctx)
+    for g in gens:
+        target = target + g.scale(_rand_jet(rng, ctx, unit=rng.random() < 0.5))
+    try:
+        found = foliations.span_membership(target, gens, ctx.order)
+    except RuntimeError as e:
+        return str(e)
+    if found is None:
+        return "not found"
+    combo = LogDerivation.zero(ctx)
+    for g, c in zip(gens, found):
+        combo = combo + g.scale(c)
+    if not combo.equal_to_order(target, ctx.order):
+        return "wrong coefficients"
 
 
 def _field_keeping_flat(rng, ctx, unit):
@@ -322,7 +290,7 @@ def _field_keeping_flat(rng, ctx, unit):
     return LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:]))
 
 
-def check_flat_unit(rng, trials):
+def check_flat_unit(rng):
     """find_flat_unit finds a unit where one exists, and what it finds is flat.
 
     Half of the fields are built around a random unit they keep flat, so
@@ -331,33 +299,31 @@ def check_flat_unit(rng, trials):
     trace(v) g is recomputed with LogDerivation.apply and must vanish in
     T1 through order - 1.
     """
-    for t in range(trials):
-        ctx = _rand_ctx(rng, min_r=2)
-        built = rng.random() < 0.5
-        if built:
-            # a unit whose terms live in T1, so that the unit found is rarely 1
-            alive = [e for e in jets.monomials(ctx, ctx.order)
-                     if any(e) and semistability.t1_monomial_alive(ctx, e)]
-            terms = {e: _rand_fraction(rng) for e in rng.sample(alive, min(3, len(alive)))}
-            v = _field_keeping_flat(rng, ctx, Jet.one(ctx) + Jet.make(ctx, terms))
-        else:
-            v = _rand_derivation(rng, ctx)
-            if rng.random() < 0.5:
-                b = list(v.b)
-                b[-1] = b[-1] - v.log_trace().constant_term()
-                v = LogDerivation(ctx, tuple(b), v.a)
-        try:
-            res = semistability.find_flat_unit(foliations.FoliationGerm(ctx, (v,)))
-        except RuntimeError as e:
-            return CheckResult("flat-unit", False, t + 1, str(e))
-        if built and not res.ok:
-            return CheckResult("flat-unit", False, t + 1, "missed a unit, trial %d" % t)
-        if res.ok:
-            g = res.unit
-            defect = semistability.t1_reduce(v.apply(g) - v.log_trace() * g)
-            if g.constant_term() != 1 or not defect.truncate(ctx.order - 1).is_zero():
-                return CheckResult("flat-unit", False, t + 1, "not flat, trial %d" % t)
-    return CheckResult("flat-unit", True, trials)
+    ctx = _rand_ctx(rng, min_r=2)
+    built = rng.random() < 0.5
+    if built:
+        # a unit whose terms live in T1, so that the unit found is rarely 1
+        alive = [e for e in jets.monomials(ctx, ctx.order)
+                 if any(e) and semistability.t1_monomial_alive(ctx, e)]
+        terms = {e: _rand_fraction(rng) for e in rng.sample(alive, min(3, len(alive)))}
+        v = _field_keeping_flat(rng, ctx, Jet.one(ctx) + Jet.make(ctx, terms))
+    else:
+        v = _rand_derivation(rng, ctx)
+        if rng.random() < 0.5:
+            b = list(v.b)
+            b[-1] = b[-1] - v.log_trace().constant_term()
+            v = LogDerivation(ctx, tuple(b), v.a)
+    try:
+        res = semistability.find_flat_unit(foliations.FoliationGerm(ctx, (v,)))
+    except RuntimeError as e:
+        return str(e)
+    if built and not res.ok:
+        return "missed a unit"
+    if res.ok:
+        g = res.unit
+        defect = semistability.t1_reduce(v.apply(g) - v.log_trace() * g)
+        if g.constant_term() != 1 or not defect.truncate(ctx.order - 1).is_zero():
+            return "not flat"
 
 
 ALL_CHECKS = (
@@ -373,9 +339,19 @@ ALL_CHECKS = (
 
 
 def run_all(seed=0, trials=40):
-    """Run every identity check with its own deterministic stream."""
+    """Run every identity check with its own deterministic stream.
+
+    A check is called once per trial and passes a trial by returning None;
+    the first string it returns ends its run as a failure at that trial.
+    """
     results = []
-    for name, fn in ALL_CHECKS:
+    for name, check in ALL_CHECKS:
         rng = random.Random("%d:%s" % (seed, name))
-        results.append(fn(rng, trials))
+        for t in range(trials):
+            detail = check(rng)
+            if detail is not None:
+                results.append(CheckResult(name, False, t + 1, detail))
+                break
+        else:
+            results.append(CheckResult(name, True, trials))
     return results

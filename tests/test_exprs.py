@@ -2,6 +2,7 @@
 character loop it replaced."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -140,3 +141,16 @@ def test_a_superscript_digit_is_a_positioned_error():
     assert str(exc.value).startswith("unexpected character '²'")
     # an Arabic-Indic digit is a decimal digit and still reads as an int
     assert parse_polynomial("x1^٣", {"x1": 0}) == {(3,): 1}
+
+
+def test_powers_are_taken_by_squaring():
+    names = {"x1": 0, "x2": 1}
+    for k in range(8):
+        product = "*".join(["(x1 + 2 - x2)"] * k) or "1"
+        power = parse_polynomial("(x1 + 2 - x2)^%d" % k, names, width=2)
+        assert power == parse_polynomial(product, names, width=2)
+    start = time.monotonic()
+    huge = parse_polynomial("x1^1000000000*x2 - (-1)^1000000001 + 0^1000000000", names, width=2)
+    assert huge == {(10**9, 1): 1, (0, 0): 1}
+    assert time.monotonic() - start < 1.0
+

@@ -119,6 +119,17 @@ def test_three_generators_report_the_first_bad_pair():
     assert involutivity_check(FoliationGerm(CTX, gens, rank=3)).failing_pair == (0, 2)
 
 
+def test_unit_pivots_that_leave_no_free_generator_decide_alone():
+    # both generators have a unit coefficient, so the unit pivots take them
+    # both and no system is built; [dx1, dx2 + x1*dx3] = dx3 is left over
+    ctx = GermContext(3, 0, 4)
+    gens = (derivation_from_string(ctx, "dx1"), derivation_from_string(ctx, "dx2 + x1*dx3"))
+    assert not foliations._UnitPivots(gens, [lie_bracket(*gens)], 3).free
+    res = involutivity_check(FoliationGerm(ctx, gens, rank=2))
+    assert not res.ok and res.failing_pair == (0, 1) and res.order == 3
+    assert _first_bad_pair(gens, 3) == (0, 1)
+
+
 def _first_bad_pair(gens, d):
     """The per-pair reference: one full-system solve per bracket."""
     for i in range(len(gens)):

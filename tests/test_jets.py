@@ -5,6 +5,8 @@ package are the truncations at the context order, so these tests pin down
 exactly where terms are allowed to disappear.
 """
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,21 @@ def test_truncation_kills_high_degree():
     z = Jet.variable(ctx, 0)
     assert (z ** 4).is_zero()
     assert not (z ** 3).is_zero()
+
+
+def test_powers_are_taken_by_squaring():
+    ctx = GermContext(2, 0, 4)
+    x1 = Jet.variable(ctx, 0)
+    f = Jet.one(ctx) - x1 + 2 * Jet.variable(ctx, 1)
+    product = Jet.one(ctx)
+    for k in range(10):
+        assert f ** k == product
+        product = product * f
+    start = time.monotonic()
+    assert (x1 ** 10**9).is_zero()
+    assert (Jet.one(ctx) + x1) ** 10**9 == sum(
+        (math.comb(10**9, k) * x1 ** k for k in range(5)), Jet.zero(ctx))
+    assert time.monotonic() - start < 1.0
 
 
 def test_make_normalizes_dead_monomials():

@@ -696,6 +696,18 @@ def test_verify_rejects_wrong_shapes():
         verify_obstruction_cocycle(data, theta, gbar, [v[:-1] for v in bbar])
 
 
+def test_coboundary_triple_rejects_misaligned_cochains():
+    # the right total length, but split across the pairs as 3 + 1 + 2 and
+    # across the opens as 4 + 2 + 3: each vector must have its row's dimension
+    data = triangle_data()
+    with pytest.raises(ValueError, match="rho must give a row-0 vector per pair"):
+        coboundary_triple(data, [[1, 2, 3], [4], [5, 6]], HBAR)
+    with pytest.raises(ValueError, match="hbar must give a row-1 vector per open"):
+        coboundary_triple(data, RHO, [[1, 0, 2, 0], [0, 1], [1, 1, 1]])
+    with pytest.raises(ValueError, match="rho must give a row-0 vector per pair"):
+        coboundary_triple(data, RHO[:-1] + [[3, -1], [0, 0]], HBAR)
+
+
 def test_non_coboundary_cocycle_is_reported():
     # a 2-row x constant complex cannot host triples, so build 3 rows with a
     # nontrivial total H^2 and pick a cocycle outside the image

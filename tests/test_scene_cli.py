@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +214,10 @@ READER_MESSAGES = [
      "error: candidate: expected a number, name, or '(' (line 1, column 7)"),
     ("obstruction_demo", ["obstruction", "verify"], ["cochains", "gbar", 0, 1], 1.5,
      "error: cochains.gbar[0][1]: " + FLOAT),
+    (BALANCED, ["semistable", "check"], ["germ", "names"], ["x2", "y"],
+     "error: germ.names: 'x2', the name of variable 1, is the default name of variable 2"),
+    ("surface_index", ["cs", "surface"], ["surface_form", "names"], ["y", "y"],
+     "error: surface_form.names: 'y', the name of variable 2, is the name of variable 1"),
 ]
 
 
@@ -239,6 +245,20 @@ def test_params_feed_expressions(tmp_path):
     )
     fol = load_scene(path).foliation()
     assert fol.generators[0].b[1].constant_term() == Fraction(-3, 2)
+
+
+def test_huge_exponents_are_read_in_time(tmp_path):
+    # x1^(10^9) dies at order 4, so the field is x1*dx1 - x2*dx2; taking the
+    # power by k products instead of by squaring would take hours
+    reports = []
+    for v in ("x1^1000000000*dx1 + x1*dx1 - x2*dx2", "x1*dx1 - x2*dx2"):
+        path = write_scene(tmp_path, "s.json", dict(BALANCED, order=4, fields={"v": v}))
+        out = tmp_path / "out.json"
+        start = time.monotonic()
+        assert cli.main(["semistable", "check", path, "--json", str(out)]) == 0
+        assert time.monotonic() - start < 1.0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 # -- report plumbing ------------------------------------------------------------------
@@ -451,6 +471,22 @@ def test_cli_pushout_member_names_the_failing_component(tmp_path, capsys):
     path = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["pushout", "member", path]) == 1
     assert "component B" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("candidate, fields", [
+    ("euler", {"euler": "x*dx + y*dy"}),
+    ({"A": "y*dy", "B": "x*dx"}, None),
+], ids=["named field", "per component"])
+def test_cli_pushout_member_reads_every_candidate_form(tmp_path, capsys, candidate, fields):
+    scene = dict(json.loads(json.dumps(PUSHOUT_MEMBER)), candidate=candidate)
+    if fields is not None:
+        scene["fields"] = fields
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "s.json", scene)]) == 0
+    assert capsys.readouterr().out.startswith("yes: candidate restricts into every component")
+    # B's foliation cut down to x^2 dx no longer holds the candidate's x dx
+    scene["components"][1]["fields"]["u"] = "x*x*dx"
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "t.json", scene)]) == 1
+    assert "leaves the foliation on component B" in capsys.readouterr().out
 
 
 # -- cohomology -----------------------------------------------------------------------
@@ -854,6 +890,22 @@ def test_closed_stdout_still_runs_every_scene_and_writes_the_json(tmp_path):
     reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
     assert [r.decision for r in reports] == ["yes", "no"]
     assert run_into_closed_pipe(["semistable", "check", "--all", str(tmp_path), "--json", "-"]) == (1, "")
+
+
+def test_an_interrupt_ends_the_run_by_the_signal(tmp_path):
+    # a SIGINT is caught nowhere, so Python ends the process by the signal
+    # and no interrupted run can exit 1, which reads as "no"; this saturation
+    # takes several seconds, so the signal arrives mid-verdict
+    path = write_scene(tmp_path, "s.json", {"monoid": {"ambient_rank": 4, "generators": [
+        [1, 0, 0, 197], [0, 1, 0, 189], [0, 0, 1, 213], [1, 1, 1, 1], [3, 5, 7, 2]]}})
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "logfol.cli", "monoid", "saturate", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    time.sleep(1.0)
+    proc.send_signal(signal.SIGINT)
+    out, _ = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (-signal.SIGINT, b"")
 
 
 @pytest.mark.parametrize("batch", [False, True])

@@ -11,7 +11,7 @@ sections, so the basis of the narrower one is extended, not rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -51,16 +51,16 @@ def h_p1(d):
         sections = [(w, 1), (d - w, -1)]
 
 
-@dataclass(frozen=True)
-class GradedBundleP1:
+class GradedBundleP1(namedtuple("GradedBundleP1", "degrees")):
     """Direct sum of line bundles on the projective line, by degrees."""
 
-    degrees: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if not self.degrees:
+    def __new__(cls, degrees):
+        degrees = tuple(int(d) for d in degrees)
+        if not degrees:
             raise ValueError("empty bundle")
+        return tuple.__new__(cls, (degrees,))
 
     @property
     def rank(self):
@@ -75,8 +75,7 @@ class GradedBundleP1:
         return h0, h1
 
 
-@dataclass(frozen=True)
-class SNCCurveBundle:
+class SNCCurveBundle(namedtuple("SNCCurveBundle", "left right glue")):
     """Bundle on two projective lines glued at one node.
 
     The fibers over the node are identified by an invertible rational matrix
@@ -84,18 +83,17 @@ class SNCCurveBundle:
     degree-graded pieces in the chart containing the node at t = 0.
     """
 
-    left: GradedBundleP1
-    right: GradedBundleP1
-    glue: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left.rank != self.right.rank:
+    def __new__(cls, left: GradedBundleP1, right: GradedBundleP1, glue):
+        if left.rank != right.rank:
             raise ValueError("both sides must have the same rank")
-        g = tuple(tuple(Fraction(x) for x in row) for row in self.glue)
-        if len(g) != self.left.rank or any(len(r) != self.left.rank for r in g):
+        g = tuple(tuple(Fraction(x) for x in row) for row in glue)
+        if len(g) != left.rank or any(len(r) != left.rank for r in g):
             raise ValueError("glue matrix must be square of the common rank")
-        object.__setattr__(self, "glue", g)
+        self = tuple.__new__(cls, (left, right, g))
         self._glue_inverse()  # raises if singular
+        return self
 
     @classmethod
     def with_identity_glue(cls, left_degrees, right_degrees):

@@ -33,7 +33,6 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -45,15 +44,25 @@ from .scene import Scene, SceneError, load_scene
 EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3, "internal": 4}
 
 
-@dataclass
 class Report:
-    decision: str
-    summary: str
-    details: dict
-    lines: tuple = ()
-    scene: str = None
-    order: int = None
-    tool: str = None  # the command's words joined by "-", set by _run_one
+    """What a command answers; tool is the command's words joined by "-",
+    set by _run_one, and scene and order are filled in there too."""
+
+    __slots__ = ("decision", "summary", "details", "lines", "scene", "order", "tool")
+
+    def __init__(self, decision, summary, details, lines=(), scene=None, order=None, tool=None):
+        self.decision = decision
+        self.summary = summary
+        self.details = details
+        self.lines = lines
+        self.scene = scene
+        self.order = order
+        self.tool = tool
+
+    def __eq__(self, other):
+        if other.__class__ is not Report:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in Report.__slots__)
 
     def exit_code(self):
         return EXIT_BY_DECISION[self.decision]
@@ -460,7 +469,9 @@ def _add_common(parser, needs_scene):
 
 # words: ("monoid", "saturate"), or one word for a top-level leaf; aliases: other
 # names for the last word; arguments: (flag, add_argument keywords) pairs added
-# after the common options.  A namedtuple: a frozen dataclass adds ~1.5 ms to import.
+# after the common options.  A namedtuple, as every record in the package is a
+# namedtuple or a plain class with __slots__: a dataclass generates and execs its
+# methods on every start, and importing dataclasses brings inspect and ast with it.
 _Command = namedtuple("_Command", "words handler help needs_scene aliases arguments",
                       defaults=(True, (), ()))
 

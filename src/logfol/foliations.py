@@ -16,7 +16,7 @@ system builder here, straight from the terms of the jets left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -31,29 +31,27 @@ class MissingStratumError(KeyError):
     __str__ = Exception.__str__  # the message as written, not quoted like a key
 
 
-@dataclass(frozen=True)
-class FoliationGerm:
+class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
     """Foliation presented by generators, with a declared generic rank."""
 
-    ctx: GermContext
-    generators: tuple
-    rank: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        gens = tuple(self.generators)
+    def __new__(cls, ctx: GermContext, generators, rank=1):
+        gens = tuple(generators)
         if not gens:
             raise ValueError("a foliation needs at least one generator")
         for g in gens:
-            if g.ctx != self.ctx:
+            if g.ctx != ctx:
                 raise ContextMismatchError("generator context mismatch")
-        object.__setattr__(self, "generators", gens)
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("declared rank must be >= 1")
-        if self.origin_rank() > self.rank:
+        self = tuple.__new__(cls, (ctx, gens, rank))
+        if self.origin_rank() > rank:
             raise ValueError(
                 "generators are independent of rank %d at the origin, above the "
-                "declared rank %d" % (self.origin_rank(), self.rank)
+                "declared rank %d" % (self.origin_rank(), rank)
             )
+        return self
 
     def origin_rank(self):
         return linalg.rank([dict(enumerate(g.constant_vector())) for g in self.generators])
@@ -224,11 +222,9 @@ def span_membership(target, generators, order):
     return coeffs
 
 
-@dataclass(frozen=True)
-class InvolutivityResult:
-    ok: bool
-    order: int
-    failing_pair: tuple = None
+class InvolutivityResult(namedtuple("InvolutivityResult", "ok order failing_pair",
+                                    defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -282,26 +278,23 @@ def restrict_derivation(v: LogDerivation, i):
 
 # -- gluing data --
 
-@dataclass(frozen=True)
-class SNCGlueData:
+class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")):
     """Components of a crossing configuration with scalar identifications.
 
     double_scalars maps an ordered component pair (i, j) to the nonzero
     rational scalar of the identification along their common stratum, with
-    the opposite orientation stored implicitly as the inverse. triples lists
-    the triple strata as index triples.
+    the opposite orientation stored implicitly as the inverse; it is kept as
+    ((i, j, Fraction), ...).  triples lists the triple strata as index
+    triples.
     """
 
-    components: tuple
-    double_scalars: tuple  # ((i, j, Fraction), ...)
-    triples: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
+    def __new__(cls, components, double_scalars, triples):
+        comps = tuple(components)
         seen = {}
         normalized = []
-        for i, j, c in self.double_scalars:
+        for i, j, c in double_scalars:
             c = Fraction(c)
             if c == 0:
                 raise ValueError("identification scalars must be nonzero")
@@ -313,14 +306,13 @@ class SNCGlueData:
                 raise ValueError("conflicting scalars for stratum %r" % (key,))
             seen[key] = val
             normalized.append((key[0], key[1], val))
-        object.__setattr__(self, "double_scalars", tuple(sorted(set(normalized))))
         trs = []
-        for t in self.triples:
+        for t in triples:
             t = tuple(sorted(t))
             if len(set(t)) != 3 or not all(0 <= i < len(comps) for i in t):
                 raise ValueError("bad triple stratum %r" % (t,))
             trs.append(t)
-        object.__setattr__(self, "triples", tuple(sorted(set(trs))))
+        return tuple.__new__(cls, (comps, tuple(sorted(set(normalized))), tuple(sorted(set(trs)))))
 
     def scalar(self, i, j):
         """Identification scalar in the direction component i -> component j."""
@@ -332,10 +324,10 @@ class SNCGlueData:
                                   % tuple(self.components[k] for k in key))
 
 
-@dataclass(frozen=True)
-class GluingCheck:
-    ok: bool
-    failures: tuple  # ((i, j, k, product), ...)
+class GluingCheck(namedtuple("GluingCheck", "ok failures")):
+    """failures holds ((i, j, k, product), ...)."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -357,12 +349,11 @@ def check_gluing_cocycle(glue: SNCGlueData):
 
 # -- pushout membership --
 
-@dataclass(frozen=True)
-class PushoutResult:
-    ok: bool
-    order: int
-    component_witness: tuple  # per component: coefficient jets or None
-    failing_component: int = None
+class PushoutResult(namedtuple("PushoutResult", "ok order component_witness failing_component",
+                               defaults=(None,))):
+    """component_witness holds, per component, the coefficient jets or None."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -421,23 +412,22 @@ class InconclusiveAtOrderError(RuntimeError):
     """The truncation order was too small to decide."""
 
 
-@dataclass(frozen=True)
-class SurfaceOneForm:
+class SurfaceOneForm(namedtuple("SurfaceOneForm", "A B")):
     """A dy + B dz on a smooth surface germ with coordinates (y, z).
 
     The context must have two variables and no crossing relation. The curve
     of interest is {y = 0}; invariance means B(0, z) = 0.
     """
 
-    A: Jet
-    B: Jet
+    __slots__ = ()
 
-    def __post_init__(self):
-        ctx = self.A.ctx
-        if self.B.ctx != ctx:
+    def __new__(cls, A: Jet, B: Jet):
+        ctx = A.ctx
+        if B.ctx != ctx:
             raise ContextMismatchError("form coefficients in different contexts")
         if ctx.n != 2 or ctx.r != 0:
             raise ValueError("surface forms live on a smooth 2-variable germ")
+        return tuple.__new__(cls, (A, B))
 
     @property
     def ctx(self):

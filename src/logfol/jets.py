@@ -27,13 +27,16 @@ Variable indices are 0-based in code; printed names default to x1..xn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
 from .exprs import _power, parse_polynomial
 from .linalg import frac
+
+
+_set = object.__setattr__  # how the read-only value types here fill their slots
 
 
 class ContextMismatchError(ValueError):
@@ -44,21 +47,19 @@ class NonUnitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GermContext:
+class GermContext(namedtuple("GermContext", "n r order")):
     """Shape of the germ: n variables, the first r of them crossing."""
 
-    n: int
-    r: int
-    order: int = 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, r, order=6):
+        if n < 1:
             raise ValueError("need at least one variable")
-        if not 0 <= self.r <= self.n:
+        if not 0 <= r <= n:
             raise ValueError("crossing count r must satisfy 0 <= r <= n")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("truncation order must be >= 1")
+        return tuple.__new__(cls, (n, r, order))
 
     def component(self, i):
         """Context of the component {x_i = 0}, for a crossing index i."""
@@ -100,12 +101,26 @@ def _on_crossing(e, r):
     return r >= 2 and 0 not in e[:r]
 
 
-@dataclass(frozen=True)
 class Jet:
-    """Element of the truncated crossing-germ ring, in normal form."""
+    """Element of the truncated crossing-germ ring, in normal form.
 
-    ctx: GermContext
-    terms: dict
+    Read-only once built; not a tuple, so it has no length, indexing or
+    concatenation to confuse with its ring operations.
+    """
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms):
+        _set(self, "ctx", ctx)
+        _set(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Jet:
+            return NotImplemented
+        return self.ctx == other.ctx and self.terms == other.terms
 
     @classmethod
     def make(cls, ctx, terms):

@@ -28,10 +28,11 @@ intersections are taken to be empty, so Cech degree 3 is the zero space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
+from .jets import _set
 from .linalg import _exact
 
 
@@ -113,8 +114,7 @@ def _insert_sorted(value, rest):
 # --- finite-dimensional Lie algebras and modules ---
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(namedtuple("LieAlgebra", "structure")):
     """Lie algebra over Q given by structure constants.
 
     structure[i][j] holds the coordinates of the bracket of the i-th and
@@ -128,14 +128,14 @@ class LieAlgebra:
     are all that Jacobi is checked on.
     """
 
-    structure: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.structure)
-        if any(len(row) != n or any(len(v) != n for v in row) for row in self.structure):
+    def __new__(cls, structure):
+        n = len(structure)
+        if any(len(row) != n or any(len(v) != n for v in row) for row in structure):
             raise ValueError("structure constants must form an n x n table of n-vectors")
-        st = tuple(tuple(map(_sparse, row)) for row in self.structure)
-        object.__setattr__(self, "structure", st)
+        st = tuple(tuple(map(_sparse, row)) for row in structure)
+        self = tuple.__new__(cls, (st,))
         if not _antisymmetric(st):
             raise ValueError("structure constants are not antisymmetric")
         # Jacobi in the cyclic form [[j,k],i] + [[k,i],j] + [[i,j],k] = 0
@@ -143,6 +143,7 @@ class LieAlgebra:
             cyclic = ((st[j][k], i), (st[k][i], j), (st[i][j], k))
             if _combine((1, self.bracket(v, {m: 1})) for v, m in cyclic):
                 raise ValueError("structure constants violate the Jacobi identity")
+        return self
 
     @property
     def dim(self):
@@ -165,8 +166,7 @@ def abelian_algebra(n):
     return LieAlgebra(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
 
-@dataclass(frozen=True)
-class LieModuleData:
+class LieModuleData(namedtuple("LieModuleData", "algebra action")):
     """A module over a finite-dimensional Lie algebra.
 
     action[i] is the matrix, dense or a block, by which the i-th basis
@@ -177,23 +177,23 @@ class LieModuleData:
     vanishes on every pair once it vanishes on those.
     """
 
-    algebra: LieAlgebra
-    action: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        if len(self.action) != n:
+    def __new__(cls, algebra: LieAlgebra, action):
+        n = algebra.dim
+        if len(action) != n:
             raise ValueError("need one action matrix per basis vector")
-        m = len(self.action[0]) if self.action else 0
+        m = len(action[0]) if action else 0
         act = tuple(_block(a, m, m, "action matrices must be square of a common size")
-                    for a in self.action)
-        object.__setattr__(self, "action", act)
+                    for a in action)
+        self = tuple.__new__(cls, (algebra, act))
         for i, j in itertools.combinations(range(n), 2):
             ab = linalg.product(act[i], act[j])
             ba = linalg.product(act[j], act[i])
             commutator = tuple(_combine(((1, x), (-1, y))) for x, y in zip(ab, ba))
-            if self.act_by(self.algebra.structure[i][j]) != commutator:
+            if self.act_by(algebra.structure[i][j]) != commutator:
                 raise ValueError("action does not respect the bracket")
+        return self
 
     @property
     def dim(self):
@@ -256,8 +256,7 @@ def ce_differential(module: LieModuleData, k):
 # --- obstruction class of a perturbed subalgebra inclusion ---
 
 
-@dataclass(frozen=True)
-class FinLieData:
+class FinLieData(namedtuple("FinLieData", "algebra sub_basis perturbation mu")):
     """A subalgebra with a first-order perturbation of its inclusion.
 
     sub_basis spans the subalgebra inside the ambient algebra; perturbation
@@ -267,39 +266,28 @@ class FinLieData:
     three are dense on the way in and sparse once checked.
     """
 
-    algebra: LieAlgebra
-    sub_basis: tuple
-    perturbation: tuple
-    mu: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        h = len(self.sub_basis)
-        if any(len(v) != n for v in self.sub_basis):
+    def __new__(cls, algebra: LieAlgebra, sub_basis, perturbation, mu):
+        n = algebra.dim
+        h = len(sub_basis)
+        if any(len(v) != n for v in sub_basis):
             raise ValueError("sub basis vectors must live in the ambient algebra")
-        if len(self.perturbation) != h or any(len(v) != n for v in self.perturbation):
+        if len(perturbation) != h or any(len(v) != n for v in perturbation):
             raise ValueError("need one ambient perturbation vector per sub basis vector")
-        if len(self.mu) != h or any(
-                len(row) != h or any(len(v) != n for v in row) for row in self.mu):
+        if len(mu) != h or any(len(row) != h or any(len(v) != n for v in row) for row in mu):
             raise ValueError("mu must be an h x h table of ambient vectors")
-        sub = tuple(map(_sparse, self.sub_basis))
-        mu = tuple(tuple(map(_sparse, row)) for row in self.mu)
-        object.__setattr__(self, "sub_basis", sub)
-        object.__setattr__(self, "perturbation", tuple(map(_sparse, self.perturbation)))
-        object.__setattr__(self, "mu", mu)
+        sub = tuple(map(_sparse, sub_basis))
+        pert = tuple(map(_sparse, perturbation))
+        mu = tuple(tuple(map(_sparse, row)) for row in mu)
         if not _antisymmetric(mu):
             raise ValueError("mu is not antisymmetric")
         if linalg.rank(sub) != h:
             raise ValueError("sub basis is linearly dependent")
+        return tuple.__new__(cls, (algebra, sub, pert, mu))
 
 
-@dataclass(frozen=True)
-class LieObstruction:
-    quotient_dim: int
-    cocycle: tuple
-    is_cocycle: bool
-    vanishes: bool
-    corrector: tuple
+LieObstruction = namedtuple("LieObstruction", "quotient_dim cocycle is_cocycle vanishes corrector")
 
 
 def _sub_structure(algebra, sub_basis):
@@ -376,7 +364,6 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
 # --- abstract Cech data over a finite cover ---
 
 
-@dataclass(frozen=True)
 class CechLeafData:
     """Rows of cochain complexes spread over the nerve of a finite cover.
 
@@ -388,27 +375,28 @@ class CechLeafData:
     matrices, dense or as blocks (_block).  Construction checks that
     restrictions compose coherently, that each row differential squares to
     zero, and that restrictions are chain maps, which together make the
-    total differential square to zero.
+    total differential square to zero.  Read-only once built; not a tuple.
     """
 
-    opens: tuple
-    pairs: tuple
-    triples: tuple
-    dims: dict
-    restrictions: dict
-    ce: dict
+    __slots__ = ("opens", "pairs", "triples", "dims", "restrictions", "ce")
 
-    def __post_init__(self):
-        object.__setattr__(self, "opens", tuple(str(o) for o in self.opens))
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        object.__setattr__(self, "triples", tuple(tuple(t) for t in self.triples))
-        dims = {tuple(k): tuple(int(d) for d in v) for k, v in self.dims.items()}
-        restrictions = {(tuple(f), tuple(s)): tuple(m) for (f, s), m in self.restrictions.items()}
-        ce = {tuple(k): tuple(mats) for k, mats in self.ce.items()}
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "restrictions", restrictions)
-        object.__setattr__(self, "ce", ce)
+    def __init__(self, opens, pairs, triples, dims, restrictions, ce):
+        _set(self, "opens", tuple(str(o) for o in opens))
+        _set(self, "pairs", tuple(tuple(p) for p in pairs))
+        _set(self, "triples", tuple(tuple(t) for t in triples))
+        _set(self, "dims", {tuple(k): tuple(int(d) for d in v) for k, v in dims.items()})
+        _set(self, "restrictions",
+             {(tuple(f), tuple(s)): tuple(m) for (f, s), m in restrictions.items()})
+        _set(self, "ce", {tuple(k): tuple(mats) for k, mats in ce.items()})
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not CechLeafData:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in CechLeafData.__slots__)
 
     # -- shape bookkeeping --
 
@@ -664,12 +652,7 @@ def leaf_complex_hypercohomology(data: CechLeafData):
 # --- obstruction triples over a cover ---
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    equations: tuple
-    is_cocycle: bool
-    is_coboundary: bool
-    corrector: tuple
+ObstructionReport = namedtuple("ObstructionReport", "equations is_cocycle is_coboundary corrector")
 
 
 def _cochain_layers(data: CechLeafData, layers):
@@ -715,11 +698,15 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
         not any(map(any, image.get(pq, ()))) for pq in ((2, 1), (1, 2), (0, 3))
     )
     is_cocycle = all(equations)
+    if not is_cocycle:
+        # the total differential squares to zero (_validate), so no
+        # coboundary fails an equation, and no solve is needed to say so
+        return ObstructionReport(equations, False, False, None)
 
     t1 = data.total_matrix(1)
     sol = linalg.solve(t1, flat)
     if sol is None:
-        return ObstructionReport(equations, is_cocycle, False, None)
+        return ObstructionReport(equations, True, False, None)
     if linalg.mat_vec(t1, sol) != flat:
         raise RuntimeError("obstruction certificate failed: the total differential does not "
                            "map the corrector to the triple")

@@ -16,11 +16,10 @@ exactly on relative fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprs import parse_polynomial
-from .jets import ContextMismatchError, GermContext, Jet, format_jet, name_table
+from .jets import ContextMismatchError, Jet, _set, format_jet, name_table
 from .linalg import frac
 
 
@@ -34,22 +33,31 @@ def _check_ctx(ctx, jets_, what):
             raise ContextMismatchError("%s has mismatched context" % what)
 
 
-@dataclass(frozen=True)
 class LogDerivation:
-    """b_1 x_1 d_1 + ... + b_r x_r d_r + a_{r+1} d_{r+1} + ... + a_n d_n."""
+    """b_1 x_1 d_1 + ... + b_r x_r d_r + a_{r+1} d_{r+1} + ... + a_n d_n.
 
-    ctx: GermContext
-    b: tuple
-    a: tuple
+    Read-only once built, and not a tuple, like Jet.
+    """
 
-    def __post_init__(self):
-        b = tuple(self.b)
-        a = tuple(self.a)
-        if len(b) != self.ctx.r or len(a) != self.ctx.n - self.ctx.r:
+    __slots__ = ("ctx", "b", "a")
+
+    def __init__(self, ctx, b, a):
+        b = tuple(b)
+        a = tuple(a)
+        if len(b) != ctx.r or len(a) != ctx.n - ctx.r:
             raise ValueError("coefficient counts do not match the context")
-        _check_ctx(self.ctx, b + a, "derivation coefficient")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
+        _check_ctx(ctx, b + a, "derivation coefficient")
+        _set(self, "ctx", ctx)
+        _set(self, "b", b)
+        _set(self, "a", a)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not LogDerivation:
+            return NotImplemented
+        return self.ctx == other.ctx and self.b == other.b and self.a == other.a
 
     @classmethod
     def zero(cls, ctx):
@@ -145,25 +153,34 @@ def lie_bracket(v, w):
     return LogDerivation(v.ctx, b, a)
 
 
-@dataclass(frozen=True)
 class LogOneForm:
     """a_1 dx_1/x_1 + ... + a_r dx_r/x_r + c_{r+1} dx_{r+1} + ... + c_n dx_n.
 
     Stored in the normalized representative: the common additive constant
     allowed by the relation sum_i dx_i/x_i = du/u is removed, so the last
     dlog coefficient has constant term zero. Construct through make().
+    Read-only once built, and not a tuple, like Jet.
     """
 
-    ctx: GermContext
-    dlog: tuple
-    reg: tuple
+    __slots__ = ("ctx", "dlog", "reg")
 
-    def __post_init__(self):
-        if self.ctx.r < 1:
+    def __init__(self, ctx, dlog, reg):
+        if ctx.r < 1:
             raise ValueError("a log one-form needs at least one crossing variable")
-        if len(self.dlog) != self.ctx.r or len(self.reg) != self.ctx.n - self.ctx.r:
+        if len(dlog) != ctx.r or len(reg) != ctx.n - ctx.r:
             raise ValueError("coefficient counts do not match the context")
-        _check_ctx(self.ctx, tuple(self.dlog) + tuple(self.reg), "form coefficient")
+        _check_ctx(ctx, tuple(dlog) + tuple(reg), "form coefficient")
+        _set(self, "ctx", ctx)
+        _set(self, "dlog", dlog)
+        _set(self, "reg", reg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not LogOneForm:
+            return NotImplemented
+        return self.ctx == other.ctx and self.dlog == other.dlog and self.reg == other.reg
 
     @classmethod
     def make(cls, ctx, dlog, reg=()):
@@ -177,6 +194,21 @@ class LogOneForm:
         return cls(ctx, dlog, reg)
 
 
+def derivation_table(ctx, names=None):
+    """name_table(ctx, names) plus the derivation token "d" + name of every
+    accepted name, indexing the partials after the n variables.  A token
+    that is itself an accepted name raises ValueError."""
+    table = name_table(ctx, names)
+    for nm, idx in list(table.items()):
+        token = "d" + nm
+        j = table.get(token)
+        if j is not None:
+            raise ValueError("%r names variable %d and is the derivation token of %r, variable %d"
+                             % (token, j + 1, nm, idx + 1))
+        table[token] = ctx.n + idx
+    return table
+
+
 def derivation_from_string(ctx, text, names=None, params=None):
     """Parse vector-field syntax into a LogDerivation.
 
@@ -186,13 +218,8 @@ def derivation_from_string(ctx, text, names=None, params=None):
     the quotient becomes the stored b_i. Example: "lam1*y*dy + z*dz" with
     names x, y, z and a rational parameter lam1.
     """
-    table = dict(name_table(ctx, names))
+    table = derivation_table(ctx, names)
     width = 2 * ctx.n
-    for nm, idx in list(table.items()):
-        token = "d" + nm
-        if token in table:
-            raise ValueError("derivation token %r collides with a variable" % token)
-        table[token] = ctx.n + idx
     consts = {k: frac(v) for k, v in (params or {}).items()}
     raw = parse_polynomial(text, table, width=width, consts=consts)
 

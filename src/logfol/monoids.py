@@ -32,7 +32,7 @@ and a base's sign test.  A failed check raises RuntimeError.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from . import linalg
@@ -45,18 +45,16 @@ def _as_vec(x, k):
     return v
 
 
-@dataclass(frozen=True)
-class FGMonoid:
+class FGMonoid(namedtuple("FGMonoid", "ambient_rank generators")):
     """Submonoid of Z^ambient_rank generated by `generators`."""
 
-    ambient_rank: int
-    generators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ambient_rank < 1:
+    def __new__(cls, ambient_rank, generators):
+        if ambient_rank < 1:
             raise ValueError("ambient rank must be positive")
-        gens = tuple(_as_vec(g, self.ambient_rank) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = tuple(_as_vec(g, ambient_rank) for g in generators)
+        return tuple.__new__(cls, (ambient_rank, gens))
 
     def nonzero_generators(self):
         seen = []
@@ -173,8 +171,13 @@ class _Cone:
             return None
         xi = [x[i] for i in self.rows]
         for base, d, adj in self.bases:
-            a = [sum(map(mul, row, xi)) for row in adj]
-            if min(a) >= 0:
+            a = []
+            for row in adj:
+                c = sum(map(mul, row, xi))
+                if c < 0:
+                    break  # a base is left at its first negative coordinate
+                a.append(c)
+            else:
                 return base, d, a
         return None
 
@@ -190,8 +193,10 @@ class _Cone:
 
         The Hermite form of the units gives integer ones, and adding the
         least multiple of the relation that clears their negatives makes them
-        nonnegative.
+        nonnegative.  A pointed cone has no units, and only 0 is written.
         """
+        if self.pointed:
+            return None if any(y) else []
         r, c = _reduce(self.unit_group, y)
         if any(r):
             return None

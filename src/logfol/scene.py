@@ -17,7 +17,6 @@ so an input with several faults always reports the same one first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bundles, foliations, jets, leafcomplex, logcalc, monoids, semistability
@@ -134,13 +133,15 @@ def _foliation(ctx, fields, gen_names, where, at, rank=1):
         raise SceneError(str(e), at)
 
 
-@dataclass
 class Scene:
     """A parsed scene plus the truncation order in force for it."""
 
-    raw: dict
-    order: int
-    path: str = None
+    __slots__ = ("raw", "order", "path")
+
+    def __init__(self, raw, order, path=None):
+        self.raw = raw
+        self.order = order
+        self.path = path
 
     # -- plumbing --
 
@@ -169,7 +170,13 @@ class Scene:
         names = spec.get("names")
         if names is None:
             return ctx, ctx.default_names()
-        return ctx, _variable_names(ctx, names, "germ.names")
+        names = _variable_names(ctx, names, "germ.names")
+        try:
+            # fields on the germ are written in the derivation tokens "d" + name
+            logcalc.derivation_table(ctx, names)
+        except ValueError as e:
+            raise SceneError(str(e), "germ.names")
+        return ctx, names
 
     def params(self):
         out = {}

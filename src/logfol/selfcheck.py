@@ -9,7 +9,7 @@ costs one order of jet validity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import foliations, jets, leafcomplex, linalg, logcalc, semistability
@@ -17,12 +17,7 @@ from .jets import GermContext, Jet
 from .logcalc import LogDerivation, lie_bracket
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    trials: int
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok trials detail", defaults=("",))
 
 
 # --- random generators ---

@@ -23,7 +23,7 @@ separate on purpose so each can cross-check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -59,11 +59,10 @@ def t1_reduce(jet):
     return Jet(jet.ctx, {e: c for e, c in jet.terms.items() if t1_monomial_alive(jet.ctx, e)})
 
 
-@dataclass(frozen=True)
-class T1Section:
-    """Class in T1, stored by its reduced representative."""
+class T1Section(namedtuple("T1Section", "g")):
+    """Class in T1, stored by its reduced representative g."""
 
-    g: Jet
+    __slots__ = ()
 
     @classmethod
     def make(cls, jet):
@@ -88,13 +87,9 @@ def nabla(v: LogDerivation, section: T1Section):
     return T1Section.make(v.apply(g) - v.log_trace().mul_to(g, g.ctx.order))
 
 
-@dataclass(frozen=True)
-class FlatUnitResult:
-    ok: bool
-    order: int
-    unit: Jet = None
-    failing_degree: int = None
-    unique: bool = None
+class FlatUnitResult(namedtuple("FlatUnitResult", "ok order unit failing_degree unique",
+                                defaults=(None, None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -337,17 +332,16 @@ def cs_index_surface(form: SurfaceOneForm):
 
 # -- discrete compatibility checks along a double stratum --
 
-@dataclass(frozen=True)
-class HolonomyData:
+class HolonomyData(namedtuple("HolonomyData", "values")):
     """Linear holonomy eigenvalues of one component along a stratum."""
 
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+    def __new__(cls, values):
+        vals = tuple(Fraction(v) for v in values)
         if any(v == 0 for v in vals):
             raise ValueError("holonomy values must be nonzero")
-        object.__setattr__(self, "values", vals)
+        return tuple.__new__(cls, (vals,))
 
 
 def check_holonomy_compatibility(h1: HolonomyData, h2: HolonomyData):

@@ -681,6 +681,34 @@ def test_perturbed_gbar_breaks_the_two_middle_equations():
     assert report.equations == (True, False, False, True)
 
 
+def test_a_triple_that_fails_an_equation_is_no_coboundary_without_a_solve(monkeypatch):
+    # a coboundary satisfies every equation, so a failed one decides
+    # is_coboundary; only cocycles reach linalg.solve
+    data = triangle_data()
+    theta, gbar, bbar = coboundary_triple(data, RHO, HBAR)
+    bad = list(map(list, gbar))
+    bad[1][0] += 1
+
+    def no_solve(*args):
+        raise AssertionError("solved a system the equations already decide")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    report = verify_obstruction_cocycle(data, theta, bad, bbar)
+    assert report.equations == (True, False, False, True)
+    assert (report.is_cocycle, report.is_coboundary, report.corrector) == (False, False, None)
+    layers = [list(map(list, theta)), list(map(list, gbar)), list(map(list, bbar))]
+    for li, layer in enumerate(layers):
+        for si, vec in enumerate(layer):
+            for ci in range(len(vec)):
+                bumped = [list(map(list, l)) for l in layers]
+                bumped[li][si][ci] += 1
+                report = verify_obstruction_cocycle(data, *bumped)
+                assert (report.is_cocycle, report.is_coboundary, report.corrector) == (
+                    False, False, None), (li, si, ci)
+    with pytest.raises(AssertionError, match="already decide"):
+        verify_obstruction_cocycle(data, theta, gbar, bbar)
+
+
 def test_verify_rejects_short_complexes():
     data = p1_window_cover((0, 1), 3, [[0, 1]])
     with pytest.raises(ValueError):

@@ -233,6 +233,24 @@ def test_each_reader_names_its_key_path(tmp_path, capsys, scene, subcommand, pat
     assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
+@pytest.mark.parametrize("names, message", [
+    (["x", "dx"], "'dx' names variable 2 and is the derivation token of 'x', variable 1"),
+    (["dx1", "y"], "'dx1' names variable 1 and is the derivation token of 'x1', variable 1"),
+])
+def test_a_name_that_is_a_derivation_token_is_refused_at_germ_names(tmp_path, capsys, names,
+                                                                     message):
+    scene = dict(BALANCED, germ={"n": 2, "r": 2, "names": names})
+    assert cli.main(["semistable", "check", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == "error: germ.names: " + message
+
+
+def test_surface_names_may_be_derivation_tokens(tmp_path, capsys):
+    # a surface form is a pair of jets and is written in no derivation tokens
+    scene = {"surface_form": {"names": ["y", "dy"], "a": "dy", "b": "-3*y"}}
+    assert cli.main(["cs", "surface", write_scene(tmp_path, "s.json", scene)]) == 0
+    assert "index 3 along the invariant curve" in capsys.readouterr().out
+
+
 def test_params_feed_expressions(tmp_path):
     path = write_scene(
         tmp_path, "s.json",

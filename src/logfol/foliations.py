@@ -11,17 +11,18 @@ independent of the others splits off by a unit pivot with no linear algebra
 (Nakayama's lemma; Greuel & Pfister, A Singular Introduction to Commutative
 Algebra, 2nd ed., ch. 7).  Only what is left in the maximal ideal becomes a
 Q-linear system over the jet coefficients, built by _span_system, the one
-system builder here, straight from the terms of the jets left.
+system builder here, straight from the terms of the jets left and only over
+the block of rows and unknowns that the right-hand sides reach.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from . import linalg
-from .jets import ContextMismatchError, GermContext, Jet, _on_crossing, monomials
+from .jets import ContextMismatchError, GermContext, Jet, _on_crossing
 from .logcalc import LogDerivation, lie_bracket
 
 
@@ -58,44 +59,53 @@ class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
 
 
 def _span_system(columns, targets, order):
-    """Rows of [A | b_1 ... b_m] for sum_k c_k * gen_k = b_p through degree order.
+    """Unknowns and rows of [A | b_1 ... b_m] for sum_k c_k * gen_k = b_p
+    through degree order, over the block the targets reach.
 
     columns[k] and targets[p] are sequences of component jets, as
-    LogDerivation.components() returns them.  Column k * len(monos) + i of
-    A is x^monos[i] * gen_k, column ncols + p is targets[p]; rows are keyed
-    (component, equation monomial).  Each entry is added straight from a
-    component's terms, listed once as (e, deg e, c) by ascending degree: a
-    product x^(e + monos[i]) past the order or on the crossing is skipped,
-    and no jet is built per monomial.
+    LogDerivation.components() returns them.  Unknown (k, m) is the
+    coefficient of x^m in c_k, and its column is x^m * gen_k; rows are keyed
+    (component, equation monomial).  Only the rows and unknowns reached from
+    the targets' rows are built: row (i, e) reaches unknown (k, e - t) for
+    each term x^t of columns[k][i], and unknown (k, m) reaches the rows of
+    x^m * gen_k that stay at or below the order and off the crossing.  The
+    system is the direct sum of the connected blocks of its row-column graph
+    (Pothen & Fan, ACM TOMS 16, 1990), and a block no target touches is
+    solved by 0, so the answers are those of the whole system.  The unknowns
+    are numbered in (k, deg m, m) order, the whole system's column order, so
+    echelon picks the same pivots; column ncols + p is targets[p].
     """
-    ctx = targets[0][0].ctx
-    r = ctx.r
-    monos = monomials(ctx, order)
-    system = linalg.RowBuilder(len(columns) * len(monos))
-    put = system.add
-    for k, comps in enumerate(columns):
-        for comp_idx, comp in enumerate(comps):
-            if not comp.terms:
-                continue
-            terms = sorted(((e, sum(e), c) for e, c in comp.terms.items()), key=lambda t: t[1])
-            room = order - terms[0][1]
-            for i_mono, m in enumerate(monos):
-                dm = sum(m)
-                if dm > room:
-                    break  # monos ascend by degree
-                col = k * len(monos) + i_mono
-                for e, de, c in terms:
-                    if de + dm > order:
-                        break
-                    e = tuple(map(add, e, m))
-                    if not _on_crossing(e, r):
-                        put((comp_idx, e), col, c)
+    r = targets[0][0].ctx.r
+    rows = {(i, e) for comps in targets for i, comp in enumerate(comps)
+            for e in comp.terms if sum(e) <= order}
+    reached, todo = {}, list(rows)  # reached: {(k, m): [(row, entry)]}
+    while todo:
+        i, e = todo.pop()
+        for k, comps in enumerate(columns):
+            for t in comps[i].terms:
+                m = tuple(map(sub, e, t))  # off the crossing, as e is
+                if min(m) < 0 or (k, m) in reached:
+                    continue
+                entries = reached[k, m] = []
+                for i2, comp in enumerate(comps):
+                    for t2, c in comp.terms.items():
+                        e2 = tuple(map(add, m, t2))
+                        if sum(e2) <= order and not _on_crossing(e2, r):
+                            entries.append(((i2, e2), c))
+                            if (i2, e2) not in rows:
+                                rows.add((i2, e2))
+                                todo.append((i2, e2))
+    unknowns = sorted(reached, key=lambda u: (u[0], sum(u[1]), u[1]))
+    system = linalg.RowBuilder(len(unknowns))
+    for col, u in enumerate(unknowns):
+        for key, c in reached[u]:
+            system.add(key, col, c)
     for p, comps in enumerate(targets):
-        for comp_idx, comp in enumerate(comps):
+        for i, comp in enumerate(comps):
             for e, c in comp.terms.items():
                 if sum(e) <= order:
-                    system.add((comp_idx, e), system.ncols + p, c)
-    return monos, system
+                    system.add((i, e), system.ncols + p, c)
+    return unknowns, system
 
 
 class _UnitPivots:
@@ -110,9 +120,9 @@ class _UnitPivots:
     elimination stops when every entry left lies in the maximal ideal
     (Nakayama's lemma: the split-off generators are exactly a basis of the
     span of the values at the origin).  What is left, the `free` generators
-    with an entry against the targets `left` nonzero somewhere, is a
-    Q-linear question for _span_system; a free generator with no entry left
-    has coefficient 0.
+    against every target, is a Q-linear question for _span_system: a target
+    reduced to zero reaches no row, and a free generator with no entry left
+    no unknown, so either has coefficient 0.
     """
 
     def __init__(self, generators, targets, d):
@@ -146,15 +156,12 @@ class _UnitPivots:
                     else:
                         entries.pop(k, None)
                 self.rhs[i] = [b - f.mul_to(c0, d) for b, c0 in zip(self.rhs[i], b0)]
-        self.free = [k for k in self.free if any(k in entries for entries in self.entries)]
-        self.left = [p for p in range(len(targets)) if any(b[p].terms for b in self.rhs)]
 
     def system(self):
-        """_span_system of the free generators against the targets left; the
+        """_span_system of the free generators against every target; the
         pivot rows are cleared, so they are zero there."""
         return _span_system([[entries.get(k, self.zero) for entries in self.entries]
-                             for k in self.free],
-                            [[b[p] for b in self.rhs] for p in self.left], self.d)
+                             for k in self.free], list(zip(*self.rhs)), self.d)
 
     def coefficients(self, coeffs):
         """Every generator's coefficient for target 0, by back-substitution
@@ -171,18 +178,15 @@ class _UnitPivots:
 def _solve_span(target, generators, order):
     """The coefficient jets of span_membership, before their certificate."""
     red = _UnitPivots(generators, (target,), order)
-    coeffs = {}
-    if red.left:
-        if not red.free:
-            return None
-        monos, system = red.system()
-        sol = system.solve()
-        if sol is None:
-            return None
-        for j, k in enumerate(red.free):
-            sol_k = sol[j * len(monos):(j + 1) * len(monos)]
-            coeffs[k] = Jet(target.ctx, {e: c for e, c in zip(monos, sol_k) if c})
-    return red.coefficients(coeffs)
+    unknowns, system = red.system()
+    sol = system.solve()
+    if sol is None:
+        return None
+    terms = {}
+    for (k, m), c in zip(unknowns, sol):
+        if c:
+            terms.setdefault(red.free[k], {})[m] = c
+    return red.coefficients({k: Jet(target.ctx, t) for k, t in terms.items()})
 
 
 def _reproduces(coeffs, generators, target, d):
@@ -204,13 +208,12 @@ def span_membership(target, generators, order):
 
     Returns the tuple of coefficient jets, or None when the target is
     provably outside the span at this order.  Unit pivots split off every
-    generator that is independent at the origin (_UnitPivots).  No linear
-    system is built when the target then reduces to zero (the other
-    coefficients are 0), nor when no generator is left (the pivots fix every
-    coefficient, and the target is in the span exactly when it reduces to
-    zero).  Otherwise one system over the generators, components and target
-    left in the maximal ideal decides, with free unknowns set to 0; the
-    pivot coefficients follow by back-substitution.  Wherever the solution
+    generator that is independent at the origin (_UnitPivots).  What is
+    left in the maximal ideal is one system over the block the target
+    reaches (_span_system), solved with free unknowns set to 0: a target
+    reduced to zero reaches no row, and one left with no free generator
+    reaches rows with no unknown, which no solution satisfies.  The pivot
+    coefficients follow by back-substitution.  Wherever the solution
     is unique it is the one returned.  The answer is re-checked before it is
     returned: sum_k c_k * gen_k - target must vanish through the order, and
     RuntimeError says it does not.
@@ -235,12 +238,11 @@ def involutivity_check(fol: FoliationGerm, order=None):
 
     Brackets are valid one order below the context order, so the membership
     is decided at order - 1 (or at the explicit order argument).  One unit
-    pivot reduction (_UnitPivots) is shared by every bracket column; a
-    bracket reduced to zero lies in the span.  The brackets left over, if
-    any, go to one echelon of [A | b_1 ... b_m] over the free generators and
-    rows left: bracket p is outside the span exactly when a basis row with
-    no entry in A (pivot at or after column n) is nonzero in its column.
-    The first such pair in order is reported.
+    pivot reduction (_UnitPivots) is shared by every bracket column, and
+    one echelon of [A | b_1 ... b_m] over the block the brackets reach
+    (_span_system) decides the rest: bracket p is outside the span exactly
+    when a basis row with no entry in A (pivot at or after column n) is
+    nonzero in its column.  The first such pair in order is reported.
     """
     d = (order if order is not None else fol.ctx.order) - 1
     if d < 0:
@@ -249,18 +251,13 @@ def involutivity_check(fol: FoliationGerm, order=None):
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
     if not pairs:
         return InvolutivityResult(True, d)
-    brackets = [lie_bracket(gens[i], gens[j]) for i, j in pairs]
-    red = _UnitPivots(gens, brackets, d)
-    if not red.left:
-        return InvolutivityResult(True, d)
-    if not red.free:
-        return InvolutivityResult(False, d, pairs[red.left[0]])
+    red = _UnitPivots(gens, [lie_bracket(gens[i], gens[j]) for i, j in pairs], d)
     _, system = red.system()
     n = system.ncols
-    basis = linalg.echelon(system.rows.values(), n + len(red.left), reduced=False)
-    bad = {j - n for col, row in basis.items() if col >= n for j in row}
+    basis = linalg.echelon(system.rows.values(), n + len(pairs), reduced=False)
+    bad = [col - n for col in basis if col >= n]
     if bad:
-        return InvolutivityResult(False, d, pairs[red.left[min(bad)]])
+        return InvolutivityResult(False, d, pairs[min(bad)])
     return InvolutivityResult(True, d)
 
 

@@ -308,8 +308,9 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     quotient-valued 2-cochain over the subalgebra.  When the input data is
     coherent it is a cocycle; it vanishes in cohomology exactly when some
     degree-one corrector absorbs it, and a corrector is returned in that
-    case.  Raises ValueError when mu fails the linearized Jacobi identity,
-    since then no obstruction class is defined at all.
+    case, re-checked first: d1 must map it to the cocycle, and RuntimeError
+    says it does not.  Raises ValueError when mu fails the linearized Jacobi
+    identity, since then no obstruction class is defined at all.
     """
     algebra = data.algebra
     n = algebra.dim
@@ -350,7 +351,11 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     flat = [x for v in cocycle for x in v]
 
     is_cocycle = not any(linalg.mat_vec(ce_differential(quot_module, 2), flat))
-    sol = linalg.solve(ce_differential(quot_module, 1), flat)
+    d1 = ce_differential(quot_module, 1)
+    sol = linalg.solve(d1, flat)
+    if sol is not None and linalg.mat_vec(d1, sol) != flat:
+        raise RuntimeError("Lie corrector certificate failed: the differential does not "
+                           "map the corrector to the cocycle")
     return LieObstruction(
         quotient_dim=q,
         cocycle=tuple(cocycle),

@@ -154,7 +154,7 @@ class _Terms:
         return out
 
 
-def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
+def find_flat_unit(fol: FoliationGerm, order=None):
     """Solve nabla_v g = 0 for all generators v with g(0) = 1.
 
     Equations are imposed degree by degree up to order - 1 (the connection
@@ -174,7 +174,7 @@ def find_flat_unit(fol: FoliationGerm, order=None, check_involutive=True):
     d = order if order is not None else ctx.order
     if d <= 0:
         raise ValueError("order too small to decide anything")
-    if check_involutive and not involutivity_check(fol, order=d):
+    if not involutivity_check(fol, order=d):
         raise ValueError("generators are not involutive at this order")
 
     unknowns = _t1_unknowns(ctx, d)

@@ -121,7 +121,8 @@ def test_three_generators_report_the_first_bad_pair():
 
 def test_unit_pivots_that_leave_no_free_generator_decide_alone():
     # both generators have a unit coefficient, so the unit pivots take them
-    # both and no system is built; [dx1, dx2 + x1*dx3] = dx3 is left over
+    # both and the system has no unknown; [dx1, dx2 + x1*dx3] = dx3 is left
+    # over, a row with only its right-hand side
     ctx = GermContext(3, 0, 4)
     gens = (derivation_from_string(ctx, "dx1"), derivation_from_string(ctx, "dx2 + x1*dx3"))
     assert not foliations._UnitPivots(gens, [lie_bracket(*gens)], 3).free
@@ -141,14 +142,12 @@ def _first_bad_pair(gens, d):
 
 def _full_system_solve(gens, target, d):
     """The test oracle: (coefficients or None, unique?) from one solve of the
-    whole system _span_system over gens and target, with no unit pivots."""
-    monos, system = _span_system([g.components() for g in gens], (target.components(),), d)
-    sol = system.solve()
+    whole system _span_rows_oracle over gens and target, with no unit pivots."""
+    monos, n, rows = _span_rows_oracle([g.components() for g in gens], (target.components(),), d)
+    sol = linalg.solution(linalg.echelon(rows.values(), n + 1), n)
     if sol is None:
         return None, False
-    n = system.ncols
-    unique = linalg.rank([{c: v for c, v in row.items() if c < n}
-                          for row in system.rows.values()]) == n
+    unique = linalg.rank([{c: v for c, v in row.items() if c < n} for row in rows.values()]) == n
     coeffs = tuple(
         Jet(target.ctx, {e: sol[k * len(monos) + i] for i, e in enumerate(monos)
                          if sol[k * len(monos) + i]})
@@ -210,16 +209,28 @@ def test_unit_pivots_agree_with_the_full_system(problem):
 
 
 def test_span_membership_splits_off_units_without_a_system(monkeypatch):
+    # the target reduces to zero, then the only generator splits off: neither
+    # system has an unknown, and the second is a right-hand side alone
     ctx = GermContext(4, 3, 6)
     v = derivation_from_string(ctx, "(1 + x4)*x1*dx1 + 2*x2*dx2 + x3*dx4")
     w = derivation_from_string(ctx, "x2*dx2 + dx4")
     u = Jet.one(ctx) + Jet.variable(ctx, 0)
     target = v.scale(u) + w.scale(Jet.variable(ctx, 3))
     want, unique = _full_system_solve((v, w), target, ctx.order)
-    monkeypatch.setattr(foliations, "_span_system", None)  # never reached
+    systems = []
+    full = foliations._span_system
+
+    def spy(columns, targets, order):
+        out = full(columns, targets, order)
+        systems.append(out)
+        return out
+
+    monkeypatch.setattr(foliations, "_span_system", spy)
     assert unique and span_membership(target, (v, w), ctx.order) == want
     assert span_membership(target + w.scale(Jet.variable(ctx, 1) * Jet.variable(ctx, 2)
                                             * Jet.variable(ctx, 3)), (v,), ctx.order) is None
+    assert [(unknowns, system.ncols) for unknowns, system in systems] == [([], 0), ([], 0)]
+    assert not systems[0][1].rows and systems[1][1].rows
 
 
 NONCOMMUTING = {"v": "x1*dx1 + 2*x2*dx2 - 3*x3*dx3", "w": "2*x1*x4*dx4"}
@@ -251,13 +262,8 @@ def test_non_commuting_pair_leaves_a_system_and_is_involutive(monkeypatch, tmp_p
         "yes: flat unit exists at order 8 (one of several)\n  unit = 1\n")
 
 
-def test_non_commuting_pair_at_order_40_shifts_nothing_past_the_order(monkeypatch):
-    # w = 2 x1 x4 d4 lies in the maximal ideal: its lowest degree 2 plus a
-    # monomial of degree 38 or more lands past degree 39, so no such product
-    # is added; the columns stay, zero there, and the answers do not move
-    ctx = GermContext(4, 3, 40)
-    v = derivation_from_string(ctx, NONCOMMUTING["v"])
-    w = derivation_from_string(ctx, NONCOMMUTING["w"])
+def _involutivity_systems(monkeypatch, ctx, fields):
+    """involutivity_check's result and the systems _span_system built."""
     systems = []
     full = foliations._span_system
 
@@ -267,18 +273,41 @@ def test_non_commuting_pair_at_order_40_shifts_nothing_past_the_order(monkeypatc
         return out
 
     monkeypatch.setattr(foliations, "_span_system", spy)
-    res = involutivity_check(FoliationGerm(ctx, (v, w), rank=2))
+    gens = tuple(derivation_from_string(ctx, f) for f in fields)
+    return involutivity_check(FoliationGerm(ctx, gens, rank=len(gens))), systems
+
+
+def _shape(system):
+    return len(system.rows), system.ncols, sum(map(len, system.rows.values()))
+
+
+def test_non_commuting_pair_at_order_40_shifts_nothing_past_the_order(monkeypatch):
+    # v splits off as a unit pivot and [v, w] = w = 2 x1 x4 d4 is left: its
+    # one row reaches the unknown of w's constant coefficient, whose column
+    # reaches that row alone
+    ctx = GermContext(4, 3, 40)
+    res, systems = _involutivity_systems(monkeypatch, ctx, NONCOMMUTING.values())
     assert res.ok and res.order == 39
+    v, w = (derivation_from_string(ctx, f) for f in NONCOMMUTING.values())
     unit = Jet.one(ctx) + Jet.variable(ctx, 3)
     assert span_membership(w.scale(unit), (v, w), 39) == (Jet.zero(ctx), unit)
-    rows = systems[0].rows
-    assert (len(rows), systems[0].ncols, sum(map(len, rows.values()))) == (19019, 32020, 19020)
-    assert max(sum(e) for _, e in rows) == 39
+    assert [_shape(system) for system in systems] == [(1, 1, 2), (2, 2, 4)]
+
+
+def test_fully_degenerate_pair_at_order_40_reaches_two_rows(monkeypatch):
+    # no generator has a unit entry and [v, w] = -v: its two rows reach the
+    # unknown of v's constant coefficient and no other
+    ctx = GermContext(4, 3, 40)
+    res, systems = _involutivity_systems(monkeypatch, ctx, ("x4*x1*dx1 - x4*x2*dx2", "x4*dx4"))
+    assert res.ok and res.order == 39
+    assert _shape(systems[0]) == (2, 1, 4)
 
 
 def _span_rows_oracle(columns, targets, order):
-    """_span_system's monomials, column count and rows, each column formed
-    with the public product and cut past the order."""
+    """The whole system over every monomial through the order: its
+    monomials, column count and rows, column k * len(monos) + i formed as
+    x^monos[i] * columns[k] with the public product and cut past the order,
+    column ncols + p as targets[p]."""
     ctx = targets[0][0].ctx
     monos = monomials(ctx, order)
     ncols = len(columns) * len(monos)
@@ -330,9 +359,19 @@ SMOOTH = GermContext(2, 1, 4)  # a single marked branch imposes no product relat
 @example(([_padded(SMOOTH, Jet.variable(SMOOTH, 1), Jet.variable(SMOOTH, 1))],
           [_padded(SMOOTH, Jet.one(SMOOTH))], 4))
 def test_span_system_rows_match_public_products(case):
+    # the built block is closed both ways: every row's oracle entries lie on
+    # reached unknowns, and every reached unknown's oracle column on built rows
     columns, targets, order = case
-    monos, system = _span_system(columns, targets, order)
-    assert (monos, system.ncols, system.rows) == _span_rows_oracle(columns, targets, order)
+    unknowns, system = _span_system(columns, targets, order)
+    monos, ncols, rows = _span_rows_oracle(columns, targets, order)
+    col = {(k, m): k * len(monos) + j for k in range(len(columns)) for j, m in enumerate(monos)}
+    oracle_col = [col[u] for u in unknowns] + [ncols + p for p in range(len(targets))]
+    assert all(key in system.rows for key, row in rows.items() if max(row) >= ncols)
+    assert {key: {oracle_col[j]: c for j, c in row.items()} for key, row in system.rows.items()} \
+        == {key: rows[key] for key in system.rows}
+    reached = {col[u] for u in unknowns}
+    assert all(key in system.rows for key, row in rows.items() if reached & row.keys())
+    assert unknowns == sorted(set(unknowns), key=lambda u: (u[0], sum(u[1]), u[1]))
 
 
 def test_a_corrupted_span_solve_is_an_internal_error(monkeypatch, capsys):

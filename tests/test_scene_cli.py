@@ -645,6 +645,26 @@ def test_cli_obstruction_wrong_corrector_is_internal(tmp_path, capsys, monkeypat
         "internal: internal error: RuntimeError: obstruction certificate failed")
 
 
+def test_cli_lie_wrong_corrector_is_internal(monkeypatch, capsys):
+    # only the corrector's solve is perturbed; _sub_structure's solves for
+    # the subalgebra's structure constants are left alone
+    solve = linalg.solve
+
+    def perturbed(a, b):
+        x = solve(a, b)
+        if sys._getframe(1).f_code.co_name == "lie_subalgebra_obstruction":
+            x[-1] += 1  # the first coordinate's column is zero: any value maps right
+        return x
+
+    path = str(SCENES / "lie_borel.json")
+    assert cli.main(["obstruction", "lie", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "solve", perturbed)
+    assert cli.main(["obstruction", "lie", path]) == 4
+    assert capsys.readouterr().out.startswith(
+        "internal: internal error: RuntimeError: Lie corrector certificate failed")
+
+
 def test_cli_obstruction_verify_rejects_a_null_cochain_row(tmp_path, capsys):
     scene = obstruction_scene()
     scene["cochains"]["theta"] = [None]

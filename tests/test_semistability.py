@@ -30,7 +30,7 @@ from logfol import (
     t1_monomial_alive,
     t1_reduce,
 )
-from logfol import linalg, selfcheck
+from logfol import linalg, selfcheck, semistability
 from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
 from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
@@ -154,6 +154,13 @@ def random_fields(rng, count):
     return out
 
 
+def assume_involutive(fol, order=None):
+    """Stands in for involutivity_check, so that the flat-unit solve runs
+    on fields that are not involutive (and, in a test that forbids jet
+    products, without the brackets)."""
+    return True
+
+
 def rows_handed_to_echelon(monkeypatch, fol, order):
     """find_flat_unit's result and the rows of each echelon call, copied."""
     calls = []
@@ -166,7 +173,8 @@ def rows_handed_to_echelon(monkeypatch, fol, order):
 
     with monkeypatch.context() as m:
         m.setattr(linalg, "echelon", spy)
-        res = find_flat_unit(fol, order=order, check_involutive=False)
+        m.setattr(semistability, "involutivity_check", assume_involutive)
+        res = find_flat_unit(fol, order=order)
     return res, calls
 
 
@@ -205,11 +213,12 @@ def test_flat_unit_rows_match_nabla_of_each_monomial(monkeypatch):
     assert all(seen[key] for key in ((True, True), (True, False), (False, True)))
 
 
-def test_flat_unit_agrees_with_the_oracles_on_random_fields():
+def test_flat_unit_agrees_with_the_oracles_on_random_fields(monkeypatch):
+    monkeypatch.setattr(semistability, "involutivity_check", assume_involutive)
     seen = Counter()
     for fol, order in random_fields(random.Random(20261019), 80):
         d = order if order is not None else fol.ctx.order
-        res = find_flat_unit(fol, order=order, check_involutive=False)
+        res = find_flat_unit(fol, order=order)
         text = ([str(v) for v in fol.generators], order)
         assert res.ok == flat_unit_exists_oracle(fol, d), text
         if res.ok:
@@ -243,7 +252,8 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
     single = FoliationGerm(ctx, (v,))
     pair = FoliationGerm(ctx, (v, w), rank=2)
     target = v.scale(Jet.one(ctx) + Jet.variable(ctx, 3)) + w
-    want = (find_flat_unit(single), find_flat_unit(pair, check_involutive=False),
+    monkeypatch.setattr(semistability, "involutivity_check", assume_involutive)
+    want = (find_flat_unit(single), find_flat_unit(pair),
             span_membership(target, (v, w), ctx.order))
 
     def boom(*args):
@@ -252,7 +262,7 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Jet, name, boom)
     monkeypatch.setattr(Jet, "make", classmethod(boom))
-    got = (find_flat_unit(single), find_flat_unit(pair, check_involutive=False),
+    got = (find_flat_unit(single), find_flat_unit(pair),
            span_membership(target, (v, w), ctx.order))
     assert got == want
     assert want[0].ok and want[2] is not None

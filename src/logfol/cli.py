@@ -19,11 +19,12 @@ The command tree lives in one table, COMMANDS: each row gives a leaf's words,
 handler, help, whether it reads a scene, its aliases and its extra options.
 Every report, error reports included, is named after its row: its tool is
 the row's words joined by "-", whichever alias was typed.
-build_parser(argv) builds only the path that argv names (top parser, group,
-leaf), since one call runs one command; help, a group alone or an unknown
-word gets the whole tree, built from the same rows.  Each tree is built on
-first use and then kept for the process.  A group named alone
-prints that group's usage and leaves and exits 2.
+A named leaf is parsed by its own parser alone (build_parser(argv)), with
+the prog and help it has in the whole tree, since one call runs one command;
+help, a group alone, an unknown word, or arguments the leaf leaves over go to
+the whole tree, built from the same rows, so its usage errors read as they
+always have.  Each parser is built on first use and then kept for the
+process.  A group named alone prints that group's usage and leaves and exits 2.
 """
 
 from __future__ import annotations
@@ -453,15 +454,20 @@ def _write_json(path, payload):
     return True
 
 
-def _add_common(parser, needs_scene):
+def _add_leaf(parser, cmd):
+    """Give parser the defaults and options of the row cmd; returns parser."""
+    parser.set_defaults(handler=cmd.handler, needs_scene=cmd.needs_scene, tool="-".join(cmd.words))
     parser.add_argument("--order", type=int, default=argparse.SUPPRESS,
                         help="truncation order override (default: scene value, else 6)")
     parser.add_argument("--json", dest="json_path", default=argparse.SUPPRESS, metavar="PATH",
                         help='write the report as JSON to PATH ("-" for stdout)')
-    if needs_scene:
+    if cmd.needs_scene:
         parser.add_argument("scene", nargs="?", help="scene file to read")
         parser.add_argument("--all", dest="all_dir", default=argparse.SUPPRESS, metavar="DIR",
                             help="run on every *.json scene in DIR; exit with the worst code")
+    for flag, keywords in cmd.arguments:
+        parser.add_argument(flag, **keywords)
+    return parser
 
 
 # --- the command table: one row per leaf of the command tree ---
@@ -520,59 +526,66 @@ COMMANDS = (
 )
 
 
-def _named_command(argv):
-    """The row whose words (or an alias of its last word) lead argv, if any."""
-    for cmd in COMMANDS:
+def build_parser(argv=None):
+    """The parser for argv: when a row's words (or an alias of its last
+    word) lead argv, that row's own parser, which reads argv past them (its
+    words attribute); else the whole tree (words ())."""
+    argv = argv or ()
+    for i, cmd in enumerate(COMMANDS):
         k = len(cmd.words) - 1
         if len(argv) > k and tuple(argv[:k]) == cmd.words[:k] and (
                 argv[k] == cmd.words[k] or argv[k] in cmd.aliases):
-            return cmd
-    return None
-
-
-def build_parser(argv=None):
-    """The argparse tree for argv: the named path alone, else the whole tree."""
-    named = _named_command(argv or ())
-    return _tree(named.words if named else None)
+            return _leaf(i)
+    return _tree()
 
 
 @lru_cache(maxsize=None)
-def _tree(words):
-    """The parser of the row with these words, or of every row (None).
+def _leaf(i):
+    """The parser of row i alone, with the prog and help it has in the whole
+    tree; like the tree, built on first use and kept for the process."""
+    cmd = COMMANDS[i]
+    parser = _add_leaf(argparse.ArgumentParser(prog="logfol " + " ".join(cmd.words)), cmd)
+    parser.words = cmd.words
+    return parser
 
-    Built on first use and kept for the process: parse_args does not change
-    a parser, so every later call of main with the same command reuses it.
-    """
+
+@lru_cache(maxsize=None)
+def _tree():
+    """The parser of every row, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="logfol",
         description="exact checks for foliations on crossing germs: "
         "flat units, indices, gluing cocycles, cover obstructions",
     )
+    parser.words = ()
     groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}
     parser.group_parsers = {}  # group word -> its parser, for main's group help
     for cmd in COMMANDS:
-        if words is not None and cmd.words != words:
-            continue
         group = cmd.words[:-1]
         if group not in groups:
             p = parser.group_parsers[group[0]] = groups[()].add_parser(
                 group[0], help=_GROUPS[group[0]])
             groups[group] = p.add_subparsers(dest="subcommand", metavar="WHAT")
-        p = groups[group].add_parser(cmd.words[-1], aliases=list(cmd.aliases), help=cmd.help)
-        p.set_defaults(handler=cmd.handler, needs_scene=cmd.needs_scene, tool="-".join(cmd.words))
-        _add_common(p, cmd.needs_scene)
-        for flag, keywords in cmd.arguments:
-            p.add_argument(flag, **keywords)
+        _add_leaf(groups[group].add_parser(cmd.words[-1], aliases=list(cmd.aliases),
+                                           help=cmd.help), cmd)
     return parser
+
+
+def _parse(argv):
+    """argv's namespace.  Whatever a leaf's parser cannot take whole goes to
+    the whole tree, so an unrecognized argument reads as it always has."""
+    parser = build_parser(argv)
+    args, rest = parser.parse_known_args(argv[len(parser.words):])
+    return _tree().parse_args(argv) if rest else args
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     if getattr(args, "handler", None) is None:
         # a group named alone lists its own leaves
-        parser.group_parsers.get(args.command, parser).print_help()
+        tree = _tree()
+        tree.group_parsers.get(args.command, tree).print_help()
         return 2
 
     json_path = getattr(args, "json_path", None)

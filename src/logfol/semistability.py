@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 from . import linalg
 from .linalg import _exact
@@ -37,7 +37,7 @@ from .foliations import (
     SurfaceOneForm,
     involutivity_check,
 )
-from .jets import GermContext, Jet, monomials
+from .jets import GermContext, Jet
 from .logcalc import LogDerivation, LogOneForm
 
 
@@ -102,9 +102,24 @@ def _zeros(e, r):
 
 @lru_cache(maxsize=16)
 def _t1_unknowns(ctx, d):
-    """The monomials of degree 1 to d alive in T1, in monomials() order;
-    cached like monomials(), since every solve at one order walks them."""
-    return tuple(e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e))
+    """The monomials of degree 1 to d alive in T1 (at most r - 2 crossing
+    exponents nonzero), in monomials() order: by degree, then lex.  Listed
+    directly, and cached like monomials(), since every solve at one order
+    walks them."""
+    n, r = ctx.n, ctx.r
+    out = []
+
+    def fill(e, i, left, spare):  # slot i takes 0..left; a crossing one only 0 once spare is 0
+        if i == n - 1:
+            if not left or i >= r or spare:
+                out.append(e + (left,))
+            return
+        for v in range(left + 1 if spare or i >= r else 1):
+            fill(e + (v,), i + 1, left - v, spare - (v > 0 and i < r))
+
+    for deg in range(1, d + 1) if r >= 2 else ():
+        fill((), 0, deg, r - 2)
+    return tuple(out)
 
 
 class _Terms:
@@ -117,25 +132,26 @@ class _Terms:
 
     A target survives in T1 by its first r exponents alone, e[:r] + m[:r]
     (the smooth index j does not touch them): when at least two crossing
-    positions are zero in both e and m.  So per head h = e[:r] the terms
-    that keep it alive are listed once, by ascending deg m, with the
-    crossing coefficient sum_i h_i b_i[m] - trace[m] already summed.  Every
-    coefficient is an int where integral.
+    positions are zero in both e and m.  So the terms that keep it alive
+    are listed once per zero pattern of the head h = e[:r], and per head
+    the crossing coefficient sum_i h_i b_i[m] - trace[m] is summed once.
+    Terms are listed by ascending deg m, coefficients as ints where integral.
     """
 
     def __init__(self, v):
         r = self.r = v.ctx.r
         support = sorted({m for bi in v.b for m in bi.terms}, key=sum)
-        # (m, deg m, zeros of m, ((i, b_i[m]) where nonzero), trace[m])
+        # (m, deg m, zeros of m, (b_1[m], ..., b_r[m]), trace[m])
         self.b = []
         for m in support:
-            nonzero = tuple((i, _exact(bi.terms[m])) for i, bi in enumerate(v.b) if m in bi.terms)
-            self.b.append((m, sum(m), _zeros(m, r), nonzero, _exact(sum(c for _, c in nonzero))))
+            bm = tuple(_exact(bi.terms.get(m, 0)) for bi in v.b)
+            self.b.append((m, sum(m), _zeros(m, r), bm, _exact(sum(bm))))
         # (k, [(m, deg m, zeros of m, a_j[m])]) for each nonzero a_j, k = r + j
         self.a = [(r + j, sorted(((m, sum(m), _zeros(m, r), _exact(c))
                                   for m, c in aj.terms.items()), key=lambda t: t[1]))
                   for j, aj in enumerate(v.a) if aj.terms]
         self.trace = [(m, tr) for m, _, _, _, tr in self.b if tr]
+        self.patterns = {}
         self.heads = {}
 
     def at(self, h):
@@ -144,12 +160,18 @@ class _Terms:
         alive."""
         out = self.heads.get(h)
         if out is None:
-            zeros = _zeros(h, self.r)
-            crossing = [(m, dm, _exact(c)) for m, dm, mz, nonzero, tr in self.b
-                        if (zeros & mz).bit_count() >= 2
-                        and (c := sum(h[i] * bi for i, bi in nonzero) - tr)]
-            smooth = [(k, [(m, dm, c) for m, dm, mz, c in terms if (zeros & mz).bit_count() >= 2])
-                      for k, terms in self.a]
+            pattern = tuple(map(bool, h))
+            alive = self.patterns.get(pattern)
+            if alive is None:
+                zeros = _zeros(h, self.r)
+                alive = self.patterns[pattern] = (
+                    [(m, dm, bm, tr) for m, dm, mz, bm, tr in self.b
+                     if (zeros & mz).bit_count() >= 2],
+                    [(k, [(m, dm, c) for m, dm, mz, c in terms if (zeros & mz).bit_count() >= 2])
+                     for k, terms in self.a])
+            b_alive, smooth = alive
+            crossing = [(m, dm, _exact(c)) for m, dm, bm, tr in b_alive
+                        if (c := sum(map(mul, h, bm)) - tr)]
             out = self.heads[h] = (crossing, smooth)
         return out
 
@@ -166,9 +188,14 @@ def find_flat_unit(fol: FoliationGerm, order=None):
     The system's entries come straight from the coefficient terms of the
     b_i and a_j (_Terms), as ints where integral, added where they land
     in rows keyed (generator, equation monomial); no jet is built per
-    unknown.  A "yes" is re-checked through nabla before it is returned:
-    nabla_v g must vanish in T1 through degree min(order - 1, ctx.order) for
-    every generator, and RuntimeError says it does not.
+    unknown.  A row of degree k holds unknowns of degree k + 1 at most (a
+    smooth coefficient's constant term lowers the degree by one), so once
+    the unknowns of degree k + 1 are walked, the degree-k rows extend one
+    echelon basis, and the solve stops at the first inconsistent degree
+    with little built past it.  A "yes" is re-checked through nabla before
+    it is returned: nabla_v g must vanish in T1 through degree
+    min(order - 1, ctx.order) for every generator, and RuntimeError says it
+    does not.
     """
     ctx = fol.ctx
     d = order if order is not None else ctx.order
@@ -178,66 +205,64 @@ def find_flat_unit(fol: FoliationGerm, order=None):
         raise ValueError("generators are not involutive at this order")
 
     unknowns = _t1_unknowns(ctx, d)
-    col_of = {e: i for i, e in enumerate(unknowns)}
+    n = len(unknowns)
     top = min(d - 1, ctx.order)  # the highest equation degree
     r = ctx.r
-
-    # the degree-deg system is the degree-(deg - 1) one plus the rows whose
-    # equation monomial has degree deg, so one echelon basis is extended;
-    # a monomial past the context order is zero in the ring, so its column
-    # stays zero
-    n = len(unknowns)
-    system = linalg.RowBuilder(n)  # rows keyed (generator, equation monomial)
-    put = system.add
-    for gi, v in enumerate(fol.generators):
+    # per generator, its equations of each degree, rows keyed by equation
+    # monomial; a degree's rows go to echelon generator by generator
+    gens = []
+    for v in fol.generators:
         terms = _Terms(v)
+        systems = [linalg.RowBuilder(n) for _ in range(d)]
         for m, c in terms.trace:  # nabla_v 1 = -trace
             if sum(m) <= top and t1_monomial_alive(ctx, m):
-                system.add_rhs((gi, m), c)
-        for col, e in enumerate(unknowns):
-            de = sum(e)
-            if de > ctx.order:
-                break
-            crossing, smooth = terms.at(e[:r])
-            room = top - de
-            for m, dm, c in crossing:
-                if dm > room:
-                    break
-                put((gi, tuple(map(add, e, m))), col, c)
-            for k, a_terms in smooth:
-                ek = e[k]
-                if not ek:
-                    continue
-                lowered = e[:k] + (ek - 1,) + e[k + 1:]
-                for m, dm, c in a_terms:
-                    if dm > room + 1:
-                        break
-                    put((gi, tuple(map(add, lowered, m))), col, ek * c)
-    by_degree = [[] for _ in range(d)]
-    for (_, e), row in system.rows.items():
-        by_degree[sum(e)].append(row)
+                systems[sum(m)].add_rhs(m, c)
+        gens.append((terms, systems, [system.add for system in systems]))
 
     basis = {}
+    stop = 0
     for deg in range(d):
-        linalg.echelon(by_degree[deg], n + 1, basis, reduced=deg == d - 1)
+        start = stop  # unknowns[start:stop] are those of degree deg + 1
+        while stop < n and sum(unknowns[stop]) == deg + 1:
+            stop += 1
+        if deg < ctx.order:  # x^e past the context order is zero: a zero column
+            room = top - deg - 1
+            for terms, _, puts in gens:
+                crossing_put, smooth_put = puts[deg + 1:], puts[deg:]  # indexed by deg m
+                for col in range(start, stop):
+                    e = unknowns[col]
+                    crossing, smooth = terms.at(e[:r])
+                    for m, dm, c in crossing:
+                        if dm > room:
+                            break
+                        crossing_put[dm](tuple(map(add, e, m)), col, c)
+                    for k, a_terms in smooth:
+                        ek = e[k]
+                        if not ek:
+                            continue
+                        lowered = e[:k] + (ek - 1,) + e[k + 1:]
+                        for m, dm, c in a_terms:
+                            if dm > room + 1:
+                                break
+                            smooth_put[dm](tuple(map(add, lowered, m)), col, ek * c)
+        rows = [row for _, systems, _ in gens for row in systems[deg].rows.values()]
+        linalg.echelon(rows, n + 1, basis, reduced=deg == d - 1)
         if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
     sol = linalg.solution(basis, n)
     # an unknown past the context order has a zero column, hence sol 0
-    unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for e, i in col_of.items() if sol[i]})
+    unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for i, e in enumerate(unknowns) if sol[i]})
     for v in fol.generators:
         if not nabla(v, T1Section.make(unit)).g.truncate(top).is_zero():
             raise RuntimeError("flat unit certificate failed: nabla_v g is not zero "
                                "in T1 through degree %d" % top)
     # uniqueness is judged on the coefficients the equations can reach, i.e.
-    # through degree d - 1; the top tail is unconstrained by construction.
-    # The kernel has one vector per free column f, with -R[c][f] in each
-    # pivot column c of the reduced rows R, so it vanishes there exactly when
-    # every such column is a pivot whose row holds no free column.
-    unique = all(
-        i in basis and all(j == i or j == n for j in basis[i])
-        for e, i in col_of.items() if sum(e) <= d - 1
-    )
+    # through degree d - 1 (the columns before start, where degree d begins);
+    # the top tail is unconstrained by construction.  The kernel has one
+    # vector per free column f, with -R[c][f] in each pivot column c of the
+    # reduced rows R, so it vanishes there exactly when every such column is
+    # a pivot whose row holds no free column.
+    unique = all(i in basis and len(basis[i]) == 1 + (n in basis[i]) for i in range(start))
     return FlatUnitResult(True, d, unit=unit, unique=unique)
 
 

@@ -1,5 +1,6 @@
 """Scene files and the command line wrapper, exercised end to end."""
 
+import argparse
 import json
 import os
 import signal
@@ -1026,9 +1027,12 @@ def test_parity_argv_name_every_leaf():
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
 def test_pruned_parser_gives_the_full_tree_namespace(argv, monkeypatch):
+    # main reads a named leaf with that leaf's parser alone, so only the
+    # tree's routing keys are missing from its namespace
     monkeypatch.setenv("COLUMNS", "80")
     full = vars(cli.build_parser().parse_args(argv))
-    assert vars(cli.build_parser(argv).parse_args(argv)) == full
+    routing = {"command", "subcommand"}
+    assert vars(cli._parse(argv)) == {k: v for k, v in full.items() if k not in routing}
     assert full["tool"] in {"-".join(cmd.words) for cmd in cli.COMMANDS}
 
 
@@ -1037,9 +1041,9 @@ def test_pruned_parser_gives_the_full_tree_help(words, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     argv = list(words) + ["-h"]
     helps = []
-    for parser in (cli.build_parser(), cli.build_parser(argv)):
+    for run in (cli.build_parser().parse_args, cli.main):
         with pytest.raises(SystemExit) as e:
-            parser.parse_args(argv)
+            run(argv)
         assert e.value.code == 0
         helps.append(capsys.readouterr().out)
     assert helps[0] == helps[1]
@@ -1048,12 +1052,40 @@ def test_pruned_parser_gives_the_full_tree_help(words, monkeypatch, capsys):
 
 @pytest.mark.parametrize("words", LEAF_NAMES, ids=" ".join)
 def test_a_named_leaf_builds_only_its_path(words):
+    # the leaf's own parser, with no top or group parser above it
     parser = cli.build_parser(list(words) + ["s.json"])
-    top = _choices(parser, "command")
-    assert list(top) == [words[0]]
-    if len(words) == 2:
-        row = _row(words)
-        assert list(_choices(top[words[0]], "subcommand")) == [row.words[1], *row.aliases]
+    row = _row(words)
+    assert parser.prog == "logfol " + " ".join(row.words)
+    assert parser.words == row.words
+    assert parser.get_default("handler") is row.handler
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+
+
+@pytest.mark.parametrize("argv", [
+    ["semistable", "check", "s.json", "--bogus"],
+    ["semistable", "check", "s.json", "two.json"],
+    ["semistable", "check", "s.json", "--order", "x"],
+    ["cs", "paper", "--pair", "1"],
+    ["cohomology", "p1"],
+], ids=" ".join)
+def test_usage_errors_read_as_the_whole_tree_words_them(argv, monkeypatch, capsys):
+    # what the leaf cannot take whole goes to the tree, whose top-level
+    # usage names an unrecognized argument; the leaf's own errors keep its usage
+    monkeypatch.setenv("COLUMNS", "80")
+    errs = []
+    for run in (cli.build_parser().parse_args, cli.main):
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errs.append(err)
+    assert errs[0] == errs[1]
+    if argv[-1] in ("--bogus", "two.json"):
+        assert errs[1] == ("usage: logfol [-h] COMMAND ...\n"
+                           "logfol: error: unrecognized arguments: %s\n" % argv[-1])
+    else:
+        assert errs[1].startswith("usage: logfol %s [-h]" % " ".join(_row(tuple(argv[:2])).words))
 
 
 @pytest.mark.parametrize("argv", [None, [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"]])
@@ -1129,6 +1161,7 @@ def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
         monkeypatch.setenv(key, env[key])
     monkeypatch.chdir(root)
     cli._tree.cache_clear()
+    cli._leaf.cache_clear()
     for argv in runs + runs:
         try:
             code = cli.main(list(argv))
@@ -1138,5 +1171,7 @@ def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
         fresh = subprocess.run([sys.executable, "-m", "logfol.cli"] + argv, capture_output=True,
                                text=True, env=env, cwd=root, timeout=120)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    # three leaves ("cs paper" shares the row of "cs log") and the whole tree
-    assert cli._tree.cache_info().currsize == 4
+    # the whole tree, for help, a group alone and an unknown word, and three
+    # leaf parsers ("cs paper" shares the row of "cs log")
+    assert cli._tree.cache_info().currsize == 1
+    assert cli._leaf.cache_info().currsize == 3

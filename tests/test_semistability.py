@@ -6,8 +6,12 @@ the degree-by-degree search in the library.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from operator import add
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,11 +34,11 @@ from logfol import (
     t1_monomial_alive,
     t1_reduce,
 )
-from logfol import linalg, selfcheck, semistability
+from logfol import cli, linalg, selfcheck, semistability
 from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
 from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
-from logfol.semistability import T1Section
+from logfol.semistability import FlatUnitResult, T1Section
 
 
 # -- oracle -------------------------------------------------------------------
@@ -269,6 +273,129 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
 
 
 # -- flat units -------------------------------------------------------------------
+
+
+def _flat_unit_oracle(fol, order=None):
+    """find_flat_unit's answer from the whole system, as the solve was built
+    before it stopped at its failing degree: every row of every degree from
+    the generators' _Terms over the filtered monomials walk, then one
+    echelon basis extended degree by degree.  Involutivity is not checked,
+    nor the unit certified."""
+    ctx = fol.ctx
+    d = order if order is not None else ctx.order
+    unknowns = [e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
+    n = len(unknowns)
+    top = min(d - 1, ctx.order)
+    r = ctx.r
+    system = linalg.RowBuilder(n)
+    for gi, v in enumerate(fol.generators):
+        terms = semistability._Terms(v)
+        for m, c in terms.trace:
+            if sum(m) <= top and t1_monomial_alive(ctx, m):
+                system.add_rhs((gi, m), c)
+        for col, e in enumerate(unknowns):
+            de = sum(e)
+            if de > ctx.order:
+                break
+            crossing, smooth = terms.at(e[:r])
+            room = top - de
+            for m, dm, c in crossing:
+                if dm > room:
+                    break
+                system.add((gi, tuple(map(add, e, m))), col, c)
+            for k, a_terms in smooth:
+                ek = e[k]
+                if not ek:
+                    continue
+                lowered = e[:k] + (ek - 1,) + e[k + 1:]
+                for m, dm, c in a_terms:
+                    if dm > room + 1:
+                        break
+                    system.add((gi, tuple(map(add, lowered, m))), col, ek * c)
+    by_degree = [[] for _ in range(d)]
+    for (_, e), row in system.rows.items():
+        by_degree[sum(e)].append(row)
+    basis = {}
+    for deg in range(d):
+        linalg.echelon(by_degree[deg], n + 1, basis, reduced=deg == d - 1)
+        if n in basis:
+            return FlatUnitResult(False, d, failing_degree=deg)
+    sol = linalg.solution(basis, n)
+    unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for i, e in enumerate(unknowns) if sol[i]})
+    unique = all(i in basis and all(j == i or j == n for j in basis[i])
+                 for i, e in enumerate(unknowns) if sum(e) <= d - 1)
+    return FlatUnitResult(True, d, unit=unit, unique=unique)
+
+
+@st.composite
+def flat_unit_problems(draw):
+    """n <= 4, r >= 2 and an equation order <= 8, at, below or past the
+    context's: one or two generators, their crossing part traceless at the
+    origin half of the time, their smooth coefficients mostly with a
+    nonzero constant term, which lowers an unknown's degree by one."""
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(2, n))
+    ctx = GermContext(n, r, draw(st.integers(1, 8)))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    exps = st.tuples(*(st.integers(0, 2) for _ in range(n)))
+    jets = st.dictionaries(exps, coeff, max_size=3).map(lambda terms: Jet.make(ctx, terms))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        comps = [draw(jets) for _ in range(n)]
+        for k in range(r, n):
+            comps[k] = comps[k] + draw(coeff)
+        if draw(st.booleans()):
+            comps[r - 1] = comps[r - 1] - sum((b.constant_term() for b in comps[:r]), 0)
+        gens.append(LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:])))
+    orders = [None] + [o for o in (ctx.order - 1, ctx.order + 1) if 1 <= o <= 8]
+    return FoliationGerm(ctx, tuple(gens), rank=len(gens)), draw(st.sampled_from(orders))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_unit_problems())
+def test_the_degree_walk_agrees_with_the_whole_system(problem):
+    fol, order = problem
+    with mock.patch.object(semistability, "involutivity_check", assume_involutive):
+        got = find_flat_unit(fol, order=order)
+    want = _flat_unit_oracle(fol, order)
+    assert (got.ok, got.order, got.failing_degree, got.unique) == \
+        (want.ok, want.order, want.failing_degree, want.unique)
+    assert (got.unit and got.unit.terms) == (want.unit and want.unit.terms)
+
+
+def test_a_degree_zero_no_stops_at_one_echelon(monkeypatch, capsys):
+    # the echelon calls of the flat-unit solve itself, not of the
+    # involutivity check or the rank of the generators before it
+    calls = []
+    echelon = linalg.echelon
+
+    def counting(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    ctx = GermContext(4, 3, 40)
+    gens = (derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - 2*x3*dx3"),
+            derivation_from_string(ctx, "2*x4*dx4"))
+    res = find_flat_unit(FoliationGerm(ctx, gens, rank=2))
+    assert (res.ok, res.order, res.failing_degree) == (False, 40, 0)
+    assert calls.count("find_flat_unit") == 1
+    scene = Path(__file__).resolve().parent.parent / "scenes" / "node_unbalanced.json"
+    assert cli.main(["semistable", "check", str(scene)]) == 1
+    assert "the degree-0 system is inconsistent" in capsys.readouterr().out
+    assert calls.count("find_flat_unit") == 2
+
+
+def test_t1_unknowns_are_the_alive_monomials_in_monomials_order():
+    for n in range(1, 6):
+        for r in range(n + 1):
+            ctx = GermContext(n, r, 4)
+            for d in range(9):
+                want = tuple(e for e in monomials(ctx, d)
+                             if sum(e) >= 1 and t1_monomial_alive(ctx, e))
+                assert semistability._t1_unknowns(ctx, d) == want, (n, r, d)
+
+
 
 
 def test_balanced_node_has_unique_flat_unit():

@@ -5,9 +5,9 @@ report's decision field:
 
     0  yes, or a value was computed
     1  no
-    2  malformed input or an undefined quantity
+    2  malformed input or an undefined quantity (a SceneError or ValueError)
     3  inconclusive at the truncation order in force
-    4  internal error: an exception the program did not anticipate
+    4  internal error: any other exception, a KeyError or TypeError among them
 
 Reports serialize to JSON with --json; parsing that JSON back gives the same
 report, so downstream tooling can rely on the file alone.  A --json path
@@ -405,7 +405,7 @@ def _run_one(args, scene_path):
         report = args.handler(args, scn)
     except InconclusiveAtOrderError as e:
         report = Report("inconclusive", str(e), {}, scene=where)
-    except (SceneError, ValueError, KeyError) as e:
+    except (SceneError, ValueError) as e:
         report = Report("error", str(e) or type(e).__name__, {}, scene=where)
     except Exception as e:  # a crash must not read as yes, no or inconclusive
         import traceback  # here, not at the top: it adds ~3 ms to every start-up

@@ -26,10 +26,8 @@ from .jets import ContextMismatchError, GermContext, Jet, _on_crossing
 from .logcalc import LogDerivation, lie_bracket
 
 
-class MissingStratumError(KeyError):
+class MissingStratumError(ValueError):
     """A required double stratum has no identification scalar."""
-
-    __str__ = Exception.__str__  # the message as written, not quoted like a key
 
 
 class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
@@ -113,13 +111,15 @@ class _UnitPivots:
 
     The columns are the generators, the rows their components; targets are
     extra right-hand columns.  R_d is a local ring, so an entry with a
-    nonzero constant term is a unit (Jet.invert).  Generators are taken in
-    order, each pivoting on its lowest component with a nonzero constant
-    term in the current matrix; its row is solved for it, kept in `steps`
-    and cleared, and the Schur complement replaces every other row.  The
-    elimination stops when every entry left lies in the maximal ideal
-    (Nakayama's lemma: the split-off generators are exactly a basis of the
-    span of the values at the origin).  What is left, the `free` generators
+    nonzero constant term is a unit (Jet.invert).  Each step pivots on a
+    unit entry of the current matrix with the fewest terms, the first such
+    by generator, then by component, so that a constant is inverted where
+    one will do rather than a Newton inverse to the full order; its row is
+    solved for its generator, kept in `steps` and cleared, and the Schur
+    complement replaces every other row.  The elimination stops when every
+    entry left lies in the maximal ideal (Nakayama's lemma: the split-off
+    generators are exactly a basis of the span of the values at the
+    origin).  What is left, the `free` generators
     against every target, is a Q-linear question for _span_system: a target
     reduced to zero reaches no row, and a free generator with no entry left
     no unknown, so either has coefficient 0.
@@ -137,9 +137,9 @@ class _UnitPivots:
                          if (c := g.components()[i].truncate(d)).terms} for i in range(ctx.n)]
         self.rhs = [[t.components()[i].truncate(d) for t in targets] for i in range(ctx.n)]
         self.free, self.steps = list(range(self.size)), []
-        while pivot := next(((i, k) for k in self.free for i, entries in enumerate(self.entries)
-                             if entries.get(k, zero).constant_term()), None):
-            i0, k0 = pivot
+        while units := [(len(c.terms), k, i) for i, entries in enumerate(self.entries)
+                        for k, c in entries.items() if c.constant_term()]:
+            _, k0, i0 = min(units)
             row, b0 = self.entries[i0], self.rhs[i0]
             self.entries[i0], self.rhs[i0] = {}, [zero] * len(targets)
             inv = row.pop(k0).invert(d)

@@ -12,6 +12,12 @@ names the key path at fault: "lie.mu[0][1]" for a bad value,
 "components[1].fields.u" for an expression that does not parse, the key
 itself when it is missing.  Each accessor checks its keys in a fixed order,
 so an input with several faults always reports the same one first.
+
+The library refuses what it cannot build with a ValueError.  One boundary,
+"with _at(where):", turns such an error into a SceneError at where, and is
+the only place that does; a SceneError from a nested reader passes through
+with its own, deeper key path.  So every input error leaves a reader as a
+SceneError that names its key path.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import json
 from fractions import Fraction
 
 from . import bundles, foliations, jets, leafcomplex, logcalc, monoids, semistability
-from .exprs import ExprError
 
 
 class SceneError(Exception):
@@ -29,6 +34,23 @@ class SceneError(Exception):
         if where:
             message = "%s: %s" % (where, message)
         super().__init__(message)
+
+
+class _at:
+    """with _at(where): a ValueError raised inside is raised again as
+    SceneError(str(e), where); a SceneError passes unchanged."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, e, tb):
+        if isinstance(e, ValueError):
+            raise SceneError(str(e), self.where)
 
 
 def scene_fraction(value, where):
@@ -88,15 +110,13 @@ def _int_vectors(rows, where):
 
 def _parser(parse, ctx, names, params):
     """read(text, where): the expression string text parsed on ctx by parse
-    (jets.jet_from_string or logcalc.derivation_from_string), a parse error
-    raised as SceneError at where."""
+    (jets.jet_from_string or logcalc.derivation_from_string), an error in
+    the text or the names raised as SceneError at where."""
 
     def read(text, where):
         text = _expect(text, str, where)
-        try:
+        with _at(where):
             return parse(ctx, text, names=names, params=params)
-        except (ExprError, logcalc.TangencyParseError) as e:
-            raise SceneError(str(e), where)
 
     return read
 
@@ -107,10 +127,8 @@ def _variable_names(ctx, names, where):
     names = _expect(names, list, where)
     if len(names) != ctx.n or not all(isinstance(s, str) for s in names):
         raise SceneError("need %d variable names, as strings" % ctx.n, where)
-    try:
+    with _at(where):
         jets.name_table(ctx, names)
-    except ValueError as e:
-        raise SceneError(str(e), where)
     return tuple(names)
 
 
@@ -127,10 +145,8 @@ def _foliation(ctx, fields, gen_names, where, at, rank=1):
             raise SceneError("unknown field %r" % g, where)
         gens.append(fields[g])
     rank = _int(rank, at + ".rank")
-    try:
+    with _at(at):
         return foliations.FoliationGerm(ctx, tuple(gens), rank=rank)
-    except ValueError as e:
-        raise SceneError(str(e), at)
 
 
 class Scene:
@@ -163,19 +179,15 @@ class Scene:
         spec = _expect(self._require("germ"), dict, "germ")
         n = _int(spec.get("n"), "germ.n")
         r = _int(spec.get("r", 0), "germ.r")
-        try:
+        with _at("germ"):
             ctx = jets.GermContext(n, r, self.order)
-        except ValueError as e:
-            raise SceneError(str(e), "germ")
         names = spec.get("names")
         if names is None:
             return ctx, ctx.default_names()
         names = _variable_names(ctx, names, "germ.names")
-        try:
+        with _at("germ.names"):
             # fields on the germ are written in the derivation tokens "d" + name
             logcalc.derivation_table(ctx, names)
-        except ValueError as e:
-            raise SceneError(str(e), "germ.names")
         return ctx, names
 
     def params(self):
@@ -214,10 +226,8 @@ class Scene:
         read = _parser(jets.jet_from_string, ctx, names, self.params())
         dlog_jets = _items(dlog, "one_form.dlog", read)
         reg_jets = _items(reg, "one_form.reg", read)
-        try:
+        with _at("one_form"):
             return logcalc.LogOneForm.make(ctx, dlog_jets, reg_jets)
-        except ValueError as e:
-            raise SceneError(str(e), "one_form")
 
     def _int_pair(self, key, message):
         """The optional pair of integers at key; message if it is no pair."""
@@ -284,16 +294,16 @@ class Scene:
 
         doubles = _items(self._get("double_strata", []), "double_strata", double)
         triples = _items(self._get("triple_strata", []), "triple_strata", triple)
-        try:
+        with _at("double_strata"):
             return foliations.SNCGlueData(tuple(names), doubles, triples)
-        except ValueError as e:
-            raise SceneError(str(e), "double_strata")
 
     def pushout_inputs(self):
         """Per-component candidate fields and foliations for a gluing germ.
 
         Components are matched to the crossing variables of the ambient germ
-        in listed order; their fields are parsed on the component germs.
+        in listed order; their fields are parsed on the component germs, in
+        the ambient names other than the component's own, x2 in {x1 = 0}
+        still naming the ambient x2.
         """
         ctx, names = self.germ()
         spec = _expect(self._require("components"), list, "components")
@@ -311,14 +321,16 @@ class Scene:
                 ambient_candidate = read(candidate_spec, "candidate")
         else:
             candidate_spec = _expect(candidate_spec, dict, "candidate")
+        table = jets.name_table(ctx, names)
         candidates = []
         comp_fols = []
         for i, entry in enumerate(spec):
             where = "components[%d]" % i
             entry = _expect(entry, dict, where)
-            comp_ctx = ctx.component(i)
-            read = _parser(logcalc.derivation_from_string, comp_ctx, names[:i] + names[i + 1 :],
-                           params)
+            with _at(where):
+                comp_ctx = ctx.component(i)
+            comp_table = {name: j - (j > i) for name, j in table.items() if j != i}
+            read = _parser(logcalc.derivation_from_string, comp_ctx, comp_table, params)
             local = {fname: read(text, "%s.fields.%s" % (where, fname)) for fname, text
                      in _expect(entry.get("fields", {}), dict, where + ".fields").items()}
             fol_where = where + ".foliation"
@@ -341,10 +353,8 @@ class Scene:
         out = []
         for key in ("inner", "outer"):
             values = _fractions(spec.get(key), "holonomy.%s" % key)
-            try:
+            with _at("holonomy.%s" % key):
                 out.append(semistability.HolonomyData(values))
-            except ValueError as e:
-                raise SceneError(str(e), "holonomy.%s" % key)
         return out[0], out[1]
 
     def normal_degrees(self):
@@ -358,7 +368,7 @@ class Scene:
         right = _expect(spec.get("right"), list, "bundle.right")
         left_deg = _items(left, "bundle.left", _int)
         right_deg = _items(right, "bundle.right", _int)
-        try:
+        with _at("bundle"):
             if "glue" in spec:
                 return bundles.SNCCurveBundle(
                     bundles.GradedBundleP1(left_deg),
@@ -366,8 +376,6 @@ class Scene:
                     _fraction_matrix(spec["glue"], "bundle.glue"),
                 )
             return bundles.SNCCurveBundle.with_identity_glue(left_deg, right_deg)
-        except ValueError as e:
-            raise SceneError(str(e), "bundle")
 
     # -- monoids --
 
@@ -375,10 +383,8 @@ class Scene:
         spec = _expect(self._require("monoid"), dict, "monoid")
         rank = _int(spec.get("ambient_rank"), "monoid.ambient_rank")
         gens = _int_vectors(spec.get("generators", []), "monoid.generators")
-        try:
+        with _at("monoid"):
             return monoids.FGMonoid(rank, gens)
-        except ValueError as e:
-            raise SceneError(str(e), "monoid")
 
     def monoid_element(self):
         if not self.has("element"):
@@ -390,7 +396,7 @@ class Scene:
     def leaf_data(self):
         spec = _expect(self._require("leaf_data"), dict, "leaf_data")
         builder = spec.get("builder", "explicit")
-        try:
+        with _at("leaf_data"):
             if builder == "constant":
                 ce = _items(spec.get("ce"), "leaf_data.ce", _fraction_matrix)
                 n_opens = _int(spec.get("opens", 3), "leaf_data.opens")
@@ -402,8 +408,6 @@ class Scene:
                 return leafcomplex.p1_window_cover(degrees, window, polys)
             if builder == "explicit":
                 return self._explicit_leaf_data(spec)
-        except ValueError as e:
-            raise SceneError(str(e), "leaf_data")
         raise SceneError("unknown builder %r" % builder, "leaf_data.builder")
 
     def _explicit_leaf_data(self, spec):
@@ -460,17 +464,13 @@ class Scene:
     def lie_data(self):
         spec = _expect(self._require("lie"), dict, "lie")
         table = _fraction_table(spec.get("structure"), "lie.structure")
-        try:
+        with _at("lie.structure"):
             algebra = leafcomplex.LieAlgebra(table)
-        except ValueError as e:
-            raise SceneError(str(e), "lie.structure")
         sub = _fraction_matrix(spec.get("sub_basis"), "lie.sub_basis")
         pert = _fraction_matrix(spec.get("perturbation"), "lie.perturbation")
         mu = _fraction_table(spec.get("mu"), "lie.mu")
-        try:
+        with _at("lie"):
             return leafcomplex.FinLieData(algebra, sub, pert, mu)
-        except ValueError as e:
-            raise SceneError(str(e), "lie")
 
 
 def load_scene(path, order=None):

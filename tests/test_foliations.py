@@ -233,6 +233,26 @@ def test_span_membership_splits_off_units_without_a_system(monkeypatch):
     assert not systems[0][1].rows and systems[1][1].rows
 
 
+def test_unit_pivots_invert_the_unit_entry_with_fewest_terms(monkeypatch):
+    # v's entries 1 + x4 + x1 at x1 d1 and 2 at x2 d2 are both units: the
+    # constant is the pivot, and no Newton inverse through the order is taken
+    ctx = GermContext(4, 3, 12)
+    v = derivation_from_string(ctx, "(1 + x4 + x1)*x1*dx1 + 2*x2*dx2 - 3*x3*dx3")
+    w = derivation_from_string(ctx, "x4*dx4")
+    u1 = Jet.one(ctx) + Jet.variable(ctx, 0) + Jet.variable(ctx, 3)
+    u2 = Jet.one(ctx) + Jet.variable(ctx, 1)
+    inverted = []
+    invert = Jet.invert
+
+    def spy(self, degree=None):
+        inverted.append(self)
+        return invert(self, degree)
+
+    monkeypatch.setattr(Jet, "invert", spy)
+    assert span_membership(v.scale(u1) + w.scale(u2), (v, w), ctx.order) == (u1, u2)
+    assert inverted and all(len(j.terms) == 1 for j in inverted)
+
+
 NONCOMMUTING = {"v": "x1*dx1 + 2*x2*dx2 - 3*x3*dx3", "w": "2*x1*x4*dx4"}
 
 
@@ -433,8 +453,11 @@ def test_scalar_orientation_is_inverse():
 
 def test_missing_stratum_raises():
     glue = SNCGlueData(("A", "B", "C"), ((0, 1, Fraction(1)),), ())
-    with pytest.raises(MissingStratumError):
+    with pytest.raises(MissingStratumError) as err:
         glue.scalar(0, 2)
+    # an input error, read as one by the command line, and printed as written
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == "no scalar recorded for stratum A|C"
 
 
 def test_conflicting_scalars_rejected():

@@ -508,6 +508,52 @@ def test_cli_pushout_member_reads_every_candidate_form(tmp_path, capsys, candida
     assert "leaves the foliation on component B" in capsys.readouterr().out
 
 
+DEFAULT_NAMED_PUSHOUT = {
+    "germ": {"n": 3, "r": 2},
+    "candidate": "x1*dx1 + x2*dx2 + x3*dx3",
+    "components": [
+        {"name": "A", "fields": {"u": "x2*dx2 + x3*dx3"}, "foliation": ["u"]},
+        {"name": "B", "fields": {"u": "x1*dx1 + x3*dx3"}, "foliation": ["u"]},
+    ],
+}
+
+
+@pytest.mark.parametrize("names, candidate, fields", [
+    (None, "x1*dx1 + x2*dx2 + x3*dx3", ("x2*dx2 + x3*dx3", "x1*dx1 + x3*dx3")),
+    (["a", "b", "c"], "a*da + b*db + c*dc", ("x2*dx2 + c*dc", "a*da + x3*dx3")),
+], ids=["default names", "positional aliases"])
+def test_cli_pushout_member_reads_components_in_the_ambient_names(tmp_path, capsys, names,
+                                                                  candidate, fields):
+    # {x1 = 0} is written in the ambient names of x2 and x3, and x2 there is
+    # the ambient x2, not the component's second variable
+    scene = dict(json.loads(json.dumps(DEFAULT_NAMED_PUSHOUT)), candidate=candidate)
+    if names is not None:
+        scene["germ"]["names"] = names
+    for component, field in zip(scene["components"], fields):
+        component["fields"]["u"] = field
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "s.json", scene)]) == 0
+    assert "candidate restricts into every component foliation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("component, field", [(0, "x1*dx1"), (1, "x2*dx2")])
+def test_cli_pushout_member_refuses_a_component_its_own_variable(tmp_path, capsys, component,
+                                                                 field):
+    scene = json.loads(json.dumps(DEFAULT_NAMED_PUSHOUT))
+    scene["components"][component]["fields"]["u"] = field
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "error: components[%d].fields.u: unknown name %r (line 1, column 1)"
+        % (component, field[:2]))
+
+
+def test_cli_pushout_member_names_the_component_a_germ_cannot_restrict_to(tmp_path, capsys):
+    scene = {"germ": {"n": 1, "r": 1}, "candidate": "x1*dx1",
+             "components": [{"name": "A", "fields": {"u": "x1*dx1"}, "foliation": ["u"]}]}
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "error: components[0]: cannot restrict a one-variable germ")
+
+
 # -- cohomology -----------------------------------------------------------------------
 
 
@@ -864,6 +910,17 @@ def test_cli_maps_unexpected_exceptions_to_internal(tmp_path, capsys, monkeypatc
     assert rep["decision"] == "internal"
     assert "in crash" in rep["details"]["traceback"]
     assert cli.EXIT_BY_DECISION["internal"] not in (0, 1, 3)
+
+
+def test_cli_maps_a_key_error_to_internal(tmp_path, capsys, monkeypatch):
+    # a KeyError is no input error: only SceneError and ValueError exit 2
+    def crash(glue):
+        raise KeyError("stratum")
+
+    monkeypatch.setattr(cli.foliations, "check_gluing_cocycle", crash)
+    path = write_scene(tmp_path, "s.json", glue_scene(2, "1/2", 1))
+    assert cli.main(["pushout", "check", path]) == 4
+    assert capsys.readouterr().out.startswith("internal: internal error: KeyError")
 
 
 def test_cli_json_report_round_trips(tmp_path, capsys):

@@ -232,7 +232,11 @@ def _cmd_pushout_check(args, scn: Scene):
 def _cmd_pushout_member(args, scn: Scene):
     ctx, candidate, fols = scn.pushout_inputs()
     names = scn.component_names()
-    res = foliations.pushout_membership(candidate, fols, germ_ctx=ctx)
+    try:
+        res = foliations.pushout_membership(candidate, fols, germ_ctx=ctx)
+    except foliations.StratumDisagreementError as e:
+        raise SceneError("the candidates of %s and %s disagree on their double stratum"
+                         % tuple(names[k] for k in e.pair), "candidate") from None
     if res.ok:
         return Report(
             decision="yes",

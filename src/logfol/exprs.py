@@ -11,8 +11,13 @@ Grammar (whitespace free between tokens):
 Coefficients are exact rationals; "/" only divides by constant subexpressions,
 so "3/2*x1^2*z - 1" parses but "1/x" is rejected. Names resolve through a
 caller-supplied table to either a variable index or a rational constant.
-The result is a raw sparse polynomial {exponent tuple: Fraction} with no ring
-relations applied; callers reduce it into whatever quotient they need.
+The result is a sparse polynomial {exponent tuple: Fraction}, read in the
+quotient that the bound of parse_polynomial names, if any: every product
+(_product) drops the terms past a total degree or on a crossing as it
+forms them, so a large power costs only the terms that survive.
+Truncation is a ring map, so this is the truncation of the full expansion,
+and a divisor need only be constant through the bound.  _sum and _product
+are the one sparse sum and product; Jet's ring operations call them too.
 Inside the parser a coefficient is an int where integral, so the sums and
 products of parsing stay in ints; only a division by a constant makes a
 Fraction.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import inf
 from operator import add
 
 from .linalg import _exact
@@ -37,10 +43,7 @@ class ExprError(ValueError):
 
 
 def _line_col(text, pos):
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    col = pos - (last + 1) + 1
-    return line, col
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 # A token is the whitespace before it and then a run of decimal digits (with
@@ -85,9 +88,7 @@ class _Tokens:
         self.i += 1
         return item
 
-    def error(self, message, pos=None):
-        if pos is None:
-            pos = self.peek()[2]
+    def error(self, message, pos):
         raise ExprError(message, *_line_col(self.text, pos))
 
 
@@ -96,31 +97,42 @@ def _poly_const(c, width):
     return {} if c == 0 else {(0,) * width: c}
 
 
-def _poly_add(p, q):
+def _sum(p, q):
+    """p + q for sparse terms {exponent tuple: coefficient}."""
     out = dict(p)
     for e, c in q.items():
-        c2 = out.get(e, 0) + c
-        if c2 == 0:
-            out.pop(e, None)
+        if e in out:
+            c += out[e]
+            if c:
+                out[e] = c
+            else:
+                del out[e]
         else:
-            out[e] = c2
+            out[e] = c
     return out
 
 
-def _poly_scale(c, p):
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
-def _poly_mul(p, q):
+def _product(p, q, degree, r):
+    """p * q for sparse terms, never forming a term of total degree past
+    degree or divisible by the product of the first r slots (r >= 2): the
+    product of the quotient by those monomial ideals."""
+    right = [(e2, sum(e2), c2) for e2, c2 in q.items()]
     out = {}
     for e1, c1 in p.items():
-        for e2, c2 in q.items():
+        room = degree - sum(e1)
+        for e2, d2, c2 in right:
+            if d2 > room:
+                continue
             e = tuple(map(add, e1, e2))
-            c = out.get(e, 0) + c1 * c2
-            if c == 0:
-                out.pop(e, None)
+            if r > 1 and 0 not in e[:r]:  # jets._on_crossing, inlined
+                continue
+            c = c1 * c2
+            if e in out:
+                c += out[e]
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
             else:
                 out[e] = c
     return out
@@ -140,21 +152,13 @@ def _power(x, k, one, mul):
     return out
 
 
-def _constant_of(p, width):
-    """Value (int or Fraction) if p is constant, else None."""
-    if not p:
-        return 0
-    if len(p) == 1 and (0,) * width in p:
-        return p[(0,) * width]
-    return None
-
-
 class _Parser:
-    def __init__(self, text, names, width, consts):
+    def __init__(self, text, names, width, consts, bound):
         self.toks = _Tokens(text)
         self.names = names
         self.width = width
         self.consts = consts or {}
+        self.degree, self.r = bound
 
     def parse(self):
         p = self.expr()
@@ -164,21 +168,19 @@ class _Parser:
         return p
 
     def expr(self):
-        sign = 1
-        kind, _, _ = self.toks.peek()
+        kind = self.toks.peek()[0]
         if kind in "+-":
             self.toks.next()
-            sign = -1 if kind == "-" else 1
-        p = _poly_scale(sign, self.term())
+        p = None
         while True:
-            kind, _, _ = self.toks.peek()
+            q = self.term()
+            if kind == "-":
+                q = {e: -c for e, c in q.items()}
+            p = q if p is None else _sum(p, q)
+            kind = self.toks.peek()[0]
             if kind not in "+-":
                 return p
             self.toks.next()
-            q = self.term()
-            if kind == "-":
-                q = _poly_scale(-1, q)
-            p = _poly_add(p, q)
 
     def term(self):
         p = self.factor()
@@ -186,13 +188,14 @@ class _Parser:
             kind, _, pos = self.toks.peek()
             if kind == "*":
                 self.toks.next()
-                p = _poly_mul(p, self.factor())
+                p = _product(p, self.factor(), self.degree, self.r)
             elif kind == "/":
                 self.toks.next()
                 q = self.factor()
-                c = _constant_of(q, self.width)
-                if c is None:
+                one = (0,) * self.width
+                if q.keys() - {one}:
                     self.toks.error("division is only allowed by constants", pos)
+                c = q.get(one, 0)
                 if c == 0:
                     self.toks.error("division by zero", pos)
                 inv = Fraction(1) / c
@@ -208,7 +211,8 @@ class _Parser:
             k2, v, p2 = self.toks.next()
             if k2 != "int":
                 self.toks.error("exponent must be a nonnegative integer", p2)
-            p = _power(p, v, _poly_const(1, self.width), _poly_mul)
+            p = _power(p, v, _poly_const(1, self.width),
+                       lambda a, b: _product(a, b, self.degree, self.r))
         return p
 
     def atom(self):
@@ -232,16 +236,19 @@ class _Parser:
         self.toks.error("expected a number, name, or '('", pos)
 
 
-def parse_polynomial(text, names, width=None, consts=None):
-    """Parse `text` into a raw sparse polynomial.
+def parse_polynomial(text, names, width=None, consts=None, bound=None):
+    """Parse `text` into a sparse polynomial.
 
     names: mapping from name to slot index (several names may share a slot).
     width: number of exponent slots (default: 1 + max slot index).
     consts: mapping from name to exact rational value.
+    bound: (degree, r), read the text modulo the monomials past total
+    degree and those divisible by the product of the first r slots (r >= 2);
+    the default None applies no ring relation.
     Every value of the result is a Fraction; the arithmetic stays in ints
     until a division by a constant makes a Fraction.
     """
     if width is None:
         width = 1 + max(names.values()) if names else 0
-    poly = _Parser(text, names, width, consts).parse()
+    poly = _Parser(text, names, width, consts, bound or (inf, 0)).parse()
     return {e: Fraction(c) for e, c in poly.items()}

@@ -30,6 +30,14 @@ class MissingStratumError(ValueError):
     """A required double stratum has no identification scalar."""
 
 
+class StratumDisagreementError(ValueError):
+    """Per-component fields differ on the stratum of components pair = (i, j)."""
+
+    def __init__(self, i, j):
+        super().__init__("restrictions disagree on the double stratum (%d, %d)" % (i, j))
+        self.pair = (i, j)
+
+
 class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
     """Foliation presented by generators, with a declared generic rank."""
 
@@ -237,8 +245,10 @@ def involutivity_check(fol: FoliationGerm, order=None):
     """Are all generator brackets in the jet span of the generators?
 
     Brackets are valid one order below the context order, so the membership
-    is decided at order - 1 (or at the explicit order argument).  One unit
-    pivot reduction (_UnitPivots) is shared by every bracket column, and
+    is decided at order - 1 (or at the explicit order argument).  Brackets
+    zero through that degree are dropped, and if none is left nothing is
+    pivoted.  One unit pivot reduction (_UnitPivots) is shared by every
+    other bracket column, and
     one echelon of [A | b_1 ... b_m] over the block the brackets reach
     (_span_system) decides the rest: bracket p is outside the span exactly
     when a basis row with no entry in A (pivot at or after column n) is
@@ -248,10 +258,13 @@ def involutivity_check(fol: FoliationGerm, order=None):
     if d < 0:
         raise ValueError("order too small to decide anything")
     gens = fol.generators
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    brackets = {(i, j): lie_bracket(gens[i], gens[j])
+                for i in range(len(gens)) for j in range(i + 1, len(gens))}
+    pairs = [p for p, b in brackets.items()
+             if any(sum(e) <= d for c in b.components() for e in c.terms)]
     if not pairs:
         return InvolutivityResult(True, d)
-    red = _UnitPivots(gens, [lie_bracket(gens[i], gens[j]) for i, j in pairs], d)
+    red = _UnitPivots(gens, [brackets[p] for p in pairs], d)
     _, system = red.system()
     n = system.ncols
     basis = linalg.echelon(system.rows.values(), n + len(pairs), reduced=False)
@@ -362,7 +375,7 @@ def pushout_membership(fields, component_foliations, germ_ctx=None, order=None):
     `fields` is either a single LogDerivation on the total germ (restrictions
     are computed) or a sequence of per-component derivations, in which case
     agreement along every double stratum is checked first; disagreement is a
-    ValueError since the input then fails to describe one field.
+    StratumDisagreementError since the input then fails to describe one field.
     """
     if isinstance(fields, LogDerivation):
         ctx = fields.ctx
@@ -384,9 +397,7 @@ def pushout_membership(fields, component_foliations, germ_ctx=None, order=None):
                 left = restrict_derivation(per_comp[i], j - 1)
                 right = restrict_derivation(per_comp[j], i)
                 if not left.equal_to_order(right, ctx.order):
-                    raise ValueError(
-                        "restrictions disagree on the double stratum (%d, %d)" % (i, j)
-                    )
+                    raise StratumDisagreementError(i, j)
     if len(component_foliations) != ctx.r:
         raise ValueError("expected one foliation per component")
     d = order if order is not None else ctx.order

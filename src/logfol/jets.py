@@ -20,6 +20,9 @@ This is the one jet calculus under the solvers: they read a jet's terms
 directly to build their rows (skipping, with _on_crossing, a product that
 lands past the order or on the crossing), and their certificates, the unit
 pivots and the residues multiply and invert only through mul_to and invert.
+The sum and the truncated product are the parser's (exprs._sum and
+exprs._product), and jet_from_string reads its text through the order and
+the crossing: a term past them never forms, even inside a large power.
 
 Coefficients are Fraction throughout; nothing here is approximate.
 Variable indices are 0-based in code; printed names default to x1..xn.
@@ -30,9 +33,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
-from .exprs import _power, parse_polynomial
+from .exprs import _power, _product, _sum, parse_polynomial
 from .linalg import frac
 
 
@@ -161,17 +164,7 @@ class Jet:
         if isinstance(other, (int, Fraction, str)):
             other = Jet.constant(self.ctx, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                c += out[e]
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-            else:
-                out[e] = c
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, _sum(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -202,28 +195,7 @@ class Jet:
     def mul_to(self, other, degree):
         """The product with another jet of this context, through total degree
         degree (at most the order): terms of higher degree are never formed."""
-        ctx = self.ctx
-        r = ctx.r
-        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
-        out = {}
-        for e1, c1 in self.terms.items():
-            room = degree - sum(e1)
-            for e2, d2, c2 in right:
-                if d2 > room:
-                    continue
-                e = tuple(map(add, e1, e2))
-                if _on_crossing(e, r):
-                    continue
-                c = c1 * c2
-                if e in out:
-                    c += out[e]
-                    if c:
-                        out[e] = c
-                    else:
-                        del out[e]
-                else:
-                    out[e] = c
-        return Jet(ctx, out)
+        return Jet(self.ctx, _product(self.terms, other.terms, degree, self.ctx.r))
 
     __rmul__ = __mul__
 
@@ -251,17 +223,12 @@ class Jet:
 
     def partial(self, i):
         """d/dx_i. Valid one order below the order of the input."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                              for e, c in self.terms.items() if e[i]})
 
     def scaled_partial(self, i):
         """x_i d/dx_i, the logarithmic derivative along x_i. Degree-preserving."""
-        out = {e: c * e[i] for e, c in self.terms.items() if e[i] != 0}
-        return Jet(self.ctx, out)
+        return Jet(self.ctx, {e: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def set_zero(self, i):
         """Substitute x_i = 0, staying in the same context."""
@@ -369,10 +336,11 @@ def name_table(ctx, names=None):
 
 
 def jet_from_string(ctx, text, names=None, params=None):
-    """Parse polynomial syntax like "3/2*x1^2*x3 - 1" into a Jet."""
+    """Parse polynomial syntax like "3/2*x1^2*x3 - 1" into a Jet, computed
+    only through the order and off the crossing."""
     table = name_table(ctx, names)
     consts = {k: frac(v) for k, v in (params or {}).items()}
-    raw = parse_polynomial(text, table, width=ctx.n, consts=consts)
+    raw = parse_polynomial(text, table, width=ctx.n, consts=consts, bound=(ctx.order, ctx.r))
     return Jet.make(ctx, raw)
 
 

@@ -94,10 +94,7 @@ class LogDerivation:
 
     def log_trace(self):
         """Sum of the crossing coefficients b_1 + ... + b_r."""
-        out = Jet.zero(self.ctx)
-        for bi in self.b:
-            out = out + bi
-        return out
+        return sum(self.b, Jet.zero(self.ctx))
 
     def constant_vector(self):
         """Coefficients at the origin, (b_1(0), ..., b_r(0), a_{r+1}(0), ...)."""
@@ -217,11 +214,17 @@ def derivation_from_string(ctx, text, names=None, params=None):
     divisible by x_i, i.e. the field must be tangent to the crossing locus;
     the quotient becomes the stored b_i. Example: "lam1*y*dy + z*dz" with
     names x, y, z and a rational parameter lam1.
+
+    The text is read through total degree order + 2 in the variables and
+    tokens (x-degree order + 1, as b_i is divided by x_i, plus one token),
+    keeping crossing monomials: x1*x2*dx1 at r = 2 is b_1 = x2.  A term past
+    that vanishes, as truncation is a ring map, even one refused within it
+    (no token, two tokens, a non-tangent coefficient).
     """
     table = derivation_table(ctx, names)
     width = 2 * ctx.n
     consts = {k: frac(v) for k, v in (params or {}).items()}
-    raw = parse_polynomial(text, table, width=width, consts=consts)
+    raw = parse_polynomial(text, table, width=width, consts=consts, bound=(ctx.order + 2, 0))
 
     b_raw = [dict() for _ in range(ctx.r)]
     a_raw = [dict() for _ in range(ctx.n - ctx.r)]

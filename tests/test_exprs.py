@@ -1,14 +1,19 @@
-"""The expression tokeniser, one compiled regular expression, against the
-character loop it replaced."""
+"""The expression parser: its tokeniser, one compiled regular expression,
+against the character loop it replaced, and its bounded reading of jets and
+fields against the full expansion cut afterwards."""
 
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logfol import logcalc
 from logfol.exprs import ExprError, _line_col, _Tokens, parse_polynomial
+from logfol.jets import GermContext, Jet, jet_from_string, name_table
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -154,3 +159,61 @@ def test_powers_are_taken_by_squaring():
     assert huge == {(10**9, 1): 1, (0, 0): 1}
     assert time.monotonic() - start < 1.0
 
+
+# -- the bound -----------------------------------------------------------------
+
+
+def polynomial_texts(names):
+    """Small expressions in names and the parameter lam: sums, products,
+    powers and division by constants."""
+    atoms = st.one_of(st.integers(0, 3).map(str), st.sampled_from(names + ("lam",)))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from((" + ", " - ", "*")), inner).map(
+                lambda t: "(%s%s%s)" % t),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: "(%s)^%d" % t),
+            st.tuples(inner, st.sampled_from(("2", "3", "lam"))).map(lambda t: "(%s)/%s" % t),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=6)
+
+
+@st.composite
+def bounded_cases(draw):
+    """A context of 3 variables with r = 0..3, an order, a value of lam, a
+    jet text and a field text tangent to the crossing."""
+    ctx = GermContext(3, draw(st.integers(0, 3)), draw(st.integers(1, 4)))
+    names = ctx.default_names()
+    poly = polynomial_texts(names)
+    lam = draw(st.sampled_from((Fraction(1, 2), Fraction(-3), Fraction(2, 3))))
+    basis = ["x%d*dx%d" % (i, i) for i in range(1, ctx.r + 1)]
+    basis += ["dx%d" % i for i in range(ctx.r + 1, 4)]
+    terms = draw(st.lists(st.tuples(poly, st.sampled_from(basis)), min_size=1, max_size=3))
+    field = "(%s)*(%s)" % (draw(poly), " + ".join("(%s)*%s" % t for t in terms))
+    return ctx, {"lam": lam}, draw(poly), field
+
+
+def unbounded(text, names, width=None, consts=None, bound=None):
+    return parse_polynomial(text, names, width, consts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_cases())
+def test_the_bounded_parse_is_the_truncated_full_expansion(case):
+    ctx, params, jet_text, field_text = case
+    full = parse_polynomial(jet_text, name_table(ctx), ctx.n, params)
+    assert jet_from_string(ctx, jet_text, params=params) == Jet.make(ctx, full)
+    field = logcalc.derivation_from_string(ctx, field_text, params=params)
+    with mock.patch.object(logcalc, "parse_polynomial", unbounded):
+        assert field == logcalc.derivation_from_string(ctx, field_text, params=params)
+
+
+def test_a_large_power_is_read_through_the_order():
+    ctx = GermContext(2, 2, 6)
+    field = logcalc.derivation_from_string(ctx, "(1 + x1 + x2)^200*x1*dx1 - x2*dx2")
+    start = time.monotonic()
+    huge = logcalc.derivation_from_string(ctx, "(1 + x1 + x2)^100000*x1*dx1 - x2*dx2")
+    assert time.monotonic() - start < 1.0
+    assert field.b[0].terms[(0, 6)] == Fraction(82408626300)  # C(200, 6)
+    assert huge.b[0].constant_term() == 1 and len(huge.b[0].terms) == len(field.b[0].terms)

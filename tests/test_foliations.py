@@ -93,6 +93,21 @@ def test_commuting_pair_is_involutive():
     assert res.ok and res.failing_pair is None
 
 
+@pytest.mark.parametrize("fields", [
+    ("x1*dx1 + 2*x2*dx2 - 3*x3*dx3", "2*x1*dx1 - x2*dx2 - x3*dx3"),
+    # [x3 d3, x3^5 d3] = 4 x3^5 d3 is past the order 4 the check decides at
+    ("x3*dx3", "x3^5*dx3"),
+], ids=["commuting", "zero through the order"])
+def test_brackets_zero_through_the_order_are_not_pivoted(monkeypatch, fields):
+    def refuse(*args):
+        raise AssertionError("a bracket that is zero through the order was pivoted")
+
+    monkeypatch.setattr(foliations, "_UnitPivots", refuse)
+    gens = tuple(derivation_from_string(CTX, f) for f in fields)
+    res = involutivity_check(FoliationGerm(CTX, gens, rank=2))
+    assert res.ok and res.failing_pair is None and res.order == CTX.order - 1
+
+
 def test_non_involutive_pair_reports_the_pair():
     ctx = GermContext(2, 1, 4)
     v = derivation_from_string(ctx, "dx2")

@@ -137,6 +137,23 @@ def test_parse_rejects_missing_or_double_tokens():
         derivation_from_string(CTX, "x1*dx1*dx2")
 
 
+@pytest.mark.parametrize("low, on_bound, past", [
+    ("x2*dx1", "x2^5*dx1", "x2^6*dx1"),  # not tangent to {x1 = 0}
+    ("x1*dx1*dx2", "x1^4*dx1*dx2", "x1^5*dx1*dx2"),  # two derivation tokens
+    ("x1*x2", "x1^3*x2^3", "x1^4*x2^3"),  # no derivation token
+], ids=["non-tangent", "two tokens", "no token"])
+def test_parse_reads_terms_through_the_bound(low, on_bound, past):
+    # at order 4 the text is read through total degree 6 over the variables
+    # and the tokens: a term within it is refused as before, and one past it
+    # vanishes, as truncation is a ring map
+    ctx = GermContext(2, 2, 4)
+    for text in (low, on_bound, "x1*dx1 + " + on_bound):
+        with pytest.raises(TangencyParseError):
+            derivation_from_string(ctx, text)
+    assert derivation_from_string(ctx, "x1*dx1 + " + past) == derivation_from_string(ctx, "x1*dx1")
+    assert derivation_from_string(ctx, past).is_zero()
+
+
 def test_parse_format_round_trip():
     v = derivation_from_string(CTX, "(1 + x3)*x1*dx1 - 2*x2*dx2 + x1*dx3")
     again = derivation_from_string(CTX, format_derivation(v))

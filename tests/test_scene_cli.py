@@ -546,6 +546,15 @@ def test_cli_pushout_member_refuses_a_component_its_own_variable(tmp_path, capsy
         % (component, field[:2]))
 
 
+def test_cli_pushout_member_names_the_components_whose_candidates_disagree(tmp_path, capsys):
+    # on the stratum {x1 = x2 = 0} A's candidate is x3*dx3 and B's 2*x3*dx3
+    scene = dict(json.loads(json.dumps(DEFAULT_NAMED_PUSHOUT)),
+                 candidate={"A": "x2*dx2 + x3*dx3", "B": "x1*dx1 + 2*x3*dx3"})
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "error: candidate: the candidates of A and B disagree on their double stratum")
+
+
 def test_cli_pushout_member_names_the_component_a_germ_cannot_restrict_to(tmp_path, capsys):
     scene = {"germ": {"n": 1, "r": 1}, "candidate": "x1*dx1",
              "components": [{"name": "A", "fields": {"u": "x1*dx1"}, "foliation": ["u"]}]}

@@ -25,6 +25,9 @@ help, a group alone, an unknown word, or arguments the leaf leaves over go to
 the whole tree, built from the same rows, so its usage errors read as they
 always have.  Each parser is built on first use and then kept for the
 process.  A group named alone prints that group's usage and leaves and exits 2.
+The run row has no handler: it runs each scene file through the command the
+scene names in its "command" key, read as that row's own leaf parser reads
+it, prints "name: decision: summary" per file and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -398,14 +401,33 @@ def _cmd_selftest(args, scn):
 # --- wiring ---
 
 
+def _named_command(args, scn):
+    """For run: the namespace its own leaf parser gives the command that scene
+    scn names, with run's --order; a SceneError at "command" if it names no
+    command that reads a scene (run itself has no handler, like the tree)."""
+    words = scn.raw.get("command")
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise SceneError("expected a list of command words", "command")
+    parser = build_parser(words)
+    if (parser.get_default("handler") is None or not parser.get_default("needs_scene")
+            or len(words) != len(parser.words)):
+        raise SceneError("%r is no command that reads a scene" % " ".join(words), "command")
+    leaf = parser.parse_args([])
+    if "order" in args:
+        leaf.order = args.order
+    return leaf
+
+
 def _run_one(args, scene_path):
     """The report of args' command on scene_path, error reports included,
-    named after the command (args.tool)."""
+    named after the command (args.tool); for run, the command the scene names."""
     where = str(scene_path) if scene_path else None
     try:
         scn = None
         if args.needs_scene:
             scn = load_scene(scene_path, order=getattr(args, "order", None))
+        if args.handler is None:
+            args = _named_command(args, scn)
         report = args.handler(args, scn)
     except InconclusiveAtOrderError as e:
         report = Report("inconclusive", str(e), {}, scene=where)
@@ -465,10 +487,10 @@ def _add_leaf(parser, cmd):
                         help="truncation order override (default: scene value, else 6)")
     parser.add_argument("--json", dest="json_path", default=argparse.SUPPRESS, metavar="PATH",
                         help='write the report as JSON to PATH ("-" for stdout)')
-    if cmd.needs_scene:
+    if cmd.handler is None:
+        parser.add_argument("scene", nargs="*", help="scene files, each run by its command")
+    elif cmd.needs_scene:
         parser.add_argument("scene", nargs="?", help="scene file to read")
-        parser.add_argument("--all", dest="all_dir", default=argparse.SUPPRESS, metavar="DIR",
-                            help="run on every *.json scene in DIR; exit with the worst code")
     for flag, keywords in cmd.arguments:
         parser.add_argument(flag, **keywords)
     return parser
@@ -527,6 +549,7 @@ COMMANDS = (
                  ("--seed", dict(type=int, default=0, help="random seed (default 0)")),
                  ("--trials", dict(type=int, default=40, help="trials per identity (default 40)")),
              )),
+    _Command(("run",), None, "run each scene file through the command it names; worst exit"),
 )
 
 
@@ -586,40 +609,26 @@ def _parse(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
-    if getattr(args, "handler", None) is None:
+    if "tool" not in args:
         # a group named alone lists its own leaves
         tree = _tree()
         tree.group_parsers.get(args.command, tree).print_help()
         return 2
 
     json_path = getattr(args, "json_path", None)
-
-    if getattr(args, "all_dir", None):
-        directory = Path(args.all_dir)
-        files = sorted(directory.glob("*.json"))
-        if not files:
-            print("no scene files in %s" % directory, file=sys.stderr)
-            return 2
-        reports = []
-        worst = 0
-        for f in files:
-            report = _run_one(args, f)
-            reports.append(report)
-            _print_report(report, prefix="%s: " % f.name)
-            worst = max(worst, report.exit_code())
-        if json_path and not _write_json(json_path, [r.to_dict() for r in reports]):
-            return 2
-        return worst
-
-    scene_path = getattr(args, "scene", None)
-    if args.needs_scene and scene_path is None:
-        print("a scene file (or --all DIR) is required", file=sys.stderr)
+    scene = getattr(args, "scene", None)  # run's is a list
+    if args.needs_scene and not scene:
+        print("a scene file is required", file=sys.stderr)
         return 2
-    report = _run_one(args, scene_path)
-    _print_report(report)
-    if json_path and not _write_json(json_path, report.to_dict()):
+    batch = args.handler is None
+    reports = []
+    for path in scene if batch else [scene]:
+        reports.append(_run_one(args, path))
+        _print_report(reports[-1], prefix="%s: " % Path(path).name if batch else "")
+    payload = [r.to_dict() for r in reports] if batch else reports[0].to_dict()
+    if json_path and not _write_json(json_path, payload):
         return 2
-    return report.exit_code()
+    return max(r.exit_code() for r in reports)
 
 
 if __name__ == "__main__":

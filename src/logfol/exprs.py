@@ -78,15 +78,6 @@ class _Tokens:
                 raise ExprError("unexpected character %r" % first, *_line_col(text, pos))
             pos += len(token)
         items.append(("end", None, len(text)))
-        self.i = 0
-
-    def peek(self):
-        return self.items[self.i]
-
-    def next(self):
-        item = self.items[self.i]
-        self.i += 1
-        return item
 
     def error(self, message, pos):
         raise ExprError(message, *_line_col(self.text, pos))
@@ -153,8 +144,12 @@ def _power(x, k, one, mul):
 
 
 class _Parser:
+    """Reads the tokens items[i:], i the next one, with no call per token."""
+
     def __init__(self, text, names, width, consts, bound):
         self.toks = _Tokens(text)
+        self.items = self.toks.items
+        self.i = 0
         self.names = names
         self.width = width
         self.consts = consts or {}
@@ -162,61 +157,60 @@ class _Parser:
 
     def parse(self):
         p = self.expr()
-        kind, _, pos = self.toks.peek()
+        kind, _, pos = self.items[self.i]
         if kind != "end":
             self.toks.error("trailing input", pos)
         return p
 
     def expr(self):
-        kind = self.toks.peek()[0]
+        kind = self.items[self.i][0]
         if kind in "+-":
-            self.toks.next()
+            self.i += 1
         p = None
         while True:
             q = self.term()
             if kind == "-":
                 q = {e: -c for e, c in q.items()}
             p = q if p is None else _sum(p, q)
-            kind = self.toks.peek()[0]
+            kind = self.items[self.i][0]
             if kind not in "+-":
                 return p
-            self.toks.next()
+            self.i += 1
 
     def term(self):
         p = self.factor()
         while True:
-            kind, _, pos = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                p = _product(p, self.factor(), self.degree, self.r)
-            elif kind == "/":
-                self.toks.next()
-                q = self.factor()
-                one = (0,) * self.width
-                if q.keys() - {one}:
-                    self.toks.error("division is only allowed by constants", pos)
-                c = q.get(one, 0)
-                if c == 0:
-                    self.toks.error("division by zero", pos)
-                inv = Fraction(1) / c
-                p = {e: _exact(inv * v) for e, v in p.items()}
-            else:
+            kind, _, pos = self.items[self.i]
+            if kind != "*" and kind != "/":
                 return p
+            self.i += 1
+            q = self.factor()
+            if kind == "*":
+                p = _product(p, q, self.degree, self.r)
+                continue
+            one = (0,) * self.width
+            if q.keys() - {one}:
+                self.toks.error("division is only allowed by constants", pos)
+            c = q.get(one, 0)
+            if c == 0:
+                self.toks.error("division by zero", pos)
+            inv = Fraction(1) / c
+            p = {e: _exact(inv * v) for e, v in p.items()}
 
     def factor(self):
         p = self.atom()
-        kind, _, pos = self.toks.peek()
-        if kind == "^":
-            self.toks.next()
-            k2, v, p2 = self.toks.next()
-            if k2 != "int":
-                self.toks.error("exponent must be a nonnegative integer", p2)
-            p = _power(p, v, _poly_const(1, self.width),
+        if self.items[self.i][0] == "^":
+            kind, k, pos = self.items[self.i + 1]
+            self.i += 2
+            if kind != "int":
+                self.toks.error("exponent must be a nonnegative integer", pos)
+            p = _power(p, k, _poly_const(1, self.width),
                        lambda a, b: _product(a, b, self.degree, self.r))
         return p
 
     def atom(self):
-        kind, value, pos = self.toks.next()
+        kind, value, pos = self.items[self.i]
+        self.i += 1
         if kind == "int":
             return _poly_const(value, self.width)
         if kind == "name":
@@ -229,9 +223,10 @@ class _Parser:
             self.toks.error("unknown name %r" % value, pos)
         if kind == "(":
             p = self.expr()
-            k2, _, p2 = self.toks.next()
-            if k2 != ")":
-                self.toks.error("expected ')'", p2)
+            kind, _, pos = self.items[self.i]
+            self.i += 1
+            if kind != ")":
+                self.toks.error("expected ')'", pos)
             return p
         self.toks.error("expected a number, name, or '('", pos)
 

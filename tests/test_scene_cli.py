@@ -305,15 +305,18 @@ def test_exit_codes_by_decision():
 
 @pytest.mark.parametrize("argv, tool", [
     (list(cmd.words) + ["missing.json"], "-".join(cmd.words))
-    for cmd in cli.COMMANDS if cmd.needs_scene
+    for cmd in cli.COMMANDS if cmd.needs_scene and cmd.handler
 ] + [
     (["cs", "paper", "missing.json"], "cs-log"),
     (["selftest", "--trials", "0"], "selftest"),
+    (["run", "missing.json"], "run"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_error_reports_are_named_after_their_command(tmp_path, capsys, argv, tool):
     out = tmp_path / "out.json"
     assert cli.main(argv + ["--json", str(out)]) == 2
     report = json.loads(out.read_text())
+    if tool == "run":  # a list of one report, for the one file
+        (report,) = report
     assert (report["tool"], report["decision"]) == (tool, "error")
 
 
@@ -856,7 +859,7 @@ def test_cli_monoid_non_pointed_no_is_decided(tmp_path):
 
 def test_cli_requires_a_scene(capsys):
     assert cli.main(["semistable", "check"]) == 2
-    assert "a scene file (or --all DIR) is required" in capsys.readouterr().err
+    assert "a scene file is required" in capsys.readouterr().err
 
 
 def test_cli_reports_scene_errors(tmp_path, capsys):
@@ -951,18 +954,91 @@ def test_cli_json_to_stdout(tmp_path, capsys):
     assert payload["decision"] == "yes"
 
 
+SEMISTABLE = ["semistable", "check"]
+
+
+def write_batch(tmp_path):
+    """Two scenes for run, a yes and a no, in the order given."""
+    return [write_scene(tmp_path, "a_yes.json", dict(BALANCED, command=SEMISTABLE)),
+            write_scene(tmp_path, "b_no.json", dict(UNBALANCED, command=SEMISTABLE))]
+
+
 def test_cli_batch_mode_takes_the_worst_code(tmp_path, capsys):
-    write_scene(tmp_path, "a_yes.json", BALANCED)
-    write_scene(tmp_path, "b_no.json", UNBALANCED)
     json_path = tmp_path / "batch_report"
-    assert cli.main([
-        "semistable", "check", "--all", str(tmp_path), "--json", str(json_path)
-    ]) == 1
+    assert cli.main(["run"] + write_batch(tmp_path) + ["--json", str(json_path)]) == 1
     out = capsys.readouterr().out
     assert "a_yes.json: yes:" in out
     assert "b_no.json: no:" in out
     reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
     assert [r.decision for r in reports] == ["yes", "no"]
+    assert [r.tool for r in reports] == ["semistable-check"] * 2
+
+
+def test_run_runs_each_scene_through_its_own_command(tmp_path, capsys):
+    paths = [write_scene(tmp_path, "m.json", {"command": ["monoid", "group"],
+                                              "monoid": {"ambient_rank": 1, "generators": [[2]]}}),
+             write_scene(tmp_path, "c.json", dict(CS_SCENE, command=["cs", "paper"])),
+             write_scene(tmp_path, "n.json", dict(BALANCED, command=SEMISTABLE))]
+    assert cli.main(["run", "--order", "4", "--json", "-"] + paths) == 0
+    out = capsys.readouterr().out
+    reports = json.loads(out[out.index("["):])
+    assert [(r["tool"], r["order"]) for r in reports] == [
+        ("monoid-group", 4), ("cs-log", 4), ("semistable-check", 4)]
+    # each is the report its command gives the scene alone
+    for path, report in zip(paths, reports):
+        words = json.loads(Path(path).read_text())["command"]
+        assert cli.main(words + [path, "--order", "4", "--json", "-"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("{"):]) == report
+
+
+NAMES_NO_COMMAND = "is no command that reads a scene"
+
+
+# (id, the scene's "command", the error after "command: ")
+BAD_COMMANDS = [
+    ("missing", None, "expected a list of command words"),
+    ("a string", "semistable check", "expected a list of command words"),
+    ("a word not a string", ["semistable", 1], "expected a list of command words"),
+    ("empty", [], "'' " + NAMES_NO_COMMAND),
+    ("unknown", ["frobnicate"], "'frobnicate' " + NAMES_NO_COMMAND),
+    ("a group", ["semistable"], "'semistable' " + NAMES_NO_COMMAND),
+    ("with options", ["semistable", "check", "--order", "4"],
+     "'semistable check --order 4' " + NAMES_NO_COMMAND),
+    ("help", ["-h"], "'-h' " + NAMES_NO_COMMAND),
+    ("run", ["run"], "'run' " + NAMES_NO_COMMAND),
+    ("selftest", ["selftest"], "'selftest' " + NAMES_NO_COMMAND),
+    ("cohomology p1", ["cohomology", "p1"], "'cohomology p1' " + NAMES_NO_COMMAND),
+]
+
+
+@pytest.mark.parametrize("command, message", [case[1:] for case in BAD_COMMANDS],
+                         ids=[case[0] for case in BAD_COMMANDS])
+def test_run_reports_a_scene_that_names_no_command_at_command(tmp_path, capsys, command,
+                                                              message):
+    scene = dict(BALANCED) if command is None else dict(BALANCED, command=command)
+    bad = write_scene(tmp_path, "bad.json", scene)
+    good = write_scene(tmp_path, "good.json", dict(BALANCED, command=SEMISTABLE))
+    json_path = tmp_path / "out.json"
+    # the error is the file's own report, and the run goes on to the next file
+    assert cli.main(["run", bad, good, "--json", str(json_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "bad.json: error: command: " + message
+    assert out[1].startswith("good.json: yes:")
+    reports = json.loads(json_path.read_text())
+    assert [(r["tool"], r["decision"]) for r in reports] == [
+        ("run", "error"), ("semistable-check", "yes")]
+
+
+def test_run_reports_a_file_it_cannot_read_and_goes_on(tmp_path, capsys):
+    good = write_scene(tmp_path, "good.json", dict(BALANCED, command=SEMISTABLE))
+    (tmp_path / "bad.json").write_text("[1]")
+    assert cli.main(["run", str(tmp_path / "missing.json"), str(tmp_path / "bad.json"),
+                     good]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("missing.json: error: ")
+    assert out[1] == "bad.json: error: %s: a scene must be a JSON object" % (tmp_path / "bad.json")
+    assert out[2].startswith("good.json: yes:")
 
 
 def run_into_closed_pipe(argv):
@@ -987,14 +1063,12 @@ def test_closed_stdout_keeps_the_decided_exit_code():
 
 
 def test_closed_stdout_still_runs_every_scene_and_writes_the_json(tmp_path):
-    write_scene(tmp_path, "a_yes.json", BALANCED)
-    write_scene(tmp_path, "b_no.json", UNBALANCED)
+    paths = write_batch(tmp_path)
     json_path = tmp_path / "batch_report"
-    argv = ["semistable", "check", "--all", str(tmp_path), "--json", str(json_path)]
-    assert run_into_closed_pipe(argv) == (1, "")
+    assert run_into_closed_pipe(["run"] + paths + ["--json", str(json_path)]) == (1, "")
     reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
     assert [r.decision for r in reports] == ["yes", "no"]
-    assert run_into_closed_pipe(["semistable", "check", "--all", str(tmp_path), "--json", "-"]) == (1, "")
+    assert run_into_closed_pipe(["run"] + paths + ["--json", "-"]) == (1, "")
 
 
 def test_an_interrupt_ends_the_run_by_the_signal(tmp_path):
@@ -1015,10 +1089,10 @@ def test_an_interrupt_ends_the_run_by_the_signal(tmp_path):
 
 @pytest.mark.parametrize("batch", [False, True])
 def test_cli_unwritable_json_path_is_an_input_error(tmp_path, capsys, batch):
-    path = write_scene(tmp_path, "s.json", BALANCED)
+    path = write_scene(tmp_path, "s.json", dict(BALANCED, command=SEMISTABLE))
     target = tmp_path / "missing" / "out.json"
-    scene = ["--all", str(tmp_path)] if batch else [path]
-    assert cli.main(["semistable", "check"] + scene + ["--json", str(target)]) == 2
+    argv = ["run", path] if batch else ["semistable", "check", path]
+    assert cli.main(argv + ["--json", str(target)]) == 2
     captured = capsys.readouterr()
     assert "yes:" in captured.out
     assert captured.err.startswith("cannot write the report to %s:" % target)
@@ -1027,8 +1101,10 @@ def test_cli_unwritable_json_path_is_an_input_error(tmp_path, capsys, batch):
 
 
 def test_cli_batch_mode_requires_scenes(tmp_path, capsys):
-    assert cli.main(["semistable", "check", "--all", str(tmp_path)]) == 2
-    assert "no scene files" in capsys.readouterr().err
+    assert cli.main(["run"]) == 2
+    assert capsys.readouterr().err == "a scene file is required\n"
+    assert cli.main(["run", "--order", "4"]) == 2
+    assert capsys.readouterr().err == "a scene file is required\n"
 
 
 def test_cli_without_a_command_prints_help(capsys):
@@ -1054,22 +1130,23 @@ def test_cli_selftest_needs_a_trial(trials, capsys):
 # one argv per row of cli.COMMANDS, plus the alias, with every option a row takes
 PARITY_ARGV = [
     ["monoid", "saturate", "s.json", "--order", "5", "--json", "-"],
-    ["monoid", "group", "--all", "scenes"],
+    ["monoid", "group", "s.json"],
     ["monoid", "check", "s.json", "--json", "out.json"],
     ["semistable", "check", "s.json", "--order", "9"],
     ["cs", "log", "s.json", "--pair", "1", "3"],
-    ["cs", "paper", "--pair", "2", "3", "s.json", "--all", "d", "--order", "4"],
+    ["cs", "paper", "--pair", "2", "3", "s.json", "--order", "4"],
     ["cs", "surface", "s.json"],
-    ["pushout", "check", "--all", "d", "--json", "-"],
+    ["pushout", "check", "s.json", "--json", "-"],
     ["pushout", "member", "s.json", "--order", "4"],
     ["cohomology", "p1", "--deg", "-2", "--json", "-"],
     ["cohomology", "snc-curve", "s.json"],
     ["leaf-complex", "s.json", "--order", "3"],
     ["obstruction", "verify", "s.json"],
-    ["obstruction", "lie", "--all", "d"],
+    ["obstruction", "lie", "s.json"],
     ["holonomy", "s.json", "--json", "-"],
     ["selftest", "--seed", "3", "--trials", "7", "--order", "2"],
     ["selftest"],
+    ["run", "a.json", "b.json", "--order", "4", "--json", "-"],
 ]
 
 # every leaf as it can be named: the table's words, and the alias

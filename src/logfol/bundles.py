@@ -12,7 +12,6 @@ sections, so the basis of the narrower one is extended, not rebuilt.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
 
@@ -88,7 +87,7 @@ class SNCCurveBundle(namedtuple("SNCCurveBundle", "left right glue")):
     def __new__(cls, left: GradedBundleP1, right: GradedBundleP1, glue):
         if left.rank != right.rank:
             raise ValueError("both sides must have the same rank")
-        g = tuple(tuple(Fraction(x) for x in row) for row in glue)
+        g = tuple(tuple(map(linalg._exact, row)) for row in glue)
         if len(g) != left.rank or any(len(r) != left.rank for r in g):
             raise ValueError("glue matrix must be square of the common rank")
         self = tuple.__new__(cls, (left, right, g))

@@ -96,7 +96,9 @@ class Report:
 
 
 def _fstr(x):
-    return str(Fraction(x))
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError("%r is no exact number" % (x,))  # a float above all
+    return str(x)
 
 
 def _vec_strs(v):
@@ -600,9 +602,12 @@ def _tree():
 
 def _parse(argv):
     """argv's namespace.  Whatever a leaf's parser cannot take whole goes to
-    the whole tree, so an unrecognized argument reads as it always has."""
+    the whole tree, so an unrecognized argument reads as it always has.  run
+    alone is parsed intermixed (slower), as its files may sit among options."""
     parser = build_parser(argv)
-    args, rest = parser.parse_known_args(argv[len(parser.words):])
+    parse = (parser.parse_known_intermixed_args if parser.words == ("run",)
+             else parser.parse_known_args)
+    args, rest = parse(argv[len(parser.words):])
     return _tree().parse_args(argv) if rest else args
 
 

@@ -11,16 +11,16 @@ Grammar (whitespace free between tokens):
 Coefficients are exact rationals; "/" only divides by constant subexpressions,
 so "3/2*x1^2*z - 1" parses but "1/x" is rejected. Names resolve through a
 caller-supplied table to either a variable index or a rational constant.
-The result is a sparse polynomial {exponent tuple: Fraction}, read in the
+The result is a sparse polynomial {exponent tuple: coefficient}, read in the
 quotient that the bound of parse_polynomial names, if any: every product
 (_product) drops the terms past a total degree or on a crossing as it
 forms them, so a large power costs only the terms that survive.
 Truncation is a ring map, so this is the truncation of the full expansion,
 and a divisor need only be constant through the bound.  _sum and _product
 are the one sparse sum and product; Jet's ring operations call them too.
-Inside the parser a coefficient is an int where integral, so the sums and
-products of parsing stay in ints; only a division by a constant makes a
-Fraction.
+A coefficient is an int or a Fraction, by the rule in linalg's docstring:
+the sums and products of parsing stay in ints, and only a division by a
+constant makes a Fraction, which later products may leave integral.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class _Tokens:
 
 
 def _poly_const(c, width):
-    c = _exact(c)
     return {} if c == 0 else {(0,) * width: c}
 
 
@@ -152,7 +151,7 @@ class _Parser:
         self.i = 0
         self.names = names
         self.width = width
-        self.consts = consts or {}
+        self.consts = {k: _exact(v) for k, v in (consts or {}).items()}
         self.degree, self.r = bound
 
     def parse(self):
@@ -236,14 +235,12 @@ def parse_polynomial(text, names, width=None, consts=None, bound=None):
 
     names: mapping from name to slot index (several names may share a slot).
     width: number of exponent slots (default: 1 + max slot index).
-    consts: mapping from name to exact rational value.
+    consts: mapping from name to exact rational value, read by _exact.
     bound: (degree, r), read the text modulo the monomials past total
     degree and those divisible by the product of the first r slots (r >= 2);
     the default None applies no ring relation.
-    Every value of the result is a Fraction; the arithmetic stays in ints
-    until a division by a constant makes a Fraction.
+    Every value is an int where the arithmetic stayed in ints, else a Fraction.
     """
     if width is None:
         width = 1 + max(names.values()) if names else 0
-    poly = _Parser(text, names, width, consts, bound or (inf, 0)).parse()
-    return {e: Fraction(c) for e, c in poly.items()}
+    return _Parser(text, names, width, consts, bound or (inf, 0)).parse()

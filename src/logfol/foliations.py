@@ -294,8 +294,8 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
     double_scalars maps an ordered component pair (i, j) to the nonzero
     rational scalar of the identification along their common stratum, with
     the opposite orientation stored implicitly as the inverse; it is kept as
-    ((i, j, Fraction), ...).  triples lists the triple strata as index
-    triples.
+    ((i, j, scalar), ...), each scalar read by linalg._exact.  triples lists
+    the triple strata as index triples.
     """
 
     __slots__ = ()
@@ -305,7 +305,7 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
         seen = {}
         normalized = []
         for i, j, c in double_scalars:
-            c = Fraction(c)
+            c = linalg._exact(c)
             if c == 0:
                 raise ValueError("identification scalars must be nonzero")
             if i == j or not (0 <= i < len(comps)) or not (0 <= j < len(comps)):
@@ -369,13 +369,14 @@ class PushoutResult(namedtuple("PushoutResult", "ok order component_witness fail
         return self.ok
 
 
-def pushout_membership(fields, component_foliations, germ_ctx=None, order=None):
+def pushout_membership(fields, component_foliations, germ_ctx=None):
     """Does a field on the crossing germ restrict into every component foliation?
 
     `fields` is either a single LogDerivation on the total germ (restrictions
     are computed) or a sequence of per-component derivations, in which case
     agreement along every double stratum is checked first; disagreement is a
     StratumDisagreementError since the input then fails to describe one field.
+    Membership is decided at the germ's order, which the result reports.
     """
     if isinstance(fields, LogDerivation):
         ctx = fields.ctx
@@ -400,14 +401,13 @@ def pushout_membership(fields, component_foliations, germ_ctx=None, order=None):
                     raise StratumDisagreementError(i, j)
     if len(component_foliations) != ctx.r:
         raise ValueError("expected one foliation per component")
-    d = order if order is not None else ctx.order
     witnesses = []
     for i, fol in enumerate(component_foliations):
-        w = span_membership(per_comp[i], fol.generators, d)
+        w = span_membership(per_comp[i], fol.generators, ctx.order)
         witnesses.append(w)
         if w is None:
-            return PushoutResult(False, d, tuple(witnesses), failing_component=i)
-    return PushoutResult(True, d, tuple(witnesses))
+            return PushoutResult(False, ctx.order, tuple(witnesses), failing_component=i)
+    return PushoutResult(True, ctx.order, tuple(witnesses))
 
 
 # -- surface one-forms along an invariant curve --

@@ -9,12 +9,12 @@ live in.
 Invariant: the terms of a Jet are always in normal form.  Every key is a
 tuple of n nonnegative ints of total degree at most the order, not divisible
 by the full crossing product x_1...x_r when r >= 2, and every value is a
-nonzero Fraction.  Jet.make is the parse boundary: it alone coerces the
-coefficients and validates the exponents (jet_from_string goes through it;
-constant and variable coerce their one scalar).  Every other operation takes
-normal jets and builds its normal result directly, dropping only the terms
-that its own arithmetic can push past the order or onto the crossing.  The
-bare constructor Jet(ctx, terms) trusts its caller to keep the invariant.
+nonzero int or Fraction.  Jet.make is the parse boundary: it alone reads the
+coefficients (linalg's rule: ints where integral) and checks the exponents;
+jet_from_string goes through it, and constant and scale read one scalar.
+Every other operation takes normal jets and builds its normal result
+directly, dropping only the terms its own arithmetic can push past the
+order or onto the crossing.  Jet(ctx, terms) trusts its caller to keep it.
 
 This is the one jet calculus under the solvers: they read a jet's terms
 directly to build their rows (skipping, with _on_crossing, a product that
@@ -24,7 +24,7 @@ The sum and the truncated product are the parser's (exprs._sum and
 exprs._product), and jet_from_string reads its text through the order and
 the crossing: a term past them never forms, even inside a large power.
 
-Coefficients are Fraction throughout; nothing here is approximate.
+Coefficients are exact throughout; nothing here is approximate.
 Variable indices are 0-based in code; printed names default to x1..xn.
 """
 
@@ -36,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exprs import _power, _product, _sum, parse_polynomial
-from .linalg import frac
+from .linalg import _exact
 
 
 _set = object.__setattr__  # how the read-only value types here fill their slots
@@ -81,7 +81,7 @@ def _normal_terms(ctx, terms):
     out = {}
     r = ctx.r
     for e, c in terms.items():
-        c = frac(c)
+        c = _exact(c)
         if c == 0:
             continue
         if len(e) != ctx.n:
@@ -135,7 +135,7 @@ class Jet:
 
     @classmethod
     def constant(cls, ctx, c):
-        c = frac(c)
+        c = _exact(c)
         return cls(ctx, {(0,) * ctx.n: c} if c else {})
 
     @classmethod
@@ -148,7 +148,7 @@ class Jet:
             raise ValueError("no variable with index %d" % i)
         e = [0] * ctx.n
         e[i] = 1
-        return cls(ctx, {tuple(e): Fraction(1)})
+        return cls(ctx, {tuple(e): 1})
 
     # -- ring structure --
 
@@ -181,7 +181,7 @@ class Jet:
 
     def scale(self, c):
         """c times this jet, for a rational scalar c (int, Fraction or "p/q")."""
-        c = frac(c)
+        c = _exact(c)
         if c == 0:
             return Jet.zero(self.ctx)
         return Jet(self.ctx, {e: c * v for e, v in self.terms.items()})
@@ -210,7 +210,7 @@ class Jet:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ctx.n, Fraction(0))
+        return self.terms.get((0,) * self.ctx.n, 0)
 
     def truncate(self, order):
         return Jet(self.ctx, {e: c for e, c in self.terms.items() if sum(e) <= order})
@@ -268,7 +268,7 @@ class Jet:
         return inv
 
     def univariate(self, i):
-        """Coefficient dict {degree: Fraction} if only x_i occurs, else error."""
+        """Coefficient dict {degree: coefficient} if only x_i occurs, else error."""
         out = {}
         for e, c in self.terms.items():
             if any(v != 0 for j, v in enumerate(e) if j != i):
@@ -339,8 +339,7 @@ def jet_from_string(ctx, text, names=None, params=None):
     """Parse polynomial syntax like "3/2*x1^2*x3 - 1" into a Jet, computed
     only through the order and off the crossing."""
     table = name_table(ctx, names)
-    consts = {k: frac(v) for k, v in (params or {}).items()}
-    raw = parse_polynomial(text, table, width=ctx.n, consts=consts, bound=(ctx.order, ctx.r))
+    raw = parse_polynomial(text, table, width=ctx.n, consts=params, bound=(ctx.order, ctx.r))
     return Jet.make(ctx, raw)
 
 
@@ -349,7 +348,7 @@ def monomials(ctx, max_degree):
     """All normal-form exponent tuples of total degree <= max_degree.
 
     A tuple sorted by degree, then lexicographically; cached per
-    (ctx, max_degree), since every solve at one order walks the same list.
+    (ctx, max_degree).  The solvers do not walk it; selfcheck does.
     """
     out = []
 

@@ -8,11 +8,11 @@ cochain complex, with restriction maps between simplices, a total complex
 mixing both differentials, and the four compatibility equations an
 obstruction triple has to satisfy.
 
-Both levels are sparse.  Vectors are {index: Fraction} dicts of their
-nonzero entries and matrices are blocks, tuples of {column: value} rows
-holding ints where integral, else Fractions, so integral covers are
-checked and eliminated in int arithmetic; dense rows are read only on the
-way in, from scenes, and checked there.  The cochain differential and the
+Both levels are sparse.  Vectors are {index: value} dicts of their nonzero
+entries and matrices are blocks, tuples of {column: value} rows; values are
+read by linalg's rule, ints where integral, so integral covers and algebras
+are checked and eliminated in int arithmetic.  Dense rows are read only on
+the way in, from scenes, and checked there.  The cochain differential and the
 Cech, row and total matrices, more than 99% zeros, are linalg.SparseRows.
 
 Cover-level matrices and flat cochains share one layout: a list of
@@ -37,11 +37,11 @@ from .linalg import _exact
 
 
 def _sparse(row):
-    """row as an {index: Fraction} dict of its nonzero entries; a dict row
-    is taken to be one already and returned as it is."""
+    """row as an {index: value} dict of its nonzero entries, each read by
+    _exact; a dict row is taken to be one already and returned as it is."""
     if isinstance(row, dict):
         return row
-    return {j: v for j, v in ((j, linalg.frac(x)) for j, x in enumerate(row) if x) if v}
+    return {j: v for j, v in ((j, _exact(x)) for j, x in enumerate(row) if x) if v}
 
 
 def _combine(terms):
@@ -54,16 +54,16 @@ def _combine(terms):
 
 
 def _dense(v, n):
-    """The sparse vector v as a list of n Fractions."""
-    return [v.get(j, Fraction(0)) for j in range(n)]
+    """The sparse vector v as a dense list of n values."""
+    return [v.get(j, 0) for j in range(n)]
 
 
 def _block(m, rows, cols, error, *args):
     """m as a rows x cols block: a tuple of {column: value} rows.
 
     Dict rows, as the builders make them, are kept, and so is the object
-    that holds them; dense rows coerce their nonzero entries to ints where
-    integral, else Fractions, and drop those zero once coerced, such as "0".
+    that holds them; dense rows are read by _sparse, which drops the entries
+    that are zero once read, such as "0".
     Raises ValueError(error % args) on a wrong shape; the text is made only
     then.
     """
@@ -71,8 +71,7 @@ def _block(m, rows, cols, error, *args):
         fits = all(0 <= j < cols for row in m for j in row)
     else:
         fits = all(len(row) == cols for row in m)
-        m = tuple({j: v for j, v in ((j, _exact(linalg.frac(x))) for j, x in enumerate(row) if x)
-                   if v} for row in m)
+        m = tuple(map(_sparse, m))
     if not fits or len(m) != rows:
         raise ValueError(error % args)
     return m
@@ -150,7 +149,7 @@ class LieAlgebra(namedtuple("LieAlgebra", "structure")):
         return len(self.structure)
 
     def bracket(self, x, y):
-        """[x, y] of dense or sparse vectors, as an {index: Fraction} dict."""
+        """[x, y] of dense or sparse vectors, as an {index: value} dict."""
         y = _sparse(y)
         return _combine((a * b, self.structure[i][j])
                         for i, a in _sparse(x).items() for j, b in y.items())
@@ -162,7 +161,7 @@ class LieAlgebra(namedtuple("LieAlgebra", "structure")):
 
 
 def abelian_algebra(n):
-    zero = tuple(Fraction(0) for _ in range(n))
+    zero = (0,) * n
     return LieAlgebra(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
 
@@ -661,12 +660,12 @@ ObstructionReport = namedtuple("ObstructionReport", "equations is_cocycle is_cob
 
 
 def _cochain_layers(data: CechLeafData, layers):
-    """The vectors of each (name, vectors, simplices, noun) layer as Fractions.
+    """The vectors of each (name, vectors, simplices, noun) layer, read by _exact.
 
     Layer q is a row-q cochain: it must give one vector per simplex, of
     that simplex's row-q dimension, else ValueError names the layer.
     """
-    layers = [(name, [[linalg.frac(x) for x in v] for v in vecs], simplices, noun)
+    layers = [(name, [list(map(_exact, v)) for v in vecs], simplices, noun)
               for name, vecs, simplices, noun in layers]
     for q, (name, vecs, simplices, noun) in enumerate(layers):
         if len(vecs) != len(simplices) or any(
@@ -791,7 +790,7 @@ def p1_window_cover(degrees, window, polys=()):
         raise ValueError("the first row must have the smallest degree")
     if window < 1:
         raise ValueError("window must be positive")
-    polys = tuple(tuple(_exact(Fraction(c)) for c in p) for p in polys)
+    polys = tuple(tuple(map(_exact, p)) for p in polys)
     if len(polys) != len(degrees) - 1:
         raise ValueError("need one multiplier polynomial per adjacent row pair")
     for q, p in enumerate(polys):

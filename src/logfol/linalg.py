@@ -1,5 +1,10 @@
 """Exact linear algebra over Fraction, plus a few integer lattice routines.
 
+The package's one rule for exact numbers: ints or Fractions, never floats.
+The one reader, _exact, stores an int where the value is integral, else a
+Fraction; arithmetic keeps whatever Python returns, and a quotient is built
+as a Fraction, never by / on two ints.
+
 A matrix is a list of {column: value} rows holding its nonzero entries;
 solve, nullspace and inverse take them as SparseRows, which carries the
 column count that a list of dicts cannot say.  Vectors, the x of mat_vec
@@ -27,19 +32,23 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def frac(x) -> Fraction:
-    """Coerce int / str ("3/2") / Fraction to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError("cannot interpret %r as an exact rational" % (x,))
-
-
 def _exact(x):
-    """The int or Fraction x as an int when it is integral."""
+    """x, an int, a Fraction or a "p/q" string, as an int where integral,
+    else a Fraction; ValueError for anything else, bools and floats too."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        if isinstance(x, str):
+            try:
+                x = Fraction(x.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ValueError("cannot read %r as a rational" % (x,)) from None
+        elif isinstance(x, bool):
+            raise ValueError("expected a rational, got a boolean")
+        elif isinstance(x, float):
+            raise ValueError('floating point is not allowed; write rationals as "p/q"')
+        elif not isinstance(x, (int, Fraction)):
+            raise ValueError("expected a rational, got %s" % type(x).__name__)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -254,7 +263,7 @@ def solve(a, b):
     n = _width(a)
     rows = [_sparse(row) for row in a]
     for row, bi in zip(rows, b):
-        row[n] = frac(bi)
+        row[n] = _exact(bi)
     return solution(echelon(rows, n + 1), n)
 
 

@@ -11,16 +11,14 @@ eta regular; the single relation dx_1/x_1 + ... + dx_r/x_r = du/u makes the
 dlog coefficients unique only up to a common additive term. We normalize by
 removing the common constant so that the last dlog coefficient has constant
 term zero. The pairing with a vector field is representative-independent
-exactly on relative fields.
+exactly on relative fields.  Coefficients are jets, and scalars follow the
+rule in linalg's docstring: ints where integral, else Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exprs import parse_polynomial
 from .jets import ContextMismatchError, Jet, _set, format_jet, name_table
-from .linalg import frac
 
 
 class TangencyParseError(ValueError):
@@ -223,8 +221,7 @@ def derivation_from_string(ctx, text, names=None, params=None):
     """
     table = derivation_table(ctx, names)
     width = 2 * ctx.n
-    consts = {k: frac(v) for k, v in (params or {}).items()}
-    raw = parse_polynomial(text, table, width=width, consts=consts, bound=(ctx.order + 2, 0))
+    raw = parse_polynomial(text, table, width=width, consts=params, bound=(ctx.order + 2, 0))
 
     b_raw = [dict() for _ in range(ctx.r)]
     a_raw = [dict() for _ in range(ctx.n - ctx.r)]

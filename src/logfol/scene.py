@@ -1,9 +1,10 @@
 """Scene files: JSON descriptions of the objects the command line works on.
 
 A scene is one JSON object.  Rational numbers are written as integers or as
-strings like "3/2"; floating point literals are rejected.  Jets and vector
-fields are expression strings in the germ's variable names, parsed exactly.
-Which keys a scene needs depends on the subcommand reading it.
+strings like "3/2", read by linalg's rule (ints where integral); floating
+point literals are rejected.  Jets and vector fields are expression strings
+in the germ's variable names, parsed exactly.  Which keys a scene needs
+depends on the subcommand reading it.
 
 Three readers carry the work the accessors share: _items reads a JSON list
 entry by entry, _parser reads an expression string on a germ, and _foliation
@@ -23,9 +24,9 @@ SceneError that names its key path.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import bundles, foliations, jets, leafcomplex, logcalc, monoids, semistability
+from .linalg import _exact
 
 
 class SceneError(Exception):
@@ -54,18 +55,9 @@ class _at:
 
 
 def scene_fraction(value, where):
-    if isinstance(value, bool):
-        raise SceneError("expected a rational, got a boolean", where)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise SceneError('floating point is not allowed; write rationals as "p/q"', where)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise SceneError("cannot read %r as a rational" % (value,), where)
-    raise SceneError("expected a rational, got %s" % type(value).__name__, where)
+    """The rational value as linalg's reader reads it, its errors at where."""
+    with _at(where):
+        return _exact(value)
 
 
 def _expect(value, kind, where):
@@ -191,11 +183,8 @@ class Scene:
         return ctx, names
 
     def params(self):
-        out = {}
         spec = _expect(self._get("params", {}), dict, "params")
-        for name, value in spec.items():
-            out[name] = scene_fraction(value, "params.%s" % name)
-        return out
+        return {name: scene_fraction(value, "params.%s" % name) for name, value in spec.items()}
 
     def fields(self, ctx=None, names=None):
         """All named vector fields of the scene, parsed on the ambient germ."""

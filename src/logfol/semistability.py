@@ -321,7 +321,7 @@ def cs_index_log(form: LogOneForm, i, j):
     for k in range(ctx.r):
         if k in (i, j):
             continue
-        total += (form.dlog[k].constant_term() - ai0) / denom0
+        total += Fraction(form.dlog[k].constant_term() - ai0, denom0)
     if ctx.n - 2 == 1:
         rest = [l for l in range(ctx.n) if l not in (i, j)]
         l = rest[0]
@@ -363,7 +363,7 @@ class HolonomyData(namedtuple("HolonomyData", "values")):
     __slots__ = ()
 
     def __new__(cls, values):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(map(_exact, values))
         if any(v == 0 for v in vals):
             raise ValueError("holonomy values must be nonzero")
         return tuple.__new__(cls, (vals,))

@@ -22,6 +22,8 @@ from logfol import (
 from logfol.exprs import parse_polynomial
 from logfol.jets import ContextMismatchError, Jet, NonUnitError
 
+from exact_rule import follows_the_rule
+
 
 CTX = GermContext(2, 2, 4)
 
@@ -208,15 +210,25 @@ def test_parse_with_params_and_names():
 
 
 def test_parse_polynomial_keeps_fraction_values():
-    # the parser computes in ints where it can; what it hands out is Fractions
+    # the parser computes in ints where it can and hands out what it computed:
+    # ints where it stayed in ints, and never a float
     names = {"x1": 0, "x2": 1, "x3": 2}
     p = parse_polynomial("3/2*x1^2*x3 - 1 + (x1 + 2)^2", names, width=3)
     assert p == {(2, 0, 1): Fraction(3, 2), (2, 0, 0): 1, (1, 0, 0): 4, (0, 0, 0): 3}
-    assert all(type(c) is Fraction for c in p.values())
+    assert follows_the_rule(p.values())
     q = parse_polynomial("x2/2*4 - (x1 - x1) + 6/4 - 3*lam*x3", names, width=3,
                          consts={"lam": Fraction(1, 3)})
     assert q == {(0, 1, 0): 2, (0, 0, 0): Fraction(3, 2), (0, 0, 1): -1}
-    assert all(type(c) is Fraction for c in q.values())
+    assert follows_the_rule(q.values(), read=False)
+
+
+def test_parser_and_make_store_ints_where_integral():
+    p = parse_polynomial("2*x1", {"x1": 0})
+    assert p == {(1,): 2} and type(p[(1,)]) is int
+    jet = Jet.make(CTX, {(1, 0): Fraction(4, 2), (0, 1): " 1/2 ", (0, 0): 3, (2, 0): "6/3"})
+    assert jet.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 3, (2, 0): 2}
+    assert follows_the_rule(jet.terms.values())
+    assert follows_the_rule(jet_from_string(CTX, "x1/2*2 + 3*x2/3", params={}).terms.values())
 
 
 def test_parse_error_carries_position():
@@ -274,8 +286,8 @@ def _naive_product(f, g):
 
 
 def _is_normal(jet):
-    return Jet.make(jet.ctx, jet.terms).terms == jet.terms and all(
-        type(c) is Fraction for c in jet.terms.values())
+    return Jet.make(jet.ctx, jet.terms).terms == jet.terms and follows_the_rule(
+        jet.terms.values(), read=False)
 
 
 @settings(max_examples=200, deadline=None)

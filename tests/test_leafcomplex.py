@@ -25,6 +25,8 @@ from logfol.leafcomplex import (
     verify_obstruction_cocycle,
 )
 
+from exact_rule import follows_the_rule
+
 
 def sl2():
     # basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h
@@ -76,7 +78,7 @@ def test_bracket_and_adjoint_agree():
     direct = g.bracket(x, y)
     via_adjoint = linalg.mat_vec(g.adjoint_matrix(x), [Fraction(c) for c in y])
     assert direct == {k: v for k, v in enumerate(via_adjoint) if v}
-    assert all(type(v) is Fraction for v in direct.values())
+    assert follows_the_rule(direct.values(), read=False)
     assert g.bracket({0: 1, 1: 2, 2: -1}, {1: 1, 2: 3}) == direct
 
 
@@ -561,10 +563,6 @@ def block_values(data):
     return [x for m in blocks for row in m for x in row.values()]
 
 
-def integral_where_possible(values):
-    return all(type(x) is int if x.denominator == 1 else type(x) is Fraction for x in values)
-
-
 def test_constant_cover_keeps_integral_entries_as_ints():
     ints = [[[1, 0], [0, 1], [1, 1]], [[1, 1, -1]]]
     covers = [constant_cover(mats, 4) for mats in (
@@ -579,7 +577,7 @@ def test_constant_cover_keeps_integral_entries_as_ints():
             assert data.total_matrix(n) == covers[0].total_matrix(n)
             assert all(type(x) is int for row in data.total_matrix(n) for x in row.values())
     halves = constant_cover([[[Fraction(1, 2)], ["2/2"]], [["-4/1", 2]]], 3)
-    assert integral_where_possible(block_values(halves))
+    assert follows_the_rule(block_values(halves))
     assert halves.ce[(0,)] == (({0: Fraction(1, 2)}, {0: 1}), ({0: -4, 1: 2},))
 
 
@@ -590,7 +588,7 @@ def test_window_cover_mixes_int_and_fraction_blocks():
         # the cokernel of a quadric, a length-2 torsion sheaf, in degree 1
         assert leaf_complex_hypercohomology(half) == leaf_complex_hypercohomology(whole) == (
             0, 2, 0, 0)
-        assert integral_where_possible(block_values(half))
+        assert follows_the_rule(block_values(half))
         assert Fraction(1, 2) in block_values(half)
         assert all(type(x) is int for x in block_values(whole))
 

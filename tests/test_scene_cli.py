@@ -16,6 +16,8 @@ from logfol import cli, leafcomplex, linalg
 from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
+from exact_rule import follows_the_rule
+
 
 def write_scene(tmp_path, name, payload):
     path = tmp_path / name
@@ -52,6 +54,45 @@ def test_scene_fraction_rejects_floats_and_booleans():
         scene_fraction(True, "glue")
     with pytest.raises(SceneError, match="cannot read"):
         scene_fraction("three halves", "glue")
+
+
+def test_the_reader_stores_ints_where_integral():
+    values = [linalg._exact(x) for x in (3, "4/2", Fraction(6, 3), " 5/3 ", Fraction(1, 2))]
+    assert values == [3, 2, 2, Fraction(5, 3), Fraction(1, 2)]
+    assert follows_the_rule(values)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "expected a rational, got a boolean"),
+    (0.5, 'floating point is not allowed; write rationals as "p/q"'),
+    ("1/0", "cannot read '1/0' as a rational"),
+    ("three halves", "cannot read 'three halves' as a rational"),
+    ([1], "expected a rational, got list"),
+])
+def test_the_reader_refuses_what_is_no_exact_number(value, message):
+    with pytest.raises(ValueError) as e:
+        linalg._exact(value)
+    assert str(e.value) == message
+    with pytest.raises(SceneError) as e:
+        scene_fraction(value, "glue")
+    assert str(e.value) == "glue: " + message
+
+
+def test_a_scene_stores_its_integral_numbers_as_ints():
+    lie = load_scene(SCENES / "lie_borel.json").lie_data()
+    structure = [x for row in lie.algebra.structure for v in row for x in v.values()]
+    data = load_scene(SCENES / "obstruction_demo.json").leaf_data()
+    ce = [x for mats in data.ce.values() for m in mats for row in m for x in row.values()]
+    assert structure and ce and all(type(x) is int for x in structure + ce)
+    holonomy = load_scene(SCENES / "holonomy_pair.json").holonomy()
+    assert all(follows_the_rule(h.values) for h in holonomy)
+
+
+def test_fstr_prints_only_exact_numbers():
+    assert [cli._fstr(x) for x in (2, Fraction(-1, 3), Fraction(4))] == ["2", "-1/3", "4"]
+    for x in (-0.3333333333333333, True, "1/3"):
+        with pytest.raises(TypeError):
+            cli._fstr(x)
 
 
 def test_load_scene_reports_json_position(tmp_path):
@@ -990,6 +1031,18 @@ def test_run_runs_each_scene_through_its_own_command(tmp_path, capsys):
         assert cli.main(words + [path, "--order", "4", "--json", "-"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{"):]) == report
+
+
+def test_run_reads_its_files_among_its_options(tmp_path, capsys):
+    json_path = tmp_path / "out.json"
+    argv = ["run", str(SCENES / "node_balanced.json"), "--json", str(json_path),
+            str(SCENES / "node_unbalanced.json")]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "node_balanced.json: yes:" in out and "node_unbalanced.json: no:" in out
+    reports = json.loads(json_path.read_text())
+    assert [(r["tool"], r["decision"]) for r in reports] == [
+        ("semistable-check", "yes"), ("semistable-check", "no")]
 
 
 NAMES_NO_COMMAND = "is no command that reads a scene"

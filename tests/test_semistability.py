@@ -620,6 +620,13 @@ def test_cs_log_frozen_triple():
     assert cs_index_log(form, 1, 2) == Fraction(-1, 2)
 
 
+def test_cs_log_divides_exactly():
+    # integral dlog constants give the quotient -1/3 exactly, never a float
+    form = constant_form(GermContext(3, 3, 6), (1, 4, 0))
+    value = cs_index_log(form, 0, 1)
+    assert value == Fraction(-1, 3) and type(value) is Fraction
+
+
 def test_cs_log_node_is_rigid():
     # with two branches there is no third direction; the index vanishes
     ctx = GermContext(2, 2, 6)

@@ -1,12 +1,9 @@
 """Cech cohomology of line bundle sums on the projective line and on a
 two-component nodal curve, over Q and exact.
 
-h_p1 really runs the two-chart Cech complex on truncated Laurent windows and
-enlarges the window until the dimensions stop moving twice in a row; it does
-not shortcut through the closed-form answer, which the tests use as an
-independent oracle instead.  The rank of each window's difference map comes
-from one echelon basis grown window by window: a wider window only adds
-sections, so the basis of the narrower one is extended, not rebuilt.
+h_p1 really runs the two-chart Cech complex on a truncated Laurent window,
+once, at a window proved large enough; it does not shortcut through the
+closed-form answer, which the tests use as an independent oracle instead.
 """
 
 from __future__ import annotations
@@ -17,37 +14,33 @@ from . import linalg
 
 
 def h_p1(d):
-    """(h0, h1) of O(d) on the projective line, by stabilized Cech windows.
+    """(h0, h1) of O(d) on the projective line, by the Cech complex of one
+    window, w = max(d, 0).
 
-    At window size w the chart sections in the fixed trivialization span
-    t^0..t^w and t^(d-w)..t^d, and the overlap window is the convex hull of
-    the two ranges; the difference map C0 -> C1 sends the first chart's t^k
-    to t^k and the second's to -t^k.  Its rank is the rank of its transpose,
-    whose rows are those images over columns indexed by the monomial degree
-    k, which mean the same in every window.  So one echelon basis serves the
-    whole sequence: window 1 puts in its four sections, and each wider window
-    only appends its two new ones, t^w and t^(d-w).  This is still the Cech
-    computation, with no closed form, done in O(|d|) row reductions.
+    At window w the chart sections in the fixed trivialization span t^0..t^w
+    and t^(d-w)..t^d, and the overlap window is the hull min(0, d-w) ..
+    max(w, d) of the two ranges; the difference map C0 -> C1 sends the first
+    chart's t^k to t^k and the second's to -t^k.  Its rank is the rank of its
+    transpose, whose rows are those images over columns indexed by the
+    monomial degree k: one echelon basis of the 2(w + 1) sections.
+
+    Why w = max(d, 0) suffices: for w >= max(d, 0), window w + 1 adds to
+    chart 0 the section t^(w+1) and to chart 1 the section t^(d-w-1), and to
+    the overlap exactly those two monomials, as w + 1 > max(w, d) and
+    d - w - 1 < min(0, d - w).  The difference map sends the two new sections
+    onto the two new monomials, up to sign, so each wider window adds an
+    acyclic two-term piece and leaves h0 and h1 as they were.  The windows
+    exhaust the Laurent Cech complex of the standard cover, so the dimensions
+    at w = max(d, 0) are those of H*(P^1, O(d)).
     """
-    d = int(d)
-    bound = abs(d) + 12
-    low = d - bound   # every window lies in degrees d - bound..bound
-    ncols = bound - low + 1
-    basis = {}
-    history = []
-    w = 1
-    sections = [(0, 1), (1, 1), (d - 1, -1), (d, -1)]
-    while True:
-        linalg.echelon([{k - low: sign} for k, sign in sections], ncols, basis, reduced=False)
-        r = len(basis)
-        dims = (2 * (w + 1) - r, max(w, d) - min(0, d - w) + 1 - r)
-        history.append(dims)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return dims
-        w += 1
-        if w > bound:
-            raise RuntimeError("window failed to stabilize; this should not happen")
-        sections = [(w, 1), (d - w, -1)]
+    d = linalg._integer(d)
+    w = max(d, 0)
+    low = min(0, d - w)   # the overlap spans degrees low..w, as w >= d
+    # chart 0's t^0..t^w, then chart 1's t^(d-w)..t^d, columns shifted by low
+    sections = ({k - low: sign} for start, sign in ((0, 1), (d - w, -1))
+                for k in range(start, start + w + 1))
+    r = len(linalg.echelon(sections, w - low + 1, reduced=False))
+    return 2 * (w + 1) - r, w - low + 1 - r
 
 
 class GradedBundleP1(namedtuple("GradedBundleP1", "degrees")):
@@ -56,7 +49,7 @@ class GradedBundleP1(namedtuple("GradedBundleP1", "degrees")):
     __slots__ = ()
 
     def __new__(cls, degrees):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(map(linalg._integer, degrees))
         if not degrees:
             raise ValueError("empty bundle")
         return tuple.__new__(cls, (degrees,))

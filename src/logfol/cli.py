@@ -601,14 +601,20 @@ def _tree():
 
 
 def _parse(argv):
-    """argv's namespace.  Whatever a leaf's parser cannot take whole goes to
-    the whole tree, so an unrecognized argument reads as it always has.  run
-    alone is parsed intermixed (slower), as its files may sit among options."""
+    """argv's namespace.  Arguments the parser leaves over are refused with
+    the whole tree's usage line, naming only those arguments, as the tree's
+    own parse would.  run alone is parsed intermixed (slower), as its files
+    may sit among options; argparse leaves over the files after an unknown
+    option too, and as they are run's files, only the options are named."""
     parser = build_parser(argv)
-    parse = (parser.parse_known_intermixed_args if parser.words == ("run",)
-             else parser.parse_known_args)
+    run = parser.words == ("run",)
+    parse = parser.parse_known_intermixed_args if run else parser.parse_known_args
     args, rest = parse(argv[len(parser.words):])
-    return _tree().parse_args(argv) if rest else args
+    if run:
+        rest = [a for a in rest if a.startswith("-")]
+    if rest:
+        _tree().error("unrecognized arguments: %s" % " ".join(rest))
+    return args
 
 
 def main(argv=None):

@@ -36,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exprs import _power, _product, _sum, parse_polynomial
-from .linalg import _exact
+from .linalg import _exact, _integer
 
 
 _set = object.__setattr__  # how the read-only value types here fill their slots
@@ -86,7 +86,7 @@ def _normal_terms(ctx, terms):
             continue
         if len(e) != ctx.n:
             raise ValueError("exponent %r does not match %d variables" % (e, ctx.n))
-        e = tuple(int(v) for v in e)
+        e = tuple(map(_integer, e))
         if any(v < 0 for v in e):
             raise ValueError("negative exponent in %r" % (e,))
         if sum(e) > ctx.order or _on_crossing(e, r):

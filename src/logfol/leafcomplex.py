@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import linalg
 from .jets import _set
-from .linalg import _exact
+from .linalg import _exact, _integer
 
 
 def _sparse(row):
@@ -388,7 +388,7 @@ class CechLeafData:
         _set(self, "opens", tuple(str(o) for o in opens))
         _set(self, "pairs", tuple(tuple(p) for p in pairs))
         _set(self, "triples", tuple(tuple(t) for t in triples))
-        _set(self, "dims", {tuple(k): tuple(int(d) for d in v) for k, v in dims.items()})
+        _set(self, "dims", {tuple(k): tuple(map(_integer, v)) for k, v in dims.items()})
         _set(self, "restrictions",
              {(tuple(f), tuple(s)): tuple(m) for (f, s), m in restrictions.items()})
         _set(self, "ce", {tuple(k): tuple(mats) for k, mats in ce.items()})
@@ -782,7 +782,8 @@ def p1_window_cover(degrees, window, polys=()):
     the hull.  polys[q] multiplies row q into row q + 1; its degree must not
     exceed the degree gap so that all windows map into windows.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(map(_integer, degrees))
+    window = _integer(window)
     if not degrees:
         raise ValueError("need at least one row")
     e0 = degrees[0]

@@ -3,7 +3,9 @@
 The package's one rule for exact numbers: ints or Fractions, never floats.
 The one reader, _exact, stores an int where the value is integral, else a
 Fraction; arithmetic keeps whatever Python returns, and a quotient is built
-as a Fraction, never by / on two ints.
+as a Fraction, never by / on two ints.  Integers (degrees, exponents,
+dimensions, ranks, lattice vectors) are read by _integer, which takes an
+int or an integral Fraction and truncates nothing.
 
 A matrix is a list of {column: value} rows holding its nonzero entries;
 solve, nullspace and inverse take them as SparseRows, which carries the
@@ -50,6 +52,17 @@ def _exact(x):
         elif not isinstance(x, (int, Fraction)):
             raise ValueError("expected a rational, got %s" % type(x).__name__)
     return x.numerator if x.denominator == 1 else x
+
+
+def _integer(x):
+    """x, an int or an integral Fraction, as an int; ValueError for anything
+    else, bools, floats, strings and other Fractions too: nothing is
+    truncated."""
+    if type(x) is int:
+        return x
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    raise ValueError("expected an integer")
 
 
 class SparseRows(list):

@@ -39,7 +39,7 @@ from . import linalg
 
 
 def _as_vec(x, k):
-    v = tuple(int(c) for c in x)
+    v = tuple(map(linalg._integer, x))
     if len(v) != k:
         raise ValueError("vector %r does not have ambient rank %d" % (x, k))
     return v

@@ -2,9 +2,10 @@
 
 A scene is one JSON object.  Rational numbers are written as integers or as
 strings like "3/2", read by linalg's rule (ints where integral); floating
-point literals are rejected.  Jets and vector fields are expression strings
-in the germ's variable names, parsed exactly.  Which keys a scene needs
-depends on the subcommand reading it.
+point literals are rejected.  Integers are read by linalg's _integer.  Jets
+and vector fields are expression strings in the germ's variable names,
+parsed exactly.  Which keys a scene needs depends on the subcommand reading
+it.
 
 Three readers carry the work the accessors share: _items reads a JSON list
 entry by entry, _parser reads an expression string on a germ, and _foliation
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 
 from . import bundles, foliations, jets, leafcomplex, logcalc, monoids, semistability
-from .linalg import _exact
+from .linalg import _exact, _integer
 
 
 class SceneError(Exception):
@@ -67,9 +68,8 @@ def _expect(value, kind, where):
 
 
 def _int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SceneError("expected an integer", where)
-    return value
+    with _at(where):
+        return _integer(value)
 
 
 def _items(values, where, read):

@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import add, mul
 
 from . import linalg
-from .linalg import _exact
+from .linalg import _exact, _integer
 from .foliations import (
     FoliationGerm,
     InconclusiveAtOrderError,
@@ -380,4 +380,4 @@ def check_holonomy_compatibility(h1: HolonomyData, h2: HolonomyData):
 def check_normal_degrees(d1, d2):
     """Degrees of the normal bundles of the stratum in its two ambient
     components must be opposite: d1 + d2 = 0."""
-    return int(d1) + int(d2) == 0
+    return _integer(d1) + _integer(d2) == 0

@@ -9,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 from logfol import (
     GradedBundleP1,
     SNCCurveBundle,
+    check_normal_degrees,
     cohomology_snc_curve,
     h_p1,
+    leaf_complex_hypercohomology,
     linalg,
+    monoids,
+    p1_window_cover,
 )
 
 
@@ -33,25 +37,51 @@ def test_h_p1_far_out_degrees():
     assert h_p1(-9) == (0, 8)
 
 
-def test_h_p1_grows_one_basis_by_two_sections_a_window(monkeypatch):
-    # window 1 puts in four sections and each wider window two more, all
-    # into one basis; no window is ranked on its own
+@pytest.mark.parametrize("d", [-7, -1, 0, 1, 9])
+def test_h_p1_ranks_one_window_in_one_echelon_call(d, monkeypatch):
+    # the 2(w + 1) chart sections of the window w = max(d, 0) go into one
+    # basis in one call; nothing is ranked on its own
     calls = []
     echelon = linalg.echelon
 
     def spy(rows, ncols, basis=None, reduced=True):
         rows = list(rows)
-        calls.append((len(rows), id(basis), reduced))
+        calls.append((len(rows), basis, reduced))
         return echelon(rows, ncols, basis, reduced)
 
     monkeypatch.setattr(linalg, "echelon", spy)
     monkeypatch.setattr(linalg, "rank", None)
-    for d in (-7, 0, 9):
-        calls.clear()
-        assert h_p1(d) == h_p1_oracle(d)
-        assert [n for n, _, _ in calls] == [4] + [2] * (len(calls) - 1)
-        assert len({key for _, key, _ in calls}) == 1
-        assert not any(reduced for _, _, reduced in calls)
+    assert h_p1(d) == h_p1_oracle(d)
+    assert calls == [(2 * (max(d, 0) + 1), None, False)]
+
+
+@pytest.mark.parametrize("d", range(-8, 13))
+def test_wider_windows_of_the_cover_engine_give_h_p1(d):
+    # the window argument, through the independent cover engine: every
+    # window past max(d, 0) has the cohomology h_p1 reads off max(d, 0)
+    w0 = max(d, 0, 1)
+    for w in range(w0, w0 + 5):
+        assert leaf_complex_hypercohomology(p1_window_cover((d,), w)) == (*h_p1(d), 0)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_a_window_one_short_of_the_degree_misses_a_section(d):
+    # the window is tight: at w = d - 1 the two charts share only t^1..t^(d-1),
+    # so the cover finds d - 1 global sections, not d + 1
+    h0, h1, _ = leaf_complex_hypercohomology(p1_window_cover((d,), d - 1))
+    assert (h0, h1) == (d - 1, 0) != h_p1(d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: monoids.contains(monoids.FGMonoid(1, [(2,)]), (Fraction(9, 2),)),
+    lambda: h_p1(2.7),
+    lambda: GradedBundleP1((1.5, True)),
+    lambda: check_normal_degrees(1.5, -1),
+    lambda: p1_window_cover((0.5,), 3),
+], ids=["monoid-vector", "h_p1", "graded-bundle", "normal-degrees", "window-cover"])
+def test_integer_inputs_are_read_not_truncated(call):
+    with pytest.raises(ValueError, match="expected an integer"):
+        call()
 
 
 def test_graded_bundle_accounting():

@@ -1045,6 +1045,21 @@ def test_run_reads_its_files_among_its_options(tmp_path, capsys):
         ("semistable-check", "yes"), ("semistable-check", "no")]
 
 
+def test_run_names_only_the_arguments_it_leaves_over(monkeypatch, capsys):
+    # the files around an unknown option are run's own; the error names
+    # the option alone, and no scene runs
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["run", str(SCENES / "node_balanced.json"), "--bogus",
+            str(SCENES / "node_unbalanced.json")]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("usage: logfol [-h] COMMAND ...\n"
+                   "logfol: error: unrecognized arguments: --bogus\n")
+
+
 NAMES_NO_COMMAND = "is no command that reads a scene"
 
 

@@ -374,32 +374,6 @@ def _cmd_holonomy(args, scn: Scene):
     )
 
 
-def _cmd_selftest(args, scn):
-    from . import selfcheck
-
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    seed = args.seed
-    results = selfcheck.run_all(seed=seed, trials=args.trials)
-    ok = all(r.ok for r in results)
-    lines = tuple(
-        "%-38s %s (%d trials)" % (r.name, "ok" if r.ok else "FAILED", r.trials)
-        for r in results
-    )
-    return Report(
-        decision="yes" if ok else "no",
-        summary="%d/%d randomized identity checks passed" % (
-            sum(1 for r in results if r.ok),
-            len(results),
-        ),
-        details={
-            "seed": seed,
-            "checks": [{"name": r.name, "ok": r.ok, "trials": r.trials} for r in results],
-        },
-        lines=lines,
-    )
-
-
 # --- wiring ---
 
 
@@ -546,11 +520,6 @@ COMMANDS = (
              "obstruction class of a perturbed subalgebra inclusion"),
     _Command(("holonomy",), _cmd_holonomy,
              "holonomy and normal degree compatibility of a stratum"),
-    _Command(("selftest",), _cmd_selftest, "randomized identity checks of the core algebra",
-             needs_scene=False, arguments=(
-                 ("--seed", dict(type=int, default=0, help="random seed (default 0)")),
-                 ("--trials", dict(type=int, default=40, help="trials per identity (default 40)")),
-             )),
     _Command(("run",), None, "run each scene file through the command it names; worst exit"),
 )
 

@@ -348,7 +348,8 @@ def monomials(ctx, max_degree):
     """All normal-form exponent tuples of total degree <= max_degree.
 
     A tuple sorted by degree, then lexicographically; cached per
-    (ctx, max_degree).  The solvers do not walk it; selfcheck does.
+    (ctx, max_degree).  The solvers do not walk it; it is the tests' reference
+    for semistability._t1_unknowns.
     """
     out = []
 

@@ -14,8 +14,9 @@ lattice points of each simplicial cone's half-open parallelepiped, walked
 as integer residues mod D, together with the generators, generate it, and
 on a pointed cone dropping every candidate that is another candidate plus a
 nonzero cone point leaves the Hilbert basis (Bruns & Ichim 2010, "Normaliz:
-algorithms for affine monoids and rational cones").  No step of this needs
-a bound.
+algorithms for affine monoids and rational cones").  Walked by the degree of
+a form positive on the cone, a candidate is tested only against the
+elements kept at lower degrees.  No step of this needs a bound.
 
 The units are the generators whose negatives lie in the cone; they generate
 the unit group U = M cap -M, as a group and as a monoid.  Membership
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from operator import mul
+from operator import mul, sub
 
 from . import linalg
 
@@ -304,6 +305,10 @@ def grothendieck_group(m: FGMonoid):
     return tuple(linalg.hermite_normal_form(list(m.generators)))
 
 
+def _l1_lex(v):
+    return sum(map(abs, v)), v
+
+
 def _saturation(cone):
     """The generators saturate() returns, on the cone of the monoid's nonzero
     generators; each is checked to be a lattice point of the cone."""
@@ -313,19 +318,32 @@ def _saturation(cone):
     for base in cone.bases:
         cands.update(_parallelepiped(base, lattice, cone.rows))
     cands.discard((0,) * k)
-    cands = sorted(cands, key=lambda v: (sum(map(abs, v)), v))
-    kept, sub = [], None  # sub: the cone of kept, built again only when kept grows
-    for x in cands:
-        if cone.pointed:
-            diffs = (tuple(a - b for a, b in zip(x, y)) for y in cands if y != x)
-            if any(cone.contains(d) for d in diffs):
-                continue
-        elif kept:
-            sub = sub or _Cone(list(kept))
-            if _witness(sub, x) is not None:
-                continue
-        kept.append(x)
-        sub = None
+    kept = []
+    if cone.pointed:
+        # graded by the sum of the facet forms (the adjugate rows that no
+        # generator makes negative), positive on the cone but 0: a reducible
+        # x is a Hilbert basis element h plus a nonzero cone point, and h, of
+        # lower degree, is kept before x is reached
+        facets = [row for _, _, adj in cone.bases for row in adj
+                  if all(sum(map(mul, row, [g[i] for i in cone.rows])) >= 0 for g in cone.gens)]
+        grade = [sum(col) for col in zip(*facets)]
+
+        def degree(x):
+            return sum(map(mul, grade, [x[i] for i in cone.rows]))
+
+        for _, level in itertools.groupby(sorted(cands, key=degree), degree):
+            kept += [x for x in level
+                     if not any(cone.contains(tuple(map(sub, x, h))) for h in kept)]
+    else:
+        below = None  # the cone of kept, built again only when kept grows
+        for x in sorted(cands, key=_l1_lex):
+            if kept:
+                below = below or _Cone(list(kept))
+                if _witness(below, x) is not None:
+                    continue
+            kept.append(x)
+            below = None
+    kept.sort(key=_l1_lex)
     for h in kept:
         if not (all(type(c) is int for c in h) and cone.contains(h)):
             raise RuntimeError(
@@ -340,8 +358,9 @@ def saturate(m: FGMonoid):
     That set is the lattice points of m's rational cone.  The generators come
     sorted by L1 norm, then lexicographically.  The candidates are
     the generators and the parallelepiped points of every base.  On a pointed
-    cone a candidate goes when it is another candidate plus a nonzero cone
-    point, which leaves the Hilbert basis.  On a non-pointed cone a candidate
+    cone they are walked by the degree of the sum of the facet forms, and a
+    candidate goes when it is a kept one of lower degree plus a cone point,
+    which leaves the Hilbert basis.  On a non-pointed cone a candidate
     goes when the candidates kept so far write it, so the result generates
     the saturation.  A generator that fails the cone's equations or sign
     test raises RuntimeError.

@@ -11,7 +11,7 @@ type exactly when a nowhere-vanishing flat section exists, so find_flat_unit
 solves nabla_v g = 0 for all generators with g(0) = 1, degree by degree.
 Its linear system is read straight off the coefficient terms of the b_i and
 a_j, as ints where integral, with no jet built per unknown.  nabla and
-T1Section are the reference the tests and selfcheck compare against, and
+T1Section are the reference the tests compare against, and
 also the certificate: every unit found is re-checked through nabla before
 it is returned.
 
@@ -228,14 +228,13 @@ def find_flat_unit(fol: FoliationGerm, order=None):
         if deg < ctx.order:  # x^e past the context order is zero: a zero column
             room = top - deg - 1
             for terms, _, puts in gens:
-                crossing_put, smooth_put = puts[deg + 1:], puts[deg:]  # indexed by deg m
                 for col in range(start, stop):
                     e = unknowns[col]
                     crossing, smooth = terms.at(e[:r])
                     for m, dm, c in crossing:
                         if dm > room:
                             break
-                        crossing_put[dm](tuple(map(add, e, m)), col, c)
+                        puts[deg + 1 + dm](tuple(map(add, e, m)), col, c)
                     for k, a_terms in smooth:
                         ek = e[k]
                         if not ek:
@@ -244,7 +243,7 @@ def find_flat_unit(fol: FoliationGerm, order=None):
                         for m, dm, c in a_terms:
                             if dm > room + 1:
                                 break
-                            smooth_put[dm](tuple(map(add, lowered, m)), col, ek * c)
+                            puts[deg + dm](tuple(map(add, lowered, m)), col, ek * c)
         rows = [row for _, systems, _ in gens for row in systems[deg].rows.values()]
         linalg.echelon(rows, n + 1, basis, reduced=deg == d - 1)
         if n in basis:

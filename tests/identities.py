@@ -1,26 +1,23 @@
-"""Randomized verification of the identities the rest of the code leans on.
+"""Randomized identities the rest of the code leans on, as the tests run them.
 
-Each check draws fresh random instances and evaluates an algebraic identity
-exactly; any counterexample is a bug, not noise.  Derivative-heavy identities
-are asserted at a reduced order, since every application of a vector field
-costs one order of jet validity.
+Each check draws one random instance and evaluates an algebraic identity
+exactly, returning None when it holds and a string saying what failed
+otherwise; any counterexample is a bug, not noise.  Derivative-heavy
+identities are asserted at a reduced order, since every application of a
+vector field costs one order of jet validity.  first_failure is the one
+trial loop, drawing a check's trials from a stream seeded by the seed and
+the check's name.
 """
 
-from __future__ import annotations
-
 import random
-from collections import namedtuple
 from fractions import Fraction
 
-from . import foliations, jets, leafcomplex, linalg, logcalc, semistability
-from .jets import GermContext, Jet
-from .logcalc import LogDerivation, lie_bracket
+from logfol import foliations, leafcomplex, linalg, semistability
+from logfol.jets import GermContext, Jet, monomials
+from logfol.logcalc import LogDerivation, lie_bracket
 
 
-CheckResult = namedtuple("CheckResult", "name ok trials detail", defaults=("",))
-
-
-# --- random generators ---
+# -- random generators ----------------------------------------------------------
 
 
 def _rand_fraction(rng, span=3):
@@ -28,7 +25,7 @@ def _rand_fraction(rng, span=3):
 
 
 def _rand_jet(rng, ctx, terms=3, span=3, unit=False):
-    pool = jets.monomials(ctx, ctx.order)
+    pool = monomials(ctx, ctx.order)
     out = {}
     for e in rng.sample(pool, min(terms, len(pool))):
         c = _rand_fraction(rng, span)
@@ -84,6 +81,8 @@ _BASE_STRUCTURES = {
 
 
 def _rand_module(rng):
+    """A random abelian module, or the adjoint module of a solvable, Heisenberg
+    or sl2 algebra written in a random integer basis."""
     kind = rng.choice(("abelian", "solvable2", "heisenberg", "sl2"))
     if kind == "abelian":
         n = rng.randint(1, 3)
@@ -103,6 +102,8 @@ def _rand_module(rng):
 
 
 def _rand_cover(rng):
+    """A random constant cover whose restrictions compose to zero, or a
+    random window cover of a graded bundle on P^1."""
     if rng.random() < 0.5:
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 4))]
         mats = []
@@ -139,11 +140,30 @@ def _rand_cover(rng):
     return leafcomplex.p1_window_cover(degrees, rng.randint(2, 4), polys)
 
 
+def _field_keeping_flat(rng, ctx, unit):
+    """A random log derivation v with v(unit) = trace(v) unit.
+
+    All coefficients but b_r are random; with rest = v(unit) less its b_r
+    term, b_r (x_r d_r unit - unit) = (b_1 + ... + b_{r-1}) unit - rest
+    fixes b_r, since x_r d_r unit - unit is a unit.
+    """
+    r = ctx.r
+    comps = [_rand_jet(rng, ctx, 2) for _ in range(ctx.n)]
+    rest = Jet.zero(ctx)
+    for i in range(r - 1):
+        rest = rest + comps[i] * unit.scaled_partial(i)
+    for k in range(r, ctx.n):
+        rest = rest + comps[k] * unit.partial(k)
+    known = sum(comps[:r - 1], Jet.zero(ctx))
+    comps[r - 1] = (known * unit - rest) * (unit.scaled_partial(r - 1) - unit).invert()
+    return LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:]))
+
+
 def _zero_product(a, b):
     return not any(linalg.product(a, b))
 
 
-# --- the individual checks: one trial each, None on success, else what failed ---
+# -- the checks: one trial each, None on success, else what failed ----------------
 
 
 def check_cech_square(rng):
@@ -266,25 +286,6 @@ def check_span_membership(rng):
         return "wrong coefficients"
 
 
-def _field_keeping_flat(rng, ctx, unit):
-    """A random log derivation v with v(unit) = trace(v) unit.
-
-    All coefficients but b_r are random; with rest = v(unit) less its b_r
-    term, b_r (x_r d_r unit - unit) = (b_1 + ... + b_{r-1}) unit - rest
-    fixes b_r, since x_r d_r unit - unit is a unit.
-    """
-    r = ctx.r
-    comps = [_rand_jet(rng, ctx, 2) for _ in range(ctx.n)]
-    rest = Jet.zero(ctx)
-    for i in range(r - 1):
-        rest = rest + comps[i] * unit.scaled_partial(i)
-    for k in range(r, ctx.n):
-        rest = rest + comps[k] * unit.partial(k)
-    known = sum(comps[:r - 1], Jet.zero(ctx))
-    comps[r - 1] = (known * unit - rest) * (unit.scaled_partial(r - 1) - unit).invert()
-    return LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:]))
-
-
 def check_flat_unit(rng):
     """find_flat_unit finds a unit where one exists, and what it finds is flat.
 
@@ -298,7 +299,7 @@ def check_flat_unit(rng):
     built = rng.random() < 0.5
     if built:
         # a unit whose terms live in T1, so that the unit found is rarely 1
-        alive = [e for e in jets.monomials(ctx, ctx.order)
+        alive = [e for e in monomials(ctx, ctx.order)
                  if any(e) and semistability.t1_monomial_alive(ctx, e)]
         terms = {e: _rand_fraction(rng) for e in rng.sample(alive, min(3, len(alive)))}
         v = _field_keeping_flat(rng, ctx, Jet.one(ctx) + Jet.make(ctx, terms))
@@ -321,32 +322,24 @@ def check_flat_unit(rng):
             return "not flat"
 
 
-ALL_CHECKS = (
-    ("cech-square-zero", check_cech_square),
-    ("ce-square-zero", check_ce_square),
-    ("total-square-zero", check_total_square),
-    ("bracket-jacobi", check_bracket_jacobi),
-    ("nabla-leibniz", check_nabla_leibniz),
-    ("flat-closure", check_flat_closure),
-    ("span-membership", check_span_membership),
-    ("flat-unit", check_flat_unit),
-)
+ALL_CHECKS = {
+    "cech-square-zero": check_cech_square,
+    "ce-square-zero": check_ce_square,
+    "total-square-zero": check_total_square,
+    "bracket-jacobi": check_bracket_jacobi,
+    "nabla-leibniz": check_nabla_leibniz,
+    "flat-closure": check_flat_closure,
+    "span-membership": check_span_membership,
+    "flat-unit": check_flat_unit,
+}
 
 
-def run_all(seed=0, trials=40):
-    """Run every identity check with its own deterministic stream.
-
-    A check is called once per trial and passes a trial by returning None;
-    the first string it returns ends its run as a failure at that trial.
-    """
-    results = []
-    for name, check in ALL_CHECKS:
-        rng = random.Random("%d:%s" % (seed, name))
-        for t in range(trials):
-            detail = check(rng)
-            if detail is not None:
-                results.append(CheckResult(name, False, t + 1, detail))
-                break
-        else:
-            results.append(CheckResult(name, True, trials))
-    return results
+def first_failure(name, seed, trials):
+    """None when the check named holds on all its trials, else (trial, what
+    failed) for the first trial that fails."""
+    rng = random.Random("%d:%s" % (seed, name))
+    for t in range(1, trials + 1):
+        detail = ALL_CHECKS[name](rng)
+        if detail is not None:
+            return t, detail
+    return None

@@ -409,6 +409,82 @@ def test_rank_four_saturation_with_251_generators():
     assert not is_saturated(m)
 
 
+# -- the graded walk of a pointed saturation against the pairwise filter -------
+
+
+def saturation_candidates(cone):
+    """The generators and the parallelepiped points of every base, less 0."""
+    k = len(cone.gens[0])
+    lattice = monoids._orthogonal(cone.equations, k)
+    cands = set(cone.gens)
+    for base in cone.bases:
+        cands.update(monoids._parallelepiped(base, lattice, cone.rows))
+    cands.discard((0,) * k)
+    return cands
+
+
+def pairwise_saturation(gens):
+    """The Hilbert basis of a pointed cone by the N^2 filter: a candidate goes
+    when it is another candidate plus a nonzero cone point."""
+    cone = monoids._Cone(gens)
+    cands = saturation_candidates(cone)
+    kept = [x for x in cands
+            if not any(cone.contains(tuple(a - b for a, b in zip(x, y))) for y in cands if y != x)]
+    return tuple(sorted(kept, key=lambda v: (sum(map(abs, v)), v)))
+
+
+@st.composite
+def pointed_cones(draw):
+    """Generators turned positive on a random integer form w, so that their
+    cone is pointed; half of the time they are combinations of d <= k
+    vectors, a cone of lower dimension where d < k."""
+    k = draw(st.integers(1, 4))
+    w = draw(st.tuples(*[st.integers(-2, 2)] * k).filter(any))
+    entries = st.integers(-2, 2)
+    if draw(st.booleans()):
+        gens = draw(st.lists(st.tuples(*[entries] * k), min_size=1, max_size=k + 1))
+    else:
+        d = draw(st.integers(1, k))
+        span = draw(st.lists(st.tuples(*[entries] * k), min_size=d, max_size=d))
+        combos = st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=k + 1)
+        gens = [tuple(sum(c * v[i] for c, v in zip(cs, span)) for i in range(k))
+                for cs in draw(combos)]
+    signed = []
+    for g in gens:
+        s = sum(a * b for a, b in zip(w, g))
+        if s:
+            signed.append(g if s > 0 else tuple(-c for c in g))
+    return list(dict.fromkeys(signed)) or [w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointed_cones())
+def test_pointed_saturation_matches_the_pairwise_filter(gens):
+    assert monoids._Cone(gens).pointed
+    assert saturate(FGMonoid(len(gens[0]), tuple(gens))).generators == pairwise_saturation(gens)
+
+
+@pytest.mark.parametrize("gens, most", [
+    (ROADMAP_CONE, None),  # at most N * |H|, against the N^2 of the pairwise filter
+    (((1, 0), (1, 1000)), 0),  # every candidate (1, j) has the one degree 1000
+])
+def test_pointed_saturation_tests_candidates_only_against_kept_ones(monkeypatch, gens, most):
+    cone = monoids._Cone(list(gens))
+    n = len(saturation_candidates(cone))
+    tests = []
+    original = monoids._Cone.contains
+
+    def spy(self, x):
+        tests.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(monoids._Cone, "contains", spy)
+    kept = monoids._saturation(cone)
+    # the certificate tests each kept generator once; the rest are differences
+    differences = len(tests) - len(kept)
+    assert differences <= (n * len(kept) if most is None else most)
+
+
 def test_is_saturated_builds_one_cone(monkeypatch):
     built = []
     init = monoids._Cone.__init__

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from logfol import bundles, foliations, leafcomplex, logcalc, monoids, selfcheck, semistability
+from logfol import bundles, foliations, leafcomplex, logcalc, monoids, semistability
 from logfol.jets import ContextMismatchError, GermContext, Jet, jet_from_string
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,7 +77,6 @@ VALUES = [
      lambda: leafcomplex.verify_obstruction_cocycle(
          leafcomplex.constant_cover([[[1]], [[0]]]), [[0]], [[0]] * 3, [[0]] * 3),
      "corrector"),
-    (selfcheck.CheckResult, lambda: selfcheck.CheckResult("jacobi", True, 3), "ok"),
 ]
 
 

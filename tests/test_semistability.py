@@ -34,11 +34,13 @@ from logfol import (
     t1_monomial_alive,
     t1_reduce,
 )
-from logfol import cli, linalg, selfcheck, semistability
+from logfol import cli, linalg, semistability
 from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
 from logfol.jets import Jet, monomials
 from logfol.logcalc import LogDerivation
 from logfol.semistability import FlatUnitResult, T1Section
+
+from identities import _field_keeping_flat
 
 
 # -- oracle -------------------------------------------------------------------
@@ -127,7 +129,7 @@ def random_fields(rng, count):
     Crossing counts r = 0, 1, 2 and n; int and Fraction coefficients, smooth
     directions, and the order is the context's or one below it.  Half of
     the fields whose T1 has unknowns are built around a random unit they
-    keep flat (selfcheck._field_keeping_flat), so that "yes" answers with
+    keep flat (_field_keeping_flat), so that "yes" answers with
     units other than 1 occur; most others are traceless at the origin.
     """
     span = [Fraction(k, d) for k in range(-3, 4) for d in (1, 1, 1, 2, 3)]
@@ -145,7 +147,7 @@ def random_fields(rng, count):
         gens = []
         for _ in range(rng.choice((1, 1, 2))):
             if unit is not None:
-                gens.append(selfcheck._field_keeping_flat(rng, ctx, unit))
+                gens.append(_field_keeping_flat(rng, ctx, unit))
                 continue
             comps = [Jet.make(ctx, {e: rng.choice(span)
                                     for e in rng.sample(pool, min(len(pool), rng.randint(0, 3)))})

@@ -56,6 +56,7 @@ class GermContext(namedtuple("GermContext", "n r order")):
     __slots__ = ()
 
     def __new__(cls, n, r, order=6):
+        n, r, order = _integer(n), _integer(r), _integer(order)
         if n < 1:
             raise ValueError("need at least one variable")
         if not 0 <= r <= n:

@@ -318,7 +318,7 @@ def hermite_normal_form(rows):
     Output rows are the nonzero rows of the canonical form: echelon shape,
     positive pivots, entries above each pivot reduced into [0, pivot).
     """
-    a = [list(map(int, row)) for row in rows if any(row)]
+    a = [row for row in (list(map(_integer, row)) for row in rows) if any(row)]
     if not a:
         return []
     m = len(a)

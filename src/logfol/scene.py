@@ -144,12 +144,11 @@ def _foliation(ctx, fields, gen_names, where, at, rank=1):
 class Scene:
     """A parsed scene plus the truncation order in force for it."""
 
-    __slots__ = ("raw", "order", "path")
+    __slots__ = ("raw", "order")
 
-    def __init__(self, raw, order, path=None):
+    def __init__(self, raw, order):
         self.raw = raw
         self.order = order
-        self.path = path
 
     # -- plumbing --
 
@@ -477,4 +476,4 @@ def load_scene(path, order=None):
         order = raw.get("order", 6)
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise SceneError("order must be a positive integer", "order")
-    return Scene(raw=raw, order=order, path=str(path))
+    return Scene(raw=raw, order=order)

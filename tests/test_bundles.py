@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfol import (
+    GermContext,
     GradedBundleP1,
     SNCCurveBundle,
     check_normal_degrees,
@@ -78,7 +79,12 @@ def test_a_window_one_short_of_the_degree_misses_a_section(d):
     lambda: GradedBundleP1((1.5, True)),
     lambda: check_normal_degrees(1.5, -1),
     lambda: p1_window_cover((0.5,), 3),
-], ids=["monoid-vector", "h_p1", "graded-bundle", "normal-degrees", "window-cover"])
+    lambda: linalg.hermite_normal_form([[Fraction(3, 2), 1], [0, 2]]),
+    lambda: linalg.hermite_normal_form([[2.7, 1]]),
+    lambda: GermContext(2, 2, 4.5),
+    lambda: GermContext(2, 2, True),
+], ids=["monoid-vector", "h_p1", "graded-bundle", "normal-degrees", "window-cover",
+        "hnf-fraction", "hnf-float", "germ-float-order", "germ-bool-order"])
 def test_integer_inputs_are_read_not_truncated(call):
     with pytest.raises(ValueError, match="expected an integer"):
         call()

@@ -1140,19 +1140,28 @@ def test_closed_stdout_still_runs_every_scene_and_writes_the_json(tmp_path):
 
 def test_an_interrupt_ends_the_run_by_the_signal(tmp_path):
     # a SIGINT is caught nowhere, so Python ends the process by the signal
-    # and no interrupted run can exit 1, which reads as "no"; this saturation
-    # has 6141 generators and takes several seconds, so the signal arrives
-    # mid-verdict
-    path = write_scene(tmp_path, "s.json", {"monoid": {"ambient_rank": 4, "generators": [
-        [1, 0, 0, 788], [0, 1, 0, 756], [0, 0, 1, 852], [1, 1, 1, 1], [3, 5, 7, 2]]}})
+    # and no interrupted run can exit 1, which reads as "no"; the signal is
+    # sent once the first scene has printed its one line, while the second,
+    # a saturation with 6141 generators that takes several seconds, is running
+    fast = write_scene(tmp_path, "fast.json", {"command": ["monoid", "check"], "element": [5],
+                                               "monoid": {"ambient_rank": 1, "generators": [[2], [3]]}})
+    slow = write_scene(tmp_path, "slow.json", {"command": ["monoid", "saturate"], "monoid": {
+        "ambient_rank": 4, "generators": [[1, 0, 0, 788], [0, 1, 0, 756], [0, 0, 1, 852],
+                                          [1, 1, 1, 1], [3, 5, 7, 2]]}})
     src = str(Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.Popen([sys.executable, "-m", "logfol.cli", "monoid", "saturate", path],
+    proc = subprocess.Popen([sys.executable, "-m", "logfol.cli", "run", fast, slow],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=src))
-    time.sleep(1.0)
+    first = proc.stdout.readline()
     proc.send_signal(signal.SIGINT)
-    out, _ = proc.communicate(timeout=120)
-    assert (proc.returncode, out) == (-signal.SIGINT, b"")
+    try:
+        rest, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert first == b"fast.json: yes: (5,) lies in the monoid\n"
+    assert (proc.returncode, rest) == (-signal.SIGINT, b"")
 
 
 @pytest.mark.parametrize("batch", [False, True])

@@ -3,10 +3,11 @@ whole expected report.
 
 Each file in scenes/ names its command ("command", the words of a row of
 cli.COMMANDS) and pins its answer ("expect": the --json report of that
-command on the file, without its "scene" path).  The exit code follows
-from the report's decision (cli.EXIT_BY_DECISION) and the printed lines
-from its decision, summary and lines, so a change that alters any answer,
-witness, summary or report line fails here.  To write a pin, run
+command on the file, without its "scene" path).  Each scene is run twice:
+without --json, its exit code must follow from the pinned decision
+(cli.EXIT_BY_DECISION) and its printed lines from the pinned decision,
+summary and lines; with --json, its report must equal the pin.  So a change
+that alters any answer, witness, summary or report line fails here.  To write a pin, run
 `logfol <command> scene.json --json -` and copy the report less "scene".
 A seeded fuzz then mutates each scene and checks that no mutant crashes the
 CLI: malformed input must end in a report, never in exit 4 or an exception.
@@ -35,14 +36,29 @@ def test_every_scene_names_a_command_that_reads_it():
         assert tuple(read_scene(name)["command"]) in rows, name
 
 
+def scene_argv(name):
+    return read_scene(name)["command"] + [str(SCENES / ("%s.json" % name))]
+
+
 @pytest.mark.parametrize("name", CORPUS)
-def test_scene_gives_its_expected_answer(name, tmp_path):
-    scene = read_scene(name)
+def test_scene_gives_its_expected_answer(name, capsys):
+    """Without --json: the exit code and printed lines its expect implies."""
+    expect = read_scene(name)["expect"]
+    code = cli.main(scene_argv(name))
+    printed = ["%s: %s" % (expect["decision"], expect["summary"])]
+    printed += ["  %s" % line for line in expect["lines"]]
+    assert capsys.readouterr().out.splitlines() == printed
+    assert code == cli.EXIT_BY_DECISION[expect["decision"]]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_scene_report_matches_golden(name, tmp_path):
+    """With --json: the whole report, less its scene path, is the expect."""
     out = tmp_path / "report.json"
-    code = cli.main(scene["command"] + [str(SCENES / ("%s.json" % name)), "--json", str(out)])
+    code = cli.main(scene_argv(name) + ["--json", str(out)])
     report = json.loads(out.read_text())
     del report["scene"]
-    assert report == scene["expect"]
+    assert report == read_scene(name)["expect"]
     assert code == cli.EXIT_BY_DECISION[report["decision"]]
 
 

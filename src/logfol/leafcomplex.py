@@ -21,6 +21,13 @@ within a bidegree simplex by simplex in nerve order, each simplex taking
 its row-q coordinates.  Total degree n uses total_components(n), which is
 ordered by q.
 
+The cover level costs what its distinct blocks and its nonzeros cost, not
+what its faces do: validation converts and checks each distinct tuple of
+blocks once, so a cover that shares them, like constant_cover, is checked
+about as fast as one simplex; the coface incidence of the nerve, with its
+signs and restrictions, is laid out once at construction; and assembly
+copies each entry once, straight into its row.
+
 Everything is exact over Q.  Covers stop at triple overlaps; fourfold
 intersections are taken to be empty, so Cech degree 3 is the zero space.
 """
@@ -382,7 +389,8 @@ class CechLeafData:
     total differential square to zero.  Read-only once built; not a tuple.
     """
 
-    __slots__ = ("opens", "pairs", "triples", "dims", "restrictions", "ce")
+    _FIELDS = ("opens", "pairs", "triples", "dims", "restrictions", "ce")
+    __slots__ = _FIELDS + ("_cofaces",)
 
     def __init__(self, opens, pairs, triples, dims, restrictions, ce):
         _set(self, "opens", tuple(str(o) for o in opens))
@@ -400,7 +408,7 @@ class CechLeafData:
     def __eq__(self, other):
         if other.__class__ is not CechLeafData:
             return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in CechLeafData.__slots__)
+        return all(getattr(self, f) == getattr(other, f) for f in CechLeafData._FIELDS)
 
     # -- shape bookkeeping --
 
@@ -439,10 +447,12 @@ class CechLeafData:
         """
         slots = {}
         pos = 0
+        dims = self.dims
         for p, q in components:
-            for s in self.simplices(p):
-                slots[(s, q)] = pos
-                pos += self.row_dim(s, q)
+            if 0 <= q < self.n_rows:
+                for s in self.simplices(p):
+                    slots[(s, q)] = pos
+                    pos += dims[s][q]
         return slots, pos
 
     def split(self, flat, components):
@@ -462,17 +472,28 @@ class CechLeafData:
     # -- validation --
 
     def _validate(self):
-        """Check the cover and replace every matrix by its block.
+        """Check the cover, replace every matrix by its block and lay out the
+        coface incidence that the differentials are assembled from.
 
-        Each distinct matrix object is shape-checked once per shape, each
-        distinct pair of blocks multiplied once and each distinct comparison
-        of two products made once, all memoised on the ids of the blocks
-        involved.  A cover that shares its blocks, like constant_cover,
-        therefore takes few checks, products and comparisons; the loops
-        still visit every simplex, face and row in the same order, so the
-        first failure and its message do not depend on the sharing.
+        The cost follows the distinct block tuples, not the simplices and
+        faces.  Each distinct tuple of row differentials or restrictions is
+        converted and checked once, memoised on its id and the dims it is
+        read at, so a tuple shared on the way in stays shared afterwards;
+        each chain-map check of a (simplex ce, restriction, face ce) triple
+        of tuples and each comparison of two routes through four
+        restriction tuples is made once.  Below that, each distinct matrix
+        object is shape-checked once per shape, each distinct pair of blocks
+        multiplied once and each distinct comparison of two products made
+        once, all memoised on the ids of the blocks involved, for covers
+        that share blocks inside distinct tuples.  A cover that shares its
+        tuples, like constant_cover, therefore converts one ce tuple and one
+        restriction tuple and makes one chain-map check and one route
+        comparison; the loops still visit every simplex, face and triple in
+        the same order, so the first failure and its message do not depend
+        on the sharing.
         """
         blocks = {}
+        tuples = {}
         products = {}
         compared = {}
 
@@ -520,60 +541,91 @@ class CechLeafData:
         all_simplices = self.simplices(0) + self.simplices(1) + self.simplices(2)
         rows = None
         for s in all_simplices:
-            if s not in dims:
+            ds = dims.get(s)
+            if ds is None:
                 raise ValueError("missing dims for simplex %r" % (s,))
+            if ds and min(ds) < 0:
+                raise ValueError("negative dimension for simplex %r" % (s,))
             if rows is None:
-                rows = len(dims[s])
-            elif len(dims[s]) != rows:
+                rows = len(ds)
+            elif len(ds) != rows:
                 raise ValueError("all simplices need the same number of rows")
         if rows == 0:
             raise ValueError("need at least one row")
 
+        # a converted tuple is kept with its input so that the input's id is not reused
         for s in all_simplices:
             mats = self.ce.get(s)
             if mats is None or len(mats) != rows - 1:
                 raise ValueError("simplex %r needs %d differential matrices" % (s, rows - 1))
             ds = dims[s]
-            self.ce[s] = mats = tuple(block(mats[q], ds[q + 1], ds[q], "ce", s)
-                                      for q in range(rows - 1))
-            for q in range(rows - 2):
-                if any(mul(mats[q + 1], mats[q])):
-                    raise ValueError("row differential does not square to zero on %r" % (s,))
+            key = (id(mats), ds)
+            if key not in tuples:
+                out = tuple(block(mats[q], ds[q + 1], ds[q], "ce", s) for q in range(rows - 1))
+                for q in range(rows - 2):
+                    if any(mul(out[q + 1], out[q])):
+                        raise ValueError("row differential does not square to zero on %r" % (s,))
+                tuples[key] = mats, out
+            self.ce[s] = tuples[key][1]
 
         expected = _faces(self.pairs, self.triples)
-        for key in expected:
-            face, simplex = key
-            mats = self.restrictions.get(key)
+        for face_key in expected:
+            face, simplex = face_key
+            mats = self.restrictions.get(face_key)
             if mats is None or len(mats) != rows:
                 raise ValueError("missing restriction %r -> %r" % (face, simplex))
             ds, df = dims[simplex], dims[face]
-            self.restrictions[key] = tuple(block(m, ds[q], df[q], "restriction", simplex)
-                                           for q, m in enumerate(mats))
+            key = (id(mats), ds, df)
+            if key not in tuples:
+                tuples[key] = mats, tuple(block(m, ds[q], df[q], "restriction", simplex)
+                                          for q, m in enumerate(mats))
+            self.restrictions[face_key] = tuples[key][1]
         extra = set(self.restrictions) - set(expected)
         if extra:
             raise ValueError("restriction given for a non-face %r" % (sorted(extra)[0],))
 
         # restrictions must be chain maps
+        chain_maps = set()
         for (face, simplex), mats in self.restrictions.items():
             ce_s, ce_f = self.ce[simplex], self.ce[face]
+            key = (id(ce_s), id(mats), id(ce_f))
+            if key in chain_maps:
+                continue
             for q in range(rows - 1):
                 if not agree(ce_s[q], mats[q], mats[q + 1], ce_f[q]):
                     raise ValueError("restriction %r -> %r does not commute with the differential"
                                      % (face, simplex))
+            chain_maps.add(key)
 
         # two-step restrictions through different intermediate pairs agree
         restrictions = self.restrictions
+        routes = set()
         for t in self.triples:
             i, j, k = t
             for vertex, via_a, via_b in (((i,), (i, j), (i, k)), ((j,), (i, j), (j, k)),
                                          ((k,), (i, k), (j, k))):
                 a_t, v_a = restrictions[(via_a, t)], restrictions[(vertex, via_a)]
                 b_t, v_b = restrictions[(via_b, t)], restrictions[(vertex, via_b)]
+                key = (id(a_t), id(v_a), id(b_t), id(v_b))
+                if key in routes:
+                    continue
                 for q in range(rows):
                     if not agree(a_t[q], v_a[q], b_t[q], v_b[q]):
                         raise ValueError(
                             "restrictions to %r from %r disagree between routes" % (t, vertex)
                         )
+                routes.add(key)
+
+        # the coface incidence of Cech degrees 0 and 1, in nerve order: each
+        # simplex with the face that leaves out its vertex at position omit,
+        # the sign (-1)^omit and the restriction tuple between them
+        cofaces = ([], [])
+        for p, simplices in enumerate((self.pairs, self.triples)):
+            for simplex in simplices:
+                for omit in range(p + 2):
+                    face = simplex[:omit] + simplex[omit + 1 :]
+                    cofaces[p].append((simplex, face, (-1) ** omit, restrictions[(face, simplex)]))
+        _set(self, "_cofaces", cofaces)
 
     # -- the two differentials and their total ---
 
@@ -582,14 +634,13 @@ class CechLeafData:
         leaving bidegree (p, q), with target and source as (simplex, q) slots.
 
         A restriction to a coface carries (-1)^omit, omit being the position
-        of the vertex the face leaves out; the row differential carries (-1)^p.
+        of the vertex the face leaves out, as laid out once by _validate; the
+        row differential carries (-1)^p.
         """
         if p < 0 or not 0 <= q < self.n_rows:
             return
-        for simplex in self.simplices(p + 1):
-            for omit in range(len(simplex)):
-                face = simplex[:omit] + simplex[omit + 1 :]
-                yield (simplex, q), (face, q), (-1) ** omit, self.restriction(face, simplex, q)
+        for simplex, face, sign, mats in self._cofaces[p] if p < 2 else ():
+            yield (simplex, q), (face, q), sign, mats[q]
         if q + 1 < self.n_rows:
             for simplex in self.simplices(p):
                 yield (simplex, q + 1), (simplex, q), (-1) ** p, self.ce[simplex][q]
@@ -598,7 +649,8 @@ class CechLeafData:
         """The blocks leaving the src bidegrees that land in the dst ones,
         placed by _slots and multiplied by scale, as linalg.SparseRows.
         No two blocks share a cell.  scale and every block sign are +1 or
-        -1, so entries are copied or negated, never multiplied."""
+        -1, so entries are copied or negated, never multiplied, each straight
+        into its output row."""
         col_at, cols = self._slots(src)
         row_at, rows = self._slots(dst)
         out = [{} for _ in range(rows)]
@@ -610,8 +662,9 @@ class CechLeafData:
                 c0 = col_at[source]
                 negate = scale * sign < 0
                 for r, row in enumerate(block, r0):
-                    out[r].update({c0 + j: -x for j, x in row.items()} if negate
-                                  else {c0 + j: x for j, x in row.items()})
+                    out_row = out[r]
+                    for j, x in row.items():
+                        out_row[c0 + j] = -x if negate else x
         return linalg.SparseRows(out, cols)
 
     def cech_matrix(self, p, q):
@@ -746,15 +799,16 @@ def constant_cover(ce_mats, n_opens=3):
     if not ce_mats:
         raise ValueError("need at least one differential to fix the row dimensions")
     dims = [len(ce_mats[0][0]) if ce_mats[0] else 0] + [len(m) for m in ce_mats]
-    # one block per differential and one identity per row, shared by every simplex
-    mats = [_block(m, len(m), c, "ce matrix on (0,) has the wrong shape")
-            for m, c in zip(ce_mats, dims)]
+    # one tuple of differential blocks and one of identities, shared by every
+    # simplex and every face, so validation converts and checks each once
+    mats = tuple(_block(m, len(m), c, "ce matrix on (0,) has the wrong shape")
+                 for m, c in zip(ce_mats, dims))
     opens = tuple("U%d" % i for i in range(n_opens))
     pairs = tuple(itertools.combinations(range(n_opens), 2))
     triples = tuple(itertools.combinations(range(n_opens), 3))
     simplices = [(i,) for i in range(n_opens)] + list(pairs) + list(triples)
     dim_map = {s: tuple(dims) for s in simplices}
-    ce = {s: tuple(mats) for s in simplices}
+    ce = {s: mats for s in simplices}
     eye = tuple(tuple({i: 1} for i in range(d)) for d in dims)
     restrictions = {key: eye for key in _faces(pairs, triples)}
     return CechLeafData(opens, pairs, triples, dim_map, restrictions, ce)

@@ -1,23 +1,28 @@
 """Exact linear algebra over Fraction, plus a few integer lattice routines.
 
 The package's one rule for exact numbers: ints or Fractions, never floats.
-The one reader, _exact, stores an int where the value is integral, else a
-Fraction; arithmetic keeps whatever Python returns, and a quotient is built
-as a Fraction, never by / on two ints.  Integers (degrees, exponents,
-dimensions, ranks, lattice vectors) are read by _integer, which takes an
-int or an integral Fraction and truncates nothing.
+The one reader, _exact, takes ints, Fractions and strings of an integer or
+"p/q" (no decimal point or exponent), and stores an int where the value is
+integral, else a Fraction; arithmetic keeps whatever Python returns, and a
+quotient is built as a Fraction, never by / on two ints.  Integers
+(degrees, exponents, dimensions, ranks, lattice vectors) are read by
+_integer, which takes an int or an integral Fraction and truncates nothing.
 
 A matrix is a list of {column: value} rows holding its nonzero entries;
 solve, nullspace and inverse take them as SparseRows, which carries the
 column count that a list of dicts cannot say.  Vectors, the x of mat_vec
 and the b of solve, are dense.  Entries are ints or Fractions.
 
-Elimination has one engine, echelon(), whose work follows the nonzeros, not
-rows x columns: the jet and cover systems are more than 99% zeros.  It is
-fraction-free: each row is scaled once to integers (an int row as it is),
-and every basis row is a primitive {column: int} row (gcd 1, positive
-pivot), so a step is a few int multiplies where a Fraction step would
-normalise every entry with a gcd.  Its reduced basis, one row per pivot,
+Elimination has one engine, whose work follows the nonzeros, not rows x
+columns: the jet and cover systems are more than 99% zeros.  Its reader,
+echelon(), copies each row it is given once, scaled to integers (an int row
+as it is), and leaves the rows it was given alone; its core, _echelon(),
+reduces integer rows that it owns in place.  rank, solve and inverse build
+their own integer rows, column-ordered or augmented, and hand them to the
+core, so each row is copied once on its way in.  The engine is
+fraction-free: every basis row is a primitive {column: int} row (gcd 1,
+positive pivot), so a step is a few int multiplies where a Fraction step
+would normalise every entry with a gcd.  Its reduced basis, one row per pivot,
 is the reduced row echelon form with each row scaled to a primitive
 integer row.  Values are divided by the pivot only where they are read:
 solution, nullspace and inverse return Fractions, as mat_vec does from
@@ -30,20 +35,31 @@ integer Hermite form keeps its own small dense tableau.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
+# an optional sign, decimal digits (\d is str.isdecimal, the digits int()
+# reads) and an optional "/" and denominator: no decimal point, exponent,
+# underscore or inner space
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
 
 def _exact(x):
-    """x, an int, a Fraction or a "p/q" string, as an int where integral,
-    else a Fraction; ValueError for anything else, bools and floats too."""
+    """x, an int, a Fraction or a string of an integer or "p/q", as an int
+    where integral, else a Fraction; ValueError for anything else, bools,
+    floats and decimal strings such as "0.5" too."""
     if type(x) is not Fraction:
         if type(x) is int:
             return x
         if isinstance(x, str):
+            m = _RATIONAL.fullmatch(x.strip())
             try:
-                x = Fraction(x.strip())
-            except (ValueError, ZeroDivisionError):
+                if m[2] is None:
+                    return int(m[1])
+                x = Fraction(int(m[1]), int(m[2]))
+            except (TypeError, ValueError, ZeroDivisionError):
+                # no match, more digits than int() reads, or a zero denominator
                 raise ValueError("cannot read %r as a rational" % (x,)) from None
         elif isinstance(x, bool):
             raise ValueError("expected a rational, got a boolean")
@@ -80,9 +96,13 @@ def _width(a):
     return a.ncols
 
 
-def _sparse(row):
-    """A new {column: value} dict of the nonzero entries of a row."""
-    return {j: v for j, v in row.items() if v}
+def _nonzeros(row, ncols):
+    """A new {column: value} dict of the nonzero entries of a row, whose
+    columns must lie in range(ncols)."""
+    r = {j: v for j, v in row.items() if v}
+    if r and not (0 <= min(r) and max(r) < ncols):
+        raise ValueError("column index outside range(%d)" % ncols)
+    return r
 
 
 def product(a, b):
@@ -107,11 +127,11 @@ def mat_vec(a, x):
     return [Fraction(sum(c * x[j] for j, c in row.items()), den) for row in a]
 
 
-def _integer_row(row):
-    """A new {column: int} dict of a row's nonzero entries, scaled by the
-    lcm of their denominators.  A row of ints needs no scaling, and the test
-    for one stops at the first entry that is not an int."""
-    r = _sparse(row)
+def _integer_row(r):
+    """The row r, a dict of nonzero entries that the caller owns, as a
+    {column: int} row scaled by the lcm of its denominators.  A row of ints
+    is returned as it is, and the test for one stops at the first entry that
+    is not an int; any other row becomes a new dict."""
     for v in r.values():
         if type(v) is not int:
             break
@@ -159,31 +179,35 @@ def _eliminate(r, pivot_row, col):
 
 
 def echelon(rows, ncols, basis=None, reduced=True):
-    """Sparse fraction-free row echelon form, the elimination engine of this
-    module.
+    """Sparse fraction-free row echelon form: the reader of the elimination
+    engine of this module.
 
     rows is an iterable of {column: value} rows of ints or Fractions with
     columns in range(ncols); zero values are dropped and the rows are not
-    modified.  basis is the result of an earlier call, extended in place by
+    modified: each is copied once, scaled to integers and checked as it is
+    reached.  basis is the result of an earlier call, extended in place by
     the new rows, or None to start empty.  The result maps each pivot column
     to its row, a primitive {column: int} row: the gcd of its entries is 1,
     its pivot is positive and no entry lies left of it.  Callers divide by
     the pivot where they read a value (solution, nullspace, inverse).
-
-    Each new row is scaled once to integers, then reduced against the pivot
-    rows, lowest column first, by _eliminate, and joins them if anything is
-    left.  With reduced=True one back-substitution pass then clears every
-    pivot column from the other rows with the same step.  That is the
-    reduced row echelon form with each row scaled to a primitive integer
-    row, which depends only on the row space: not on the order of the rows,
-    nor on how many calls built it.  No Fraction arithmetic happens here.
     """
-    if basis is None:
-        basis = {}
-    for row in rows:
-        r = _integer_row(row)
-        if r and not (0 <= min(r) and max(r) < ncols):
-            raise ValueError("column index outside range(%d)" % ncols)
+    rows = (_integer_row(_nonzeros(row, ncols)) for row in rows)
+    return _echelon(rows, {} if basis is None else basis, reduced)
+
+
+def _echelon(rows, basis, reduced):
+    """The core of echelon on {column: int} rows without zeros, which it
+    owns: it reduces them in place and keeps them as basis rows.
+
+    Each row is reduced against the pivot rows, lowest column first, by
+    _eliminate, and joins them if anything is left.  With reduced=True one
+    back-substitution pass then clears every pivot column from the other
+    rows with the same step.  That is the reduced row echelon form with each
+    row scaled to a primitive integer row, which depends only on the row
+    space: not on the order of the rows, nor on how many calls built it.  No
+    Fraction arithmetic happens here.
+    """
+    for r in rows:
         while r:
             col = min(r)
             pivot_row = basis.get(col)
@@ -262,8 +286,8 @@ def rank(a):
             if v:
                 count[j] = count.get(j, 0) + 1
     order = {j: k for k, j in enumerate(sorted(count, key=count.__getitem__))}
-    ordered = [{order[j]: v for j, v in row.items() if v} for row in a]
-    return len(echelon(ordered, len(order), reduced=False))
+    ordered = [_integer_row({order[j]: v for j, v in row.items() if v}) for row in a]
+    return len(_echelon(ordered, {}, False))
 
 
 def solve(a, b):
@@ -274,10 +298,14 @@ def solve(a, b):
     if len(b) != len(a):
         raise ValueError("right-hand side has %d entries for %d rows" % (len(b), len(a)))
     n = _width(a)
-    rows = [_sparse(row) for row in a]
-    for row, bi in zip(rows, b):
-        row[n] = _exact(bi)
-    return solution(echelon(rows, n + 1), n)
+    rows = []
+    for row, bi in zip(a, b):
+        r = _nonzeros(row, n)
+        bi = _exact(bi)
+        if bi:
+            r[n] = bi
+        rows.append(_integer_row(r))
+    return solution(_echelon(rows, {}, True), n)
 
 
 def nullspace(a):
@@ -301,10 +329,12 @@ def inverse(a):
     n = len(a)
     if _width(a) != n:
         raise ValueError("matrix is not square")
-    rows = [_sparse(row) for row in a]
-    for i, row in enumerate(rows):
-        row[n + i] = 1
-    basis = echelon(rows, 2 * n)
+    rows = []
+    for i, row in enumerate(a):
+        r = _nonzeros(row, n)
+        r[n + i] = 1
+        rows.append(_integer_row(r))
+    basis = _echelon(rows, {}, True)
     if sorted(basis) != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(basis[i].get(n + j, 0), basis[i][i]) for j in range(n)] for i in range(n)]

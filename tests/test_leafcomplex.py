@@ -493,6 +493,28 @@ def test_validation_multiplies_each_distinct_block_object():
         CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
 
 
+def test_constant_cover_keeps_one_ce_tuple_and_one_restriction_tuple():
+    # a tuple shared on the way in is converted once and stays shared
+    for n in range(3, 7):
+        data = constant_cover(ROW_COMPLEXES[0], n)
+        ce = data.ce[(0,)]
+        assert all(data.ce[s] is ce for p in range(3) for s in data.simplices(p)), n
+        eye = data.restrictions[((0,), (0, 1))]
+        assert all(mats is eye for mats in data.restrictions.values()), n
+
+
+def test_validation_refuses_a_negative_dimension_before_reading_blocks():
+    # an empty block fits any shape check, so only the dims can refuse these;
+    # the second simplex has no matrices at all, and its dims are read first
+    for dims in ((-2,), (-1, 0), (0, -1)):
+        ce = {(0,): ((),) * (len(dims) - 1)}
+        with pytest.raises(ValueError, match=r"negative dimension for simplex \(0,\)"):
+            CechLeafData(("U0",), (), (), {(0,): dims}, {}, ce)
+    dims = {(0,): (1,), (1,): (-1,), (0, 1): (1,)}
+    with pytest.raises(ValueError, match=r"negative dimension for simplex \(1,\)"):
+        CechLeafData(("U0", "U1"), ((0, 1),), (), dims, {}, {})
+
+
 def test_validation_finds_the_one_wrong_face_among_shared_blocks():
     # every face of a 5-open constant cover shares one identity per row, so
     # the comparisons repeat; one face with its own wrong block must still

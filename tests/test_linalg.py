@@ -276,9 +276,17 @@ def test_product_mat_vec_and_echelon_leave_dict_rows_alone():
     assert linalg.mat_vec(a, [Fraction(1, 2), 3, Fraction(-3, 4)]) == [
         Fraction(3, 4), 0, -3]
     assert linalg.rank(b) == 2
+    # solve and rank hand the elimination core rows of their own, which it
+    # reduces in place: the rows they were given stay as they were
+    assert linalg.solve(a, [Fraction(1, 2), 0, Fraction(-3, 4)]) == [
+        Fraction(1, 4), Fraction(3, 4), 0]
+    assert linalg.rank(a) == 2
     ints = [{0: 2, 1: 4}, {1: 3, 2: 0}]
     int_copies = [dict(row) for row in ints]
     assert linalg.echelon(ints, 3) == {0: {0: 1}, 1: {1: 1}}
+    assert linalg.solve(linalg.SparseRows(ints, 3), [Fraction(2), Fraction(-3, 2)]) == [
+        Fraction(2), Fraction(-1, 2), 0]
+    assert linalg.rank(ints) == 2
     assert ([dict(row) for row in a], [dict(row) for row in b]) == copies
     assert ints == int_copies and list(map(len, ints)) == [2, 2]
 

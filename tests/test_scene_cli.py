@@ -67,13 +67,13 @@ def test_the_reader_stores_ints_where_integral():
     (0.5, 'floating point is not allowed; write rationals as "p/q"'),
     ("1/0", "cannot read '1/0' as a rational"),
     ("three halves", "cannot read 'three halves' as a rational"),
+    ([1], "expected a rational, got list"),
     # decimal, exponent and underscore forms, which Fraction() would read
     ("0.5", "cannot read '0.5' as a rational"),
     (".5", "cannot read '.5' as a rational"),
     ("1e3", "cannot read '1e3' as a rational"),
     ("2.5e-1", "cannot read '2.5e-1' as a rational"),
     ("1_000", "cannot read '1_000' as a rational"),
-    ([1], "expected a rational, got list"),
 ])
 def test_the_reader_refuses_what_is_no_exact_number(value, message):
     with pytest.raises(ValueError) as e:

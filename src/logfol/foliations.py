@@ -53,7 +53,8 @@ class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
         if rank < 1:
             raise ValueError("declared rank must be >= 1")
         self = tuple.__new__(cls, (ctx, gens, rank))
-        if self.origin_rank() > rank:
+        # k generators have rank at most k at the origin
+        if len(gens) > rank and self.origin_rank() > rank:
             raise ValueError(
                 "generators are independent of rank %d at the origin, above the "
                 "declared rank %d" % (self.origin_rank(), rank)

@@ -9,12 +9,16 @@ live in.
 Invariant: the terms of a Jet are always in normal form.  Every key is a
 tuple of n nonnegative ints of total degree at most the order, not divisible
 by the full crossing product x_1...x_r when r >= 2, and every value is a
-nonzero int or Fraction.  Jet.make is the parse boundary: it alone reads the
-coefficients (linalg's rule: ints where integral) and checks the exponents;
-jet_from_string goes through it, and constant and scale read one scalar.
-Every other operation takes normal jets and builds its normal result
-directly, dropping only the terms its own arithmetic can push past the
-order or onto the crossing.  Jet(ctx, terms) trusts its caller to keep it.
+nonzero int or Fraction.  Jet.make is the boundary for raw terms: it reads
+the coefficients (linalg's rule: ints where integral) and checks the
+exponents; constant and scale read one scalar.  Every other operation takes
+normal jets and builds its normal result directly, dropping only the terms
+its own arithmetic can push past the order or onto the crossing.
+Jet(ctx, terms) trusts its caller to keep it.  So do the two text readers,
+jet_from_string and logcalc.derivation_from_string: the expression reader's
+terms are already exact nonzero values with int exponents of the right
+width, so they drop the terms past the order or on the crossing, store an
+integral Fraction as its int, and build with the bare constructor.
 
 This is the one jet calculus under the solvers: they read a jet's terms
 directly to build their rows (skipping, with _on_crossing, a product that
@@ -340,8 +344,10 @@ def jet_from_string(ctx, text, names=None, params=None):
     """Parse polynomial syntax like "3/2*x1^2*x3 - 1" into a Jet, computed
     only through the order and off the crossing."""
     table = name_table(ctx, names)
-    raw = parse_polynomial(text, table, width=ctx.n, consts=params, bound=(ctx.order, ctx.r))
-    return Jet.make(ctx, raw)
+    n, r, order = ctx
+    raw = parse_polynomial(text, table, width=n, consts=params, bound=(order, r))
+    return Jet(ctx, {e: c if type(c) is int else _exact(c) for e, c in raw.items()
+                     if sum(e) <= order and not _on_crossing(e, r)})
 
 
 @lru_cache(maxsize=16)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .exprs import parse_polynomial
 from .jets import ContextMismatchError, Jet, _set, format_jet, name_table
+from .linalg import _exact
 
 
 class TangencyParseError(ValueError):
@@ -194,13 +195,12 @@ def derivation_table(ctx, names=None):
     accepted name, indexing the partials after the n variables.  A token
     that is itself an accepted name raises ValueError."""
     table = name_table(ctx, names)
-    for nm, idx in list(table.items()):
-        token = "d" + nm
-        j = table.get(token)
-        if j is not None:
-            raise ValueError("%r names variable %d and is the derivation token of %r, variable %d"
-                             % (token, j + 1, nm, idx + 1))
-        table[token] = ctx.n + idx
+    tokens = {"d" + nm: ctx.n + idx for nm, idx in table.items()}
+    if not tokens.keys().isdisjoint(table):
+        nm, idx = next((nm, idx) for nm, idx in table.items() if "d" + nm in table)
+        raise ValueError("%r names variable %d and is the derivation token of %r, variable %d"
+                         % ("d" + nm, table["d" + nm] + 1, nm, idx + 1))
+    table.update(tokens)
     return table
 
 
@@ -217,34 +217,38 @@ def derivation_from_string(ctx, text, names=None, params=None):
     tokens (x-degree order + 1, as b_i is divided by x_i, plus one token),
     keeping crossing monomials: x1*x2*dx1 at r = 2 is b_1 = x2.  A term past
     that vanishes, as truncation is a ring map, even one refused within it
-    (no token, two tokens, a non-tangent coefficient).
+    (no token, two tokens, a non-tangent coefficient).  Each term goes to
+    its b_i or a_j, past the order or on the crossing it is dropped there,
+    and each jet is built with the bare constructor (see jets' docstring).
     """
     table = derivation_table(ctx, names)
-    width = 2 * ctx.n
-    raw = parse_polynomial(text, table, width=width, consts=params, bound=(ctx.order + 2, 0))
+    n, r, order = ctx
+    raw = parse_polynomial(text, table, width=2 * n, consts=params, bound=(order + 2, 0))
 
-    b_raw = [dict() for _ in range(ctx.r)]
-    a_raw = [dict() for _ in range(ctx.n - ctx.r)]
+    b = [{} for _ in range(r)]
+    a = [{} for _ in range(n - r)]
     for e, c in raw.items():
-        var_part, d_part = e[: ctx.n], e[ctx.n:]
+        d_part = e[n:]
         if sum(d_part) != 1:
             raise TangencyParseError(
                 "each term must contain exactly one derivation token d1..dn"
             )
         i = d_part.index(1)
-        if i < ctx.r:
-            if var_part[i] < 1:
+        e = e[:n]
+        if i < r:
+            if e[i] < 1:
                 raise TangencyParseError(
                     "coefficient of d%d must vanish on {x%d = 0}; "
                     "the field is not tangent to the crossing locus" % (i + 1, i + 1)
                 )
-            e2 = list(var_part)
-            e2[i] -= 1
-            b_raw[i][tuple(e2)] = c
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+            terms = b[i]
         else:
-            a_raw[i - ctx.r][var_part] = c
-    b = tuple(Jet.make(ctx, d) for d in b_raw)
-    a = tuple(Jet.make(ctx, d) for d in a_raw)
+            terms = a[i - r]
+        if sum(e) <= order and (r < 2 or 0 in e[:r]):  # jets._on_crossing, inlined
+            terms[e] = c if type(c) is int else _exact(c)
+    b = tuple(Jet(ctx, terms) for terms in b)
+    a = tuple(Jet(ctx, terms) for terms in a)
     return LogDerivation(ctx, b, a)
 
 

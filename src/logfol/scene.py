@@ -7,13 +7,15 @@ and vector fields are expression strings in the germ's variable names,
 parsed exactly.  Which keys a scene needs depends on the subcommand reading
 it.
 
-Three readers carry the work the accessors share: _items reads a JSON list
-entry by entry, _parser reads an expression string on a germ, and _foliation
-builds a foliation from named fields.  Every SceneError an accessor raises
-names the key path at fault: "lie.mu[0][1]" for a bad value,
-"components[1].fields.u" for an expression that does not parse, the key
-itself when it is missing.  Each accessor checks its keys in a fixed order,
-so an input with several faults always reports the same one first.
+Four readers carry the work the accessors share: _items reads a JSON list
+entry by entry, _numbers a list of numbers in one pass (it names the entry
+at fault only when one fails), _parser reads an expression string on a
+germ, and _foliation builds a foliation from named fields.  Every
+SceneError an accessor raises names the key path at fault: "lie.mu[0][1]"
+for a bad value, "components[1].fields.u" for an expression that does not
+parse, the key itself when it is missing.  Each accessor checks its keys in
+a fixed order, so an input with several faults always reports the same one
+first.
 
 The library refuses what it cannot build with a ValueError.  One boundary,
 "with _at(where):", turns such an error into a SceneError at where, and is
@@ -77,8 +79,22 @@ def _items(values, where, read):
     return tuple(read(x, "%s[%d]" % (where, i)) for i, x in enumerate(_expect(values, list, where)))
 
 
+def _numbers(values, where, read):
+    """The JSON list values, each read by read (_exact or _integer) with no
+    key path; only when one fails is the list read again, entry by entry,
+    to report the first bad entry at where[i]."""
+    values = _expect(values, list, where)
+    try:
+        return tuple(map(read, values))
+    except ValueError:
+        for i, x in enumerate(values):
+            with _at("%s[%d]" % (where, i)):
+                read(x)
+        raise
+
+
 def _fractions(values, where):
-    return _items(values, where, scene_fraction)
+    return _numbers(values, where, _exact)
 
 
 def _fraction_matrix(rows, where):
@@ -87,7 +103,9 @@ def _fraction_matrix(rows, where):
 
 def _vector(values, where):
     """A vector of rationals whose bad entries are reported at the vector."""
-    return _items(values, where, lambda x, _: scene_fraction(x, where))
+    values = _expect(values, list, where)
+    with _at(where):
+        return tuple(map(_exact, values))
 
 
 def _fraction_table(rows, where):
@@ -97,7 +115,7 @@ def _fraction_table(rows, where):
 
 
 def _int_vectors(rows, where):
-    return _items(rows, where, lambda row, at: _items(row, at, _int))
+    return _items(rows, where, lambda row, at: _numbers(row, at, _integer))
 
 
 def _parser(parse, ctx, names, params):
@@ -181,16 +199,29 @@ class Scene:
             logcalc.derivation_table(ctx, names)
         return ctx, names
 
-    def params(self):
+    def params(self, ctx, names):
+        """The named rationals, none of them a name of the germ ctx with the
+        variable names names, the one the expressions are read on, or the
+        derivation token "d" + such a name: a parameter would replace it in
+        every expression.  A component germ reads a subset of those names."""
         spec = _expect(self._get("params", {}), dict, "params")
-        return {name: scene_fraction(value, "params.%s" % name) for name, value in spec.items()}
+        table = jets.name_table(ctx, names) if spec else {}
+        out = {}
+        for name, value in spec.items():
+            where = "params.%s" % name
+            if name in table:
+                raise SceneError("%r names variable %d of the germ" % (name, table[name] + 1), where)
+            if name[:1] == "d" and name[1:] in table:
+                raise SceneError("%r is the derivation token of %r" % (name, name[1:]), where)
+            out[name] = scene_fraction(value, where)
+        return out
 
     def fields(self, ctx=None, names=None):
         """All named vector fields of the scene, parsed on the ambient germ."""
         if ctx is None:
             ctx, names = self.germ()
         spec = _expect(self._require("fields"), dict, "fields")
-        read = _parser(logcalc.derivation_from_string, ctx, names, self.params())
+        read = _parser(logcalc.derivation_from_string, ctx, names, self.params(ctx, names))
         return {name: read(text, "fields.%s" % name) for name, text in spec.items()}
 
     def foliation(self):
@@ -211,7 +242,7 @@ class Scene:
             raise SceneError(
                 "need %d dlog and %d regular coefficients" % (ctx.r, ctx.n - ctx.r), "one_form"
             )
-        read = _parser(jets.jet_from_string, ctx, names, self.params())
+        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, names))
         dlog_jets = _items(dlog, "one_form.dlog", read)
         reg_jets = _items(reg, "one_form.reg", read)
         with _at("one_form"):
@@ -223,7 +254,7 @@ class Scene:
             return None
         if len(_expect(self.raw[key], list, key)) != 2:
             raise SceneError(message, key)
-        return _items(self.raw[key], key, _int)
+        return _numbers(self.raw[key], key, _integer)
 
     def index_pair(self):
         return self._int_pair("index_pair", "need two 1-based crossing indices")
@@ -233,7 +264,7 @@ class Scene:
         spec = _expect(self._require("surface_form"), dict, "surface_form")
         ctx = jets.GermContext(2, 0, self.order)
         names = _variable_names(ctx, spec.get("names", ["y", "z"]), "surface_form.names")
-        read = _parser(jets.jet_from_string, ctx, names, self.params())
+        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, names))
         return foliations.SurfaceOneForm(read(spec.get("a"), "surface_form.a"),
                                          read(spec.get("b"), "surface_form.b"))
 
@@ -297,7 +328,7 @@ class Scene:
         spec = _expect(self._require("components"), list, "components")
         if len(spec) != ctx.r:
             raise SceneError("need one component per crossing variable", "components")
-        params = self.params()
+        params = self.params(ctx, names)
         comp_names = self.component_names()
         candidate_spec = self._require("candidate")
         ambient_candidate = None
@@ -354,8 +385,8 @@ class Scene:
         spec = _expect(self._require("bundle"), dict, "bundle")
         left = _expect(spec.get("left"), list, "bundle.left")
         right = _expect(spec.get("right"), list, "bundle.right")
-        left_deg = _items(left, "bundle.left", _int)
-        right_deg = _items(right, "bundle.right", _int)
+        left_deg = _numbers(left, "bundle.left", _integer)
+        right_deg = _numbers(right, "bundle.right", _integer)
         with _at("bundle"):
             if "glue" in spec:
                 return bundles.SNCCurveBundle(
@@ -377,7 +408,7 @@ class Scene:
     def monoid_element(self):
         if not self.has("element"):
             return None
-        return _items(self.raw["element"], "element", _int)
+        return _numbers(self.raw["element"], "element", _integer)
 
     # -- leaf complexes over covers --
 
@@ -390,7 +421,7 @@ class Scene:
                 n_opens = _int(spec.get("opens", 3), "leaf_data.opens")
                 return leafcomplex.constant_cover(ce, n_opens=n_opens)
             if builder == "p1-windows":
-                degrees = _items(spec.get("degrees"), "leaf_data.degrees", _int)
+                degrees = _numbers(spec.get("degrees"), "leaf_data.degrees", _integer)
                 window = _int(spec.get("window", 3), "leaf_data.window")
                 polys = _fraction_matrix(spec.get("polys", []), "leaf_data.polys")
                 return leafcomplex.p1_window_cover(degrees, window, polys)
@@ -423,9 +454,9 @@ class Scene:
         dims = {}
         for label, value in _expect(spec.get("spaces"), dict, "leaf_data.spaces").items():
             where = "leaf_data.spaces.%s" % label
-            dims[simplex(label, where)] = tuple(
-                _int(d, where) for d in _expect(value, list, where)
-            )
+            value = _expect(value, list, where)
+            with _at(where):
+                dims[simplex(label, where)] = tuple(map(_integer, value))
         restrictions = {}
         for label, mats in _expect(spec.get("restrictions"), dict, "leaf_data.restrictions").items():
             where = "leaf_data.restrictions.%s" % label

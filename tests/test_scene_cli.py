@@ -266,6 +266,18 @@ READER_MESSAGES = [
      "error: germ.names: 'x2', the name of variable 1, is the default name of variable 2"),
     ("surface_index", ["cs", "surface"], ["surface_form", "names"], ["y", "y"],
      "error: surface_form.names: 'y', the name of variable 2, is the name of variable 1"),
+    (EXPLICIT_LEAF, ["leaf-complex"], ["leaf_data", "spaces", "U0|U1"], [1, "1"],
+     "error: leaf_data.spaces.U0|U1: expected an integer"),
+    ("cs_triple_form", ["cs", "log"], ["index_pair"], [1, 2.0],
+     "error: index_pair[1]: expected an integer"),
+    ("lie_borel", ["obstruction", "lie"], ["lie", "sub_basis", 0], [0, 1, "1/0"],
+     "error: lie.sub_basis[0][2]: cannot read '1/0' as a rational"),
+    ("pushout_euler", ["pushout", "member"], ["params"], {"lam": 1, "y": "1/2"},
+     "error: params.y: 'y' names variable 2 of the germ"),
+    ("pushout_euler", ["pushout", "member"], ["params"], {"dx": 0, "lam": 1.5},
+     "error: params.dx: 'dx' is the derivation token of 'x'"),
+    ("cs_triple_form", ["cs", "log"], ["params"], {"x3": 1},
+     "error: params.x3: 'x3' names variable 3 of the germ"),
 ]
 
 

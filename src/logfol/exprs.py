@@ -19,7 +19,7 @@ so one wins over any syntax error, wherever it sits.  A text of ASCII
 letters, digits, "_", whitespace and operators has none, which one
 regular-expression match tells; any other text is scanned token by token.
 The reader then walks the text by position, a term at a time, and builds no
-token list.  A run of up to four factors without parentheses (numbers and
+token list.  A run of up to three factors without parentheses (numbers and
 names, each with an optional power) joined by "*" is taken by one match
 (a longer run by several) and multiplied in place into one coefficient and
 one exponent list, and the term goes straight into the sum.  Only a factor
@@ -98,12 +98,13 @@ def _lexical_check(text):
         pos += len(token)
 
 
-# On lexically sound text, a run of up to four factors without parentheses
+# On lexically sound text, a run of up to three factors without parentheses
 # joined by "*", with the whitespace around it; a factor is a number or a
 # name and its power if any, in three groups (number, name, power).  Nothing
-# after an atom can fail, so each is a whole token.
+# after an atom can fail, so each is a whole token.  (Four factors cost
+# twice the compile time at import, which every start pays.)
 _RUN_FACTOR = r"(?:(\d+)|(\w+))(?:\s*\^\s*(\d+))?"
-_RUN = re.compile(r"\s*%s(?:\s*\*\s*%s(?:\s*\*\s*%s(?:\s*\*\s*%s)?)?)?\s*" % ((_RUN_FACTOR,) * 4))
+_RUN = re.compile(r"\s*%s(?:\s*\*\s*%s(?:\s*\*\s*%s)?)?\s*" % ((_RUN_FACTOR,) * 3))
 
 
 def _poly_const(c, width):

@@ -14,11 +14,12 @@ the coefficients (linalg's rule: ints where integral) and checks the
 exponents; constant and scale read one scalar.  Every other operation takes
 normal jets and builds its normal result directly, dropping only the terms
 its own arithmetic can push past the order or onto the crossing.
-Jet(ctx, terms) trusts its caller to keep it.  So do the two text readers,
-jet_from_string and logcalc.derivation_from_string: the expression reader's
-terms are already exact nonzero values with int exponents of the right
-width, so they drop the terms past the order or on the crossing, store an
-integral Fraction as its int, and build with the bare constructor.
+Jet(ctx, terms) trusts its caller to keep it.  The two text readers,
+jet_from_string and logcalc.derivation_from_string, are such callers: the
+expression reader's terms are already exact nonzero values with int
+exponents of the right width, so they drop the terms past the order or on
+the crossing, store an integral Fraction as its int, and build with the
+bare constructor.
 
 This is the one jet calculus under the solvers: they read a jet's terms
 directly to build their rows (skipping, with _on_crossing, a product that

@@ -158,8 +158,9 @@ def _cmd_monoid_check(args, scn: Scene):
 
 
 def _cmd_semistable_check(args, scn: Scene):
-    fol = scn.foliation()
-    ctx, names = scn.germ()
+    germ = scn.germ()
+    fol = scn.foliation(germ)
+    names = germ[1]
     res = semistability.find_flat_unit(fol)
     if res.ok:
         unit_str = jets.format_jet(res.unit, names=names)

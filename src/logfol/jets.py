@@ -323,11 +323,8 @@ def name_table(ctx, names=None):
     """Mapping from accepted variable names to indices.
 
     Custom names are accepted alongside the positional x1..xn aliases as long
-    as they do not clash.  A {name: index} mapping given as names is the
-    table itself, as a component germ reads the ambient names left to it.
+    as they do not clash.
     """
-    if isinstance(names, dict):
-        return dict(names)
     defaults = ctx.default_names()
     table = {nm: i for i, nm in enumerate(defaults)}
     if names is not None:

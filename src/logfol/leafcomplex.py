@@ -481,43 +481,15 @@ class CechLeafData:
         read at, so a tuple shared on the way in stays shared afterwards;
         each chain-map check of a (simplex ce, restriction, face ce) triple
         of tuples and each comparison of two routes through four
-        restriction tuples is made once.  Below that, each distinct matrix
-        object is shape-checked once per shape, each distinct pair of blocks
-        multiplied once and each distinct comparison of two products made
-        once, all memoised on the ids of the blocks involved, for covers
-        that share blocks inside distinct tuples.  A cover that shares its
-        tuples, like constant_cover, therefore converts one ce tuple and one
+        restriction tuples is made once.  A cover that shares its tuples,
+        like constant_cover, therefore converts one ce tuple and one
         restriction tuple and makes one chain-map check and one route
         comparison; the loops still visit every simplex, face and triple in
         the same order, so the first failure and its message do not depend
         on the sharing.
         """
-        blocks = {}
         tuples = {}
-        products = {}
-        compared = {}
-
-        def block(m, rows, cols, kind, simplex):
-            key = (id(m), rows, cols)
-            if key not in blocks:
-                # m is kept with its block so that its id is not reused
-                blocks[key] = m, _block(m, rows, cols, "%s matrix on %r has the wrong shape",
-                                        kind, simplex)
-            return blocks[key][1]
-
-        def mul(a, b):
-            key = (id(a), id(b))
-            if key not in products:
-                products[key] = linalg.product(a, b)
-            return products[key]
-
-        def agree(a, b, c, d):
-            """Whether a b = c d; the blocks are all kept by the cover."""
-            key = (id(a), id(b), id(c), id(d))
-            same = compared.get(key)
-            if same is None:
-                same = compared[key] = mul(a, b) == mul(c, d)
-            return same
+        wrong_shape = "%s matrix on %r has the wrong shape"
 
         n_opens = len(self.opens)
         if n_opens == 0:
@@ -561,9 +533,10 @@ class CechLeafData:
             ds = dims[s]
             key = (id(mats), ds)
             if key not in tuples:
-                out = tuple(block(mats[q], ds[q + 1], ds[q], "ce", s) for q in range(rows - 1))
+                out = tuple(_block(mats[q], ds[q + 1], ds[q], wrong_shape, "ce", s)
+                            for q in range(rows - 1))
                 for q in range(rows - 2):
-                    if any(mul(out[q + 1], out[q])):
+                    if any(linalg.product(out[q + 1], out[q])):
                         raise ValueError("row differential does not square to zero on %r" % (s,))
                 tuples[key] = mats, out
             self.ce[s] = tuples[key][1]
@@ -577,8 +550,9 @@ class CechLeafData:
             ds, df = dims[simplex], dims[face]
             key = (id(mats), ds, df)
             if key not in tuples:
-                tuples[key] = mats, tuple(block(m, ds[q], df[q], "restriction", simplex)
-                                          for q, m in enumerate(mats))
+                tuples[key] = mats, tuple(
+                    _block(m, ds[q], df[q], wrong_shape, "restriction", simplex)
+                    for q, m in enumerate(mats))
             self.restrictions[face_key] = tuples[key][1]
         extra = set(self.restrictions) - set(expected)
         if extra:
@@ -592,7 +566,7 @@ class CechLeafData:
             if key in chain_maps:
                 continue
             for q in range(rows - 1):
-                if not agree(ce_s[q], mats[q], mats[q + 1], ce_f[q]):
+                if linalg.product(ce_s[q], mats[q]) != linalg.product(mats[q + 1], ce_f[q]):
                     raise ValueError("restriction %r -> %r does not commute with the differential"
                                      % (face, simplex))
             chain_maps.add(key)
@@ -610,7 +584,7 @@ class CechLeafData:
                 if key in routes:
                     continue
                 for q in range(rows):
-                    if not agree(a_t[q], v_a[q], b_t[q], v_b[q]):
+                    if linalg.product(a_t[q], v_a[q]) != linalg.product(b_t[q], v_b[q]):
                         raise ValueError(
                             "restrictions to %r from %r disagree between routes" % (t, vertex)
                         )

@@ -211,7 +211,9 @@ def derivation_from_string(ctx, text, names=None, params=None):
     for the plain partials. Coefficients of a crossing partial d_i must be
     divisible by x_i, i.e. the field must be tangent to the crossing locus;
     the quotient becomes the stored b_i. Example: "lam1*y*dy + z*dz" with
-    names x, y, z and a rational parameter lam1.
+    names x, y, z and a rational parameter lam1.  names may also be the
+    finished table, as derivation_table returns it: a scene builds it once
+    for all the fields read on a germ.
 
     The text is read through total degree order + 2 in the variables and
     tokens (x-degree order + 1, as b_i is divided by x_i, plus one token),
@@ -221,7 +223,7 @@ def derivation_from_string(ctx, text, names=None, params=None):
     its b_i or a_j, past the order or on the crossing it is dropped there,
     and each jet is built with the bare constructor (see jets' docstring).
     """
-    table = derivation_table(ctx, names)
+    table = names if isinstance(names, dict) else derivation_table(ctx, names)
     n, r, order = ctx
     raw = parse_polynomial(text, table, width=2 * n, consts=params, bound=(order + 2, 0))
 

@@ -184,7 +184,9 @@ class Scene:
     # -- germs, fields, foliations --
 
     def germ(self):
-        """The ambient germ context and its variable names."""
+        """The ambient germ context, its variable names and their table with
+        the derivation tokens "d" + name (logcalc.derivation_table), built
+        once here for every field read on the germ."""
         spec = _expect(self._require("germ"), dict, "germ")
         n = _int(spec.get("n"), "germ.n")
         r = _int(spec.get("r", 0), "germ.r")
@@ -192,12 +194,11 @@ class Scene:
             ctx = jets.GermContext(n, r, self.order)
         names = spec.get("names")
         if names is None:
-            return ctx, ctx.default_names()
-        names = _variable_names(ctx, names, "germ.names")
+            names = ctx.default_names()
+        else:
+            names = _variable_names(ctx, names, "germ.names")
         with _at("germ.names"):
-            # fields on the germ are written in the derivation tokens "d" + name
-            logcalc.derivation_table(ctx, names)
-        return ctx, names
+            return ctx, names, logcalc.derivation_table(ctx, names)
 
     def params(self, ctx, names):
         """The named rationals, none of them a name of the germ ctx with the
@@ -216,17 +217,19 @@ class Scene:
             out[name] = scene_fraction(value, where)
         return out
 
-    def fields(self, ctx=None, names=None):
-        """All named vector fields of the scene, parsed on the ambient germ."""
-        if ctx is None:
-            ctx, names = self.germ()
+    def fields(self, germ=None):
+        """All named vector fields of the scene, parsed on the ambient germ,
+        given as germ() returns it or read here."""
+        ctx, names, table = germ or self.germ()
         spec = _expect(self._require("fields"), dict, "fields")
-        read = _parser(logcalc.derivation_from_string, ctx, names, self.params(ctx, names))
+        read = _parser(logcalc.derivation_from_string, ctx, table, self.params(ctx, names))
         return {name: read(text, "fields.%s" % name) for name, text in spec.items()}
 
-    def foliation(self):
-        ctx, names = self.germ()
-        fields = self.fields(ctx, names)
+    def foliation(self, germ=None):
+        """The foliation of the scene on the ambient germ, given as germ()
+        returns it or read here."""
+        germ = germ or self.germ()
+        ctx, fields = germ[0], self.fields(germ)
         spec = _expect(self._require("foliation"), dict, "foliation")
         return _foliation(ctx, fields, spec.get("generators"), "foliation.generators",
                           "foliation", spec.get("rank", 1))
@@ -234,7 +237,7 @@ class Scene:
     # -- log one-forms and surface forms --
 
     def one_form(self):
-        ctx, names = self.germ()
+        ctx, names, _ = self.germ()
         spec = _expect(self._require("one_form"), dict, "one_form")
         dlog = _expect(spec.get("dlog"), list, "one_form.dlog")
         reg = _expect(spec.get("reg", []), list, "one_form.reg")
@@ -321,10 +324,10 @@ class Scene:
 
         Components are matched to the crossing variables of the ambient germ
         in listed order; their fields are parsed on the component germs, in
-        the ambient names other than the component's own, x2 in {x1 = 0}
-        still naming the ambient x2.
+        the ambient names and tokens other than the component's own, x2 in
+        {x1 = 0} still naming the ambient x2.
         """
-        ctx, names = self.germ()
+        ctx, names, table = germ = self.germ()
         spec = _expect(self._require("components"), list, "components")
         if len(spec) != ctx.r:
             raise SceneError("need one component per crossing variable", "components")
@@ -334,13 +337,13 @@ class Scene:
         ambient_candidate = None
         if isinstance(candidate_spec, str):
             if self.has("fields") and candidate_spec in _expect(self.raw["fields"], dict, "fields"):
-                ambient_candidate = self.fields(ctx, names)[candidate_spec]
+                ambient_candidate = self.fields(germ)[candidate_spec]
             else:
-                read = _parser(logcalc.derivation_from_string, ctx, names, params)
+                read = _parser(logcalc.derivation_from_string, ctx, table, params)
                 ambient_candidate = read(candidate_spec, "candidate")
         else:
             candidate_spec = _expect(candidate_spec, dict, "candidate")
-        table = jets.name_table(ctx, names)
+        n = ctx.n
         candidates = []
         comp_fols = []
         for i, entry in enumerate(spec):
@@ -348,7 +351,9 @@ class Scene:
             entry = _expect(entry, dict, where)
             with _at(where):
                 comp_ctx = ctx.component(i)
-            comp_table = {name: j - (j > i) for name, j in table.items() if j != i}
+            # variables fill slots 0..n-1 and tokens n..2n-1; x_i's two go, later ones move down
+            comp_table = {name: j // n * (n - 1) + j % n - (j % n > i)
+                          for name, j in table.items() if j % n != i}
             read = _parser(logcalc.derivation_from_string, comp_ctx, comp_table, params)
             local = {fname: read(text, "%s.fields.%s" % (where, fname)) for fname, text
                      in _expect(entry.get("fields", {}), dict, where + ".fields").items()}
@@ -435,10 +440,14 @@ class Scene:
         triples = _int_vectors(spec.get("triples", []), "leaf_data.triples")
         name_of = {}
         for i, name in enumerate(opens):
-            if str(name) in name_of:
-                raise SceneError("open %r has the name of open %d" % (name, name_of[str(name)][0]),
-                                 "leaf_data.opens[%d]" % i)
-            name_of[str(name)] = (i,)
+            where = "leaf_data.opens[%d]" % i
+            text = str(name)
+            if "|" in text or "->" in text:
+                raise SceneError("open %r holds a label separator, | or ->" % text, where)
+            if text in name_of:
+                raise SceneError("open %r has the name of open %d" % (name, name_of[text][0]),
+                                 where)
+            name_of[text] = (i,)
         for key, simplices in (("pairs", pairs), ("triples", triples)):
             for k, s in enumerate(simplices):
                 for i in s:

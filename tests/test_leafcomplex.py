@@ -476,8 +476,8 @@ def test_validation_rejects_restrictions_that_disagree_between_routes():
 
 
 def test_validation_multiplies_each_distinct_block_object():
-    # constant_cover shares one identity block per row, so validation
-    # multiplies it once; a distinct block on one face gets its own products
+    # a face given its own copy of the shared identity tuple keeps the copy's
+    # dict rows as its blocks, and a doubled copy is caught on the routes
     data = triangle_data()
     shared = data.restriction((0,), (0, 1), 0)
     assert all(data.restriction(f, s, 0) is shared for f, s in data.restrictions)
@@ -501,6 +501,20 @@ def test_constant_cover_keeps_one_ce_tuple_and_one_restriction_tuple():
         assert all(data.ce[s] is ce for p in range(3) for s in data.simplices(p)), n
         eye = data.restrictions[((0,), (0, 1))]
         assert all(mats is eye for mats in data.restrictions.values()), n
+
+
+def test_constant_cover_validation_multiplies_as_often_for_every_size(monkeypatch):
+    # one ce tuple and one restriction tuple, each checked once, whatever the
+    # number of opens: the count of products does not grow with the cover
+    counts = []
+    for n in range(3, 7):
+        calls = []
+        product = linalg.product
+        monkeypatch.setattr(linalg, "product", lambda a, b: calls.append(1) or product(a, b))
+        constant_cover(ROW_COMPLEXES[0], n)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] > 0 and len(set(counts)) == 1, counts
 
 
 def test_validation_refuses_a_negative_dimension_before_reading_blocks():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from logfol import cli, leafcomplex, linalg
+from logfol import cli, leafcomplex, linalg, logcalc
 from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
@@ -309,6 +309,18 @@ def test_surface_names_may_be_derivation_tokens(tmp_path, capsys):
     scene = {"surface_form": {"names": ["y", "dy"], "a": "dy", "b": "-3*y"}}
     assert cli.main(["cs", "surface", write_scene(tmp_path, "s.json", scene)]) == 0
     assert "index 3 along the invariant curve" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["node_balanced", "pushout_euler"])
+def test_a_verdict_builds_its_derivation_table_once(monkeypatch, capsys, name):
+    # the germ's table serves every field read on it, the candidate's and,
+    # less the component's own variable and token, each component's
+    calls = []
+    build = logcalc.derivation_table
+    monkeypatch.setattr(logcalc, "derivation_table", lambda *a: calls.append(a) or build(*a))
+    path = SCENES / ("%s.json" % name)
+    assert cli.main(json.loads(path.read_text())["command"] + [str(path)]) == 0
+    assert len(calls) == 1
 
 
 def test_params_feed_expressions(tmp_path):
@@ -696,6 +708,20 @@ def test_cli_leaf_complex_explicit_rejects_indices_past_the_opens(tmp_path, caps
 ], ids=["equal names", "equal once str"])
 def test_cli_leaf_complex_explicit_rejects_repeated_open_names(tmp_path, capsys, opens,
                                                                first_line):
+    scene = json.loads(json.dumps(EXPLICIT_LEAF))
+    scene["leaf_data"]["opens"] = opens
+    assert cli.main(["leaf-complex", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("opens, first_line", [
+    (["U0->", "U1"], "error: leaf_data.opens[0]: open 'U0->' holds a label separator, | or ->"),
+    (["U0", ">-|"], "error: leaf_data.opens[1]: open '>-|' holds a label separator, | or ->"),
+], ids=["an arrow", "a bar"])
+def test_cli_leaf_complex_explicit_rejects_separators_in_open_names(tmp_path, capsys, opens,
+                                                                    first_line):
+    # a simplex label joins open names with |, a restriction label two of them
+    # with ->; scenes/explicit_separator_open.json names an open like a pair
     scene = json.loads(json.dumps(EXPLICIT_LEAF))
     scene["leaf_data"]["opens"] = opens
     assert cli.main(["leaf-complex", write_scene(tmp_path, "s.json", scene)]) == 2

@@ -236,8 +236,7 @@ def _cmd_pushout_check(args, scn: Scene):
 
 
 def _cmd_pushout_member(args, scn: Scene):
-    ctx, candidate, fols = scn.pushout_inputs()
-    names = scn.component_names()
+    ctx, candidate, fols, names = scn.pushout_inputs()
     try:
         res = foliations.pushout_membership(candidate, fols, germ_ctx=ctx)
     except foliations.StratumDisagreementError as e:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .exprs import _power, _product, _sum, parse_polynomial
@@ -347,26 +346,3 @@ def jet_from_string(ctx, text, names=None, params=None):
     return Jet(ctx, {e: c if type(c) is int else _exact(c) for e, c in raw.items()
                      if sum(e) <= order and not _on_crossing(e, r)})
 
-
-@lru_cache(maxsize=16)
-def monomials(ctx, max_degree):
-    """All normal-form exponent tuples of total degree <= max_degree.
-
-    A tuple sorted by degree, then lexicographically; cached per
-    (ctx, max_degree).  The solvers do not walk it; it is the tests' reference
-    for semistability._t1_unknowns.
-    """
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            e = tuple(prefix)
-            if not _on_crossing(e, ctx.r):
-                out.append(e)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], max_degree, ctx.n)
-    out.sort(key=lambda e: (sum(e), e))
-    return tuple(out)

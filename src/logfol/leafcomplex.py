@@ -167,11 +167,6 @@ class LieAlgebra(namedtuple("LieAlgebra", "structure")):
         return _from_columns([self.bracket(x, {j: 1}) for j in range(self.dim)], self.dim)
 
 
-def abelian_algebra(n):
-    zero = (0,) * n
-    return LieAlgebra(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
-
-
 class LieModuleData(namedtuple("LieModuleData", "algebra action")):
     """A module over a finite-dimensional Lie algebra.
 
@@ -210,11 +205,6 @@ class LieModuleData(namedtuple("LieModuleData", "algebra action")):
         x = _sparse(x)
         return tuple(_combine((c, self.action[i][r]) for i, c in x.items())
                      for r in range(self.dim))
-
-
-def adjoint_module(algebra: LieAlgebra) -> LieModuleData:
-    return LieModuleData(
-        algebra, tuple(algebra.adjoint_matrix({i: 1}) for i in range(algebra.dim)))
 
 
 def ce_basis(n, k):

@@ -132,13 +132,12 @@ def _parser(parse, ctx, names, params):
 
 
 def _variable_names(ctx, names, where):
-    """The list names as one string per variable of ctx, free of clashes
-    with each other and with the default names x1..xn."""
+    """The list names as one string per variable of ctx; the caller's table
+    of them, built at where, refuses clashes with each other and with the
+    default names x1..xn."""
     names = _expect(names, list, where)
     if len(names) != ctx.n or not all(isinstance(s, str) for s in names):
         raise SceneError("need %d variable names, as strings" % ctx.n, where)
-    with _at(where):
-        jets.name_table(ctx, names)
     return tuple(names)
 
 
@@ -200,19 +199,21 @@ class Scene:
         with _at("germ.names"):
             return ctx, names, logcalc.derivation_table(ctx, names)
 
-    def params(self, ctx, names):
-        """The named rationals, none of them a name of the germ ctx with the
-        variable names names, the one the expressions are read on, or the
-        derivation token "d" + such a name: a parameter would replace it in
-        every expression.  A component germ reads a subset of those names."""
+    def params(self, ctx, table):
+        """The named rationals, none of them a name of the germ ctx, the one
+        the expressions are read on, or the derivation token "d" + such a
+        name: a parameter would replace it in every expression.  table is
+        the germ's table, as jets.name_table or logcalc.derivation_table
+        builds it; its variables are the entries below ctx.n.  A component
+        germ reads a subset of those names."""
         spec = _expect(self._get("params", {}), dict, "params")
-        table = jets.name_table(ctx, names) if spec else {}
+        n = ctx.n
         out = {}
         for name, value in spec.items():
             where = "params.%s" % name
-            if name in table:
+            if table.get(name, n) < n:
                 raise SceneError("%r names variable %d of the germ" % (name, table[name] + 1), where)
-            if name[:1] == "d" and name[1:] in table:
+            if name[:1] == "d" and table.get(name[1:], n) < n:
                 raise SceneError("%r is the derivation token of %r" % (name, name[1:]), where)
             out[name] = scene_fraction(value, where)
         return out
@@ -220,9 +221,9 @@ class Scene:
     def fields(self, germ=None):
         """All named vector fields of the scene, parsed on the ambient germ,
         given as germ() returns it or read here."""
-        ctx, names, table = germ or self.germ()
+        ctx, _, table = germ or self.germ()
         spec = _expect(self._require("fields"), dict, "fields")
-        read = _parser(logcalc.derivation_from_string, ctx, table, self.params(ctx, names))
+        read = _parser(logcalc.derivation_from_string, ctx, table, self.params(ctx, table))
         return {name: read(text, "fields.%s" % name) for name, text in spec.items()}
 
     def foliation(self, germ=None):
@@ -237,7 +238,7 @@ class Scene:
     # -- log one-forms and surface forms --
 
     def one_form(self):
-        ctx, names, _ = self.germ()
+        ctx, names, table = self.germ()
         spec = _expect(self._require("one_form"), dict, "one_form")
         dlog = _expect(spec.get("dlog"), list, "one_form.dlog")
         reg = _expect(spec.get("reg", []), list, "one_form.reg")
@@ -245,7 +246,7 @@ class Scene:
             raise SceneError(
                 "need %d dlog and %d regular coefficients" % (ctx.r, ctx.n - ctx.r), "one_form"
             )
-        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, names))
+        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, table))
         dlog_jets = _items(dlog, "one_form.dlog", read)
         reg_jets = _items(reg, "one_form.reg", read)
         with _at("one_form"):
@@ -267,7 +268,9 @@ class Scene:
         spec = _expect(self._require("surface_form"), dict, "surface_form")
         ctx = jets.GermContext(2, 0, self.order)
         names = _variable_names(ctx, spec.get("names", ["y", "z"]), "surface_form.names")
-        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, names))
+        with _at("surface_form.names"):
+            table = jets.name_table(ctx, names)
+        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, table))
         return foliations.SurfaceOneForm(read(spec.get("a"), "surface_form.a"),
                                          read(spec.get("b"), "surface_form.b"))
 
@@ -325,13 +328,14 @@ class Scene:
         Components are matched to the crossing variables of the ambient germ
         in listed order; their fields are parsed on the component germs, in
         the ambient names and tokens other than the component's own, x2 in
-        {x1 = 0} still naming the ambient x2.
+        {x1 = 0} still naming the ambient x2.  The component names come
+        back last, in listed order.
         """
-        ctx, names, table = germ = self.germ()
+        ctx, _, table = germ = self.germ()
         spec = _expect(self._require("components"), list, "components")
         if len(spec) != ctx.r:
             raise SceneError("need one component per crossing variable", "components")
-        params = self.params(ctx, names)
+        params = self.params(ctx, table)
         comp_names = self.component_names()
         candidate_spec = self._require("candidate")
         ambient_candidate = None
@@ -367,8 +371,8 @@ class Scene:
                 raise SceneError("no candidate entry for component %r" % cname, "candidate")
             candidates.append(read(candidate_spec[cname], "candidate.%s" % cname))
         if ambient_candidate is not None:
-            return ctx, ambient_candidate, tuple(comp_fols)
-        return ctx, tuple(candidates), tuple(comp_fols)
+            return ctx, ambient_candidate, tuple(comp_fols), comp_names
+        return ctx, tuple(candidates), tuple(comp_fols), comp_names
 
     # -- holonomy and degrees --
 
@@ -472,7 +476,7 @@ class Scene:
             if "->" not in label:
                 raise SceneError('restriction labels look like "U0->U0|U1"', where)
             src, dst = label.split("->", 1)
-            key = (simplex(src.strip(), where), simplex(dst.strip(), where))
+            key = (simplex(src, where), simplex(dst, where))
             restrictions[key] = _items(mats, where, _fraction_matrix)
         ce = {}
         for label, mats in _expect(spec.get("ce"), dict, "leaf_data.ce").items():

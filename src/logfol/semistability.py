@@ -103,9 +103,8 @@ def _zeros(e, r):
 @lru_cache(maxsize=16)
 def _t1_unknowns(ctx, d):
     """The monomials of degree 1 to d alive in T1 (at most r - 2 crossing
-    exponents nonzero), in monomials() order: by degree, then lex.  Listed
-    directly, and cached like monomials(), since every solve at one order
-    walks them."""
+    exponents nonzero), by degree, then lex.  Listed directly, and cached
+    per (ctx, d), since every solve at one order walks them."""
     n, r = ctx.n, ctx.r
     out = []
 

@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 
 from logfol import foliations, leafcomplex, linalg, semistability
-from logfol.jets import GermContext, Jet, monomials
+from logfol.jets import GermContext, Jet
 from logfol.logcalc import LogDerivation, lie_bracket
+
+from reference import abelian_algebra, adjoint_module, monomials
 
 
 # -- random generators ----------------------------------------------------------
@@ -87,7 +89,7 @@ def _rand_module(rng):
     if kind == "abelian":
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
-        algebra = leafcomplex.abelian_algebra(n)
+        algebra = abelian_algebra(n)
         action = []
         for _ in range(n):
             action.append(tuple(
@@ -98,7 +100,7 @@ def _rand_module(rng):
     base = leafcomplex.LieAlgebra(_BASE_STRUCTURES[kind])
     p = _rand_unimodular(rng, base.dim)
     columns = [{k: row[i] for k, row in enumerate(p) if i in row} for i in range(base.dim)]
-    return leafcomplex.adjoint_module(leafcomplex._sub_structure(base, columns))
+    return adjoint_module(leafcomplex._sub_structure(base, columns))
 
 
 def _rand_cover(rng):

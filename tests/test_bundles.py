@@ -6,18 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logfol import (
-    GermContext,
-    GradedBundleP1,
-    SNCCurveBundle,
-    check_normal_degrees,
-    cohomology_snc_curve,
-    h_p1,
-    leaf_complex_hypercohomology,
-    linalg,
-    monoids,
-    p1_window_cover,
-)
+from logfol import linalg, monoids
+from logfol.bundles import GradedBundleP1, SNCCurveBundle, cohomology_snc_curve, h_p1
+from logfol.jets import GermContext
+from logfol.leafcomplex import leaf_complex_hypercohomology, p1_window_cover
+from logfol.semistability import check_normal_degrees
 
 
 def h_p1_oracle(d):

@@ -7,23 +7,23 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logfol import (
+from logfol import cli, foliations, linalg
+from logfol.foliations import (
     FoliationGerm,
-    GermContext,
+    MissingStratumError,
     SNCGlueData,
     SurfaceOneForm,
+    _span_system,
     check_gluing_cocycle,
-    derivation_from_string,
     involutivity_check,
-    lie_bracket,
     pushout_membership,
     restrict_derivation,
     span_membership,
 )
-from logfol import cli, foliations, linalg
-from logfol.foliations import MissingStratumError, _span_system
-from logfol.jets import Jet, monomials
-from logfol.logcalc import LogDerivation
+from logfol.jets import GermContext, Jet
+from logfol.logcalc import LogDerivation, derivation_from_string, lie_bracket
+
+from reference import monomials
 
 
 CTX = GermContext(3, 2, 5)

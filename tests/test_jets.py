@@ -12,17 +12,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logfol import (
-    ExprError,
-    GermContext,
-    format_jet,
-    jet_from_string,
-    monomials,
-)
-from logfol.exprs import parse_polynomial
-from logfol.jets import ContextMismatchError, Jet, NonUnitError
+from logfol.exprs import ExprError, parse_polynomial
+from logfol.jets import (ContextMismatchError, GermContext, Jet, NonUnitError, format_jet,
+                         jet_from_string)
 
 from exact_rule import follows_the_rule
+from reference import monomials
 
 
 CTX = GermContext(2, 2, 4)

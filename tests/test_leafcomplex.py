@@ -13,8 +13,6 @@ from logfol.leafcomplex import (
     FinLieData,
     LieAlgebra,
     LieModuleData,
-    abelian_algebra,
-    adjoint_module,
     ce_basis,
     ce_differential,
     coboundary_triple,
@@ -26,6 +24,7 @@ from logfol.leafcomplex import (
 )
 
 from exact_rule import follows_the_rule
+from reference import abelian_algebra, adjoint_module
 
 
 def sl2():

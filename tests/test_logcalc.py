@@ -5,15 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logfol import (
-    GermContext,
-    LogOneForm,
-    derivation_from_string,
-    format_derivation,
-    lie_bracket,
-)
-from logfol.jets import Jet
-from logfol.logcalc import LogDerivation, TangencyParseError
+from logfol.jets import GermContext, Jet
+from logfol.logcalc import (LogDerivation, LogOneForm, TangencyParseError, derivation_from_string,
+                            format_derivation, lie_bracket)
 
 
 CTX = GermContext(3, 2, 5)

@@ -11,6 +11,8 @@ import pytest
 from logfol import bundles, foliations, leafcomplex, logcalc, monoids, semistability
 from logfol.jets import ContextMismatchError, GermContext, Jet, jet_from_string
 
+from reference import abelian_algebra, adjoint_module
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 CTX = GermContext(2, 2, 4)
 
@@ -37,8 +39,7 @@ def _glue():
 
 
 def _lie():
-    return leafcomplex.FinLieData(leafcomplex.abelian_algebra(2), ((1, 0),), ((0, 1),),
-                                  (((0, 0),),))
+    return leafcomplex.FinLieData(abelian_algebra(2), ((1, 0),), ((0, 1),), (((0, 0),),))
 
 
 SURFACE = GermContext(2, 0, 4)
@@ -66,9 +67,8 @@ VALUES = [
     (bundles.GradedBundleP1, lambda: bundles.GradedBundleP1((0, -1)), "degrees"),
     (bundles.SNCCurveBundle, lambda: bundles.SNCCurveBundle.with_identity_glue((0, 1), (1, 0)),
      "glue"),
-    (leafcomplex.LieAlgebra, lambda: leafcomplex.abelian_algebra(2), "structure"),
-    (leafcomplex.LieModuleData,
-     lambda: leafcomplex.adjoint_module(leafcomplex.abelian_algebra(2)), "action"),
+    (leafcomplex.LieAlgebra, lambda: abelian_algebra(2), "structure"),
+    (leafcomplex.LieModuleData, lambda: adjoint_module(abelian_algebra(2)), "action"),
     (leafcomplex.FinLieData, _lie, "mu"),
     (leafcomplex.LieObstruction, lambda: leafcomplex.lie_subalgebra_obstruction(_lie()),
      "vanishes"),

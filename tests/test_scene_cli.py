@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from logfol import cli, leafcomplex, linalg, logcalc
+from logfol import cli, jets, leafcomplex, linalg, logcalc
 from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
@@ -311,6 +311,21 @@ def test_surface_names_may_be_derivation_tokens(tmp_path, capsys):
     assert "index 3 along the invariant curve" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["node_balanced", "semistable_general_syntax"])
+def test_a_verdict_builds_its_name_table_once(monkeypatch, capsys, name):
+    # the germ's names (node_balanced names them) are checked by the one
+    # table derivation_table builds, and params (semistable_general_syntax
+    # has one) read that table
+    calls = []
+    build = jets.name_table
+    counted = lambda *a: calls.append(a) or build(*a)
+    monkeypatch.setattr(jets, "name_table", counted)
+    monkeypatch.setattr(logcalc, "name_table", counted)
+    path = SCENES / ("%s.json" % name)
+    assert cli.main(json.loads(path.read_text())["command"] + [str(path)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["node_balanced", "pushout_euler"])
 def test_a_verdict_builds_its_derivation_table_once(monkeypatch, capsys, name):
     # the germ's table serves every field read on it, the candidate's and,
@@ -330,6 +345,21 @@ def test_params_feed_expressions(tmp_path):
             "germ": {"n": 2, "r": 2},
             "params": {"lam": "-3/2"},
             "fields": {"v": "x1*dx1 + lam*x2*dx2"},
+            "foliation": {"generators": ["v"]},
+        },
+    )
+    fol = load_scene(path).foliation()
+    assert fol.generators[0].b[1].constant_term() == Fraction(-3, 2)
+
+
+def test_a_param_may_be_d_plus_a_derivation_token(tmp_path):
+    # the germ's table holds the tokens too; only its variables guard params
+    path = write_scene(
+        tmp_path, "s.json",
+        {
+            "germ": {"n": 2, "r": 2},
+            "params": {"ddx2": "-3/2"},
+            "fields": {"v": "x1*dx1 + ddx2*x2*dx2"},
             "foliation": {"generators": ["v"]},
         },
     )
@@ -726,6 +756,16 @@ def test_cli_leaf_complex_explicit_rejects_separators_in_open_names(tmp_path, ca
     scene["leaf_data"]["opens"] = opens
     assert cli.main(["leaf-complex", write_scene(tmp_path, "s.json", scene)]) == 2
     assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+def test_cli_leaf_complex_explicit_reads_restriction_labels_as_written(tmp_path, capsys):
+    # a blank is part of a label; scenes/explicit_blank_names.json names an open " A"
+    scene = json.loads(json.dumps(EXPLICIT_LEAF))
+    restrictions = scene["leaf_data"]["restrictions"]
+    restrictions["U0 -> U0|U1"] = restrictions.pop("U0->U0|U1")
+    assert cli.main(["leaf-complex", write_scene(tmp_path, "s.json", scene)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "error: leaf_data.restrictions.U0 -> U0|U1: unknown simplex label 'U0 '")
 
 
 # -- obstruction subcommands -----------------------------------------------------------

@@ -16,31 +16,29 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logfol import (
-    FoliationGerm,
-    GermContext,
+from logfol import cli, linalg, semistability
+from logfol.foliations import (FoliationGerm, InconclusiveAtOrderError, NonInvariantError,
+                               SurfaceOneForm, span_membership)
+from logfol.jets import GermContext, Jet
+from logfol.logcalc import LogDerivation, LogOneForm, derivation_from_string
+from logfol.semistability import (
+    FlatUnitResult,
     HolonomyData,
-    LogOneForm,
     ResonanceError,
-    SurfaceOneForm,
+    T1Section,
     check_holonomy_compatibility,
     check_normal_degrees,
     cs_index_log,
     cs_index_surface,
-    derivation_from_string,
     find_flat_unit,
     laurent_residue,
     nabla,
     t1_monomial_alive,
     t1_reduce,
 )
-from logfol import cli, linalg, semistability
-from logfol.foliations import InconclusiveAtOrderError, NonInvariantError, span_membership
-from logfol.jets import Jet, monomials
-from logfol.logcalc import LogDerivation
-from logfol.semistability import FlatUnitResult, T1Section
 
 from identities import _field_keeping_flat
+from reference import monomials
 
 
 # -- oracle -------------------------------------------------------------------

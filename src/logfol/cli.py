@@ -48,51 +48,23 @@ from .scene import Scene, SceneError, load_scene
 EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3, "internal": 4}
 
 
-class Report:
-    """What a command answers; tool is the command's words joined by "-",
-    set by _run_one, and scene and order are filled in there too."""
+class Report(namedtuple("Report", "decision summary details lines scene order tool",
+                        defaults=((), None, None, None))):
+    """What a command answers; scene, order and tool (the command's words
+    joined by "-") are written by _run_one alone."""
 
-    __slots__ = ("decision", "summary", "details", "lines", "scene", "order", "tool")
-
-    def __init__(self, decision, summary, details, lines=(), scene=None, order=None, tool=None):
-        self.decision = decision
-        self.summary = summary
-        self.details = details
-        self.lines = lines
-        self.scene = scene
-        self.order = order
-        self.tool = tool
-
-    def __eq__(self, other):
-        if other.__class__ is not Report:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in Report.__slots__)
+    __slots__ = ()
 
     def exit_code(self):
         return EXIT_BY_DECISION[self.decision]
 
     def to_dict(self):
-        return {
-            "tool": self.tool,
-            "decision": self.decision,
-            "summary": self.summary,
-            "details": self.details,
-            "lines": list(self.lines),
-            "scene": self.scene,
-            "order": self.order,
-        }
+        return dict(self._asdict(), lines=list(self.lines))
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            tool=d["tool"],
-            decision=d["decision"],
-            summary=d["summary"],
-            details=d["details"],
-            lines=tuple(d.get("lines", ())),
-            scene=d.get("scene"),
-            order=d.get("order"),
-        )
+        return cls(d["decision"], d["summary"], d["details"], tuple(d.get("lines", ())),
+                   d.get("scene"), d.get("order"), d["tool"])
 
 
 def _fstr(x):
@@ -170,13 +142,11 @@ def _cmd_semistable_check(args, scn: Scene):
             summary="flat unit exists at order %d (%s)" % (res.order, qualifier),
             details={"unit": unit_str, "unique": bool(res.unique), "order": res.order},
             lines=("unit = %s" % unit_str,),
-            order=res.order,
         )
     return Report(
         decision="no",
         summary="no flat unit; the degree-%d system is inconsistent" % res.failing_degree,
         details={"failing_degree": res.failing_degree, "order": res.order},
-        order=res.order,
     )
 
 
@@ -247,14 +217,12 @@ def _cmd_pushout_member(args, scn: Scene):
             decision="yes",
             summary="candidate restricts into every component foliation (order %d)" % res.order,
             details={"order": res.order},
-            order=res.order,
         )
     failing = names[res.failing_component]
     return Report(
         decision="no",
         summary="candidate leaves the foliation on component %s (order %d)" % (failing, res.order),
         details={"failing_component": failing, "order": res.order},
-        order=res.order,
     )
 
 
@@ -396,34 +364,29 @@ def _named_command(args, scn):
 
 def _run_one(args, scene_path):
     """The report of args' command on scene_path, error reports included,
-    named after the command (args.tool); for run, the command the scene names."""
+    named after the command (args.tool); for run, the command the scene names.
+    Its scene, order and tool are written here and nowhere else: a decided
+    report's order is the scene's in force, or --order when the command
+    reads no scene."""
     where = str(scene_path) if scene_path else None
+    scn = order = None
     try:
-        scn = None
         if args.needs_scene:
             scn = load_scene(scene_path, order=getattr(args, "order", None))
         if args.handler is None:
             args = _named_command(args, scn)
         report = args.handler(args, scn)
+        order = scn.order if scn is not None else getattr(args, "order", None)
     except InconclusiveAtOrderError as e:
-        report = Report("inconclusive", str(e), {}, scene=where)
+        report = Report("inconclusive", str(e), {})
     except (SceneError, ValueError) as e:
-        report = Report("error", str(e) or type(e).__name__, {}, scene=where)
+        report = Report("error", str(e) or type(e).__name__, {})
     except Exception as e:  # a crash must not read as yes, no or inconclusive
         import traceback  # here, not at the top: it adds ~3 ms to every start-up
 
         message = "internal error: %s: %s" % (type(e).__name__, e)
-        report = Report("internal", message, {"traceback": traceback.format_exc()}, scene=where)
-    else:
-        if scene_path is not None and report.scene is None:
-            report.scene = str(scene_path)
-        if report.order is None:
-            order = getattr(args, "order", None)
-            if order is None and scn is not None:
-                order = scn.order
-            report.order = order
-    report.tool = args.tool
-    return report
+        report = Report("internal", message, {"traceback": traceback.format_exc()})
+    return report._replace(scene=where, order=order, tool=args.tool)
 
 
 def _say(text):

@@ -138,7 +138,7 @@ class _UnitPivots:
         ctx = self.ctx = targets[0].ctx
         if any(g.ctx != ctx for g in generators):
             raise ContextMismatchError("generator context mismatch")
-        d = self.d = min(d, ctx.order)
+        self.d = d
         zero = self.zero = Jet.zero(ctx)
         self.size = len(generators)
         # per component: {generator: nonzero entry} and [target entries]
@@ -200,7 +200,6 @@ def _solve_span(target, generators, order):
 
 def _reproduces(coeffs, generators, target, d):
     """Does sum_k c_k * gen_k equal target through degree d?"""
-    d = min(d, target.ctx.order)
     comps = [g.components() for g in generators]
     for i, t in enumerate(target.components()):
         acc = t.truncate(d)
@@ -212,11 +211,12 @@ def _reproduces(coeffs, generators, target, d):
     return True
 
 
-def span_membership(target, generators, order):
-    """Jets c_k with sum_k c_k * gen_k = target up to the given degree.
+def span_membership(target, generators):
+    """Jets c_k with sum_k c_k * gen_k = target through the order of the
+    target's germ.
 
     Returns the tuple of coefficient jets, or None when the target is
-    provably outside the span at this order.  Unit pivots split off every
+    provably outside the span at that order.  Unit pivots split off every
     generator that is independent at the origin (_UnitPivots).  What is
     left in the maximal ideal is one system over the block the target
     reaches (_span_system), solved with free unknowns set to 0: a target
@@ -227,6 +227,7 @@ def span_membership(target, generators, order):
     returned: sum_k c_k * gen_k - target must vanish through the order, and
     RuntimeError says it does not.
     """
+    order = target.ctx.order
     coeffs = _solve_span(target, generators, order)
     if coeffs is not None and not _reproduces(coeffs, generators, target, order):
         raise RuntimeError("span membership certificate failed: the coefficients "
@@ -242,22 +243,19 @@ class InvolutivityResult(namedtuple("InvolutivityResult", "ok order failing_pair
         return self.ok
 
 
-def involutivity_check(fol: FoliationGerm, order=None):
+def involutivity_check(fol: FoliationGerm):
     """Are all generator brackets in the jet span of the generators?
 
-    Brackets are valid one order below the context order, so the membership
-    is decided at order - 1 (or at the explicit order argument).  Brackets
-    zero through that degree are dropped, and if none is left nothing is
-    pivoted.  One unit pivot reduction (_UnitPivots) is shared by every
-    other bracket column, and
+    Brackets are valid one order below the germ's order, so the membership
+    is decided at order - 1.  Brackets zero through that degree are
+    dropped, and if none is left nothing is pivoted.  One unit pivot
+    reduction (_UnitPivots) is shared by every other bracket column, and
     one echelon of [A | b_1 ... b_m] over the block the brackets reach
     (_span_system) decides the rest: bracket p is outside the span exactly
     when a basis row with no entry in A (pivot at or after column n) is
     nonzero in its column.  The first such pair in order is reported.
     """
-    d = (order if order is not None else fol.ctx.order) - 1
-    if d < 0:
-        raise ValueError("order too small to decide anything")
+    d = fol.ctx.order - 1
     gens = fol.generators
     brackets = {(i, j): lie_bracket(gens[i], gens[j])
                 for i in range(len(gens)) for j in range(i + 1, len(gens))}
@@ -404,7 +402,7 @@ def pushout_membership(fields, component_foliations, germ_ctx=None):
         raise ValueError("expected one foliation per component")
     witnesses = []
     for i, fol in enumerate(component_foliations):
-        w = span_membership(per_comp[i], fol.generators, ctx.order)
+        w = span_membership(per_comp[i], fol.generators)
         witnesses.append(w)
         if w is None:
             return PushoutResult(False, ctx.order, tuple(witnesses), failing_component=i)

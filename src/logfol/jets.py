@@ -337,10 +337,13 @@ def name_table(ctx, names=None):
     return table
 
 
-def jet_from_string(ctx, text, names=None, params=None):
+def jet_from_string(ctx, text, table=None, params=None):
     """Parse polynomial syntax like "3/2*x1^2*x3 - 1" into a Jet, computed
-    only through the order and off the crossing."""
-    table = name_table(ctx, names)
+    only through the order and off the crossing.  table maps every accepted
+    name to its variable, as name_table builds it (default: the names
+    x1..xn alone)."""
+    if table is None:
+        table = name_table(ctx)
     n, r, order = ctx
     raw = parse_polynomial(text, table, width=n, consts=params, bound=(order, r))
     return Jet(ctx, {e: c if type(c) is int else _exact(c) for e, c in raw.items()

@@ -204,16 +204,17 @@ def derivation_table(ctx, names=None):
     return table
 
 
-def derivation_from_string(ctx, text, names=None, params=None):
+def derivation_from_string(ctx, text, table=None, params=None):
     """Parse vector-field syntax into a LogDerivation.
 
     The derivation tokens d1..dn (and dx, dy, ... for named variables) stand
     for the plain partials. Coefficients of a crossing partial d_i must be
     divisible by x_i, i.e. the field must be tangent to the crossing locus;
     the quotient becomes the stored b_i. Example: "lam1*y*dy + z*dz" with
-    names x, y, z and a rational parameter lam1.  names may also be the
-    finished table, as derivation_table returns it: a scene builds it once
-    for all the fields read on a germ.
+    names x, y, z and a rational parameter lam1.  table maps every accepted
+    name and token to its slot, as derivation_table builds it (default: the
+    names x1..xn and their tokens alone): a scene builds it once for all the
+    fields read on a germ.
 
     The text is read through total degree order + 2 in the variables and
     tokens (x-degree order + 1, as b_i is divided by x_i, plus one token),
@@ -223,7 +224,8 @@ def derivation_from_string(ctx, text, names=None, params=None):
     its b_i or a_j, past the order or on the crossing it is dropped there,
     and each jet is built with the bare constructor (see jets' docstring).
     """
-    table = names if isinstance(names, dict) else derivation_table(ctx, names)
+    if table is None:
+        table = derivation_table(ctx)
     n, r, order = ctx
     raw = parse_polynomial(text, table, width=2 * n, consts=params, bound=(order + 2, 0))
 

@@ -118,15 +118,16 @@ def _int_vectors(rows, where):
     return _items(rows, where, lambda row, at: _numbers(row, at, _integer))
 
 
-def _parser(parse, ctx, names, params):
+def _parser(parse, ctx, table, params):
     """read(text, where): the expression string text parsed on ctx by parse
-    (jets.jet_from_string or logcalc.derivation_from_string), an error in
-    the text or the names raised as SceneError at where."""
+    (jets.jet_from_string or logcalc.derivation_from_string) through the
+    finished name table, an error in the text raised as SceneError at
+    where."""
 
     def read(text, where):
         text = _expect(text, str, where)
         with _at(where):
-            return parse(ctx, text, names=names, params=params)
+            return parse(ctx, text, table=table, params=params)
 
     return read
 
@@ -238,7 +239,7 @@ class Scene:
     # -- log one-forms and surface forms --
 
     def one_form(self):
-        ctx, names, table = self.germ()
+        ctx, _, table = self.germ()
         spec = _expect(self._require("one_form"), dict, "one_form")
         dlog = _expect(spec.get("dlog"), list, "one_form.dlog")
         reg = _expect(spec.get("reg", []), list, "one_form.reg")
@@ -246,7 +247,8 @@ class Scene:
             raise SceneError(
                 "need %d dlog and %d regular coefficients" % (ctx.r, ctx.n - ctx.r), "one_form"
             )
-        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, table))
+        variables = {name: i for name, i in table.items() if i < ctx.n}
+        read = _parser(jets.jet_from_string, ctx, variables, self.params(ctx, table))
         dlog_jets = _items(dlog, "one_form.dlog", read)
         reg_jets = _items(reg, "one_form.reg", read)
         with _at("one_form"):
@@ -270,7 +272,7 @@ class Scene:
         names = _variable_names(ctx, spec.get("names", ["y", "z"]), "surface_form.names")
         with _at("surface_form.names"):
             table = jets.name_table(ctx, names)
-        read = _parser(jets.jet_from_string, ctx, names, self.params(ctx, table))
+        read = _parser(jets.jet_from_string, ctx, table, self.params(ctx, table))
         return foliations.SurfaceOneForm(read(spec.get("a"), "surface_form.a"),
                                          read(spec.get("b"), "surface_form.b"))
 
@@ -328,10 +330,11 @@ class Scene:
         Components are matched to the crossing variables of the ambient germ
         in listed order; their fields are parsed on the component germs, in
         the ambient names and tokens other than the component's own, x2 in
-        {x1 = 0} still naming the ambient x2.  The component names come
-        back last, in listed order.
+        {x1 = 0} still naming the ambient x2.  A candidate that names a
+        field is that field, read alone at fields.<name>.  The component
+        names come back last, in listed order.
         """
-        ctx, _, table = germ = self.germ()
+        ctx, _, table = self.germ()
         spec = _expect(self._require("components"), list, "components")
         if len(spec) != ctx.r:
             raise SceneError("need one component per crossing variable", "components")
@@ -340,10 +343,11 @@ class Scene:
         candidate_spec = self._require("candidate")
         ambient_candidate = None
         if isinstance(candidate_spec, str):
-            if self.has("fields") and candidate_spec in _expect(self.raw["fields"], dict, "fields"):
-                ambient_candidate = self.fields(germ)[candidate_spec]
+            read = _parser(logcalc.derivation_from_string, ctx, table, params)
+            fields = _expect(self._get("fields", {}), dict, "fields")
+            if candidate_spec in fields:
+                ambient_candidate = read(fields[candidate_spec], "fields.%s" % candidate_spec)
             else:
-                read = _parser(logcalc.derivation_from_string, ctx, table, params)
                 ambient_candidate = read(candidate_spec, "candidate")
         else:
             candidate_spec = _expect(candidate_spec, dict, "candidate")

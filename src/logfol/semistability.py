@@ -10,10 +10,9 @@ which is jet-linear in v and a connection in g. A foliation is of semistable
 type exactly when a nowhere-vanishing flat section exists, so find_flat_unit
 solves nabla_v g = 0 for all generators with g(0) = 1, degree by degree.
 Its linear system is read straight off the coefficient terms of the b_i and
-a_j, as ints where integral, with no jet built per unknown.  nabla and
-T1Section are the reference the tests compare against, and
-also the certificate: every unit found is re-checked through nabla before
-it is returned.
+a_j, as ints where integral, with no jet built per unknown.  nabla is the
+reference the tests compare against, and also the certificate: every unit
+found is re-checked through nabla before it is returned.
 
 Camacho-Sad indices along double strata come in two independent flavors: the
 residue formula attached to a log one-form (cs_index_log) and the classical
@@ -59,32 +58,15 @@ def t1_reduce(jet):
     return Jet(jet.ctx, {e: c for e, c in jet.terms.items() if t1_monomial_alive(jet.ctx, e)})
 
 
-class T1Section(namedtuple("T1Section", "g")):
-    """Class in T1, stored by its reduced representative g."""
-
-    __slots__ = ()
-
-    @classmethod
-    def make(cls, jet):
-        return cls(t1_reduce(jet))
-
-    @property
-    def ctx(self):
-        return self.g.ctx
-
-    def is_zero(self):
-        return self.g.is_zero()
-
-
-def nabla(v: LogDerivation, section: T1Section):
-    """Connection action of a log derivation on a T1 class.
+def nabla(v: LogDerivation, g: Jet):
+    """Connection action of a log derivation on the class of the jet g in
+    T1, as its reduced jet (t1_reduce).
 
     Valid one order below the context order when v has smooth directions.
     """
-    g = section.g
     if v.ctx != g.ctx:
         raise ValueError("derivation and section context mismatch")
-    return T1Section.make(v.apply(g) - v.log_trace().mul_to(g, g.ctx.order))
+    return t1_reduce(v.apply(g) - v.log_trace().mul_to(g, g.ctx.order))
 
 
 class FlatUnitResult(namedtuple("FlatUnitResult", "ok order unit failing_degree unique",
@@ -101,10 +83,10 @@ def _zeros(e, r):
 
 
 @lru_cache(maxsize=16)
-def _t1_unknowns(ctx, d):
-    """The monomials of degree 1 to d alive in T1 (at most r - 2 crossing
-    exponents nonzero), by degree, then lex.  Listed directly, and cached
-    per (ctx, d), since every solve at one order walks them."""
+def _t1_unknowns(ctx):
+    """The monomials of degree 1 to the order of ctx alive in T1 (at most
+    r - 2 crossing exponents nonzero), by degree, then lex.  Listed
+    directly, and cached per ctx, since every solve on one germ walks them."""
     n, r = ctx.n, ctx.r
     out = []
 
@@ -116,7 +98,7 @@ def _t1_unknowns(ctx, d):
         for v in range(left + 1 if spare or i >= r else 1):
             fill(e + (v,), i + 1, left - v, spare - (v > 0 and i < r))
 
-    for deg in range(1, d + 1) if r >= 2 else ():
+    for deg in range(1, ctx.order + 1) if r >= 2 else ():
         fill((), 0, deg, r - 2)
     return tuple(out)
 
@@ -175,11 +157,11 @@ class _Terms:
         return out
 
 
-def find_flat_unit(fol: FoliationGerm, order=None):
+def find_flat_unit(fol: FoliationGerm):
     """Solve nabla_v g = 0 for all generators v with g(0) = 1.
 
-    Equations are imposed degree by degree up to order - 1 (the connection
-    costs one order of validity). A failure names the first degree whose
+    Equations are imposed degree by degree up to the germ's order - 1 (the
+    connection costs one order of validity). A failure names the first degree whose
     cumulative linear system is inconsistent; that failure is definitive,
     since a germ solution would truncate to a jet solution. When solutions
     exist the result carries one of them and whether it was unique.
@@ -192,20 +174,17 @@ def find_flat_unit(fol: FoliationGerm, order=None):
     the unknowns of degree k + 1 are walked, the degree-k rows extend one
     echelon basis, and the solve stops at the first inconsistent degree
     with little built past it.  A "yes" is re-checked through nabla before
-    it is returned: nabla_v g must vanish in T1 through degree
-    min(order - 1, ctx.order) for every generator, and RuntimeError says it
-    does not.
+    it is returned: nabla_v g must vanish in T1 through degree order - 1
+    for every generator, and RuntimeError says it does not.
     """
     ctx = fol.ctx
-    d = order if order is not None else ctx.order
-    if d <= 0:
-        raise ValueError("order too small to decide anything")
-    if not involutivity_check(fol, order=d):
+    d = ctx.order
+    if not involutivity_check(fol):
         raise ValueError("generators are not involutive at this order")
 
-    unknowns = _t1_unknowns(ctx, d)
+    unknowns = _t1_unknowns(ctx)
     n = len(unknowns)
-    top = min(d - 1, ctx.order)  # the highest equation degree
+    top = d - 1  # the highest equation degree
     r = ctx.r
     # per generator, its equations of each degree, rows keyed by equation
     # monomial; a degree's rows go to echelon generator by generator
@@ -224,34 +203,32 @@ def find_flat_unit(fol: FoliationGerm, order=None):
         start = stop  # unknowns[start:stop] are those of degree deg + 1
         while stop < n and sum(unknowns[stop]) == deg + 1:
             stop += 1
-        if deg < ctx.order:  # x^e past the context order is zero: a zero column
-            room = top - deg - 1
-            for terms, _, puts in gens:
-                for col in range(start, stop):
-                    e = unknowns[col]
-                    crossing, smooth = terms.at(e[:r])
-                    for m, dm, c in crossing:
-                        if dm > room:
+        room = top - deg - 1
+        for terms, _, puts in gens:
+            for col in range(start, stop):
+                e = unknowns[col]
+                crossing, smooth = terms.at(e[:r])
+                for m, dm, c in crossing:
+                    if dm > room:
+                        break
+                    puts[deg + 1 + dm](tuple(map(add, e, m)), col, c)
+                for k, a_terms in smooth:
+                    ek = e[k]
+                    if not ek:
+                        continue
+                    lowered = e[:k] + (ek - 1,) + e[k + 1:]
+                    for m, dm, c in a_terms:
+                        if dm > room + 1:
                             break
-                        puts[deg + 1 + dm](tuple(map(add, e, m)), col, c)
-                    for k, a_terms in smooth:
-                        ek = e[k]
-                        if not ek:
-                            continue
-                        lowered = e[:k] + (ek - 1,) + e[k + 1:]
-                        for m, dm, c in a_terms:
-                            if dm > room + 1:
-                                break
-                            puts[deg + dm](tuple(map(add, lowered, m)), col, ek * c)
+                        puts[deg + dm](tuple(map(add, lowered, m)), col, ek * c)
         rows = [row for _, systems, _ in gens for row in systems[deg].rows.values()]
         linalg.echelon(rows, n + 1, basis, reduced=deg == d - 1)
         if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
     sol = linalg.solution(basis, n)
-    # an unknown past the context order has a zero column, hence sol 0
     unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for i, e in enumerate(unknowns) if sol[i]})
     for v in fol.generators:
-        if not nabla(v, T1Section.make(unit)).g.truncate(top).is_zero():
+        if not nabla(v, unit).truncate(top).is_zero():
             raise RuntimeError("flat unit certificate failed: nabla_v g is not zero "
                                "in T1 through degree %d" % top)
     # uniqueness is judged on the coefficients the equations can reach, i.e.

@@ -276,7 +276,7 @@ def check_span_membership(rng):
     for g in gens:
         target = target + g.scale(_rand_jet(rng, ctx, unit=rng.random() < 0.5))
     try:
-        found = foliations.span_membership(target, gens, ctx.order)
+        found = foliations.span_membership(target, gens)
     except RuntimeError as e:
         return str(e)
     if found is None:

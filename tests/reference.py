@@ -2,13 +2,16 @@
 
 No command reaches them, so they live with the tests and not in logfol:
 monomials is the enumeration semistability._t1_unknowns is checked against,
-and abelian_algebra and adjoint_module build Lie data for the cochain tests.
+at_order reads a field on its germ at another order, since every solver
+decides at its germ's order, and abelian_algebra and adjoint_module build
+Lie data for the cochain tests.
 """
 
 from functools import lru_cache
 
-from logfol.jets import _on_crossing
+from logfol.jets import GermContext, Jet, _on_crossing
 from logfol.leafcomplex import LieAlgebra, LieModuleData
+from logfol.logcalc import LogDerivation
 
 
 @lru_cache(maxsize=16)
@@ -32,6 +35,14 @@ def monomials(ctx, max_degree):
     rec([], max_degree, ctx.n)
     out.sort(key=lambda e: (sum(e), e))
     return tuple(out)
+
+
+def at_order(v, order):
+    """The log derivation v on the same germ at order: its terms past that
+    order dropped, none added."""
+    ctx = GermContext(v.ctx.n, v.ctx.r, order)
+    b, a = (tuple(Jet.make(ctx, c.terms) for c in part) for part in (v.b, v.a))
+    return LogDerivation(ctx, b, a)
 
 
 def abelian_algebra(n):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from logfol.exprs import ExprError, parse_polynomial
 from logfol.jets import (ContextMismatchError, GermContext, Jet, NonUnitError, format_jet,
-                         jet_from_string)
+                         jet_from_string, name_table)
 
 from exact_rule import follows_the_rule
 from reference import monomials
@@ -199,7 +199,7 @@ def test_parse_simple_polynomial():
 
 def test_parse_with_params_and_names():
     ctx = GermContext(2, 1, 4)
-    f = jet_from_string(ctx, "a*u + b", names=["u", "t"],
+    f = jet_from_string(ctx, "a*u + b", table=name_table(ctx, ["u", "t"]),
                         params={"a": Fraction(2), "b": Fraction(-1, 3)})
     assert f.terms == {(1, 0): Fraction(2), (0, 0): Fraction(-1, 3)}
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from logfol.jets import GermContext, Jet
 from logfol.logcalc import (LogDerivation, LogOneForm, TangencyParseError, derivation_from_string,
-                            format_derivation, lie_bracket)
+                            derivation_table, format_derivation, lie_bracket)
 
 
 CTX = GermContext(3, 2, 5)
@@ -167,7 +167,7 @@ def test_parse_format_round_trip_random(v):
 def test_named_variables_and_params():
     ctx = GermContext(3, 3, 4)
     v = derivation_from_string(
-        ctx, "lam1*y*dy + z*dz", names=["x", "y", "z"],
+        ctx, "lam1*y*dy + z*dz", table=derivation_table(ctx, ["x", "y", "z"]),
         params={"lam1": Fraction(5, 2)},
     )
     assert v.b[0].is_zero()

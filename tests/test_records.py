@@ -59,8 +59,6 @@ VALUES = [
     (foliations.SurfaceOneForm,
      lambda: foliations.SurfaceOneForm(jet_from_string(SURFACE, "1 + x2"),
                                        jet_from_string(SURFACE, "x1*x2")), "A"),
-    (semistability.T1Section, lambda: semistability.T1Section.make(jet_from_string(CTX, "x1")),
-     "g"),
     (semistability.FlatUnitResult, lambda: semistability.find_flat_unit(_foliation()), "unit"),
     (semistability.HolonomyData, lambda: semistability.HolonomyData((2, "1/2")), "values"),
     (monoids.FGMonoid, lambda: monoids.FGMonoid(2, [(1, 0), (1, 2)]), "generators"),

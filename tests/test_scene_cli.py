@@ -311,11 +311,8 @@ def test_surface_names_may_be_derivation_tokens(tmp_path, capsys):
     assert "index 3 along the invariant curve" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["node_balanced", "semistable_general_syntax"])
-def test_a_verdict_builds_its_name_table_once(monkeypatch, capsys, name):
-    # the germ's names (node_balanced names them) are checked by the one
-    # table derivation_table builds, and params (semistable_general_syntax
-    # has one) read that table
+def _name_table_calls(monkeypatch, name):
+    """How many name tables the verdict on the committed scene name builds."""
     calls = []
     build = jets.name_table
     counted = lambda *a: calls.append(a) or build(*a)
@@ -323,7 +320,22 @@ def test_a_verdict_builds_its_name_table_once(monkeypatch, capsys, name):
     monkeypatch.setattr(logcalc, "name_table", counted)
     path = SCENES / ("%s.json" % name)
     assert cli.main(json.loads(path.read_text())["command"] + [str(path)]) == 0
-    assert len(calls) == 1
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", ["node_balanced", "semistable_general_syntax"])
+def test_a_verdict_builds_its_name_table_once(monkeypatch, capsys, name):
+    # the germ's names (node_balanced names them) are checked by the one
+    # table derivation_table builds, and params (semistable_general_syntax
+    # has one) read that table
+    assert _name_table_calls(monkeypatch, name) == 1
+
+
+@pytest.mark.parametrize("name", ["cs_triple_form", "surface_index"])
+def test_a_reader_builds_its_name_table_once(monkeypatch, capsys, name):
+    # every expression of a one-form or a surface form is read through the
+    # one table its scene built, not through a table of its own
+    assert _name_table_calls(monkeypatch, name) == 1
 
 
 @pytest.mark.parametrize("name", ["node_balanced", "pushout_euler"])
@@ -609,6 +621,18 @@ def test_cli_pushout_member_reads_every_candidate_form(tmp_path, capsys, candida
     scene["components"][1]["fields"]["u"] = "x*x*dx"
     assert cli.main(["pushout", "member", write_scene(tmp_path, "t.json", scene)]) == 1
     assert "leaves the foliation on component B" in capsys.readouterr().out
+
+
+def test_cli_pushout_member_reads_only_the_candidate_field(tmp_path, capsys):
+    # the candidate names field u; field w does not parse, but is never read
+    scene = dict(json.loads(json.dumps(PUSHOUT_MEMBER)), candidate="u",
+                 fields={"u": "x*dx + y*dy", "w": "x*"})
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "s.json", scene)]) == 0
+    assert capsys.readouterr().out.startswith("yes: candidate restricts into every component")
+    scene["fields"]["u"] = "y*"
+    assert cli.main(["pushout", "member", write_scene(tmp_path, "t.json", scene)]) == 2
+    assert capsys.readouterr().out == (
+        "error: fields.u: expected a number, name, or '(' (line 1, column 3)\n")
 
 
 DEFAULT_NAMED_PUSHOUT = {

@@ -25,7 +25,6 @@ from logfol.semistability import (
     FlatUnitResult,
     HolonomyData,
     ResonanceError,
-    T1Section,
     check_holonomy_compatibility,
     check_normal_degrees,
     cs_index_log,
@@ -38,7 +37,7 @@ from logfol.semistability import (
 )
 
 from identities import _field_keeping_flat
-from reference import monomials
+from reference import at_order, monomials
 
 
 # -- oracle -------------------------------------------------------------------
@@ -106,9 +105,7 @@ def test_t1_reduce_is_multiplicative_on_the_quotient():
 def test_nabla_of_the_constant_section():
     ctx = GermContext(2, 2, 6)
     v = derivation_from_string(ctx, "x1*dx1")
-    s = T1Section.make(Jet.one(ctx))
-    out = nabla(v, s)
-    assert out.g == Jet.constant(ctx, -1)
+    assert nabla(v, Jet.one(ctx)) == Jet.constant(ctx, -1)
 
 
 def test_nabla_leibniz_in_t1():
@@ -116,16 +113,23 @@ def test_nabla_leibniz_in_t1():
     v = derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - x3*dx3")
     h = Jet.one(ctx) + Jet.variable(ctx, 0)
     g = Jet.variable(ctx, 1) ** 2
-    lhs = nabla(v, T1Section.make(h * g)).g
-    rhs = t1_reduce(v.apply(h) * g) + t1_reduce(h * nabla(v, T1Section.make(g)).g)
+    lhs = nabla(v, h * g)
+    rhs = t1_reduce(v.apply(h) * g) + t1_reduce(h * nabla(v, g))
     assert lhs.equal_to_order(rhs, ctx.order - 1)
 
 
+def at_order_foliation(fol, order):
+    """fol with every generator read on its germ at order (at_order)."""
+    gens = tuple(at_order(v, order) for v in fol.generators)
+    return FoliationGerm(gens[0].ctx, gens, rank=fol.rank)
+
+
 def random_fields(rng, count):
-    """Foliations of one or two random generators, with an equation order.
+    """Foliations of one or two random generators.
 
     Crossing counts r = 0, 1, 2 and n; int and Fraction coefficients, smooth
-    directions, and the order is the context's or one below it.  Half of
+    directions, and half of the fields past order 2 are read again one
+    order below the germ they were drawn on (at_order_foliation).  Half of
     the fields whose T1 has unknowns are built around a random unit they
     keep flat (_field_keeping_flat), so that "yes" answers with
     units other than 1 occur; most others are traceless at the origin.
@@ -153,19 +157,21 @@ def random_fields(rng, count):
             if r and rng.random() < 0.7:
                 comps[r - 1] = comps[r - 1] - sum((b.constant_term() for b in comps[:r]), 0)
             gens.append(LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:])))
-        order = rng.choice((None, ctx.order - 1)) if ctx.order > 2 else None
-        out.append((FoliationGerm(ctx, tuple(gens), rank=len(gens)), order))
+        fol = FoliationGerm(ctx, tuple(gens), rank=len(gens))
+        if ctx.order > 2 and rng.choice((False, True)):
+            fol = at_order_foliation(fol, ctx.order - 1)
+        out.append(fol)
     return out
 
 
-def assume_involutive(fol, order=None):
+def assume_involutive(fol):
     """Stands in for involutivity_check, so that the flat-unit solve runs
     on fields that are not involutive (and, in a test that forbids jet
     products, without the brackets)."""
     return True
 
 
-def rows_handed_to_echelon(monkeypatch, fol, order):
+def rows_handed_to_echelon(monkeypatch, fol):
     """find_flat_unit's result and the rows of each echelon call, copied."""
     calls = []
     echelon = linalg.echelon
@@ -178,20 +184,19 @@ def rows_handed_to_echelon(monkeypatch, fol, order):
     with monkeypatch.context() as m:
         m.setattr(linalg, "echelon", spy)
         m.setattr(semistability, "involutivity_check", assume_involutive)
-        res = find_flat_unit(fol, order=order)
+        res = find_flat_unit(fol)
     return res, calls
 
 
-def nabla_rows(fol, order):
+def nabla_rows(fol):
     """Per equation degree, the rows [A | b] built from nabla of each x^e."""
     ctx = fol.ctx
-    d = order if order is not None else ctx.order
+    d = ctx.order
     unknowns = [e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
     rows = {}
     for gi, v in enumerate(fol.generators):
-        images = [(col, nabla(v, T1Section.make(Jet.make(ctx, {e: 1}))).g)
-                  for col, e in enumerate(unknowns)]
-        images.append((len(unknowns), -nabla(v, T1Section.make(Jet.one(ctx))).g))
+        images = [(col, nabla(v, Jet.make(ctx, {e: 1}))) for col, e in enumerate(unknowns)]
+        images.append((len(unknowns), -nabla(v, Jet.one(ctx))))
         for col, img in images:
             for t, c in img.terms.items():
                 if sum(t) < d:
@@ -204,15 +209,15 @@ def nabla_rows(fol, order):
 
 def test_flat_unit_rows_match_nabla_of_each_monomial(monkeypatch):
     seen = Counter()
-    for fol, order in random_fields(random.Random(6), 60):
-        res, calls = rows_handed_to_echelon(monkeypatch, fol, order)
-        want = nabla_rows(fol, order)
+    for fol in random_fields(random.Random(6), 60):
+        res, calls = rows_handed_to_echelon(monkeypatch, fol)
+        want = nabla_rows(fol)
         assert len(calls) == (res.failing_degree + 1 if not res.ok else len(want))
         for deg, rows in enumerate(calls):
             assert all(type(c) in (int, Fraction) for row in rows for c in row.values())
             got = Counter(frozenset((j, c) for j, c in row.items() if c) for row in rows)
             got.pop(frozenset(), None)
-            assert got == want[deg], ([str(v) for v in fol.generators], order, deg)
+            assert got == want[deg], ([str(v) for v in fol.generators], fol.ctx.order, deg)
         seen[fol.ctx.r >= 2, res.ok] += 1
     assert all(seen[key] for key in ((True, True), (True, False), (False, True)))
 
@@ -220,10 +225,10 @@ def test_flat_unit_rows_match_nabla_of_each_monomial(monkeypatch):
 def test_flat_unit_agrees_with_the_oracles_on_random_fields(monkeypatch):
     monkeypatch.setattr(semistability, "involutivity_check", assume_involutive)
     seen = Counter()
-    for fol, order in random_fields(random.Random(20261019), 80):
-        d = order if order is not None else fol.ctx.order
-        res = find_flat_unit(fol, order=order)
-        text = ([str(v) for v in fol.generators], order)
+    for fol in random_fields(random.Random(20261019), 80):
+        d = fol.ctx.order
+        res = find_flat_unit(fol)
+        text = ([str(v) for v in fol.generators], d)
         assert res.ok == flat_unit_exists_oracle(fol, d), text
         if res.ok:
             assert res.unique == flat_unit_unique_oracle(fol, d), text
@@ -257,8 +262,7 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
     pair = FoliationGerm(ctx, (v, w), rank=2)
     target = v.scale(Jet.one(ctx) + Jet.variable(ctx, 3)) + w
     monkeypatch.setattr(semistability, "involutivity_check", assume_involutive)
-    want = (find_flat_unit(single), find_flat_unit(pair),
-            span_membership(target, (v, w), ctx.order))
+    want = (find_flat_unit(single), find_flat_unit(pair), span_membership(target, (v, w)))
 
     def boom(*args):
         raise AssertionError("the solvers build their systems from shifts")
@@ -266,8 +270,7 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
     for name in ("__mul__", "__rmul__"):
         monkeypatch.setattr(Jet, name, boom)
     monkeypatch.setattr(Jet, "make", classmethod(boom))
-    got = (find_flat_unit(single), find_flat_unit(pair),
-           span_membership(target, (v, w), ctx.order))
+    got = (find_flat_unit(single), find_flat_unit(pair), span_membership(target, (v, w)))
     assert got == want
     assert want[0].ok and want[2] is not None
 
@@ -275,17 +278,17 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
 # -- flat units -------------------------------------------------------------------
 
 
-def _flat_unit_oracle(fol, order=None):
+def _flat_unit_oracle(fol):
     """find_flat_unit's answer from the whole system, as the solve was built
     before it stopped at its failing degree: every row of every degree from
     the generators' _Terms over the filtered monomials walk, then one
     echelon basis extended degree by degree.  Involutivity is not checked,
     nor the unit certified."""
     ctx = fol.ctx
-    d = order if order is not None else ctx.order
+    d = ctx.order
     unknowns = [e for e in monomials(ctx, d) if sum(e) >= 1 and t1_monomial_alive(ctx, e)]
     n = len(unknowns)
-    top = min(d - 1, ctx.order)
+    top = d - 1
     r = ctx.r
     system = linalg.RowBuilder(n)
     for gi, v in enumerate(fol.generators):
@@ -294,11 +297,8 @@ def _flat_unit_oracle(fol, order=None):
             if sum(m) <= top and t1_monomial_alive(ctx, m):
                 system.add_rhs((gi, m), c)
         for col, e in enumerate(unknowns):
-            de = sum(e)
-            if de > ctx.order:
-                break
             crossing, smooth = terms.at(e[:r])
-            room = top - de
+            room = top - sum(e)
             for m, dm, c in crossing:
                 if dm > room:
                     break
@@ -329,10 +329,11 @@ def _flat_unit_oracle(fol, order=None):
 
 @st.composite
 def flat_unit_problems(draw):
-    """n <= 4, r >= 2 and an equation order <= 8, at, below or past the
-    context's: one or two generators, their crossing part traceless at the
-    origin half of the time, their smooth coefficients mostly with a
-    nonzero constant term, which lowers an unknown's degree by one."""
+    """n <= 4, r >= 2 and an order <= 8, the germ's drawn or one below or
+    above it, where the fields are read again (at_order_foliation): one or
+    two generators, their crossing part traceless at the origin half of the
+    time, their smooth coefficients mostly with a nonzero constant term,
+    which lowers an unknown's degree by one."""
     n = draw(st.integers(2, 4))
     r = draw(st.integers(2, n))
     ctx = GermContext(n, r, draw(st.integers(1, 8)))
@@ -347,17 +348,17 @@ def flat_unit_problems(draw):
         if draw(st.booleans()):
             comps[r - 1] = comps[r - 1] - sum((b.constant_term() for b in comps[:r]), 0)
         gens.append(LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:])))
-    orders = [None] + [o for o in (ctx.order - 1, ctx.order + 1) if 1 <= o <= 8]
-    return FoliationGerm(ctx, tuple(gens), rank=len(gens)), draw(st.sampled_from(orders))
+    orders = [ctx.order] + [o for o in (ctx.order - 1, ctx.order + 1) if 1 <= o <= 8]
+    return at_order_foliation(FoliationGerm(ctx, tuple(gens), rank=len(gens)),
+                              draw(st.sampled_from(orders)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(flat_unit_problems())
-def test_the_degree_walk_agrees_with_the_whole_system(problem):
-    fol, order = problem
+def test_the_degree_walk_agrees_with_the_whole_system(fol):
     with mock.patch.object(semistability, "involutivity_check", assume_involutive):
-        got = find_flat_unit(fol, order=order)
-    want = _flat_unit_oracle(fol, order)
+        got = find_flat_unit(fol)
+    want = _flat_unit_oracle(fol)
     assert (got.ok, got.order, got.failing_degree, got.unique) == \
         (want.ok, want.order, want.failing_degree, want.unique)
     assert (got.unit and got.unit.terms) == (want.unit and want.unit.terms)
@@ -389,11 +390,11 @@ def test_a_degree_zero_no_stops_at_one_echelon(monkeypatch, capsys):
 def test_t1_unknowns_are_the_alive_monomials_in_monomials_order():
     for n in range(1, 6):
         for r in range(n + 1):
-            ctx = GermContext(n, r, 4)
-            for d in range(9):
+            for d in range(1, 9):
+                ctx = GermContext(n, r, d)
                 want = tuple(e for e in monomials(ctx, d)
                              if sum(e) >= 1 and t1_monomial_alive(ctx, e))
-                assert semistability._t1_unknowns(ctx, d) == want, (n, r, d)
+                assert semistability._t1_unknowns(ctx) == want, (n, r, d)
 
 
 
@@ -427,11 +428,13 @@ def test_flat_unit_solves_the_connection_equation():
     assert res.unit.constant_term() == 1
 
 
-def test_flat_unit_respects_explicit_order():
-    ctx = GermContext(2, 2, 6)
+def test_flat_unit_decides_at_the_germ_order():
+    ctx = GermContext(2, 2, 3)
     fol = FoliationGerm(ctx, (node_field(ctx, 3, -3),))
-    res = find_flat_unit(fol, order=3)
+    res = find_flat_unit(fol)
     assert res.ok and res.order == 3
+    with pytest.raises(TypeError):
+        find_flat_unit(fol, order=6)
 
 
 def test_flat_unit_rejects_non_involutive_input():

@@ -366,8 +366,8 @@ def _run_one(args, scene_path):
     """The report of args' command on scene_path, error reports included,
     named after the command (args.tool); for run, the command the scene names.
     Its scene, order and tool are written here and nowhere else: a decided
-    report's order is the scene's in force, or --order when the command
-    reads no scene."""
+    or inconclusive report's order is the scene's in force, or --order when
+    the command reads no scene; an error or internal report has none."""
     where = str(scene_path) if scene_path else None
     scn = order = None
     try:
@@ -375,17 +375,17 @@ def _run_one(args, scene_path):
             scn = load_scene(scene_path, order=getattr(args, "order", None))
         if args.handler is None:
             args = _named_command(args, scn)
-        report = args.handler(args, scn)
         order = scn.order if scn is not None else getattr(args, "order", None)
+        report = args.handler(args, scn)
     except InconclusiveAtOrderError as e:
         report = Report("inconclusive", str(e), {})
     except (SceneError, ValueError) as e:
-        report = Report("error", str(e) or type(e).__name__, {})
+        report, order = Report("error", str(e) or type(e).__name__, {}), None
     except Exception as e:  # a crash must not read as yes, no or inconclusive
         import traceback  # here, not at the top: it adds ~3 ms to every start-up
 
         message = "internal error: %s: %s" % (type(e).__name__, e)
-        report = Report("internal", message, {"traceback": traceback.format_exc()})
+        report, order = Report("internal", message, {"traceback": traceback.format_exc()}), None
     return report._replace(scene=where, order=order, tool=args.tool)
 
 

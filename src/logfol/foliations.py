@@ -50,8 +50,9 @@ class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
         for g in gens:
             if g.ctx != ctx:
                 raise ContextMismatchError("generator context mismatch")
-        if rank < 1:
-            raise ValueError("declared rank must be >= 1")
+        if not 1 <= rank <= len(gens):
+            raise ValueError("declared rank %d is not in 1..%d, the number of generators"
+                             % (rank, len(gens)))
         self = tuple.__new__(cls, (ctx, gens, rank))
         # k generators have rank at most k at the origin
         if len(gens) > rank and self.origin_rank() > rank:

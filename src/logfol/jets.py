@@ -43,7 +43,26 @@ from .exprs import _power, _product, _sum, parse_polynomial
 from .linalg import _exact, _integer
 
 
-_set = object.__setattr__  # how the read-only value types here fill their slots
+_set = object.__setattr__  # how a _Value's __init__ fills its slots
+
+
+class _Value:
+    """Base of the read-only value types: Jet, logcalc's LogDerivation and
+    LogOneForm, and leafcomplex's CechLeafData.  Assignment raises
+    AttributeError, and two values are equal when they have the same class
+    and equal fields: the slots whose names do not start with "_" (such a
+    slot holds data derived from the fields).  Values are unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__ if f[0] != "_")
 
 
 class ContextMismatchError(ValueError):
@@ -109,11 +128,11 @@ def _on_crossing(e, r):
     return r >= 2 and 0 not in e[:r]
 
 
-class Jet:
+class Jet(_Value):
     """Element of the truncated crossing-germ ring, in normal form.
 
-    Read-only once built; not a tuple, so it has no length, indexing or
-    concatenation to confuse with its ring operations.
+    A _Value; not a tuple, so it has no length, indexing or concatenation
+    to confuse with its ring operations.
     """
 
     __slots__ = ("ctx", "terms")
@@ -121,14 +140,6 @@ class Jet:
     def __init__(self, ctx, terms):
         _set(self, "ctx", ctx)
         _set(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not Jet:
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
 
     @classmethod
     def make(cls, ctx, terms):

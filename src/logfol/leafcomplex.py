@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .jets import _set
+from .jets import _set, _Value
 from .linalg import _exact, _integer
 
 
@@ -365,7 +365,7 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
 # --- abstract Cech data over a finite cover ---
 
 
-class CechLeafData:
+class CechLeafData(_Value):
     """Rows of cochain complexes spread over the nerve of a finite cover.
 
     opens names the cover members; pairs and triples list the nonempty
@@ -376,11 +376,11 @@ class CechLeafData:
     matrices, dense or as blocks (_block).  Construction checks that
     restrictions compose coherently, that each row differential squares to
     zero, and that restrictions are chain maps, which together make the
-    total differential square to zero.  Read-only once built; not a tuple.
+    total differential square to zero.  A _Value, not a tuple; _cofaces
+    is derived from the fields.
     """
 
-    _FIELDS = ("opens", "pairs", "triples", "dims", "restrictions", "ce")
-    __slots__ = _FIELDS + ("_cofaces",)
+    __slots__ = ("opens", "pairs", "triples", "dims", "restrictions", "ce", "_cofaces")
 
     def __init__(self, opens, pairs, triples, dims, restrictions, ce):
         _set(self, "opens", tuple(str(o) for o in opens))
@@ -391,14 +391,6 @@ class CechLeafData:
              {(tuple(f), tuple(s)): tuple(m) for (f, s), m in restrictions.items()})
         _set(self, "ce", {tuple(k): tuple(mats) for k, mats in ce.items()})
         self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not CechLeafData:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in CechLeafData._FIELDS)
 
     # -- shape bookkeeping --
 

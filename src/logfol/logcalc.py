@@ -18,7 +18,7 @@ rule in linalg's docstring: ints where integral, else Fractions.
 from __future__ import annotations
 
 from .exprs import parse_polynomial
-from .jets import ContextMismatchError, Jet, _set, format_jet, name_table
+from .jets import ContextMismatchError, Jet, _set, _Value, format_jet, name_table
 from .linalg import _exact
 
 
@@ -32,10 +32,10 @@ def _check_ctx(ctx, jets_, what):
             raise ContextMismatchError("%s has mismatched context" % what)
 
 
-class LogDerivation:
+class LogDerivation(_Value):
     """b_1 x_1 d_1 + ... + b_r x_r d_r + a_{r+1} d_{r+1} + ... + a_n d_n.
 
-    Read-only once built, and not a tuple, like Jet.
+    A _Value, and not a tuple, like Jet.
     """
 
     __slots__ = ("ctx", "b", "a")
@@ -49,14 +49,6 @@ class LogDerivation:
         _set(self, "ctx", ctx)
         _set(self, "b", b)
         _set(self, "a", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not LogDerivation:
-            return NotImplemented
-        return self.ctx == other.ctx and self.b == other.b and self.a == other.a
 
     @classmethod
     def zero(cls, ctx):
@@ -149,13 +141,13 @@ def lie_bracket(v, w):
     return LogDerivation(v.ctx, b, a)
 
 
-class LogOneForm:
+class LogOneForm(_Value):
     """a_1 dx_1/x_1 + ... + a_r dx_r/x_r + c_{r+1} dx_{r+1} + ... + c_n dx_n.
 
     Stored in the normalized representative: the common additive constant
     allowed by the relation sum_i dx_i/x_i = du/u is removed, so the last
     dlog coefficient has constant term zero. Construct through make().
-    Read-only once built, and not a tuple, like Jet.
+    A _Value, and not a tuple, like Jet.
     """
 
     __slots__ = ("ctx", "dlog", "reg")
@@ -169,14 +161,6 @@ class LogOneForm:
         _set(self, "ctx", ctx)
         _set(self, "dlog", dlog)
         _set(self, "reg", reg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not LogOneForm:
-            return NotImplemented
-        return self.ctx == other.ctx and self.dlog == other.dlog and self.reg == other.reg
 
     @classmethod
     def make(cls, ctx, dlog, reg=()):

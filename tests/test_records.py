@@ -88,6 +88,19 @@ def test_values_are_read_only_and_equal_by_value(kind, build, field):
     assert a == b
 
 
+def test_read_only_classes_are_unhashable_and_equal_only_within_their_class():
+    kinds = (Jet, logcalc.LogDerivation, logcalc.LogOneForm, leafcomplex.CechLeafData)
+    for kind, build, _ in VALUES:
+        if kind in kinds:
+            with pytest.raises(TypeError):
+                hash(build())
+    v = _field()
+    form = logcalc.LogOneForm(CTX, v.b, v.a)
+    assert (form.ctx, form.dlog, form.reg) == (v.ctx, v.b, v.a)
+    assert not v == form and v != form
+    assert not form == v and form != v
+
+
 def test_contexts_and_monoids_stay_hashable():
     assert hash(GermContext(3, 1, 6)) == hash(GermContext(3, 1))
     assert len({GermContext(3, 1, 6), GermContext(3, 1), GermContext(3, 1, 7)}) == 2

@@ -32,6 +32,9 @@ def h_p1(d):
     acyclic two-term piece and leaves h0 and h1 as they were.  The windows
     exhaust the Laurent Cech complex of the standard cover, so the dimensions
     at w = max(d, 0) are those of H*(P^1, O(d)).
+
+    It is not a call on a CechLeafData cover of the line: a cover has a fixed
+    build cost, and GradedBundleP1.cohomology calls h_p1 once per summand.
     """
     d = linalg._integer(d)
     w = max(d, 0)
@@ -83,9 +86,9 @@ class SNCCurveBundle(namedtuple("SNCCurveBundle", "left right glue")):
         g = tuple(tuple(map(linalg._exact, row)) for row in glue)
         if len(g) != left.rank or any(len(r) != left.rank for r in g):
             raise ValueError("glue matrix must be square of the common rank")
-        self = tuple.__new__(cls, (left, right, g))
-        self._glue_inverse()  # raises if singular
-        return self
+        # raises if singular
+        linalg.inverse(linalg.SparseRows([dict(enumerate(r)) for r in g], left.rank))
+        return tuple.__new__(cls, (left, right, g))
 
     @classmethod
     def with_identity_glue(cls, left_degrees, right_degrees):
@@ -93,22 +96,6 @@ class SNCCurveBundle(namedtuple("SNCCurveBundle", "left right glue")):
         right = GradedBundleP1(tuple(right_degrees))
         n = left.rank
         return cls(left, right, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def _glue_inverse(self):
-        n = len(self.glue)
-        return linalg.inverse(linalg.SparseRows([dict(enumerate(r)) for r in self.glue], n))
-
-    def serre_dual(self):
-        """Componentwise dual twisted by degree -1 on each side.
-
-        h1 of the original equals h0 of this bundle; the node identification
-        dualizes to the inverse transpose.
-        """
-        return SNCCurveBundle(
-            GradedBundleP1(tuple(-d - 1 for d in self.left.degrees)),
-            GradedBundleP1(tuple(-d - 1 for d in self.right.degrees)),
-            tuple(zip(*self._glue_inverse())),
-        )
 
 
 def cohomology_snc_curve(bundle: SNCCurveBundle):

@@ -109,7 +109,7 @@ def _cmd_monoid_group(args, scn: Scene):
 
 def _cmd_monoid_check(args, scn: Scene):
     m = scn.monoid()
-    element = scn.monoid_element()
+    element = scn.monoid_element(m)
     if element is not None:
         witness = monoids.contains(m, element)
         found = witness is not None
@@ -152,7 +152,7 @@ def _cmd_semistable_check(args, scn: Scene):
 
 def _cmd_cs_log(args, scn: Scene):
     form = scn.one_form()
-    pair = tuple(args.pair) if args.pair else scn.index_pair()
+    pair = tuple(args.pair) if args.pair else scn.index_pair(form.ctx)
     if pair is None:
         if form.ctx.r == 2:
             pair = (1, 2)

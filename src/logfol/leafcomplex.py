@@ -448,9 +448,6 @@ class CechLeafData(_Value):
             for p, q in components
         )
 
-    def restriction(self, face, simplex, q):
-        return self.restrictions[(face, simplex)][q]
-
     # -- validation --
 
     def _validate(self):
@@ -668,22 +665,6 @@ def leaf_complex_hypercohomology(data: CechLeafData):
 ObstructionReport = namedtuple("ObstructionReport", "equations is_cocycle is_coboundary corrector")
 
 
-def _cochain_layers(data: CechLeafData, layers):
-    """The vectors of each (name, vectors, simplices, noun) layer, read by _exact.
-
-    Layer q is a row-q cochain: it must give one vector per simplex, of
-    that simplex's row-q dimension, else ValueError names the layer.
-    """
-    layers = [(name, [list(map(_exact, v)) for v in vecs], simplices, noun)
-              for name, vecs, simplices, noun in layers]
-    for q, (name, vecs, simplices, noun) in enumerate(layers):
-        if len(vecs) != len(simplices) or any(
-            len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)
-        ):
-            raise ValueError("%s must give a row-%d vector per %s" % (name, q, noun))
-    return [vecs for _, vecs, _, _ in layers]
-
-
 def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """Check the four compatibility equations of an obstruction triple.
 
@@ -698,9 +679,15 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """
     if data.n_rows < 3:
         raise ValueError("need at least three rows to place an obstruction triple")
-    theta, gbar, bbar = _cochain_layers(data, (
-        ("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
-        ("bbar", bbar, data.simplices(0), "open")))
+    theta, gbar, bbar = ([list(map(_exact, v)) for v in vecs] for vecs in (theta, gbar, bbar))
+    # layer q is a row-q cochain: one vector per simplex, of its row-q dimension
+    for q, (name, vecs, simplices, noun) in enumerate((
+            ("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
+            ("bbar", bbar, data.simplices(0), "open"))):
+        if len(vecs) != len(simplices) or any(
+            len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)
+        ):
+            raise ValueError("%s must give a row-%d vector per %s" % (name, q, noun))
     flat = [x for v in theta + gbar + bbar for x in v]
 
     # fourfold overlaps are empty, so the first equation has nothing to say;
@@ -726,20 +713,6 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     return ObstructionReport(
         equations, is_cocycle, True, data.split(sol, data.total_components(1))
     )
-
-
-def coboundary_triple(data: CechLeafData, rho, hbar):
-    """Total differential of a degree-one pair, split into the three layers.
-
-    rho is a row-0 cochain on pairs, hbar a row-1 cochain on the opens; the
-    result (theta, gbar, bbar) satisfies all four obstruction equations.
-    """
-    if data.n_rows < 3:
-        raise ValueError("need at least three rows")
-    rho, hbar = _cochain_layers(data, (
-        ("rho", rho, data.pairs, "pair"), ("hbar", hbar, data.simplices(0), "open")))
-    image = linalg.mat_vec(data.total_matrix(1), [x for v in rho + hbar for x in v])
-    return data.split(image, data.total_components(2))
 
 
 # --- builders for concrete covers ---

@@ -55,19 +55,6 @@ class LogDerivation(_Value):
         z = Jet.zero(ctx)
         return cls(ctx, (z,) * ctx.r, (z,) * (ctx.n - ctx.r))
 
-    @classmethod
-    def basis(cls, ctx, i):
-        """The i-th basis derivation: x_i d_i if i < r, else d_i."""
-        z = Jet.zero(ctx)
-        one = Jet.one(ctx)
-        b = [z] * ctx.r
-        a = [z] * (ctx.n - ctx.r)
-        if i < ctx.r:
-            b[i] = one
-        else:
-            a[i - ctx.r] = one
-        return cls(ctx, tuple(b), tuple(a))
-
     def apply(self, f):
         """Value on a jet. Valid to order-1 in general (exact when no smooth
         coefficient meets a top-degree term)."""

@@ -262,8 +262,13 @@ class Scene:
             raise SceneError(message, key)
         return _numbers(self.raw[key], key, _integer)
 
-    def index_pair(self):
-        return self._int_pair("index_pair", "need two 1-based crossing indices")
+    def index_pair(self, ctx):
+        """The optional pair of 1-based indices of two crossing variables of ctx."""
+        pair = self._int_pair("index_pair", "need two 1-based crossing indices")
+        if pair is not None:
+            with _at("index_pair"):
+                semistability._crossing_pair(ctx, pair[0] - 1, pair[1] - 1)
+        return pair
 
     def surface_form(self):
         """A one-form a dy + b dz on a smooth surface germ with curve y = 0."""
@@ -387,6 +392,8 @@ class Scene:
             values = _fractions(spec.get(key), "holonomy.%s" % key)
             with _at("holonomy.%s" % key):
                 out.append(semistability.HolonomyData(values))
+        if len(out[0].values) != len(out[1].values):
+            raise SceneError("holonomy tuples have different lengths", "holonomy")
         return out[0], out[1]
 
     def normal_degrees(self):
@@ -418,10 +425,13 @@ class Scene:
         with _at("monoid"):
             return monoids.FGMonoid(rank, gens)
 
-    def monoid_element(self):
+    def monoid_element(self, m):
+        """The optional element, a vector of m's ambient rank."""
         if not self.has("element"):
             return None
-        return _numbers(self.raw["element"], "element", _integer)
+        element = _numbers(self.raw["element"], "element", _integer)
+        with _at("element"):
+            return monoids._as_vec(element, m.ambient_rank)
 
     # -- leaf complexes over covers --
 

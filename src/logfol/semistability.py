@@ -269,6 +269,13 @@ def laurent_residue(numer, denom, available_order):
                Fraction(0))
 
 
+def _crossing_pair(ctx, i, j):
+    """Refuse 0-based indices i, j that are not two distinct crossing
+    variables of ctx."""
+    if i == j or not (0 <= i < ctx.r) or not (0 <= j < ctx.r):
+        raise ValueError("indices must name two distinct crossing variables")
+
+
 def cs_index_log(form: LogOneForm, i, j):
     """Index of the form along the double stratum {x_i = x_j = 0}.
 
@@ -283,8 +290,7 @@ def cs_index_log(form: LogOneForm, i, j):
     by regularity. Requires a_i(0) != a_j(0).
     """
     ctx = form.ctx
-    if i == j or not (0 <= i < ctx.r) or not (0 <= j < ctx.r):
-        raise ValueError("indices must name two distinct crossing variables")
+    _crossing_pair(ctx, i, j)
     ai0 = form.dlog[i].constant_term()
     aj0 = form.dlog[j].constant_term()
     denom0 = aj0 - ai0

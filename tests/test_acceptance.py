@@ -12,12 +12,13 @@ from fractions import Fraction
 from logfol.bundles import SNCCurveBundle, cohomology_snc_curve, h_p1
 from logfol.foliations import FoliationGerm, SNCGlueData, SurfaceOneForm, check_gluing_cocycle
 from logfol.jets import GermContext, Jet
-from logfol.leafcomplex import constant_cover, coboundary_triple, verify_obstruction_cocycle
+from logfol.leafcomplex import constant_cover, verify_obstruction_cocycle
 from logfol.logcalc import LogDerivation, LogOneForm
 from logfol.monoids import FGMonoid, contains, saturate
 from logfol.semistability import cs_index_log, cs_index_surface, find_flat_unit
 
 from identities import ALL_CHECKS, first_failure
+from reference import coboundary_triple
 
 
 def _verdict(num, label, ok, elapsed=None):

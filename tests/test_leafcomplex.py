@@ -15,7 +15,6 @@ from logfol.leafcomplex import (
     LieModuleData,
     ce_basis,
     ce_differential,
-    coboundary_triple,
     constant_cover,
     leaf_complex_hypercohomology,
     lie_subalgebra_obstruction,
@@ -24,7 +23,7 @@ from logfol.leafcomplex import (
 )
 
 from exact_rule import follows_the_rule
-from reference import abelian_algebra, adjoint_module
+from reference import abelian_algebra, adjoint_module, coboundary_triple
 
 
 def sl2():
@@ -478,13 +477,13 @@ def test_validation_multiplies_each_distinct_block_object():
     # a face given its own copy of the shared identity tuple keeps the copy's
     # dict rows as its blocks, and a doubled copy is caught on the routes
     data = triangle_data()
-    shared = data.restriction((0,), (0, 1), 0)
-    assert all(data.restriction(f, s, 0) is shared for f, s in data.restrictions)
+    shared = data.restrictions[((0,), (0, 1))][0]
+    assert all(mats[0] is shared for mats in data.restrictions.values())
     restr = dict(data.restrictions)
     face = ((0, 1), (0, 1, 2))
     restr[face] = tuple(tuple(dict(row) for row in block) for block in restr[face])
     again = CechLeafData(data.opens, data.pairs, data.triples, data.dims, restr, data.ce)
-    assert again.restriction(*face, 0) is restr[face][0]
+    assert again.restrictions[face][0] is restr[face][0]
     # twice the identity commutes with every differential but breaks the routes
     restr[face] = tuple(tuple({j: 2 * x for j, x in row.items()} for row in block)
                         for block in restr[face])
@@ -585,7 +584,7 @@ def test_validation_checks_a_shared_block_at_each_shape():
     inclusion = [[1]]   # fits U0 -> U0|U1, not U1 -> U0|U1
     restr = {((0,), (0, 1)): (inclusion,), ((1,), (0, 1)): ([[1, 0]],)}
     data = CechLeafData(("U0", "U1"), ((0, 1),), (), dims, restr, ce)
-    assert data.restriction((0,), (0, 1), 0) == ({0: 1},)
+    assert data.restrictions[((0,), (0, 1))][0] == ({0: 1},)
     restr[((1,), (0, 1))] = (inclusion,)
     with pytest.raises(ValueError, match=r"restriction matrix on \(0, 1\) has the wrong shape"):
         CechLeafData(("U0", "U1"), ((0, 1),), (), dims, restr, ce)
@@ -757,18 +756,6 @@ def test_verify_rejects_wrong_shapes():
         verify_obstruction_cocycle(data, theta, gbar, [v[:-1] for v in bbar])
 
 
-def test_coboundary_triple_rejects_misaligned_cochains():
-    # the right total length, but split across the pairs as 3 + 1 + 2 and
-    # across the opens as 4 + 2 + 3: each vector must have its row's dimension
-    data = triangle_data()
-    with pytest.raises(ValueError, match="rho must give a row-0 vector per pair"):
-        coboundary_triple(data, [[1, 2, 3], [4], [5, 6]], HBAR)
-    with pytest.raises(ValueError, match="hbar must give a row-1 vector per open"):
-        coboundary_triple(data, RHO, [[1, 0, 2, 0], [0, 1], [1, 1, 1]])
-    with pytest.raises(ValueError, match="rho must give a row-0 vector per pair"):
-        coboundary_triple(data, RHO[:-1] + [[3, -1], [0, 0]], HBAR)
-
-
 def test_non_coboundary_cocycle_is_reported():
     # a 2-row x constant complex cannot host triples, so build 3 rows with a
     # nontrivial total H^2 and pick a cocycle outside the image
@@ -857,7 +844,7 @@ def _ref_cech_matrix(data, p, q):
         for omit in range(len(simplex)):
             face = simplex[:omit] + simplex[omit + 1:]
             sign = (-1) ** omit
-            mat = data.restriction(face, simplex, q)
+            mat = data.restrictions[(face, simplex)][q]
             r0 = dst_off[simplex]
             c0 = src_off[face]
             for r, row in enumerate(mat):

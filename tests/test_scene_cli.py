@@ -17,6 +17,7 @@ from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
 from exact_rule import follows_the_rule
+from reference import coboundary_triple
 
 
 def write_scene(tmp_path, name, payload):
@@ -799,7 +800,7 @@ def obstruction_scene(perturb=False):
     data = leafcomplex.constant_cover([[[1, 0], [0, 1], [1, 1]], [[1, 1, -1]]], 3)
     rho = [[1, 2], [0, 1], [3, -1]]
     hbar = [[1, 0, 2], [0, 0, 1], [1, 1, 1]]
-    theta, gbar, bbar = leafcomplex.coboundary_triple(data, rho, hbar)
+    theta, gbar, bbar = coboundary_triple(data, rho, hbar)
     gbar = [list(map(str, v)) for v in gbar]
     if perturb:
         gbar[0][0] = str(Fraction(gbar[0][0]) + 1)

@@ -86,8 +86,8 @@ class SNCCurveBundle(namedtuple("SNCCurveBundle", "left right glue")):
         g = tuple(tuple(map(linalg._exact, row)) for row in glue)
         if len(g) != left.rank or any(len(r) != left.rank for r in g):
             raise ValueError("glue matrix must be square of the common rank")
-        # raises if singular
-        linalg.inverse(linalg.SparseRows([dict(enumerate(r)) for r in g], left.rank))
+        if linalg.rank([dict(enumerate(r)) for r in g]) != left.rank:
+            raise ValueError("matrix is singular")
         return tuple.__new__(cls, (left, right, g))
 
     @classmethod

@@ -399,7 +399,7 @@ def _say(text):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _print_report(report, prefix=""):
+def _print_report(report, prefix):
     _say("%s%s: %s" % (prefix, report.decision, report.summary))
     for line in report.lines:
         _say("%s  %s" % (prefix, line))
@@ -487,11 +487,10 @@ COMMANDS = (
 )
 
 
-def build_parser(argv=None):
-    """The parser for argv: when a row's words (or an alias of its last
-    word) lead argv, that row's own parser, which reads argv past them (its
-    words attribute); else the whole tree (words ())."""
-    argv = argv or ()
+def build_parser(argv):
+    """The parser for the list argv: when a row's words (or an alias of its
+    last word) lead argv, that row's own parser, which reads argv past them
+    (its words attribute); else the whole tree (words ())."""
     for i, cmd in enumerate(COMMANDS):
         k = len(cmd.words) - 1
         if len(argv) > k and tuple(argv[:k]) == cmd.words[:k] and (

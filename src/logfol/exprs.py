@@ -26,8 +26,8 @@ one exponent list, and the term goes straight into the sum.  Only a factor
 in parentheses, and a divisor, becomes a sparse polynomial and goes through
 _product and _power, one factor at a time.
 
-The text is read in the quotient that the bound of parse_polynomial names,
-if any: every product (_product) drops the terms past a total degree or on a
+The text is read in the quotient that the bound of parse_polynomial names:
+every product (_product) drops the terms past a total degree or on a
 crossing as it forms them, so a large power costs only the terms that
 survive.  A run is tested once, when its term ends, and only if it took a
 product or a power, as the descent it replaced did: a factor never lowers a
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import inf
 from operator import add
 
 from .linalg import _exact
@@ -338,23 +337,21 @@ class _Reader:
         return {tuple(e): 1}
 
 
-def parse_polynomial(text, names, width=None, consts=None, bound=None):
+def parse_polynomial(text, names, width, consts, bound):
     """Parse `text` into a sparse polynomial.
 
     names: mapping from name to slot index (several names may share a slot).
-    width: number of exponent slots (default: 1 + max slot index).
-    consts: mapping from name to exact rational value, read by _exact.
+    width: number of exponent slots.
+    consts: mapping from name to exact rational value, read by _exact, or
+    None for no constants.
     bound: (degree, r), read the text modulo the monomials past total
-    degree and those divisible by the product of the first r slots (r >= 2);
-    the default None applies no ring relation.
+    degree and those divisible by the product of the first r slots (r >= 2).
     Every value is an int where the arithmetic stayed in ints, else a Fraction.
     """
-    if width is None:
-        width = 1 + max(names.values()) if names else 0
     if not _PLAIN.fullmatch(text) or len(text) > 640 and _LONG_NUMBER.search(text):
         _lexical_check(text)
     consts = {k: _exact(v) for k, v in (consts or {}).items()}
-    reader = _Reader(text, names, width, consts, bound or (inf, 0))
+    reader = _Reader(text, names, width, consts, bound)
     p, pos = reader.expr(0)
     if pos < len(text):
         reader.error("trailing input", pos)

@@ -39,11 +39,12 @@ class StratumDisagreementError(ValueError):
 
 
 class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
-    """Foliation presented by generators, with a declared generic rank."""
+    """Foliation presented by generators, with a declared generic rank in
+    1..len(generators)."""
 
     __slots__ = ()
 
-    def __new__(cls, ctx: GermContext, generators, rank=1):
+    def __new__(cls, ctx: GermContext, generators, rank):
         gens = tuple(generators)
         if not gens:
             raise ValueError("a foliation needs at least one generator")
@@ -189,7 +190,8 @@ def _solve_span(target, generators, order):
     """The coefficient jets of span_membership, before their certificate."""
     red = _UnitPivots(generators, (target,), order)
     unknowns, system = red.system()
-    sol = system.solve()
+    n = system.ncols
+    sol = linalg.solution(linalg.echelon(system.rows.values(), n + 1), n)
     if sol is None:
         return None
     terms = {}
@@ -239,9 +241,6 @@ def span_membership(target, generators):
 class InvolutivityResult(namedtuple("InvolutivityResult", "ok order failing_pair",
                                     defaults=(None,))):
     __slots__ = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def involutivity_check(fol: FoliationGerm):
@@ -339,9 +338,6 @@ class GluingCheck(namedtuple("GluingCheck", "ok failures")):
 
     __slots__ = ()
 
-    def __bool__(self):
-        return self.ok
-
 
 def check_gluing_cocycle(glue: SNCGlueData):
     """Around every triple stratum the directed product of scalars must be 1.
@@ -365,12 +361,10 @@ class PushoutResult(namedtuple("PushoutResult", "ok order component_witness fail
 
     __slots__ = ()
 
-    def __bool__(self):
-        return self.ok
 
-
-def pushout_membership(fields, component_foliations, germ_ctx=None):
-    """Does a field on the crossing germ restrict into every component foliation?
+def pushout_membership(fields, component_foliations, germ_ctx):
+    """Does a field on the crossing germ germ_ctx restrict into every
+    component foliation?
 
     `fields` is either a single LogDerivation on the total germ (restrictions
     are computed) or a sequence of per-component derivations, in which case
@@ -378,14 +372,11 @@ def pushout_membership(fields, component_foliations, germ_ctx=None):
     StratumDisagreementError since the input then fails to describe one field.
     Membership is decided at the germ's order, which the result reports.
     """
+    ctx = germ_ctx
     if isinstance(fields, LogDerivation):
-        ctx = fields.ctx
         per_comp = [restrict_derivation(fields, i) for i in range(ctx.r)]
     else:
         per_comp = list(fields)
-        if germ_ctx is None:
-            raise ValueError("per-component input needs the total germ context")
-        ctx = germ_ctx
         if len(per_comp) != ctx.r:
             raise ValueError("expected one field per component")
         for i in range(ctx.r):

@@ -78,7 +78,7 @@ class GermContext(namedtuple("GermContext", "n r order")):
 
     __slots__ = ()
 
-    def __new__(cls, n, r, order=6):
+    def __new__(cls, n, r, order):
         n, r, order = _integer(n), _integer(r), _integer(order)
         if n < 1:
             raise ValueError("need at least one variable")
@@ -177,7 +177,7 @@ class Jet(_Value):
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             other = Jet.constant(self.ctx, other)
         self._check(other)
         return Jet(self.ctx, _sum(self.terms, other.terms))
@@ -188,7 +188,7 @@ class Jet(_Value):
         return Jet(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             other = Jet.constant(self.ctx, other)
         return self + (-other)
 
@@ -203,7 +203,7 @@ class Jet(_Value):
         return Jet(self.ctx, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         return self.mul_to(other, self.ctx.order)
@@ -267,8 +267,8 @@ class Jet(_Value):
                 out[e2] = c
         return Jet(ctx2, out)
 
-    def invert(self, degree=None):
-        """Multiplicative inverse through total degree degree (default: the
+    def invert(self, degree):
+        """Multiplicative inverse through total degree degree (at most the
         order), by Newton iteration; a constant is inverted directly."""
         c = self.constant_term()
         if c == 0:
@@ -276,7 +276,6 @@ class Jet(_Value):
         inv = Jet.constant(self.ctx, Fraction(1) / c)
         if len(self.terms) == 1:
             return inv
-        degree = self.ctx.order if degree is None else degree
         correct = 0
         while correct < degree:
             inv = inv.mul_to(2 - self.mul_to(inv, degree), degree)

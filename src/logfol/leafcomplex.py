@@ -718,8 +718,9 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
 # --- builders for concrete covers ---
 
 
-def constant_cover(ce_mats, n_opens=3):
-    """Cover with all overlaps, identity restrictions, one shared row complex.
+def constant_cover(ce_mats, n_opens):
+    """Cover of n_opens opens with all overlaps, identity restrictions and
+    one shared row complex.
 
     ce_mats lists the row differentials; consecutive ones must compose to
     zero.  Good for exercising the total complex where the Cech direction
@@ -756,7 +757,7 @@ def _window_mult(poly, src, dst):
     return out
 
 
-def p1_window_cover(degrees, window, polys=()):
+def p1_window_cover(degrees, window, polys):
     """Two-chart cover of the projective line with polynomial row maps.
 
     Row q holds truncated sections of the degree degrees[q] line bundle:

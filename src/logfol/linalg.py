@@ -9,7 +9,7 @@ quotient is built as a Fraction, never by / on two ints.  Integers
 _integer, which takes an int or an integral Fraction and truncates nothing.
 
 A matrix is a list of {column: value} rows holding its nonzero entries;
-solve, nullspace and inverse take them as SparseRows, which carries the
+solve and nullspace take them as SparseRows, which carries the
 column count that a list of dicts cannot say.  Vectors, the x of mat_vec
 and the b of solve, are dense.  Entries are ints or Fractions.
 
@@ -17,7 +17,7 @@ Elimination has one engine, whose work follows the nonzeros, not rows x
 columns: the jet and cover systems are more than 99% zeros.  Its reader,
 echelon(), copies each row it is given once, scaled to integers (an int row
 as it is), and leaves the rows it was given alone; its core, _echelon(),
-reduces integer rows that it owns in place.  rank, solve and inverse build
+reduces integer rows that it owns in place.  rank and solve build
 their own integer rows, column-ordered or augmented, and hand them to the
 core, so each row is copied once on its way in.  The engine is
 fraction-free: every basis row is a primitive {column: int} row (gcd 1,
@@ -25,9 +25,9 @@ positive pivot), so a step is a few int multiplies where a Fraction step
 would normalise every entry with a gcd.  Its reduced basis, one row per pivot,
 is the reduced row echelon form with each row scaled to a primitive
 integer row.  Values are divided by the pivot only where they are read:
-solution, nullspace and inverse return Fractions, as mat_vec does from
-sums taken in ints; product keeps int rows int.  solve, nullspace and
-inverse run the engine lowest column first, the order that picks the
+solution and nullspace return Fractions, as mat_vec does from sums taken
+in ints; product keeps int rows int.  solve and nullspace run the engine
+lowest column first, the order that picks the
 particular solution that gets printed; rank first orders the columns by
 ascending nonzero count, which keeps the cover matrices sparse.  The
 integer Hermite form keeps its own small dense tableau.
@@ -189,7 +189,7 @@ def echelon(rows, ncols, basis=None, reduced=True):
     the new rows, or None to start empty.  The result maps each pivot column
     to its row, a primitive {column: int} row: the gcd of its entries is 1,
     its pivot is positive and no entry lies left of it.  Callers divide by
-    the pivot where they read a value (solution, nullspace, inverse).
+    the pivot where they read a value (solution, nullspace).
     """
     rows = (_integer_row(_nonzeros(row, ncols)) for row in rows)
     return _echelon(rows, {} if basis is None else basis, reduced)
@@ -249,7 +249,8 @@ class RowBuilder:
 
     Builders that walk their equations term by term add each coefficient
     where it lands, so a row holds only the entries it receives.  b is
-    column ncols.
+    column ncols; solution(echelon(rows.values(), ncols + 1), ncols) solves
+    the system.
     """
 
     def __init__(self, ncols):
@@ -264,13 +265,6 @@ class RowBuilder:
             row[col] += value
         else:
             row[col] = value
-
-    def add_rhs(self, key, value):
-        self.add(key, self.ncols, value)
-
-    def solve(self):
-        """solution() of all rows, or None if inconsistent."""
-        return solution(echelon(self.rows.values(), self.ncols + 1), self.ncols)
 
 
 def rank(a):
@@ -322,22 +316,6 @@ def nullspace(a):
             if j != col:
                 out[j][col] = Fraction(-v, row[col])
     return list(out.values())
-
-
-def inverse(a):
-    """The inverse of a square matrix; ValueError if singular or not square."""
-    n = len(a)
-    if _width(a) != n:
-        raise ValueError("matrix is not square")
-    rows = []
-    for i, row in enumerate(a):
-        r = _nonzeros(row, n)
-        r[n + i] = 1
-        rows.append(_integer_row(r))
-    basis = _echelon(rows, {}, True)
-    if sorted(basis) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(basis[i].get(n + j, 0), basis[i][i]) for j in range(n)] for i in range(n)]
 
 
 # --- integer lattice routines ---

@@ -150,7 +150,7 @@ class LogOneForm(_Value):
         _set(self, "reg", reg)
 
     @classmethod
-    def make(cls, ctx, dlog, reg=()):
+    def make(cls, ctx, dlog, reg):
         dlog = tuple(dlog)
         reg = tuple(reg)
         if len(dlog) != ctx.r:

@@ -170,7 +170,7 @@ class Scene:
 
     # -- plumbing --
 
-    def _get(self, key, default=None):
+    def _get(self, key, default):
         return self.raw.get(key, default)
 
     def _require(self, key):
@@ -219,18 +219,17 @@ class Scene:
             out[name] = scene_fraction(value, where)
         return out
 
-    def fields(self, germ=None):
+    def fields(self, germ):
         """All named vector fields of the scene, parsed on the ambient germ,
-        given as germ() returns it or read here."""
-        ctx, _, table = germ or self.germ()
+        given as germ() returns it."""
+        ctx, _, table = germ
         spec = _expect(self._require("fields"), dict, "fields")
         read = _parser(logcalc.derivation_from_string, ctx, table, self.params(ctx, table))
         return {name: read(text, "fields.%s" % name) for name, text in spec.items()}
 
-    def foliation(self, germ=None):
+    def foliation(self, germ):
         """The foliation of the scene on the ambient germ, given as germ()
-        returns it or read here."""
-        germ = germ or self.germ()
+        returns it."""
         ctx, fields = germ[0], self.fields(germ)
         spec = _expect(self._require("foliation"), dict, "foliation")
         return _foliation(ctx, fields, spec.get("generators"), "foliation.generators",
@@ -519,8 +518,9 @@ class Scene:
             return leafcomplex.FinLieData(algebra, sub, pert, mu)
 
 
-def load_scene(path, order=None):
-    """Read a scene file; order overrides the scene's own, default 6."""
+def load_scene(path, order):
+    """Read a scene file; order, unless None, overrides the scene's own,
+    default 6."""
     try:
         with open(path, "r") as handle:
             raw = json.load(handle)

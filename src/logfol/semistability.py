@@ -73,9 +73,6 @@ class FlatUnitResult(namedtuple("FlatUnitResult", "ok order unit failing_degree 
                                 defaults=(None, None, None))):
     __slots__ = ()
 
-    def __bool__(self):
-        return self.ok
-
 
 def _zeros(e, r):
     """The crossing positions i < r where e_i = 0, as a bit mask."""
@@ -179,7 +176,7 @@ def find_flat_unit(fol: FoliationGerm):
     """
     ctx = fol.ctx
     d = ctx.order
-    if not involutivity_check(fol):
+    if not involutivity_check(fol).ok:
         raise ValueError("generators are not involutive at this order")
 
     unknowns = _t1_unknowns(ctx)
@@ -194,7 +191,7 @@ def find_flat_unit(fol: FoliationGerm):
         systems = [linalg.RowBuilder(n) for _ in range(d)]
         for m, c in terms.trace:  # nabla_v 1 = -trace
             if sum(m) <= top and t1_monomial_alive(ctx, m):
-                systems[sum(m)].add_rhs(m, c)
+                systems[sum(m)].add(m, n, c)
         gens.append((terms, systems, [system.add for system in systems]))
 
     basis = {}
@@ -285,9 +282,10 @@ def cs_index_log(form: LogOneForm, i, j):
         (1 / (a_j - a_i)) * ( sum_{k != i,j} (a_k - a_i) dx_k/x_k + eta )
 
     restricted to the stratum. The dlog terms contribute their value at the
-    origin; the regular part contributes an honest curve residue when the
-    stratum is one-dimensional with a smooth coordinate, and zero otherwise
-    by regularity. Requires a_i(0) != a_j(0).
+    origin.  The regular part eta never contributes: a_j - a_i is a unit on
+    the stratum, as a_i(0) != a_j(0) is required, so eta / (a_j - a_i) is
+    regular there and has no residue, even where the stratum is a curve
+    with a smooth coordinate.
     """
     ctx = form.ctx
     _crossing_pair(ctx, i, j)
@@ -303,13 +301,6 @@ def cs_index_log(form: LogOneForm, i, j):
         if k in (i, j):
             continue
         total += Fraction(form.dlog[k].constant_term() - ai0, denom0)
-    if ctx.n - 2 == 1:
-        rest = [l for l in range(ctx.n) if l not in (i, j)]
-        l = rest[0]
-        if l >= ctx.r:
-            c = form.reg[l - ctx.r].set_zero(i).set_zero(j)
-            den = (form.dlog[j] - form.dlog[i]).set_zero(i).set_zero(j)
-            total += laurent_residue(c.univariate(l), den.univariate(l), ctx.order)
     return total
 
 

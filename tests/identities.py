@@ -157,7 +157,7 @@ def _field_keeping_flat(rng, ctx, unit):
     for k in range(r, ctx.n):
         rest = rest + comps[k] * unit.partial(k)
     known = sum(comps[:r - 1], Jet.zero(ctx))
-    comps[r - 1] = (known * unit - rest) * (unit.scaled_partial(r - 1) - unit).invert()
+    comps[r - 1] = (known * unit - rest) * (unit.scaled_partial(r - 1) - unit).invert(ctx.order)
     return LogDerivation(ctx, tuple(comps[:r]), tuple(comps[r:]))
 
 
@@ -312,7 +312,7 @@ def check_flat_unit(rng):
             b[-1] = b[-1] - v.log_trace().constant_term()
             v = LogDerivation(ctx, tuple(b), v.a)
     try:
-        res = semistability.find_flat_unit(foliations.FoliationGerm(ctx, (v,)))
+        res = semistability.find_flat_unit(foliations.FoliationGerm(ctx, (v,), rank=1))
     except RuntimeError as e:
         return str(e)
     if built and not res.ok:

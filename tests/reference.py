@@ -6,10 +6,12 @@ at_order reads a field on its germ at another order, since every solver
 decides at its germ's order, basis_derivation gives the basis fields of
 the log tangent module, abelian_algebra and adjoint_module build Lie data
 for the cochain tests, coboundary_triple builds obstruction triples that
-are coboundaries by construction, and serre_dual gives the dual bundle on
-the nodal curve.
+are coboundaries by construction, serre_dual gives the dual bundle on
+the nodal curve, and inverse gives the inverse matrix it dualizes the glue
+with (a command asks linalg.rank whether a glue matrix is invertible).
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from logfol import linalg
@@ -91,9 +93,26 @@ def serre_dual(bundle: SNCCurveBundle) -> SNCCurveBundle:
     dualizes to the inverse transpose.
     """
     n = len(bundle.glue)
-    inverse = linalg.inverse(linalg.SparseRows([dict(enumerate(r)) for r in bundle.glue], n))
     return SNCCurveBundle(
         GradedBundleP1(tuple(-d - 1 for d in bundle.left.degrees)),
         GradedBundleP1(tuple(-d - 1 for d in bundle.right.degrees)),
-        tuple(zip(*inverse)),
+        tuple(zip(*inverse(linalg.SparseRows([dict(enumerate(r)) for r in bundle.glue], n)))),
     )
+
+
+def inverse(a):
+    """The inverse of a square matrix given as linalg.SparseRows, as rows of
+    Fractions, by linalg's elimination engine on [a | I]; ValueError if it
+    is singular or not square."""
+    n = len(a)
+    if linalg._width(a) != n:
+        raise ValueError("matrix is not square")
+    rows = []
+    for i, row in enumerate(a):
+        r = linalg._nonzeros(row, n)
+        r[n + i] = 1
+        rows.append(linalg._integer_row(r))
+    basis = linalg._echelon(rows, {}, True)
+    if sorted(basis) != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(basis[i].get(n + j, 0), basis[i][i]) for j in range(n)] for i in range(n)]

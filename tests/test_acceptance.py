@@ -30,7 +30,7 @@ def _verdict(num, label, ok, elapsed=None):
 def node_foliation(lam1, lam2, order=6):
     ctx = GermContext(2, 2, order)
     field = LogDerivation(ctx, (Jet.constant(ctx, lam1), Jet.constant(ctx, lam2)), ())
-    return FoliationGerm(ctx, (field,))
+    return FoliationGerm(ctx, (field,), rank=1)
 
 
 def linear_model(lam, order=6):

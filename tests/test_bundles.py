@@ -57,14 +57,14 @@ def test_wider_windows_of_the_cover_engine_give_h_p1(d):
     # window past max(d, 0) has the cohomology h_p1 reads off max(d, 0)
     w0 = max(d, 0, 1)
     for w in range(w0, w0 + 5):
-        assert leaf_complex_hypercohomology(p1_window_cover((d,), w)) == (*h_p1(d), 0)
+        assert leaf_complex_hypercohomology(p1_window_cover((d,), w, ())) == (*h_p1(d), 0)
 
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_a_window_one_short_of_the_degree_misses_a_section(d):
     # the window is tight: at w = d - 1 the two charts share only t^1..t^(d-1),
     # so the cover finds d - 1 global sections, not d + 1
-    h0, h1, _ = leaf_complex_hypercohomology(p1_window_cover((d,), d - 1))
+    h0, h1, _ = leaf_complex_hypercohomology(p1_window_cover((d,), d - 1, ()))
     assert (h0, h1) == (d - 1, 0) != h_p1(d)
 
 
@@ -73,7 +73,7 @@ def test_a_window_one_short_of_the_degree_misses_a_section(d):
     lambda: h_p1(2.7),
     lambda: GradedBundleP1((1.5, True)),
     lambda: check_normal_degrees(1.5, -1),
-    lambda: p1_window_cover((0.5,), 3),
+    lambda: p1_window_cover((0.5,), 3, ()),
     lambda: linalg.hermite_normal_form([[Fraction(3, 2), 1], [0, 2]]),
     lambda: linalg.hermite_normal_form([[2.7, 1]]),
     lambda: GermContext(2, 2, 4.5),

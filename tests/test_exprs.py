@@ -149,6 +149,10 @@ class Parser:
         self.toks.error("expected a number, name, or '('", pos)
 
 
+# the bound that applies no ring relation
+UNBOUNDED = (float("inf"), 0)
+
+
 def reference(text, names, width=None, consts=None, bound=None):
     if width is None:
         width = 1 + max(names.values()) if names else 0
@@ -184,7 +188,7 @@ def assert_reads_alike(text, names=None, consts=None, bounds=(None, (1, 0), (3, 
         names = {w: i % 3 for i, w in enumerate(words(text))}
     width = 1 + max(names.values(), default=2)
     for bound in bounds:
-        got = read(parse_polynomial, text, names, width, consts, bound)
+        got = read(parse_polynomial, text, names, width, consts, bound or UNBOUNDED)
         assert got == read(reference, text, names, width, consts, bound), (text, bound)
 
 
@@ -314,21 +318,22 @@ def test_a_superscript_digit_is_a_positioned_error():
         old("x1^²")
     assert not isinstance(exc.value, ExprError)
     with pytest.raises(ExprError) as exc:
-        parse_polynomial("x1^²", {"x1": 0})
+        parse_polynomial("x1^²", {"x1": 0}, 1, None, UNBOUNDED)
     assert (exc.value.line, exc.value.col) == (1, 4)
     assert str(exc.value).startswith("unexpected character '²'")
     # an Arabic-Indic digit is a decimal digit and still reads as an int
-    assert parse_polynomial("x1^٣", {"x1": 0}) == {(3,): 1}
+    assert parse_polynomial("x1^٣", {"x1": 0}, 1, None, UNBOUNDED) == {(3,): 1}
 
 
 def test_powers_are_taken_by_squaring():
     names = {"x1": 0, "x2": 1}
     for k in range(8):
         product = "*".join(["(x1 + 2 - x2)"] * k) or "1"
-        power = parse_polynomial("(x1 + 2 - x2)^%d" % k, names, width=2)
-        assert power == parse_polynomial(product, names, width=2)
+        power = parse_polynomial("(x1 + 2 - x2)^%d" % k, names, 2, None, UNBOUNDED)
+        assert power == parse_polynomial(product, names, 2, None, UNBOUNDED)
     start = time.monotonic()
-    huge = parse_polynomial("x1^1000000000*x2 - (-1)^1000000001 + 0^1000000000", names, width=2)
+    huge = parse_polynomial("x1^1000000000*x2 - (-1)^1000000001 + 0^1000000000", names, 2, None,
+                            UNBOUNDED)
     assert huge == {(10**9, 1): 1, (0, 0): 1}
     assert time.monotonic() - start < 1.0
 
@@ -367,15 +372,15 @@ def bounded_cases(draw):
     return ctx, {"lam": lam}, draw(poly), field
 
 
-def unbounded(text, names, width=None, consts=None, bound=None):
-    return parse_polynomial(text, names, width, consts)
+def unbounded(text, names, width, consts, bound):
+    return parse_polynomial(text, names, width, consts, UNBOUNDED)
 
 
 @settings(max_examples=200, deadline=None)
 @given(bounded_cases())
 def test_the_bounded_parse_is_the_truncated_full_expansion(case):
     ctx, params, jet_text, field_text = case
-    full = parse_polynomial(jet_text, name_table(ctx), ctx.n, params)
+    full = parse_polynomial(jet_text, name_table(ctx), ctx.n, params, UNBOUNDED)
     assert jet_from_string(ctx, jet_text, params=params) == Jet.make(ctx, full)
     field = logcalc.derivation_from_string(ctx, field_text, params=params)
     with mock.patch.object(logcalc, "parse_polynomial", unbounded):
@@ -457,9 +462,10 @@ def test_a_lexical_fault_anywhere_is_reported_as_the_reference_does(text, at, fa
 ])
 def test_a_lexical_error_wins_over_an_earlier_syntax_error(text, message, col):
     with pytest.raises(ExprError) as exc:
-        parse_polynomial(text, NAMES, 3, CONSTS)
+        parse_polynomial(text, NAMES, 3, CONSTS, UNBOUNDED)
     assert str(exc.value) == "%s (line 1, column %d)" % (message, col)
-    assert read(parse_polynomial, text, NAMES, 3, CONSTS) == read(reference, text, NAMES, 3, CONSTS)
+    assert (read(parse_polynomial, text, NAMES, 3, CONSTS, UNBOUNDED)
+            == read(reference, text, NAMES, 3, CONSTS))
 
 
 def test_a_number_longer_than_int_reads_fails_before_any_syntax_error():
@@ -467,22 +473,23 @@ def test_a_number_longer_than_int_reads_fails_before_any_syntax_error():
     assert limit == 0 or limit >= 640
     long_number = "9" * max(limit + 1, 641)
     for text in ("x1 x2 " + long_number, "nope + " + long_number, long_number + " ^ x1"):
-        got = read(parse_polynomial, text, NAMES, 3)
+        got = read(parse_polynomial, text, NAMES, 3, None, UNBOUNDED)
         assert got == read(reference, text, NAMES, 3)
         assert got[0] == ("ValueError" if limit else "error")
     # 640 digits are read wherever they sit, int() reads them under any limit
-    assert parse_polynomial("9" * 640 + "*x1", NAMES, 3) == {(1, 0, 0): int("9" * 640)}
+    assert parse_polynomial("9" * 640 + "*x1", NAMES, 3, None, UNBOUNDED) == {
+        (1, 0, 0): int("9" * 640)}
 
 
 def test_the_reader_keeps_the_coefficient_types_and_term_order():
     text = "half*2 + x1/2*2 + 2*x1/2 + (x1/2)*2/1 + y^2 - x2*x1 + lam^0 + zero^0*x1"
-    got = parse_polynomial(text, NAMES, 3, CONSTS)
+    got = parse_polynomial(text, NAMES, 3, CONSTS, UNBOUNDED)
     assert list(got.items()) == list(reference(text, NAMES, 3, CONSTS).items())
     assert [type(c) for c in got.values()] == [Fraction, Fraction, int]
     # 2*x1/2 is the int 1, the quotient made integral; x1/2*2 is Fraction(1)
     assert got == {(0, 0, 0): 2, (1, 0, 0): Fraction(7, 2), (0, 2, 0): 1}
-    assert type(parse_polynomial("2*x1/2", NAMES, 3)[(1, 0, 0)]) is int
-    assert type(parse_polynomial("x1/2*2", NAMES, 3)[(1, 0, 0)]) is Fraction
+    assert type(parse_polynomial("2*x1/2", NAMES, 3, None, UNBOUNDED)[(1, 0, 0)]) is int
+    assert type(parse_polynomial("x1/2*2", NAMES, 3, None, UNBOUNDED)[(1, 0, 0)]) is Fraction
 
 
 def test_a_run_is_cut_only_when_a_product_or_a_power_was_taken():
@@ -490,7 +497,7 @@ def test_a_run_is_cut_only_when_a_product_or_a_power_was_taken():
     for text in ("x1", "x1^1", "1*x1", "x1^0", "x1/2", "-x1 + 2^0", "(x1)", "x1/x1^1"):
         for bound in ((0, 0), (-1, 0), (1, 2)):
             assert_reads_alike(text, NAMES, CONSTS, (bound,))
-    assert parse_polynomial("x1 + x1^1 + 1*x1", NAMES, 3, bound=(0, 0)) == {(1, 0, 0): 1}
+    assert parse_polynomial("x1 + x1^1 + 1*x1", NAMES, 3, None, (0, 0)) == {(1, 0, 0): 1}
 
 
 # -- the jet readers against the split through Jet.make ----------------------------

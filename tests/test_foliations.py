@@ -49,7 +49,7 @@ def derivation_strategy(ctx):
 
 def test_foliation_requires_generators():
     with pytest.raises(ValueError):
-        FoliationGerm(CTX, ())
+        FoliationGerm(CTX, (), rank=1)
 
 
 def test_foliation_rejects_rank_above_declared():
@@ -83,7 +83,7 @@ def test_span_membership_rejects_outside_fields():
 
 def test_single_generator_is_involutive():
     v = derivation_from_string(CTX, "x1*dx1 + x1*dx3")
-    assert involutivity_check(FoliationGerm(CTX, (v,))).ok
+    assert involutivity_check(FoliationGerm(CTX, (v,), rank=1)).ok
 
 
 def test_commuting_pair_is_involutive():
@@ -521,7 +521,7 @@ def test_cocycle_fails_with_certificate(lam):
 
 def comp_foliation(ctx_total, i, text):
     ctx = ctx_total.component(i)
-    return FoliationGerm(ctx, (derivation_from_string(ctx, text),))
+    return FoliationGerm(ctx, (derivation_from_string(ctx, text),), rank=1)
 
 
 def test_pushout_accepts_global_euler_field():
@@ -531,7 +531,7 @@ def test_pushout_accepts_global_euler_field():
         comp_foliation(CTX, 0, "x1*dx1"),
         comp_foliation(CTX, 1, "x1*dx1"),
     ]
-    res = pushout_membership(v, fols)
+    res = pushout_membership(v, fols, CTX)
     assert res.ok
     assert res.failing_component is None
 
@@ -542,7 +542,7 @@ def test_pushout_reports_failing_component():
         comp_foliation(CTX, 0, "x1*dx1"),
         comp_foliation(CTX, 1, "dx2"),
     ]
-    res = pushout_membership(v, fols)
+    res = pushout_membership(v, fols, CTX)
     assert not res.ok
     assert res.failing_component == 1
 

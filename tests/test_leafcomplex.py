@@ -572,9 +572,9 @@ def test_validation_rejects_broken_row_complex():
 def test_validation_names_the_simplex_of_a_bad_row_complex():
     m0 = [[1, 0], [0, 1], [1, 1]]
     with pytest.raises(ValueError, match=r"row differential does not square to zero on \(0,\)"):
-        constant_cover([m0, [[1, 1, 1]]])
+        constant_cover([m0, [[1, 1, 1]]], 3)
     with pytest.raises(ValueError, match=r"ce matrix on \(0,\) has the wrong shape"):
-        constant_cover([m0, [[1, 1]]])
+        constant_cover([m0, [[1, 1]]], 3)
 
 
 def test_validation_checks_a_shared_block_at_each_shape():
@@ -642,12 +642,12 @@ def test_row_complex_with_kernel_and_cokernel():
 
 def test_twisted_tangent_windows_are_window_independent():
     for w in (2, 3, 4):
-        data = p1_window_cover((2,), w)
+        data = p1_window_cover((2,), w, ())
         assert leaf_complex_hypercohomology(data) == (3, 0, 0)
 
 
 def test_negative_line_bundle_window():
-    data = p1_window_cover((-3,), 4)
+    data = p1_window_cover((-3,), 4, ())
     assert leaf_complex_hypercohomology(data) == (0, 2, 0)
 
 

@@ -4,6 +4,7 @@ they are values, equal by value, and the arithmetic types are no tuples."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ def _field():
 
 
 def _foliation():
-    return foliations.FoliationGerm(CTX, (_field(),))
+    return foliations.FoliationGerm(CTX, (_field(),), rank=1)
 
 
 def _glue():
@@ -50,7 +51,7 @@ VALUES = [
     (Jet, lambda: jet_from_string(CTX, "1 + x1 - 3/2*x2^2"), "terms"),
     (logcalc.LogDerivation, _field, "b"),
     (logcalc.LogOneForm, lambda: logcalc.LogOneForm.make(
-        CTX, (jet_from_string(CTX, "2"), jet_from_string(CTX, "x2"))), "dlog"),
+        CTX, (jet_from_string(CTX, "2"), jet_from_string(CTX, "x2")), ()), "dlog"),
     (foliations.FoliationGerm, _foliation, "rank"),
     (foliations.InvolutivityResult, lambda: foliations.involutivity_check(_foliation()), "ok"),
     (foliations.SNCGlueData, _glue, "triples"),
@@ -70,10 +71,10 @@ VALUES = [
     (leafcomplex.FinLieData, _lie, "mu"),
     (leafcomplex.LieObstruction, lambda: leafcomplex.lie_subalgebra_obstruction(_lie()),
      "vanishes"),
-    (leafcomplex.CechLeafData, lambda: leafcomplex.constant_cover([[[1, 1]], [[0]]]), "ce"),
+    (leafcomplex.CechLeafData, lambda: leafcomplex.constant_cover([[[1, 1]], [[0]]], 3), "ce"),
     (leafcomplex.ObstructionReport,
      lambda: leafcomplex.verify_obstruction_cocycle(
-         leafcomplex.constant_cover([[[1]], [[0]]]), [[0]], [[0]] * 3, [[0]] * 3),
+         leafcomplex.constant_cover([[[1]], [[0]]], 3), [[0]], [[0]] * 3, [[0]] * 3),
      "corrector"),
 ]
 
@@ -102,8 +103,8 @@ def test_read_only_classes_are_unhashable_and_equal_only_within_their_class():
 
 
 def test_contexts_and_monoids_stay_hashable():
-    assert hash(GermContext(3, 1, 6)) == hash(GermContext(3, 1))
-    assert len({GermContext(3, 1, 6), GermContext(3, 1), GermContext(3, 1, 7)}) == 2
+    assert hash(GermContext(3, 1, 6)) == hash(GermContext(3, 1, Fraction(6)))
+    assert len({GermContext(3, 1, 6), GermContext(3, 1, Fraction(6)), GermContext(3, 1, 7)}) == 2
     m = monoids.FGMonoid(2, [(1, 0), [1, 2]])
     assert {m: 1}[monoids.FGMonoid(2, ((1, 0), (1, 2)))] == 1
 
@@ -111,7 +112,7 @@ def test_contexts_and_monoids_stay_hashable():
 def test_arithmetic_types_are_not_tuples():
     jet = jet_from_string(CTX, "1 + x1")
     v = _field()
-    form = logcalc.LogOneForm.make(CTX, (jet, jet))
+    form = logcalc.LogOneForm.make(CTX, (jet, jet), ())
     for value in (jet, v, form):
         assert not isinstance(value, tuple)
         with pytest.raises(TypeError):

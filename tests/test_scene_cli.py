@@ -86,12 +86,12 @@ def test_the_reader_refuses_what_is_no_exact_number(value, message):
 
 
 def test_a_scene_stores_its_integral_numbers_as_ints():
-    lie = load_scene(SCENES / "lie_borel.json").lie_data()
+    lie = load_scene(SCENES / "lie_borel.json", None).lie_data()
     structure = [x for row in lie.algebra.structure for v in row for x in v.values()]
-    data = load_scene(SCENES / "obstruction_demo.json").leaf_data()
+    data = load_scene(SCENES / "obstruction_demo.json", None).leaf_data()
     ce = [x for mats in data.ce.values() for m in mats for row in m for x in row.values()]
     assert structure and ce and all(type(x) is int for x in structure + ce)
-    holonomy = load_scene(SCENES / "holonomy_pair.json").holonomy()
+    holonomy = load_scene(SCENES / "holonomy_pair.json", None).holonomy()
     assert all(follows_the_rule(h.values) for h in holonomy)
 
 
@@ -106,28 +106,28 @@ def test_load_scene_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"germ": \n  [}')
     with pytest.raises(SceneError, match=r"line 2, column 4"):
-        load_scene(str(path))
+        load_scene(str(path), None)
 
 
 def test_load_scene_rejects_non_objects(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
     with pytest.raises(SceneError, match="JSON object"):
-        load_scene(str(path))
+        load_scene(str(path), None)
 
 
 def test_order_precedence(tmp_path):
     path = write_scene(tmp_path, "s.json", {"order": 4, "germ": {"n": 1}})
-    assert load_scene(path).order == 4
+    assert load_scene(path, None).order == 4
     assert load_scene(path, order=9).order == 9
     plain = write_scene(tmp_path, "p.json", {"germ": {"n": 1}})
-    assert load_scene(plain).order == 6
+    assert load_scene(plain, None).order == 6
 
 
 def test_bad_order_is_rejected(tmp_path):
     path = write_scene(tmp_path, "s.json", {"order": 0})
     with pytest.raises(SceneError, match="positive integer"):
-        load_scene(path)
+        load_scene(path, None)
 
 
 # -- accessor validation -------------------------------------------------------------
@@ -138,8 +138,9 @@ def test_missing_key_names_the_key(tmp_path):
         tmp_path, "s.json",
         {"germ": {"n": 2, "r": 2}, "fields": {"v": "x1*dx1"}},
     )
+    scn = load_scene(path, None)
     with pytest.raises(SceneError, match="'foliation'"):
-        load_scene(path).foliation()
+        scn.foliation(scn.germ())
 
 
 def test_one_form_counts_are_checked(tmp_path):
@@ -148,7 +149,7 @@ def test_one_form_counts_are_checked(tmp_path):
         {"germ": {"n": 3, "r": 2}, "one_form": {"dlog": ["1"], "reg": []}},
     )
     with pytest.raises(SceneError, match="need 2 dlog and 1 regular"):
-        load_scene(path).one_form()
+        load_scene(path, None).one_form()
 
 
 def test_unknown_generator_is_rejected(tmp_path):
@@ -160,8 +161,9 @@ def test_unknown_generator_is_rejected(tmp_path):
             "foliation": {"generators": ["w"]},
         },
     )
+    scn = load_scene(path, None)
     with pytest.raises(SceneError, match="unknown field 'w'"):
-        load_scene(path).foliation()
+        scn.foliation(scn.germ())
 
 
 @pytest.mark.parametrize("subcommand, path, value, first_line", [
@@ -186,7 +188,7 @@ def test_unknown_generator_is_the_first_error_reported(tmp_path, capsys, subcomm
 def test_duplicate_component_names_are_rejected(tmp_path):
     path = write_scene(tmp_path, "s.json", {"components": ["A", "A"]})
     with pytest.raises(SceneError, match="duplicate"):
-        load_scene(path).component_names()
+        load_scene(path, None).component_names()
 
 
 def test_field_parse_errors_carry_the_key(tmp_path, capsys):
@@ -194,8 +196,9 @@ def test_field_parse_errors_carry_the_key(tmp_path, capsys):
         tmp_path, "s.json",
         {"germ": {"n": 2, "r": 1}, "fields": {"v": "x2*dx1"}},
     )
+    scn = load_scene(path, None)
     with pytest.raises(SceneError, match=r"fields\.v.*not tangent"):
-        load_scene(path).fields()
+        scn.fields(scn.germ())
     assert cli.main(["semistable", "check", write_scene(
         tmp_path, "t.json", dict(BALANCED, fields={"v": "x2*dx1"}))]) == 2
     assert capsys.readouterr().out.splitlines()[0] == (
@@ -361,7 +364,8 @@ def test_params_feed_expressions(tmp_path):
             "foliation": {"generators": ["v"]},
         },
     )
-    fol = load_scene(path).foliation()
+    scn = load_scene(path, None)
+    fol = scn.foliation(scn.germ())
     assert fol.generators[0].b[1].constant_term() == Fraction(-3, 2)
 
 
@@ -376,7 +380,8 @@ def test_a_param_may_be_d_plus_a_derivation_token(tmp_path):
             "foliation": {"generators": ["v"]},
         },
     )
-    fol = load_scene(path).foliation()
+    scn = load_scene(path, None)
+    fol = scn.foliation(scn.germ())
     assert fol.generators[0].b[1].constant_term() == Fraction(-3, 2)
 
 
@@ -880,7 +885,7 @@ def test_cli_obstruction_verify_rejects_a_null_cochain_row(tmp_path, capsys):
     assert cli.main(["obstruction", "verify", path]) == 2
     assert "cochains.theta[0]" in capsys.readouterr().out
     with pytest.raises(SceneError, match="expected list"):
-        load_scene(path).cochains()
+        load_scene(path, None).cochains()
 
 
 SL2 = [
@@ -1344,7 +1349,7 @@ def test_pruned_parser_gives_the_full_tree_namespace(argv, monkeypatch):
     # main reads a named leaf with that leaf's parser alone, so only the
     # tree's routing keys are missing from its namespace
     monkeypatch.setenv("COLUMNS", "80")
-    full = vars(cli.build_parser().parse_args(argv))
+    full = vars(cli.build_parser([]).parse_args(argv))
     routing = {"command", "subcommand"}
     assert vars(cli._parse(argv)) == {k: v for k, v in full.items() if k not in routing}
     assert full["tool"] in {"-".join(cmd.words) for cmd in cli.COMMANDS}
@@ -1355,7 +1360,7 @@ def test_pruned_parser_gives_the_full_tree_help(words, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     argv = list(words) + ["-h"]
     helps = []
-    for run in (cli.build_parser().parse_args, cli.main):
+    for run in (cli.build_parser([]).parse_args, cli.main):
         with pytest.raises(SystemExit) as e:
             run(argv)
         assert e.value.code == 0
@@ -1387,7 +1392,7 @@ def test_usage_errors_read_as_the_whole_tree_words_them(argv, monkeypatch, capsy
     # usage names an unrecognized argument; the leaf's own errors keep its usage
     monkeypatch.setenv("COLUMNS", "80")
     errs = []
-    for run in (cli.build_parser().parse_args, cli.main):
+    for run in (cli.build_parser([]).parse_args, cli.main):
         with pytest.raises(SystemExit) as e:
             run(argv)
         assert e.value.code == 2
@@ -1402,7 +1407,8 @@ def test_usage_errors_read_as_the_whole_tree_words_them(argv, monkeypatch, capsy
         assert errs[1].startswith("usage: logfol %s [-h]" % " ".join(_row(tuple(argv[:2])).words))
 
 
-@pytest.mark.parametrize("argv", [None, [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"]])
+# "leaf" only starts a leaf's word, so it names no leaf
+@pytest.mark.parametrize("argv", [["leaf"], [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"]])
 def test_anything_but_a_leaf_builds_the_whole_tree(argv):
     top = _choices(cli.build_parser(argv), "command")
     assert list(top) == list(dict.fromkeys(cmd.words[0] for cmd in cli.COMMANDS))

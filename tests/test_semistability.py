@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfol import cli, linalg, semistability
-from logfol.foliations import (FoliationGerm, InconclusiveAtOrderError, NonInvariantError,
-                               SurfaceOneForm, span_membership)
+from logfol.foliations import (FoliationGerm, InconclusiveAtOrderError, InvolutivityResult,
+                               NonInvariantError, SurfaceOneForm, span_membership)
 from logfol.jets import GermContext, Jet
 from logfol.logcalc import LogDerivation, LogOneForm, derivation_from_string
 from logfol.semistability import (
@@ -168,7 +168,7 @@ def assume_involutive(fol):
     """Stands in for involutivity_check, so that the flat-unit solve runs
     on fields that are not involutive (and, in a test that forbids jet
     products, without the brackets)."""
-    return True
+    return InvolutivityResult(True, fol.ctx.order - 1)
 
 
 def rows_handed_to_echelon(monkeypatch, fol):
@@ -240,7 +240,7 @@ def test_a_wrong_flat_unit_is_caught_before_it_is_returned(monkeypatch):
     # 2 x1 d1 - x2 d2 - x3 d3 has the unique unit 1; the first unknown is
     # x3, whose nabla is -x3, so 1 + x3 is not flat
     ctx = GermContext(3, 3, 4)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),))
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
     assert find_flat_unit(fol).unit == Jet.one(ctx)
     solution = linalg.solution
 
@@ -258,7 +258,7 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
     ctx = GermContext(4, 3, 6)
     v = derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - 3*x3*dx3 + x1*x4*dx4")
     w = derivation_from_string(ctx, "x4*dx4 + x4^2*dx4")
-    single = FoliationGerm(ctx, (v,))
+    single = FoliationGerm(ctx, (v,), rank=1)
     pair = FoliationGerm(ctx, (v, w), rank=2)
     target = v.scale(Jet.one(ctx) + Jet.variable(ctx, 3)) + w
     monkeypatch.setattr(semistability, "involutivity_check", assume_involutive)
@@ -295,7 +295,7 @@ def _flat_unit_oracle(fol):
         terms = semistability._Terms(v)
         for m, c in terms.trace:
             if sum(m) <= top and t1_monomial_alive(ctx, m):
-                system.add_rhs((gi, m), c)
+                system.add((gi, m), n, c)
         for col, e in enumerate(unknowns):
             crossing, smooth = terms.at(e[:r])
             room = top - sum(e)
@@ -401,7 +401,7 @@ def test_t1_unknowns_are_the_alive_monomials_in_monomials_order():
 
 def test_balanced_node_has_unique_flat_unit():
     ctx = GermContext(2, 2, 6)
-    fol = FoliationGerm(ctx, (node_field(ctx, 2, -2),))
+    fol = FoliationGerm(ctx, (node_field(ctx, 2, -2),), rank=1)
     res = find_flat_unit(fol)
     assert res.ok and res.unique
     assert res.unit == Jet.one(ctx)
@@ -410,7 +410,7 @@ def test_balanced_node_has_unique_flat_unit():
 
 def test_unbalanced_node_fails_at_degree_zero():
     ctx = GermContext(2, 2, 6)
-    fol = FoliationGerm(ctx, (node_field(ctx, 1, 1),))
+    fol = FoliationGerm(ctx, (node_field(ctx, 1, 1),), rank=1)
     res = find_flat_unit(fol)
     assert not res.ok
     assert res.failing_degree == 0
@@ -420,7 +420,7 @@ def test_unbalanced_node_fails_at_degree_zero():
 def test_flat_unit_solves_the_connection_equation():
     ctx = GermContext(3, 3, 6)
     v = derivation_from_string(ctx, "(1 + x2)*x1*dx1 + x2*dx2 - 2*x3*dx3")
-    fol = FoliationGerm(ctx, (v,))
+    fol = FoliationGerm(ctx, (v,), rank=1)
     res = find_flat_unit(fol)
     assert res.ok
     defect = t1_reduce(v.apply(res.unit) - v.log_trace() * res.unit)
@@ -430,7 +430,7 @@ def test_flat_unit_solves_the_connection_equation():
 
 def test_flat_unit_decides_at_the_germ_order():
     ctx = GermContext(2, 2, 3)
-    fol = FoliationGerm(ctx, (node_field(ctx, 3, -3),))
+    fol = FoliationGerm(ctx, (node_field(ctx, 3, -3),), rank=1)
     res = find_flat_unit(fol)
     assert res.ok and res.order == 3
     with pytest.raises(TypeError):
@@ -450,7 +450,7 @@ def test_flat_unit_grid_matches_trace_balance():
     ctx = GermContext(2, 2, 5)
     for l1 in range(-2, 3):
         for l2 in range(-2, 3):
-            fol = FoliationGerm(ctx, (node_field(ctx, l1, l2),))
+            fol = FoliationGerm(ctx, (node_field(ctx, l1, l2),), rank=1)
             assert find_flat_unit(fol).ok == (l1 + l2 == 0)
 
 
@@ -466,7 +466,7 @@ def test_flat_unit_agrees_with_one_shot_oracle():
             e[rng.randrange(3)] = rng.randint(1, 2)
             terms[tuple(e)] = rng.choice(span)
             b.append(Jet.make(ctx, terms))
-        fol = FoliationGerm(ctx, (LogDerivation(ctx, tuple(b), ()),))
+        fol = FoliationGerm(ctx, (LogDerivation(ctx, tuple(b), ()),), rank=1)
         res = find_flat_unit(fol)
         assert res.ok == flat_unit_exists_oracle(fol, ctx.order), [str(x) for x in b]
 
@@ -505,7 +505,7 @@ def test_flat_unit_uniqueness_and_certificate_on_random_fields():
         mu = -lam if rng.random() < 0.5 else rng.choice(span)
         text = "(%s)*x1*dx1 + (%s)*x2*dx2 + %s" % (lam, mu, " + ".join(terms))
         v = derivation_from_string(ctx, text)
-        fol = FoliationGerm(ctx, (v,))
+        fol = FoliationGerm(ctx, (v,), rank=1)
         res = find_flat_unit(fol)
         if res.ok:
             assert res.unique == flat_unit_unique_oracle(fol, ctx.order), text
@@ -519,7 +519,7 @@ def test_flat_unit_is_not_unique_when_only_a_top_coefficient_is_free():
     # x3 * exp(-2 x4) is flat: its degree-1 part is pinned by its free
     # degree-3 part, though every lower coefficient is a pivot
     ctx = GermContext(4, 2, 3)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*dx1 - x2*dx2 + 2*x3*dx3 + dx4"),))
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*dx1 - x2*dx2 + 2*x3*dx3 + dx4"),), rank=1)
     res = find_flat_unit(fol)
     assert res.ok and not res.unique
     assert not flat_unit_unique_oracle(fol, ctx.order)
@@ -529,7 +529,7 @@ def test_flat_unit_when_every_equation_vanishes():
     # T1 = O/(x2, x1) keeps only powers of x3, and v kills all of them in T1:
     # there is no equation at all, so every unknown is free and 1 is a unit
     ctx = GermContext(3, 2, 4)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*x1*dx1 + x1*x3*dx3"),))
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*x1*dx1 + x1*x3*dx3"),), rank=1)
     res = find_flat_unit(fol)
     assert res.ok and not res.unique
     assert res.unit == Jet.one(ctx)
@@ -638,14 +638,28 @@ def test_cs_log_node_is_rigid():
     assert cs_index_log(form, 1, 0) == 0
 
 
-def test_cs_log_regular_part_never_shifts_a_nonresonant_index():
+def _terms_on(ctx):
+    """Random terms {exponent: coefficient} of a jet on ctx."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * ctx.n),
+                           st.fractions(-5, 5, max_denominator=4), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cs_log_regular_part_never_shifts_a_nonresonant_index(data):
+    # n = 3, r = 2: the stratum is the x3-line, on which a_2 - a_1 is a unit
+    # when a_1(0) != a_2(0), so eta / (a_2 - a_1) is regular there and has
+    # no residue; with no third crossing the index is 0
     ctx = GermContext(3, 2, 6)
-    x3 = Jet.variable(ctx, 2)
-    bare = LogOneForm.make(ctx, [Jet.constant(ctx, 2), Jet.zero(ctx)], [Jet.zero(ctx)])
-    dressed = LogOneForm.make(
-        ctx, [Jet.constant(ctx, 2), Jet.zero(ctx)], [x3 ** 2 - 3 * x3]
-    )
-    assert cs_index_log(bare, 0, 1) == cs_index_log(dressed, 0, 1)
+    consts = data.draw(st.lists(st.fractions(-5, 5, max_denominator=4), min_size=2, max_size=2,
+                                unique=True))
+    dlog = [Jet.make(ctx, {e: v for e, v in data.draw(_terms_on(ctx)).items() if sum(e)}) + c
+            for c in consts]
+    reg = Jet.make(ctx, data.draw(_terms_on(ctx)))
+    bare = LogOneForm.make(ctx, dlog, [Jet.zero(ctx)])
+    dressed = LogOneForm.make(ctx, dlog, [reg])
+    for i, j in ((0, 1), (1, 0)):
+        assert cs_index_log(dressed, i, j) == cs_index_log(bare, i, j) == 0
 
 
 def test_cs_log_resonance_raises():
@@ -730,7 +744,7 @@ def test_index_sum_detects_flat_unit_on_the_node():
     node_ctx = GermContext(2, 2, 6)
     for lam1, lam2 in [(1, -1), (2, -2), (1, 1), (3, -2), (0, 0), (Fraction(1, 2), Fraction(-1, 2))]:
         s = cs_index_surface(linear_model(ctx2, lam1)) + cs_index_surface(linear_model(ctx2, lam2))
-        fol = FoliationGerm(node_ctx, (node_field(node_ctx, lam1, lam2),))
+        fol = FoliationGerm(node_ctx, (node_field(node_ctx, lam1, lam2),), rank=1)
         assert (s == 0) == find_flat_unit(fol).ok
 
 

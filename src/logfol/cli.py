@@ -43,7 +43,7 @@ from pathlib import Path
 
 from . import bundles, foliations, jets, leafcomplex, monoids, semistability
 from .foliations import InconclusiveAtOrderError
-from .scene import Scene, SceneError, load_scene
+from .scene import Scene, SceneError, _at, load_scene
 
 EXIT_BY_DECISION = {"yes": 0, "value": 0, "no": 1, "error": 2, "inconclusive": 3, "internal": 4}
 
@@ -133,7 +133,8 @@ def _cmd_semistable_check(args, scn: Scene):
     germ = scn.germ()
     fol = scn.foliation(germ)
     names = germ[1]
-    res = semistability.find_flat_unit(fol)
+    with _at("foliation"):  # generators that are not involutive are an input error
+        res = semistability.find_flat_unit(fol)
     if res.ok:
         unit_str = jets.format_jet(res.unit, names=names)
         qualifier = "the unique one" if res.unique else "one of several"

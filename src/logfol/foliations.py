@@ -294,7 +294,8 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
     rational scalar of the identification along their common stratum, with
     the opposite orientation stored implicitly as the inverse; it is kept as
     ((i, j, scalar), ...), each scalar read by linalg._exact.  triples lists
-    the triple strata as index triples.
+    the triple strata as index triples; each of their three double strata
+    needs a scalar, and MissingStratumError names the first one without.
     """
 
     __slots__ = ()
@@ -321,7 +322,13 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
             if len(set(t)) != 3 or not all(0 <= i < len(comps) for i in t):
                 raise ValueError("bad triple stratum %r" % (t,))
             trs.append(t)
-        return tuple.__new__(cls, (comps, tuple(sorted(set(normalized))), tuple(sorted(set(trs)))))
+        trs = tuple(sorted(set(trs)))
+        for i, j, k in trs:  # the pairs in the order check_gluing_cocycle reads them
+            for key in ((i, j), (j, k), (i, k)):
+                if key not in seen:
+                    raise MissingStratumError("no scalar recorded for stratum %s|%s"
+                                              % tuple(comps[x] for x in key))
+        return tuple.__new__(cls, (comps, tuple(sorted(set(normalized))), trs))
 
     def scalar(self, i, j):
         """Identification scalar in the direction component i -> component j."""

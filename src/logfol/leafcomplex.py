@@ -252,14 +252,18 @@ def ce_differential(module: LieModuleData, k):
 # --- obstruction class of a perturbed subalgebra inclusion ---
 
 
-class FinLieData(namedtuple("FinLieData", "algebra sub_basis perturbation mu")):
+class FinLieData(namedtuple("FinLieData", "algebra sub_basis perturbation mu sub_algebra")):
     """A subalgebra with a first-order perturbation of its inclusion.
 
     sub_basis spans the subalgebra inside the ambient algebra; perturbation
     gives the image of each spanning vector under the linear correction of
     the inclusion; mu is the antisymmetric first-order correction of the
     bracket, one ambient vector per ordered pair of spanning vectors.  All
-    three are dense on the way in and sparse once checked.
+    three are dense on the way in and sparse once checked.  sub_algebra is
+    derived: the structure constants of the span in the sub basis.
+    Construction refuses, with ValueError, a span that is no subalgebra
+    and a mu that fails the linearized Jacobi identity, since then no
+    obstruction class is defined at all.
     """
 
     __slots__ = ()
@@ -280,7 +284,13 @@ class FinLieData(namedtuple("FinLieData", "algebra sub_basis perturbation mu")):
             raise ValueError("mu is not antisymmetric")
         if linalg.rank(sub) != h:
             raise ValueError("sub basis is linearly dependent")
-        return tuple.__new__(cls, (algebra, sub, pert, mu))
+        sub_algebra = _sub_structure(algebra, sub)
+        # linearized Jacobi for mu, inside the ambient-valued complex
+        ambient_module = LieModuleData(sub_algebra, tuple(map(algebra.adjoint_matrix, sub)))
+        mu_flat = [x for a, b in ce_basis(h, 2) for x in _dense(mu[a][b], n)]
+        if any(linalg.mat_vec(ce_differential(ambient_module, 2), mu_flat)):
+            raise ValueError("mu violates the linearized Jacobi identity")
+        return tuple.__new__(cls, (algebra, sub, pert, mu, sub_algebra))
 
 
 LieObstruction = namedtuple("LieObstruction", "quotient_dim cocycle is_cocycle vanishes corrector")
@@ -305,23 +315,16 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     coherent it is a cocycle; it vanishes in cohomology exactly when some
     degree-one corrector absorbs it, and a corrector is returned in that
     case, re-checked first: d1 must map it to the cocycle, and RuntimeError
-    says it does not.  Raises ValueError when mu fails the linearized Jacobi
-    identity, since then no obstruction class is defined at all.
+    says it does not.  FinLieData has checked that the span is a subalgebra
+    and that mu satisfies the linearized Jacobi identity.
     """
     algebra = data.algebra
     n = algebra.dim
     sub = data.sub_basis
     h = len(sub)
     pert = data.perturbation
-
-    sub_algebra = _sub_structure(algebra, sub)
-
-    # linearized Jacobi for mu, inside the ambient-valued complex
-    ambient_module = LieModuleData(sub_algebra, tuple(map(algebra.adjoint_matrix, sub)))
+    sub_algebra = data.sub_algebra
     pairs = ce_basis(h, 2)
-    mu_flat = [x for a, b in pairs for x in _dense(data.mu[a][b], n)]
-    if any(linalg.mat_vec(ce_differential(ambient_module, 2), mu_flat)):
-        raise ValueError("mu violates the linearized Jacobi identity")
 
     # modulo the subalgebra: subtract the reduced row of every pivot, made
     # monic, which leaves the free columns, renumbered from 0

@@ -21,7 +21,11 @@ The library refuses what it cannot build with a ValueError.  One boundary,
 "with _at(where):", turns such an error into a SceneError at where, and is
 the only place that does; a SceneError from a nested reader passes through
 with its own, deeper key path.  So every input error leaves a reader as a
-SceneError that names its key path.
+SceneError that names its key path.  The records check what makes them
+well defined when they are built (a Lie span that is a subalgebra, a
+scalar on every double stratum of a triple), so those errors leave the
+reader too; the one refusal that needs a solve, generators that are not
+involutive at the order, leaves the semistable handler's own _at.
 """
 
 from __future__ import annotations

@@ -10,9 +10,15 @@ which is jet-linear in v and a connection in g. A foliation is of semistable
 type exactly when a nowhere-vanishing flat section exists, so find_flat_unit
 solves nabla_v g = 0 for all generators with g(0) = 1, degree by degree.
 Its linear system is read straight off the coefficient terms of the b_i and
-a_j, as ints where integral, with no jet built per unknown.  nabla is the
-reference the tests compare against, and also the certificate: every unit
-found is re-checked through nabla before it is returned.
+a_j, as ints where integral, with no jet built per unknown.  Where every
+generator vanishes at the origin with a diagonal linear part (the
+Poincare-Dulac setting), nabla_v x^e is (<e, lambda_v> - tau_v) x^e plus
+higher-degree terms, so the system is triangular by degree: unless an
+unknown has weight 0 under every generator, forward substitution solves it,
+one division per unknown.  Every other input goes to one cumulative
+echelon.  nabla is the reference the tests compare against, and also the
+certificate: every unit found is re-checked through nabla before it is
+returned.
 
 Camacho-Sad indices along double strata come in two independent flavors: the
 residue formula attached to a log one-form (cs_index_log) and the classical
@@ -153,6 +159,128 @@ class _Terms:
             out = self.heads[h] = (crossing, smooth)
         return out
 
+    def images(self, e, room):
+        """The terms (shift, target, coefficient) of nabla_v x^e alive in
+        T1 whose target has degree at most deg e + room, the target of
+        degree deg e + shift."""
+        crossing, smooth = self.at(e[:self.r])
+        for m, dm, c in crossing:
+            if dm > room:
+                break
+            yield dm, tuple(map(add, e, m)), c
+        for k, a_terms in smooth:
+            ek = e[k]
+            if not ek:
+                continue
+            lowered = e[:k] + (ek - 1,) + e[k + 1:]
+            for m, dm, c in a_terms:
+                if dm > room + 1:
+                    break
+                yield dm - 1, tuple(map(add, lowered, m)), ek * c
+
+
+def _substitute(ctx, gens):
+    """The flat unit by forward substitution, where the rows of nabla are
+    triangular by degree, or None where they are not (see find_flat_unit).
+
+    gens holds each generator's _Terms.  The result is the degree-0 "no"
+    when some trace tau_v is nonzero, else a unit that find_flat_unit
+    still certifies: each unknown x^e through degree order - 1 takes one
+    division by the first nonzero weight <e, lambda_v> - tau_v, and a
+    nonzero value pushes its off-diagonal terms into every generator's
+    residuals, keyed by target monomial.  A resonant unknown, of weight 0
+    under every generator, returns None.
+    """
+    n, r, d = ctx
+    top = d - 1
+    if r < 2:
+        return None
+    weights = []  # per generator, lambda_v = (b_1(0), ..., b_r(0), mu_{r+1}, ..., mu_n)
+    for terms in gens:
+        lam = [0] * n
+        if terms.b and not terms.b[0][1]:
+            lam[:r] = terms.b[0][3]
+        for k, a_terms in terms.a:
+            for m, dm, _, c in a_terms:
+                if dm > 1:
+                    break
+                if not dm or not m[k]:  # a constant term, or a linear one off x_k
+                    return None
+                lam[k] = c
+        weights.append(lam)
+    if any(sum(lam[:r]) for lam in weights):
+        return FlatUnitResult(False, d, failing_degree=0)
+    # residuals: the part of nabla_v g at each target that the unknowns
+    # valued so far give, off the diagonal; nabla_v 1 = -trace starts them
+    residuals = [{m: -c for m, c in terms.trace if sum(m) <= top and t1_monomial_alive(ctx, m)}
+                 for terms in gens]
+    unknowns = _t1_unknowns(ctx)
+    stop = len(unknowns)  # unknowns[stop:] are those of degree d, in no row
+    while stop and sum(unknowns[stop - 1]) == d:
+        stop -= 1
+    values = {}
+    for e in unknowns[:stop]:
+        for lam, res in zip(weights, residuals):
+            w = sum(map(mul, e, lam))
+            if w:
+                break
+        else:
+            return None
+        c = res.get(e)
+        if not c:
+            continue
+        g = values[e] = Fraction(-c, w)
+        for terms, res in zip(gens, residuals):
+            for shift, t, c in terms.images(e, top - sum(e)):
+                if shift:  # off the diagonal, the one term at shift 0
+                    res[t] = res.get(t, 0) + c * g
+    return FlatUnitResult(True, d, unit=Jet.one(ctx) + Jet(ctx, values), unique=True)
+
+
+def _eliminate(ctx, gens):
+    """The flat unit by the cumulative echelon over every generator's rows,
+    for any input (see find_flat_unit); gens holds each generator's
+    _Terms."""
+    d = ctx.order
+    unknowns = _t1_unknowns(ctx)
+    n = len(unknowns)
+    top = d - 1  # the highest equation degree
+    # per generator, its equations of each degree, rows keyed by equation
+    # monomial; a degree's rows go to echelon generator by generator
+    builders = []
+    for terms in gens:
+        systems = [linalg.RowBuilder(n) for _ in range(d)]
+        for m, c in terms.trace:  # nabla_v 1 = -trace
+            if sum(m) <= top and t1_monomial_alive(ctx, m):
+                systems[sum(m)].add(m, n, c)
+        builders.append((terms, systems, [system.add for system in systems]))
+
+    basis = {}
+    stop = 0
+    for deg in range(d):
+        start = stop  # unknowns[start:stop] are those of degree deg + 1
+        while stop < n and sum(unknowns[stop]) == deg + 1:
+            stop += 1
+        room = top - deg - 1
+        for terms, _, puts in builders:
+            for col in range(start, stop):
+                for shift, t, c in terms.images(unknowns[col], room):
+                    puts[deg + 1 + shift](t, col, c)
+        rows = [row for _, systems, _ in builders for row in systems[deg].rows.values()]
+        linalg.echelon(rows, n + 1, basis, reduced=deg == d - 1)
+        if n in basis:
+            return FlatUnitResult(False, d, failing_degree=deg)
+    sol = linalg.solution(basis, n)
+    unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for i, e in enumerate(unknowns) if sol[i]})
+    # uniqueness is judged on the coefficients the equations can reach, i.e.
+    # through degree d - 1 (the columns before start, where degree d begins);
+    # the top tail is unconstrained by construction.  The kernel has one
+    # vector per free column f, with -R[c][f] in each pivot column c of the
+    # reduced rows R, so it vanishes there exactly when every such column is
+    # a pivot whose row holds no free column.
+    unique = all(i in basis and len(basis[i]) == 1 + (n in basis[i]) for i in range(start))
+    return FlatUnitResult(True, d, unit=unit, unique=unique)
+
 
 def find_flat_unit(fol: FoliationGerm):
     """Solve nabla_v g = 0 for all generators v with g(0) = 1.
@@ -164,78 +292,59 @@ def find_flat_unit(fol: FoliationGerm):
     exist the result carries one of them and whether it was unique.
 
     The system's entries come straight from the coefficient terms of the
-    b_i and a_j (_Terms), as ints where integral, added where they land
-    in rows keyed (generator, equation monomial); no jet is built per
-    unknown.  A row of degree k holds unknowns of degree k + 1 at most (a
-    smooth coefficient's constant term lowers the degree by one), so once
-    the unknowns of degree k + 1 are walked, the degree-k rows extend one
-    echelon basis, and the solve stops at the first inconsistent degree
-    with little built past it.  A "yes" is re-checked through nabla before
-    it is returned: nabla_v g must vanish in T1 through degree order - 1
-    for every generator, and RuntimeError says it does not.
+    b_i and a_j (_Terms), as ints where integral; no jet is built per
+    unknown.  Two solves read them, and the input picks one:
+
+    - Substitution (_substitute), where the rows are triangular by degree.
+      Take r >= 2, and every generator v with no constant term in any a_j
+      and a degree-1 part of each a_j that is mu_j x_j alone.  Then
+      nabla_v x^e is (<e, lambda_v> - tau_v) x^e plus terms of higher
+      degree, with lambda_v = (b_1(0), ..., b_r(0), mu_{r+1}, ..., mu_n)
+      and tau_v = b_1(0) + ... + b_r(0): a row of degree k holds unknowns
+      of degree <= k, and its own monomial only on the diagonal.  The
+      degree-0 row is tau_v = 0.  If no unknown through degree order - 1
+      has weight 0 under every generator, choosing for each one the row of
+      the first generator with a nonzero weight gives a triangular system
+      with exactly one solution on those unknowns, the degree-order ones
+      appearing in no row.  Every solution of the whole system solves it,
+      so when the certificate below passes the whole system's solutions
+      are that one plus a free top degree: the echelon would return the
+      same unit (free columns 0), with unique true.  When it fails no unit
+      exists, and the echelon is asked for the failing degree.
+    - Elimination (_eliminate), for every other input: entries are added
+      where they land in rows keyed (generator, equation monomial).  A row
+      of degree k holds unknowns of degree k + 1 at most (a smooth
+      coefficient's constant term lowers the degree by one), so once the
+      unknowns of degree k + 1 are walked, the degree-k rows extend one
+      echelon basis, and the solve stops at the first inconsistent degree
+      with little built past it.
+
+    A resonant unknown, or a substituted unit that fails its certificate,
+    hands the call to elimination.  A "yes" is re-checked through nabla
+    before it is returned: nabla_v g must vanish in T1 through degree
+    order - 1 for every generator, and RuntimeError says it does not, or
+    that elimination finds a unit where substitution's failed.
     """
     ctx = fol.ctx
-    d = ctx.order
     if not involutivity_check(fol).ok:
         raise ValueError("generators are not involutive at this order")
+    top = ctx.order - 1
 
-    unknowns = _t1_unknowns(ctx)
-    n = len(unknowns)
-    top = d - 1  # the highest equation degree
-    r = ctx.r
-    # per generator, its equations of each degree, rows keyed by equation
-    # monomial; a degree's rows go to echelon generator by generator
-    gens = []
-    for v in fol.generators:
-        terms = _Terms(v)
-        systems = [linalg.RowBuilder(n) for _ in range(d)]
-        for m, c in terms.trace:  # nabla_v 1 = -trace
-            if sum(m) <= top and t1_monomial_alive(ctx, m):
-                systems[sum(m)].add(m, n, c)
-        gens.append((terms, systems, [system.add for system in systems]))
+    def flat(unit):
+        return all(nabla(v, unit).truncate(top).is_zero() for v in fol.generators)
 
-    basis = {}
-    stop = 0
-    for deg in range(d):
-        start = stop  # unknowns[start:stop] are those of degree deg + 1
-        while stop < n and sum(unknowns[stop]) == deg + 1:
-            stop += 1
-        room = top - deg - 1
-        for terms, _, puts in gens:
-            for col in range(start, stop):
-                e = unknowns[col]
-                crossing, smooth = terms.at(e[:r])
-                for m, dm, c in crossing:
-                    if dm > room:
-                        break
-                    puts[deg + 1 + dm](tuple(map(add, e, m)), col, c)
-                for k, a_terms in smooth:
-                    ek = e[k]
-                    if not ek:
-                        continue
-                    lowered = e[:k] + (ek - 1,) + e[k + 1:]
-                    for m, dm, c in a_terms:
-                        if dm > room + 1:
-                            break
-                        puts[deg + dm](tuple(map(add, lowered, m)), col, ek * c)
-        rows = [row for _, systems, _ in gens for row in systems[deg].rows.values()]
-        linalg.echelon(rows, n + 1, basis, reduced=deg == d - 1)
-        if n in basis:
-            return FlatUnitResult(False, d, failing_degree=deg)
-    sol = linalg.solution(basis, n)
-    unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for i, e in enumerate(unknowns) if sol[i]})
-    for v in fol.generators:
-        if not nabla(v, unit).truncate(top).is_zero():
-            raise RuntimeError("flat unit certificate failed: nabla_v g is not zero "
-                               "in T1 through degree %d" % top)
-    # uniqueness is judged on the coefficients the equations can reach, i.e.
-    # through degree d - 1 (the columns before start, where degree d begins);
-    # the top tail is unconstrained by construction.  The kernel has one
-    # vector per free column f, with -R[c][f] in each pivot column c of the
-    # reduced rows R, so it vanishes there exactly when every such column is
-    # a pivot whose row holds no free column.
-    unique = all(i in basis and len(basis[i]) == 1 + (n in basis[i]) for i in range(start))
-    return FlatUnitResult(True, d, unit=unit, unique=unique)
+    gens = [_Terms(v) for v in fol.generators]
+    res = _substitute(ctx, gens)
+    if res is not None and (not res.ok or flat(res.unit)):
+        return res
+    found = _eliminate(ctx, gens)
+    if found.ok and res is not None:
+        raise RuntimeError("flat unit certificate failed: the substituted unit is not flat "
+                           "in T1 through degree %d, and elimination finds a unit" % top)
+    if found.ok and not flat(found.unit):
+        raise RuntimeError("flat unit certificate failed: nabla_v g is not zero "
+                           "in T1 through degree %d" % top)
+    return found
 
 
 # -- residue machinery --

@@ -483,6 +483,15 @@ def test_missing_stratum_raises():
     assert str(err.value) == "no scalar recorded for stratum A|C"
 
 
+def test_a_triple_needs_a_scalar_on_each_double_stratum():
+    # refused when the glue data is built, naming the first stratum that
+    # check_gluing_cocycle would read and find empty
+    for scalars, missing in ((((0, 1, 1),), "B|C"), (((0, 1, 1), (2, 1, 3)), "A|C")):
+        with pytest.raises(MissingStratumError) as err:
+            SNCGlueData(("A", "B", "C"), scalars, ((2, 0, 1),))
+        assert str(err.value) == "no scalar recorded for stratum " + missing
+
+
 def test_conflicting_scalars_rejected():
     with pytest.raises(ValueError):
         SNCGlueData(

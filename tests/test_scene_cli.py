@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from logfol import cli, jets, leafcomplex, linalg, logcalc
+from logfol import cli, jets, leafcomplex, linalg, logcalc, semistability
 from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
@@ -466,11 +466,19 @@ def test_cli_order_override_lands_in_the_report(tmp_path):
     assert rep.scene == path
 
 
+TRIPLE_POINT = {
+    "germ": {"n": 3, "r": 3},
+    "fields": {"v": "2*x1*dx1 - x2*dx2 - x3*dx3"},
+    "foliation": {"generators": ["v"]},
+}
+
+
 def test_cli_semistable_wrong_unit_is_internal(tmp_path, capsys, monkeypatch):
     # the triple point 2 x1 d1 - x2 d2 - x3 d3 has the unique unit 1, and its
     # first unknown is x3 with nabla x3 = -x3: a solver that answered 1 + x3
     # is caught by the certificate, never printed as "yes".  (A node has no
-    # unknowns in T1, so there is no coefficient to perturb.)
+    # unknowns in T1, so there is no coefficient to perturb.)  This is the
+    # echelon's answer: the substitution that decides this germ declines.
     solution = linalg.solution
 
     def perturbed(basis, n):
@@ -478,14 +486,28 @@ def test_cli_semistable_wrong_unit_is_internal(tmp_path, capsys, monkeypatch):
         x[0] += 1
         return x
 
+    monkeypatch.setattr(semistability, "_substitute", lambda *args: None)
     monkeypatch.setattr(linalg, "solution", perturbed)
-    path = write_scene(tmp_path, "s.json", {
-        "germ": {"n": 3, "r": 3},
-        "fields": {"v": "2*x1*dx1 - x2*dx2 - x3*dx3"},
-        "foliation": {"generators": ["v"]},
-    })
+    path = write_scene(tmp_path, "s.json", TRIPLE_POINT)
     assert cli.main(["semistable", "check", path]) == 4
     assert "internal error: RuntimeError: flat unit certificate failed" in capsys.readouterr().out
+
+
+def test_cli_semistable_wrong_substituted_unit_is_internal(tmp_path, capsys, monkeypatch):
+    # the same germ on the substitution path: 1 + x3 fails the certificate,
+    # and the echelon, asked for the failing degree, finds a unit instead
+    substitute = semistability._substitute
+
+    def perturbed(ctx, gens):
+        res = substitute(ctx, gens)
+        return res._replace(unit=res.unit + jets.Jet.variable(ctx, 2))
+
+    monkeypatch.setattr(semistability, "_substitute", perturbed)
+    path = write_scene(tmp_path, "s.json", TRIPLE_POINT)
+    assert cli.main(["semistable", "check", path]) == 4
+    out = capsys.readouterr().out
+    assert "internal error: RuntimeError: flat unit certificate failed" in out
+    assert "elimination finds a unit" in out
 
 
 # -- residue indices --------------------------------------------------------------------
@@ -586,7 +608,7 @@ def test_cli_pushout_check_names_a_missing_double_stratum(tmp_path, capsys):
     del scene["double_strata"][1]    # B|C
     path = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["pushout", "check", path]) == 2
-    assert capsys.readouterr().out == "error: no scalar recorded for stratum B|C\n"
+    assert capsys.readouterr().out == "error: double_strata: no scalar recorded for stratum B|C\n"
 
 
 PUSHOUT_MEMBER = {

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from logfol import cli, linalg, semistability
 from logfol.foliations import (FoliationGerm, InconclusiveAtOrderError, InvolutivityResult,
                                NonInvariantError, SurfaceOneForm, span_membership)
-from logfol.jets import GermContext, Jet
+from logfol.jets import GermContext, Jet, format_jet
 from logfol.logcalc import LogDerivation, LogOneForm, derivation_from_string
 from logfol.semistability import (
     FlatUnitResult,
@@ -171,8 +171,15 @@ def assume_involutive(fol):
     return InvolutivityResult(True, fol.ctx.order - 1)
 
 
+def declined(*args):
+    """Stands in for semistability._substitute, so that every input takes
+    the echelon path."""
+    return None
+
+
 def rows_handed_to_echelon(monkeypatch, fol):
-    """find_flat_unit's result and the rows of each echelon call, copied."""
+    """find_flat_unit's result on the echelon path and the rows of each
+    echelon call, copied."""
     calls = []
     echelon = linalg.echelon
 
@@ -184,6 +191,7 @@ def rows_handed_to_echelon(monkeypatch, fol):
     with monkeypatch.context() as m:
         m.setattr(linalg, "echelon", spy)
         m.setattr(semistability, "involutivity_check", assume_involutive)
+        m.setattr(semistability, "_substitute", declined)
         res = find_flat_unit(fol)
     return res, calls
 
@@ -241,6 +249,7 @@ def test_a_wrong_flat_unit_is_caught_before_it_is_returned(monkeypatch):
     # x3, whose nabla is -x3, so 1 + x3 is not flat
     ctx = GermContext(3, 3, 4)
     fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
+    monkeypatch.setattr(semistability, "_substitute", declined)
     assert find_flat_unit(fol).unit == Jet.one(ctx)
     solution = linalg.solution
 
@@ -251,6 +260,23 @@ def test_a_wrong_flat_unit_is_caught_before_it_is_returned(monkeypatch):
 
     monkeypatch.setattr(linalg, "solution", perturbed)
     with pytest.raises(RuntimeError, match="flat unit certificate failed"):
+        find_flat_unit(fol)
+
+
+def test_a_wrong_substituted_unit_is_caught_before_it_is_returned(monkeypatch):
+    # the same germ on the substitution path: 1 + x3 fails the certificate,
+    # the echelon then finds the unit 1, and the two solves disagree
+    ctx = GermContext(3, 3, 4)
+    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
+    substitute = semistability._substitute
+    assert substitute(ctx, [semistability._Terms(fol.generators[0])]) == find_flat_unit(fol)
+
+    def perturbed(*args):
+        res = substitute(*args)
+        return res._replace(unit=res.unit + Jet.variable(ctx, 2))
+
+    monkeypatch.setattr(semistability, "_substitute", perturbed)
+    with pytest.raises(RuntimeError, match="flat unit certificate failed.*elimination finds"):
         find_flat_unit(fol)
 
 
@@ -364,27 +390,164 @@ def test_the_degree_walk_agrees_with_the_whole_system(fol):
     assert (got.unit and got.unit.terms) == (want.unit and want.unit.terms)
 
 
-def test_a_degree_zero_no_stops_at_one_echelon(monkeypatch, capsys):
-    # the echelon calls of the flat-unit solve itself, not of the
-    # involutivity check or the rank of the generators before it
+def count_flat_unit_echelons(monkeypatch):
+    """The names of the semistability functions that call linalg.echelon,
+    one per call: those of the flat-unit solve itself, not of the
+    involutivity check or the rank of the generators before it."""
     calls = []
     echelon = linalg.echelon
 
     def counting(*args, **kwargs):
-        calls.append(sys._getframe(1).f_code.co_name)
+        caller = sys._getframe(1).f_code
+        if caller.co_filename == semistability.__file__:
+            calls.append(caller.co_name)
         return echelon(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "echelon", counting)
+    return calls
+
+
+def _degree_zero_no(monkeypatch, capsys):
+    """The echelon calls of a degree-0 "no" on the n=4 pair at order 40,
+    then of node_unbalanced through the command line."""
+    calls = count_flat_unit_echelons(monkeypatch)
     ctx = GermContext(4, 3, 40)
     gens = (derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - 2*x3*dx3"),
             derivation_from_string(ctx, "2*x4*dx4"))
     res = find_flat_unit(FoliationGerm(ctx, gens, rank=2))
     assert (res.ok, res.order, res.failing_degree) == (False, 40, 0)
-    assert calls.count("find_flat_unit") == 1
+    first = len(calls)
     scene = Path(__file__).resolve().parent.parent / "scenes" / "node_unbalanced.json"
     assert cli.main(["semistable", "check", str(scene)]) == 1
     assert "the degree-0 system is inconsistent" in capsys.readouterr().out
-    assert calls.count("find_flat_unit") == 2
+    return first, len(calls)
+
+
+def test_a_degree_zero_no_stops_at_one_echelon(monkeypatch, capsys):
+    monkeypatch.setattr(semistability, "_substitute", declined)
+    assert _degree_zero_no(monkeypatch, capsys) == (1, 2)
+
+
+def test_a_degree_zero_no_by_substitution_calls_no_echelon(monkeypatch, capsys):
+    assert _degree_zero_no(monkeypatch, capsys) == (0, 0)
+
+
+def test_triangular_inputs_are_decided_without_the_echelon(monkeypatch):
+    calls = count_flat_unit_echelons(monkeypatch)
+    pair = ("x1*dx1 + 2*x2*dx2 - 3*x3*dx3", "2*x4*dx4")
+    cases = [(4, 3, 40, pair, True), (4, 3, 300, pair, True),
+             (3, 3, 12, ("x1*dx1 + 2*x2*dx2 - 3*x3*dx3 + 2*x1*x3^2*dx1 - 2*x2*x3^2*dx2",), True),
+             (4, 3, 40, ("x1*dx1 + 2*x2*dx2 - 2*x3*dx3", "2*x4*dx4"), False)]
+    for n, r, order, texts, ok in cases:
+        ctx = GermContext(n, r, order)
+        gens = tuple(derivation_from_string(ctx, text) for text in texts)
+        res = find_flat_unit(FoliationGerm(ctx, gens, rank=len(gens)))
+        assert (res.ok, res.order) == (ok, order), texts
+        assert res.unique if ok else res.failing_degree == 0
+        if ok:
+            assert res.unit == Jet.one(ctx)
+    assert calls == []
+
+
+def _decline_or_substitute(fol):
+    """find_flat_unit with and without the substitution declined, and
+    which path decided: "substituted", "fell back" (a substituted unit that
+    failed its certificate) or "declined"."""
+    substitute = semistability._substitute
+    seen = []
+
+    def spy(*args):
+        res = substitute(*args)
+        seen.append(res)
+        return res
+
+    with mock.patch.object(semistability, "involutivity_check", assume_involutive):
+        with mock.patch.object(semistability, "_eliminate", wraps=semistability._eliminate) as elim:
+            with mock.patch.object(semistability, "_substitute", spy):
+                got = find_flat_unit(fol)
+            path = ("declined" if seen[0] is None else
+                    "fell back" if elim.called else "substituted")
+        with mock.patch.object(semistability, "_substitute", declined):
+            want = find_flat_unit(fol)
+    return got, want, path
+
+
+COEFFS = tuple(Fraction(k, d) for k in range(-3, 4) for d in (1, 2))
+WEIGHTS = (-2, -1, 0, 1, 2, 3, Fraction(1, 2))
+
+
+def substitution_problem(integer):
+    """A foliation built from the draws integer(lo, hi): n <= 4, r >= 2, an
+    order <= 7 and one or two generators, each most of the time in the
+    class that substitution decides: a constant and higher terms in each
+    b_i, trace zero at the origin 80% of the time, and mu_j x_j plus terms
+    of degree >= 2 in each a_j.  Otherwise one a_j also has a constant
+    term or a linear term off its x_j.  Small weights make resonant
+    unknowns common.  Half of the time every generator is built around one
+    random unit u that it keeps flat, so that two generators share units
+    other than 1: b_r gains (v(u) - trace(v) u) / (u - x_r d_r u), which
+    leaves the weights alone and makes the trace 0 at the origin."""
+    def pick(seq):
+        return seq[integer(0, len(seq) - 1)]
+
+    n = integer(2, 4)
+    r = integer(2, n)
+    ctx = GermContext(n, r, integer(1, 7))
+    alive = [e for e in semistability._t1_unknowns(ctx) if sum(e) <= 2]
+    unit = None
+    if alive and integer(0, 1):
+        unit = Jet.one(ctx) + Jet.make(ctx, {pick(alive): pick(COEFFS) for _ in range(2)})
+
+    def monomial(k):  # x_k, or 1 for k None
+        return tuple(int(i == k) for i in range(n))
+
+    def higher(least):  # crossing exponents 0 half the time, so that more terms stay alive
+        exps = [tuple(pick((0, 0, 1, 2)) if i < r else integer(0, 2) for i in range(n))
+                for _ in range(integer(0, 2))]
+        return Jet.make(ctx, {e: pick(COEFFS) for e in exps if sum(e) >= least})
+
+    gens = []
+    for _ in range(integer(1, 2)):
+        lam = [pick(WEIGHTS) for _ in range(n)]
+        if integer(0, 4):
+            lam[r - 1] -= sum(lam[:r])
+        b = [higher(1) + lam[i] for i in range(r)]
+        a = [higher(2) + Jet.make(ctx, {monomial(k): lam[k]}) for k in range(r, n)]
+        if a and not integer(0, 5):
+            k = integer(0, n - r - 1)
+            off = pick([i for i in range(n) if i != r + k] + [None])
+            a[k] = a[k] + Jet.make(ctx, {monomial(off): pick(COEFFS)})
+        v = LogDerivation(ctx, tuple(b), tuple(a))
+        if unit is not None:
+            defect = v.apply(unit) - v.log_trace() * unit
+            b[r - 1] = b[r - 1] + defect * (unit - unit.scaled_partial(r - 1)).invert(ctx.order)
+            v = LogDerivation(ctx, tuple(b), tuple(a))
+        gens.append(v)
+    return FoliationGerm(ctx, tuple(gens), rank=len(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_substitution_returns_what_elimination_returns(data):
+    fol = substitution_problem(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    got, want, _ = _decline_or_substitute(fol)
+    assert got == want
+    assert (got.unit and format_jet(got.unit)) == (want.unit and format_jet(want.unit))
+
+
+def test_each_path_of_the_flat_unit_solve_is_drawn():
+    # the oracle's fields, drawn with a fixed seed: every path, and both
+    # answers where substitution decides, units other than 1 among them
+    seen = Counter()
+    rng = random.Random(20261020)
+    for _ in range(150):
+        fol = substitution_problem(rng.randint)
+        got, want, path = _decline_or_substitute(fol)
+        assert got == want
+        seen[path, got.ok, got.ok and got.unit != Jet.one(fol.ctx)] += 1
+    assert all(seen[key] for key in (("substituted", True, True), ("substituted", True, False),
+                                     ("substituted", False, False), ("declined", True, False),
+                                     ("declined", False, False), ("fell back", False, False))), seen
 
 
 def test_t1_unknowns_are_the_alive_monomials_in_monomials_order():

@@ -207,12 +207,8 @@ def _cmd_pushout_check(args, scn: Scene):
 
 
 def _cmd_pushout_member(args, scn: Scene):
-    ctx, candidate, fols, names = scn.pushout_inputs()
-    try:
-        res = foliations.pushout_membership(candidate, fols, germ_ctx=ctx)
-    except foliations.StratumDisagreementError as e:
-        raise SceneError("the candidates of %s and %s disagree on their double stratum"
-                         % tuple(names[k] for k in e.pair), "candidate") from None
+    ctx, candidates, fols, names = scn.pushout_inputs()
+    res = foliations.pushout_membership(candidates, fols, germ_ctx=ctx)
     if res.ok:
         return Report(
             decision="yes",
@@ -322,7 +318,8 @@ def _cmd_obstruction_lie(args, scn: Scene):
 
 def _cmd_holonomy(args, scn: Scene):
     h1, h2 = scn.holonomy()
-    compatible = semistability.check_holonomy_compatibility(h1, h2)
+    with _at("holonomy"):  # tuples of different lengths are an input error
+        compatible = semistability.check_holonomy_compatibility(h1, h2)
     details = {
         "inner": _vec_strs(h1.values),
         "outer": _vec_strs(h2.values),

@@ -1,8 +1,8 @@
 """Foliation germs on crossing germs and their gluing across components.
 
 A foliation is presented by log derivation generators. Membership questions
-(is a bracket in the span, does a field restrict into a component foliation)
-are solves over the jet ring R_d = Q[x]/(crossing product, degree > d), so
+(is a bracket in the span, does a component field lie in its component
+foliation) are solves over the jet ring R_d = Q[x]/(crossing product, degree > d), so
 every positive answer is "at the reported order" while a negative answer is
 definitive: a germ-level identity would truncate to a jet-level one.
 
@@ -12,13 +12,21 @@ independent of the others splits off by a unit pivot with no linear algebra
 Algebra, 2nd ed., ch. 7).  Only what is left in the maximal ideal becomes a
 Q-linear system over the jet coefficients, built by _span_system, the one
 system builder here, straight from the terms of the jets left and only over
-the block of rows and unknowns that the right-hand sides reach.
+the block of rows and unknowns that the right-hand sides reach, as a plain
+{row key: {column: value}} dict.
+
+A field across the components of a crossing germ is given per component:
+the restrictions of one field on the germ (restrict_derivation), or one
+field on each component, which describe one field only where they agree on
+every double stratum (disagreeing_stratum).  pushout_membership takes that
+per-component form alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations
 from operator import add, sub
 
 from . import linalg
@@ -28,14 +36,6 @@ from .logcalc import LogDerivation, lie_bracket
 
 class MissingStratumError(ValueError):
     """A required double stratum has no identification scalar."""
-
-
-class StratumDisagreementError(ValueError):
-    """Per-component fields differ on the stratum of components pair = (i, j)."""
-
-    def __init__(self, i, j):
-        super().__init__("restrictions disagree on the double stratum (%d, %d)" % (i, j))
-        self.pair = (i, j)
 
 
 class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
@@ -82,7 +82,8 @@ def _span_system(columns, targets, order):
     (Pothen & Fan, ACM TOMS 16, 1990), and a block no target touches is
     solved by 0, so the answers are those of the whole system.  The unknowns
     are numbered in (k, deg m, m) order, the whole system's column order, so
-    echelon picks the same pivots; column ncols + p is targets[p].
+    echelon picks the same pivots; with n = len(unknowns), column n + p is
+    targets[p].  The rows come back as a {row key: {column: value}} dict.
     """
     r = targets[0][0].ctx.r
     rows = {(i, e) for comps in targets for i, comp in enumerate(comps)
@@ -105,15 +106,16 @@ def _span_system(columns, targets, order):
                                 rows.add((i2, e2))
                                 todo.append((i2, e2))
     unknowns = sorted(reached, key=lambda u: (u[0], sum(u[1]), u[1]))
-    system = linalg.RowBuilder(len(unknowns))
+    system = {}  # each (row, column) entry arrives once
     for col, u in enumerate(unknowns):
         for key, c in reached[u]:
-            system.add(key, col, c)
+            system.setdefault(key, {})[col] = c
+    n = len(unknowns)
     for p, comps in enumerate(targets):
         for i, comp in enumerate(comps):
             for e, c in comp.terms.items():
                 if sum(e) <= order:
-                    system.add((i, e), system.ncols + p, c)
+                    system.setdefault((i, e), {})[n + p] = c
     return unknowns, system
 
 
@@ -189,9 +191,9 @@ class _UnitPivots:
 def _solve_span(target, generators, order):
     """The coefficient jets of span_membership, before their certificate."""
     red = _UnitPivots(generators, (target,), order)
-    unknowns, system = red.system()
-    n = system.ncols
-    sol = linalg.solution(linalg.echelon(system.rows.values(), n + 1), n)
+    unknowns, rows = red.system()
+    n = len(unknowns)
+    sol = linalg.solution(linalg.echelon(rows.values(), n + 1), n)
     if sol is None:
         return None
     terms = {}
@@ -264,9 +266,9 @@ def involutivity_check(fol: FoliationGerm):
     if not pairs:
         return InvolutivityResult(True, d)
     red = _UnitPivots(gens, [brackets[p] for p in pairs], d)
-    _, system = red.system()
-    n = system.ncols
-    basis = linalg.echelon(system.rows.values(), n + len(pairs), reduced=False)
+    unknowns, rows = red.system()
+    n = len(unknowns)
+    basis = linalg.echelon(rows.values(), n + len(pairs), reduced=False)
     bad = [col - n for col in basis if col >= n]
     if bad:
         return InvolutivityResult(False, d, pairs[min(bad)])
@@ -290,12 +292,13 @@ def restrict_derivation(v: LogDerivation, i):
 class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")):
     """Components of a crossing configuration with scalar identifications.
 
-    double_scalars maps an ordered component pair (i, j) to the nonzero
-    rational scalar of the identification along their common stratum, with
-    the opposite orientation stored implicitly as the inverse; it is kept as
-    ((i, j, scalar), ...), each scalar read by linalg._exact.  triples lists
-    the triple strata as index triples; each of their three double strata
-    needs a scalar, and MissingStratumError names the first one without.
+    double_scalars is given as ((i, j, scalar), ...), each scalar that of
+    the identification i -> j along the common stratum, nonzero and read by
+    linalg._exact.  It is kept as a dict from the sorted pair (i, j), i < j,
+    to the scalar i -> j; the opposite orientation is its inverse.  triples
+    lists the triple strata as index triples; each of their three double
+    strata needs a scalar, and MissingStratumError names the first one
+    without.
     """
 
     __slots__ = ()
@@ -303,7 +306,6 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
     def __new__(cls, components, double_scalars, triples):
         comps = tuple(components)
         seen = {}
-        normalized = []
         for i, j, c in double_scalars:
             c = linalg._exact(c)
             if c == 0:
@@ -315,7 +317,6 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
             if key in seen and seen[key] != val:
                 raise ValueError("conflicting scalars for stratum %r" % (key,))
             seen[key] = val
-            normalized.append((key[0], key[1], val))
         trs = []
         for t in triples:
             t = tuple(sorted(t))
@@ -328,16 +329,16 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
                 if key not in seen:
                     raise MissingStratumError("no scalar recorded for stratum %s|%s"
                                               % tuple(comps[x] for x in key))
-        return tuple.__new__(cls, (comps, tuple(sorted(set(normalized))), trs))
+        return tuple.__new__(cls, (comps, seen, trs))
 
     def scalar(self, i, j):
         """Identification scalar in the direction component i -> component j."""
         key = (min(i, j), max(i, j))
-        for a, b, c in self.double_scalars:
-            if (a, b) == key:
-                return c if i < j else Fraction(1) / c
-        raise MissingStratumError("no scalar recorded for stratum %s|%s"
-                                  % tuple(self.components[k] for k in key))
+        c = self.double_scalars.get(key)
+        if c is None:
+            raise MissingStratumError("no scalar recorded for stratum %s|%s"
+                                      % tuple(self.components[k] for k in key))
+        return c if i < j else Fraction(1) / c
 
 
 class GluingCheck(namedtuple("GluingCheck", "ok failures")):
@@ -362,50 +363,43 @@ def check_gluing_cocycle(glue: SNCGlueData):
 
 # -- pushout membership --
 
-class PushoutResult(namedtuple("PushoutResult", "ok order component_witness failing_component",
-                               defaults=(None,))):
-    """component_witness holds, per component, the coefficient jets or None."""
+def disagreeing_stratum(fields):
+    """The first pair (i, j), i < j, of per-component fields, one on each
+    component {x_i = 0} of a crossing germ, whose restrictions to the double
+    stratum of components i and j differ, or None where they all agree and
+    so describe one field.  Curve branches meet in a point, where no stratum
+    direction survives, so fields on them are not compared."""
+    for i, j in combinations(range(len(fields)), 2):
+        if fields[i].ctx.n == 1:
+            continue
+        # within component i, the variable x_j sits at local index j - 1
+        left = restrict_derivation(fields[i], j - 1)
+        if not left.equal_to_order(restrict_derivation(fields[j], i), left.ctx.order):
+            return i, j
+    return None
 
+
+class PushoutResult(namedtuple("PushoutResult", "ok order failing_component",
+                               defaults=(None,))):
     __slots__ = ()
 
 
 def pushout_membership(fields, component_foliations, germ_ctx):
-    """Does a field on the crossing germ germ_ctx restrict into every
-    component foliation?
+    """Does each per-component field lie in its component foliation?
 
-    `fields` is either a single LogDerivation on the total germ (restrictions
-    are computed) or a sequence of per-component derivations, in which case
-    agreement along every double stratum is checked first; disagreement is a
-    StratumDisagreementError since the input then fails to describe one field.
-    Membership is decided at the germ's order, which the result reports.
+    fields and component_foliations hold one entry per component {x_i = 0}
+    of the crossing germ germ_ctx: the restrictions of one field on the
+    germ (restrict_derivation), or fields that agree on every double
+    stratum (disagreeing_stratum).  Membership is decided at the germ's
+    order, which the result reports; with no component the answer is a
+    vacuous yes.
     """
-    ctx = germ_ctx
-    if isinstance(fields, LogDerivation):
-        per_comp = [restrict_derivation(fields, i) for i in range(ctx.r)]
-    else:
-        per_comp = list(fields)
-        if len(per_comp) != ctx.r:
-            raise ValueError("expected one field per component")
-        for i in range(ctx.r):
-            for j in range(i + 1, ctx.r):
-                if per_comp[i].ctx.n == 1:
-                    # curve branches meet in a point; no stratum direction
-                    # survives, so there is nothing to compare
-                    continue
-                # within component i, the variable x_j sits at local index j-1
-                left = restrict_derivation(per_comp[i], j - 1)
-                right = restrict_derivation(per_comp[j], i)
-                if not left.equal_to_order(right, ctx.order):
-                    raise StratumDisagreementError(i, j)
-    if len(component_foliations) != ctx.r:
-        raise ValueError("expected one foliation per component")
-    witnesses = []
-    for i, fol in enumerate(component_foliations):
-        w = span_membership(per_comp[i], fol.generators)
-        witnesses.append(w)
-        if w is None:
-            return PushoutResult(False, ctx.order, tuple(witnesses), failing_component=i)
-    return PushoutResult(True, ctx.order, tuple(witnesses))
+    if len(fields) != germ_ctx.r or len(component_foliations) != germ_ctx.r:
+        raise ValueError("expected one field and one foliation per component")
+    for i, (v, fol) in enumerate(zip(fields, component_foliations)):
+        if span_membership(v, fol.generators) is None:
+            return PushoutResult(False, germ_ctx.order, failing_component=i)
+    return PushoutResult(True, germ_ctx.order)
 
 
 # -- surface one-forms along an invariant curve --

@@ -234,6 +234,8 @@ def solution(basis, n):
 
     basis comes from echelon over rows [A | b] with b in column n; the
     result is None when the system is inconsistent (a pivot lands on b).
+    Callers that build their equations term by term keep the rows in a
+    {row key: {column: value}} dict and pass its values.
     """
     if n in basis:
         return None
@@ -242,29 +244,6 @@ def solution(basis, n):
         if n in row:
             x[col] = Fraction(row[n], row[col])
     return x
-
-
-class RowBuilder:
-    """Sparse rows of an augmented system [A | b], made on first use of a key.
-
-    Builders that walk their equations term by term add each coefficient
-    where it lands, so a row holds only the entries it receives.  b is
-    column ncols; solution(echelon(rows.values(), ncols + 1), ncols) solves
-    the system.
-    """
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = {}
-
-    def add(self, key, col, value):
-        row = self.rows.get(key)
-        if row is None:
-            self.rows[key] = {col: value}
-        elif col in row:
-            row[col] += value
-        else:
-            row[col] = value
 
 
 def rank(a):

@@ -57,17 +57,17 @@ class LogDerivation(_Value):
 
     def apply(self, f):
         """Value on a jet. Valid to order-1 in general (exact when no smooth
-        coefficient meets a top-degree term)."""
+        coefficient meets a top-degree term).  Only a nonzero coefficient
+        against a nonzero partial of f is multiplied and added."""
         if f.ctx != self.ctx:
             raise ContextMismatchError("jet context mismatch")
-        order = self.ctx.order
+        _, r, order = self.ctx
         out = Jet.zero(self.ctx)
-        for i, bi in enumerate(self.b):
-            if not bi.is_zero():
-                out = out + bi.mul_to(f.scaled_partial(i), order)
-        for j, aj in enumerate(self.a):
-            if not aj.is_zero():
-                out = out + aj.mul_to(f.partial(self.ctx.r + j), order)
+        for k, c in enumerate(self.b + self.a):
+            if c.terms:
+                partial = f.scaled_partial(k) if k < r else f.partial(k)
+                if partial.terms:
+                    out = out + c.mul_to(partial, order)
         return out
 
     def log_trace(self):

@@ -24,8 +24,10 @@ with its own, deeper key path.  So every input error leaves a reader as a
 SceneError that names its key path.  The records check what makes them
 well defined when they are built (a Lie span that is a subalgebra, a
 scalar on every double stratum of a triple), so those errors leave the
-reader too; the one refusal that needs a solve, generators that are not
-involutive at the order, leaves the semistable handler's own _at.
+reader too, and so does a pushout candidate whose components disagree on a
+double stratum.  Two refusals come from the check that decides the answer,
+and leave their handler's own _at: generators that are not involutive at
+the order (semistable check), and holonomy tuples of different lengths.
 """
 
 from __future__ import annotations
@@ -338,9 +340,12 @@ class Scene:
         Components are matched to the crossing variables of the ambient germ
         in listed order; their fields are parsed on the component germs, in
         the ambient names and tokens other than the component's own, x2 in
-        {x1 = 0} still naming the ambient x2.  A candidate that names a
-        field is that field, read alone at fields.<name>.  The component
-        names come back last, in listed order.
+        {x1 = 0} still naming the ambient x2.  A candidate on the ambient
+        germ, or one that names a field (read alone at fields.<name>), is
+        restricted to each component; candidates given per component must
+        agree on every double stratum (foliations.disagreeing_stratum), else
+        the first pair that does not is a SceneError at candidate.  The
+        component names come back last, in listed order.
         """
         ctx, _, table = self.germ()
         spec = _expect(self._require("components"), list, "components")
@@ -377,13 +382,16 @@ class Scene:
             comp_fols.append(_foliation(comp_ctx, local, entry.get("foliation"), fol_where,
                                         fol_where))
             if ambient_candidate is not None:
+                candidates.append(foliations.restrict_derivation(ambient_candidate, i))
                 continue
             cname = comp_names[i]
             if cname not in candidate_spec:
                 raise SceneError("no candidate entry for component %r" % cname, "candidate")
             candidates.append(read(candidate_spec[cname], "candidate.%s" % cname))
-        if ambient_candidate is not None:
-            return ctx, ambient_candidate, tuple(comp_fols), comp_names
+        pair = ambient_candidate is None and foliations.disagreeing_stratum(candidates)
+        if pair:
+            raise SceneError("the candidates of %s and %s disagree on their double stratum"
+                             % tuple(comp_names[k] for k in pair), "candidate")
         return ctx, tuple(candidates), tuple(comp_fols), comp_names
 
     # -- holonomy and degrees --
@@ -395,8 +403,6 @@ class Scene:
             values = _fractions(spec.get(key), "holonomy.%s" % key)
             with _at("holonomy.%s" % key):
                 out.append(semistability.HolonomyData(values))
-        if len(out[0].values) != len(out[1].values):
-            raise SceneError("holonomy tuples have different lengths", "holonomy")
         return out[0], out[1]
 
     def normal_degrees(self):

@@ -88,10 +88,12 @@ def _zeros(e, r):
 @lru_cache(maxsize=16)
 def _t1_unknowns(ctx):
     """The monomials of degree 1 to the order of ctx alive in T1 (at most
-    r - 2 crossing exponents nonzero), by degree, then lex.  Listed
-    directly, and cached per ctx, since every solve on one germ walks them."""
+    r - 2 crossing exponents nonzero), by degree, then lex, and where each
+    degree starts: those of degree k are unknowns[starts[k]:starts[k + 1]],
+    for k = 0 .. order.  Listed directly, and cached per ctx, since every
+    solve on one germ walks them."""
     n, r = ctx.n, ctx.r
-    out = []
+    out, starts = [], [0]
 
     def fill(e, i, left, spare):  # slot i takes 0..left; a crossing one only 0 once spare is 0
         if i == n - 1:
@@ -101,9 +103,12 @@ def _t1_unknowns(ctx):
         for v in range(left + 1 if spare or i >= r else 1):
             fill(e + (v,), i + 1, left - v, spare - (v > 0 and i < r))
 
-    for deg in range(1, ctx.order + 1) if r >= 2 else ():
-        fill((), 0, deg, r - 2)
-    return tuple(out)
+    for deg in range(1, ctx.order + 1):
+        starts.append(len(out))
+        if r >= 2:
+            fill((), 0, deg, r - 2)
+    starts.append(len(out))
+    return tuple(out), tuple(starts)
 
 
 class _Terms:
@@ -120,6 +125,8 @@ class _Terms:
     are listed once per zero pattern of the head h = e[:r], and per head
     the crossing coefficient sum_i h_i b_i[m] - trace[m] is summed once.
     Terms are listed by ascending deg m, coefficients as ints where integral.
+    nabla_v 1 = -trace seeds both solves: its terms alive in T1 through
+    degree order - 1, the equations' degrees, are kept as trace.
     """
 
     def __init__(self, v):
@@ -134,7 +141,9 @@ class _Terms:
         self.a = [(r + j, sorted(((m, sum(m), _zeros(m, r), _exact(c))
                                   for m, c in aj.terms.items()), key=lambda t: t[1]))
                   for j, aj in enumerate(v.a) if aj.terms]
-        self.trace = [(m, tr) for m, _, _, _, tr in self.b if tr]
+        # (m, deg m, trace[m])
+        self.trace = [(m, dm, tr) for m, dm, _, _, tr in self.b
+                      if tr and dm < v.ctx.order and t1_monomial_alive(v.ctx, m)]
         self.patterns = {}
         self.heads = {}
 
@@ -212,14 +221,10 @@ def _substitute(ctx, gens):
         return FlatUnitResult(False, d, failing_degree=0)
     # residuals: the part of nabla_v g at each target that the unknowns
     # valued so far give, off the diagonal; nabla_v 1 = -trace starts them
-    residuals = [{m: -c for m, c in terms.trace if sum(m) <= top and t1_monomial_alive(ctx, m)}
-                 for terms in gens]
-    unknowns = _t1_unknowns(ctx)
-    stop = len(unknowns)  # unknowns[stop:] are those of degree d, in no row
-    while stop and sum(unknowns[stop - 1]) == d:
-        stop -= 1
+    residuals = [{m: -c for m, _, c in terms.trace} for terms in gens]
+    unknowns, starts = _t1_unknowns(ctx)
     values = {}
-    for e in unknowns[:stop]:
+    for e in unknowns[:starts[d]]:  # those of degree d are in no row
         for lam, res in zip(weights, residuals):
             w = sum(map(mul, e, lam))
             if w:
@@ -242,43 +247,36 @@ def _eliminate(ctx, gens):
     for any input (see find_flat_unit); gens holds each generator's
     _Terms."""
     d = ctx.order
-    unknowns = _t1_unknowns(ctx)
+    unknowns, starts = _t1_unknowns(ctx)
     n = len(unknowns)
     top = d - 1  # the highest equation degree
-    # per generator, its equations of each degree, rows keyed by equation
-    # monomial; a degree's rows go to echelon generator by generator
-    builders = []
-    for terms in gens:
-        systems = [linalg.RowBuilder(n) for _ in range(d)]
-        for m, c in terms.trace:  # nabla_v 1 = -trace
-            if sum(m) <= top and t1_monomial_alive(ctx, m):
-                systems[sum(m)].add(m, n, c)
-        builders.append((terms, systems, [system.add for system in systems]))
+    # per equation degree, its rows keyed (generator, equation monomial), the
+    # right-hand side -nabla_v 1 = trace in column n
+    rows = [{} for _ in range(d)]
+    for g, terms in enumerate(gens):
+        for m, dm, c in terms.trace:
+            rows[dm][g, m] = {n: c}
 
     basis = {}
-    stop = 0
     for deg in range(d):
-        start = stop  # unknowns[start:stop] are those of degree deg + 1
-        while stop < n and sum(unknowns[stop]) == deg + 1:
-            stop += 1
         room = top - deg - 1
-        for terms, _, puts in builders:
-            for col in range(start, stop):
+        for g, terms in enumerate(gens):
+            for col in range(starts[deg + 1], starts[deg + 2]):
                 for shift, t, c in terms.images(unknowns[col], room):
-                    puts[deg + 1 + shift](t, col, c)
-        rows = [row for _, systems, _ in builders for row in systems[deg].rows.values()]
-        linalg.echelon(rows, n + 1, basis, reduced=deg == d - 1)
+                    row = rows[deg + 1 + shift].setdefault((g, t), {})
+                    row[col] = row.get(col, 0) + c
+        linalg.echelon(rows[deg].values(), n + 1, basis, reduced=deg == top)
         if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
     sol = linalg.solution(basis, n)
     unit = Jet.one(ctx) + Jet(ctx, {e: sol[i] for i, e in enumerate(unknowns) if sol[i]})
     # uniqueness is judged on the coefficients the equations can reach, i.e.
-    # through degree d - 1 (the columns before start, where degree d begins);
-    # the top tail is unconstrained by construction.  The kernel has one
-    # vector per free column f, with -R[c][f] in each pivot column c of the
-    # reduced rows R, so it vanishes there exactly when every such column is
-    # a pivot whose row holds no free column.
-    unique = all(i in basis and len(basis[i]) == 1 + (n in basis[i]) for i in range(start))
+    # through degree d - 1 (the columns before starts[d]); the top tail is
+    # unconstrained by construction.  The kernel has one vector per free
+    # column f, with -R[c][f] in each pivot column c of the reduced rows R,
+    # so it vanishes there exactly when every such column is a pivot whose
+    # row holds no free column.
+    unique = all(i in basis and len(basis[i]) == 1 + (n in basis[i]) for i in range(starts[d]))
     return FlatUnitResult(True, d, unit=unit, unique=unique)
 
 
@@ -312,12 +310,14 @@ def find_flat_unit(fol: FoliationGerm):
       same unit (free columns 0), with unique true.  When it fails no unit
       exists, and the echelon is asked for the failing degree.
     - Elimination (_eliminate), for every other input: entries are added
-      where they land in rows keyed (generator, equation monomial).  A row
-      of degree k holds unknowns of degree k + 1 at most (a smooth
-      coefficient's constant term lowers the degree by one), so once the
-      unknowns of degree k + 1 are walked, the degree-k rows extend one
-      echelon basis, and the solve stops at the first inconsistent degree
-      with little built past it.
+      where they land in rows keyed (generator, equation monomial), one
+      store per equation degree.  A row of degree k holds unknowns of
+      degree k + 1 at most (a smooth coefficient's constant term lowers the
+      degree by one), so once the unknowns of degree k + 1 are walked, the
+      degree-k rows extend one echelon basis, and the solve stops at the
+      first inconsistent degree with little built past it.  The order of
+      the rows within a degree does not matter: the inconsistency test and
+      the reduced basis depend only on the row space.
 
     A resonant unknown, or a substituted unit that fails its certificate,
     hands the call to elimination.  A "yes" is re-checked through nabla

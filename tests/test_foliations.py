@@ -15,6 +15,7 @@ from logfol.foliations import (
     SurfaceOneForm,
     _span_system,
     check_gluing_cocycle,
+    disagreeing_stratum,
     involutivity_check,
     pushout_membership,
     restrict_derivation,
@@ -251,8 +252,8 @@ def test_span_membership_splits_off_units_without_a_system(monkeypatch):
     assert unique and span_membership(target, (v, w)) == want
     assert span_membership(target + w.scale(Jet.variable(ctx, 1) * Jet.variable(ctx, 2)
                                             * Jet.variable(ctx, 3)), (v,)) is None
-    assert [(unknowns, system.ncols) for unknowns, system in systems] == [([], 0), ([], 0)]
-    assert not systems[0][1].rows and systems[1][1].rows
+    assert [unknowns for unknowns, _ in systems] == [[], []]
+    assert not systems[0][1] and systems[1][1]
 
 
 def test_unit_pivots_invert_the_unit_entry_with_fewest_terms(monkeypatch):
@@ -311,7 +312,7 @@ def _involutivity_systems(monkeypatch, ctx, fields):
 
     def spy(columns, targets, order):
         out = full(columns, targets, order)
-        systems.append(out[1])
+        systems.append(out)
         return out
 
     monkeypatch.setattr(foliations, "_span_system", spy)
@@ -320,7 +321,8 @@ def _involutivity_systems(monkeypatch, ctx, fields):
 
 
 def _shape(system):
-    return len(system.rows), system.ncols, sum(map(len, system.rows.values()))
+    unknowns, rows = system
+    return len(rows), len(unknowns), sum(map(len, rows.values()))
 
 
 def test_non_commuting_pair_at_order_40_shifts_nothing_past_the_order(monkeypatch):
@@ -409,11 +411,11 @@ def test_span_system_rows_match_public_products(case):
     monos, ncols, rows = _span_rows_oracle(columns, targets, order)
     col = {(k, m): k * len(monos) + j for k in range(len(columns)) for j, m in enumerate(monos)}
     oracle_col = [col[u] for u in unknowns] + [ncols + p for p in range(len(targets))]
-    assert all(key in system.rows for key, row in rows.items() if max(row) >= ncols)
-    assert {key: {oracle_col[j]: c for j, c in row.items()} for key, row in system.rows.items()} \
-        == {key: rows[key] for key in system.rows}
+    assert all(key in system for key, row in rows.items() if max(row) >= ncols)
+    assert {key: {oracle_col[j]: c for j, c in row.items()} for key, row in system.items()} \
+        == {key: rows[key] for key in system}
     reached = {col[u] for u in unknowns}
-    assert all(key in system.rows for key, row in rows.items() if reached & row.keys())
+    assert all(key in system for key, row in rows.items() if reached & row.keys())
     assert unknowns == sorted(set(unknowns), key=lambda u: (u[0], sum(u[1]), u[1]))
 
 
@@ -533,6 +535,10 @@ def comp_foliation(ctx_total, i, text):
     return FoliationGerm(ctx, (derivation_from_string(ctx, text),), rank=1)
 
 
+def restrictions(v):
+    return [restrict_derivation(v, i) for i in range(v.ctx.r)]
+
+
 def test_pushout_accepts_global_euler_field():
     # the relative Euler field restricts to the component Euler fields
     v = derivation_from_string(CTX, "x1*dx1 - x2*dx2")
@@ -540,7 +546,8 @@ def test_pushout_accepts_global_euler_field():
         comp_foliation(CTX, 0, "x1*dx1"),
         comp_foliation(CTX, 1, "x1*dx1"),
     ]
-    res = pushout_membership(v, fols, CTX)
+    assert disagreeing_stratum(restrictions(v)) is None
+    res = pushout_membership(restrictions(v), fols, CTX)
     assert res.ok
     assert res.failing_component is None
 
@@ -551,7 +558,7 @@ def test_pushout_reports_failing_component():
         comp_foliation(CTX, 0, "x1*dx1"),
         comp_foliation(CTX, 1, "dx2"),
     ]
-    res = pushout_membership(v, fols, CTX)
+    res = pushout_membership(restrictions(v), fols, CTX)
     assert not res.ok
     assert res.failing_component == 1
 
@@ -561,12 +568,26 @@ def test_pushout_sequence_input_checks_agreement():
         derivation_from_string(CTX.component(0), "x1*dx1 + x2*dx2"),
         derivation_from_string(CTX.component(1), "x1*dx1 - x2*dx2"),
     ]
-    fols = [
-        comp_foliation(CTX, 0, "x1*dx1 + x2*dx2"),
-        comp_foliation(CTX, 1, "x1*dx1 - x2*dx2"),
-    ]
-    with pytest.raises(ValueError):
-        pushout_membership(fields, fols, germ_ctx=CTX)
+    assert disagreeing_stratum(fields) == (0, 1)
+
+
+def test_the_first_disagreeing_pair_is_named():
+    # a x1 dx1 + b x2 dx2 + c x3 dx3 restricts to b x1 dx1 + c x2 dx2 on
+    # {x1 = 0}, a x1 dx1 + c x2 dx2 on {x2 = 0} and a x1 dx1 + b x2 dx2 on
+    # {x3 = 0}: below, (0, 1) agree on c and (0, 2) are the first to differ
+    ctx = GermContext(3, 3, 4)
+
+    def fields(*texts):
+        return [derivation_from_string(ctx.component(i), t) for i, t in enumerate(texts)]
+
+    assert disagreeing_stratum(fields("x1*dx1 + 3*x2*dx2", "2*x1*dx1 + 3*x2*dx2",
+                                      "2*x1*dx1 + 5*x2*dx2")) == (0, 2)
+    assert disagreeing_stratum(fields("x1*dx1 + 3*x2*dx2", "2*x1*dx1 + 3*x2*dx2",
+                                      "7*x1*dx1 + x2*dx2")) == (1, 2)
+    assert disagreeing_stratum(fields("x1*dx1 + 3*x2*dx2", "2*x1*dx1 + 3*x2*dx2",
+                                      "2*x1*dx1 + x2*dx2")) is None
+    assert disagreeing_stratum(restrictions(derivation_from_string(
+        ctx, "2*x1*dx1 + x2*dx2 + 3*x3*dx3"))) is None
 
 
 def test_pushout_nodal_branches_need_no_agreement():
@@ -579,6 +600,8 @@ def test_pushout_nodal_branches_need_no_agreement():
         comp_foliation(ctx, 0, "x1*dx1"),
         comp_foliation(ctx, 1, "x1*dx1"),
     ]
+    # curve branches meet in a point: nothing is compared
+    assert disagreeing_stratum(fields) is None
     res = pushout_membership(fields, fols, germ_ctx=ctx)
     assert res.ok
 

@@ -405,23 +405,17 @@ def test_echelon_extended_in_batches_matches_dense_reference(m, n, data):
     assert_primitive(basis)
 
 
-def test_row_builder_keeps_the_column_count_without_rows():
-    def solve(system):
-        n = system.ncols
-        return linalg.solution(linalg.echelon(system.rows.values(), n + 1), n)
+def test_no_equation_leaves_every_unknown_free():
+    def solve(rows, n):
+        return linalg.solution(linalg.echelon(rows.values(), n + 1), n)
 
     # no equation at all: every unknown is free, and the solution has them all
-    assert solve(linalg.RowBuilder(3)) == [0, 0, 0]
-    system = linalg.RowBuilder(2)
-    system.add("x", 0, Fraction(1))
-    system.add("x", 1, Fraction(1))
-    system.add("y", 1, Fraction(2))
-    system.add("y", 1, Fraction(-2))
-    system.add("y", 2, Fraction(1))
-    assert solve(system) is None
-    system.add("y", 2, Fraction(-1))
-    system.add("x", 2, Fraction(5))
-    assert solve(system) == [5, 0]
+    assert solve({}, 3) == [0, 0, 0]
+    rows = {"x": {0: Fraction(1), 1: Fraction(1)}, "y": {1: Fraction(0), 2: Fraction(1)}}
+    assert solve(rows, 2) is None
+    rows["y"][2] -= 1
+    rows["x"][2] = Fraction(5)
+    assert solve(rows, 2) == [5, 0]
 
 
 def test_rref_matches_sympy():

@@ -56,7 +56,7 @@ VALUES = [
     (foliations.InvolutivityResult, lambda: foliations.involutivity_check(_foliation()), "ok"),
     (foliations.SNCGlueData, _glue, "triples"),
     (foliations.GluingCheck, lambda: foliations.check_gluing_cocycle(_glue()), "ok"),
-    (foliations.PushoutResult, lambda: foliations.PushoutResult(False, 4, (None,), 0), "ok"),
+    (foliations.PushoutResult, lambda: foliations.PushoutResult(False, 4, 0), "ok"),
     (foliations.SurfaceOneForm,
      lambda: foliations.SurfaceOneForm(jet_from_string(SURFACE, "1 + x2"),
                                        jet_from_string(SURFACE, "x1*x2")), "A"),

@@ -701,6 +701,17 @@ def test_cli_pushout_member_refuses_a_component_its_own_variable(tmp_path, capsy
         % (component, field[:2]))
 
 
+@pytest.mark.parametrize("candidate", ["x1*dx1 + dx2", {}], ids=["ambient", "per component"])
+def test_cli_pushout_member_without_components_is_a_vacuous_yes(tmp_path, capsys, candidate):
+    # r = 0: no component to restrict to, and the order is the germ's
+    scene = {"order": 5, "germ": {"n": 2, "r": 0}, "candidate": candidate, "components": []}
+    out = tmp_path / "report.json"
+    path = write_scene(tmp_path, "s.json", scene)
+    assert cli.main(["pushout", "member", path, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["decision"], report["order"], report["details"]) == ("yes", 5, {"order": 5})
+
+
 def test_cli_pushout_member_names_the_components_whose_candidates_disagree(tmp_path, capsys):
     # on the stratum {x1 = x2 = 0} A's candidate is x3*dx3 and B's 2*x3*dx3
     scene = dict(json.loads(json.dumps(DEFAULT_NAMED_PUSHOUT)),

@@ -307,7 +307,7 @@ def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
 def _flat_unit_oracle(fol):
     """find_flat_unit's answer from the whole system, as the solve was built
     before it stopped at its failing degree: every row of every degree from
-    the generators' _Terms over the filtered monomials walk, then one
+    the generators' _Terms and traces over the filtered monomials walk, then one
     echelon basis extended degree by degree.  Involutivity is not checked,
     nor the unit certified."""
     ctx = fol.ctx
@@ -316,19 +316,24 @@ def _flat_unit_oracle(fol):
     n = len(unknowns)
     top = d - 1
     r = ctx.r
-    system = linalg.RowBuilder(n)
+    system = {}
+
+    def put(key, col, c):
+        row = system.setdefault(key, {})
+        row[col] = row.get(col, 0) + c
+
     for gi, v in enumerate(fol.generators):
         terms = semistability._Terms(v)
-        for m, c in terms.trace:
+        for m, c in v.log_trace().terms.items():
             if sum(m) <= top and t1_monomial_alive(ctx, m):
-                system.add((gi, m), n, c)
+                put((gi, m), n, c)
         for col, e in enumerate(unknowns):
             crossing, smooth = terms.at(e[:r])
             room = top - sum(e)
             for m, dm, c in crossing:
                 if dm > room:
                     break
-                system.add((gi, tuple(map(add, e, m))), col, c)
+                put((gi, tuple(map(add, e, m))), col, c)
             for k, a_terms in smooth:
                 ek = e[k]
                 if not ek:
@@ -337,9 +342,9 @@ def _flat_unit_oracle(fol):
                 for m, dm, c in a_terms:
                     if dm > room + 1:
                         break
-                    system.add((gi, tuple(map(add, lowered, m))), col, ek * c)
+                    put((gi, tuple(map(add, lowered, m))), col, ek * c)
     by_degree = [[] for _ in range(d)]
-    for (_, e), row in system.rows.items():
+    for (_, e), row in system.items():
         by_degree[sum(e)].append(row)
     basis = {}
     for deg in range(d):
@@ -493,7 +498,7 @@ def substitution_problem(integer):
     n = integer(2, 4)
     r = integer(2, n)
     ctx = GermContext(n, r, integer(1, 7))
-    alive = [e for e in semistability._t1_unknowns(ctx) if sum(e) <= 2]
+    alive = [e for e in semistability._t1_unknowns(ctx)[0] if sum(e) <= 2]
     unit = None
     if alive and integer(0, 1):
         unit = Jet.one(ctx) + Jet.make(ctx, {pick(alive): pick(COEFFS) for _ in range(2)})
@@ -557,7 +562,12 @@ def test_t1_unknowns_are_the_alive_monomials_in_monomials_order():
                 ctx = GermContext(n, r, d)
                 want = tuple(e for e in monomials(ctx, d)
                              if sum(e) >= 1 and t1_monomial_alive(ctx, e))
-                assert semistability._t1_unknowns(ctx) == want, (n, r, d)
+                unknowns, starts = semistability._t1_unknowns(ctx)
+                assert unknowns == want, (n, r, d)
+                # degree k runs from starts[k] to starts[k + 1]
+                assert len(starts) == d + 2 and starts[0] == 0, (n, r, d)
+                assert [sum(e) for e in want] == [k for k in range(d + 1)
+                                                  for _ in range(starts[k], starts[k + 1])]
 
 
 

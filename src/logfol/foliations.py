@@ -2,9 +2,10 @@
 
 A foliation is presented by log derivation generators. Membership questions
 (is a bracket in the span, does a component field lie in its component
-foliation) are solves over the jet ring R_d = Q[x]/(crossing product, degree > d), so
-every positive answer is "at the reported order" while a negative answer is
-definitive: a germ-level identity would truncate to a jet-level one.
+foliation) are solves over the jet ring R_d = Q[x]/(crossing product,
+degree > d), so every positive answer is "at the reported order" while a
+negative answer is definitive: a germ-level identity would truncate to a
+jet-level one.
 
 R_d is a local ring, and a generator whose value at the origin is
 independent of the others splits off by a unit pivot with no linear algebra

@@ -31,12 +31,8 @@ from itertools import combinations
 from operator import add, sub
 
 from . import linalg
-from .jets import ContextMismatchError, GermContext, Jet, _on_crossing
+from .jets import GermContext, Jet, _on_crossing
 from .logcalc import LogDerivation, lie_bracket
-
-
-class MissingStratumError(ValueError):
-    """A required double stratum has no identification scalar."""
 
 
 class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
@@ -51,7 +47,7 @@ class FoliationGerm(namedtuple("FoliationGerm", "ctx generators rank")):
             raise ValueError("a foliation needs at least one generator")
         for g in gens:
             if g.ctx != ctx:
-                raise ContextMismatchError("generator context mismatch")
+                raise ValueError("generator context mismatch")
         if not 1 <= rank <= len(gens):
             raise ValueError("declared rank %d is not in 1..%d, the number of generators"
                              % (rank, len(gens)))
@@ -142,7 +138,7 @@ class _UnitPivots:
     def __init__(self, generators, targets, d):
         ctx = self.ctx = targets[0].ctx
         if any(g.ctx != ctx for g in generators):
-            raise ContextMismatchError("generator context mismatch")
+            raise ValueError("generator context mismatch")
         self.d = d
         zero = self.zero = Jet.zero(ctx)
         self.size = len(generators)
@@ -298,8 +294,7 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
     linalg._exact.  It is kept as a dict from the sorted pair (i, j), i < j,
     to the scalar i -> j; the opposite orientation is its inverse.  triples
     lists the triple strata as index triples; each of their three double
-    strata needs a scalar, and MissingStratumError names the first one
-    without.
+    strata needs a scalar, and the ValueError names the first one without.
     """
 
     __slots__ = ()
@@ -328,8 +323,8 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
         for i, j, k in trs:  # the pairs in the order check_gluing_cocycle reads them
             for key in ((i, j), (j, k), (i, k)):
                 if key not in seen:
-                    raise MissingStratumError("no scalar recorded for stratum %s|%s"
-                                              % tuple(comps[x] for x in key))
+                    raise ValueError("no scalar recorded for stratum %s|%s"
+                                     % tuple(comps[x] for x in key))
         return tuple.__new__(cls, (comps, seen, trs))
 
     def scalar(self, i, j):
@@ -337,8 +332,8 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
         key = (min(i, j), max(i, j))
         c = self.double_scalars.get(key)
         if c is None:
-            raise MissingStratumError("no scalar recorded for stratum %s|%s"
-                                      % tuple(self.components[k] for k in key))
+            raise ValueError("no scalar recorded for stratum %s|%s"
+                             % tuple(self.components[k] for k in key))
         return c if i < j else Fraction(1) / c
 
 
@@ -405,10 +400,6 @@ def pushout_membership(fields, component_foliations, germ_ctx):
 
 # -- surface one-forms along an invariant curve --
 
-class NonInvariantError(ValueError):
-    """The curve {y = 0} is not invariant for the form."""
-
-
 class InconclusiveAtOrderError(RuntimeError):
     """The truncation order was too small to decide."""
 
@@ -425,7 +416,7 @@ class SurfaceOneForm(namedtuple("SurfaceOneForm", "A B")):
     def __new__(cls, A: Jet, B: Jet):
         ctx = A.ctx
         if B.ctx != ctx:
-            raise ContextMismatchError("form coefficients in different contexts")
+            raise ValueError("form coefficients in different contexts")
         if ctx.n != 2 or ctx.r != 0:
             raise ValueError("surface forms live on a smooth 2-variable germ")
         return tuple.__new__(cls, (A, B))

@@ -17,9 +17,11 @@ its own arithmetic can push past the order or onto the crossing.
 Jet(ctx, terms) trusts its caller to keep it.  The two text readers,
 jet_from_string and logcalc.derivation_from_string, are such callers: the
 expression reader's terms are already exact nonzero values with int
-exponents of the right width, so they drop the terms past the order or on
-the crossing, store an integral Fraction as its int, and build with the
-bare constructor.
+exponents of the right width, so they store an integral Fraction as its int
+and build with the bare constructor.  derivation_from_string reads past the
+order, as it divides b_i by x_i, so it first drops the terms past the order
+or on the crossing; jet_from_string reads through them (below) and has
+nothing to drop.
 
 This is the one jet calculus under the solvers: they read a jet's terms
 directly to build their rows (skipping, with _on_crossing, a product that
@@ -63,14 +65,6 @@ class _Value:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__ if f[0] != "_")
-
-
-class ContextMismatchError(ValueError):
-    pass
-
-
-class NonUnitError(ValueError):
-    pass
 
 
 class GermContext(namedtuple("GermContext", "n r order")):
@@ -172,7 +166,7 @@ class Jet(_Value):
         if not isinstance(other, Jet):
             raise TypeError("expected a Jet")
         if other.ctx != self.ctx:
-            raise ContextMismatchError(
+            raise ValueError(
                 "jets live in different contexts: %r vs %r" % (self.ctx, other.ctx)
             )
 
@@ -272,7 +266,7 @@ class Jet(_Value):
         order), by Newton iteration; a constant is inverted directly."""
         c = self.constant_term()
         if c == 0:
-            raise NonUnitError("jet has zero constant term, not invertible")
+            raise ValueError("jet has zero constant term, not invertible")
         inv = Jet.constant(self.ctx, Fraction(1) / c)
         if len(self.terms) == 1:
             return inv
@@ -328,22 +322,21 @@ def format_jet(jet, names=None):
     return text
 
 
-def name_table(ctx, names=None):
+def name_table(ctx, names):
     """Mapping from accepted variable names to indices.
 
-    Custom names are accepted alongside the positional x1..xn aliases as long
-    as they do not clash.
+    The names, one per variable, are accepted alongside the positional
+    x1..xn aliases as long as they do not clash.
     """
     defaults = ctx.default_names()
     table = {nm: i for i, nm in enumerate(defaults)}
-    if names is not None:
-        if len(names) != ctx.n:
-            raise ValueError("expected %d variable names" % ctx.n)
-        for i, nm in enumerate(names):
-            j = table.setdefault(nm, i)
-            if j != i:
-                raise ValueError("%r, the name of variable %d, is %s name of variable %d" % (
-                    nm, i + 1, "the default" if nm == defaults[j] else "the", j + 1))
+    if len(names) != ctx.n:
+        raise ValueError("expected %d variable names" % ctx.n)
+    for i, nm in enumerate(names):
+        j = table.setdefault(nm, i)
+        if j != i:
+            raise ValueError("%r, the name of variable %d, is %s name of variable %d" % (
+                nm, i + 1, "the default" if nm == defaults[j] else "the", j + 1))
     return table
 
 
@@ -353,9 +346,7 @@ def jet_from_string(ctx, text, table=None, params=None):
     name to its variable, as name_table builds it (default: the names
     x1..xn alone)."""
     if table is None:
-        table = name_table(ctx)
-    n, r, order = ctx
-    raw = parse_polynomial(text, table, width=n, consts=params, bound=(order, r))
-    return Jet(ctx, {e: c if type(c) is int else _exact(c) for e, c in raw.items()
-                     if sum(e) <= order and not _on_crossing(e, r)})
+        table = name_table(ctx, ctx.default_names())
+    raw = parse_polynomial(text, table, width=ctx.n, consts=params, bound=(ctx.order, ctx.r))
+    return Jet(ctx, {e: c if type(c) is int else _exact(c) for e, c in raw.items()})
 

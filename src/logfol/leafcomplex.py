@@ -310,21 +310,22 @@ def _sub_structure(algebra, sub_basis):
 def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     """Obstruction to correcting a perturbed inclusion back to a subalgebra.
 
-    The defect of the perturbed bracket, reduced modulo the subalgebra, is a
-    quotient-valued 2-cochain over the subalgebra.  When the input data is
-    coherent it is a cocycle; it vanishes in cohomology exactly when some
-    degree-one corrector absorbs it, and a corrector is returned in that
-    case, re-checked first: d1 must map it to the cocycle, and RuntimeError
-    says it does not.  FinLieData has checked that the span is a subalgebra
-    and that mu satisfies the linearized Jacobi identity.
+    The defect of the perturbed bracket, mu + [p_a, s_b] + [s_a, p_b] -
+    sum_k c_ab^k p_k on the sub basis s with perturbation p, is mu + d1(p)
+    in the ambient-valued complex.  Reduced modulo the subalgebra h it is a
+    2-cochain with values in g/h, and the projection is an h-module map, as
+    h is a subalgebra: the cocycle is pi(mu) + d1(pi(p)), with d1 the
+    differential of the quotient complex the corrector is solved in.  It is
+    always a cocycle: d2(pi(mu) + d1(pi(p))) = pi(d2(mu)) = 0, since
+    FinLieData refuses any mu with d2(mu) != 0, so is_cocycle is True.  It
+    vanishes in cohomology exactly when some degree-one corrector absorbs
+    it, and a corrector is returned in that case, re-checked first: d1 must
+    map it to the cocycle, and RuntimeError says it does not.
     """
     algebra = data.algebra
     n = algebra.dim
     sub = data.sub_basis
     h = len(sub)
-    pert = data.perturbation
-    sub_algebra = data.sub_algebra
-    pairs = ce_basis(h, 2)
 
     # modulo the subalgebra: subtract the reduced row of every pivot, made
     # monic, which leaves the free columns, renumbered from 0
@@ -337,28 +338,24 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
         w = _combine([(1, v)] + [(-v[p], reduced[p]) for p in reduced if p in v])
         return {free[j]: x for j, x in w.items()}
 
-    quot_module = LieModuleData(sub_algebra, tuple(
+    quot_module = LieModuleData(data.sub_algebra, tuple(
         _from_columns([project(algebra.bracket(v, {j: 1})) for j in free], q) for v in sub))
-
-    cocycle = []
-    for a, b in pairs:
-        value = _combine(
-            [(1, data.mu[a][b]), (1, algebra.bracket(pert[a], sub[b])),
-             (1, algebra.bracket(sub[a], pert[b]))]
-            + [(-c, pert[k]) for k, c in sub_algebra.structure[a][b].items()])
-        cocycle.append(tuple(_dense(project(value), q)))
+    d1 = ce_differential(quot_module, 1)
+    pert = [x for v in data.perturbation for x in _dense(project(v), q)]
+    cocycle = tuple(
+        tuple(x + sum(c * pert[j] for j, c in d1[t * q + i].items())
+              for i, x in enumerate(_dense(project(data.mu[a][b]), q)))
+        for t, (a, b) in enumerate(ce_basis(h, 2)))
     flat = [x for v in cocycle for x in v]
 
-    is_cocycle = not any(linalg.mat_vec(ce_differential(quot_module, 2), flat))
-    d1 = ce_differential(quot_module, 1)
     sol = linalg.solve(d1, flat)
     if sol is not None and linalg.mat_vec(d1, sol) != flat:
         raise RuntimeError("Lie corrector certificate failed: the differential does not "
                            "map the corrector to the cocycle")
     return LieObstruction(
         quotient_dim=q,
-        cocycle=tuple(cocycle),
-        is_cocycle=is_cocycle,
+        cocycle=cocycle,
+        is_cocycle=True,
         vanishes=sol is not None,
         corrector=None if sol is None else tuple(
             tuple(sol[i * q : (i + 1) * q]) for i in range(h)),

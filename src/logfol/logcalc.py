@@ -8,28 +8,24 @@ relative fields, those v with v(u) = (b_1 + ... + b_r) u for the chart unit u.
 
 One-forms dual to this basis are a_1 dx_1/x_1 + ... + a_r dx_r/x_r + eta with
 eta regular; the single relation dx_1/x_1 + ... + dx_r/x_r = du/u makes the
-dlog coefficients unique only up to a common additive term. We normalize by
-removing the common constant so that the last dlog coefficient has constant
-term zero. The pairing with a vector field is representative-independent
-exactly on relative fields.  Coefficients are jets, and scalars follow the
-rule in linalg's docstring: ints where integral, else Fractions.
+dlog coefficients unique only up to a common additive term.  They are kept
+as given: the Camacho-Sad index reads only their differences.  The pairing
+with a vector field is representative-independent exactly on relative
+fields.  Coefficients are jets, and scalars follow the rule in linalg's
+docstring: ints where integral, else Fractions.
 """
 
 from __future__ import annotations
 
 from .exprs import parse_polynomial
-from .jets import ContextMismatchError, Jet, _set, _Value, format_jet, name_table
+from .jets import Jet, _set, _Value, format_jet, name_table
 from .linalg import _exact
-
-
-class TangencyParseError(ValueError):
-    """A crossing coefficient was not divisible by its variable."""
 
 
 def _check_ctx(ctx, jets_, what):
     for j in jets_:
         if j.ctx != ctx:
-            raise ContextMismatchError("%s has mismatched context" % what)
+            raise ValueError("%s has mismatched context" % what)
 
 
 class LogDerivation(_Value):
@@ -60,7 +56,7 @@ class LogDerivation(_Value):
         coefficient meets a top-degree term).  Only a nonzero coefficient
         against a nonzero partial of f is multiplied and added."""
         if f.ctx != self.ctx:
-            raise ContextMismatchError("jet context mismatch")
+            raise ValueError("jet context mismatch")
         _, r, order = self.ctx
         out = Jet.zero(self.ctx)
         for k, c in enumerate(self.b + self.a):
@@ -86,7 +82,7 @@ class LogDerivation(_Value):
 
     def __add__(self, other):
         if other.ctx != self.ctx:
-            raise ContextMismatchError("derivation context mismatch")
+            raise ValueError("derivation context mismatch")
         return LogDerivation(
             self.ctx,
             tuple(x + y for x, y in zip(self.b, other.b)),
@@ -122,7 +118,7 @@ def lie_bracket(v, w):
     one order below the inputs.
     """
     if v.ctx != w.ctx:
-        raise ContextMismatchError("derivation context mismatch")
+        raise ValueError("derivation context mismatch")
     b = tuple(v.apply(bw) - w.apply(bv) for bv, bw in zip(v.b, w.b))
     a = tuple(v.apply(aw) - w.apply(av) for av, aw in zip(v.a, w.a))
     return LogDerivation(v.ctx, b, a)
@@ -131,37 +127,27 @@ def lie_bracket(v, w):
 class LogOneForm(_Value):
     """a_1 dx_1/x_1 + ... + a_r dx_r/x_r + c_{r+1} dx_{r+1} + ... + c_n dx_n.
 
-    Stored in the normalized representative: the common additive constant
-    allowed by the relation sum_i dx_i/x_i = du/u is removed, so the last
-    dlog coefficient has constant term zero. Construct through make().
-    A _Value, and not a tuple, like Jet.
+    The dlog coefficients are kept as given: the relation
+    sum_i dx_i/x_i = du/u ties them only up to a common additive term, and
+    the index reads their differences.  A _Value, and not a tuple, like Jet.
     """
 
     __slots__ = ("ctx", "dlog", "reg")
 
     def __init__(self, ctx, dlog, reg):
+        dlog = tuple(dlog)
+        reg = tuple(reg)
         if ctx.r < 1:
             raise ValueError("a log one-form needs at least one crossing variable")
         if len(dlog) != ctx.r or len(reg) != ctx.n - ctx.r:
             raise ValueError("coefficient counts do not match the context")
-        _check_ctx(ctx, tuple(dlog) + tuple(reg), "form coefficient")
+        _check_ctx(ctx, dlog + reg, "form coefficient")
         _set(self, "ctx", ctx)
         _set(self, "dlog", dlog)
         _set(self, "reg", reg)
 
-    @classmethod
-    def make(cls, ctx, dlog, reg):
-        dlog = tuple(dlog)
-        reg = tuple(reg)
-        if len(dlog) != ctx.r:
-            raise ValueError("expected %d dlog coefficients" % ctx.r)
-        shift = dlog[-1].constant_term()
-        if shift != 0:
-            dlog = tuple(c - shift for c in dlog)
-        return cls(ctx, dlog, reg)
 
-
-def derivation_table(ctx, names=None):
+def derivation_table(ctx, names):
     """name_table(ctx, names) plus the derivation token "d" + name of every
     accepted name, indexing the partials after the n variables.  A token
     that is itself an accepted name raises ValueError."""
@@ -196,7 +182,7 @@ def derivation_from_string(ctx, text, table=None, params=None):
     and each jet is built with the bare constructor (see jets' docstring).
     """
     if table is None:
-        table = derivation_table(ctx)
+        table = derivation_table(ctx, ctx.default_names())
     n, r, order = ctx
     raw = parse_polynomial(text, table, width=2 * n, consts=params, bound=(order + 2, 0))
 
@@ -205,14 +191,14 @@ def derivation_from_string(ctx, text, table=None, params=None):
     for e, c in raw.items():
         d_part = e[n:]
         if sum(d_part) != 1:
-            raise TangencyParseError(
+            raise ValueError(
                 "each term must contain exactly one derivation token d1..dn"
             )
         i = d_part.index(1)
         e = e[:n]
         if i < r:
             if e[i] < 1:
-                raise TangencyParseError(
+                raise ValueError(
                     "coefficient of d%d must vanish on {x%d = 0}; "
                     "the field is not tangent to the crossing locus" % (i + 1, i + 1)
                 )

@@ -257,7 +257,7 @@ class Scene:
         dlog_jets = _items(dlog, "one_form.dlog", read)
         reg_jets = _items(reg, "one_form.reg", read)
         with _at("one_form"):
-            return logcalc.LogOneForm.make(ctx, dlog_jets, reg_jets)
+            return logcalc.LogOneForm(ctx, dlog_jets, reg_jets)
 
     def _int_pair(self, key, message):
         """The optional pair of integers at key; message if it is no pair."""
@@ -327,7 +327,7 @@ class Scene:
         def triple(entry, where):
             if len(_expect(entry, list, where)) != 3:
                 raise SceneError("need three component names", where)
-            return tuple(sorted(resolve(name, where) for name in entry))
+            return tuple(resolve(name, where) for name in entry)
 
         doubles = _items(self._get("double_strata", []), "double_strata", double)
         triples = _items(self._get("triple_strata", []), "triple_strata", triple)

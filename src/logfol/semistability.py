@@ -38,16 +38,11 @@ from .linalg import _exact, _integer
 from .foliations import (
     FoliationGerm,
     InconclusiveAtOrderError,
-    NonInvariantError,
     SurfaceOneForm,
     involutivity_check,
 )
 from .jets import GermContext, Jet
 from .logcalc import LogDerivation, LogOneForm
-
-
-class ResonanceError(ValueError):
-    """Two dlog coefficients share their value at the origin."""
 
 
 def t1_monomial_alive(ctx, e):
@@ -402,7 +397,7 @@ def cs_index_log(form: LogOneForm, i, j):
     aj0 = form.dlog[j].constant_term()
     denom0 = aj0 - ai0
     if denom0 == 0:
-        raise ResonanceError(
+        raise ValueError(
             "resonant stratum: a_%d and a_%d agree at the origin" % (i + 1, j + 1)
         )
     total = Fraction(0)
@@ -420,7 +415,7 @@ def cs_index_surface(form: SurfaceOneForm):
     expansion. For the linear model q dy - lam*y dz this returns lam.
     """
     if not form.curve_is_invariant():
-        raise NonInvariantError("B(0, z) != 0, the curve {y = 0} is not invariant")
+        raise ValueError("B(0, z) != 0, the curve {y = 0} is not invariant")
     ctx = form.ctx
     # every monomial of B contains y, so dividing by y is exact
     bt_terms = {}

@@ -7,8 +7,9 @@ decides at its germ's order, basis_derivation gives the basis fields of
 the log tangent module, abelian_algebra and adjoint_module build Lie data
 for the cochain tests, coboundary_triple builds obstruction triples that
 are coboundaries by construction, serre_dual gives the dual bundle on
-the nodal curve, and inverse gives the inverse matrix it dualizes the glue
-with (a command asks linalg.rank whether a glue matrix is invertible).
+the nodal curve, inverse gives the inverse matrix it dualizes the glue
+with (a command asks linalg.rank whether a glue matrix is invertible), and
+lie_defect is the Lie obstruction's cocycle as it was written out by hand.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from functools import lru_cache
 from logfol import linalg
 from logfol.bundles import GradedBundleP1, SNCCurveBundle
 from logfol.jets import GermContext, Jet, _on_crossing
-from logfol.leafcomplex import LieAlgebra, LieModuleData
+from logfol.leafcomplex import LieAlgebra, LieModuleData, _combine, _dense, _from_columns, ce_basis
 from logfol.logcalc import LogDerivation
 
 
@@ -116,3 +117,32 @@ def inverse(a):
     if sorted(basis) != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(basis[i].get(n + j, 0), basis[i][i]) for j in range(n)] for i in range(n)]
+
+
+def lie_defect(data):
+    """The cocycle of leafcomplex.lie_subalgebra_obstruction as it was
+    written out by hand: the defect mu + [p_a, s_b] + [s_a, p_b] -
+    sum_k c_ab^k p_k of each pair a < b of the sub basis s with perturbation
+    p, reduced modulo the subalgebra, together with the quotient module
+    g/h it takes values in."""
+    algebra, sub, pert = data.algebra, data.sub_basis, data.perturbation
+    n = algebra.dim
+    reduced = {p: {j: Fraction(x, row[p]) for j, x in row.items()}
+               for p, row in linalg.echelon(sub, n).items()}
+    free = {j: f for f, j in enumerate(j for j in range(n) if j not in reduced)}
+    q = len(free)
+
+    def project(v):
+        w = _combine([(1, v)] + [(-v[p], reduced[p]) for p in reduced if p in v])
+        return {free[j]: x for j, x in w.items()}
+
+    quot = LieModuleData(data.sub_algebra, tuple(
+        _from_columns([project(algebra.bracket(v, {j: 1})) for j in free], q) for v in sub))
+    cocycle = []
+    for a, b in ce_basis(len(sub), 2):
+        value = _combine(
+            [(1, data.mu[a][b]), (1, algebra.bracket(pert[a], sub[b])),
+             (1, algebra.bracket(sub[a], pert[b]))]
+            + [(-c, pert[k]) for k, c in data.sub_algebra.structure[a][b].items()])
+        cocycle.append(tuple(_dense(project(value), q)))
+    return tuple(cocycle), quot

@@ -67,7 +67,7 @@ def test_criterion_2_index_pair_relation():
                 e[k] = 1
                 terms[tuple(e)] = Fraction(rng.randint(-3, 3))
             dlog.append(Jet.make(ctx, terms))
-        form = LogOneForm.make(ctx, dlog, ())
+        form = LogOneForm(ctx, dlog, ())
         for i in range(r):
             for j in range(r):
                 if i == j:

@@ -10,8 +10,8 @@ package (a local variable, another method) passes unseen.
 A default that every call in the package passes is a value only the tests
 leave out, so the parameter is required instead.  Calls are matched by name
 too, the class name for __new__ and __init__: a default of a method that
-shares its name with another callable (LogOneForm.make and Jet.make) is
-taken as omitted when either is called without it.
+shares its name with another callable (as Jet.scale and LogDerivation.scale
+do) is taken as omitted when either is called without it.
 """
 
 import ast

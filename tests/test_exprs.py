@@ -380,7 +380,8 @@ def unbounded(text, names, width, consts, bound):
 @given(bounded_cases())
 def test_the_bounded_parse_is_the_truncated_full_expansion(case):
     ctx, params, jet_text, field_text = case
-    full = parse_polynomial(jet_text, name_table(ctx), ctx.n, params, UNBOUNDED)
+    full = parse_polynomial(jet_text, name_table(ctx, ctx.default_names()), ctx.n, params,
+                            UNBOUNDED)
     assert jet_from_string(ctx, jet_text, params=params) == Jet.make(ctx, full)
     field = logcalc.derivation_from_string(ctx, field_text, params=params)
     with mock.patch.object(logcalc, "parse_polynomial", unbounded):
@@ -506,19 +507,19 @@ def test_a_run_is_cut_only_when_a_product_or_a_power_was_taken():
 def derivation_through_make(ctx, text, names=None, params=None):
     """derivation_from_string as it was: the reader's terms split into the
     b_i and a_j, each checked again by Jet.make."""
-    table = logcalc.derivation_table(ctx, names)
+    table = logcalc.derivation_table(ctx, names or ctx.default_names())
     raw = parse_polynomial(text, table, width=2 * ctx.n, consts=params, bound=(ctx.order + 2, 0))
     b_raw = [dict() for _ in range(ctx.r)]
     a_raw = [dict() for _ in range(ctx.n - ctx.r)]
     for e, c in raw.items():
         var_part, d_part = e[: ctx.n], e[ctx.n:]
         if sum(d_part) != 1:
-            raise logcalc.TangencyParseError(
+            raise ValueError(
                 "each term must contain exactly one derivation token d1..dn")
         i = d_part.index(1)
         if i < ctx.r:
             if var_part[i] < 1:
-                raise logcalc.TangencyParseError(
+                raise ValueError(
                     "coefficient of d%d must vanish on {x%d = 0}; "
                     "the field is not tangent to the crossing locus" % (i + 1, i + 1))
             e2 = list(var_part)
@@ -532,7 +533,7 @@ def derivation_through_make(ctx, text, names=None, params=None):
 
 def jet_through_make(ctx, text, names=None, params=None):
     """jet_from_string as it was."""
-    raw = parse_polynomial(text, name_table(ctx, names), width=ctx.n, consts=params,
+    raw = parse_polynomial(text, name_table(ctx, names or ctx.default_names()), width=ctx.n, consts=params,
                            bound=(ctx.order, ctx.r))
     return Jet.make(ctx, raw)
 

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfol.exprs import ExprError, parse_polynomial
-from logfol.jets import (ContextMismatchError, GermContext, Jet, NonUnitError, format_jet,
-                         jet_from_string, name_table)
+from logfol.jets import GermContext, Jet, format_jet, jet_from_string, name_table
 
 from exact_rule import follows_the_rule
 from reference import monomials
@@ -78,7 +77,7 @@ def test_make_normalizes_dead_monomials():
 
 def test_context_mismatch_raises():
     other = GermContext(2, 2, 5)
-    with pytest.raises(ContextMismatchError):
+    with pytest.raises(ValueError, match="jets live in different contexts"):
         Jet.one(CTX) + Jet.one(other)
 
 
@@ -158,7 +157,7 @@ def test_invert_geometric_series():
 
 
 def test_invert_rejects_nonunit():
-    with pytest.raises(NonUnitError):
+    with pytest.raises(ValueError, match="jet has zero constant term, not invertible"):
         Jet.variable(CTX, 0).invert(CTX.order)
 
 

@@ -4,8 +4,10 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logfol import linalg
 from logfol.leafcomplex import (
@@ -21,9 +23,10 @@ from logfol.leafcomplex import (
     p1_window_cover,
     verify_obstruction_cocycle,
 )
+from logfol.scene import SceneError, load_scene
 
 from exact_rule import follows_the_rule
-from reference import abelian_algebra, adjoint_module, coboundary_triple
+from reference import abelian_algebra, adjoint_module, coboundary_triple, lie_defect
 
 
 def sl2():
@@ -356,6 +359,64 @@ def test_full_subalgebra_gives_trivial_quotient():
     res = lie_subalgebra_obstruction(data)
     assert res.quotient_dim == 0
     assert res.vanishes
+
+
+def assert_cocycle_is_the_defect(data):
+    """The obstruction's cocycle, read off the quotient complex, is the
+    hand-written defect, value for value and type for type, and the
+    degree-2 differential of the quotient complex maps it to 0."""
+    res = lie_subalgebra_obstruction(data)
+    defect, quot = lie_defect(data)
+    assert [[(x, type(x)) for x in v] for v in res.cocycle] == \
+        [[(x, type(x)) for x in v] for v in defect]
+    flat = [x for v in res.cocycle for x in v]
+    assert not any(linalg.mat_vec(ce_differential(quot, 2), flat))
+    assert res.is_cocycle
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENES.glob("lie_*.json")))
+def test_the_lie_cocycle_is_the_defect_on_the_scenes(name):
+    # a scene whose data FinLieData refuses defines no cocycle at all
+    try:
+        data = load_scene(SCENES / name, None).lie_data()
+    except SceneError as e:
+        assert str(e) in ("lie: sub basis does not span a subalgebra",
+                          "lie: mu violates the linearized Jacobi identity")
+        return
+    assert_cocycle_is_the_defect(data)
+
+
+SMALL = st.integers(-3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_lie_cocycle_is_the_defect_on_abelian_algebras(data):
+    # every antisymmetric mu satisfies the linearized Jacobi identity there
+    n = data.draw(st.integers(3, 5))
+    h = data.draw(st.integers(1, n))
+    vectors = st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=h, max_size=h)
+    sub = data.draw(vectors.filter(lambda rows: linalg.rank([dict(enumerate(r)) for r in rows]) == h))
+    pert = data.draw(vectors)
+    mu = [[(0,) * n] * h for _ in range(h)]
+    for a, b in itertools.combinations(range(h), 2):
+        v = data.draw(st.lists(SMALL, min_size=n, max_size=n))
+        mu[a][b], mu[b][a] = tuple(v), tuple(-x for x in v)
+    assert_cocycle_is_the_defect(FinLieData(abelian_algebra(n), sub, pert, mu))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SMALL, min_size=4, max_size=4).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+       st.lists(st.lists(SMALL, min_size=3, max_size=3), min_size=2, max_size=2))
+def test_the_lie_cocycle_is_the_defect_on_the_borel_pair(m, pert):
+    # any basis of the Borel subalgebra span(h, e) of sl2, a random
+    # perturbation, and mu = 0
+    sub = [tuple(m[2 * i] * x + m[2 * i + 1] * y for x, y in zip(*borel_in_sl2()))
+           for i in range(2)]
+    assert_cocycle_is_the_defect(FinLieData(sl2(), sub, pert, zero_mu(2, 3)))
 
 
 def test_non_subalgebra_is_rejected():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logfol.jets import GermContext, Jet
-from logfol.logcalc import (LogDerivation, LogOneForm, TangencyParseError, derivation_from_string,
-                            derivation_table, format_derivation, lie_bracket)
+from logfol.logcalc import (LogDerivation, LogOneForm, derivation_from_string, derivation_table,
+                            format_derivation, lie_bracket)
+from logfol.semistability import cs_index_log
 
 from reference import basis_derivation
 
@@ -106,45 +107,57 @@ def test_bracket_matches_commutator_of_actions(v, w, f):
 # -- pairing with log one-forms ------------------------------------------------
 
 
-def test_make_normalizes_the_dlog_representative():
+def test_the_dlog_coefficients_are_kept_as_given():
     # the relation sum dx_i/x_i = du/u allows a common constant shift; the
-    # stored representative puts the last dlog constant at zero
-    form = LogOneForm.make(
-        CTX,
-        [Jet.constant(CTX, 2), Jet.constant(CTX, 3)],
-        [Jet.one(CTX)],
-    )
-    assert form.dlog[0] == Jet.constant(CTX, -1)
-    assert form.dlog[1] == Jet.zero(CTX)
+    # form keeps the coefficients as given, and the index reads only their
+    # differences, so a shifted representative has the same index
+    ctx = GermContext(3, 3, 5)
+    forms = [LogOneForm(ctx, [Jet.constant(ctx, c + shift) for c in (1, 2, 4)], [])
+             for shift in (0, Fraction(-7, 2))]
+    assert [c.constant_term() for c in forms[1].dlog] == [Fraction(-5, 2), Fraction(-3, 2),
+                                                          Fraction(1, 2)]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        assert cs_index_log(forms[0], i, j) == cs_index_log(forms[1], i, j)
+
+
+def test_a_log_one_form_needs_a_crossing_variable():
+    # refused before any coefficient is read, so an empty dlog list is no crash
+    ctx = GermContext(2, 0, 5)
+    with pytest.raises(ValueError, match="a log one-form needs at least one crossing variable"):
+        LogOneForm(ctx, [], [Jet.one(ctx), Jet.variable(ctx, 0)])
 
 
 # -- parsing -------------------------------------------------------------------
 
 
+NOT_TANGENT = "the field is not tangent to the crossing locus"
+ONE_TOKEN = "each term must contain exactly one derivation token"
+
+
 def test_parse_enforces_crossing_tangency():
-    with pytest.raises(TangencyParseError):
+    with pytest.raises(ValueError, match=NOT_TANGENT):
         derivation_from_string(CTX, "x2*dx1")
 
 
 def test_parse_rejects_missing_or_double_tokens():
-    with pytest.raises(TangencyParseError):
+    with pytest.raises(ValueError, match=ONE_TOKEN):
         derivation_from_string(CTX, "x1*x2")
-    with pytest.raises(TangencyParseError):
+    with pytest.raises(ValueError, match=ONE_TOKEN):
         derivation_from_string(CTX, "x1*dx1*dx2")
 
 
-@pytest.mark.parametrize("low, on_bound, past", [
-    ("x2*dx1", "x2^5*dx1", "x2^6*dx1"),  # not tangent to {x1 = 0}
-    ("x1*dx1*dx2", "x1^4*dx1*dx2", "x1^5*dx1*dx2"),  # two derivation tokens
-    ("x1*x2", "x1^3*x2^3", "x1^4*x2^3"),  # no derivation token
+@pytest.mark.parametrize("low, on_bound, past, message", [
+    ("x2*dx1", "x2^5*dx1", "x2^6*dx1", NOT_TANGENT),  # not tangent to {x1 = 0}
+    ("x1*dx1*dx2", "x1^4*dx1*dx2", "x1^5*dx1*dx2", ONE_TOKEN),  # two derivation tokens
+    ("x1*x2", "x1^3*x2^3", "x1^4*x2^3", ONE_TOKEN),  # no derivation token
 ], ids=["non-tangent", "two tokens", "no token"])
-def test_parse_reads_terms_through_the_bound(low, on_bound, past):
+def test_parse_reads_terms_through_the_bound(low, on_bound, past, message):
     # at order 4 the text is read through total degree 6 over the variables
     # and the tokens: a term within it is refused as before, and one past it
     # vanishes, as truncation is a ring map
     ctx = GermContext(2, 2, 4)
     for text in (low, on_bound, "x1*dx1 + " + on_bound):
-        with pytest.raises(TangencyParseError):
+        with pytest.raises(ValueError, match=message):
             derivation_from_string(ctx, text)
     assert derivation_from_string(ctx, "x1*dx1 + " + past) == derivation_from_string(ctx, "x1*dx1")
     assert derivation_from_string(ctx, past).is_zero()

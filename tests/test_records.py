@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from logfol import bundles, foliations, leafcomplex, logcalc, monoids, semistability
-from logfol.jets import ContextMismatchError, GermContext, Jet, jet_from_string
+from logfol.jets import GermContext, Jet, jet_from_string
 
 from reference import abelian_algebra, adjoint_module
 
@@ -50,7 +50,7 @@ VALUES = [
     (GermContext, lambda: GermContext(2, 2, 4), "order"),
     (Jet, lambda: jet_from_string(CTX, "1 + x1 - 3/2*x2^2"), "terms"),
     (logcalc.LogDerivation, _field, "b"),
-    (logcalc.LogOneForm, lambda: logcalc.LogOneForm.make(
+    (logcalc.LogOneForm, lambda: logcalc.LogOneForm(
         CTX, (jet_from_string(CTX, "2"), jet_from_string(CTX, "x2")), ()), "dlog"),
     (foliations.FoliationGerm, _foliation, "rank"),
     (foliations.InvolutivityResult, lambda: foliations.involutivity_check(_foliation()), "ok"),
@@ -112,7 +112,7 @@ def test_contexts_and_monoids_stay_hashable():
 def test_arithmetic_types_are_not_tuples():
     jet = jet_from_string(CTX, "1 + x1")
     v = _field()
-    form = logcalc.LogOneForm.make(CTX, (jet, jet), ())
+    form = logcalc.LogOneForm(CTX, (jet, jet), ())
     for value in (jet, v, form):
         assert not isinstance(value, tuple)
         with pytest.raises(TypeError):
@@ -125,7 +125,7 @@ def test_arithmetic_types_are_not_tuples():
 
 
 def test_mixed_contexts_are_named_in_the_error():
-    with pytest.raises(ContextMismatchError) as info:
+    with pytest.raises(ValueError) as info:
         Jet.one(GermContext(2, 2, 4)) + Jet.one(GermContext(3, 1, 5))
     assert str(info.value) == ("jets live in different contexts: GermContext(n=2, r=2, order=4) "
                                "vs GermContext(n=3, r=1, order=5)")

@@ -9,8 +9,9 @@ without --json, its exit code must follow from the pinned decision
 summary and lines; with --json, its report must equal the pin.  So a change
 that alters any answer, witness, summary or report line fails here.  To write a pin, run
 `logfol <command> scene.json --json -` and copy the report less "scene".
-A seeded fuzz then mutates each scene and checks that no mutant crashes the
-CLI: malformed input must end in a report, never in exit 4 or an exception.
+A seeded fuzz then mutates each scene, and puts each scene with a germ on
+every small germ shape, and checks that no mutant crashes the CLI: malformed
+input must end in a report, never in exit 4 or an exception.
 """
 
 import copy
@@ -129,16 +130,55 @@ FUZZED.append(pytest.param("explicit_cover", EXPLICIT_COVER, ["leaf-complex"], E
                            id="two_row_explicit_cover"))
 
 
+def _resized(values, k, extra):
+    """The list values cut or padded to k entries, padding entry i extra(i)."""
+    return values[:k] + [extra(i) for i in range(len(values), k)]
+
+
+def _renamed(component, i):
+    """A copy of a component entry, a name or an object, named anew by i."""
+    if isinstance(component, str):
+        return "%s%d" % (component, i)
+    return dict(copy.deepcopy(component), name="%s%d" % (component["name"], i))
+
+
+def reshapes(scene):
+    """The scene on every germ of n = 1..4 variables with r = 0..n crossing,
+    at its order capped at 6: its names, one_form.dlog and .reg and its
+    components resized to match, the padding distinct names, distinct
+    constants, x1 and renamed copies."""
+    for n in range(1, 5):
+        for r in range(n + 1):
+            shaped = copy.deepcopy(scene)
+            germ = shaped["germ"]
+            germ.update(n=n, r=r)
+            if "names" in germ:
+                germ["names"] = _resized(germ["names"], n, lambda i: "x%d" % (i + 1))
+            shaped["order"] = min(shaped.get("order", 6), 6)
+            form = shaped.get("one_form")
+            if form is not None:
+                form["dlog"] = _resized(form["dlog"], r, lambda i: str(i + 1))
+                form["reg"] = _resized(form.get("reg", []), n - r, lambda i: "x1")
+            comps = shaped.get("components")
+            if comps:
+                shaped["components"] = _resized(comps, r,
+                                                lambda i: _renamed(comps[i % len(comps)], i))
+            yield "n=%d r=%d" % (n, r), shaped
+
+
 @pytest.mark.parametrize("seed, original, command, mutants", FUZZED)
 def test_mutated_scenes_never_crash(seed, original, command, mutants, tmp_path, capsys):
+    # random mutants, then a scene with a germ on every germ shape
     rng = random.Random(seed)
+    cases = [("mutant %d" % trial, mutate(original, rng)) for trial in range(mutants)]
+    if "germ" in original:
+        cases += reshapes(original)
     path = tmp_path / "mutant.json"
     crashes = []
-    for trial in range(mutants):
-        mutant = mutate(original, rng)
+    for label, mutant in cases:
         path.write_text(json.dumps(mutant))
         code = cli.main(command + [str(path)])
         out = capsys.readouterr().out
         if code not in (0, 1, 2, 3):
-            crashes.append("mutant %d, exit %d: %s\n%s" % (trial, code, json.dumps(mutant), out))
+            crashes.append("%s, exit %d: %s\n%s" % (label, code, json.dumps(mutant), out))
     assert not crashes, "\n".join(crashes)

@@ -16,18 +16,19 @@ report decided.  A stdout whose reader has gone (a closed pipe) changes no
 exit code: the rest of the output goes to devnull.
 
 The command tree lives in one table, COMMANDS: each row gives a leaf's words,
-handler, help, whether it reads a scene, its aliases and its extra options.
+handler and help.  Every command reads a scene file, its one input besides
+the common --order and --json, and its handler takes that scene alone.
 Every report, error reports included, is named after its row: its tool is
-the row's words joined by "-", whichever alias was typed.
-A named leaf is parsed by its own parser alone (build_parser(argv)), with
-the prog and help it has in the whole tree, since one call runs one command;
-help, a group alone, an unknown word, or arguments the leaf leaves over go to
-the whole tree, built from the same rows, so its usage errors read as they
-always have.  Each parser is built on first use and then kept for the
-process.  A group named alone prints that group's usage and leaves and exits 2.
-The run row has no handler: it runs each scene file through the command the
-scene names in its "command" key, read as that row's own leaf parser reads
-it, prints "name: decision: summary" per file and exits with the worst code.
+the row's words joined by "-".  A named leaf is parsed by its own parser
+alone (build_parser(argv)), with the prog and help it has in the whole
+tree, since one call runs one command; help, a group alone, an unknown
+word, or arguments the leaf leaves over go to the whole tree, built from
+the same rows, so its usage errors read as they always have.  Each parser
+is built on first use and then kept for the process.  A group named alone
+prints that group's usage and leaves and exits 2.  The run row has no
+handler: it runs each scene file through the row whose words the scene
+lists in its "command" key, at run's --order, prints "name: decision:
+summary" per file and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -81,10 +82,10 @@ def _nested_strs(rows):
     return [_vec_strs(row) for row in rows]
 
 
-# --- handlers; each takes (args, scene-or-None) and returns a Report ---
+# --- handlers; each takes the scene and returns a Report ---
 
 
-def _cmd_monoid_saturate(args, scn: Scene):
+def _cmd_monoid_saturate(scn: Scene):
     m = scn.monoid()
     sat = monoids.saturate(m)
     gens = [list(g) for g in sat.generators]
@@ -96,7 +97,7 @@ def _cmd_monoid_saturate(args, scn: Scene):
     )
 
 
-def _cmd_monoid_group(args, scn: Scene):
+def _cmd_monoid_group(scn: Scene):
     m = scn.monoid()
     basis = monoids.grothendieck_group(m)
     return Report(
@@ -107,7 +108,7 @@ def _cmd_monoid_group(args, scn: Scene):
     )
 
 
-def _cmd_monoid_check(args, scn: Scene):
+def _cmd_monoid_check(scn: Scene):
     m = scn.monoid()
     element = scn.monoid_element(m)
     if element is not None:
@@ -129,7 +130,7 @@ def _cmd_monoid_check(args, scn: Scene):
     )
 
 
-def _cmd_semistable_check(args, scn: Scene):
+def _cmd_semistable_check(scn: Scene):
     germ = scn.germ()
     fol = scn.foliation(germ)
     names = germ[1]
@@ -151,15 +152,9 @@ def _cmd_semistable_check(args, scn: Scene):
     )
 
 
-def _cmd_cs_log(args, scn: Scene):
+def _cmd_cs_log(scn: Scene):
     form = scn.one_form()
-    pair = tuple(args.pair) if args.pair else scn.index_pair(form.ctx)
-    if pair is None:
-        if form.ctx.r == 2:
-            pair = (1, 2)
-        else:
-            raise SceneError("give --pair I J or an index_pair entry in the scene")
-    i, j = pair
+    i, j = scn.index_pair(form.ctx)
     value = semistability.cs_index_log(form, i - 1, j - 1)
     return Report(
         decision="value",
@@ -168,7 +163,7 @@ def _cmd_cs_log(args, scn: Scene):
     )
 
 
-def _cmd_cs_surface(args, scn: Scene):
+def _cmd_cs_surface(scn: Scene):
     form = scn.surface_form()
     value = semistability.cs_index_surface(form)
     return Report(
@@ -178,7 +173,7 @@ def _cmd_cs_surface(args, scn: Scene):
     )
 
 
-def _cmd_pushout_check(args, scn: Scene):
+def _cmd_pushout_check(scn: Scene):
     glue = scn.glue_data()
     res = foliations.check_gluing_cocycle(glue)
     failures = [
@@ -206,7 +201,7 @@ def _cmd_pushout_check(args, scn: Scene):
     )
 
 
-def _cmd_pushout_member(args, scn: Scene):
+def _cmd_pushout_member(scn: Scene):
     ctx, candidates, fols, names = scn.pushout_inputs()
     res = foliations.pushout_membership(candidates, fols, germ_ctx=ctx)
     if res.ok:
@@ -223,16 +218,17 @@ def _cmd_pushout_member(args, scn: Scene):
     )
 
 
-def _cmd_cohomology_p1(args, scn):
-    h0, h1 = bundles.h_p1(args.deg)
+def _cmd_cohomology_p1(scn: Scene):
+    deg = scn.degree()
+    h0, h1 = bundles.h_p1(deg)
     return Report(
         decision="value",
-        summary="degree %d: h0 = %d, h1 = %d" % (args.deg, h0, h1),
-        details={"deg": args.deg, "h0": h0, "h1": h1},
+        summary="degree %d: h0 = %d, h1 = %d" % (deg, h0, h1),
+        details={"deg": deg, "h0": h0, "h1": h1},
     )
 
 
-def _cmd_cohomology_snc(args, scn: Scene):
+def _cmd_cohomology_snc(scn: Scene):
     bundle = scn.bundle()
     h0, h1 = bundles.cohomology_snc_curve(bundle)
     return Report(
@@ -247,7 +243,7 @@ def _cmd_cohomology_snc(args, scn: Scene):
     )
 
 
-def _cmd_leaf_complex(args, scn: Scene):
+def _cmd_leaf_complex(scn: Scene):
     data = scn.leaf_data()
     dims = leafcomplex.leaf_complex_hypercohomology(data)
     return Report(
@@ -261,7 +257,7 @@ def _cmd_leaf_complex(args, scn: Scene):
     )
 
 
-def _cmd_obstruction_verify(args, scn: Scene):
+def _cmd_obstruction_verify(scn: Scene):
     data = scn.leaf_data()
     theta, gbar, bbar = scn.cochains()
     rep = leafcomplex.verify_obstruction_cocycle(data, theta, gbar, bbar)
@@ -294,7 +290,7 @@ def _cmd_obstruction_verify(args, scn: Scene):
     )
 
 
-def _cmd_obstruction_lie(args, scn: Scene):
+def _cmd_obstruction_lie(scn: Scene):
     data = scn.lie_data()
     res = leafcomplex.lie_subalgebra_obstruction(data)
     details = {
@@ -316,7 +312,7 @@ def _cmd_obstruction_lie(args, scn: Scene):
     )
 
 
-def _cmd_holonomy(args, scn: Scene):
+def _cmd_holonomy(scn: Scene):
     h1, h2 = scn.holonomy()
     with _at("holonomy"):  # tuples of different lengths are an input error
         compatible = semistability.check_holonomy_compatibility(h1, h2)
@@ -343,38 +339,31 @@ def _cmd_holonomy(args, scn: Scene):
 # --- wiring ---
 
 
-def _named_command(args, scn):
-    """For run: the namespace its own leaf parser gives the command that scene
-    scn names, with run's --order; a SceneError at "command" if it names no
-    command that reads a scene (run itself has no handler, like the tree)."""
+def _named_command(scn):
+    """For run: the row of the command that scene scn names; a SceneError at
+    "command" if it names none (run itself has no handler, like the tree)."""
     words = scn.raw.get("command")
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise SceneError("expected a list of command words", "command")
-    parser = build_parser(words)
-    if (parser.get_default("handler") is None or not parser.get_default("needs_scene")
-            or len(words) != len(parser.words)):
-        raise SceneError("%r is no command that reads a scene" % " ".join(words), "command")
-    leaf = parser.parse_args([])
-    if "order" in args:
-        leaf.order = args.order
-    return leaf
+    for cmd in COMMANDS:
+        if cmd.handler is not None and list(cmd.words) == words:
+            return cmd
+    raise SceneError("%r is no command that reads a scene" % " ".join(words), "command")
 
 
-def _run_one(args, scene_path):
-    """The report of args' command on scene_path, error reports included,
-    named after the command (args.tool); for run, the command the scene names.
-    Its scene, order and tool are written here and nowhere else: a decided
-    or inconclusive report's order is the scene's in force, or --order when
-    the command reads no scene; an error or internal report has none."""
-    where = str(scene_path) if scene_path else None
-    scn = order = None
+def _run_one(cmd, scene_path, order):
+    """The report of the row cmd's command on scene_path at the --order
+    given (None for the scene's own), error reports included, named after
+    the command; for run, the command the scene names.  Its scene, order and
+    tool are written here and nowhere else: a decided or inconclusive
+    report's order is the scene's in force; an error or internal report has
+    none."""
     try:
-        if args.needs_scene:
-            scn = load_scene(scene_path, order=getattr(args, "order", None))
-        if args.handler is None:
-            args = _named_command(args, scn)
-        order = scn.order if scn is not None else getattr(args, "order", None)
-        report = args.handler(args, scn)
+        scn = load_scene(scene_path, order=order)
+        if cmd.handler is None:
+            cmd = _named_command(scn)
+        order = scn.order
+        report = cmd.handler(scn)
     except InconclusiveAtOrderError as e:
         report = Report("inconclusive", str(e), {})
     except (SceneError, ValueError) as e:
@@ -384,7 +373,7 @@ def _run_one(args, scene_path):
 
         message = "internal error: %s: %s" % (type(e).__name__, e)
         report, order = Report("internal", message, {"traceback": traceback.format_exc()}), None
-    return report._replace(scene=where, order=order, tool=args.tool)
+    return report._replace(scene=str(scene_path), order=order, tool="-".join(cmd.words))
 
 
 def _say(text):
@@ -419,30 +408,27 @@ def _write_json(path, payload):
 
 def _add_leaf(parser, cmd):
     """Give parser the defaults and options of the row cmd; returns parser."""
-    parser.set_defaults(handler=cmd.handler, needs_scene=cmd.needs_scene, tool="-".join(cmd.words))
+    parser.set_defaults(cmd=cmd)
     parser.add_argument("--order", type=int, default=argparse.SUPPRESS,
                         help="truncation order override (default: scene value, else 6)")
     parser.add_argument("--json", dest="json_path", default=argparse.SUPPRESS, metavar="PATH",
                         help='write the report as JSON to PATH ("-" for stdout)')
     if cmd.handler is None:
         parser.add_argument("scene", nargs="*", help="scene files, each run by its command")
-    elif cmd.needs_scene:
+    else:
         parser.add_argument("scene", nargs="?", help="scene file to read")
-    for flag, keywords in cmd.arguments:
-        parser.add_argument(flag, **keywords)
     return parser
 
 
 # --- the command table: one row per leaf of the command tree ---
 
 
-# words: ("monoid", "saturate"), or one word for a top-level leaf; aliases: other
-# names for the last word; arguments: (flag, add_argument keywords) pairs added
-# after the common options.  A namedtuple, as every record in the package is a
-# namedtuple or a plain class with __slots__: a dataclass generates and execs its
-# methods on every start, and importing dataclasses brings inspect and ast with it.
-_Command = namedtuple("_Command", "words handler help needs_scene aliases arguments",
-                      defaults=(True, (), ()))
+# words: ("monoid", "saturate"), or one word for a top-level leaf; handler: the
+# function of the scene that answers, None for run alone.  A namedtuple, as every
+# record in the package is a namedtuple or a plain class with __slots__: a
+# dataclass generates and execs its methods on every start, and importing
+# dataclasses brings inspect and ast with it.
+_Command = namedtuple("_Command", "words handler help")
 
 
 _GROUPS = {
@@ -454,24 +440,18 @@ _GROUPS = {
     "obstruction": "obstruction cocycles and classes",
 }
 
-_PAIR_HELP = "1-based crossing component indices (default: scene, or 1 2 when r = 2)"
-
 COMMANDS = (
     _Command(("monoid", "saturate"), _cmd_monoid_saturate, "generators of the saturation"),
     _Command(("monoid", "group"), _cmd_monoid_group, "Hermite basis of the difference group"),
     _Command(("monoid", "check"), _cmd_monoid_check,
              "is the scene's element a member; without an element, is the monoid saturated"),
     _Command(("semistable", "check"), _cmd_semistable_check, "decide existence of a flat unit"),
-    _Command(("cs", "log"), _cmd_cs_log, "index of a log one-form along a double stratum",
-             aliases=("paper",), arguments=(("--pair", dict(
-                 type=int, nargs=2, metavar=("I", "J"), default=None, help=_PAIR_HELP)),)),
+    _Command(("cs", "log"), _cmd_cs_log, "index of a log one-form along a double stratum"),
     _Command(("cs", "surface"), _cmd_cs_surface, "index of a dy + b dz along {y = 0}"),
     _Command(("pushout", "check"), _cmd_pushout_check, "scalar cocycle condition on triples"),
     _Command(("pushout", "member"), _cmd_pushout_member,
              "does a candidate field restrict into every component foliation"),
-    _Command(("cohomology", "p1"), _cmd_cohomology_p1, "line bundle on the projective line",
-             needs_scene=False,
-             arguments=(("--deg", dict(type=int, required=True, help="bundle degree")),)),
+    _Command(("cohomology", "p1"), _cmd_cohomology_p1, "line bundle on the projective line"),
     _Command(("cohomology", "snc-curve"), _cmd_cohomology_snc,
              "bundle on two projective lines glued at a node"),
     _Command(("leaf-complex",), _cmd_leaf_complex, "hypercohomology dimensions of cover data"),
@@ -486,13 +466,11 @@ COMMANDS = (
 
 
 def build_parser(argv):
-    """The parser for the list argv: when a row's words (or an alias of its
-    last word) lead argv, that row's own parser, which reads argv past them
-    (its words attribute); else the whole tree (words ())."""
+    """The parser for the list argv: when a row's words lead argv, that row's
+    own parser, which reads argv past them (its words attribute); else the
+    whole tree (words ())."""
     for i, cmd in enumerate(COMMANDS):
-        k = len(cmd.words) - 1
-        if len(argv) > k and tuple(argv[:k]) == cmd.words[:k] and (
-                argv[k] == cmd.words[k] or argv[k] in cmd.aliases):
+        if tuple(argv[:len(cmd.words)]) == cmd.words:
             return _leaf(i)
     return _tree()
 
@@ -524,8 +502,7 @@ def _tree():
             p = parser.group_parsers[group[0]] = groups[()].add_parser(
                 group[0], help=_GROUPS[group[0]])
             groups[group] = p.add_subparsers(dest="subcommand", metavar="WHAT")
-        _add_leaf(groups[group].add_parser(cmd.words[-1], aliases=list(cmd.aliases),
-                                           help=cmd.help), cmd)
+        _add_leaf(groups[group].add_parser(cmd.words[-1], help=cmd.help), cmd)
     return parser
 
 
@@ -549,21 +526,21 @@ def _parse(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
-    if "tool" not in args:
+    if "cmd" not in args:
         # a group named alone lists its own leaves
         tree = _tree()
         tree.group_parsers.get(args.command, tree).print_help()
         return 2
 
-    json_path = getattr(args, "json_path", None)
-    scene = getattr(args, "scene", None)  # run's is a list
-    if args.needs_scene and not scene:
+    if not args.scene:  # run's is a list
         print("a scene file is required", file=sys.stderr)
         return 2
-    batch = args.handler is None
+    json_path = getattr(args, "json_path", None)
+    order = getattr(args, "order", None)
+    batch = args.cmd.handler is None
     reports = []
-    for path in scene if batch else [scene]:
-        reports.append(_run_one(args, path))
+    for path in args.scene if batch else [args.scene]:
+        reports.append(_run_one(args.cmd, path, order))
         _print_report(reports[-1], prefix="%s: " % Path(path).name if batch else "")
     payload = [r.to_dict() for r in reports] if batch else reports[0].to_dict()
     if json_path and not _write_json(json_path, payload):

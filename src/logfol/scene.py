@@ -268,11 +268,16 @@ class Scene:
         return _numbers(self.raw[key], key, _integer)
 
     def index_pair(self, ctx):
-        """The optional pair of 1-based indices of two crossing variables of ctx."""
+        """The pair of 1-based indices of two crossing variables of ctx,
+        (1, 2) when it is left out on a germ of two crossing variables."""
         pair = self._int_pair("index_pair", "need two 1-based crossing indices")
-        if pair is not None:
-            with _at("index_pair"):
-                semistability._crossing_pair(ctx, pair[0] - 1, pair[1] - 1)
+        if pair is None:
+            if ctx.r != 2:
+                raise SceneError("needed unless the germ has exactly two crossing variables",
+                                 "index_pair")
+            return 1, 2
+        with _at("index_pair"):
+            semistability._crossing_pair(ctx, pair[0] - 1, pair[1] - 1)
         return pair
 
     def surface_form(self):
@@ -409,6 +414,10 @@ class Scene:
         return self._int_pair("normal_degrees", "need two integers")
 
     # -- bundles --
+
+    def degree(self):
+        """The degree of a line bundle on the projective line."""
+        return _int(self._require("degree"), "degree")
 
     def bundle(self):
         spec = _expect(self._require("bundle"), dict, "bundle")

@@ -244,6 +244,8 @@ READER_MESSAGES = [
      "error: leaf_data.restrictions.U0->U0|U1[0][0][0]: cannot read '1/0' as a rational"),
     ("leaf_windows", ["leaf-complex"], ["leaf_data", "degrees", 1], "1",
      "error: leaf_data.degrees[1]: expected an integer"),
+    ("p1_degree_60", ["cohomology", "p1"], ["degree"], "60",
+     "error: degree: expected an integer"),
     ("ruled_n2", ["cohomology", "snc-curve"], ["bundle", "left", 1], 1.5,
      "error: bundle.left[1]: expected an integer"),
     ("ruled_n2", ["cohomology", "snc-curve"], ["bundle", "glue"], [[1, 1.5, 0]],
@@ -424,9 +426,8 @@ def test_exit_codes_by_decision():
 
 @pytest.mark.parametrize("argv, tool", [
     (list(cmd.words) + ["missing.json"], "-".join(cmd.words))
-    for cmd in cli.COMMANDS if cmd.needs_scene and cmd.handler
+    for cmd in cli.COMMANDS if cmd.handler
 ] + [
-    (["cs", "paper", "missing.json"], "cs-log"),
     (["run", "missing.json"], "run"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_error_reports_are_named_after_their_command(tmp_path, capsys, argv, tool):
@@ -524,12 +525,6 @@ def test_cli_cs_log_value(tmp_path, capsys):
     path = write_scene(tmp_path, "s.json", CS_SCENE)
     assert cli.main(["cs", "log", path]) == 0
     assert "index 3 along the stratum of components 1 and 2" in capsys.readouterr().out
-
-
-def test_cli_cs_alias_and_pair_flag(tmp_path, capsys):
-    path = write_scene(tmp_path, "s.json", CS_SCENE)
-    assert cli.main(["cs", "paper", path, "--pair", "1", "3"]) == 0
-    assert "index 1/3" in capsys.readouterr().out
 
 
 def test_cli_cs_log_default_pair_on_double_germs(tmp_path, capsys):
@@ -732,8 +727,9 @@ def test_cli_pushout_member_names_the_component_a_germ_cannot_restrict_to(tmp_pa
 # -- cohomology -----------------------------------------------------------------------
 
 
-def test_cli_cohomology_p1(capsys):
-    assert cli.main(["cohomology", "p1", "--deg", "-2"]) == 0
+def test_cli_cohomology_p1(tmp_path, capsys):
+    path = write_scene(tmp_path, "s.json", {"degree": -2})
+    assert cli.main(["cohomology", "p1", path]) == 0
     assert "degree -2: h0 = 0, h1 = 1" in capsys.readouterr().out
 
 
@@ -1164,7 +1160,7 @@ def test_cli_batch_mode_takes_the_worst_code(tmp_path, capsys):
 def test_run_runs_each_scene_through_its_own_command(tmp_path, capsys):
     paths = [write_scene(tmp_path, "m.json", {"command": ["monoid", "group"],
                                               "monoid": {"ambient_rank": 1, "generators": [[2]]}}),
-             write_scene(tmp_path, "c.json", dict(CS_SCENE, command=["cs", "paper"])),
+             write_scene(tmp_path, "c.json", dict(CS_SCENE, command=["cs", "log"])),
              write_scene(tmp_path, "n.json", dict(BALANCED, command=SEMISTABLE))]
     assert cli.main(["run", "--order", "4", "--json", "-"] + paths) == 0
     out = capsys.readouterr().out
@@ -1222,7 +1218,7 @@ BAD_COMMANDS = [
     ("help", ["-h"], "'-h' " + NAMES_NO_COMMAND),
     ("run", ["run"], "'run' " + NAMES_NO_COMMAND),
     ("selftest", ["selftest"], "'selftest' " + NAMES_NO_COMMAND),
-    ("cohomology p1", ["cohomology", "p1"], "'cohomology p1' " + NAMES_NO_COMMAND),
+    ("a removed alias", ["cs", "paper"], "'cs paper' " + NAMES_NO_COMMAND),
 ]
 
 
@@ -1338,18 +1334,17 @@ def test_cli_without_a_command_prints_help(capsys):
 
 # -- the command table and the parser built for one command ----------------------------
 
-# one argv per row of cli.COMMANDS, plus the alias, with every option a row takes
+# one argv per row of cli.COMMANDS, with every option a row takes
 PARITY_ARGV = [
     ["monoid", "saturate", "s.json", "--order", "5", "--json", "-"],
     ["monoid", "group", "s.json"],
     ["monoid", "check", "s.json", "--json", "out.json"],
     ["semistable", "check", "s.json", "--order", "9"],
-    ["cs", "log", "s.json", "--pair", "1", "3"],
-    ["cs", "paper", "--pair", "2", "3", "s.json", "--order", "4"],
+    ["cs", "log", "--order", "4", "s.json"],
     ["cs", "surface", "s.json"],
     ["pushout", "check", "s.json", "--json", "-"],
     ["pushout", "member", "s.json", "--order", "4"],
-    ["cohomology", "p1", "--deg", "-2", "--json", "-"],
+    ["cohomology", "p1", "s.json", "--json", "-"],
     ["cohomology", "snc-curve", "s.json"],
     ["leaf-complex", "s.json", "--order", "3"],
     ["obstruction", "verify", "s.json"],
@@ -1358,8 +1353,8 @@ PARITY_ARGV = [
     ["run", "a.json", "b.json", "--order", "4", "--json", "-"],
 ]
 
-# every leaf as it can be named: the table's words, and the alias
-LEAF_NAMES = [cmd.words for cmd in cli.COMMANDS] + [("cs", "paper")]
+# every leaf as it is named: the table's words
+LEAF_NAMES = [cmd.words for cmd in cli.COMMANDS]
 
 
 def _choices(parser, dest):
@@ -1367,9 +1362,8 @@ def _choices(parser, dest):
 
 
 def _row(words):
-    """The table row that words name, through an alias or not."""
-    return next(cmd for cmd in cli.COMMANDS if cmd.words[:-1] == words[:-1]
-                and words[-1] in (cmd.words[-1],) + cmd.aliases)
+    """The table row that words name."""
+    return next(cmd for cmd in cli.COMMANDS if cmd.words == tuple(words))
 
 
 def test_parity_argv_name_every_leaf():
@@ -1385,7 +1379,7 @@ def test_pruned_parser_gives_the_full_tree_namespace(argv, monkeypatch):
     full = vars(cli.build_parser([]).parse_args(argv))
     routing = {"command", "subcommand"}
     assert vars(cli._parse(argv)) == {k: v for k, v in full.items() if k not in routing}
-    assert full["tool"] in {"-".join(cmd.words) for cmd in cli.COMMANDS}
+    assert full["cmd"] in cli.COMMANDS
 
 
 @pytest.mark.parametrize("words", LEAF_NAMES, ids=" ".join)
@@ -1409,7 +1403,7 @@ def test_a_named_leaf_builds_only_its_path(words):
     row = _row(words)
     assert parser.prog == "logfol " + " ".join(row.words)
     assert parser.words == row.words
-    assert parser.get_default("handler") is row.handler
+    assert parser.get_default("cmd") is row
     assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
 
 
@@ -1417,8 +1411,8 @@ def test_a_named_leaf_builds_only_its_path(words):
     ["semistable", "check", "s.json", "--bogus"],
     ["semistable", "check", "s.json", "two.json"],
     ["semistable", "check", "s.json", "--order", "x"],
-    ["cs", "paper", "--pair", "1"],
-    ["cohomology", "p1"],
+    ["cs", "log", "s.json", "--pair"],
+    ["cohomology", "p1", "s.json", "--deg"],
 ], ids=" ".join)
 def test_usage_errors_read_as_the_whole_tree_words_them(argv, monkeypatch, capsys):
     # what the leaf cannot take whole goes to the tree, whose top-level
@@ -1433,22 +1427,23 @@ def test_usage_errors_read_as_the_whole_tree_words_them(argv, monkeypatch, capsy
         assert out == ""
         errs.append(err)
     assert errs[0] == errs[1]
-    if argv[-1] in ("--bogus", "two.json"):
+    if argv[-1] in ("--bogus", "two.json", "--pair", "--deg"):
         assert errs[1] == ("usage: logfol [-h] COMMAND ...\n"
                            "logfol: error: unrecognized arguments: %s\n" % argv[-1])
     else:
         assert errs[1].startswith("usage: logfol %s [-h]" % " ".join(_row(tuple(argv[:2])).words))
 
 
-# "leaf" only starts a leaf's word, so it names no leaf
-@pytest.mark.parametrize("argv", [["leaf"], [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"]])
+# "leaf" only starts a leaf's word, so it names no leaf; "paper" is no name of "cs log"
+@pytest.mark.parametrize("argv", [["leaf"], [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"],
+                                  ["cs", "paper"]])
 def test_anything_but_a_leaf_builds_the_whole_tree(argv):
     top = _choices(cli.build_parser(argv), "command")
     assert list(top) == list(dict.fromkeys(cmd.words[0] for cmd in cli.COMMANDS))
     for cmd in cli.COMMANDS:
         if len(cmd.words) == 2:
             leaves = _choices(top[cmd.words[0]], "subcommand")
-            assert {cmd.words[1], *cmd.aliases} <= set(leaves)
+            assert cmd.words[1] in leaves
 
 
 def test_cli_exits_2_without_a_leaf_or_on_bad_arguments(monkeypatch, capsys):
@@ -1479,9 +1474,10 @@ def test_cli_exits_2_without_a_leaf_or_on_bad_arguments(monkeypatch, capsys):
 
 
 def test_cli_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
-    monkeypatch.setattr("sys.argv", ["logfol", "cohomology", "p1", "--deg", "-2"])
+    monkeypatch.setattr("sys.argv", ["logfol", "cohomology", "p1",
+                                     str(SCENES / "p1_degree_minus_60.json")])
     assert cli.main() == 0
-    assert capsys.readouterr().out.startswith("value: degree -2: h0 = 0, h1 = 1")
+    assert capsys.readouterr().out.startswith("value: degree -60: h0 = 0, h1 = 59")
 
 
 def test_readme_lists_every_command():
@@ -1497,13 +1493,13 @@ def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
     # options, help and usage errors must read exactly as separate processes
     runs = [
         ["semistable", "check", "scenes/node_balanced.json"],
-        ["cs", "paper", "--pair", "2", "1", "scenes/cs_triple_form.json"],
+        ["cs", "log", "scenes/cs_triple_form_21.json"],
         ["--help"],
         ["semistable", "check", "scenes/node_balanced.json", "--order", "4"],
         ["semistable", "check", "--order", "x", "scenes/node_balanced.json"],
         ["semistable"],
         ["frobnicate"],
-        ["cohomology", "p1", "--deg", "-2"],
+        ["cohomology", "p1", "scenes/p1_degree_60.json"],
         ["cs", "log", "scenes/cs_triple_form.json"],
         ["semistable", "check", "--help"],
         ["semistable", "check", "scenes/node_unbalanced.json"],
@@ -1525,7 +1521,7 @@ def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
         fresh = subprocess.run([sys.executable, "-m", "logfol.cli"] + argv, capture_output=True,
                                text=True, env=env, cwd=root, timeout=120)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    # the whole tree, for help, a group alone and an unknown word, and three
-    # leaf parsers ("cs paper" shares the row of "cs log")
+    # the whole tree, for help, a group alone and an unknown word, and the
+    # three leaf parsers of semistable check, cs log and cohomology p1
     assert cli._tree.cache_info().currsize == 1
     assert cli._leaf.cache_info().currsize == 3

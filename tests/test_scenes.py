@@ -9,6 +9,8 @@ without --json, its exit code must follow from the pinned decision
 summary and lines; with --json, its report must equal the pin.  So a change
 that alters any answer, witness, summary or report line fails here.  To write a pin, run
 `logfol <command> scene.json --json -` and copy the report less "scene".
+Together the pins give every decision and run every command, and every
+command that answers "yes" somewhere answers "no" somewhere too.
 A seeded fuzz then mutates each scene, and puts each scene with a germ on
 every small germ shape, and checks that no mutant crashes the CLI: malformed
 input must end in a report, never in exit 4 or an exception.
@@ -31,10 +33,23 @@ def read_scene(name):
     return json.loads((SCENES / ("%s.json" % name)).read_text())
 
 
+SCENE_COMMANDS = {cmd.words for cmd in cli.COMMANDS if cmd.handler}
+
+
 def test_every_scene_names_a_command_that_reads_it():
-    rows = {cmd.words for cmd in cli.COMMANDS if cmd.needs_scene and cmd.handler}
     for name in CORPUS:
-        assert tuple(read_scene(name)["command"]) in rows, name
+        assert tuple(read_scene(name)["command"]) in SCENE_COMMANDS, name
+
+
+def test_the_corpus_gives_every_decision_through_every_command():
+    # the pins, which the golden test holds equal to the reports, give every
+    # decision, run every command, and have every command that answers "yes"
+    # answer "no" too
+    reports = [read_scene(name)["expect"] for name in CORPUS]
+    decided = {(r["tool"], r["decision"]) for r in reports}
+    assert {d for _, d in decided} == {"yes", "no", "value", "error", "inconclusive"}
+    assert {t for t, _ in decided} == {"-".join(words) for words in SCENE_COMMANDS}
+    assert {t for t, d in decided if d == "yes"} <= {t for t, d in decided if d == "no"}
 
 
 def scene_argv(name):

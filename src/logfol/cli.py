@@ -9,10 +9,10 @@ report's decision field:
     3  inconclusive at the truncation order in force
     4  internal error: any other exception, a KeyError or TypeError among them
 
-Reports serialize to JSON with --json; parsing that JSON back gives the same
-report, so downstream tooling can rely on the file alone.  A --json path
-that cannot be written is said on stderr and ends in exit 2, whatever the
-report decided.  A stdout whose reader has gone (a closed pipe) changes no
+Reports serialize to JSON with --json, every field of the report, so
+downstream tooling can rely on the file alone.  A --json path that cannot
+be written is said on stderr and ends in exit 2, whatever the report
+decided.  A stdout whose reader has gone (a closed pipe) changes no
 exit code: the rest of the output goes to devnull.
 
 The command tree lives in one table, COMMANDS: each row gives a leaf's words,
@@ -61,11 +61,6 @@ class Report(namedtuple("Report", "decision summary details lines scene order to
 
     def to_dict(self):
         return dict(self._asdict(), lines=list(self.lines))
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["decision"], d["summary"], d["details"], tuple(d.get("lines", ())),
-                   d.get("scene"), d.get("order"), d["tool"])
 
 
 def _fstr(x):

@@ -329,11 +329,7 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
 
     def scalar(self, i, j):
         """Identification scalar in the direction component i -> component j."""
-        key = (min(i, j), max(i, j))
-        c = self.double_scalars.get(key)
-        if c is None:
-            raise ValueError("no scalar recorded for stratum %s|%s"
-                             % tuple(self.components[k] for k in key))
+        c = self.double_scalars[min(i, j), max(i, j)]
         return c if i < j else Fraction(1) / c
 
 
@@ -369,8 +365,7 @@ def disagreeing_stratum(fields):
         if fields[i].ctx.n == 1:
             continue
         # within component i, the variable x_j sits at local index j - 1
-        left = restrict_derivation(fields[i], j - 1)
-        if not left.equal_to_order(restrict_derivation(fields[j], i), left.ctx.order):
+        if restrict_derivation(fields[i], j - 1) != restrict_derivation(fields[j], i):
             return i, j
     return None
 
@@ -390,8 +385,6 @@ def pushout_membership(fields, component_foliations, germ_ctx):
     order, which the result reports; with no component the answer is a
     vacuous yes.
     """
-    if len(fields) != germ_ctx.r or len(component_foliations) != germ_ctx.r:
-        raise ValueError("expected one field and one foliation per component")
     for i, (v, fol) in enumerate(zip(fields, component_foliations)):
         if span_membership(v, fol.generators) is None:
             return PushoutResult(False, germ_ctx.order, failing_component=i)

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
 
-from .exprs import _power, _product, _sum, parse_polynomial
+from .exprs import _product, _sum, parse_polynomial
 from .linalg import _exact, _integer
 
 
@@ -62,9 +61,8 @@ class _Value:
         raise AttributeError("cannot assign to field %r" % name)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__ if f[0] != "_")
+        return other.__class__ is self.__class__ and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__ if f[0] != "_")
 
 
 class GermContext(namedtuple("GermContext", "n r order")):
@@ -78,8 +76,6 @@ class GermContext(namedtuple("GermContext", "n r order")):
             raise ValueError("need at least one variable")
         if not 0 <= r <= n:
             raise ValueError("crossing count r must satisfy 0 <= r <= n")
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
         return tuple.__new__(cls, (n, r, order))
 
     def component(self, i):
@@ -152,14 +148,6 @@ class Jet(_Value):
     def one(cls, ctx):
         return cls.constant(ctx, 1)
 
-    @classmethod
-    def variable(cls, ctx, i):
-        if not 0 <= i < ctx.n:
-            raise ValueError("no variable with index %d" % i)
-        e = [0] * ctx.n
-        e[i] = 1
-        return cls(ctx, {tuple(e): 1})
-
     # -- ring structure --
 
     def _check(self, other):
@@ -182,8 +170,6 @@ class Jet(_Value):
         return Jet(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Jet.constant(self.ctx, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -209,11 +195,6 @@ class Jet(_Value):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("use invert() for negative powers")
-        return _power(self, k, Jet.one(self.ctx), mul)
-
     # -- queries --
 
     def is_zero(self):
@@ -224,10 +205,6 @@ class Jet(_Value):
 
     def truncate(self, order):
         return Jet(self.ctx, {e: c for e, c in self.terms.items() if sum(e) <= order})
-
-    def equal_to_order(self, other, order):
-        self._check(other)
-        return (self - other).truncate(order).is_zero()
 
     # -- calculus --
 
@@ -287,17 +264,12 @@ class Jet(_Value):
 
     # -- presentation --
 
-    def __str__(self):
-        return format_jet(self)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
 
-def format_jet(jet, names=None):
-    if jet.is_zero():
-        return "0"
-    names = names or jet.ctx.default_names()
+def format_jet(jet, names):
+    """The nonzero jet as text in the variable names, lowest degree first."""
     parts = []
     for e, c in jet.sorted_terms():
         syms = []
@@ -330,8 +302,6 @@ def name_table(ctx, names):
     """
     defaults = ctx.default_names()
     table = {nm: i for i, nm in enumerate(defaults)}
-    if len(names) != ctx.n:
-        raise ValueError("expected %d variable names" % ctx.n)
     for i, nm in enumerate(names):
         j = table.setdefault(nm, i)
         if j != i:
@@ -340,13 +310,10 @@ def name_table(ctx, names):
     return table
 
 
-def jet_from_string(ctx, text, table=None, params=None):
+def jet_from_string(ctx, text, table, params=None):
     """Parse polynomial syntax like "3/2*x1^2*x3 - 1" into a Jet, computed
     only through the order and off the crossing.  table maps every accepted
-    name to its variable, as name_table builds it (default: the names
-    x1..xn alone)."""
-    if table is None:
-        table = name_table(ctx, ctx.default_names())
+    name to its variable, as name_table builds it."""
     raw = parse_polynomial(text, table, width=ctx.n, consts=params, bound=(ctx.order, ctx.r))
     return Jet(ctx, {e: c if type(c) is int else _exact(c) for e, c in raw.items()})
 

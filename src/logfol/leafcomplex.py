@@ -409,13 +409,9 @@ class CechLeafData(_Value):
         return len(first)
 
     def row_dim(self, simplex, q):
-        if q < 0 or q >= self.n_rows:
-            return 0
         return self.dims[simplex][q]
 
     def space_dim(self, p, q):
-        if q < 0 or q >= self.n_rows:
-            return 0
         return sum(self.row_dim(s, q) for s in self.simplices(p))
 
     def total_dim(self, n):

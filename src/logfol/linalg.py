@@ -6,12 +6,12 @@ The one reader, _exact, takes ints, Fractions and strings of an integer or
 integral, else a Fraction; arithmetic keeps whatever Python returns, and a
 quotient is built as a Fraction, never by / on two ints.  Integers
 (degrees, exponents, dimensions, ranks, lattice vectors) are read by
-_integer, which takes an int or an integral Fraction and truncates nothing.
+_integer, which takes an int alone and truncates nothing.
 
 A matrix is a list of {column: value} rows holding its nonzero entries;
-solve and nullspace take them as SparseRows, which carries the
-column count that a list of dicts cannot say.  Vectors, the x of mat_vec
-and the b of solve, are dense.  Entries are ints or Fractions.
+solve takes them as SparseRows, which carries the column count that a list
+of dicts cannot say.  Vectors, the x of mat_vec and the b of solve, are
+dense.  Entries are ints or Fractions.
 
 Elimination has one engine, whose work follows the nonzeros, not rows x
 columns: the jet and cover systems are more than 99% zeros.  Its reader,
@@ -25,12 +25,12 @@ positive pivot), so a step is a few int multiplies where a Fraction step
 would normalise every entry with a gcd.  Its reduced basis, one row per pivot,
 is the reduced row echelon form with each row scaled to a primitive
 integer row.  Values are divided by the pivot only where they are read:
-solution and nullspace return Fractions, as mat_vec does from sums taken
-in ints; product keeps int rows int.  solve and nullspace run the engine
-lowest column first, the order that picks the
-particular solution that gets printed; rank first orders the columns by
-ascending nonzero count, which keeps the cover matrices sparse.  The
-integer Hermite form keeps its own small dense tableau.
+solution returns Fractions, as mat_vec does from sums taken in ints;
+product keeps int rows int.  solve runs the engine lowest column first,
+the order that picks the particular solution that gets printed; rank first
+orders the columns by ascending nonzero count, which keeps the cover
+matrices sparse.  The integer Hermite form keeps its own small dense
+tableau.
 """
 
 from __future__ import annotations
@@ -71,13 +71,10 @@ def _exact(x):
 
 
 def _integer(x):
-    """x, an int or an integral Fraction, as an int; ValueError for anything
-    else, bools, floats, strings and other Fractions too: nothing is
-    truncated."""
+    """x, an int, as it is; ValueError for anything else, bools, floats,
+    strings and Fractions too: nothing is truncated."""
     if type(x) is int:
         return x
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
     raise ValueError("expected an integer")
 
 
@@ -138,8 +135,6 @@ def _integer_row(r):
     else:
         return r
     den = lcm(*[v.denominator for v in r.values()])
-    if den == 1:
-        return {j: v.numerator for j, v in r.items()}
     return {j: v.numerator * (den // v.denominator) for j, v in r.items()}
 
 
@@ -189,7 +184,7 @@ def echelon(rows, ncols, basis=None, reduced=True):
     the new rows, or None to start empty.  The result maps each pivot column
     to its row, a primitive {column: int} row: the gcd of its entries is 1,
     its pivot is positive and no entry lies left of it.  Callers divide by
-    the pivot where they read a value (solution, nullspace).
+    the pivot where they read a value (solution).
     """
     rows = (_integer_row(_nonzeros(row, ncols)) for row in rows)
     return _echelon(rows, {} if basis is None else basis, reduced)
@@ -279,22 +274,6 @@ def solve(a, b):
             r[n] = bi
         rows.append(_integer_row(r))
     return solution(_echelon(rows, {}, True), n)
-
-
-def nullspace(a):
-    """Basis of the kernel of a, as a list of vectors, one per free column."""
-    n = _width(a)
-    basis = echelon(a, n)
-    out = {}
-    for f in range(n):
-        if f not in basis:
-            out[f] = [Fraction(0)] * n
-            out[f][f] = Fraction(1)
-    for col, row in basis.items():
-        for j, v in row.items():
-            if j != col:
-                out[j][col] = Fraction(-v, row[col])
-    return list(out.values())
 
 
 # --- integer lattice routines ---

@@ -18,7 +18,7 @@ docstring: ints where integral, else Fractions.
 from __future__ import annotations
 
 from .exprs import parse_polynomial
-from .jets import Jet, _set, _Value, format_jet, name_table
+from .jets import Jet, _set, _Value, name_table
 from .linalg import _exact
 
 
@@ -46,11 +46,6 @@ class LogDerivation(_Value):
         _set(self, "b", b)
         _set(self, "a", a)
 
-    @classmethod
-    def zero(cls, ctx):
-        z = Jet.zero(ctx)
-        return cls(ctx, (z,) * ctx.r, (z,) * (ctx.n - ctx.r))
-
     def apply(self, f):
         """Value on a jet. Valid to order-1 in general (exact when no smooth
         coefficient meets a top-degree term).  Only a nonzero coefficient
@@ -76,38 +71,6 @@ class LogDerivation(_Value):
 
     def components(self):
         return self.b + self.a
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.b + self.a)
-
-    def __add__(self, other):
-        if other.ctx != self.ctx:
-            raise ValueError("derivation context mismatch")
-        return LogDerivation(
-            self.ctx,
-            tuple(x + y for x, y in zip(self.b, other.b)),
-            tuple(x + y for x, y in zip(self.a, other.a)),
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, f):
-        """Multiply by a jet or a rational scalar."""
-        return LogDerivation(
-            self.ctx,
-            tuple(c * f for c in self.b),
-            tuple(c * f for c in self.a),
-        )
-
-    def equal_to_order(self, other, order):
-        return all(
-            x.equal_to_order(y, order)
-            for x, y in zip(self.components(), other.components())
-        )
-
-    def __str__(self):
-        return format_derivation(self)
 
 
 def lie_bracket(v, w):
@@ -139,8 +102,6 @@ class LogOneForm(_Value):
         reg = tuple(reg)
         if ctx.r < 1:
             raise ValueError("a log one-form needs at least one crossing variable")
-        if len(dlog) != ctx.r or len(reg) != ctx.n - ctx.r:
-            raise ValueError("coefficient counts do not match the context")
         _check_ctx(ctx, dlog + reg, "form coefficient")
         _set(self, "ctx", ctx)
         _set(self, "dlog", dlog)
@@ -161,7 +122,7 @@ def derivation_table(ctx, names):
     return table
 
 
-def derivation_from_string(ctx, text, table=None, params=None):
+def derivation_from_string(ctx, text, table, params=None):
     """Parse vector-field syntax into a LogDerivation.
 
     The derivation tokens d1..dn (and dx, dy, ... for named variables) stand
@@ -169,9 +130,8 @@ def derivation_from_string(ctx, text, table=None, params=None):
     divisible by x_i, i.e. the field must be tangent to the crossing locus;
     the quotient becomes the stored b_i. Example: "lam1*y*dy + z*dz" with
     names x, y, z and a rational parameter lam1.  table maps every accepted
-    name and token to its slot, as derivation_table builds it (default: the
-    names x1..xn and their tokens alone): a scene builds it once for all the
-    fields read on a germ.
+    name and token to its slot, as derivation_table builds it: a scene
+    builds it once for all the fields read on a germ.
 
     The text is read through total degree order + 2 in the variables and
     tokens (x-degree order + 1, as b_i is divided by x_i, plus one token),
@@ -181,8 +141,6 @@ def derivation_from_string(ctx, text, table=None, params=None):
     its b_i or a_j, past the order or on the crossing it is dropped there,
     and each jet is built with the bare constructor (see jets' docstring).
     """
-    if table is None:
-        table = derivation_table(ctx, ctx.default_names())
     n, r, order = ctx
     raw = parse_polynomial(text, table, width=2 * n, consts=params, bound=(order + 2, 0))
 
@@ -211,16 +169,3 @@ def derivation_from_string(ctx, text, table=None, params=None):
     b = tuple(Jet(ctx, terms) for terms in b)
     a = tuple(Jet(ctx, terms) for terms in a)
     return LogDerivation(ctx, b, a)
-
-
-def format_derivation(v, names=None):
-    names = names or v.ctx.default_names()
-    parts = []
-    for i, bi in enumerate(v.b):
-        if not bi.is_zero():
-            parts.append("(%s)*%s*d%s" % (format_jet(bi, names), names[i], names[i]))
-    for j, aj in enumerate(v.a):
-        if not aj.is_zero():
-            idx = v.ctx.r + j
-            parts.append("(%s)*d%s" % (format_jet(aj, names), names[idx]))
-    return " + ".join(parts) if parts else "0"

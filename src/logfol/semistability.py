@@ -352,8 +352,6 @@ def laurent_residue(numer, denom, available_order):
     Fraction input gives a Fraction. Raises when the truncation cannot reach
     that far.
     """
-    if not denom:
-        raise ZeroDivisionError("denominator is identically zero at this order")
     m = min(denom)
     need = m - 1
     if need < 0:

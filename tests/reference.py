@@ -1,6 +1,11 @@
 """Reference enumerations and small constructions the tests build cases from.
 
 No command reaches them, so they live with the tests and not in logfol:
+read_jet and read_field read text on the default names x1..xn, variable,
+power, formatted and agree_to_order are the jet arithmetic the solvers do
+without, zero_field, add_fields, scaled, is_zero_field and
+format_derivation the module operations on log derivations and their
+printed form, nullspace is a kernel basis by linalg's elimination engine,
 monomials is the enumeration semistability._t1_unknowns is checked against,
 at_order reads a field on its germ at another order, since every solver
 decides at its germ's order, basis_derivation gives the basis fields of
@@ -14,12 +19,94 @@ lie_defect is the Lie obstruction's cocycle as it was written out by hand.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from logfol import linalg
 from logfol.bundles import GradedBundleP1, SNCCurveBundle
-from logfol.jets import GermContext, Jet, _on_crossing
+from logfol.exprs import _power
+from logfol.jets import GermContext, Jet, _on_crossing, format_jet, jet_from_string, name_table
 from logfol.leafcomplex import LieAlgebra, LieModuleData, _combine, _dense, _from_columns, ce_basis
-from logfol.logcalc import LogDerivation
+from logfol.logcalc import LogDerivation, derivation_from_string, derivation_table
+
+
+def read_jet(ctx, text, params=None):
+    """jets.jet_from_string on the default names x1..xn."""
+    return jet_from_string(ctx, text, name_table(ctx, ctx.default_names()), params)
+
+
+def read_field(ctx, text, params=None):
+    """logcalc.derivation_from_string on the default names x1..xn and their
+    tokens d1..dn."""
+    return derivation_from_string(ctx, text, derivation_table(ctx, ctx.default_names()), params)
+
+
+def variable(ctx, i):
+    """The jet x_i, for a 0-based index i."""
+    return Jet(ctx, {tuple(int(k == i) for k in range(ctx.n)): 1})
+
+
+def power(jet, k):
+    """jet ** k for an int k >= 0, by repeated squaring."""
+    return _power(jet, k, Jet.one(jet.ctx), mul)
+
+
+def formatted(jet):
+    """format_jet on the default names, which prints only nonzero jets, and
+    "0" for zero."""
+    return format_jet(jet, jet.ctx.default_names()) if jet.terms else "0"
+
+
+def agree_to_order(x, y, order):
+    """Do the jets or log derivations x and y agree through degree order?"""
+    if isinstance(x, LogDerivation):
+        return all(agree_to_order(a, b, order) for a, b in zip(x.components(), y.components()))
+    return (x - y).truncate(order).is_zero()
+
+
+def zero_field(ctx):
+    z = Jet.zero(ctx)
+    return LogDerivation(ctx, (z,) * ctx.r, (z,) * (ctx.n - ctx.r))
+
+
+def add_fields(v, w):
+    return LogDerivation(v.ctx, tuple(map(Jet.__add__, v.b, w.b)),
+                         tuple(map(Jet.__add__, v.a, w.a)))
+
+
+def scaled(v, f):
+    """v times a jet or a rational scalar f."""
+    return LogDerivation(v.ctx, tuple(c * f for c in v.b), tuple(c * f for c in v.a))
+
+
+def is_zero_field(v):
+    return not any(c.terms for c in v.components())
+
+
+def format_derivation(v):
+    """v as text that read_field reads back, "0" for the zero field."""
+    names = v.ctx.default_names()
+    parts = ["(%s)*%s*d%s" % (format_jet(c, names), names[i], names[i])
+             for i, c in enumerate(v.b) if c.terms]
+    parts += ["(%s)*d%s" % (format_jet(c, names), names[v.ctx.r + j])
+              for j, c in enumerate(v.a) if c.terms]
+    return " + ".join(parts) if parts else "0"
+
+
+def nullspace(a):
+    """Basis of the kernel of the linalg.SparseRows a, as a list of vectors,
+    one per free column."""
+    n = linalg._width(a)
+    basis = linalg.echelon(a, n)
+    out = {}
+    for f in range(n):
+        if f not in basis:
+            out[f] = [Fraction(0)] * n
+            out[f][f] = Fraction(1)
+    for col, row in basis.items():
+        for j, v in row.items():
+            if j != col:
+                out[j][col] = Fraction(-v, row[col])
+    return list(out.values())
 
 
 @lru_cache(maxsize=16)

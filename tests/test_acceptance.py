@@ -18,7 +18,7 @@ from logfol.monoids import FGMonoid, contains, saturate
 from logfol.semistability import cs_index_log, cs_index_surface, find_flat_unit
 
 from identities import ALL_CHECKS, first_failure
-from reference import coboundary_triple
+from reference import coboundary_triple, variable
 
 
 def _verdict(num, label, ok, elapsed=None):
@@ -35,7 +35,7 @@ def node_foliation(lam1, lam2, order=6):
 
 def linear_model(lam, order=6):
     ctx = GermContext(2, 0, order)
-    return SurfaceOneForm(Jet.variable(ctx, 1), Jet.constant(ctx, -lam) * Jet.variable(ctx, 0))
+    return SurfaceOneForm(variable(ctx, 1), Jet.constant(ctx, -lam) * variable(ctx, 0))
 
 
 def test_criterion_1_flat_unit_grid():

@@ -10,8 +10,8 @@ package (a local variable, another method) passes unseen.
 A default that every call in the package passes is a value only the tests
 leave out, so the parameter is required instead.  Calls are matched by name
 too, the class name for __new__ and __init__: a default of a method that
-shares its name with another callable (as Jet.scale and LogDerivation.scale
-do) is taken as omitted when either is called without it.
+shares its name with another callable is taken as omitted when either is
+called without it.
 """
 
 import ast
@@ -21,11 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logfol"
 
 # public definitions kept without a caller in src/logfol, each with its reason
 KEPT = {
-    "cli.Report.from_dict": "the documented --json round trip: a report file reads back as a Report",
     "leafcomplex.CechLeafData.cech_matrix": "perfbench/tracer.py METHODS looks it up by name",
     "leafcomplex.CechLeafData.ce_matrix": "perfbench/tracer.py METHODS looks it up by name",
-    "linalg.nullspace": "the kernel certificates that ROADMAP.md plans build on it",
-    "jets.Jet.variable": "a constructor of the value type, which the tests build jets with",
 }
 
 
@@ -81,9 +78,7 @@ def test_every_kept_definition_still_has_no_caller():
 
 # defaults kept although every call in src/logfol passes them, each with its reason
 KEPT_DEFAULTS = {
-    "jets.jet_from_string.table": "the tests read jets on the default names x1..xn",
     "jets.jet_from_string.params": "the tests read jets with no named constants",
-    "logcalc.derivation_from_string.table": "the tests read fields on the default names x1..xn",
     "logcalc.derivation_from_string.params": "the tests read fields with no named constants",
 }
 

@@ -23,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 from logfol import logcalc
 from logfol.exprs import (ExprError, _TOKEN, _exact, _line_col, _poly_const, _power, _product,
                           _sum, parse_polynomial)
-from logfol.jets import GermContext, Jet, jet_from_string, name_table
+from logfol.jets import GermContext, Jet, name_table
+
+from reference import read_field, read_jet
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -382,17 +384,17 @@ def test_the_bounded_parse_is_the_truncated_full_expansion(case):
     ctx, params, jet_text, field_text = case
     full = parse_polynomial(jet_text, name_table(ctx, ctx.default_names()), ctx.n, params,
                             UNBOUNDED)
-    assert jet_from_string(ctx, jet_text, params=params) == Jet.make(ctx, full)
-    field = logcalc.derivation_from_string(ctx, field_text, params=params)
+    assert read_jet(ctx, jet_text, params=params) == Jet.make(ctx, full)
+    field = read_field(ctx, field_text, params=params)
     with mock.patch.object(logcalc, "parse_polynomial", unbounded):
-        assert field == logcalc.derivation_from_string(ctx, field_text, params=params)
+        assert field == read_field(ctx, field_text, params=params)
 
 
 def test_a_large_power_is_read_through_the_order():
     ctx = GermContext(2, 2, 6)
-    field = logcalc.derivation_from_string(ctx, "(1 + x1 + x2)^200*x1*dx1 - x2*dx2")
+    field = read_field(ctx, "(1 + x1 + x2)^200*x1*dx1 - x2*dx2")
     start = time.monotonic()
-    huge = logcalc.derivation_from_string(ctx, "(1 + x1 + x2)^100000*x1*dx1 - x2*dx2")
+    huge = read_field(ctx, "(1 + x1 + x2)^100000*x1*dx1 - x2*dx2")
     assert time.monotonic() - start < 1.0
     assert field.b[0].terms[(0, 6)] == Fraction(82408626300)  # C(200, 6)
     assert huge.b[0].constant_term() == 1 and len(huge.b[0].terms) == len(field.b[0].terms)
@@ -571,7 +573,7 @@ PARAMS = {"lam": Fraction(-3), "half": Fraction(1, 2)}
 @given(field_cases())
 def test_derivation_from_string_is_the_split_through_make(case):
     ctx, text = case
-    assert built(logcalc.derivation_from_string, ctx, text, None, PARAMS) == \
+    assert built(read_field, ctx, text, PARAMS) == \
         built(derivation_through_make, ctx, text, None, PARAMS)
 
 
@@ -581,7 +583,7 @@ def test_jet_from_string_is_the_read_through_make(r, order, data):
     ctx = GermContext(3, r, order)
     text = data.draw(polynomial_texts(ctx.default_names()))
     params = {"lam": Fraction(1, 2)}
-    assert built(jet_from_string, ctx, text, None, params) == \
+    assert built(read_jet, ctx, text, params) == \
         built(jet_through_make, ctx, text, None, params)
 
 
@@ -592,7 +594,7 @@ def test_jet_from_string_is_the_read_through_make(r, order, data):
 ])
 def test_jet_from_string_on_the_edge_cases(text):
     ctx = GermContext(3, 2, 4)
-    got = built(jet_from_string, ctx, text, None, PARAMS)
+    got = built(read_jet, ctx, text, PARAMS)
     assert got == built(jet_through_make, ctx, text, None, PARAMS)
     assert all(t is int for _, c, t in got[0] if c.denominator == 1)
 
@@ -608,7 +610,7 @@ def test_jet_from_string_on_the_edge_cases(text):
 ])
 def test_derivation_from_string_on_the_edge_cases(text):
     ctx = GermContext(3, 2, 4)
-    got = built(logcalc.derivation_from_string, ctx, text, None, PARAMS)
+    got = built(read_field, ctx, text, PARAMS)
     assert got == built(derivation_through_make, ctx, text, None, PARAMS)
     assert all(t is int for jet in got if isinstance(jet, list) for _, c, t in jet
                if c.denominator == 1)

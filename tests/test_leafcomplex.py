@@ -26,7 +26,7 @@ from logfol.leafcomplex import (
 from logfol.scene import SceneError, load_scene
 
 from exact_rule import follows_the_rule
-from reference import abelian_algebra, adjoint_module, coboundary_triple, lie_defect
+from reference import abelian_algebra, adjoint_module, coboundary_triple, lie_defect, nullspace
 
 
 def sl2():
@@ -824,7 +824,7 @@ def test_non_coboundary_cocycle_is_reported():
     # assemble D2 and pick a kernel vector not in the image of D1
     d2 = data.total_matrix(2)
     d1 = data.total_matrix(1)
-    kernel = linalg.nullspace(d2)
+    kernel = nullspace(d2)
     target = None
     for v in kernel:
         if linalg.solve(d1, v) is None:
@@ -889,9 +889,14 @@ def _ref_offsets(data, p, q):
     return out
 
 
+def _space_dim(data, p, q):
+    """data.space_dim(p, q), and 0 for a row q outside the complex."""
+    return data.space_dim(p, q) if 0 <= q < data.n_rows else 0
+
+
 def _ref_cech_matrix(data, p, q):
-    rows = data.space_dim(p + 1, q)
-    cols = data.space_dim(p, q)
+    rows = _space_dim(data, p + 1, q)
+    cols = _space_dim(data, p, q)
     out = zeros(rows, cols)
     if rows == 0 or cols == 0:
         return out
@@ -911,8 +916,8 @@ def _ref_cech_matrix(data, p, q):
 
 
 def _ref_ce_matrix(data, p, q):
-    rows = data.space_dim(p, q + 1)
-    cols = data.space_dim(p, q)
+    rows = _space_dim(data, p, q + 1)
+    cols = _space_dim(data, p, q)
     out = zeros(rows, cols)
     if rows == 0 or cols == 0:
         return out
@@ -936,12 +941,12 @@ def _ref_total_matrix(data, n):
     pos = 0
     for (p, q) in src:
         col_off[(p, q)] = pos
-        pos += data.space_dim(p, q)
+        pos += _space_dim(data, p, q)
     row_off = {}
     pos = 0
     for (p, q) in dst:
         row_off[(p, q)] = pos
-        pos += data.space_dim(p, q)
+        pos += _space_dim(data, p, q)
     for (p, q) in src:
         blocks = []
         if (p + 1, q) in row_off:

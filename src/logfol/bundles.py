@@ -42,7 +42,7 @@ def h_p1(d):
     # chart 0's t^0..t^w, then chart 1's t^(d-w)..t^d, columns shifted by low
     sections = ({k - low: sign} for start, sign in ((0, 1), (d - w, -1))
                 for k in range(start, start + w + 1))
-    r = len(linalg.echelon(sections, w - low + 1, reduced=False))
+    r = len(linalg.echelon(sections, reduced=False))
     return 2 * (w + 1) - r, w - low + 1 - r
 
 

@@ -40,7 +40,6 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 from . import bundles, foliations, jets, leafcomplex, monoids, semistability
 from .foliations import InconclusiveAtOrderError
@@ -254,7 +253,7 @@ def _cmd_leaf_complex(scn: Scene):
 
 def _cmd_obstruction_verify(scn: Scene):
     data = scn.leaf_data()
-    theta, gbar, bbar = scn.cochains()
+    theta, gbar, bbar = scn.cochains(data)
     rep = leafcomplex.verify_obstruction_cocycle(data, theta, gbar, bbar)
     names = ("triple overlaps", "rows vs pairs", "pairs vs opens", "top row")
     lines = tuple(
@@ -394,7 +393,8 @@ def _write_json(path, payload):
         _say(text)
         return True
     try:
-        Path(path).write_text(text + "\n")
+        with open(path, "w") as handle:
+            handle.write(text + "\n")
     except OSError as e:
         print("cannot write the report to %s: %s" % (path, e.strerror or e), file=sys.stderr)
         return False
@@ -536,7 +536,7 @@ def main(argv=None):
     reports = []
     for path in args.scene if batch else [args.scene]:
         reports.append(_run_one(args.cmd, path, order))
-        _print_report(reports[-1], prefix="%s: " % Path(path).name if batch else "")
+        _print_report(reports[-1], prefix="%s: " % os.path.basename(path) if batch else "")
     payload = [r.to_dict() for r in reports] if batch else reports[0].to_dict()
     if json_path and not _write_json(json_path, payload):
         return 2

@@ -190,7 +190,7 @@ def _solve_span(target, generators, order):
     red = _UnitPivots(generators, (target,), order)
     unknowns, rows = red.system()
     n = len(unknowns)
-    sol = linalg.solution(linalg.echelon(rows.values(), n + 1), n)
+    sol = linalg.solution(linalg.echelon(rows.values()), n)
     if sol is None:
         return None
     terms = {}
@@ -265,7 +265,7 @@ def involutivity_check(fol: FoliationGerm):
     red = _UnitPivots(gens, [brackets[p] for p in pairs], d)
     unknowns, rows = red.system()
     n = len(unknowns)
-    basis = linalg.echelon(rows.values(), n + len(pairs), reduced=False)
+    basis = linalg.echelon(rows.values(), reduced=False)
     bad = [col - n for col in basis if col >= n]
     if bad:
         return InvolutivityResult(False, d, pairs[min(bad)])
@@ -293,8 +293,9 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
     the identification i -> j along the common stratum, nonzero and read by
     linalg._exact.  It is kept as a dict from the sorted pair (i, j), i < j,
     to the scalar i -> j; the opposite orientation is its inverse.  triples
-    lists the triple strata as index triples; each of their three double
-    strata needs a scalar, and the ValueError names the first one without.
+    lists the triple strata as triples of distinct component indices, as
+    the scene reader checks them; each of their three double strata needs a
+    scalar, and the ValueError names the first one without.
     """
 
     __slots__ = ()
@@ -313,13 +314,7 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
             if key in seen and seen[key] != val:
                 raise ValueError("conflicting scalars for stratum %r" % (key,))
             seen[key] = val
-        trs = []
-        for t in triples:
-            t = tuple(sorted(t))
-            if len(set(t)) != 3 or not all(0 <= i < len(comps) for i in t):
-                raise ValueError("bad triple stratum %r" % (t,))
-            trs.append(t)
-        trs = tuple(sorted(set(trs)))
+        trs = tuple(sorted({tuple(sorted(t)) for t in triples}))
         for i, j, k in trs:  # the pairs in the order check_gluing_cocycle reads them
             for key in ((i, j), (j, k), (i, k)):
                 if key not in seen:

@@ -13,7 +13,9 @@ entries and matrices are blocks, tuples of {column: value} rows; values are
 read by linalg's rule, ints where integral, so integral covers and algebras
 are checked and eliminated in int arithmetic.  Dense rows are read only on
 the way in, from scenes, and checked there.  The cochain differential and the
-Cech, row and total matrices, more than 99% zeros, are linalg.SparseRows.
+Cech, row and total matrices, more than 99% zeros, are lists of such rows,
+and a corrector is solved from their rows with the cochain appended as the
+right-hand side.
 
 Cover-level matrices and flat cochains share one layout: a list of
 bidegrees (p, q) is laid out bidegree by bidegree in the order given, and
@@ -91,6 +93,11 @@ def _from_columns(columns, rows):
         for r, x in column.items():
             out[r][c] = x
     return out
+
+
+def _augmented(a, b, n):
+    """The rows of [a | b]: the row a[i] with b[i] at column n."""
+    return [{**row, n: x} for row, x in zip(a, b)]
 
 
 def _antisymmetric(table):
@@ -213,8 +220,8 @@ def ce_basis(n, k):
 
 
 def ce_differential(module: LieModuleData, k):
-    """The cochain differential from degree k to degree k + 1, as
-    linalg.SparseRows.
+    """The cochain differential from degree k to degree k + 1, as a list of
+    {column: value} rows over the len(ce_basis(n, k)) * m source coordinates.
 
     Cochains are alternating maps on tuples of basis vectors with values in
     the module; coordinates are ordered by lexicographic k-subset, then
@@ -245,8 +252,7 @@ def ce_differential(module: LieModuleData, k):
                     a = src_index[merged]
                     for r in range(m):
                         add(t * m + r, a * m + r, (-1) ** (i + j) * sign * cl)
-    return linalg.SparseRows([{c: v for c, v in row.items() if v} for row in out],
-                             len(src_index) * m)
+    return [{c: v for c, v in row.items() if v} for row in out]
 
 
 # --- obstruction class of a perturbed subalgebra inclusion ---
@@ -297,14 +303,22 @@ LieObstruction = namedtuple("LieObstruction", "quotient_dim cocycle is_cocycle v
 
 
 def _sub_structure(algebra, sub_basis):
-    """Structure constants of the span, or an error if it is not closed."""
+    """Structure constants of the span, or an error if it is not closed.
+
+    One echelon of [B | every bracket], B's h columns the sub basis and the
+    bracket of sub basis vectors a and b at column h + k, k = h a + b,
+    decides them all.  The span is closed exactly when no bracket column
+    holds a pivot, and then solution(basis, h + k) solves B x = bracket k,
+    the brackets before it being unknowns left at 0.
+    """
     n = algebra.dim
-    cols = linalg.SparseRows(_from_columns(sub_basis, n), len(sub_basis))
-    table = [[linalg.solve(cols, _dense(algebra.bracket(x, y), n)) for y in sub_basis]
-             for x in sub_basis]
-    if any(coeffs is None for row in table for coeffs in row):
+    h = len(sub_basis)
+    brackets = [algebra.bracket(x, y) for x in sub_basis for y in sub_basis]
+    basis = linalg.echelon(_from_columns([*sub_basis, *brackets], n))
+    if any(col >= h for col in basis):
         raise ValueError("sub basis does not span a subalgebra")
-    return LieAlgebra(table)
+    table = [linalg.solution(basis, h + k)[:h] for k in range(h * h)]
+    return LieAlgebra([table[a * h : (a + 1) * h] for a in range(h)])
 
 
 def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
@@ -330,7 +344,7 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
     # modulo the subalgebra: subtract the reduced row of every pivot, made
     # monic, which leaves the free columns, renumbered from 0
     reduced = {p: {j: Fraction(x, row[p]) for j, x in row.items()}
-               for p, row in linalg.echelon(sub, n).items()}
+               for p, row in linalg.echelon(sub).items()}
     free = {j: f for f, j in enumerate(j for j in range(n) if j not in reduced)}
     q = len(free)
 
@@ -348,7 +362,7 @@ def lie_subalgebra_obstruction(data: FinLieData) -> LieObstruction:
         for t, (a, b) in enumerate(ce_basis(h, 2)))
     flat = [x for v in cocycle for x in v]
 
-    sol = linalg.solve(d1, flat)
+    sol = linalg.solution(linalg.echelon(_augmented(d1, flat, h * q)), h * q)
     if sol is not None and linalg.mat_vec(d1, sol) != flat:
         raise RuntimeError("Lie corrector certificate failed: the differential does not "
                            "map the corrector to the cocycle")
@@ -596,11 +610,11 @@ class CechLeafData(_Value):
 
     def _matrix(self, src, dst, scale=1):
         """The blocks leaving the src bidegrees that land in the dst ones,
-        placed by _slots and multiplied by scale, as linalg.SparseRows.
-        No two blocks share a cell.  scale and every block sign are +1 or
-        -1, so entries are copied or negated, never multiplied, each straight
-        into its output row."""
-        col_at, cols = self._slots(src)
+        placed by _slots and multiplied by scale, as a list of {column:
+        value} rows.  No two blocks share a cell.  scale and every block
+        sign are +1 or -1, so entries are copied or negated, never
+        multiplied, each straight into its output row."""
+        col_at, _ = self._slots(src)
         row_at, rows = self._slots(dst)
         out = [{} for _ in range(rows)]
         for p, q in src:
@@ -614,7 +628,7 @@ class CechLeafData(_Value):
                     out_row = out[r]
                     for j, x in row.items():
                         out_row[c0 + j] = -x if negate else x
-        return linalg.SparseRows(out, cols)
+        return out
 
     def cech_matrix(self, p, q):
         """Alternating difference of restrictions, Cech degree p to p + 1."""
@@ -665,7 +679,9 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     """Check the four compatibility equations of an obstruction triple.
 
     theta is a row-0 cochain on triples, gbar a row-1 cochain on pairs,
-    bbar a row-2 cochain on the opens.  The four equations are the graded
+    bbar a row-2 cochain on the opens, one vector per simplex of its row
+    dimension, on a cover of at least three rows: the scene reader checks
+    these shapes (Scene.cochains).  The four equations are the graded
     components of the total differential applied to the triple; the report
     also says whether the triple is a total coboundary and, if so, returns
     correcting cochains (a row-0 cochain on pairs and a row-1 cochain on
@@ -673,17 +689,7 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
     total differential it was solved from must map it to the triple, and
     RuntimeError says it does not.
     """
-    if data.n_rows < 3:
-        raise ValueError("need at least three rows to place an obstruction triple")
     theta, gbar, bbar = ([list(map(_exact, v)) for v in vecs] for vecs in (theta, gbar, bbar))
-    # layer q is a row-q cochain: one vector per simplex, of its row-q dimension
-    for q, (name, vecs, simplices, noun) in enumerate((
-            ("theta", theta, data.triples, "triple"), ("gbar", gbar, data.pairs, "pair"),
-            ("bbar", bbar, data.simplices(0), "open"))):
-        if len(vecs) != len(simplices) or any(
-            len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)
-        ):
-            raise ValueError("%s must give a row-%d vector per %s" % (name, q, noun))
     flat = [x for v in theta + gbar + bbar for x in v]
 
     # fourfold overlaps are empty, so the first equation has nothing to say;
@@ -700,7 +706,8 @@ def verify_obstruction_cocycle(data: CechLeafData, theta, gbar, bbar):
         return ObstructionReport(equations, False, False, None)
 
     t1 = data.total_matrix(1)
-    sol = linalg.solve(t1, flat)
+    n = data.total_dim(1)
+    sol = linalg.solution(linalg.echelon(_augmented(t1, flat, n)), n)
     if sol is None:
         return ObstructionReport(equations, True, False, None)
     if linalg.mat_vec(t1, sol) != flat:

@@ -8,29 +8,29 @@ quotient is built as a Fraction, never by / on two ints.  Integers
 (degrees, exponents, dimensions, ranks, lattice vectors) are read by
 _integer, which takes an int alone and truncates nothing.
 
-A matrix is a list of {column: value} rows holding its nonzero entries;
-solve takes them as SparseRows, which carries the column count that a list
-of dicts cannot say.  Vectors, the x of mat_vec and the b of solve, are
-dense.  Entries are ints or Fractions.
+A matrix is its {column: value} rows, holding its nonzero entries, and
+nothing else: no column count travels with it.  A linear system a x = b in
+n unknowns is the rows of [a | b], the right-hand sides at columns n and
+up, and its one solve is solution(echelon(rows), n).  Vectors, the x of
+mat_vec, are dense.  Entries are ints or Fractions.
 
 Elimination has one engine, whose work follows the nonzeros, not rows x
 columns: the jet and cover systems are more than 99% zeros.  Its reader,
 echelon(), copies each row it is given once, scaled to integers (an int row
 as it is), and leaves the rows it was given alone; its core, _echelon(),
-reduces integer rows that it owns in place.  rank and solve build
-their own integer rows, column-ordered or augmented, and hand them to the
-core, so each row is copied once on its way in.  The engine is
-fraction-free: every basis row is a primitive {column: int} row (gcd 1,
-positive pivot), so a step is a few int multiplies where a Fraction step
-would normalise every entry with a gcd.  Its reduced basis, one row per pivot,
-is the reduced row echelon form with each row scaled to a primitive
-integer row.  Values are divided by the pivot only where they are read:
-solution returns Fractions, as mat_vec does from sums taken in ints;
-product keeps int rows int.  solve runs the engine lowest column first,
-the order that picks the particular solution that gets printed; rank first
-orders the columns by ascending nonzero count, which keeps the cover
-matrices sparse.  The integer Hermite form keeps its own small dense
-tableau.
+reduces integer rows that it owns in place.  rank builds its own
+column-ordered integer rows and hands them to the core, so each row is
+copied once on its way in.  The engine is fraction-free: every basis row
+is a primitive {column: int} row (gcd 1, positive pivot), so a step is a
+few int multiplies where a Fraction step would normalise every entry with
+a gcd.  Its reduced basis, one row per pivot, is the reduced row echelon
+form with each row scaled to a primitive integer row.  Values are divided
+by the pivot only where they are read: solution returns Fractions, as
+mat_vec does from sums taken in ints; product keeps int rows int.  echelon
+runs the engine lowest column first, the order that picks the particular
+solution that gets printed; rank first orders the columns by ascending
+nonzero count, which keeps the cover matrices sparse.  The integer Hermite
+form keeps its own small dense tableau.
 """
 
 from __future__ import annotations
@@ -76,30 +76,6 @@ def _integer(x):
     if type(x) is int:
         return x
     raise ValueError("expected an integer")
-
-
-class SparseRows(list):
-    """A matrix as a list of {column: value} rows, with its column count."""
-
-    def __init__(self, rows, ncols):
-        super().__init__(rows)
-        self.ncols = ncols
-
-
-def _width(a):
-    """The column count of SparseRows; a plain list cannot say it."""
-    if not isinstance(a, SparseRows):
-        raise ValueError("pass {column: value} rows as SparseRows, which carry the column count")
-    return a.ncols
-
-
-def _nonzeros(row, ncols):
-    """A new {column: value} dict of the nonzero entries of a row, whose
-    columns must lie in range(ncols)."""
-    r = {j: v for j, v in row.items() if v}
-    if r and not (0 <= min(r) and max(r) < ncols):
-        raise ValueError("column index outside range(%d)" % ncols)
-    return r
 
 
 def product(a, b):
@@ -173,20 +149,20 @@ def _eliminate(r, pivot_row, col):
         _divide(r, gcd(*r.values()))
 
 
-def echelon(rows, ncols, basis=None, reduced=True):
+def echelon(rows, basis=None, reduced=True):
     """Sparse fraction-free row echelon form: the reader of the elimination
     engine of this module.
 
-    rows is an iterable of {column: value} rows of ints or Fractions with
-    columns in range(ncols); zero values are dropped and the rows are not
-    modified: each is copied once, scaled to integers and checked as it is
-    reached.  basis is the result of an earlier call, extended in place by
-    the new rows, or None to start empty.  The result maps each pivot column
-    to its row, a primitive {column: int} row: the gcd of its entries is 1,
-    its pivot is positive and no entry lies left of it.  Callers divide by
-    the pivot where they read a value (solution).
+    rows is an iterable of {column: value} rows of ints or Fractions; zero
+    values are dropped and the rows are not modified: each is copied once
+    and scaled to integers as it is reached.  basis is the result of an
+    earlier call, extended in place by the new rows, or None to start
+    empty.  The result maps each pivot column to its row, a primitive
+    {column: int} row: the gcd of its entries is 1, its pivot is positive
+    and no entry lies left of it.  Callers divide by the pivot where they
+    read a value (solution).
     """
-    rows = (_integer_row(_nonzeros(row, ncols)) for row in rows)
+    rows = (_integer_row({j: v for j, v in row.items() if v}) for row in rows)
     return _echelon(rows, {} if basis is None else basis, reduced)
 
 
@@ -227,8 +203,9 @@ def _echelon(rows, basis, reduced):
 def solution(basis, n):
     """The solution of a reduced augmented system with free variables 0.
 
-    basis comes from echelon over rows [A | b] with b in column n; the
-    result is None when the system is inconsistent (a pivot lands on b).
+    basis comes from echelon over rows [A | b] with b in column n, and any
+    further right-hand sides past it, which are not read; the result is
+    None when the system is inconsistent (a pivot lands on b).
     Callers that build their equations term by term keep the rows in a
     {row key: {column: value}} dict and pass its values.
     """
@@ -256,24 +233,6 @@ def rank(a):
     order = {j: k for k, j in enumerate(sorted(count, key=count.__getitem__))}
     ordered = [_integer_row({order[j]: v for j, v in row.items() if v}) for row in a]
     return len(_echelon(ordered, {}, False))
-
-
-def solve(a, b):
-    """One solution of a x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero.
-    """
-    if len(b) != len(a):
-        raise ValueError("right-hand side has %d entries for %d rows" % (len(b), len(a)))
-    n = _width(a)
-    rows = []
-    for row, bi in zip(a, b):
-        r = _nonzeros(row, n)
-        bi = _exact(bi)
-        if bi:
-            r[n] = bi
-        rows.append(_integer_row(r))
-    return solution(_echelon(rows, {}, True), n)
 
 
 # --- integer lattice routines ---

@@ -332,7 +332,10 @@ class Scene:
         def triple(entry, where):
             if len(_expect(entry, list, where)) != 3:
                 raise SceneError("need three component names", where)
-            return tuple(resolve(name, where) for name in entry)
+            t = tuple(resolve(name, where) for name in entry)
+            if len(set(t)) != 3:
+                raise SceneError("a component named twice", where)
+            return t
 
         doubles = _items(self._get("double_strata", []), "double_strata", double)
         triples = _items(self._get("triple_strata", []), "triple_strata", triple)
@@ -518,10 +521,25 @@ class Scene:
             tuple(str(o) for o in opens), pairs, triples, dims, restrictions, ce
         )
 
-    def cochains(self):
+    def cochains(self, data):
+        """theta, gbar and bbar of an obstruction triple on the cover data:
+        row-q cochains on its triples, pairs and opens for q = 0, 1, 2, one
+        vector per simplex of that simplex's row-q dimension."""
+        if data.n_rows < 3:
+            raise SceneError("need at least three rows to place an obstruction triple",
+                             "leaf_data")
         spec = _expect(self._require("cochains"), dict, "cochains")
-        return tuple(_fraction_matrix(spec.get(key, []), "cochains.%s" % key)
-                     for key in ("theta", "gbar", "bbar"))
+        out = []
+        for q, (key, simplices, noun) in enumerate((
+                ("theta", data.triples, "triple"), ("gbar", data.pairs, "pair"),
+                ("bbar", data.simplices(0), "open"))):
+            where = "cochains." + key
+            vecs = _fraction_matrix(spec.get(key, []), where)
+            if len(vecs) != len(simplices) or any(
+                    len(v) != data.row_dim(s, q) for v, s in zip(vecs, simplices)):
+                raise SceneError("need a row-%d vector per %s" % (q, noun), where)
+            out.append(vecs)
+        return out
 
     # -- finite-dimensional Lie data --
 

@@ -260,7 +260,7 @@ def _eliminate(ctx, gens):
                 for shift, t, c in terms.images(unknowns[col], room):
                     row = rows[deg + 1 + shift].setdefault((g, t), {})
                     row[col] = row.get(col, 0) + c
-        linalg.echelon(rows[deg].values(), n + 1, basis, reduced=deg == top)
+        linalg.echelon(rows[deg].values(), basis, reduced=deg == top)
         if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
     sol = linalg.solution(basis, n)

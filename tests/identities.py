@@ -53,7 +53,7 @@ def _rand_derivation(rng, ctx, terms=2):
 
 
 def _rand_unimodular(rng, n):
-    p = linalg.SparseRows([{i: 1} for i in range(n)], n)
+    p = [{i: 1} for i in range(n)]
     for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -117,8 +117,7 @@ def _rand_cover(rng):
                 m = [[_rand_fraction(rng, 2) for _ in range(cols)] for _ in range(rows)]
             else:
                 # rows must kill the image of the previous differential
-                left_null = nullspace(linalg.SparseRows(
-                    [dict(enumerate(col)) for col in zip(*prev)], cols))
+                left_null = nullspace([dict(enumerate(col)) for col in zip(*prev)], cols)
                 m = [[Fraction(0)] * cols for _ in range(rows)]
                 for rrow in m:
                     for vec in left_null:

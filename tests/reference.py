@@ -5,7 +5,8 @@ read_jet and read_field read text on the default names x1..xn, variable,
 power, formatted and agree_to_order are the jet arithmetic the solvers do
 without, zero_field, add_fields, scaled, is_zero_field and
 format_derivation the module operations on log derivations and their
-printed form, nullspace is a kernel basis by linalg's elimination engine,
+printed form, solve is linalg's one solve on rows and a dense right-hand
+side, nullspace is a kernel basis by linalg's elimination engine,
 monomials is the enumeration semistability._t1_unknowns is checked against,
 at_order reads a field on its germ at another order, since every solver
 decides at its germ's order, basis_derivation gives the basis fields of
@@ -25,7 +26,8 @@ from logfol import linalg
 from logfol.bundles import GradedBundleP1, SNCCurveBundle
 from logfol.exprs import _power
 from logfol.jets import GermContext, Jet, _on_crossing, format_jet, jet_from_string, name_table
-from logfol.leafcomplex import LieAlgebra, LieModuleData, _combine, _dense, _from_columns, ce_basis
+from logfol.leafcomplex import (LieAlgebra, LieModuleData, _augmented, _combine, _dense,
+                                _from_columns, ce_basis)
 from logfol.logcalc import LogDerivation, derivation_from_string, derivation_table
 
 
@@ -92,11 +94,17 @@ def format_derivation(v):
     return " + ".join(parts) if parts else "0"
 
 
-def nullspace(a):
-    """Basis of the kernel of the linalg.SparseRows a, as a list of vectors,
-    one per free column."""
-    n = linalg._width(a)
-    basis = linalg.echelon(a, n)
+def solve(a, b, n):
+    """One solution of a x = b, for {column: value} rows a in n unknowns and
+    a dense b, with free variables 0, or None: linalg.solution on the
+    echelon of [a | b]."""
+    return linalg.solution(linalg.echelon(_augmented(a, b, n)), n)
+
+
+def nullspace(a, n):
+    """Basis of the kernel of the {column: value} rows a in n columns, as a
+    list of vectors, one per free column."""
+    basis = linalg.echelon(a)
     out = {}
     for f in range(n):
         if f not in basis:
@@ -180,27 +188,22 @@ def serre_dual(bundle: SNCCurveBundle) -> SNCCurveBundle:
     h1 of the original equals h0 of this bundle; the node identification
     dualizes to the inverse transpose.
     """
-    n = len(bundle.glue)
     return SNCCurveBundle(
         GradedBundleP1(tuple(-d - 1 for d in bundle.left.degrees)),
         GradedBundleP1(tuple(-d - 1 for d in bundle.right.degrees)),
-        tuple(zip(*inverse(linalg.SparseRows([dict(enumerate(r)) for r in bundle.glue], n)))),
+        tuple(zip(*inverse([dict(enumerate(r)) for r in bundle.glue]))),
     )
 
 
 def inverse(a):
-    """The inverse of a square matrix given as linalg.SparseRows, as rows of
-    Fractions, by linalg's elimination engine on [a | I]; ValueError if it
-    is singular or not square."""
+    """The inverse of a square matrix given as {column: value} rows, as rows
+    of Fractions, by linalg's elimination engine on [a | I]; ValueError if
+    it is singular, or not square: a nonzero entry at a column past its
+    rows."""
     n = len(a)
-    if linalg._width(a) != n:
+    if any(v and not 0 <= j < n for row in a for j, v in row.items()):
         raise ValueError("matrix is not square")
-    rows = []
-    for i, row in enumerate(a):
-        r = linalg._nonzeros(row, n)
-        r[n + i] = 1
-        rows.append(linalg._integer_row(r))
-    basis = linalg._echelon(rows, {}, True)
+    basis = linalg.echelon({**row, n + i: 1} for i, row in enumerate(a))
     if sorted(basis) != list(range(n)):
         raise ValueError("matrix is singular")
     return [[Fraction(basis[i].get(n + j, 0), basis[i][i]) for j in range(n)] for i in range(n)]
@@ -215,7 +218,7 @@ def lie_defect(data):
     algebra, sub, pert = data.algebra, data.sub_basis, data.perturbation
     n = algebra.dim
     reduced = {p: {j: Fraction(x, row[p]) for j, x in row.items()}
-               for p, row in linalg.echelon(sub, n).items()}
+               for p, row in linalg.echelon(sub).items()}
     free = {j: f for f, j in enumerate(j for j in range(n) if j not in reduced)}
     q = len(free)
 

@@ -40,10 +40,10 @@ def test_h_p1_ranks_one_window_in_one_echelon_call(d, monkeypatch):
     calls = []
     echelon = linalg.echelon
 
-    def spy(rows, ncols, basis=None, reduced=True):
+    def spy(rows, basis=None, reduced=True):
         rows = list(rows)
         calls.append((len(rows), basis, reduced))
-        return echelon(rows, ncols, basis, reduced)
+        return echelon(rows, basis, reduced)
 
     monkeypatch.setattr(linalg, "echelon", spy)
     monkeypatch.setattr(linalg, "rank", None)

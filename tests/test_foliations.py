@@ -161,7 +161,7 @@ def _full_system_solve(gens, target, d):
     """The test oracle: (coefficients or None, unique?) from one solve of the
     whole system _span_rows_oracle over gens and target, with no unit pivots."""
     monos, n, rows = _span_rows_oracle([g.components() for g in gens], (target.components(),), d)
-    sol = linalg.solution(linalg.echelon(rows.values(), n + 1), n)
+    sol = linalg.solution(linalg.echelon(rows.values()), n)
     if sol is None:
         return None, False
     unique = linalg.rank([{c: v for c, v in row.items() if c < n} for row in rows.values()]) == n

@@ -23,10 +23,11 @@ from logfol.leafcomplex import (
     p1_window_cover,
     verify_obstruction_cocycle,
 )
-from logfol.scene import SceneError, load_scene
+from logfol.scene import Scene, SceneError, load_scene
 
 from exact_rule import follows_the_rule
-from reference import abelian_algebra, adjoint_module, coboundary_triple, lie_defect, nullspace
+from reference import (abelian_algebra, adjoint_module, coboundary_triple, lie_defect, nullspace,
+                       solve)
 
 
 def sl2():
@@ -257,7 +258,6 @@ def test_ce_differential_shapes_and_square():
     for k in range(3):
         d_k = ce_differential(m, k)
         assert len(d_k) == dims[k + 1]
-        assert d_k.ncols == dims[k]
         assert all(0 <= j < dims[k] for row in d_k for j in row)
     assert not any(linalg.product(ce_differential(m, 1), ce_differential(m, 0)))
 
@@ -456,9 +456,10 @@ def zeros(rows, cols):
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def dense(m):
-    """A cover matrix (linalg.SparseRows) as dense rows."""
-    return [[row.get(j, Fraction(0)) for j in range(m.ncols)] for row in m]
+def dense(m, cols):
+    """A cover matrix, {column: value} rows in cols columns, as dense rows."""
+    assert all(0 <= j < cols for row in m for j in row)
+    return [[row.get(j, Fraction(0)) for j in range(cols)] for row in m]
 
 
 def test_constant_cover_shape():
@@ -476,7 +477,6 @@ def test_cech_matrix_signs():
     # simplicial difference maps of the full triangle
     d0 = data.cech_matrix(0, 2)
     assert d0 == [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
-    assert d0.ncols == 3
     d1 = data.cech_matrix(1, 2)
     assert d1 == [{0: 1, 1: -1, 2: 1}]
     assert not any(linalg.product(d1, d0))
@@ -772,7 +772,7 @@ def test_perturbed_gbar_breaks_the_two_middle_equations():
 
 def test_a_triple_that_fails_an_equation_is_no_coboundary_without_a_solve(monkeypatch):
     # a coboundary satisfies every equation, so a failed one decides
-    # is_coboundary; only cocycles reach linalg.solve
+    # is_coboundary; only cocycles reach linalg.solution
     data = triangle_data()
     theta, gbar, bbar = coboundary_triple(data, RHO, HBAR)
     bad = list(map(list, gbar))
@@ -781,7 +781,7 @@ def test_a_triple_that_fails_an_equation_is_no_coboundary_without_a_solve(monkey
     def no_solve(*args):
         raise AssertionError("solved a system the equations already decide")
 
-    monkeypatch.setattr(linalg, "solve", no_solve)
+    monkeypatch.setattr(linalg, "solution", no_solve)
     report = verify_obstruction_cocycle(data, theta, bad, bbar)
     assert report.equations == (True, False, False, True)
     assert (report.is_cocycle, report.is_coboundary, report.corrector) == (False, False, None)
@@ -798,19 +798,31 @@ def test_a_triple_that_fails_an_equation_is_no_coboundary_without_a_solve(monkey
         verify_obstruction_cocycle(data, theta, gbar, bbar)
 
 
+def cochain_scene(theta, gbar, bbar):
+    """A scene holding only the cochains of an obstruction triple."""
+    layers = ([list(v) for v in layer] for layer in (theta, gbar, bbar))
+    return Scene({"cochains": dict(zip(("theta", "gbar", "bbar"), layers))}, None)
+
+
 def test_verify_rejects_short_complexes():
+    # the triple is placed on the scene's cover only once it has three rows
     data = p1_window_cover((0, 1), 3, [[0, 1]])
-    with pytest.raises(ValueError):
-        verify_obstruction_cocycle(data, [], [[0] * data.row_dim((0, 1), 1)], [[0], [0]])
+    scene = cochain_scene([], [[0] * data.row_dim((0, 1), 1)], [[0], [0]])
+    with pytest.raises(SceneError, match="^leaf_data: need at least three rows"):
+        scene.cochains(data)
 
 
 def test_verify_rejects_wrong_shapes():
     data = triangle_data()
     theta, gbar, bbar = coboundary_triple(data, RHO, HBAR)
-    with pytest.raises(ValueError):
-        verify_obstruction_cocycle(data, theta, gbar[:-1], bbar)
-    with pytest.raises(ValueError):
-        verify_obstruction_cocycle(data, theta, gbar, [v[:-1] for v in bbar])
+    assert cochain_scene(theta, gbar, bbar).cochains(data) == [
+        tuple(map(tuple, layer)) for layer in (theta, gbar, bbar)]
+    with pytest.raises(SceneError, match="^cochains.theta: need a row-0 vector per triple$"):
+        cochain_scene(theta + theta, gbar, bbar).cochains(data)
+    with pytest.raises(SceneError, match="^cochains.gbar: need a row-1 vector per pair$"):
+        cochain_scene(theta, gbar[:-1], bbar).cochains(data)
+    with pytest.raises(SceneError, match="^cochains.bbar: need a row-2 vector per open$"):
+        cochain_scene(theta, gbar, [v[:-1] for v in bbar]).cochains(data)
 
 
 def test_non_coboundary_cocycle_is_reported():
@@ -824,10 +836,10 @@ def test_non_coboundary_cocycle_is_reported():
     # assemble D2 and pick a kernel vector not in the image of D1
     d2 = data.total_matrix(2)
     d1 = data.total_matrix(1)
-    kernel = nullspace(d2)
+    kernel = nullspace(d2, data.total_dim(2))
     target = None
     for v in kernel:
-        if linalg.solve(d1, v) is None:
+        if solve(d1, v, data.total_dim(1)) is None:
             target = v
             break
     assert target is not None
@@ -985,10 +997,11 @@ def test_assembler_matches_the_placement_loops():
         rows = data.n_rows
         for p in range(-1, 4):
             for q in range(-1, rows + 1):
-                assert dense(data.cech_matrix(p, q)) == _ref_cech_matrix(data, p, q), (p, q)
-                assert dense(data.ce_matrix(p, q)) == _ref_ce_matrix(data, p, q), (p, q)
+                cols = _space_dim(data, p, q)
+                assert dense(data.cech_matrix(p, q), cols) == _ref_cech_matrix(data, p, q), (p, q)
+                assert dense(data.ce_matrix(p, q), cols) == _ref_ce_matrix(data, p, q), (p, q)
         for n in range(-1, data.max_total_degree + 2):
-            assert dense(data.total_matrix(n)) == _ref_total_matrix(data, n), n
+            assert dense(data.total_matrix(n), data.total_dim(n)) == _ref_total_matrix(data, n), n
 
 
 def test_ordered_rank_matches_lowest_column_first_on_covers():
@@ -997,7 +1010,7 @@ def test_ordered_rank_matches_lowest_column_first_on_covers():
     for data in covers:
         for n in range(data.max_total_degree + 1):
             m = data.total_matrix(n)
-            assert linalg.rank(m) == len(linalg.echelon(m, m.ncols, reduced=False)), n
+            assert linalg.rank(m) == len(linalg.echelon(m, reduced=False)), n
 
 
 def test_split_inverts_the_flat_layout():

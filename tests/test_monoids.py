@@ -17,6 +17,8 @@ from logfol.monoids import (
     saturate,
 )
 
+from reference import solve
+
 
 def brute_members(m, bound):
     """All monoid elements whose coordinates stay within [-bound, bound].
@@ -337,13 +339,12 @@ def rational_cone_contains(gens, x):
     k = len(x)
 
     def columns(vectors):
-        return linalg.SparseRows([{j: v[i] for j, v in enumerate(vectors) if v[i]}
-                                  for i in range(k)], len(vectors))
+        return [{j: v[i] for j, v in enumerate(vectors) if v[i]} for i in range(k)]
 
     dim = linalg.rank(columns(gens))
     for base in itertools.combinations(gens, dim):
         if linalg.rank(columns(base)) == dim:
-            t = linalg.solve(columns(base), x)
+            t = solve(columns(base), x, dim)
             if t is not None and min(t) >= 0:
                 return True
     return False

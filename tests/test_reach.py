@@ -266,14 +266,6 @@ ALLOWED = [
     ("leafcomplex", "verify_obstruction_cocycle",
      'raise RuntimeError("obstruction certificate failed: the total differential does not "',
      "certificate: test_cli_obstruction_wrong_corrector_is_internal"),
-    ("linalg", "_nonzeros", 'raise ValueError("column index outside range(%d)" % ncols)',
-     "invariant: the systems are built with their columns in range"),
-    ("linalg", "_width",
-     'raise ValueError("pass {column: value} rows as SparseRows, which carry the column count")',
-     "invariant: solve is given SparseRows"),
-    ("linalg", "solve",
-     'raise ValueError("right-hand side has %d entries for %d rows" % (len(b), len(a)))',
-     "invariant: the right-hand side is built with one entry per row"),
     ("logcalc", "LogDerivation.__init__",
      'raise ValueError("coefficient counts do not match the context")',
      "invariant: fields are built with one coefficient per basis field"),

@@ -878,17 +878,18 @@ def test_cli_obstruction_verify_no(tmp_path, capsys):
 def test_cli_obstruction_wrong_corrector_is_internal(tmp_path, capsys, monkeypatch):
     # a solver that answered a corrector off by one in its first coordinate
     # is caught by the certificate, never printed as a total coboundary
-    solve = linalg.solve
+    solution = linalg.solution
 
-    def perturbed(a, b):
-        x = solve(a, b)
-        x[0] += 1
+    def perturbed(basis, n):
+        x = solution(basis, n)
+        if sys._getframe(1).f_code.co_name == "verify_obstruction_cocycle":
+            x[0] += 1
         return x
 
     path = write_scene(tmp_path, "s.json", obstruction_scene())
     assert cli.main(["obstruction", "verify", path]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(linalg, "solve", perturbed)
+    monkeypatch.setattr(linalg, "solution", perturbed)
     assert cli.main(["obstruction", "verify", path]) == 4
     assert capsys.readouterr().out.startswith(
         "internal: internal error: RuntimeError: obstruction certificate failed")
@@ -897,10 +898,10 @@ def test_cli_obstruction_wrong_corrector_is_internal(tmp_path, capsys, monkeypat
 def test_cli_lie_wrong_corrector_is_internal(monkeypatch, capsys):
     # only the corrector's solve is perturbed; _sub_structure's solves for
     # the subalgebra's structure constants are left alone
-    solve = linalg.solve
+    solution = linalg.solution
 
-    def perturbed(a, b):
-        x = solve(a, b)
+    def perturbed(basis, n):
+        x = solution(basis, n)
         if sys._getframe(1).f_code.co_name == "lie_subalgebra_obstruction":
             x[-1] += 1  # the first coordinate's column is zero: any value maps right
         return x
@@ -908,7 +909,7 @@ def test_cli_lie_wrong_corrector_is_internal(monkeypatch, capsys):
     path = str(SCENES / "lie_borel.json")
     assert cli.main(["obstruction", "lie", path]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(linalg, "solve", perturbed)
+    monkeypatch.setattr(linalg, "solution", perturbed)
     assert cli.main(["obstruction", "lie", path]) == 4
     assert capsys.readouterr().out.startswith(
         "internal: internal error: RuntimeError: Lie corrector certificate failed")
@@ -920,8 +921,9 @@ def test_cli_obstruction_verify_rejects_a_null_cochain_row(tmp_path, capsys):
     path = write_scene(tmp_path, "s.json", scene)
     assert cli.main(["obstruction", "verify", path]) == 2
     assert "cochains.theta[0]" in capsys.readouterr().out
+    scene = load_scene(path, None)
     with pytest.raises(SceneError, match="expected list"):
-        load_scene(path, None).cochains()
+        scene.cochains(scene.leaf_data())
 
 
 SL2 = [

@@ -5,7 +5,6 @@ shot over all usable equation degrees and solves it once, independently of
 the degree-by-degree search in the library.
 """
 
-import json
 import random
 import sys
 from collections import Counter
@@ -38,7 +37,7 @@ from logfol.semistability import (
 
 from identities import _field_keeping_flat
 from reference import (add_fields, agree_to_order, at_order, format_derivation, formatted,
-                       monomials, power, read_field, scaled, variable)
+                       monomials, power, read_field, scaled, solve, variable)
 
 
 # -- oracle -------------------------------------------------------------------
@@ -70,7 +69,7 @@ def flat_unit_exists_oracle(fol, order):
             eq_index[len(rows) - 1] = (id(v), e_out)
     if not unknowns:
         return all(c == 0 for c in rhs)
-    return linalg.solve(linalg.SparseRows(rows, len(unknowns)), rhs) is not None
+    return solve(rows, rhs, len(unknowns)) is not None
 
 
 def node_field(ctx, lam1, lam2):
@@ -184,10 +183,10 @@ def rows_handed_to_echelon(monkeypatch, fol):
     calls = []
     echelon = linalg.echelon
 
-    def spy(rows, ncols, basis=None, reduced=True):
+    def spy(rows, basis=None, reduced=True):
         rows = list(rows)
         calls.append([dict(row) for row in rows])
-        return echelon(rows, ncols, basis, reduced)
+        return echelon(rows, basis, reduced)
 
     with monkeypatch.context() as m:
         m.setattr(linalg, "echelon", spy)
@@ -350,7 +349,7 @@ def _flat_unit_oracle(fol):
         by_degree[sum(e)].append(row)
     basis = {}
     for deg in range(d):
-        linalg.echelon(by_degree[deg], n + 1, basis, reduced=deg == d - 1)
+        linalg.echelon(by_degree[deg], basis, reduced=deg == d - 1)
         if n in basis:
             return FlatUnitResult(False, d, failing_degree=deg)
     sol = linalg.solution(basis, n)
@@ -412,23 +411,6 @@ def count_flat_unit_echelons(monkeypatch):
 
     monkeypatch.setattr(linalg, "echelon", counting)
     return calls
-
-
-def test_a_no_keeps_its_failing_degree_at_every_higher_order(tmp_path, capsys):
-    # a germ solution truncates to a jet solution, so a "no" that fails at
-    # degree k fails at degree k at every higher order; semistable_degree_1_no
-    # is the corpus scene whose "no" fails above degree 0 (the trace x3 of
-    # (1 + x3)*x1*dx1 - x2*dx2 has no match at degree 1).  At order 1 no
-    # degree-1 row is built, and the unit 1 solves the degree-0 rows.
-    scene = str(Path(__file__).resolve().parent.parent / "scenes" / "semistable_degree_1_no.json")
-    out = tmp_path / "report.json"
-    reports = {}
-    for order in (1, 2, 3, 4, 6):
-        code = cli.main(["semistable", "check", scene, "--order", str(order), "--json", str(out)])
-        reports[order] = code, json.loads(out.read_text())["details"]
-    capsys.readouterr()
-    assert reports.pop(1) == (0, {"order": 1, "unique": True, "unit": "1"})
-    assert reports == {order: (1, {"failing_degree": 1, "order": order}) for order in (2, 3, 4, 6)}
 
 
 def _degree_zero_no(monkeypatch, capsys):

@@ -15,20 +15,19 @@ be written is said on stderr and ends in exit 2, whatever the report
 decided.  A stdout whose reader has gone (a closed pipe) changes no
 exit code: the rest of the output goes to devnull.
 
-The command tree lives in one table, COMMANDS: each row gives a leaf's words,
-handler and help.  Every command reads a scene file, its one input besides
-the common --order and --json, and its handler takes that scene alone.
+The commands live in one table, COMMANDS: each row gives a command's words,
+handler and help.  Every command reads scene files, its one input besides
+the common --order and --json, and its handler takes one scene alone.
 Every report, error reports included, is named after its row: its tool is
-the row's words joined by "-".  A named leaf is parsed by its own parser
-alone (build_parser(argv)), with the prog and help it has in the whole
-tree, since one call runs one command; help, a group alone, an unknown
-word, or arguments the leaf leaves over go to the whole tree, built from
-the same rows, so its usage errors read as they always have.  Each parser
-is built on first use and then kept for the process.  A group named alone
-prints that group's usage and leaves and exits 2.  The run row has no
-handler: it runs each scene file through the row whose words the scene
-lists in its "command" key, at run's --order, prints "name: decision:
-summary" per file and exits with the worst code.
+the row's words joined by "-".  One parser, built on first use and kept
+for the process, reads the options wherever they stand and every other
+word into one list; main takes a row's words from the front of that list,
+and the rest are its scene files, one for every row but run.  Words that
+begin no row, an option it does not know and a second scene file are
+refused with its usage line; no words at all print its help and exit 2.
+The run row has no handler: it runs each scene file through the row whose
+words the scene lists in its "command" key, at run's --order, prints
+"name: decision: summary" per file and exits with the worst code.
 """
 
 from __future__ import annotations
@@ -335,7 +334,7 @@ def _cmd_holonomy(scn: Scene):
 
 def _named_command(scn):
     """For run: the row of the command that scene scn names; a SceneError at
-    "command" if it names none (run itself has no handler, like the tree)."""
+    "command" if it names none (run itself has no handler)."""
     words = scn.raw.get("command")
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise SceneError("expected a list of command words", "command")
@@ -401,39 +400,16 @@ def _write_json(path, payload):
     return True
 
 
-def _add_leaf(parser, cmd):
-    """Give parser the defaults and options of the row cmd; returns parser."""
-    parser.set_defaults(cmd=cmd)
-    parser.add_argument("--order", type=int, default=argparse.SUPPRESS,
-                        help="truncation order override (default: scene value, else 6)")
-    parser.add_argument("--json", dest="json_path", default=argparse.SUPPRESS, metavar="PATH",
-                        help='write the report as JSON to PATH ("-" for stdout)')
-    if cmd.handler is None:
-        parser.add_argument("scene", nargs="*", help="scene files, each run by its command")
-    else:
-        parser.add_argument("scene", nargs="?", help="scene file to read")
-    return parser
+# --- the command table: one row per command ---
 
 
-# --- the command table: one row per leaf of the command tree ---
-
-
-# words: ("monoid", "saturate"), or one word for a top-level leaf; handler: the
+# words: ("monoid", "saturate"), or one word such as ("holonomy",); handler: the
 # function of the scene that answers, None for run alone.  A namedtuple, as every
 # record in the package is a namedtuple or a plain class with __slots__: a
 # dataclass generates and execs its methods on every start, and importing
 # dataclasses brings inspect and ast with it.
 _Command = namedtuple("_Command", "words handler help")
 
-
-_GROUPS = {
-    "monoid": "saturation and group of a lattice monoid",
-    "semistable": "flat-unit criterion on a crossing germ",
-    "cs": "residue indices along strata",
-    "pushout": "gluing checks across components",
-    "cohomology": "exact cohomology of small bundles",
-    "obstruction": "obstruction cocycles and classes",
-}
 
 COMMANDS = (
     _Command(("monoid", "saturate"), _cmd_monoid_saturate, "generators of the saturation"),
@@ -460,85 +436,56 @@ COMMANDS = (
 )
 
 
-def build_parser(argv):
-    """The parser for the list argv: when a row's words lead argv, that row's
-    own parser, which reads argv past them (its words attribute); else the
-    whole tree (words ())."""
-    for i, cmd in enumerate(COMMANDS):
-        if tuple(argv[:len(cmd.words)]) == cmd.words:
-            return _leaf(i)
-    return _tree()
-
-
 @lru_cache(maxsize=None)
-def _leaf(i):
-    """The parser of row i alone, with the prog and help it has in the whole
-    tree; like the tree, built on first use and kept for the process."""
-    cmd = COMMANDS[i]
-    parser = _add_leaf(argparse.ArgumentParser(prog="logfol " + " ".join(cmd.words)), cmd)
-    parser.words = cmd.words
-    return parser
-
-
-@lru_cache(maxsize=None)
-def _tree():
-    """The parser of every row, built on first use and kept for the process."""
+def build_parser():
+    """The one parser: the options, then the words of a row of COMMANDS and
+    its scene files; built on first use and kept for the process."""
+    rows = "\n".join("  %-22s%s" % (" ".join(cmd.words), cmd.help) for cmd in COMMANDS)
     parser = argparse.ArgumentParser(
         prog="logfol",
-        description="exact checks for foliations on crossing germs: "
-        "flat units, indices, gluing cocycles, cover obstructions",
+        usage="%(prog)s [-h] [--order N] [--json PATH] COMMAND SCENE ...",
+        description="exact checks for foliations on crossing germs: flat units, indices,\n"
+        "gluing cocycles, cover obstructions",
+        epilog="commands:\n" + rows,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.words = ()
-    groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}
-    parser.group_parsers = {}  # group word -> its parser, for main's group help
-    for cmd in COMMANDS:
-        group = cmd.words[:-1]
-        if group not in groups:
-            p = parser.group_parsers[group[0]] = groups[()].add_parser(
-                group[0], help=_GROUPS[group[0]])
-            groups[group] = p.add_subparsers(dest="subcommand", metavar="WHAT")
-        _add_leaf(groups[group].add_parser(cmd.words[-1], help=cmd.help), cmd)
+    parser.add_argument("--order", type=int, metavar="N",
+                        help="truncation order override (default: scene value, else 6)")
+    parser.add_argument("--json", dest="json_path", metavar="PATH",
+                        help='write the report as JSON to PATH ("-" for stdout)')
+    parser.add_argument("words", nargs="*", metavar="COMMAND SCENE",
+                        help="a command's words, then its scene file (run: any number)")
     return parser
-
-
-def _parse(argv):
-    """argv's namespace.  Arguments the parser leaves over are refused with
-    the whole tree's usage line, naming only those arguments, as the tree's
-    own parse would.  run alone is parsed intermixed (slower), as its files
-    may sit among options; argparse leaves over the files after an unknown
-    option too, and as they are run's files, only the options are named."""
-    parser = build_parser(argv)
-    run = parser.words == ("run",)
-    parse = parser.parse_known_intermixed_args if run else parser.parse_known_args
-    args, rest = parse(argv[len(parser.words):])
-    if run:
-        rest = [a for a in rest if a.startswith("-")]
-    if rest:
-        _tree().error("unrecognized arguments: %s" % " ".join(rest))
-    return args
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv)
-    if "cmd" not in args:
-        # a group named alone lists its own leaves
-        tree = _tree()
-        tree.group_parsers.get(args.command, tree).print_help()
+    parser = build_parser()
+    # argparse takes the words up to the first option; the later ones are left over
+    args, rest = parser.parse_known_args(argv)
+    unknown = [a for a in rest if a.startswith("-")]
+    if unknown:
+        parser.error("unrecognized arguments: %s" % " ".join(unknown))
+    words = args.words + rest
+    if not words:
+        parser.print_help()
         return 2
-
-    if not args.scene:  # run's is a list
+    cmd = next((cmd for cmd in COMMANDS if tuple(words[:len(cmd.words)]) == cmd.words), None)
+    if cmd is None:
+        parser.error("%r begins with no command" % " ".join(words))
+    scenes = words[len(cmd.words):]
+    if not scenes:
         print("a scene file is required", file=sys.stderr)
         return 2
-    json_path = getattr(args, "json_path", None)
-    order = getattr(args, "order", None)
-    batch = args.cmd.handler is None
+    batch = cmd.handler is None
+    if not batch and len(scenes) > 1:
+        parser.error("unrecognized arguments: %s" % " ".join(scenes[1:]))
     reports = []
-    for path in args.scene if batch else [args.scene]:
-        reports.append(_run_one(args.cmd, path, order))
+    for path in scenes:
+        reports.append(_run_one(cmd, path, args.order))
         _print_report(reports[-1], prefix="%s: " % os.path.basename(path) if batch else "")
     payload = [r.to_dict() for r in reports] if batch else reports[0].to_dict()
-    if json_path and not _write_json(json_path, payload):
+    if args.json_path and not _write_json(args.json_path, payload):
         return 2
     return max(r.exit_code() for r in reports)
 

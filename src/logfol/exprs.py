@@ -347,12 +347,17 @@ def parse_polynomial(text, names, width, consts, bound):
     bound: (degree, r), read the text modulo the monomials past total
     degree and those divisible by the product of the first r slots (r >= 2).
     Every value is an int where the arithmetic stayed in ints, else a Fraction.
+    Parentheses nested past the interpreter's recursion limit are an
+    ExprError at the first "(".
     """
     if not _PLAIN.fullmatch(text) or len(text) > 640 and _LONG_NUMBER.search(text):
         _lexical_check(text)
     consts = {k: _exact(v) for k, v in (consts or {}).items()}
     reader = _Reader(text, names, width, consts, bound)
-    p, pos = reader.expr(0)
+    try:
+        p, pos = reader.expr(0)
+    except RecursionError:  # only a "(" starts a nested expr
+        reader.error("parentheses nested too deeply", text.index("("))
     if pos < len(text):
         reader.error("trailing input", pos)
     return p

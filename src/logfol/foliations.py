@@ -289,7 +289,8 @@ def restrict_derivation(v: LogDerivation, i):
 class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")):
     """Components of a crossing configuration with scalar identifications.
 
-    double_scalars is given as ((i, j, scalar), ...), each scalar that of
+    double_scalars is given as ((i, j, scalar), ...), i and j distinct
+    component indices as the scene reader checks them, each scalar that of
     the identification i -> j along the common stratum, nonzero and read by
     linalg._exact.  It is kept as a dict from the sorted pair (i, j), i < j,
     to the scalar i -> j; the opposite orientation is its inverse.  triples
@@ -307,8 +308,6 @@ class SNCGlueData(namedtuple("SNCGlueData", "components double_scalars triples")
             c = linalg._exact(c)
             if c == 0:
                 raise ValueError("identification scalars must be nonzero")
-            if i == j or not (0 <= i < len(comps)) or not (0 <= j < len(comps)):
-                raise ValueError("bad component pair (%d, %d)" % (i, j))
             key = (min(i, j), max(i, j))
             val = c if i < j else Fraction(1) / c
             if key in seen and seen[key] != val:

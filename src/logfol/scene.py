@@ -327,6 +327,8 @@ class Scene:
                 raise SceneError("need two component names", where + ".pair")
             a = resolve(pair[0], where + ".pair")
             b = resolve(pair[1], where + ".pair")
+            if a == b:
+                raise SceneError("a component named twice", where + ".pair")
             return a, b, scene_fraction(entry.get("scalar"), where + ".scalar")
 
         def triple(entry, where):
@@ -557,7 +559,8 @@ class Scene:
 
 def load_scene(path, order):
     """Read a scene file; order, unless None, overrides the scene's own,
-    default 6."""
+    default 6.  A file that cannot be read, is no JSON, nests past the
+    interpreter's recursion limit or holds no object is a SceneError."""
     try:
         with open(path, "r") as handle:
             raw = json.load(handle)
@@ -565,6 +568,8 @@ def load_scene(path, order):
         raise SceneError(str(e))
     except json.JSONDecodeError as e:
         raise SceneError("line %d, column %d: %s" % (e.lineno, e.colno, e.msg), str(path))
+    except RecursionError:
+        raise SceneError("JSON nested too deeply", str(path))
     if not isinstance(raw, dict):
         raise SceneError("a scene must be a JSON object", str(path))
     if order is None:

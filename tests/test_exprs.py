@@ -158,7 +158,10 @@ UNBOUNDED = (float("inf"), 0)
 def reference(text, names, width=None, consts=None, bound=None):
     if width is None:
         width = 1 + max(names.values()) if names else 0
-    return Parser(text, names, width, consts, bound or (float("inf"), 0)).parse()
+    try:
+        return Parser(text, names, width, consts, bound or (float("inf"), 0)).parse()
+    except RecursionError:  # past the interpreter's limit, refused as the reader does
+        raise ExprError("parentheses nested too deeply", *_line_col(text, text.index("(")))
 
 
 def read(parse, *args):

@@ -2,7 +2,8 @@
 names it with its reason.
 
 The corpus run is CI's: `python -m logfol.cli run scenes/*.json --json PATH`
-at the scenes' own orders and at --order 1, 2 and 4.  It runs under
+at the scenes' own orders and at --order 1, 2 and 4, less the scenes of
+UNTRACED.  It runs under
 sys.settrace in a fresh interpreter, so the package's imports and its
 per-process caches run under the trace too.  (sys.monitoring would be
 cheaper, but it exists only from Python 3.12.)
@@ -16,14 +17,16 @@ entry that the corpus now reaches.  Each entry's reason is of one kind:
 
     certificate  a RuntimeError re-check that only the named mutation test
                  reaches
-    cli          the help tree, a closed pipe, an unwritable --json path,
-                 the internal-error report, a leaf command's own parser or
-                 a refusal that no scene file can carry; the CI line or
-                 test that reaches it is named
+    cli          the help, a usage error, a closed pipe, an unwritable
+                 --json path, the internal-error report or a refusal that
+                 no scene file can carry; the CI line or test that reaches
+                 it is named
     tracer       perfbench/tracer.py looks the method up by name, or only
                  such a method reaches the statement
     invariant    a check on values that the package built itself, such as
                  a context mismatch between them, which no input reaches
+    recursion    a refusal of input nested past the recursion limit, which
+                 only a scene of UNTRACED reaches
 
 So a new branch or refusal in src/logfol comes with a scene that reaches
 it, or with an entry here that says why none can.
@@ -32,6 +35,7 @@ it, or with an entry here that says why none can.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -88,14 +92,16 @@ with open(out, "w") as f:
     json.dump({"codes": codes, "hits": hits}, f)
 """ % (ORDERS,)
 
-KINDS = ("certificate", "cli", "tracer", "invariant")
+KINDS = ("certificate", "cli", "tracer", "invariant", "recursion")
+
+# scenes that recurse past the interpreter's limit: there the trace
+# function's own frame is one too many, which unsets the trace for the rest
+# of the run, so the traced run leaves them out
+UNTRACED = {"semistable_nested_parentheses"}
 
 # (module, enclosing function or class, statement text, reason) of each
 # statement the corpus does not run
 ALLOWED = [
-    ("cli", "_add_leaf", 'parser.add_argument("scene", nargs="?", help="scene file to read")',
-     "cli: the parser of a leaf that reads one scene; CI's monoid saturate and cs log lines, "
-     "tests/test_scenes.py::test_scene_gives_its_expected_answer"),
     ("cli", "_fstr", 'raise TypeError("%r is no exact number" % (x,))  # a float above all',
      "invariant: every number a report prints is an int or a Fraction that the package built; "
      "test_fstr_prints_only_exact_numbers"),
@@ -106,9 +112,6 @@ ALLOWED = [
     ("cli", "_named_command", 'raise SceneError("expected a list of command words", "command")',
      "cli: a file in scenes/ names a command (test_every_scene_names_a_command_that_reads_it);"
      " test_run_reports_a_scene_that_names_no_command_at_command"),
-    ("cli", "_parse", '_tree().error("unrecognized arguments: %s" % " ".join(rest))',
-     "cli: arguments the parser leaves over; CI's --bogus lines, "
-     "test_usage_errors_read_as_the_whole_tree_words_them"),
     ("cli", "_run_one",
      "except Exception as e:  # a crash must not read as yes, no or inconclusive",
      "cli: the internal-error report; test_cli_maps_unexpected_exceptions_to_internal"),
@@ -123,28 +126,6 @@ ALLOWED = [
      "cli: a closed pipe; CI's head -c 0 line, test_closed_stdout_keeps_the_decided_exit_code"),
     ("cli", "_say", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
      "cli: a closed pipe; CI's head -c 0 line, test_closed_stdout_keeps_the_decided_exit_code"),
-    ("cli", "_tree", "_add_leaf(groups[group].add_parser(cmd.words[-1], help=cmd.help), cmd)",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "for cmd in COMMANDS:",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "group = cmd.words[:-1]",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", 'groups = {(): parser.add_subparsers(dest="command", metavar="COMMAND")}',
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", 'groups[group] = p.add_subparsers(dest="subcommand", metavar="WHAT")',
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "if group not in groups:",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "p = parser.group_parsers[group[0]] = groups[()].add_parser(",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "parser = argparse.ArgumentParser(",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "parser.group_parsers = {}  # group word -> its parser, for main's group help",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "parser.words = ()",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
-    ("cli", "_tree", "return parser",
-     "cli: the help tree; CI's --help line, test_cli_without_a_command_prints_help"),
     ("cli", "_write_json", "_say(text)",
      "cli: --json - writes to stdout; test_cli_json_to_stdout"),
     ("cli", "_write_json", "except OSError as e:",
@@ -159,28 +140,34 @@ ALLOWED = [
      "test_cli_unwritable_json_path_is_an_input_error"),
     ("cli", "_write_json", "return True",
      "cli: --json - writes to stdout; test_cli_json_to_stdout"),
-    ("cli", "build_parser", "return _tree()",
-     "cli: the help tree; CI's --help line, test_anything_but_a_leaf_builds_the_whole_tree"),
+    ("cli", "main", 'parser.error("%r begins with no command" % " ".join(words))',
+     "cli: words that begin no command; CI's monoid line, "
+     "test_cli_exits_2_without_a_leaf_or_on_bad_arguments"),
+    ("cli", "main", 'parser.error("unrecognized arguments: %s" % " ".join(scenes[1:]))',
+     "cli: a second scene file for a command that reads one; "
+     "test_usage_errors_read_as_the_whole_tree_words_them"),
+    ("cli", "main", 'parser.error("unrecognized arguments: %s" % " ".join(unknown))',
+     "cli: an option the parser does not know; CI's --bogus lines, "
+     "test_usage_errors_read_as_the_whole_tree_words_them"),
+    ("cli", "main", "parser.print_help()",
+     "cli: no words print the help; test_cli_without_a_command_prints_help"),
     ("cli", "main", 'print("a scene file is required", file=sys.stderr)',
      "cli: run with no scene file; test_cli_batch_mode_requires_scenes"),
     ("cli", "main", "return 2",
-     "cli: the exit of a group named alone, of run with no scene file and of an unwritable "
-     "--json path; test_cli_exits_2_without_a_leaf_or_on_bad_arguments, "
-     "test_cli_batch_mode_requires_scenes, test_cli_unwritable_json_path_is_an_input_error"),
+     "cli: the exit of no words, of run with no scene file and of an unwritable --json path; "
+     "test_cli_without_a_command_prints_help, test_cli_batch_mode_requires_scenes, "
+     "test_cli_unwritable_json_path_is_an_input_error"),
     ("cli", "main", "return 2",
-     "cli: the exit of a group named alone, of run with no scene file and of an unwritable "
-     "--json path; test_cli_exits_2_without_a_leaf_or_on_bad_arguments, "
-     "test_cli_batch_mode_requires_scenes, test_cli_unwritable_json_path_is_an_input_error"),
+     "cli: the exit of no words, of run with no scene file and of an unwritable --json path; "
+     "test_cli_without_a_command_prints_help, test_cli_batch_mode_requires_scenes, "
+     "test_cli_unwritable_json_path_is_an_input_error"),
     ("cli", "main", "return 2",
-     "cli: the exit of a group named alone, of run with no scene file and of an unwritable "
-     "--json path; test_cli_exits_2_without_a_leaf_or_on_bad_arguments, "
-     "test_cli_batch_mode_requires_scenes, test_cli_unwritable_json_path_is_an_input_error"),
-    ("cli", "main", "tree = _tree()",
-     "cli: a group named alone prints its help; CI's monoid line, "
-     "test_cli_exits_2_without_a_leaf_or_on_bad_arguments"),
-    ("cli", "main", "tree.group_parsers.get(args.command, tree).print_help()",
-     "cli: a group named alone prints its help; CI's monoid line, "
-     "test_cli_exits_2_without_a_leaf_or_on_bad_arguments"),
+     "cli: the exit of no words, of run with no scene file and of an unwritable --json path; "
+     "test_cli_without_a_command_prints_help, test_cli_batch_mode_requires_scenes, "
+     "test_cli_unwritable_json_path_is_an_input_error"),
+    ("exprs", "parse_polynomial", 'reader.error("parentheses nested too deeply", text.index("("))',
+     "recursion: scenes/semistable_nested_parentheses.json, "
+     "test_scene_gives_its_expected_answer"),
     ("foliations", "FoliationGerm.__new__", 'raise ValueError("generator context mismatch")',
      "invariant: the fields of a foliation are read on its germ"),
     ("foliations", "SurfaceOneForm.__new__",
@@ -296,6 +283,12 @@ ALLOWED = [
      "cli: a file that holds no scene object carries no command; "
      "test_load_scene_reports_json_position, test_load_scene_rejects_non_objects, "
      "test_run_reports_a_file_it_cannot_read_and_goes_on"),
+    ("scene", "load_scene", "except RecursionError:",
+     "cli: a file that holds no scene object carries no command; "
+     "test_load_scene_refuses_json_nested_too_deeply"),
+    ("scene", "load_scene", 'raise SceneError("JSON nested too deeply", str(path))',
+     "cli: a file that holds no scene object carries no command; "
+     "test_load_scene_refuses_json_nested_too_deeply"),
     ("scene", "load_scene",
      'raise SceneError("line %d, column %d: %s" % (e.lineno, e.colno, e.msg), str(path))',
      "cli: a file that holds no scene object carries no command; "
@@ -366,7 +359,7 @@ def unreached(hits):
 
 def corpus_hits(tmp_path):
     """(file name, line) of every line that the corpus runs, traced."""
-    scenes = sorted(str(p) for p in (ROOT / "scenes").glob("*.json"))
+    scenes = sorted(str(p) for p in (ROOT / "scenes").glob("*.json") if p.stem not in UNTRACED)
     out = tmp_path / "hits.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
@@ -389,3 +382,14 @@ def test_every_unreached_statement_is_allowed_and_every_allowed_one_unreached(tm
 def test_every_allowed_statement_has_a_reason_of_one_kind():
     for module, scope, text, reason in ALLOWED:
         assert reason.partition(":")[0] in KINDS, (module, scope, text)
+
+
+def test_every_test_a_reason_names_exists():
+    # each test_... word of a reason names a test function or a module under tests/
+    defined = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        defined.add(path.stem)
+        defined.update(node.name for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.FunctionDef))
+    named = {word for *_, reason in ALLOWED for word in re.findall(r"\btest_\w+", reason)}
+    assert named and sorted(named - defined) == []

@@ -1,6 +1,5 @@
 """Scene files and the command line wrapper, exercised end to end."""
 
-import argparse
 import json
 import os
 import signal
@@ -106,6 +105,14 @@ def test_load_scene_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"germ": \n  [}')
     with pytest.raises(SceneError, match=r"line 2, column 4"):
+        load_scene(str(path), None)
+
+
+def test_load_scene_refuses_json_nested_too_deeply(tmp_path):
+    # json.load's RecursionError is an input error at the file, not an internal one
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(SceneError, match="deep.json: JSON nested too deeply"):
         load_scene(str(path), None)
 
 
@@ -1207,8 +1214,7 @@ def test_run_names_only_the_arguments_it_leaves_over(monkeypatch, capsys):
     assert e.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("usage: logfol [-h] COMMAND ...\n"
-                   "logfol: error: unrecognized arguments: --bogus\n")
+    assert err == USAGE + "logfol: error: unrecognized arguments: --bogus\n"
 
 
 NAMES_NO_COMMAND = "is no command that reads a scene"
@@ -1341,7 +1347,10 @@ def test_cli_without_a_command_prints_help(capsys):
     assert "COMMAND" in capsys.readouterr().out
 
 
-# -- the command table and the parser built for one command ----------------------------
+# -- the command table and the one parser ------------------------------------------
+
+# the usage line that starts the help and every usage error
+USAGE = "usage: logfol [-h] [--order N] [--json PATH] COMMAND SCENE ...\n"
 
 # one argv per row of cli.COMMANDS, with every option a row takes
 PARITY_ARGV = [
@@ -1362,17 +1371,26 @@ PARITY_ARGV = [
     ["run", "a.json", "b.json", "--order", "4", "--json", "-"],
 ]
 
-# every leaf as it is named: the table's words
+# every command as it is named: the table's words
 LEAF_NAMES = [cmd.words for cmd in cli.COMMANDS]
 
 
-def _choices(parser, dest):
-    return next(a for a in parser._actions if a.dest == dest).choices
+def _usage_error(argv, capsys):
+    """main(argv) must stop at a usage error: its stderr, with nothing printed."""
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
 
 
-def _row(words):
-    """The table row that words name."""
-    return next(cmd for cmd in cli.COMMANDS if cmd.words == tuple(words))
+def _help(argv, capsys):
+    """main(argv) must print the help and exit 0: the help."""
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 0
+    return capsys.readouterr().out
 
 
 def test_parity_argv_name_every_leaf():
@@ -1381,39 +1399,38 @@ def test_parity_argv_name_every_leaf():
 
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
-def test_pruned_parser_gives_the_full_tree_namespace(argv, monkeypatch):
-    # main reads a named leaf with that leaf's parser alone, so only the
-    # tree's routing keys are missing from its namespace
-    monkeypatch.setenv("COLUMNS", "80")
-    full = vars(cli.build_parser([]).parse_args(argv))
-    routing = {"command", "subcommand"}
-    assert vars(cli._parse(argv)) == {k: v for k, v in full.items() if k not in routing}
-    assert full["cmd"] in cli.COMMANDS
+def test_pruned_parser_gives_the_full_tree_namespace(argv, monkeypatch, capsys):
+    # each argv runs its row on its scene files, in order, at its --order,
+    # and writes its --json path
+    runs, written = [], []
+
+    def run_one(cmd, path, order):
+        runs.append((cmd, path, order))
+        return Report("yes", "ran", {}, tool="-".join(cmd.words))
+
+    monkeypatch.setattr(cli, "_run_one", run_one)
+    monkeypatch.setattr(cli, "_write_json", lambda path, payload: written.append(path) or True)
+    options = {a: b for a, b in zip(argv, argv[1:]) if a.startswith("--")}
+    order = int(options["--order"]) if "--order" in options else None
+    scenes = [a for a, before in zip(argv, [None] + argv) if a.endswith(".json")
+              and before != "--json"]
+    assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    row = next(cmd for cmd in cli.COMMANDS if tuple(argv[:len(cmd.words)]) == cmd.words)
+    assert runs == [(row, path, order) for path in scenes]
+    assert written == ([options["--json"]] if "--json" in options else [])
 
 
 @pytest.mark.parametrize("words", LEAF_NAMES, ids=" ".join)
 def test_pruned_parser_gives_the_full_tree_help(words, monkeypatch, capsys):
+    # -h after any words prints the one help, which lists every row
     monkeypatch.setenv("COLUMNS", "80")
-    argv = list(words) + ["-h"]
-    helps = []
-    for run in (cli.build_parser([]).parse_args, cli.main):
-        with pytest.raises(SystemExit) as e:
-            run(argv)
-        assert e.value.code == 0
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1]
-    assert helps[0].startswith("usage: logfol %s [-h]" % " ".join(_row(words).words))
-
-
-@pytest.mark.parametrize("words", LEAF_NAMES, ids=" ".join)
-def test_a_named_leaf_builds_only_its_path(words):
-    # the leaf's own parser, with no top or group parser above it
-    parser = cli.build_parser(list(words) + ["s.json"])
-    row = _row(words)
-    assert parser.prog == "logfol " + " ".join(row.words)
-    assert parser.words == row.words
-    assert parser.get_default("cmd") is row
-    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    full = _help(["--help"], capsys)
+    assert _help(list(words) + ["-h"], capsys) == full
+    assert _help(list(words) + ["s.json", "-h"], capsys) == full
+    assert full.startswith(USAGE)
+    for cmd in cli.COMMANDS:
+        assert "  %-22s%s\n" % (" ".join(cmd.words), cmd.help) in full
 
 
 @pytest.mark.parametrize("argv", [
@@ -1424,62 +1441,42 @@ def test_a_named_leaf_builds_only_its_path(words):
     ["cohomology", "p1", "s.json", "--deg"],
 ], ids=" ".join)
 def test_usage_errors_read_as_the_whole_tree_words_them(argv, monkeypatch, capsys):
-    # what the leaf cannot take whole goes to the tree, whose top-level
-    # usage names an unrecognized argument; the leaf's own errors keep its usage
+    # every usage error starts with the one usage line
     monkeypatch.setenv("COLUMNS", "80")
-    errs = []
-    for run in (cli.build_parser([]).parse_args, cli.main):
-        with pytest.raises(SystemExit) as e:
-            run(argv)
-        assert e.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        errs.append(err)
-    assert errs[0] == errs[1]
-    if argv[-1] in ("--bogus", "two.json", "--pair", "--deg"):
-        assert errs[1] == ("usage: logfol [-h] COMMAND ...\n"
-                           "logfol: error: unrecognized arguments: %s\n" % argv[-1])
+    err = _usage_error(argv, capsys)
+    if argv[-2] == "--order":
+        assert err == USAGE + "logfol: error: argument --order: invalid int value: 'x'\n"
     else:
-        assert errs[1].startswith("usage: logfol %s [-h]" % " ".join(_row(tuple(argv[:2])).words))
-
-
-# "leaf" only starts a leaf's word, so it names no leaf; "paper" is no name of "cs log"
-@pytest.mark.parametrize("argv", [["leaf"], [], ["-h"], ["monoid"], ["bogus"], ["cs", "bogus"],
-                                  ["cs", "paper"]])
-def test_anything_but_a_leaf_builds_the_whole_tree(argv):
-    top = _choices(cli.build_parser(argv), "command")
-    assert list(top) == list(dict.fromkeys(cmd.words[0] for cmd in cli.COMMANDS))
-    for cmd in cli.COMMANDS:
-        if len(cmd.words) == 2:
-            leaves = _choices(top[cmd.words[0]], "subcommand")
-            assert cmd.words[1] in leaves
+        assert err == USAGE + "logfol: error: unrecognized arguments: %s\n" % argv[-1]
 
 
 def test_cli_exits_2_without_a_leaf_or_on_bad_arguments(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
+    full = _help(["--help"], capsys)
     assert cli.main([]) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("usage: logfol [-h] COMMAND ...")
-    assert all(cmd.words[0] in out for cmd in cli.COMMANDS)
-    for group in sorted(cli._GROUPS):
-        assert cli.main([group]) == 2
-        out = capsys.readouterr().out
-        # the group's own usage and its leaves, not the top-level help
-        assert out.startswith("usage: logfol %s [-h] WHAT ..." % group)
-        listed = {line.split()[0] for line in out.splitlines()
-                  if line.startswith("    ") and line[4] != " "}
-        assert listed == {cmd.words[1] for cmd in cli.COMMANDS if cmd.words[0] == group}
-    for word in ("bogus", "selftest"):  # selftest is a command no longer
-        with pytest.raises(SystemExit) as e:
-            cli.main([word])
-        assert e.value.code == 2
-        assert "invalid choice: '%s'" % word in capsys.readouterr().err
-    with pytest.raises(SystemExit) as e:
-        cli.main(["semistable", "check", "s.json", "--order", "x"])
-    assert e.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: logfol semistable check [-h]")
-    assert "argument --order: invalid int value: 'x'" in err
+    assert capsys.readouterr().out == full
+    # a group alone, an unknown word, a removed command or alias, the start of a word
+    groups = sorted({cmd.words[0] for cmd in cli.COMMANDS if len(cmd.words) == 2})
+    for words in [[group] for group in groups] + [
+            ["bogus"], ["selftest"], ["cs", "paper"], ["leaf"], ["cs", "bogus", "s.json"]]:
+        assert _usage_error(words, capsys) == (
+            USAGE + "logfol: error: %r begins with no command\n" % " ".join(words))
+
+
+def test_options_may_come_before_the_words(tmp_path, capsys):
+    path = str(SCENES / "node_balanced.json")
+    runs = []
+    for argv in (["semistable", "check", path, "--order", "4", "--json", "-"],
+                 ["--order", "4", "semistable", "check", path, "--json", "-"],
+                 ["--order", "4", "--json", "-", "semistable", "check", path],
+                 ["--json", "-", "semistable", "--order", "4", "check", path]):
+        runs.append((cli.main(argv), capsys.readouterr()))
+    assert runs == [runs[0]] * 4
+    assert runs[0][0] == 0 and '"order": 4' in runs[0][1].out
+    # and before run's files
+    out = tmp_path / "out.json"
+    assert cli.main(["--json", str(out), "run"] + write_batch(tmp_path)) == 1
+    assert [r["decision"] for r in json.loads(out.read_text())] == ["yes", "no"]
 
 
 def test_cli_reads_sys_argv_when_given_no_argv(monkeypatch, capsys):
@@ -1498,13 +1495,14 @@ def test_readme_lists_every_command():
 
 
 def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
-    # each command's parser is built once per process; a run of mixed commands,
-    # options, help and usage errors must read exactly as separate processes
+    # the parser is built once per process; a run of mixed commands, options,
+    # help and usage errors must read exactly as separate processes
     runs = [
         ["semistable", "check", "scenes/node_balanced.json"],
         ["cs", "log", "scenes/cs_triple_form_21.json"],
         ["--help"],
         ["semistable", "check", "scenes/node_balanced.json", "--order", "4"],
+        ["--order", "4", "cs", "log", "scenes/cs_triple_form_21.json"],
         ["semistable", "check", "--order", "x", "scenes/node_balanced.json"],
         ["semistable"],
         ["frobnicate"],
@@ -1519,8 +1517,7 @@ def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
     for key in ("COLUMNS", "NO_COLOR"):
         monkeypatch.setenv(key, env[key])
     monkeypatch.chdir(root)
-    cli._tree.cache_clear()
-    cli._leaf.cache_clear()
+    cli.build_parser.cache_clear()
     for argv in runs + runs:
         try:
             code = cli.main(list(argv))
@@ -1530,7 +1527,3 @@ def test_kept_parsers_answer_as_fresh_processes(monkeypatch, capsys):
         fresh = subprocess.run([sys.executable, "-m", "logfol.cli"] + argv, capture_output=True,
                                text=True, env=env, cwd=root, timeout=120)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    # the whole tree, for help, a group alone and an unknown word, and the
-    # three leaf parsers of semistable check, cs log and cohomology p1
-    assert cli._tree.cache_info().currsize == 1
-    assert cli._leaf.cache_info().currsize == 3
